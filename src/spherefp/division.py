@@ -11,6 +11,8 @@ first violation, so outcomes are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm
+from operator import mul
 
 import numpy as np
 
@@ -20,6 +22,10 @@ from .ffcore import FpMatrix, PrimeField, rref
 from .fpoly import (
     FpMultiPoly,
     RatMultiPoly,
+    _binom_basis_indices,
+    _fiber_coefficient_table,  # re-exported: bench/tracing.py wraps it by this name
+    _first_noninteger_fiber,
+    _newton_differences,
     induce,
     p_expand,
     regular_lift,
@@ -596,107 +602,30 @@ def lift_nullstellensatz(P: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUDGET):
 # -- p-expansion solvers (solution shapes as exact integer linear systems) ------
 
 
-def _fiber_coefficient_table(f: RatMultiPoly, base_points, p):
-    """Binomial-basis coefficients of every fiber map m -> f(n0 + p m),
-    computed exactly as iterated finite differences over an integer grid.
-
-    Returns (indices, matrix) where matrix[b][t] is the coefficient of
-    C(m, indices[t]) for base point b, as a Fraction times are avoided by
-    clearing the p-free denominator: entries are integers that must be
-    divisible by den for integrality of the true coefficient.
-    Concretely returns (indices, numerators, den) with true coefficient
-    numerators[b][t] / den.
-    """
-    d = f.nvars
-    deg = max(f.degree(), 0)
-    grid = _binom_basis_indices(d, deg)
-    den = f.denominator_lcm()
-    cleared = f.scale(den)
-    cleared_terms = {e: int(c) for e, c in cleared.terms.items()}
-    base = np.asarray(base_points, dtype=np.int64)
-    npts = np.repeat(base, len(grid), axis=0) + p * np.tile(
-        np.array(grid, dtype=np.int64), (len(base), 1)
-    )
-    vals = np.zeros(len(npts), dtype=object)
-    cols = [npts[:, j].astype(object) for j in range(d)]
-    for e, c in cleared_terms.items():
-        term = np.full(len(npts), c, dtype=object)
-        for j, k in enumerate(e):
-            for _ in range(k):
-                term = term * cols[j]
-        vals = vals + term
-    vals = vals.reshape(len(base), len(grid))
-    # difference weights: coeff at index i is sum_{j <= i} (-1)^{|i-j|} C(i,j) f(j)
-    grid_pos = {g: t for t, g in enumerate(grid)}
-    weights = np.zeros((len(grid), len(grid)), dtype=object)
-    from math import comb
-
-    for ti, i in enumerate(grid):
-        for tj, j in enumerate(grid):
-            if all(a <= b for a, b in zip(j, i)):
-                w = 1
-                sign = 0
-                for a, b in zip(j, i):
-                    w *= comb(b, a)
-                    sign += b - a
-                weights[ti, tj] = -w if sign % 2 else w
-    numerators = vals @ weights.T
-    return grid, numerators, den
+def _system_matrix(M: ZpQuadForm, df, blocks):
+    """The columns p^k N^i C(n, idx) with N = p M, for each block
+    (i, k, indices) and idx in indices, in binomial coordinates up to degree
+    df, as grid rows x columns: their integer values on the grid go through
+    Newton differences."""
+    grid = _binom_basis_indices(M.d, df)
+    nvals = [
+        sum(x * sum(map(mul, row, g)) for x, row in zip(g, M.A)) + sum(map(mul, M.u, g)) + M.v
+        for g in grid
+    ]
+    g_arr = np.array(grid, dtype=np.int64).reshape(len(grid), M.d)
+    span = range(max(df, 0) + 1)
+    comb_table = np.array([[comb(a, b) for b in span] for a in span], dtype=object)
+    parts = []
+    for i, k, indices in blocks:
+        idx = np.array(indices, dtype=np.int64).reshape(len(indices), M.d)
+        binoms = comb_table[g_arr[None, :, :], idx[:, None, :]].prod(axis=2)
+        parts.append(binoms * np.array([M.p**k * nv**i for nv in nvals], dtype=object))
+    return _newton_differences(np.concatenate(parts), M.d, df).T.tolist()
 
 
-def _first_noninteger_fiber(f, base_points, p, skip_constant=False):
-    """(n0, index) of the first non-integral fiber binomial coefficient."""
-    if f.is_zero() or not base_points:
-        return None
-    grid, numerators, den = _fiber_coefficient_table(f, base_points, p)
-    for b, n0 in enumerate(base_points):
-        for t, idx in enumerate(grid):
-            if skip_constant and not any(idx):
-                continue
-            if numerators[b, t] % den != 0:
-                return tuple(n0), idx
-    return None
-
-
-def _binom_basis_indices(nvars, max_degree):
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == nvars:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e)
-
-    if max_degree < 0:
-        return []
-    rec([], max_degree)
-    out.sort()
-    return out
-
-
-def _binom_poly(nvars, idx):
-    return RatMultiPoly.from_binomial(nvars, {idx: Fraction(1)})
-
-
-def _coords_of(poly: RatMultiPoly, index_list):
-    coords = poly.binomial_coeffs()
-    leftover = set(coords) - set(index_list)
-    if leftover:
-        raise ValueError(f"coordinates outside the index range: {sorted(leftover)}")
-    return [coords.get(idx, Fraction(0)) for idx in index_list]
-
-
-def _p_free_lcm_denominator(coords):
-    from math import lcm
-
-    q = 1
-    for c in coords:
-        q = lcm(q, c.denominator)
-    return q
-
-
-def _strip_p(q, p):
+def _p_free_denominator(coords, p):
+    """lcm of the denominators of coords, with every factor p removed."""
+    q = lcm(*(c.denominator for c in coords))
     while q % p == 0:
         q //= p
     return q
@@ -722,26 +651,17 @@ def sphere_vanishing_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BU
     if df < 0:
         return 1, [RatMultiPoly.zero(f.nvars)]
     t = df // 2
-    q0 = _strip_p(_p_free_lcm_denominator(f.binomial_coeffs().values()), p)
-    target = f.scale(q0 * p**t)
+    coords = f.binomial_coeffs()
+    q0 = _p_free_denominator(coords.values(), p)
     eq_indices = _binom_basis_indices(f.nvars, df)
-    rhs_coords = _coords_of(target, eq_indices)
+    rhs_coords = [coords.get(idx, 0) * q0 * p**t for idx in eq_indices]
     if any(c.denominator != 1 for c in rhs_coords):
         raise TheoremViolation(
             "p-adic depth of f exceeds floor(deg f / 2); no decomposition exists"
         )
-    npoly = M.integer_poly()
-    columns = []
-    unknown_slots = []
-    npow = RatMultiPoly.constant(f.nvars, 1)
-    for i in range(t + 1):
-        for idx in _binom_basis_indices(f.nvars, df - 2 * i):
-            col_poly = (npow * _binom_poly(f.nvars, idx)).scale(p ** (t - i))
-            columns.append([int(c) for c in _coords_of(col_poly, eq_indices)])
-            unknown_slots.append((i, idx))
-        if i < t:
-            npow = npow * npoly
-    amat = [[columns[c][r] for c in range(len(columns))] for r in range(len(eq_indices))]
+    blocks = [(i, t - i, _binom_basis_indices(f.nvars, df - 2 * i)) for i in range(t + 1)]
+    unknown_slots = [(i, idx) for i, _, indices in blocks for idx in indices]
+    amat = _system_matrix(M, df, blocks)
     z = int_solve(amat, [int(c) for c in rhs_coords])
     if z is None:
         xq = rat_solve(
@@ -750,15 +670,16 @@ def sphere_vanishing_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BU
         )
         if xq is None:
             raise TheoremViolation("decomposition system inconsistent over Q")
-        scale = _strip_p(_p_free_lcm_denominator(xq), p)
+        scale = _p_free_denominator(xq, p)
         z = int_solve(amat, [int(c) * scale for c in rhs_coords])
         if z is None:
             raise TheoremViolation("no integer decomposition at any p-free scale")
         q0 *= scale
-    rs = [RatMultiPoly.zero(f.nvars) for _ in range(t + 1)]
+    slots = {}
     for (i, idx), val in zip(unknown_slots, z):
         if val:
-            rs[i] = rs[i] + _binom_poly(f.nvars, idx).scale(val)
+            slots.setdefault(i, {})[idx] = val
+    rs = [RatMultiPoly.from_binomial(f.nvars, slots.get(i, {})) for i in range(t + 1)]
     m_rat = M.as_ratpoly()
     acc = RatMultiPoly.zero(f.nvars)
     mpow = RatMultiPoly.constant(f.nvars, 1)
@@ -787,39 +708,22 @@ def sphere_periodic_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUD
         raise NotPartiallyPeriodic(witness)
     nvars = f.nvars
     zero_idx = (0,) * nvars
-    c_const = f.constant_term()
-    f_tilde = f - RatMultiPoly.constant(nvars, c_const)
     t = df // 2
     s_star = max(1, t)
-    nonconst = [c for idx, c in f_tilde.binomial_coeffs().items() if idx != zero_idx]
-    q0 = _strip_p(_p_free_lcm_denominator(nonconst), p) if nonconst else 1
-    target = f_tilde.scale(q0 * p**s_star)
-    eq_indices = [idx for idx in _binom_basis_indices(nvars, df) if idx != zero_idx]
-    target_coords = dict(target.binomial_coeffs())
-    rhs_coords = [target_coords.pop(idx, Fraction(0)) for idx in eq_indices]
+    # the constant term of f only moves the zero coordinate, which C absorbs
+    coords = f.binomial_coeffs()
+    nonconst = [c for idx, c in coords.items() if idx != zero_idx]
+    q0 = _p_free_denominator(nonconst, p)
+    eq_indices = _binom_basis_indices(nvars, df)[1:]  # all but the zero index
+    rhs_coords = [coords.get(idx, 0) * q0 * p**s_star for idx in eq_indices]
     if any(c.denominator != 1 for c in rhs_coords):
         raise TheoremViolation("p-adic depth exceeds the periodic decomposition shape")
-    npoly = M.integer_poly()
-    columns = []
-    unknown_slots = []
-    # R_0 without its constant coordinate (redundant with C)
-    for idx in _binom_basis_indices(nvars, df):
-        if idx == zero_idx:
-            continue
-        col_poly = _binom_poly(nvars, idx).scale(p ** (s_star - 1))
-        columns.append(col_poly)
-        unknown_slots.append((0, idx))
-    npow = npoly * npoly
-    for i in range(2, t + 1):
-        for idx in _binom_basis_indices(nvars, df - 2 * i):
-            columns.append((npow * _binom_poly(nvars, idx)).scale(p ** (s_star - i)))
-            unknown_slots.append((i, idx))
-        npow = npow * npoly
-    col_coords = []
-    for cp in columns:
-        coords = dict(cp.binomial_coeffs())
-        col_coords.append([int(coords.get(idx, 0)) for idx in eq_indices])
-    amat = [[col_coords[c][r] for c in range(len(col_coords))] for r in range(len(eq_indices))]
+    # R_0 without its constant coordinate (redundant with C), then M^i R_i
+    blocks = [(0, s_star - 1, eq_indices)] + [
+        (i, s_star - i, _binom_basis_indices(nvars, df - 2 * i)) for i in range(2, t + 1)
+    ]
+    unknown_slots = [(i, idx) for i, _, indices in blocks for idx in indices]
+    amat = _system_matrix(M, df, blocks)[1:]
     z = int_solve(amat, [int(c) for c in rhs_coords])
     if z is None:
         xq = rat_solve(
@@ -828,7 +732,7 @@ def sphere_periodic_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUD
         )
         if xq is None:
             raise TheoremViolation("periodic decomposition inconsistent over Q")
-        scale = _strip_p(_p_free_lcm_denominator(xq), p)
+        scale = _p_free_denominator(xq, p)
         z = int_solve(amat, [int(c) * scale for c in rhs_coords])
         if z is None:
             raise TheoremViolation("no integer solution at any p-free scale")

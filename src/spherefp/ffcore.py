@@ -18,6 +18,14 @@ class Infeasible(Exception):
     """Raised by solve_linear when the system has no solution."""
 
 
+class TheoremViolation(AssertionError):
+    """A proven implication failed on a concrete instance.
+
+    Never raised in the theorem regime; at desk scale it is an honest
+    failure mode rather than a silently wrong certificate.
+    """
+
+
 def _is_prime(n: int) -> bool:
     # deterministic trial division; moduli here are desk-scale
     if n < 2:

@@ -21,8 +21,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 
-from .ffcore import PrimeField
+import numpy as np
+
+from .ffcore import PrimeField, TheoremViolation
 
 
 class ArityMismatch(ValueError):
@@ -71,10 +74,6 @@ def binom_int(n: int, k: int) -> int:
     return num // _factorial(k)
 
 
-def _trim(exp):
-    return tuple(exp)
-
-
 class _PolyBase:
     """Shared sparse-term plumbing; subclasses fix the coefficient domain."""
 
@@ -93,6 +92,9 @@ class _PolyBase:
 
     def iter_terms(self):
         return sorted(self.terms.items())
+
+    def max_var_power(self, j):
+        return max((e[j] for e in self.terms), default=0)
 
     def constant_term(self):
         zero = (0,) * self.nvars
@@ -132,7 +134,7 @@ class FpMultiPoly(_PolyBase):
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int, nvars: int, terms=None, _validated=False):
+    def __init__(self, p: int, nvars: int, terms=None):
         self.p = p
         self.nvars = nvars
         clean = {}
@@ -141,7 +143,7 @@ class FpMultiPoly(_PolyBase):
                 c = c % p
                 if c == 0:
                     continue
-                exp = _trim(exp)
+                exp = tuple(exp)
                 if len(exp) != nvars:
                     raise ArityMismatch("exponent tuple arity mismatch")
                 clean[exp] = c
@@ -228,8 +230,6 @@ class FpMultiPoly(_PolyBase):
 
     def eval_array(self, points):
         """Evaluate at an (N, nvars) numpy int array, returning residues."""
-        import numpy as np
-
         p = self.p
         n = points.shape[0]
         out = np.zeros(n, dtype=np.int64)
@@ -318,9 +318,6 @@ class FpMultiPoly(_PolyBase):
                 terms[tuple(e2)] = c
         return FpMultiPoly(self.p, self.nvars, terms)
 
-    def max_var_power(self, j):
-        return max((e[j] for e in self.terms), default=0)
-
     def to_json(self):
         return {
             "nvars": self.nvars,
@@ -351,7 +348,7 @@ class RatMultiPoly(_PolyBase):
                 c = Fraction(c)
                 if c == 0:
                     continue
-                exp = _trim(exp)
+                exp = tuple(exp)
                 if len(exp) != nvars:
                     raise ArityMismatch("exponent tuple arity mismatch")
                 clean[exp] = c
@@ -567,9 +564,7 @@ class RatMultiPoly(_PolyBase):
         return self.scale(p).is_integer_valued()
 
     def denominator_lcm(self):
-        from math import lcm
-
-        return lcm(*(c.denominator for c in self.terms.values())) if self.terms else 1
+        return lcm(*(c.denominator for c in self.terms.values()))
 
     def to_json(self):
         return {
@@ -681,11 +676,7 @@ def p_expand(f: RatMultiPoly, p: int):
         raise ValueRangeError("p_expand requires deg(f) < p")
     if f.is_zero():
         return RatMultiPoly.zero(f.nvars), RatMultiPoly.zero(f.nvars)
-    from math import lcm
-
-    q = 1
-    for c in f.terms.values():
-        q = lcm(q, c.denominator)
+    q = f.denominator_lcm()
     if q % p == 0:
         # cannot happen for integer valued f of degree < p
         raise ValueRangeError("denominator divisible by p")
@@ -696,7 +687,8 @@ def p_expand(f: RatMultiPoly, p: int):
         f2_terms[e] = (qstar * a) % p
     f2 = RatMultiPoly(f.nvars, {e: Fraction(v) for e, v in f2_terms.items()})
     f1 = (f - f2).scale(Fraction(1, p))
-    assert f1.is_integer_valued()
+    if not f1.is_integer_valued():
+        raise TheoremViolation("p-expansion part f1 is not integer valued")
     return f1, f2
 
 
@@ -734,23 +726,122 @@ def is_partially_p_periodic_on(f: RatMultiPoly, omega, p: int) -> bool:
     """
     if f.degree() >= p:
         raise ValueRangeError("requires deg(f) < p")
-    zero = (0,) * f.nvars
-    for n0 in omega:
-        fiber = f.fiber_map(list(n0), p)
-        for idx, c in fiber.binomial_coeffs().items():
-            if idx == zero:
-                continue
-            if c.denominator != 1:
-                return False
-    return True
+    return partial_periodicity_witness(f, omega, p) is None
 
 
 def partial_periodicity_witness(f: RatMultiPoly, omega, p: int):
     """First (n0, index) violating partial p-periodicity, or None."""
-    zero = (0,) * f.nvars
-    for n0 in sorted(omega):
-        fiber = f.fiber_map(list(n0), p)
-        for idx, c in sorted(fiber.binomial_coeffs().items()):
-            if idx != zero and c.denominator != 1:
-                return tuple(n0), idx
-    return None
+    return _first_noninteger_fiber(f, sorted(omega), p, skip_constant=True)
+
+
+# -- fiber tables through Newton differences on the simplex grid ---------------
+
+
+def _binom_basis_indices(nvars, max_degree):
+    """Exponent tuples of total degree <= max_degree, sorted: the simplex
+    grid that indexes binomial-basis coordinates up to that degree."""
+    out = []
+
+    def rec(prefix, remaining):
+        if len(prefix) == nvars:
+            out.append(tuple(prefix))
+            return
+        for e in range(remaining + 1):
+            rec(prefix + [e], remaining - e)
+
+    if max_degree < 0:
+        return []
+    rec([], max_degree)
+    out.sort()
+    return out
+
+
+@lru_cache(maxsize=None)
+def _newton_plan(nvars, deg):
+    """(target, source) positions on _binom_basis_indices(nvars, deg), one
+    pair per axis j and difference order k: targets have g_j >= k and each
+    source is its target moved one step down along axis j."""
+    grid = _binom_basis_indices(nvars, deg)
+    pos = {g: t for t, g in enumerate(grid)}
+    plan = []
+    for j in range(nvars):
+        for k in range(1, deg + 1):
+            tgt = [t for t, g in enumerate(grid) if g[j] >= k]
+            src = [pos[grid[t][:j] + (grid[t][j] - 1,) + grid[t][j + 1 :]] for t in tgt]
+            plan.append((np.array(tgt, dtype=np.intp), np.array(src, dtype=np.intp)))
+    return tuple(plan)
+
+
+def _newton_differences(values, nvars, deg):
+    """Binomial-basis coordinates from values on the simplex grid, in place.
+
+    values[r, t] = h_r(grid[t]) for polynomials h_r of degree <= deg, where
+    grid = _binom_basis_indices(nvars, deg); afterwards values[r, t] is the
+    coefficient of C(n, grid[t]) in h_r, that is Delta^grid[t] h_r(0)
+    (Newton's forward-difference formula).  Each plan step is one forward
+    difference along one axis, applied to all points with g_j >= k at
+    once; after deg steps on axis j a point holds Delta_j^{g_j} of the
+    previous axis' values at g_j = 0.  Exact on object arrays of integers
+    or Fractions, and on int64 arrays while 2^deg max|values| < 2^63.
+    """
+    for tgt, src in _newton_plan(nvars, deg):
+        values[:, tgt] -= values[:, src]
+    return values
+
+
+def _fiber_coefficient_table(f: RatMultiPoly, base_points, p):
+    """Binomial-basis coefficients of every fiber map m -> f(n0 + p m).
+
+    The denominators of f are cleared by den = lcm of its coefficient
+    denominators; the integer polynomial den * f is evaluated at n0 + p g
+    for every base point n0 and every g on the grid
+    _binom_basis_indices(nvars, deg f), and Newton differences turn each
+    row of values into coordinates.  Returns (grid, numerators, den): the
+    coefficient of C(m, grid[t]) in the fiber at base_points[b] is
+    numerators[b, t] / den, so it is an integer exactly when den divides
+    numerators[b, t].  The table is int64 when a bound on every value,
+    power and difference shows it exact, else Python integers.
+    """
+    d = f.nvars
+    deg = max(f.degree(), 0)
+    grid = _binom_basis_indices(d, deg)
+    den = f.denominator_lcm()
+    base = np.asarray(base_points, dtype=np.int64).reshape(-1, d)
+    pts = base[:, None, :] + p * np.array(grid, dtype=np.int64)[None, :, :]
+    cleared = {e: int(c * den) for e, c in f.terms.items()}
+    # |den f| at these points is at most the bound, each power column too
+    # (coordinates taken >= 1), and a difference of order |g| at most 2^|g|
+    # times it
+    xmax = [int(np.abs(pts[:, :, j]).max(initial=1)) for j in range(d)]
+    bound = sum(abs(c) * prod(map(pow, xmax, e)) for e, c in cleared.items())
+    dtype = np.int64 if max(bound << deg, den) < 2**63 else object
+    powers = []
+    for j in range(d):
+        col = pts[:, :, j].astype(dtype)
+        pw = [1, col]
+        for _ in range(f.max_var_power(j) - 1):
+            pw.append(pw[-1] * col)
+        powers.append(pw)
+    vals = np.zeros(pts.shape[:2], dtype=dtype)
+    for e, term in cleared.items():
+        for j, k in enumerate(e):
+            if k:
+                term = term * powers[j][k]
+        vals += term
+    return grid, _newton_differences(vals, d, deg), den
+
+
+def _first_noninteger_fiber(f, base_points, p, skip_constant=False):
+    """(n0, index) of the first non-integral fiber binomial coefficient,
+    scanning base points in the given order and indices in grid order."""
+    if f.is_zero() or len(base_points) == 0:
+        return None
+    grid, numerators, den = _fiber_coefficient_table(f, base_points, p)
+    bad = numerators % den != 0
+    if skip_constant:
+        bad[:, 0] = False  # grid[0] is the zero index
+    hits = np.argwhere(bad)
+    if len(hits) == 0:
+        return None
+    b, t = hits[0]
+    return tuple(base_points[b]), grid[t]

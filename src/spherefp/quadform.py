@@ -6,7 +6,14 @@ the parallel-matrix certificate.
 
 from __future__ import annotations
 
-from .ffcore import BudgetExceeded, FpMatrix, PrimeField, rank as mat_rank, solve_linear
+from .ffcore import (  # TheoremViolation is re-exported from here
+    BudgetExceeded,
+    FpMatrix,
+    PrimeField,
+    TheoremViolation,
+    rank as mat_rank,
+    solve_linear,
+)
 from .fpoly import FpMultiPoly
 
 
@@ -18,14 +25,6 @@ class HypothesisFailed(Exception):
     def __init__(self, witness, message="hypothesis failed"):
         super().__init__(f"{message}: witness {witness}")
         self.witness = witness
-
-
-class TheoremViolation(AssertionError):
-    """A proven implication failed on a concrete instance.
-
-    Never raised in the theorem regime; at desk scale it is an honest
-    failure mode rather than a silently wrong certificate.
-    """
 
 
 class AffineSubspace:

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -6,6 +7,11 @@ import pytest
 from spherefp.ffcore import PrimeField
 from spherefp.fpoly import FpMultiPoly, RatMultiPoly
 from spherefp.quadform import QuadForm, qf_rank
+
+# CLI tests run `python -m spherefp.cli` in subprocesses: hand them the src/
+# directory that pyproject's pytest pythonpath gives this process
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def random_symmetric(field, d, rng):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from spherefp.counting import enumerate_zeros, gowers_set
+from spherefp import division
 from spherefp.division import (
     DivisionCert,
     HypothesisFailed,
@@ -30,10 +31,18 @@ from spherefp.division import (
     _cube_difference,
 )
 from spherefp.ffcore import FpMatrix, PrimeField, rank as mat_rank
-from spherefp.fpoly import FpMultiPoly, RatMultiPoly, induce, regular_lift
+from spherefp.fpoly import (
+    FpMultiPoly,
+    RatMultiPoly,
+    _binom_basis_indices,
+    _fiber_coefficient_table,
+    induce,
+    partial_periodicity_witness,
+    regular_lift,
+)
 from spherefp.quadform import QuadForm, TheoremViolation
 
-from conftest import random_form, random_fp_poly, random_int_valued
+from conftest import random_form, random_fp_poly, random_int_valued, random_rat_poly
 
 
 def test_pivot_change_cases(f5):
@@ -409,3 +418,98 @@ def test_gowers_equation_budget_honesty(f5, rng):
     Q = random_fp_poly(5, 5, 2, rng)
     with pytest.raises(BudgetExceeded):
         gowers_equation_solve(P, Q, M, 2, budget=10**6)
+
+
+# -- the Newton-difference kernel against the Fraction basis-change paths -------
+
+
+def _fiber_table_reference(f, base_points, p):
+    """Fiber coordinates through fiber_map and binomial_coeffs, row per point."""
+    grid = _binom_basis_indices(f.nvars, max(f.degree(), 0))
+    rows = []
+    for n0 in base_points:
+        coords = f.fiber_map(list(n0), p).binomial_coeffs()
+        assert set(coords) <= set(grid)
+        rows.append([coords.get(idx, Fraction(0)) for idx in grid])
+    return rows
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_fiber_table_matches_fiber_map(p, rng):
+    for d in range(1, 5):
+        for deg in range(5):
+            top = tuple([deg] + [0] * (d - 1))
+            f = random_rat_poly(d, deg, rng, denominators=(1, 3, p, p * p))
+            f = f + RatMultiPoly(d, {top: Fraction(rng.randint(1, 9), p)})
+            base_points = sorted({tuple(rng.randrange(p) for _ in range(d)) for _ in range(4)})
+            big = f.scale(10**30)  # past the int64 bound: Python integers
+            for g in (f, big, RatMultiPoly.zero(d), RatMultiPoly.constant(d, Fraction(-4, 3))):
+                for pts in (base_points, base_points[:1]):
+                    grid, numerators, den = _fiber_coefficient_table(g, pts, p)
+                    assert (numerators.dtype == object) == (g is big)
+                    assert grid == _binom_basis_indices(d, max(g.degree(), 0))
+                    assert numerators.shape == (len(pts), len(grid))
+                    table = [[Fraction(x, den) for x in row] for row in numerators.tolist()]
+                    assert table == _fiber_table_reference(g, pts, p)
+
+
+def test_partial_periodicity_witness_matches_fiber_scan(rng):
+    p, d = 5, 3
+    omega = ZpQuadForm.sphere(p, d, 1).sphere_points()
+    zero = (0,) * d
+    witnesses = 0
+    for _ in range(30):
+        f = random_rat_poly(d, 3, rng, denominators=(1, p, p * p))
+        shuffled = omega[:]
+        rng.shuffle(shuffled)
+        expected = None
+        for n0 in sorted(omega):
+            for idx, c in sorted(f.fiber_map(list(n0), p).binomial_coeffs().items()):
+                if idx != zero and c.denominator != 1:
+                    expected = (n0, idx)
+                    break
+            if expected:
+                break
+        witnesses += expected is not None
+        assert partial_periodicity_witness(f, shuffled, p) == expected
+    assert witnesses
+
+
+def _reference_columns(M, df, slots):
+    """p^k N^i C(n, idx) per slot (i, idx, k) as RatMultiPoly products in
+    binomial coordinates, rows over the grid of degree df."""
+    eq = _binom_basis_indices(M.d, df)
+    npoly = M.integer_poly()
+    cols = []
+    for i, idx, k in slots:
+        col = RatMultiPoly.from_binomial(M.d, {idx: 1}).scale(M.p**k)
+        for _ in range(i):
+            col = col * npoly
+        coords = col.binomial_coeffs()
+        assert set(coords) <= set(eq)
+        cols.append([int(coords.get(g, 0)) for g in eq])
+    return [list(row) for row in zip(*cols)]
+
+
+def test_decomposition_systems_match_polynomial_columns(monkeypatch, rng):
+    seen = []
+    real = division.int_solve
+    monkeypatch.setattr(division, "int_solve", lambda a, b: seen.append(a) or real(a, b))
+    A = [[1, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]
+    for M in (ZpQuadForm.sphere(5, 3, 1), ZpQuadForm(5, A, [1, 0, 2, 0], 3)):
+        d, p = M.d, M.p
+        for df in range(5):
+            # random_int_valued draws coefficients in -9..9, so f has degree df
+            top = RatMultiPoly.from_binomial(d, {tuple([df] + [0] * (d - 1)): 10})
+            f = random_int_valued(d, df, rng) + top
+            t, s_star = df // 2, max(1, df // 2)
+            grids = [_binom_basis_indices(d, df - 2 * i) for i in range(t + 1)]
+            seen.clear()
+            sphere_vanishing_decompose(f, M)
+            slots = [(i, idx, t - i) for i in range(t + 1) for idx in grids[i]]
+            assert seen[0] == _reference_columns(M, df, slots)
+            seen.clear()
+            sphere_periodic_decompose(f, M)
+            slots = [(0, idx, s_star - 1) for idx in grids[0][1:]]
+            slots += [(i, idx, s_star - i) for i in range(2, t + 1) for idx in grids[i]]
+            assert seen[0] == _reference_columns(M, df, slots)[1:]
