@@ -1,10 +1,12 @@
 """Command-line frontend: JSON in, JSON certificates and reports out.
 
 Exit codes: 0 first branch / success, 1 second branch / witness found,
-2 input error, 3 budget exceeded.  Reports are canonical JSON (sorted keys,
-fixed separators) so identical seeds give byte-identical output regardless
-of the thread count; all parallel reductions in the library are
-order-independent by construction.
+2 input error (including a numeric flag out of range), 3 budget exceeded,
+4 internal failure: a theorem violation, a solver that found no solution
+where the theory promises one, or any other uncaught exception.  Reports are
+canonical JSON (sorted keys, fixed separators) so identical seeds give
+byte-identical output regardless of the thread count; all parallel
+reductions in the library are order-independent by construction.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import os
 import random
 import sys
+import traceback
 
 from . import counting, division, equidist, msets
 from .counting import BudgetExceeded
@@ -27,6 +30,7 @@ EXIT_FIRST = 0
 EXIT_SECOND = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(Exception):
@@ -375,10 +379,24 @@ def build_parser():
     return parser
 
 
+def _validate(args):
+    """Reject numeric flags out of range before any work starts."""
+    floors = [
+        ("--budget", args.budget, 1),
+        ("--trials", args.trials, 1),
+        ("--s", args.s, 0),
+        ("--freq-budget", args.freq_budget, 0),
+    ]
+    for flag, value, low in floors:
+        if value < low:
+            raise InputError(f"{flag} must be at least {low}, got {value}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _validate(args)
         return COMMANDS[args.command](args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
@@ -394,7 +412,10 @@ def main(argv=None):
         return EXIT_INPUT
     except TheoremViolation as exc:
         sys.stderr.write(f"theorem violation: {exc}\n")
-        return EXIT_SECOND
+        return EXIT_INTERNAL
+    except Exception:  # NoSolution, DichotomyViolation or a bug: never a branch code
+        sys.stderr.write(f"internal error:\n{traceback.format_exc()}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -387,39 +387,82 @@ def _cube_difference(g: FpMultiPoly, n, hs):
     return total % p
 
 
+def _cube_differences(g: FpMultiPoly, n, hs):
+    """Delta_{h_s} ... Delta_{h_1} g(n) for every row at once.
+
+    n and each h_t are a point (d,) or an (N, d) array, broadcast together;
+    the 2^s corners n + sum_{t in mask} h_t go through one eval_array and
+    are summed with signs (-1)^{s - |mask|}.  Returns an (N,) residue array
+    (N = 1 when every argument is a single point).
+    """
+    p = g.p
+    s = len(hs)
+    n = np.atleast_2d(np.asarray(n, dtype=np.int64))
+    hs = [np.atleast_2d(np.asarray(h, dtype=np.int64)) for h in hs]
+    rows = np.broadcast_shapes(n.shape, *(h.shape for h in hs))[0]
+    corners = np.empty((1 << s, rows, g.nvars), dtype=np.int64)
+    corners[0] = n
+    signs = np.empty(1 << s, dtype=np.int64)
+    signs[0] = -1 if s % 2 else 1
+    for t, h in enumerate(hs):
+        # masks with top bit t: the masks below it, shifted by h_t
+        half = 1 << t
+        corners[half : 2 * half] = corners[:half] + h
+        signs[half : 2 * half] = -signs[:half]
+    vals = g.eval_array(corners.reshape(-1, g.nvars) % p).reshape(1 << s, rows)
+    return (signs @ vals) % p
+
+
 def first_gowers_witness(g: FpMultiPoly, M: QuadForm, s: int, budget=DEFAULT_BUDGET):
     """First (n, h_1..h_s) in Box_s(V(M)), lexicographic, with a nonzero
-    s-fold difference of g; None if the scan completes without one."""
+    s-fold difference of g; None if the scan completes without one.
+
+    The budget counts nodes of the lexicographic scan tree: each prefix
+    (n, h_1..h_t) with t < s, and each full cube up to and including the
+    witness.  The cubes below one prefix (n, h_1..h_{s-1}) are evaluated in
+    a single _cube_differences call, cut where the budget ends."""
     p = M.p
     zeros = enumerate_zeros(M, None, budget)
     space = all_points(p, M.d)
-    counter = [0]
+    nodes = 0
 
-    def extend(n, hs):
-        keep = M.shifted(list(n)).eval_array(space) == 0
-        for h_prev in hs:
-            ha = np.array(M.A.vecmat(list(h_prev)), dtype=np.int64)
-            keep &= (space @ ha) % p == 0
-        return space[keep]
-
-    def recurse(n, hs):
-        counter[0] += 1
-        if counter[0] > budget:
+    def first_leaf(values, size):
+        """Index of the first nonzero among the next `size` leaves, given the
+        values of those that fit the budget; else count all of them."""
+        nonlocal nodes
+        hit = np.flatnonzero(values)
+        if len(hit):
+            return int(hit[0])  # the scan stops here
+        nodes += size
+        if nodes > budget:
             raise BudgetExceeded("witness scan budget exhausted")
-        if len(hs) == s:
-            if _cube_difference(g, n, hs) != 0:
-                return (tuple(int(x) for x in n),) + tuple(
-                    tuple(int(x) for x in h) for h in hs
-                )
-            return None
-        for h in extend(n, hs):
-            found = recurse(n, hs + [tuple(int(x) for x in h)])
+        return None
+
+    def cube(n, hs):
+        return tuple(tuple(int(x) for x in pt) for pt in [n] + hs)
+
+    def recurse(n, hs, keep):
+        # keep: the h in space with every corner of (n, hs, h) in V(M)
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded("witness scan budget exhausted")
+        cand = space[keep]
+        if len(hs) == s - 1:
+            i = first_leaf(_cube_differences(g, n, hs + [cand[: budget - nodes]]), len(cand))
+            return None if i is None else cube(n, hs + [cand[i]])
+        for h in cand:
+            ha = np.array(M.A.vecmat([int(x) for x in h]), dtype=np.int64)
+            found = recurse(n, hs + [h], keep & ((space @ ha) % p == 0))
             if found:
                 return found
         return None
 
+    if s == 0:
+        i = first_leaf(g.eval_array(zeros[:budget]), len(zeros))
+        return None if i is None else cube(zeros[i], [])
     for n in zeros:
-        found = recurse(tuple(int(x) for x in n), [])
+        found = recurse(n, [], M.shifted([int(x) for x in n]).eval_array(space) == 0)
         if found:
             return found
     return None
@@ -476,12 +519,13 @@ def gowers_equation_solve(P: FpMultiPoly, Q: FpMultiPoly, M: QuadForm, s: int, b
             h = tuple(int((m[t] - n[t]) % M.p) for t in range(M.d))
             return "witness", (n, h)
     else:
-        for tup in _box_tuples(M, s, budget):
-            n, hs = tup[0], list(tup[1:])
-            left = _cube_difference(P, n, hs[: s - 1])
-            right = _cube_difference(Q, n, hs)
-            if (left + right) % M.p != 0:
-                return "witness", tup
+        tuples = _box_tuples(M, s, budget)
+        box = np.array(tuples, dtype=np.int64).reshape(len(tuples), s + 1, M.d)
+        n, hs = box[:, 0], [box[:, t] for t in range(1, s + 1)]
+        diff = _cube_differences(P, n, hs[: s - 1]) + _cube_differences(Q, n, hs)
+        bad = np.flatnonzero(diff % M.p)
+        if len(bad):
+            return "witness", tuples[bad[0]]
     rp = reduce_mod_form(P, M, s - 2)
     rq = reduce_mod_form(Q, M, s - 1)
     if rp is None or rq is None:

@@ -20,6 +20,8 @@ from .ffcore import FpMatrix, rank as mat_rank, rref, solve_linear, Infeasible
 from .fpoly import FpMultiPoly
 from .quadform import QuadForm
 
+ENUM_CHUNK_ROWS = 1 << 18  # candidate rows of a block product filtered at a time
+
 
 class NotConsistent(ValueError):
     pass
@@ -425,17 +427,22 @@ def enumerate_mset(family, M: QuadForm, k: int, budget=DEFAULT_BUDGET):
         by_block.setdefault(f.max_block(), []).append(f)
     partial = np.zeros((1, 0), dtype=np.int64)
     block_pts = all_points(p, d)
+    step = max(1, ENUM_CHUNK_ROWS // len(block_pts))
     for blk in range(1, k + 1):
         if partial.shape[0] * len(block_pts) > budget:
             raise BudgetExceeded("M-set enumeration exceeds budget")
-        n_part = partial.shape[0]
-        left = np.repeat(partial, len(block_pts), axis=0)
-        right = np.tile(block_pts, (n_part, 1))
-        cand = np.concatenate([left, right], axis=1)
-        for f in by_block.get(blk, []):
-            shaped = restrict_blocks(f, M, list(range(1, blk + 1)))
-            cand = cand[shaped.eval_array(cand) == 0]
-        partial = cand
+        shaped = [restrict_blocks(f, M, list(range(1, blk + 1))) for f in by_block.get(blk, [])]
+        kept = []
+        # one chunk even when partial is empty, so the result keeps its width
+        for start in range(0, max(len(partial), 1), step):
+            part = partial[start : start + step]
+            left = np.repeat(part, len(block_pts), axis=0)
+            right = np.tile(block_pts, (len(part), 1))
+            cand = np.concatenate([left, right], axis=1)
+            for g in shaped:
+                cand = cand[g.eval_array(cand) == 0]
+            kept.append(cand)
+        partial = np.concatenate(kept)
     return partial
 
 
@@ -500,7 +507,11 @@ def fubini_check(family, M: QuadForm, k: int, kprime: int, f, budget=DEFAULT_BUD
     if prepared is None:
         prepared = fubini_prepare(family, M, k, kprime, budget)
     pts, boundaries, omega_i_size = prepared
-    values = [f(tuple(int(x) for x in row)) for row in pts]
+    values = [
+        f(row)
+        for a, b in zip(boundaries, boundaries[1:])
+        for row in map(tuple, pts[a:b].tolist())
+    ]
     exact = all(isinstance(v, (int, Fraction)) for v in values)
     if exact:
         lhs = Fraction(sum(values), len(values))

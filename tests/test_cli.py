@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from spherefp import cli, counting, division, equidist
 from spherefp.cli import main
+from spherefp.quadform import TheoremViolation
 
 RUN = [sys.executable, "-m", "spherefp.cli"]
 
@@ -287,3 +289,37 @@ def test_sphere_vanishing_cli_and_inferred_arity(tmp_path):
     path = write(tmp_path, "seq2.json", {"sequence": seq, "radius": 1})
     code, out, _ = run_cli(["equidist", "--prime", "5", "--delta", "0.3", "--json", path])
     assert code in (0, 1)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        TheoremViolation("forced"),
+        division.NoSolution("forced"),
+        equidist.DichotomyViolation({"forced": True}),
+        RuntimeError("forced"),
+    ],
+)
+def test_internal_failure_exit_4(monkeypatch, tmp_path, sphere_json, capsys, error):
+    # a failure inside the library must not read as the second branch (1)
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(division, "nullstellensatz", broken)
+    one = {"nvars": 3, "terms": [{"exp": [0, 0, 0], "coeff": 1}]}
+    path = write(tmp_path, "ns.json", {"form": json.loads(open(sphere_json).read()), "poly": one})
+    assert main(["nullstellensatz", "--json", path]) == cli.EXIT_INTERNAL == 4
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--budget", "0"], ["--budget", "-5"], ["--trials", "0"], ["--s", "-1"], ["--freq-budget", "-1"]],
+)
+def test_numeric_flags_validated_before_work(monkeypatch, sphere_json, capsys, flags):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before flag validation")
+
+    monkeypatch.setattr(counting, "zero_count_check", never)
+    assert main(["count", "--json", sphere_json] + flags) == cli.EXIT_INPUT == 2
+    assert flags[0] in capsys.readouterr().err

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from spherefp.counting import enumerate_zeros, gowers_set
+from spherefp.counting import BudgetExceeded, all_points, enumerate_zeros, gowers_set
 from spherefp import division
 from spherefp.division import (
     DivisionCert,
@@ -29,6 +30,7 @@ from spherefp.division import (
     sphere_vanishing_decompose,
     standard_division,
     _cube_difference,
+    _cube_differences,
 )
 from spherefp.ffcore import FpMatrix, PrimeField, rank as mat_rank
 from spherefp.fpoly import (
@@ -513,3 +515,140 @@ def test_decomposition_systems_match_polynomial_columns(monkeypatch, rng):
             slots = [(0, idx, s_star - 1) for idx in grids[0][1:]]
             slots += [(i, idx, s_star - i) for i in range(2, t + 1) for idx in grids[i]]
             assert seen[0] == _reference_columns(M, df, slots)[1:]
+
+
+# -- the batched witness scan against the scalar recursion ----------------------
+
+
+def _witness_scan_reference(g, M, s, budget):
+    """The recursive lexicographic scan with one scalar _cube_difference per
+    cube.  Returns (witness or None, scan nodes used) and raises
+    BudgetExceeded once the node count passes budget."""
+    p = M.p
+    space = all_points(p, M.d)
+    nodes = 0
+
+    def extend(n, hs):
+        keep = M.shifted(list(n)).eval_array(space) == 0
+        for h_prev in hs:
+            ha = np.array(M.A.vecmat(list(h_prev)), dtype=np.int64)
+            keep &= (space @ ha) % p == 0
+        return space[keep]
+
+    def recurse(n, hs):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded("witness scan budget exhausted")
+        if len(hs) == s:
+            return (n,) + tuple(hs) if _cube_difference(g, n, hs) != 0 else None
+        for h in extend(n, hs):
+            found = recurse(n, hs + [tuple(int(x) for x in h)])
+            if found:
+                return found
+        return None
+
+    for n in enumerate_zeros(M):
+        found = recurse(tuple(int(x) for x in n), [])
+        if found:
+            return found, nodes
+    return None, nodes
+
+
+@pytest.mark.parametrize("p, d, s", [(5, 4, 1), (5, 5, 2), (7, 4, 2), (5, 4, 3), (5, 3, 0)])
+def test_first_gowers_witness_matches_scalar_scan(monkeypatch, p, d, s, rng):
+    # enumerate_zeros refuses budgets below p^d before any scan starts; lift
+    # that guard so budgets at and below the node count reach the scan
+    monkeypatch.setattr(division, "enumerate_zeros", lambda M, S, budget: enumerate_zeros(M, S))
+    field = PrimeField(p)
+    cap = 10000  # scans the reference cannot finish within cap must raise on both sides
+    for trial in range(10):
+        if trial % 2:
+            M = random_form(field, d, rng, min_rank=3)
+        else:
+            M = QuadForm.dot_form(field, d, radius=rng.randrange(1, p))
+        g = random_fp_poly(p, d, s, rng, nterms=rng.choice((1, 3, 8)))
+        if trial % 5 == 0:  # a multiple of M: at s = 0 the scan finds nothing
+            g = M.as_poly() * g
+        else:  # degree exactly s, so that most scans end in a witness
+            top = [0] * d
+            for _ in range(s):
+                top[rng.randrange(d)] += 1
+            g = g + FpMultiPoly(p, d, {tuple(top): rng.randrange(1, p)})
+        try:
+            want, used = _witness_scan_reference(g, M, s, cap)
+        except BudgetExceeded:
+            with pytest.raises(BudgetExceeded):
+                first_gowers_witness(g, M, s, cap)
+            continue
+        assert used >= 1
+        assert first_gowers_witness(g, M, s, used) == want
+        with pytest.raises(BudgetExceeded):
+            first_gowers_witness(g, M, s, used - 1)
+
+
+def test_cube_differences_match_scalar(rng):
+    for p, d, s in [(5, 3, 0), (5, 3, 1), (7, 4, 2), (5, 2, 3)]:
+        g = random_fp_poly(p, d, s + 1, rng)
+        rows = 20
+        # coordinates outside [0, p) must be reduced like the scalar path does
+        n = np.array([[rng.randrange(-p, 2 * p) for _ in range(d)] for _ in range(rows)])
+        hs = [np.array([[rng.randrange(-p, 2 * p) for _ in range(d)] for _ in range(rows)]) for _ in range(s)]
+        want = [_cube_difference(g, n[i].tolist(), [h[i].tolist() for h in hs]) for i in range(rows)]
+        assert _cube_differences(g, n, hs).tolist() == want
+        # a single base point broadcasts against arrays of shifts, and
+        # single points throughout give one row
+        if s:
+            want = [_cube_difference(g, n[0].tolist(), [h[i].tolist() for h in hs]) for i in range(rows)]
+            assert _cube_differences(g, n[0], hs).tolist() == want
+        single = _cube_differences(g, n[1].tolist(), [h[1].tolist() for h in hs])
+        assert single.tolist() == [_cube_difference(g, n[1].tolist(), [h[1].tolist() for h in hs])]
+
+
+def _box2_prefix(M, count):
+    """The lexicographically first count tuples of Box_2(V(M)): n in V(M),
+    M(n + h) = 0 for both shifts and (h_1 A) . h_2 = 0."""
+    p = M.p
+    space = all_points(p, M.d)
+    out = []
+    for n in enumerate_zeros(M):
+        on = space[M.shifted(n.tolist()).eval_array(space) == 0]
+        for h1 in on:
+            ha = np.array(M.A.vecmat(h1.tolist()), dtype=np.int64)
+            for h2 in on[(on @ ha) % p == 0]:
+                out.append((tuple(n.tolist()), tuple(h1.tolist()), tuple(h2.tolist())))
+                if len(out) == count:
+                    return out
+    return out
+
+
+def test_gowers_equation_s2_matches_per_tuple_check(monkeypatch, f5, rng):
+    # the smallest admissible Box_2 (p = 5, d = 5, rank 5) has about 5^11
+    # tuples, beyond a test's budget, so both checks run on a genuine
+    # lexicographic prefix of it
+    M = QuadForm.dot_form(f5, 5, radius=1)
+    mp = M.as_poly()
+    box = _box2_prefix(M, 2000)
+    monkeypatch.setattr(division, "_box_tuples", lambda M, s, budget: box)
+
+    def per_tuple(P, Q):
+        for tup in box:
+            n, hs = tup[0], list(tup[1:])
+            if (_cube_difference(P, n, hs[:1]) + _cube_difference(Q, n, hs)) % 5:
+                return tup
+        return None
+
+    witnesses = 0
+    for _ in range(6):
+        P = random_fp_poly(5, 5, 2, rng)
+        Q = random_fp_poly(5, 5, 3, rng, nterms=2)
+        want = per_tuple(P, Q)
+        res = gowers_equation_solve(P, Q, M, 2)
+        assert want is not None and res == ("witness", want)
+        witnesses += box.index(want) > 0
+    assert witnesses  # at least one witness past the first row
+    # P = M P1, Q = M Q1 + Q2 with deg Q2 <= 1: the equation holds on every tuple
+    P = mp * FpMultiPoly.constant(5, 5, rng.randrange(5))
+    Q = mp * random_fp_poly(5, 5, 1, rng) + random_fp_poly(5, 5, 1, rng)
+    assert per_tuple(P, Q) is None
+    assert gowers_equation_solve(P, Q, M, 2)[0] == "factorization"

@@ -6,6 +6,7 @@ import pytest
 
 from spherefp.counting import gowers_set
 from spherefp.ffcore import PrimeField
+from spherefp import msets
 from spherefp.fpoly import FpMultiPoly
 from spherefp.msets import (
     MQuadFn,
@@ -15,6 +16,7 @@ from spherefp.msets import (
     family_from_json,
     family_to_json,
     fubini_check,
+    fubini_prepare,
     gowers_family,
     i_projection,
     ideal_membership,
@@ -405,3 +407,35 @@ def test_cardinality_monte_carlo_branch(f5, rng):
     rep = mset_cardinality_check(fam, M, 2, budget=10, rng=rng, samples=40000)
     assert rep.main_term == 5**4
     assert rep.passed  # 3-sigma band folded into the bound
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 300])
+def test_enumerate_mset_chunked_product_keeps_rows(monkeypatch, f5, chunk_rows):
+    # filtering the block product a few partial rows at a time gives the
+    # same array, row order included, as filtering it whole
+    M = QuadForm.dot_form(f5, 3, radius=1)
+    for fam, k in ((gowers_family(M, 1), 2), (gowers_family(M, 2), 3)):
+        whole = enumerate_mset(fam, M, k)
+        monkeypatch.setattr(msets, "ENUM_CHUNK_ROWS", chunk_rows)
+        chunked = enumerate_mset(fam, M, k)
+        monkeypatch.undo()
+        assert chunked.dtype == whole.dtype and np.array_equal(chunked, whole)
+    # n^2 = 2 has no root mod 5: the first block empties, the width stays
+    M1 = QuadForm(f5, [[1]], [0], 3)
+    monkeypatch.setattr(msets, "ENUM_CHUNK_ROWS", chunk_rows)
+    assert enumerate_mset([MQuadFn(M1, 2, {(1, 1): 1}, None, M1.v)], M1, 2).shape == (0, 2)
+
+
+def test_fubini_check_calls_f_on_int_tuples_in_row_order(f5):
+    M = QuadForm.dot_form(f5, 3, radius=1)
+    fam = [MQuadFn(M, 2, {(2, 2): 1}, None, M.v), MQuadFn(M, 2, {(1, 2): 2, (1, 1): 1})]
+    prepared = fubini_prepare(fam, M, 2, 1)
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return 1
+
+    fubini_check(fam, M, 2, 1, f, prepared=prepared)
+    assert seen == [tuple(int(x) for x in row) for row in prepared[0]]
+    assert all(type(x) is tuple and all(type(c) is int for c in x) for x in seen)
