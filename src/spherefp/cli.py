@@ -404,9 +404,6 @@ def main(argv=None):
     except BudgetExceeded as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
-    except equidist.BudgetExceeded as exc:
-        sys.stderr.write(f"budget exceeded: {exc}\n")
-        return EXIT_BUDGET
     except (KeyError, TypeError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

@@ -130,13 +130,12 @@ def _roots_of_unity(p: int):
     return [cmath.exp(2j * cmath.pi * t / p) for t in range(p)]
 
 
-def _histogram_mean(counts, p):
-    """sum_t counts[t] e(t/p) / sum(counts) with compensated summation."""
+def root_sum(counts, p):
+    """sum_t counts[t] e(t/p), each part summed with math.fsum."""
     table = _roots_of_unity(p)
-    total = int(sum(counts))
     re = math.fsum(int(c) * table[t].real for t, c in enumerate(counts))
     im = math.fsum(int(c) * table[t].imag for t, c in enumerate(counts))
-    return complex(re / total, im / total)
+    return complex(re, im)
 
 
 def exp_sum(M: QuadForm, xi, budget=DEFAULT_BUDGET):
@@ -153,7 +152,8 @@ def exp_sum(M: QuadForm, xi, budget=DEFAULT_BUDGET):
     if np.count_nonzero(counts) == 1:
         t = int(np.flatnonzero(counts)[0])
         return _roots_of_unity(p)[t]
-    return _histogram_mean(counts, p)
+    z = root_sum(counts, p)
+    return complex(z.real / len(pts), z.imag / len(pts))
 
 
 def exp_sum_bound(M: QuadForm) -> float:
@@ -171,10 +171,7 @@ def gauss_sum(p: int, j: int):
     counts = np.bincount(
         np.array([(j * n * n) % p for n in range(p)], dtype=np.int64), minlength=p
     )
-    table = _roots_of_unity(p)
-    re = math.fsum(int(c) * table[t].real for t, c in enumerate(counts))
-    im = math.fsum(int(c) * table[t].imag for t, c in enumerate(counts))
-    return complex(re, im)
+    return root_sum(counts, p)
 
 
 def quadratic_root_count(M: QuadForm, budget=DEFAULT_BUDGET):
@@ -223,57 +220,66 @@ def vmh_count_report(M: QuadForm, shifts, budget=DEFAULT_BUDGET):
     return CountReport(len(pts), main, bound)
 
 
-def _gowers_extend(M, prefix_n, prefix_hs, v_points, budget_counter):
-    """Candidates for the next h: h in V direction, M(n + h) = 0,
-    (h_i A) . h = 0 for previous h_i (cube membership reduces to these
-    pairwise conditions once the lower cube already lies in the set)."""
+def gowers_blocks(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
+    """Walk Box_s(V(M) n (V+c)) in lexicographic order, one block per prefix.
+
+    Yields (prefix, H, room): prefix is (n, h_1..h_{s-1}) as 1-D arrays and
+    the rows of H are every h_s completing it (at s = 0 there is one block,
+    prefix () and H the zeros).  The corner mask M(n + h) = 0 is computed
+    once per n and narrowed by (h_i A) . h = 0 for each h_i of the prefix;
+    cube membership reduces to these pairwise conditions.
+
+    Budget: one unit per tuple (n, h_1..h_t), t <= s.  A prefix is charged
+    when the walk reaches it, the rows of H when the consumer resumes after
+    them, so a scan that stops inside H pays only for what it read; room is
+    the budget left before H."""
     p = M.p
-    cand = v_points
-    budget_counter[0] += len(cand)
-    if budget_counter[0] > budget_counter[1]:
-        raise BudgetExceeded("Gowers enumeration budget exhausted")
-    keep = M.shifted(list(prefix_n)).eval_array(cand) == 0
-    for h_prev in prefix_hs:
-        ha = np.array(M.A.vecmat(list(h_prev)), dtype=np.int64)
-        keep &= (cand @ ha) % p == 0
-    return cand[keep]
+    base = enumerate_zeros(M, S, budget)
+    used = 0
+
+    def charge(units):
+        nonlocal used
+        used += units
+        if used > budget:
+            raise BudgetExceeded(f"Box_{s} walk exceeds budget {budget}")
+
+    if s == 0:
+        yield (), base, budget
+        charge(len(base))
+        return
+    if S is None:
+        space = all_points(p, M.d)
+    else:
+        space = subspace_points(AffineSubspace(M.field, S.basis), budget)
+
+    def walk(prefix, keep):
+        # keep: the h in space with every corner of (prefix, h) in the set
+        charge(1)
+        cand = space[keep]
+        if len(prefix) == s:
+            yield prefix, cand, budget - used
+            charge(len(cand))
+            return
+        for h in cand:
+            ha = np.array(M.A.vecmat(h.tolist()), dtype=np.int64)
+            yield from walk(prefix + (h,), keep & ((space @ ha) % p == 0))
+
+    for n in base:
+        yield from walk((n,), M.shifted(n.tolist()).eval_array(space) == 0)
 
 
 def gowers_set(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET, count_only=False):
     """Box_s(V(M) n (V+c)): the tuples (n, h_1..h_s) whose full cube lies in
-    the set.  Returns the list of tuples, or the cardinality when count_only.
+    the set (the points n themselves at s = 0).  Returns the list of tuples,
+    or the cardinality when count_only; the budget is gowers_blocks' rule.
     """
-    p = M.p
-    field = M.field
-    base = enumerate_zeros(M, S, budget)
-    if s == 0:
-        return len(base) if count_only else [tuple(map(int, n)) for n in base]
-    if S is None:
-        v_points = all_points(p, M.d)
-    else:
-        direction = AffineSubspace(field, S.basis)
-        v_points = subspace_points(direction, budget)
-    budget_counter = [0, budget]
-    total = 0
+    if count_only:
+        return sum(len(H) for _, H, _ in gowers_blocks(M, s, S, budget))
     out = []
-
-    def recurse(n, hs):
-        nonlocal total
-        cand = _gowers_extend(M, n, hs, v_points, budget_counter)
-        if len(hs) == s - 1:
-            if count_only:
-                total += len(cand)
-            else:
-                head = (tuple(map(int, n)),) + tuple(tuple(map(int, hh)) for hh in hs)
-                for h in cand:
-                    out.append(head + (tuple(map(int, h)),))
-            return
-        for h in cand:
-            recurse(n, hs + [h])
-
-    for n in base:
-        recurse(n, [])
-    return total if count_only else out
+    for prefix, H, _ in gowers_blocks(M, s, S, budget):
+        head = tuple(tuple(pt.tolist()) for pt in prefix)
+        out.extend(head + (tuple(h),) if s else tuple(h) for h in H.tolist())
+    return out
 
 
 def gowers_count_report(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
@@ -289,6 +295,3 @@ def gowers_count_report(M: QuadForm, s: int, S: AffineSubspace | None = None, bu
     bound = float(main) * p**-0.5
     return CountReport(count, main, bound)
 
-
-# contract-name alias: the Gowers-set enumerator of the module interface
-enumerate_gowers = gowers_set

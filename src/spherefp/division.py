@@ -17,8 +17,8 @@ from operator import mul
 import numpy as np
 
 from ._zlinalg import int_solve, rat_solve
-from .counting import BudgetExceeded, DEFAULT_BUDGET, all_points, enumerate_zeros
-from .ffcore import FpMatrix, PrimeField, rref
+from .counting import BudgetExceeded, DEFAULT_BUDGET, enumerate_zeros, gowers_blocks
+from .ffcore import FpMatrix, HypothesisFailed, PrimeField, rref
 from .fpoly import (
     FpMultiPoly,
     RatMultiPoly,
@@ -39,12 +39,6 @@ class PivotZero(ValueError):
 
 class ZeroMatrix(ValueError):
     pass
-
-
-class HypothesisFailed(Exception):
-    def __init__(self, witness, message="hypothesis failed"):
-        super().__init__(f"{message}: {witness}")
-        self.witness = witness
 
 
 class NoSolution(Exception):
@@ -413,58 +407,23 @@ def _cube_differences(g: FpMultiPoly, n, hs):
     return (signs @ vals) % p
 
 
+def _cube(prefix, h):
+    """The tuple (n, h_1..h_s) of a Box_s walk row, as tuples of ints."""
+    return tuple(tuple(int(x) for x in pt) for pt in (*prefix, h))
+
+
 def first_gowers_witness(g: FpMultiPoly, M: QuadForm, s: int, budget=DEFAULT_BUDGET):
     """First (n, h_1..h_s) in Box_s(V(M)), lexicographic, with a nonzero
     s-fold difference of g; None if the scan completes without one.
 
-    The budget counts nodes of the lexicographic scan tree: each prefix
-    (n, h_1..h_t) with t < s, and each full cube up to and including the
-    witness.  The cubes below one prefix (n, h_1..h_{s-1}) are evaluated in
-    a single _cube_differences call, cut where the budget ends."""
-    p = M.p
-    zeros = enumerate_zeros(M, None, budget)
-    space = all_points(p, M.d)
-    nodes = 0
-
-    def first_leaf(values, size):
-        """Index of the first nonzero among the next `size` leaves, given the
-        values of those that fit the budget; else count all of them."""
-        nonlocal nodes
-        hit = np.flatnonzero(values)
+    The budget is gowers_blocks' rule: one unit per tuple (n, h_1..h_t),
+    t <= s, up to and including the witness.  Each block of cubes is
+    evaluated in one _cube_differences call, cut where the budget ends."""
+    for prefix, H, room in gowers_blocks(M, s, None, budget):
+        pts = [*prefix, H[:room]]
+        hit = np.flatnonzero(_cube_differences(g, pts[0], pts[1:]))
         if len(hit):
-            return int(hit[0])  # the scan stops here
-        nodes += size
-        if nodes > budget:
-            raise BudgetExceeded("witness scan budget exhausted")
-        return None
-
-    def cube(n, hs):
-        return tuple(tuple(int(x) for x in pt) for pt in [n] + hs)
-
-    def recurse(n, hs, keep):
-        # keep: the h in space with every corner of (n, hs, h) in V(M)
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded("witness scan budget exhausted")
-        cand = space[keep]
-        if len(hs) == s - 1:
-            i = first_leaf(_cube_differences(g, n, hs + [cand[: budget - nodes]]), len(cand))
-            return None if i is None else cube(n, hs + [cand[i]])
-        for h in cand:
-            ha = np.array(M.A.vecmat([int(x) for x in h]), dtype=np.int64)
-            found = recurse(n, hs + [h], keep & ((space @ ha) % p == 0))
-            if found:
-                return found
-        return None
-
-    if s == 0:
-        i = first_leaf(g.eval_array(zeros[:budget]), len(zeros))
-        return None if i is None else cube(zeros[i], [])
-    for n in zeros:
-        found = recurse(n, [], M.shifted([int(x) for x in n]).eval_array(space) == 0)
-        if found:
-            return found
+            return _cube(prefix, H[hit[0]])
     return None
 
 
@@ -484,12 +443,6 @@ def intrinsic_decompose(g: FpMultiPoly, M: QuadForm, s: int, budget=DEFAULT_BUDG
             "no decomposition and no Gowers witness; outside the theorem regime"
         )
     return "witness", witness
-
-
-def _box_tuples(M: QuadForm, s: int, budget=DEFAULT_BUDGET):
-    from .counting import gowers_set
-
-    return gowers_set(M, s, None, budget, count_only=False)
 
 
 def gowers_equation_solve(P: FpMultiPoly, Q: FpMultiPoly, M: QuadForm, s: int, budget=DEFAULT_BUDGET):
@@ -519,13 +472,18 @@ def gowers_equation_solve(P: FpMultiPoly, Q: FpMultiPoly, M: QuadForm, s: int, b
             h = tuple(int((m[t] - n[t]) % M.p) for t in range(M.d))
             return "witness", (n, h)
     else:
-        tuples = _box_tuples(M, s, budget)
-        box = np.array(tuples, dtype=np.int64).reshape(len(tuples), s + 1, M.d)
-        n, hs = box[:, 0], [box[:, t] for t in range(1, s + 1)]
-        diff = _cube_differences(P, n, hs[: s - 1]) + _cube_differences(Q, n, hs)
-        bad = np.flatnonzero(diff % M.p)
-        if len(bad):
-            return "witness", tuples[bad[0]]
+        # the walk runs to its end even after a witness: a Box_s that does
+        # not fit the budget is refused, never checked in part
+        witness = None
+        for prefix, H, _ in gowers_blocks(M, s, None, budget):
+            if witness is None:
+                n, hs = prefix[0], list(prefix[1:])
+                diff = _cube_differences(P, n, hs) + _cube_differences(Q, n, hs + [H])
+                bad = np.flatnonzero(diff % M.p)
+                if len(bad):
+                    witness = _cube(prefix, H[bad[0]])
+        if witness is not None:
+            return "witness", witness
     rp = reduce_mod_form(P, M, s - 2)
     rq = reduce_mod_form(Q, M, s - 1)
     if rp is None or rq is None:

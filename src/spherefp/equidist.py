@@ -15,13 +15,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .counting import root_sum
 from .division import ZpQuadForm, lift_nullstellensatz
+from .ffcore import BudgetExceeded
 from .fpoly import RatMultiPoly, binom_int, partial_periodicity_witness
 from .quadform import TheoremViolation
-
-
-class BudgetExceeded(Exception):
-    pass
 
 
 class DichotomyViolation(Exception):
@@ -330,9 +328,7 @@ def weyl_dichotomy(g: RatMultiPoly, p: int, radius: int, delta: float, budget=10
     counts = [0] * p
     for rv in residues:
         counts[rv] += 1
-    re = math.fsum(c * math.cos(2 * math.pi * t / p) for t, c in enumerate(counts))
-    im = math.fsum(c * math.sin(2 * math.pi * t / p) for t, c in enumerate(counts))
-    value = abs(complex(re, im)) / len(omega)
+    value = abs(root_sum(counts, p)) / len(omega)
     if value <= delta:
         return WeylOutcome("sum_small", value)
     raise DichotomyViolation(

@@ -14,6 +14,14 @@ class BudgetExceeded(Exception):
     pass
 
 
+class HypothesisFailed(Exception):
+    """A checked hypothesis fails; witness is the point (or data) where."""
+
+    def __init__(self, witness, message="hypothesis failed"):
+        super().__init__(f"{message}: witness {witness}")
+        self.witness = witness
+
+
 class Infeasible(Exception):
     """Raised by solve_linear when the system has no solution."""
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 from .ffcore import (  # TheoremViolation is re-exported from here
     BudgetExceeded,
     FpMatrix,
+    HypothesisFailed,
     PrimeField,
     TheoremViolation,
     rank as mat_rank,
@@ -19,12 +20,6 @@ from .fpoly import FpMultiPoly
 
 class RankTooSmall(ValueError):
     pass
-
-
-class HypothesisFailed(Exception):
-    def __init__(self, witness, message="hypothesis failed"):
-        super().__init__(f"{message}: witness {witness}")
-        self.witness = witness
 
 
 class AffineSubspace:

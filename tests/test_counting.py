@@ -249,3 +249,71 @@ def test_box1_on_subspace_is_squared_count(f5):
     S = AffineSubspace(f5, [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]], [0, 1, 0, 0])
     v = len(enumerate_zeros(M, S))
     assert gowers_set(M, 1, S, count_only=True) == v * v
+
+
+# -- the one Box_s walk behind gowers_set ----------------------------------------
+
+
+def test_gowers_set_rows_match_mset_enumerator(f5, rng):
+    # enumerate_mset builds Box_s block by block from gowers_family: an
+    # independent enumerator with the same lexicographic row order
+    from spherefp.msets import enumerate_mset, gowers_family
+
+    for M in (QuadForm.dot_form(f5, 3, radius=1), random_form(f5, 3, rng, min_rank=2)):
+        for s in (0, 1, 2):
+            want = [tuple(row) for row in enumerate_mset(gowers_family(M, s), M, s + 1).tolist()]
+            got = [sum(tup, ()) if s else tup for tup in gowers_set(M, s)]
+            assert got == want
+            assert gowers_set(M, s, count_only=True) == len(want)
+
+
+def test_gowers_set_budget_counts_every_walked_tuple(f5):
+    # one unit per tuple (n, h_1..h_t), t <= s: |V| + |Box_1| + |Box_2|
+    # = 30 + 900 + 7650 (the parent's candidate count needed 116,250)
+    M = QuadForm.dot_form(f5, 3, radius=1)
+    assert gowers_set(M, 2, budget=8580, count_only=True) == 7650
+    with pytest.raises(BudgetExceeded):
+        gowers_set(M, 2, budget=8579, count_only=True)
+    with pytest.raises(BudgetExceeded):
+        gowers_set(M, 2, budget=8579)
+
+
+def test_box2_on_subspace_matches_brute_force(f5):
+    M = QuadForm.dot_form(f5, 4, radius=1)
+    S = AffineSubspace(f5, [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]], [0, 1, 0, 0])
+    omega = {tuple(int(x) for x in row) for row in enumerate_zeros(M, S)}
+    direction = sorted(tuple(int(x) for x in row) for row in all_points(5, 3) @ np.array(S.basis) % 5)
+
+    def add(x, h):
+        return tuple((a + b) % 5 for a, b in zip(x, h))
+
+    brute = []
+    for n in sorted(omega):
+        # the corners n + h_1 and n + h_2 first, then n + h_1 + h_2
+        edge = [h for h in direction if add(n, h) in omega]
+        brute += [(n, h1, h2) for h1 in edge for h2 in edge if add(add(n, h1), h2) in omega]
+    assert gowers_set(M, 2, S) == brute
+    assert gowers_set(M, 2, S, count_only=True) == len(brute)
+
+
+def test_root_sum_matches_the_former_formulas(rng):
+    # the helper replaced two formulas; both must give the same bits
+    import cmath
+
+    from spherefp.counting import root_sum
+
+    for p in (5, 7, 11, 13):
+        for _ in range(20):
+            counts = [rng.randrange(0, 50) for _ in range(p)]
+            table = [cmath.exp(2j * cmath.pi * t / p) for t in range(p)]
+            tabled = complex(
+                math.fsum(c * table[t].real for t, c in enumerate(counts)),
+                math.fsum(c * table[t].imag for t, c in enumerate(counts)),
+            )
+            trig = complex(
+                math.fsum(c * math.cos(2 * math.pi * t / p) for t, c in enumerate(counts)),
+                math.fsum(c * math.sin(2 * math.pi * t / p) for t, c in enumerate(counts)),
+            )
+            got = root_sum(np.array(counts), p)
+            assert got == tabled and got == trig
+            assert root_sum(counts, p) == got

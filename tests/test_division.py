@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from spherefp.counting import BudgetExceeded, all_points, enumerate_zeros, gowers_set
-from spherefp import division
+from spherefp import counting, division
 from spherefp.division import (
     DivisionCert,
     HypothesisFailed,
@@ -559,7 +560,7 @@ def _witness_scan_reference(g, M, s, budget):
 def test_first_gowers_witness_matches_scalar_scan(monkeypatch, p, d, s, rng):
     # enumerate_zeros refuses budgets below p^d before any scan starts; lift
     # that guard so budgets at and below the node count reach the scan
-    monkeypatch.setattr(division, "enumerate_zeros", lambda M, S, budget: enumerate_zeros(M, S))
+    monkeypatch.setattr(counting, "enumerate_zeros", lambda M, S, budget: enumerate_zeros(M, S))
     field = PrimeField(p)
     cap = 10000  # scans the reference cannot finish within cap must raise on both sides
     for trial in range(10):
@@ -629,7 +630,14 @@ def test_gowers_equation_s2_matches_per_tuple_check(monkeypatch, f5, rng):
     M = QuadForm.dot_form(f5, 5, radius=1)
     mp = M.as_poly()
     box = _box2_prefix(M, 2000)
-    monkeypatch.setattr(division, "_box_tuples", lambda M, s, budget: box)
+
+    def blocks(M, s, S, budget):
+        # the prefix as gowers_blocks walks it: one block per (n, h_1)
+        for (n, h1), group in itertools.groupby(box, key=lambda tup: tup[:2]):
+            H = np.array([tup[2] for tup in group], dtype=np.int64)
+            yield (np.array(n), np.array(h1)), H, budget
+
+    monkeypatch.setattr(division, "gowers_blocks", blocks)
 
     def per_tuple(P, Q):
         for tup in box:

@@ -223,3 +223,14 @@ def test_sequence_json_roundtrip():
     blob = g.to_json()
     g2 = TorusPolySeq.from_json(blob)
     assert g2.coeffs == g.coeffs and g2.m == g.m and g2.s == g.s
+
+
+def test_frequency_budget_overrun_is_the_library_budget_error():
+    from spherefp.ffcore import BudgetExceeded
+
+    omega = sphere_points(5, 3, 1)
+    g = TorusPolySeq.from_rat_poly(RatMultiPoly(3, {(1, 0, 0): Fraction(1, 5)}), 1)
+    # m = 1, K = 5: the ten frequencies +-1..+-5, and k = 5 kills n1/5
+    with pytest.raises(BudgetExceeded):
+        equidist_test(g, omega, 0.2, 5, freq_budget=9)
+    assert equidist_test(g, omega, 0.2, 5, freq_budget=10).verdict == "obstructed"
