@@ -98,14 +98,11 @@ def subspace_points(S: AffineSubspace, budget=DEFAULT_BUDGET) -> np.ndarray:
 
 def enumerate_zeros(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
     """Sound and complete list of V(M) (intersected with V + c), lex order."""
-    p = M.p
     if S is None:
-        _check_budget(p**M.d, budget)
-        pts = all_points(p, M.d)
-    else:
-        pts = subspace_points(S, budget)
-    vals = M.eval_array(pts)
-    return pts[vals == 0]
+        _check_budget(M.p**M.d, budget)
+        return np.argwhere(M.grid_values() == 0)
+    pts = subspace_points(S, budget)
+    return pts[M.eval_array(pts) == 0]
 
 
 def zero_count_check(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
@@ -181,12 +178,10 @@ def quadratic_root_count(M: QuadForm, budget=DEFAULT_BUDGET):
         raise RankHypothesisFailed(f"rank {r} < 2")
     p = M.p
     _check_budget(p**M.d, budget)
-    pts = all_points(p, M.d)
-    vals = M.eval_array(pts)
     squares = np.zeros(p, dtype=bool)
     for x in range(p):
         squares[(x * x) % p] = True
-    exact = int(squares[vals].sum())
+    exact = int(squares[M.grid_values()].sum())
     main = Fraction(p**M.d, 2)
     expo = -(r - 2) / 2 if r >= 3 else -0.5
     bound = float(main) * float(p) ** expo
@@ -205,10 +200,11 @@ def enumerate_vmh(M: QuadForm, shifts, budget=DEFAULT_BUDGET):
     if M.d - 2 * r < 3:
         raise RankHypothesisFailed(f"need d - 2r >= 3, got {M.d - 2 * r}")
     pts = enumerate_zeros(M, None, budget)
+    grid = M.grid_values()
     keep = np.ones(len(pts), dtype=bool)
     for h in shifts:
-        shifted = M.shifted(list(h))
-        keep &= shifted.eval_array(pts) == 0
+        # M(n + h) = grid[(n + h) mod p]
+        keep &= grid[tuple(((pts + np.array(h, dtype=np.int64)) % M.p).T)] == 0
     return pts[keep]
 
 
@@ -249,6 +245,7 @@ def gowers_blocks(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=D
         return
     if S is None:
         space = all_points(p, M.d)
+        grid = M.grid_values()
     else:
         space = subspace_points(AffineSubspace(M.field, S.basis), budget)
 
@@ -265,7 +262,12 @@ def gowers_blocks(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=D
             yield from walk(prefix + (h,), keep & ((space @ ha) % p == 0))
 
     for n in base:
-        yield from walk((n,), M.shifted(n.tolist()).eval_array(space) == 0)
+        if S is None:
+            # M(n + h) = grid[(n + h) mod p]: roll the grid back by n
+            corners = np.roll(grid, tuple(-n), tuple(range(M.d))).reshape(-1) == 0
+        else:
+            corners = M.shifted(n.tolist()).eval_array(space) == 0
+        yield from walk((n,), corners)
 
 
 def gowers_set(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET, count_only=False):

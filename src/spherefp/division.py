@@ -556,7 +556,7 @@ class ZpQuadForm:
 
     def sphere_points(self, budget=DEFAULT_BUDGET):
         """tau(V(M-bar)): the base integer points of V_p(M) inside [p]^d."""
-        return [tuple(int(x) for x in z) for z in enumerate_zeros(self.induced(), None, budget)]
+        return list(map(tuple, enumerate_zeros(self.induced(), None, budget).tolist()))
 
     def to_json(self):
         return {"p": self.p, "A": self.A, "u": self.u, "v": self.v}

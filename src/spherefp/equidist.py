@@ -261,7 +261,7 @@ def sphere_points(p, d, radius, budget=10**8):
     from .quadform import QuadForm
 
     M = QuadForm.dot_form(PrimeField(p), d, radius=radius)
-    return [tuple(int(x) for x in n) for n in enumerate_zeros(M, None, budget)]
+    return list(map(tuple, enumerate_zeros(M, None, budget).tolist()))
 
 
 class WeylOutcome:

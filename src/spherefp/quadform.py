@@ -97,6 +97,31 @@ class QuadForm:
         q = ((points @ a) % p * points).sum(axis=1) % p
         return (q + points @ u + self.v) % p
 
+    def grid_values(self):
+        """M on all of F_p^d as an int64 array of shape (p,)*d: the entry at
+        index x is M(x), so the flat (C) order is the lexicographic order of
+        counting.all_points.
+
+        Built by broadcasting, one axis at a time: the diagonal and linear
+        column of axis i, then the cross table 2 a_ij x_i x_j of each earlier
+        axis j, then one reduction mod p.  Every product is reduced before the
+        next, so no intermediate exceeds about p^2."""
+        import numpy as np
+
+        p = self.p
+        x = np.arange(p, dtype=np.int64)
+        grid = np.array(self.v, dtype=np.int64)
+        for i in range(self.d):
+            row = self.A.rows[i]
+            grid = grid[..., None] + (row[i] * x % p * x + self.u[i] * x) % p
+            for j in range(i):
+                c = 2 * row[j] % p
+                if c:
+                    table = (c * x % p)[:, None] * x % p
+                    grid += table.reshape((p,) + (1,) * (i - j - 1) + (p,))
+            grid %= p
+        return grid
+
     def as_poly(self) -> FpMultiPoly:
         terms = {}
         d, p = self.d, self.p

@@ -544,6 +544,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         ["leibman-probe", "--prime", "5", "--dim", "3", "--seed", "42", "--trials", "4"],
     ]
     identical = True
+    clean = True  # identical crashes must not pass as determinism
     for args in battery:
         outputs = set()
         for threads in ("1", "8"):
@@ -554,10 +555,12 @@ def test_criterion_10_cli_determinism(tmp_path):
                     text=True,
                 )
                 outputs.add(proc.stdout)
+                clean &= proc.returncode == 0 and proc.stdout != ""
         identical &= len(outputs) == 1
     report(
         10,
         "determinism",
-        identical,
-        "CLI battery byte-identical across repeated runs at 1 and 8 threads",
+        identical and clean,
+        "CLI battery byte-identical across repeated runs at 1 and 8 threads, "
+        "every run exit 0 with non-empty output",
     )

@@ -317,3 +317,93 @@ def test_root_sum_matches_the_former_formulas(rng):
             got = root_sum(np.array(counts), p)
             assert got == tabled and got == trig
             assert root_sum(counts, p) == got
+
+
+# -- the value grid behind every whole-space scan --------------------------------
+
+
+def reference_zeros(M):
+    """V(M) point by point: all of [p]^d through eval_array, lex order."""
+    pts = all_points(M.p, M.d)
+    return pts[M.eval_array(pts) == 0]
+
+
+def kernel_forms(field, d, rng):
+    """Random forms, a degenerate one (rank <= 1) and the two zero forms."""
+    p = field.p
+    forms = [random_form(field, d, rng) for _ in range(2)]
+    a = [rng.randrange(p) for _ in range(d)]
+    rank1 = [[a[i] * a[j] % p for j in range(d)] for i in range(d)]
+    forms.append(QuadForm(field, rank1, [rng.randrange(p) for _ in range(d)], rng.randrange(p)))
+    zero = [[0] * d for _ in range(d)]
+    forms += [QuadForm(field, zero), QuadForm(field, zero, None, 1)]
+    return forms
+
+
+def test_enumerate_zeros_matches_point_by_point_reference(rng):
+    for p in (5, 7, 11, 13):
+        field = PrimeField(p)
+        for d in range(1, 6):
+            for M in kernel_forms(field, d, rng):
+                got, want = enumerate_zeros(M), reference_zeros(M)
+                assert got.dtype == np.int64 and got.shape == want.shape
+                assert np.array_equal(got, want)
+            # the last kernel form is the nonzero constant 1: V(M) is empty
+            assert got.shape == (0, d)
+
+
+def test_grid_values_reduces_every_product():
+    # above 2^21 an unreduced a * x * x overflows int64 at x near p
+    p = 2097169
+    M = QuadForm(PrimeField(p), [[p - 1]], [p - 2], p - 3)
+    grid = M.grid_values()
+    assert grid.shape == (p,) and grid.dtype == np.int64
+    assert np.array_equal(grid, M.eval_array(np.arange(p, dtype=np.int64)[:, None]))
+    assert [int(grid[x]) for x in (p - 2, p - 1)] == [M.evaluate([x]) for x in (p - 2, p - 1)]
+
+
+def test_grid_values_is_eval_array_in_lexicographic_order(rng):
+    for p in (5, 7):
+        field = PrimeField(p)
+        for d in range(1, 5):
+            for M in kernel_forms(field, d, rng):
+                grid = M.grid_values()
+                assert grid.shape == (p,) * d and grid.flags.c_contiguous
+                assert np.array_equal(grid.reshape(-1), M.eval_array(all_points(p, d)))
+
+
+def test_quadratic_root_count_matches_point_by_point_reference(rng):
+    for p in (5, 7, 11, 13):
+        field = PrimeField(p)
+        squares = {x * x % p for x in range(p)}
+        for d in (2, 3, 4):
+            M = random_form(field, d, rng, min_rank=2)
+            vals = M.eval_array(all_points(p, d))
+            assert quadratic_root_count(M).exact == sum(int(v) in squares for v in vals)
+
+
+def test_enumerate_vmh_matches_point_by_point_reference(rng):
+    cases = ((5, 5, [(1, 2, 0, 0, 4)]), (7, 5, [(0, 3, 1, 1, 0)]), (7, 4, []), (11, 3, []))
+    for p, d, shifts in cases:
+        field = PrimeField(p)
+        M = random_form(field, d, rng, min_rank=d)
+        want = reference_zeros(M)
+        for h in shifts:
+            want = want[M.shifted(list(h)).eval_array(want) == 0]
+        got = enumerate_vmh(M, shifts)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_gowers_blocks_corner_masks_match_shifted_forms(f5, rng):
+    # at s = 1 the block of n holds every h with M(n + h) = 0: the rolled
+    # grid mask against the shifted form, for every n of V(M)
+    from spherefp.counting import gowers_blocks
+
+    for d in (3, 4):
+        space = all_points(5, d)
+        for M in [QuadForm.dot_form(f5, d, radius=1)] + kernel_forms(f5, d, rng)[:3]:
+            blocks = list(gowers_blocks(M, 1))
+            starts = np.array([n for (n,), _, _ in blocks], dtype=np.int64).reshape(-1, d)
+            assert np.array_equal(starts, enumerate_zeros(M))
+            for (n,), H, _ in blocks:
+                assert np.array_equal(H, space[M.shifted(n.tolist()).eval_array(space) == 0])
