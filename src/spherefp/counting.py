@@ -96,11 +96,18 @@ def subspace_points(S: AffineSubspace, budget=DEFAULT_BUDGET) -> np.ndarray:
     return pts[order]
 
 
+def _grid_zeros(M: QuadForm, budget):
+    """(M.grid_values(), V(M) in lex order) from one grid, after the p^d
+    budget check."""
+    _check_budget(M.p**M.d, budget)
+    grid = M.grid_values()
+    return grid, np.argwhere(grid == 0)
+
+
 def enumerate_zeros(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
     """Sound and complete list of V(M) (intersected with V + c), lex order."""
     if S is None:
-        _check_budget(M.p**M.d, budget)
-        return np.argwhere(M.grid_values() == 0)
+        return _grid_zeros(M, budget)[1]
     pts = subspace_points(S, budget)
     return pts[M.eval_array(pts) == 0]
 
@@ -199,8 +206,7 @@ def enumerate_vmh(M: QuadForm, shifts, budget=DEFAULT_BUDGET):
         raise RankHypothesisFailed("M must be non-degenerate")
     if M.d - 2 * r < 3:
         raise RankHypothesisFailed(f"need d - 2r >= 3, got {M.d - 2 * r}")
-    pts = enumerate_zeros(M, None, budget)
-    grid = M.grid_values()
+    grid, pts = _grid_zeros(M, budget)
     keep = np.ones(len(pts), dtype=bool)
     for h in shifts:
         # M(n + h) = grid[(n + h) mod p]
@@ -230,7 +236,10 @@ def gowers_blocks(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=D
     them, so a scan that stops inside H pays only for what it read; room is
     the budget left before H."""
     p = M.p
-    base = enumerate_zeros(M, S, budget)
+    if S is None:
+        grid, base = _grid_zeros(M, budget)
+    else:
+        base = enumerate_zeros(M, S, budget)
     used = 0
 
     def charge(units):
@@ -245,7 +254,6 @@ def gowers_blocks(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=D
         return
     if S is None:
         space = all_points(p, M.d)
-        grid = M.grid_values()
     else:
         space = subspace_points(AffineSubspace(M.field, S.basis), budget)
 

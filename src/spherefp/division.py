@@ -461,8 +461,7 @@ def gowers_equation_solve(P: FpMultiPoly, Q: FpMultiPoly, M: QuadForm, s: int, b
         zeros = enumerate_zeros(M, None, budget)
         if len(zeros) ** 2 > budget:
             raise BudgetExceeded("Box_1 hypothesis scan exceeds budget")
-        pv = P.eval_array(zeros)
-        qv = Q.eval_array(zeros)
+        pv, qv = FpMultiPoly.eval_many([P, Q], zeros)
         diff = (pv[:, None] - qv[:, None] + qv[None, :]) % M.p
         bad = np.argwhere(diff != 0)
         if len(bad):

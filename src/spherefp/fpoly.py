@@ -19,6 +19,7 @@ all its binomial-basis coefficients are integers.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
@@ -26,6 +27,10 @@ from math import lcm, prod
 import numpy as np
 
 from .ffcore import PrimeField, TheoremViolation
+
+# monomial-table cells (monomials x points) held at a time: 512 KB of int64,
+# small enough to stay in cache while every level of the table is filled
+EVAL_CHUNK_CELLS = 1 << 16
 
 
 class ArityMismatch(ValueError):
@@ -230,15 +235,56 @@ class FpMultiPoly(_PolyBase):
 
     def eval_array(self, points):
         """Evaluate at an (N, nvars) numpy int array, returning residues."""
-        p = self.p
-        n = points.shape[0]
-        out = np.zeros(n, dtype=np.int64)
-        for e, c in self.terms.items():
-            v = np.full(n, c, dtype=np.int64)
-            for j, k in enumerate(e):
-                for _ in range(k):
-                    v = (v * points[:, j]) % p
-            out = (out + v) % p
+        return FpMultiPoly.eval_many([self], points)[0]
+
+    @staticmethod
+    def eval_many(polys, points):
+        """Evaluate every polynomial of polys at an (N, nvars) int array.
+
+        Returns a (len(polys), N) int64 array of residues in {0..p-1}; row r
+        holds polys[r].  All polynomials must share p and nvars.  Every
+        monomial they use, and the parents that build it, is filled once
+        into a (monomials x points) table of residues, one degree level at
+        a time; one coefficient-matrix product mod p then gives every row.
+        Points are taken mod p first, so any int64 coordinates are valid,
+        and at most EVAL_CHUNK_CELLS table cells are held at once.
+        """
+        points = np.asarray(points, dtype=np.int64)
+        if not polys:
+            return np.zeros((0, len(points)), dtype=np.int64)
+        p, nvars = polys[0].p, polys[0].nvars
+        if any(f.p != p or f.nvars != nvars for f in polys):
+            raise ArityMismatch("mixed p or arity")
+        if points.ndim != 2 or points.shape[1] != nvars:
+            raise ArityMismatch("point arity mismatch")
+        pos, levels = _monomial_closure(set().union(*(f.terms for f in polys)), nvars)
+        nmon = len(pos)
+        # the product is exact in float64 while each of its partial sums
+        # stays below 2^53; past that each term is reduced before summing
+        in_float = nmon * (p - 1) ** 2 < 2**53
+        coeffs = np.zeros((len(polys), nmon), dtype=np.float64 if in_float else np.int64)
+        for r, f in enumerate(polys):
+            coeffs[r, [pos[e] for e in f.terms]] = list(f.terms.values())
+        n = len(points)
+        out = np.empty((len(polys), n), dtype=np.int64)
+        step = max(1, EVAL_CHUNK_CELLS // nmon)
+        for start in range(0, n, step):
+            x = np.ascontiguousarray((points[start : start + step] % p).T)
+            tab = np.empty((nmon, x.shape[1]), dtype=np.int64)
+            tab[0] = 1  # row 0 is the zero exponent
+            for lo, hi, par, var in levels:
+                level = tab[lo:hi]
+                np.multiply(tab[par], x[var], out=level)
+                level %= p
+            if in_float:
+                vals = (coeffs @ tab.astype(np.float64)).astype(np.int64)
+            else:
+                # each product is below p^2 < 2^63 and each reduced term
+                # below p, so the sum stays below nmon * p
+                vals = np.zeros((len(polys), x.shape[1]), dtype=np.int64)
+                for m in range(nmon):
+                    vals += coeffs[:, m : m + 1] * tab[m] % p
+            out[:, start : start + step] = vals % p
         return out
 
     def delta(self, h):
@@ -737,9 +783,11 @@ def partial_periodicity_witness(f: RatMultiPoly, omega, p: int):
 # -- fiber tables through Newton differences on the simplex grid ---------------
 
 
+@lru_cache(maxsize=None)
 def _binom_basis_indices(nvars, max_degree):
     """Exponent tuples of total degree <= max_degree, sorted: the simplex
-    grid that indexes binomial-basis coordinates up to that degree."""
+    grid that indexes binomial-basis coordinates up to that degree.  Cached
+    per (nvars, max_degree) as an immutable tuple."""
     out = []
 
     def rec(prefix, remaining):
@@ -750,10 +798,45 @@ def _binom_basis_indices(nvars, max_degree):
             rec(prefix + [e], remaining - e)
 
     if max_degree < 0:
-        return []
+        return ()
     rec([], max_degree)
     out.sort()
-    return out
+    return tuple(out)
+
+
+def _monomial_closure(exps, nvars):
+    """The table plan behind FpMultiPoly.eval_many.
+
+    Closes exps and the zero exponent under taking parents, where the
+    parent of e != 0 is e with one unit of its last nonzero variable
+    dropped, and sorts the result by (total degree, exponent).  Returns
+    (pos, levels): pos maps each exponent to its row, the zero exponent
+    to row 0, and levels holds one (lo, hi, parents, variables) per total
+    degree t >= 1, where rows lo..hi-1 are the exponents of degree t and
+    row lo + i is the row parents[i] times the variable variables[i].
+    """
+    zero = (0,) * nvars
+    parent = dict.fromkeys(exps)
+    parent[zero] = None
+    todo = [e for e in parent if e != zero]
+    while todo:
+        e = todo.pop()
+        j = max(i for i, k in enumerate(e) if k)
+        par = e[:j] + (e[j] - 1,) + e[j + 1 :]
+        parent[e] = (par, j)
+        if par not in parent:
+            parent[par] = None
+            todo.append(par)
+    monos = sorted(parent, key=lambda e: (sum(e), e))
+    pos = {e: m for m, e in enumerate(monos)}
+    degs = [sum(e) for e in monos]
+    levels = []
+    for t in range(1, degs[-1] + 1):
+        lo, hi = bisect_left(degs, t), bisect_right(degs, t)
+        par, var = zip(*(parent[e] for e in monos[lo:hi]))
+        rows = np.array([pos[e] for e in par], dtype=np.intp)
+        levels.append((lo, hi, rows, np.array(var, dtype=np.intp)))
+    return pos, levels
 
 
 @lru_cache(maxsize=None)

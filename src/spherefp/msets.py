@@ -18,6 +18,7 @@ import numpy as np
 from .counting import BudgetExceeded, CountReport, DEFAULT_BUDGET, all_points
 from .ffcore import FpMatrix, rank as mat_rank, rref, solve_linear, Infeasible
 from .fpoly import FpMultiPoly
+from .fpoly import _binom_basis_indices as _monomials_up_to  # cached, sorted tuple
 from .quadform import QuadForm
 
 ENUM_CHUNK_ROWS = 1 << 18  # candidate rows of a block product filtered at a time
@@ -632,23 +633,6 @@ def ideal_membership(P: FpMultiPoly, family, M: QuadForm, k: int):
     return qs
 
 
-def _monomials_up_to(nvars, degree):
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == nvars:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e)
-
-    if degree < 0:
-        return []
-    rec([], degree)
-    out.sort()
-    return out
-
-
 def sample_mset(family, M, k, rng, count, max_rounds=4000):
     """count points of V(family) by vectorized rejection sampling."""
     p, d = M.p, M.d
@@ -694,7 +678,7 @@ def irreducibility_probe(
         pts = enumerate_mset(family, M, k, budget)
     else:
         pts = sample_mset(family, M, k, rng, samples)
-    verdicts = []
+    polys = []
     fpolys = [f.as_poly() for f in family]
     for t in range(trials):
         style = t % 10
@@ -709,14 +693,15 @@ def irreducibility_probe(
             P = FpMultiPoly.constant(p, nvars, rng.randrange(1, p))
         else:
             P = _random_poly(p, nvars, s, rng)
-        verdicts.append(_probe_one(P, family, M, k, delta, pts, exact_mode))
-    return verdicts
+        polys.append(P)
+    values = FpMultiPoly.eval_many(polys, pts)
+    return [_probe_one(P, vals, family, M, k, delta, exact_mode) for P, vals in zip(polys, values)]
 
 
-def _probe_one(P, family, M, k, delta, pts, exact_mode):
-    vals = P.eval_array(pts)
+def _probe_one(P, vals, family, M, k, delta, exact_mode):
+    """The verdict on P from its values vals on the probed point set."""
     count = int((vals == 0).sum())
-    total = len(pts)
+    total = len(vals)
     if exact_mode:
         if count == total:
             cert = ideal_membership(P, family, M, k)

@@ -558,9 +558,10 @@ def _witness_scan_reference(g, M, s, budget):
 
 @pytest.mark.parametrize("p, d, s", [(5, 4, 1), (5, 5, 2), (7, 4, 2), (5, 4, 3), (5, 3, 0)])
 def test_first_gowers_witness_matches_scalar_scan(monkeypatch, p, d, s, rng):
-    # enumerate_zeros refuses budgets below p^d before any scan starts; lift
+    # the walk refuses budgets below p^d before it enumerates V(M); lift
     # that guard so budgets at and below the node count reach the scan
-    monkeypatch.setattr(counting, "enumerate_zeros", lambda M, S, budget: enumerate_zeros(M, S))
+    grid_zeros = counting._grid_zeros
+    monkeypatch.setattr(counting, "_grid_zeros", lambda M, budget: grid_zeros(M, p**d))
     field = PrimeField(p)
     cap = 10000  # scans the reference cannot finish within cap must raise on both sides
     for trial in range(10):

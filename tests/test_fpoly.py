@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from spherefp import fpoly
 from spherefp.fpoly import (
+    ArityMismatch,
     FpMultiPoly,
     NotIntegerValued,
     RatMultiPoly,
@@ -242,3 +245,111 @@ def test_integer_valuedness_criterion_both_directions(rng):
             # a fractional binomial coefficient forces a fractional value
             # somewhere in the finite-difference box
             assert not box_integral
+
+
+# -- batched evaluation ------------------------------------------------------------
+
+
+def _eval_reference(f, points):
+    """f at every row of points, one term at a time: a full column of the
+    coefficient, then one mod-p product per unit of exponent."""
+    p = f.p
+    n = points.shape[0]
+    out = np.zeros(n, dtype=np.int64)
+    for e, c in f.terms.items():
+        v = np.full(n, c, dtype=np.int64)
+        for j, k in enumerate(e):
+            for _ in range(k):
+                v = (v * points[:, j]) % p
+        out = (out + v) % p
+    return out
+
+
+def _dense_fp_poly(p, d, s, rng):
+    return FpMultiPoly(p, d, {e: rng.randrange(p) for e in fpoly._binom_basis_indices(d, s)})
+
+
+def _assert_batch_matches_reference(polys, points):
+    got = FpMultiPoly.eval_many(polys, points)
+    assert got.dtype == np.int64 and got.shape == (len(polys), len(points))
+    for f, row in zip(polys, got):
+        want = _eval_reference(f, points)
+        assert np.array_equal(row, want)
+        assert np.array_equal(f.eval_array(points), want)
+
+
+def _random_points(p, d, n, rng, lo=0, hi=None):
+    hi = p - 1 if hi is None else hi
+    return np.array([[rng.randint(lo, hi) for _ in range(d)] for _ in range(n)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_eval_many_matches_per_term_reference(p, rng):
+    for d in (1, 3, 5):
+        # sparse draws of mixed degree 0..4 next to dense ones of degree 2, 3
+        polys = [random_fp_poly(p, d, 4, rng) for _ in range(6)]
+        polys += [_dense_fp_poly(p, d, s, rng) for s in (2, 3)]
+        rng.shuffle(polys)
+        _assert_batch_matches_reference(polys, _random_points(p, d, 150, rng))
+
+
+@pytest.mark.parametrize("p, d, s", [(2097169, 5, 10), (2147483647, 3, 3)])
+def test_eval_many_reduces_products_past_the_float_bound(p, d, s, rng):
+    # monomials * (p - 1)^2 >= 2^53, so the exact int64 path runs: with
+    # 3003 monomials at p ~ 2^21, and with any number at p ~ 2^31
+    polys = [random_fp_poly(p, d, 4, rng) for _ in range(5)] + [_dense_fp_poly(p, d, s, rng)]
+    pos, _ = fpoly._monomial_closure(set().union(*(f.terms for f in polys)), d)
+    assert len(pos) * (p - 1) ** 2 >= 2**53
+    _assert_batch_matches_reference(polys, _random_points(p, d, 60, rng))
+
+
+def test_eval_many_reduces_coordinates_outside_0_to_p(rng):
+    p, d = 7, 3
+    polys = [random_fp_poly(p, d, 4, rng) for _ in range(6)]
+    points = _random_points(p, d, 200, rng, lo=-3 * p, hi=3 * p)
+    assert (points < 0).any() and (points >= p).any()
+    _assert_batch_matches_reference(polys, points)
+    assert np.array_equal(FpMultiPoly.eval_many(polys, points), FpMultiPoly.eval_many(polys, points % p))
+
+
+def test_eval_many_zero_and_constant_polynomials(rng):
+    p, d = 11, 4
+    points = _random_points(p, d, 50, rng)
+    zero, const = FpMultiPoly.zero(p, d), FpMultiPoly.constant(p, d, 6)
+    _assert_batch_matches_reference([zero, const, random_fp_poly(p, d, 3, rng)], points)
+    assert not FpMultiPoly.eval_many([zero], points).any()
+    assert (FpMultiPoly.eval_many([const, zero], points) == [[6], [0]]).all()
+
+
+def test_eval_many_empty_batches():
+    points = np.zeros((0, 3), dtype=np.int64)
+    polys = [FpMultiPoly.variable(5, 3, j) for j in range(3)]
+    assert FpMultiPoly.eval_many(polys, points).shape == (3, 0)
+    assert polys[0].eval_array(points).shape == (0,)
+    assert FpMultiPoly.eval_many([], np.ones((4, 3), dtype=np.int64)).shape == (0, 4)
+
+
+@pytest.mark.parametrize("cells", [1, 150, 1000])
+def test_eval_many_chunks_keep_every_column(monkeypatch, cells, rng):
+    # a cap of a few cells splits the points into chunks of one or a few,
+    # with a short last chunk
+    p, d = 13, 3
+    polys = [random_fp_poly(p, d, 4, rng) for _ in range(5)] + [_dense_fp_poly(p, d, 3, rng)]
+    points = _random_points(p, d, 90, rng)
+    whole = FpMultiPoly.eval_many(polys, points)
+    monkeypatch.setattr(fpoly, "EVAL_CHUNK_CELLS", cells)
+    assert np.array_equal(FpMultiPoly.eval_many(polys, points), whole)
+    _assert_batch_matches_reference(polys, points)
+
+
+def test_eval_many_rejects_mixed_polynomials_and_points():
+    points = np.zeros((4, 2), dtype=np.int64)
+    f = FpMultiPoly.variable(5, 2, 0)
+    with pytest.raises(ArityMismatch):
+        FpMultiPoly.eval_many([f, FpMultiPoly.variable(7, 2, 0)], points)
+    with pytest.raises(ArityMismatch):
+        FpMultiPoly.eval_many([f, FpMultiPoly.variable(5, 3, 0)], points)
+    with pytest.raises(ArityMismatch):
+        FpMultiPoly.eval_many([f], np.zeros((4, 3), dtype=np.int64))
+    with pytest.raises(ArityMismatch):
+        f.eval_array(np.zeros(4, dtype=np.int64))

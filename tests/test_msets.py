@@ -30,6 +30,7 @@ from spherefp.msets import (
 from spherefp.quadform import QuadForm
 
 from conftest import random_form, random_fp_poly
+from test_fpoly import _eval_reference
 
 
 def sphere_family(M):
@@ -303,6 +304,52 @@ def test_probe_exact_mode(rng):
     assert all(v["verdict"] != "middle_ground" for v in verdicts)
     kinds = {v["verdict"] for v in verdicts}
     assert "small" in kinds and "contained" in kinds
+
+
+def _probe_reference(family, M, k, s, delta, trials, rng, budget, samples):
+    """irreducibility_probe one polynomial at a time: draw it, evaluate it
+    term by term on the point set, judge it, then draw the next."""
+    p, d = M.p, M.d
+    nvars = k * d
+    exact_mode = p ** (d * k) <= budget
+    if exact_mode:
+        pts = enumerate_mset(family, M, k, budget)
+    else:
+        pts = sample_mset(family, M, k, rng, samples)
+    fpolys = [f.as_poly() for f in family]
+    verdicts = []
+    for t in range(trials):
+        if t % 10 == 8:
+            qs = [msets._random_poly(p, nvars, max(s - 2, 0), rng, 4) for _ in family]
+            P = FpMultiPoly.zero(p, nvars)
+            for fp, q in zip(fpolys, qs):
+                P = P + fp * q
+            if P.is_zero():
+                P = fpolys[0]
+        elif t % 10 == 9:
+            P = FpMultiPoly.constant(p, nvars, rng.randrange(1, p))
+        else:
+            P = msets._random_poly(p, nvars, s, rng)
+        verdicts.append(msets._probe_one(P, _eval_reference(P, pts), family, M, k, delta, exact_mode))
+    return verdicts
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_probe_verdicts_match_one_at_a_time_reference(mode):
+    # the batched evaluation neither changes a verdict nor draws from rng
+    if mode == "exact":
+        M = QuadForm.dot_form(PrimeField(7), 4, radius=1)
+        args = (sphere_family(M), M, 1, 3, 0.3, 30)
+        extra = {"budget": 10**6, "samples": 1200}
+    else:
+        M = QuadForm.dot_form(PrimeField(5), 3, radius=1)
+        args = (gowers_family(M, 1), M, 2, 3, 0.3, 30)
+        extra = {"budget": 5**5, "samples": 400}
+    rng, ref_rng = random.Random(77), random.Random(77)
+    verdicts = irreducibility_probe(*args, rng, **extra)
+    assert {v["mode"] for v in verdicts} == {mode}
+    assert verdicts == _probe_reference(*args, ref_rng, **extra)
+    assert rng.getstate() == ref_rng.getstate()
 
 
 def test_probe_translation_product_isomorphism_invariance(f5, rng):
