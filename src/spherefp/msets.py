@@ -21,7 +21,7 @@ from .fpoly import FpMultiPoly
 from .fpoly import _binom_basis_indices as _monomials_up_to  # cached, sorted tuple
 from .quadform import QuadForm
 
-ENUM_CHUNK_ROWS = 1 << 18  # candidate rows of a block product filtered at a time
+ENUM_CHUNK_ROWS = 1 << 18  # mask cells (prefix rows x p^d block points) per chunk
 
 
 class NotConsistent(ValueError):
@@ -63,7 +63,7 @@ class MQuadFn:
         for (i, j), c in self.b.items():
             bi = pts[:, (i - 1) * self.d : i * self.d]
             bj = pts[:, (j - 1) * self.d : j * self.d]
-            total = (total + c * (((bi @ a) % p) * bj).sum(axis=1)) % p
+            total = (total + c * ((((bi @ a) % p) * bj).sum(axis=1) % p)) % p
         for i in range(self.k):
             vi = np.array(self.v[i], dtype=np.int64)
             if vi.any():
@@ -418,31 +418,59 @@ def restrict_blocks(fn: MQuadFn, M, blocks):
     return MQuadFn(M, len(blocks), b, v, fn.u)
 
 
+def _top_block_split(g: MQuadFn, pts, a):
+    """g on (prefix x, block point y), g with top block k = g.k, as
+    pre(x) + cross(x) . y + new(y): the prefix function (every term touching
+    block k dropped), the cross coefficients [(i, b_ik) for i < k], and new
+    = b_kk (yA).y + v_k.y mod p on the block points pts, a = A as an array."""
+    p, k = g.p, g.k
+    prefix = MQuadFn(g.M, k - 1, {ij: c for ij, c in g.b.items() if ij[1] < k}, g.v[: k - 1], g.u)
+    cross = [(i, c) for (i, j), c in g.b.items() if j == k and i < k]
+    new = (pts @ np.array(g.v[k - 1], dtype=np.int64)) % p
+    c = g.b.get((k, k), 0)
+    if c:
+        new = (new + c * ((((pts @ a) % p) * pts).sum(axis=1) % p)) % p
+    return prefix, cross, new
+
+
 def enumerate_mset(family, M: QuadForm, k: int, budget=DEFAULT_BUDGET):
     """V(family) as an (N, k*d) array, built block by block using the
-    standard representation, in lexicographic order."""
+    standard representation, in lexicographic order.
+
+    Each chunk of prefix rows x is masked against all p^d block points y at
+    once: a function with top block blk is pre(x) + cross(x) . y + new(y)
+    (see _top_block_split), so the block product is never materialised."""
     p, d = M.p, M.d
+    a = np.array(M.A.rows, dtype=np.int64)
     rep = standard_rep(family, M, k)
     by_block = {}
     for f in rep.functions:
         by_block.setdefault(f.max_block(), []).append(f)
     partial = np.zeros((1, 0), dtype=np.int64)
-    block_pts = all_points(p, d)
-    step = max(1, ENUM_CHUNK_ROWS // len(block_pts))
+    pts = all_points(p, d)
+    step = max(1, ENUM_CHUNK_ROWS // len(pts))
     for blk in range(1, k + 1):
-        if partial.shape[0] * len(block_pts) > budget:
+        if partial.shape[0] * len(pts) > budget:
             raise BudgetExceeded("M-set enumeration exceeds budget")
-        shaped = [restrict_blocks(f, M, list(range(1, blk + 1))) for f in by_block.get(blk, [])]
+        splits = [
+            _top_block_split(restrict_blocks(f, M, list(range(1, blk + 1))), pts, a)
+            for f in by_block.get(blk, [])
+        ]
         kept = []
         # one chunk even when partial is empty, so the result keeps its width
         for start in range(0, max(len(partial), 1), step):
             part = partial[start : start + step]
-            left = np.repeat(part, len(block_pts), axis=0)
-            right = np.tile(block_pts, (len(part), 1))
-            cand = np.concatenate([left, right], axis=1)
-            for g in shaped:
-                cand = cand[g.eval_array(cand) == 0]
-            kept.append(cand)
+            mask = np.ones((len(part), len(pts)), dtype=bool)
+            for prefix, cross_terms, new in splits:
+                vals = prefix.eval_array(part)[:, None] + new
+                if cross_terms:
+                    cross = np.zeros((len(part), d), dtype=np.int64)
+                    for i, c in cross_terms:
+                        cross = (cross + c * ((part[:, (i - 1) * d : i * d] @ a) % p)) % p
+                    vals += cross @ pts.T
+                mask &= vals % p == 0
+            rows, cols = np.nonzero(mask)
+            kept.append(np.concatenate([part[rows], pts[cols]], axis=1))
         partial = np.concatenate(kept)
     return partial
 
@@ -480,15 +508,13 @@ def mset_cardinality_check(family, M: QuadForm, k: int, budget=DEFAULT_BUDGET, r
 
 def fubini_prepare(family, M: QuadForm, k: int, kprime: int, budget=DEFAULT_BUDGET):
     """Enumerations shared by repeated Fubini checks over the same set:
-    (points of Omega sorted by I-prefix, run lengths per prefix, |Omega_I|,
-    number of prefixes realized inside Omega)."""
+    (points of Omega in lexicographic order, so grouped by I-prefix, the
+    start of each prefix's run plus len(points), |Omega_I|)."""
     d = M.d
     pts = enumerate_mset(family, M, k, budget)
     if len(pts) == 0:
         raise ValueError("empty M-set")
     cut = kprime * d
-    order = np.lexsort(pts[:, :cut].T[::-1])
-    pts = pts[order]
     changed = np.any(pts[1:, :cut] != pts[:-1, :cut], axis=1)
     boundaries = [0] + (np.flatnonzero(changed) + 1).tolist() + [len(pts)]
     proj, _ = i_projection(family, M, k, set(range(1, kprime + 1)))

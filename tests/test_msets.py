@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spherefp.counting import gowers_set
-from spherefp.ffcore import PrimeField
+from spherefp.counting import all_points, gowers_set
+from spherefp.ffcore import BudgetExceeded, PrimeField
 from spherefp import msets
 from spherefp.fpoly import FpMultiPoly
 from spherefp.msets import (
@@ -486,3 +486,107 @@ def test_fubini_check_calls_f_on_int_tuples_in_row_order(f5):
     fubini_check(fam, M, 2, 1, f, prepared=prepared)
     assert seen == [tuple(int(x) for x in row) for row in prepared[0]]
     assert all(type(x) is tuple and all(type(c) is int for c in x) for x in seen)
+
+
+def test_eval_array_reduces_before_scaling():
+    # at p = 2097169 a dot product (x_i A) . x_j reaches d p^2 ~ 2^45, and
+    # scaling it by b_ij before reducing would pass 2^63
+    p = 2097169
+    r = random.Random(2097169)
+    a = [[0] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            a[i][j] = a[j][i] = r.randrange(p)
+    M = QuadForm(PrimeField(p), a, [0, 0, 0], 0)
+    F = MQuadFn(M, 2, {(1, 1): p - 1, (1, 2): p - 2, (2, 2): p - 3}, [[1, 2, 3], [p - 1, 0, 5]], 5)
+    pts = np.array([[r.randrange(p) for _ in range(6)] for _ in range(200)], dtype=np.int64)
+    want = [F.evaluate([row[:3], row[3:]]) for row in pts.tolist()]
+    assert F.eval_array(pts).tolist() == want
+
+
+def _enumerate_mset_reference(family, M, k):
+    """The block product filter enumerate_mset replaced: every candidate row
+    (prefix, y) is materialised with repeat/tile and kept when each standard
+    function with top block blk vanishes on it."""
+    rep = standard_rep(family, M, k)
+    partial = np.zeros((1, 0), dtype=np.int64)
+    block_pts = all_points(M.p, M.d)
+    for blk in range(1, k + 1):
+        left = np.repeat(partial, len(block_pts), axis=0)
+        right = np.tile(block_pts, (len(partial), 1))
+        cand = np.concatenate([left, right], axis=1)
+        for f in rep.functions:
+            if f.max_block() == blk:
+                g = restrict_blocks(f, M, list(range(1, blk + 1)))
+                cand = cand[g.eval_array(cand) == 0]
+        partial = cand
+    return partial
+
+
+def _box1_hn_family(M):
+    # Box_1 in the (h, n) block order: M(n) = 0 and M(n + h) - M(n) = 0
+    return [MQuadFn(M, 2, {(2, 2): 1}, None, M.v), MQuadFn(M, 2, {(1, 2): 2, (1, 1): 1})]
+
+
+def _mset_cases():
+    f5, f7, f11 = PrimeField(5), PrimeField(7), PrimeField(11)
+    M = QuadForm.dot_form(f5, 3, radius=1)
+    N = QuadForm(f5, [[1, 0], [0, 2]], [1, 0], 3)
+    mixed = [
+        MQuadFn(N, 2, {(1, 1): 1, (1, 2): 2}, [[1, 0], [0, 0]], 3),
+        MQuadFn(N, 2, {(1, 2): 2}, [[0, 1], [2, 0]], 1),
+        MQuadFn(N, 2, {(1, 1): 1, (1, 2): 4}, [[1, 1], [2, 0]], 4),
+    ]
+    R = random_form(f7, 3, random.Random(71), min_rank=3)
+    S = QuadForm.dot_form(f11, 3, radius=2)
+    E = QuadForm(f5, [[1]], [0], 3)  # n^2 = 2 has no root mod 5
+    return {
+        "box1_nh": (gowers_family(M, 1), M, 2),
+        "box1_hn": (_box1_hn_family(M), M, 2),
+        "box2": (gowers_family(M, 2), M, 3),
+        "mixed": (mixed, N, 2),
+        "random_p7": (gowers_family(R, 1), R, 2),
+        "vm_k1": (sphere_family(S), S, 1),
+        "first_block_empty": ([MQuadFn(E, 2, {(1, 1): 1}, None, E.v)], E, 2),
+    }
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 300, None])
+@pytest.mark.parametrize("case", sorted(_mset_cases()))
+def test_enumerate_mset_matches_block_product_reference(monkeypatch, case, chunk_rows):
+    # rows, row order, dtype and shape equal the materialised filter at
+    # every chunk cap, the default cap (None) included
+    family, M, k = _mset_cases()[case]
+    want = _enumerate_mset_reference(family, M, k)
+    if chunk_rows is not None:
+        monkeypatch.setattr(msets, "ENUM_CHUNK_ROWS", chunk_rows)
+    got = enumerate_mset(family, M, k)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_enumerate_mset_budget_counts_prefix_rows_times_block_points(f5):
+    # block 1 of the (h, n) order carries no function, so block 2 needs
+    # 125 prefix rows x 125 block points = 15,625 candidates
+    M = QuadForm.dot_form(f5, 3, radius=1)
+    fam = _box1_hn_family(M)
+    assert standard_rep(fam, M, 2).dimension_vector == [0, 2]
+    assert len(enumerate_mset(fam, M, 2, budget=15625)) == gowers_set(M, 1, count_only=True)
+    with pytest.raises(BudgetExceeded):
+        enumerate_mset(fam, M, 2, budget=15624)
+    with pytest.raises(NotConsistent):
+        enumerate_mset([fam[0], MQuadFn(M, 2, {(2, 2): 1}, None, M.v + 1)], M, 2)
+
+
+@pytest.mark.parametrize("case", ["box1_nh", "box1_hn", "box2", "mixed"])
+def test_fubini_prepare_groups_lexicographic_rows_by_prefix(case):
+    family, M, k = _mset_cases()[case]
+    pts, boundaries, omega_i_size = fubini_prepare(family, M, k, 1)
+    assert np.array_equal(pts, enumerate_mset(family, M, k))
+    prefixes = [tuple(row[: M.d]) for row in pts.tolist()]
+    starts = [t for t in range(len(prefixes)) if t == 0 or prefixes[t] != prefixes[t - 1]]
+    assert boundaries == starts + [len(pts)]
+    assert len(set(prefixes)) == len(starts)  # each prefix forms one run
+    proj, _ = i_projection(family, M, k, {1})
+    shaped = [restrict_blocks(g, M, [1]) for g in proj]
+    assert omega_i_size == len(_enumerate_mset_reference(shaped, M, 1))
