@@ -46,27 +46,64 @@ class NotIntegerValued(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _stirling2(n: int, k: int) -> int:
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
-
-
-@lru_cache(maxsize=None)
-def _stirling1_signed(n: int, k: int) -> int:
-    # falling factorial (x)_n = sum_k s1(n,k) x^k
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return _stirling1_signed(n - 1, k - 1) - (n - 1) * _stirling1_signed(n - 1, k)
-
-
-@lru_cache(maxsize=None)
 def _factorial(n: int) -> int:
     return 1 if n <= 1 else n * _factorial(n - 1)
+
+
+@lru_cache(maxsize=None)
+def _stirling_table(deg, kind):
+    """(scale, rows) of one axis of a basis change of degree deg, in integers.
+
+    rows[k], k = 0..deg, holds the nonzero pairs (t, w) expanding one basis
+    element; every kind maps rows 0 and 1 to themselves when deg <= 1:
+
+      "S2"  x^k = sum_t w C(x, t)             w = S2(k, t) t!             scale 1
+      "s1"  deg! C(x, k) = sum_t w x^t        w = s1(k, t) deg!/k!        scale deg!
+      p     C(x, k) = sum_t w x^t over F_p    w = s1(k, t) / k! mod p     scale 1
+    """
+    s2 = [1]  # S2(k, t) t!, the forward differences of x^k at 0
+    s1 = [1]  # s1(k, t), the coefficients of (x)_k = x (x - 1) ... (x - k + 1)
+    rows = []
+    for k in range(deg + 1):
+        if k:
+            s2 = [t * (a + b) for t, (a, b) in enumerate(zip(s2 + [0], [0] + s2))]
+            s1 = [b - (k - 1) * a for a, b in zip(s1 + [0], [0] + s1)]
+        if kind == "S2":
+            ws = s2
+        elif kind == "s1":
+            ws = [s * (_factorial(deg) // _factorial(k)) for s in s1]
+        else:  # a prime p > deg, so k! is a unit
+            ws = [s * pow(_factorial(k), -1, kind) % kind for s in s1]
+        rows.append(tuple((t, w) for t, w in enumerate(ws) if w))
+    return (_factorial(deg) if kind == "s1" else 1), tuple(rows)
+
+
+def _expand_axes(coords, nvars, kind):
+    """Change the basis of integer coordinates one axis at a time.
+
+    coords maps exponent tuples to Python ints.  On axis j every entry e is
+    replaced by the row _stirling_table(deg_j, kind)[e_j], where deg_j is
+    the largest e_j present; entries landing on the same tuple are summed
+    and zeros dropped, so only the down-sets of the entries are walked.
+    Returns (coords, scale): the result is scale times the change of basis
+    of the input (scale is the product of the tables' scales).
+    """
+    scale = 1
+    for j in range(nvars):
+        deg = max((e[j] for e in coords), default=0)
+        if deg <= 1:
+            continue
+        axis_scale, rows = _stirling_table(deg, kind)
+        scale *= axis_scale
+        nxt = {}
+        get = nxt.get
+        for e, c in coords.items():
+            head, tail = e[:j], e[j + 1 :]
+            for t, w in rows[e[j]]:
+                key = head + (t,) + tail
+                nxt[key] = get(key, 0) + c * w
+        coords = {e: c for e, c in nxt.items() if c}
+    return coords, scale
 
 
 def binom_int(n: int, k: int) -> int:
@@ -555,49 +592,30 @@ class RatMultiPoly(_PolyBase):
 
         f(n) = sum_i c_i C(n, i) exactly; the inverse of from_binomial.
         """
-        coords = {e: Fraction(c) for e, c in self.terms.items()}
-        for j in range(self.nvars):
-            nxt = {}
-            for e, c in coords.items():
-                k = e[j]
-                # n^k = sum_t S2(k, t) * t! * C(n, t)
-                for t in range(0, k + 1):
-                    s = _stirling2(k, t)
-                    if s == 0:
-                        continue
-                    e2 = list(e)
-                    e2[j] = t
-                    key = tuple(e2)
-                    nxt[key] = nxt.get(key, Fraction(0)) + c * s * _factorial(t)
-            coords = {e: c for e, c in nxt.items() if c != 0}
-        return coords
+        den = self.denominator_lcm()
+        nums, _ = _expand_axes(
+            {e: c.numerator * (den // c.denominator) for e, c in self.terms.items()},
+            self.nvars,
+            "S2",
+        )
+        return {e: Fraction(v, den) for e, v in nums.items()}
 
     @classmethod
     def from_binomial(cls, nvars, coeffs):
-        """Build the polynomial sum_i coeffs[i] * C(n, i)."""
-        terms = {}
-        for idx, c in coeffs.items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            expansion = {tuple(idx): c}
-            for j in range(nvars):
-                nxt = {}
-                for e, v in expansion.items():
-                    k = e[j]
-                    # C(n_j, k) = (1/k!) sum_t s1(k, t) n_j^t
-                    for t in range(0, k + 1):
-                        s = _stirling1_signed(k, t)
-                        if s == 0:
-                            continue
-                        e2 = list(e)
-                        e2[j] = t
-                        key = tuple(e2)
-                        nxt[key] = nxt.get(key, Fraction(0)) + v * Fraction(s, _factorial(k))
-                expansion = nxt
-            for e, v in expansion.items():
-                terms[e] = terms.get(e, Fraction(0)) + v
-        return cls(nvars, terms)
+        """Build the polynomial sum_i coeffs[i] * C(n, i).
+
+        Every index must have nvars components; an index with a negative
+        component contributes 0, since C(n, k) = 0 for k < 0.
+        """
+        coeffs = {tuple(i): Fraction(c) for i, c in coeffs.items()}
+        if any(len(i) != nvars for i in coeffs):
+            raise ArityMismatch("binomial index arity mismatch")
+        coeffs = {i: c for i, c in coeffs.items() if c and min(i, default=0) >= 0}
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        nums, scale = _expand_axes(
+            {i: c.numerator * (den // c.denominator) for i, c in coeffs.items()}, nvars, "s1"
+        )
+        return cls(nvars, {e: Fraction(v, den * scale) for e, v in nums.items()})
 
     def is_integer_valued(self):
         return all(c.denominator == 1 for c in self.binomial_coeffs().values())
@@ -626,9 +644,7 @@ class RatMultiPoly(_PolyBase):
         terms = {}
         for t in obj["terms"]:
             exp = tuple(t["exp"])
-            c = t["coeff"]
-            frac = Fraction(c) if isinstance(c, str) else Fraction(c)
-            terms[exp] = terms.get(exp, Fraction(0)) + frac
+            terms[exp] = terms.get(exp, Fraction(0)) + Fraction(t["coeff"])
         return cls(obj["nvars"], terms)
 
     def __str__(self):
@@ -671,34 +687,12 @@ def induce(f: RatMultiPoly, p: int) -> FpMultiPoly:
     """
     if f.degree() >= p:
         raise ValueRangeError("induce requires deg(f) < p")
-    pf = f.scale(p)
-    coords = pf.binomial_coeffs()
-    if any(c.denominator != 1 for c in coords.values()):
+    coords = f.binomial_coeffs()
+    # p * a/b (in lowest terms) is an integer exactly when b divides p
+    if any(p % c.denominator for c in coords.values()):
         raise ValueRangeError("polynomial does not take values in Z/p")
-    field = PrimeField(p)
-    terms = {}
-    for idx, c in coords.items():
-        cmod = int(c) % p
-        if cmod == 0:
-            continue
-        # expand C(n, idx) over F_p (all idx_j < p so factorials are units)
-        expansion = {tuple(idx): cmod}
-        for j in range(f.nvars):
-            nxt = {}
-            for e, v in expansion.items():
-                k = e[j]
-                inv_fact = field.inv(_factorial(k) % p) if k else 1
-                for t in range(0, k + 1):
-                    s = _stirling1_signed(k, t) % p
-                    if s == 0:
-                        continue
-                    e2 = list(e)
-                    e2[j] = t
-                    key = tuple(e2)
-                    nxt[key] = (nxt.get(key, 0) + v * s * inv_fact) % p
-            expansion = nxt
-        for e, v in expansion.items():
-            terms[e] = (terms.get(e, 0) + v) % p
+    residues = {i: c.numerator * (p // c.denominator) % p for i, c in coords.items()}
+    terms, _ = _expand_axes({i: r for i, r in residues.items() if r}, f.nvars, p)
     return FpMultiPoly(p, f.nvars, terms)
 
 

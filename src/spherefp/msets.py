@@ -553,10 +553,7 @@ def fubini_check(family, M: QuadForm, k: int, kprime: int, f, budget=DEFAULT_BUD
         else:
             inner_total += sum(chunk) / len(chunk)
     # prefixes of Omega_I carrying no fiber contribute zero inner mean
-    if exact:
-        rhs = inner_total / omega_i_size
-    else:
-        rhs = inner_total / omega_i_size
+    rhs = inner_total / omega_i_size
     return lhs, rhs, abs(lhs - rhs)
 
 

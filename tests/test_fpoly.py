@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherefp import fpoly
 from spherefp.fpoly import (
@@ -353,3 +357,246 @@ def test_eval_many_rejects_mixed_polynomials_and_points():
         FpMultiPoly.eval_many([f], np.zeros((4, 3), dtype=np.int64))
     with pytest.raises(ArityMismatch):
         f.eval_array(np.zeros(4, dtype=np.int64))
+
+
+# -- basis change against the Fraction-dict expansions it replaced -----------------
+
+
+@lru_cache(maxsize=None)
+def _stirling2(n, k):
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+@lru_cache(maxsize=None)
+def _stirling1_signed(n, k):
+    # falling factorial (x)_n = sum_k s1(n,k) x^k
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return _stirling1_signed(n - 1, k - 1) - (n - 1) * _stirling1_signed(n - 1, k)
+
+
+def _binomial_coeffs_reference(f):
+    """Per-axis expansion of each monomial in dicts of Fractions."""
+    coords = {e: Fraction(c) for e, c in f.terms.items()}
+    for j in range(f.nvars):
+        nxt = {}
+        for e, c in coords.items():
+            k = e[j]
+            # n^k = sum_t S2(k, t) * t! * C(n, t)
+            for t in range(0, k + 1):
+                s = _stirling2(k, t)
+                if s == 0:
+                    continue
+                e2 = list(e)
+                e2[j] = t
+                key = tuple(e2)
+                nxt[key] = nxt.get(key, Fraction(0)) + c * s * factorial(t)
+        coords = {e: c for e, c in nxt.items() if c != 0}
+    return coords
+
+
+def _from_binomial_reference(nvars, coeffs):
+    """Each binomial index expanded on its own, in dicts of Fractions."""
+    terms = {}
+    for idx, c in coeffs.items():
+        c = Fraction(c)
+        if c == 0:
+            continue
+        expansion = {tuple(idx): c}
+        for j in range(nvars):
+            nxt = {}
+            for e, v in expansion.items():
+                k = e[j]
+                # C(n_j, k) = (1/k!) sum_t s1(k, t) n_j^t
+                for t in range(0, k + 1):
+                    s = _stirling1_signed(k, t)
+                    if s == 0:
+                        continue
+                    e2 = list(e)
+                    e2[j] = t
+                    key = tuple(e2)
+                    nxt[key] = nxt.get(key, Fraction(0)) + v * Fraction(s, factorial(k))
+            expansion = nxt
+        for e, v in expansion.items():
+            terms[e] = terms.get(e, Fraction(0)) + v
+    return RatMultiPoly(nvars, terms)
+
+
+def _induce_reference(f, p):
+    """Integral binomial coefficients of p f, each expanded over F_p on its own."""
+    if f.degree() >= p:
+        raise ValueRangeError("induce requires deg(f) < p")
+    coords = _binomial_coeffs_reference(f.scale(p))
+    if any(c.denominator != 1 for c in coords.values()):
+        raise ValueRangeError("polynomial does not take values in Z/p")
+    terms = {}
+    for idx, c in coords.items():
+        cmod = int(c) % p
+        if cmod == 0:
+            continue
+        expansion = {tuple(idx): cmod}
+        for j in range(f.nvars):
+            nxt = {}
+            for e, v in expansion.items():
+                k = e[j]
+                inv_fact = pow(factorial(k), -1, p)
+                for t in range(0, k + 1):
+                    s = _stirling1_signed(k, t) % p
+                    if s == 0:
+                        continue
+                    e2 = list(e)
+                    e2[j] = t
+                    key = tuple(e2)
+                    nxt[key] = (nxt.get(key, 0) + v * s * inv_fact) % p
+            expansion = nxt
+        for e, v in expansion.items():
+            terms[e] = (terms.get(e, 0) + v) % p
+    return FpMultiPoly(p, f.nvars, terms)
+
+
+# denominators: 1, the primes of the induce tests, prime powers, and products
+# of distinct primes; numerators reach past 2^63
+_DENOMINATORS = [1, 2, 3, 5, 6, 7, 11, 13, 25, 30, 49, 143, 30030, 2**61 - 1]
+_coefficients = st.builds(
+    Fraction,
+    st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70)),
+    st.sampled_from(_DENOMINATORS),
+)
+
+
+def _exponent(nvars, deg):
+    """A random exponent of total degree at most deg (units thrown on axes)."""
+    return st.lists(st.integers(0, nvars - 1), max_size=deg).map(
+        lambda axes: tuple(axes.count(j) for j in range(nvars))
+    )
+
+
+@st.composite
+def _coordinate_dicts(draw, max_vars=8, max_deg=12):
+    """(nvars, {exponent: Fraction}), sparse (a few random exponents of degree
+    up to max_deg) or dense (every exponent of the simplex grid of a degree
+    small enough that the grid has at most 250 points)."""
+    nvars = draw(st.integers(1, max_vars))
+    if draw(st.booleans()):
+        deg = draw(st.integers(0, max_deg))
+        exps = draw(st.lists(_exponent(nvars, deg), min_size=1, max_size=6))
+    else:
+        top = max(s for s in range(max_deg + 1) if comb(nvars + s, nvars) <= 250)
+        exps = fpoly._binom_basis_indices(nvars, draw(st.integers(0, top)))
+    return nvars, {e: draw(_coefficients) for e in exps}
+
+
+_basis_settings = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+@_basis_settings
+@given(_coordinate_dicts())
+def test_binomial_coeffs_match_fraction_reference(case):
+    nvars, terms = case
+    f = RatMultiPoly(nvars, terms)
+    got = f.binomial_coeffs()
+    assert got == _binomial_coeffs_reference(f)
+    assert all(type(c) is Fraction and c != 0 for c in got.values())
+
+
+@_basis_settings
+@given(_coordinate_dicts())
+def test_from_binomial_matches_fraction_reference(case):
+    nvars, coeffs = case
+    got = RatMultiPoly.from_binomial(nvars, coeffs)
+    assert got == _from_binomial_reference(nvars, coeffs)
+
+
+@_basis_settings
+@given(_coordinate_dicts())
+def test_binomial_round_trip(case):
+    f = RatMultiPoly(*case)
+    assert RatMultiPoly.from_binomial(f.nvars, f.binomial_coeffs()) == f
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueRangeError as exc:
+        return ValueRangeError, str(exc)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_induce_matches_fraction_reference(p, data):
+    # Z/p valued inputs of degree < p (integer and 1/p binomial
+    # coordinates), and arbitrary ones that may leave Z/p or reach degree p
+    nvars = data.draw(st.integers(1, 8))
+    if data.draw(st.booleans()):
+        exps = data.draw(st.lists(_exponent(nvars, p - 1), min_size=1, max_size=6))
+        coeffs = {
+            e: Fraction(data.draw(st.integers(-(2**70), 2**70)), data.draw(st.sampled_from([1, p])))
+            for e in exps
+        }
+        f = RatMultiPoly.from_binomial(nvars, coeffs)
+        assert induce(f, p) == _induce_reference(f, p)
+    else:
+        f = RatMultiPoly(*data.draw(_coordinate_dicts(max_deg=p)))
+        assert _outcome(induce, f, p) == _outcome(_induce_reference, f, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_induce_value_range_errors(p):
+    x = RatMultiPoly.variable(2, 0)
+    with pytest.raises(ValueRangeError, match="deg"):
+        induce(RatMultiPoly(2, {(p - 1, 1): Fraction(1, p)}), p)
+    for bad in (x.scale(Fraction(1, p * p)), x.scale(Fraction(1, 2 * p)), x * x.scale(Fraction(1, 2 * p))):
+        # x^2 / (2p) = C(x, 1) / (2p) + C(x, 2) / p
+        with pytest.raises(ValueRangeError, match="Z/p"):
+            induce(bad, p)
+        with pytest.raises(ValueRangeError, match="Z/p"):
+            _induce_reference(bad, p)
+    ok = x * x.scale(Fraction(1, p))  # C(x, 1) / p + 2 C(x, 2) / p
+    assert induce(ok, p) == _induce_reference(ok, p) == FpMultiPoly(p, 2, {(2, 0): 1})
+
+
+@pytest.mark.parametrize("kind", ["S2", "s1", 5, 13])
+def test_stirling_tables_expand_their_basis(kind):
+    # every row, evaluated at integer points, is the basis element it expands
+    for deg in range(0, 5 if isinstance(kind, int) else 13):
+        scale, rows = fpoly._stirling_table(deg, kind)
+        assert len(rows) == deg + 1
+        for k, row in enumerate(rows):
+            for x in range(-3, deg + 3):
+                if kind == "S2":
+                    assert sum(w * fpoly.binom_int(x, t) for t, w in row) == x**k
+                elif kind == "s1":
+                    assert sum(w * x**t for t, w in row) == scale * fpoly.binom_int(x, k)
+                else:
+                    assert sum(w * x**t for t, w in row) % kind == fpoly.binom_int(x, k) % kind
+                    assert scale == 1 and all(0 < w < kind for _, w in row)
+
+
+def test_basis_change_examples_with_scale_and_common_denominator():
+    # C(n, 12) has the scale 12! to divide out; 1/6 and 1/10 share den 30
+    assert RatMultiPoly.from_binomial(1, {(12,): 1}).evaluate([15]) == comb(15, 12)
+    f = RatMultiPoly.from_binomial(2, {(3, 2): Fraction(1, 6), (0, 4): Fraction(-7, 10)})
+    assert f.evaluate([5, 6]) == Fraction(1, 6) * comb(5, 3) * comb(6, 2) - Fraction(7, 10) * comb(6, 4)
+    assert f.binomial_coeffs() == {(3, 2): Fraction(1, 6), (0, 4): Fraction(-7, 10)}
+    x8 = RatMultiPoly(8, {(2, 2, 2, 2, 1, 1, 1, 1): Fraction(2**70 + 1, 30030)})
+    assert x8.binomial_coeffs() == _binomial_coeffs_reference(x8)
+
+
+def test_from_binomial_index_arity():
+    with pytest.raises(ArityMismatch):
+        RatMultiPoly.from_binomial(2, {(1,): 3})
+    with pytest.raises(ArityMismatch):
+        RatMultiPoly.from_binomial(2, {(1, 0, 0): 3})
+    with pytest.raises(ArityMismatch):
+        RatMultiPoly.from_binomial(2, {(1, 0): 1, (0,): 0})
+    # C(n, k) = 0 for k < 0, so such an index contributes nothing
+    got = RatMultiPoly.from_binomial(2, {(-1, 2): 5, (1, -3): Fraction(1, 7), (1, 0): 2})
+    assert got == RatMultiPoly(2, {(1, 0): 2})
+    assert RatMultiPoly.from_binomial(2, {(0, -1): 4}).is_zero()
