@@ -5,11 +5,19 @@ elimination (for certificate checks) and an integer solver A x = b based on
 column-style Hermite reduction, used to find integer-valued polynomials in
 the binomial basis.  Matrix sizes stay in the low hundreds, so plain
 Python bigints are fine.
+
+The reduction depends only on A, and the sphere decomposition solvers pose
+one A per (form, degree, solution shape) for many right-hand sides.  So
+`_hermite_reduce` is memoised on the values of A (a tuple of row tuples)
+in one lru_cache bounded by the constant HERMITE_CACHE_SIZE; `int_solve`
+does only the back-substitution when A was seen before.  Nothing is
+reduced ahead of a call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 def rat_solve(rows, rhs):
@@ -50,20 +58,26 @@ def rat_solve(rows, rhs):
     return x
 
 
-def int_solve(rows, rhs):
-    """One integer solution of rows * x = rhs, or None.
+# Distinct coefficient matrices whose Hermite reduction is kept.  A solver
+# sweep over one form meets one matrix per degree and solution shape; the
+# degree-4 systems at p = 5, d = 4 (70 x 86) take about 0.2 MB with their
+# reduction, so a full memo stays in the low megabytes.
+HERMITE_CACHE_SIZE = 16
 
-    rows: list of lists of ints; rhs: list of ints.  Works by reducing the
-    augmented column space with integer row operations on the transposed
-    system (Hermite-style), tracking the transformation.
+
+@lru_cache(maxsize=HERMITE_CACHE_SIZE)
+def _hermite_reduce(rows):
+    """(h, u, pivcols) with u unimodular, u A^T = h in echelon form.
+
+    rows: A as a tuple of row tuples of ints.  h and u are tuples of row
+    tuples; pivcols lists (row, col) of the positive pivots of h.  Each
+    pivot is the smallest nonzero entry left in its column after repeated
+    integer row reduction (Hermite-style, Cohen §2.4).  The result is
+    memoised on the matrix, so solving many right-hand sides against one
+    system pays for the reduction once; it is never mutated.
     """
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    if nrows == 0 or ncols == 0:
-        return [0] * ncols if all(b == 0 for b in rhs) else None
-    # columns of A as vectors; find integer combination equal to rhs.
-    # Work on the matrix [A | -I] row-reduced over Z by columns: we instead
-    # do Hermite reduction on A^T with a unimodular tracker U so U A^T = H.
+    ncols = len(rows[0])
     at = [list(col) for col in zip(*rows)]  # ncols x nrows
     u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     row = 0
@@ -96,8 +110,22 @@ def int_solve(rows, rhs):
             row += 1
             if row == ncols:
                 break
-    # back-substitute: find y (integer row vector over the H rows) with
-    # y H = rhs, i.e. solve in echelon order.
+    return tuple(map(tuple, at)), tuple(map(tuple, u)), tuple(pivcols)
+
+
+def int_solve(rows, rhs):
+    """One integer solution of rows * x = rhs, or None.
+
+    rows: list of lists of ints; rhs: list of ints.  The transposed system
+    is Hermite-reduced once per distinct matrix (_hermite_reduce, keyed on
+    its values); each call then solves y H = rhs in echelon order and
+    returns the fresh list x = y U.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    if nrows == 0 or ncols == 0:
+        return [0] * ncols if all(b == 0 for b in rhs) else None
+    at, u, pivcols = _hermite_reduce(tuple(map(tuple, rows)))
     y = [0] * ncols
     residual = list(rhs)
     for r, c in pivcols:
@@ -111,8 +139,7 @@ def int_solve(rows, rhs):
         return None
     # x = y U gives the combination of original columns
     x = [0] * ncols
-    for i in range(ncols):
-        if y[i]:
-            for j in range(ncols):
-                x[j] += y[i] * u[i][j]
+    for t, urow in zip(y, u):
+        if t:
+            x = [a + t * b for a, b in zip(x, urow)]
     return x

@@ -11,13 +11,20 @@ first violation, so outcomes are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 from operator import mul
 
 import numpy as np
 
 from ._zlinalg import int_solve, rat_solve
-from .counting import BudgetExceeded, DEFAULT_BUDGET, enumerate_zeros, gowers_blocks
+from .counting import (
+    BudgetExceeded,
+    DEFAULT_BUDGET,
+    RankHypothesisFailed,
+    enumerate_zeros,
+    gowers_blocks,
+)
 from .ffcore import FpMatrix, HypothesisFailed, PrimeField, rref
 from .fpoly import (
     FpMultiPoly,
@@ -234,7 +241,7 @@ def nullstellensatz(P: FpMultiPoly, M: QuadForm, budget=DEFAULT_BUDGET):
 
 def _nullstellensatz_core(P: FpMultiPoly, M: QuadForm, budget=DEFAULT_BUDGET):
     if qf_rank(M) < 3:
-        raise ValueError("nullstellensatz needs rank(M) >= 3")
+        raise RankHypothesisFailed("nullstellensatz needs rank(M) >= 3")
     cert = bij_division(P, M)
     if cert.remainder_is_zero():
         R = cert.divisor_multiple()
@@ -272,7 +279,7 @@ def dichotomy(P: FpMultiPoly, M: QuadForm, delta: float, budget=DEFAULT_BUDGET):
     with a division certificate.  A middle-ground outcome contradicts the
     theorem and raises."""
     if qf_rank(M) < 3:
-        raise ValueError("dichotomy needs rank(M) >= 3")
+        raise RankHypothesisFailed("dichotomy needs rank(M) >= 3")
     zeros = enumerate_zeros(M, None, budget)
     vals = P.eval_array(zeros)
     count = int((vals == 0).sum())
@@ -300,7 +307,7 @@ def antiderivative(Q: FpMultiPoly, M: QuadForm, budget=DEFAULT_BUDGET):
     if Q.constant_term() != 0:
         raise ValueError("antiderivative requires Q(0) = 0")
     if qf_rank(M) < 3:
-        raise ValueError("antiderivative needs rank(M) >= 3")
+        raise RankHypothesisFailed("antiderivative needs rank(M) >= 3")
     mp = M.as_poly()
     zeros = enumerate_zeros(M, None, budget)
     d1m = mp.partial(0)
@@ -455,7 +462,7 @@ def gowers_equation_solve(P: FpMultiPoly, Q: FpMultiPoly, M: QuadForm, s: int, b
     the degree bounds deg P2 <= s - 2, deg Q2 <= s - 1; a violated
     hypothesis returns ('witness', cube)."""
     if qf_rank(M) < s + 3:
-        raise ValueError("needs rank(M) >= s + 3")
+        raise RankHypothesisFailed("needs rank(M) >= s + 3")
     if s == 1:
         # P(n) + Q(n+h) - Q(n) = 0 on Box_1 = {(n, m - n) : n, m in V(M)}
         zeros = enumerate_zeros(M, None, budget)
@@ -576,7 +583,7 @@ def lift_nullstellensatz(P: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUDGET):
     if not P.takes_z_over_p_values(p):
         raise ValueError("P must take values in Z/p")
     if M.p_rank() < 3:
-        raise ValueError("needs p-rank >= 3")
+        raise RankHypothesisFailed("needs p-rank >= 3")
     Mbar = M.induced()
     Pbar = induce(P, p)
     kind, payload = _nullstellensatz_core(Pbar, Mbar, budget)
@@ -603,25 +610,46 @@ def lift_nullstellensatz(P: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUDGET):
 # -- p-expansion solvers (solution shapes as exact integer linear systems) ------
 
 
+# Distinct (form, degree, solution shape) systems kept by _system_rows; the
+# int_solve reduction memo in _zlinalg has the same bound.
+SYSTEM_CACHE_SIZE = 16
+
+
 def _system_matrix(M: ZpQuadForm, df, blocks):
     """The columns p^k N^i C(n, idx) with N = p M, for each block
     (i, k, indices) and idx in indices, in binomial coordinates up to degree
-    df, as grid rows x columns: their integer values on the grid go through
-    Newton differences."""
-    grid = _binom_basis_indices(M.d, df)
+    df, as grid rows x columns (fresh lists, built once per value key)."""
+    rows = _system_rows(
+        M.p,
+        tuple(map(tuple, M.A)),
+        tuple(M.u),
+        M.v,
+        df,
+        tuple((i, k, tuple(indices)) for i, k, indices in blocks),
+    )
+    return [list(row) for row in rows]
+
+
+@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
+def _system_rows(p, A, u, v, df, blocks):
+    """_system_matrix on the form's integer values, as row tuples: the
+    integer values of the columns on the grid go through Newton
+    differences.  Keyed on values, since ZpQuadForm fields are mutable."""
+    d = len(A)
+    grid = _binom_basis_indices(d, df)
     nvals = [
-        sum(x * sum(map(mul, row, g)) for x, row in zip(g, M.A)) + sum(map(mul, M.u, g)) + M.v
+        sum(x * sum(map(mul, row, g)) for x, row in zip(g, A)) + sum(map(mul, u, g)) + v
         for g in grid
     ]
-    g_arr = np.array(grid, dtype=np.int64).reshape(len(grid), M.d)
+    g_arr = np.array(grid, dtype=np.int64).reshape(len(grid), d)
     span = range(max(df, 0) + 1)
     comb_table = np.array([[comb(a, b) for b in span] for a in span], dtype=object)
     parts = []
     for i, k, indices in blocks:
-        idx = np.array(indices, dtype=np.int64).reshape(len(indices), M.d)
+        idx = np.array(indices, dtype=np.int64).reshape(len(indices), d)
         binoms = comb_table[g_arr[None, :, :], idx[:, None, :]].prod(axis=2)
-        parts.append(binoms * np.array([M.p**k * nv**i for nv in nvals], dtype=object))
-    return _newton_differences(np.concatenate(parts), M.d, df).T.tolist()
+        parts.append(binoms * np.array([p**k * nv**i for nv in nvals], dtype=object))
+    return tuple(map(tuple, _newton_differences(np.concatenate(parts), d, df).T.tolist()))
 
 
 def _p_free_denominator(coords, p):
@@ -630,6 +658,33 @@ def _p_free_denominator(coords, p):
     while q % p == 0:
         q //= p
     return q
+
+
+def _p_free_solve(amat, rhs, p, what):
+    """(z, scale) with amat z = scale * rhs in integers, scale coprime to p:
+    scale is 1 when rhs itself has an integer solution, else the p-free
+    denominator of one rational solution."""
+    z = int_solve(amat, rhs)
+    if z is not None:
+        return z, 1
+    xq = rat_solve([[Fraction(v) for v in row] for row in amat], [Fraction(c) for c in rhs])
+    if xq is None:
+        raise TheoremViolation(f"{what} inconsistent over Q")
+    scale = _p_free_denominator(xq, p)
+    z = int_solve(amat, [c * scale for c in rhs])
+    if z is None:
+        raise TheoremViolation(f"no integer {what} at any p-free scale")
+    return z, scale
+
+
+def _block_polys(nvars, blocks, z):
+    """{i: the polynomial sum_idx z_(i, idx) C(n, idx)} per block (i, k,
+    indices), reading z in block order."""
+    out, pos = {}, 0
+    for i, _, indices in blocks:
+        out[i] = RatMultiPoly.from_binomial(nvars, dict(zip(indices, z[pos : pos + len(indices)])))
+        pos += len(indices)
+    return out
 
 
 def sphere_vanishing_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUDGET):
@@ -644,7 +699,7 @@ def sphere_vanishing_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BU
     if df >= p:
         raise ValueError("needs deg(f) < p")
     if M.p_rank() < 3:
-        raise ValueError("needs p-rank >= 3")
+        raise RankHypothesisFailed("needs p-rank >= 3")
     base_points = M.sphere_points(budget)
     witness = _first_noninteger_fiber(f, base_points, p)
     if witness is not None:
@@ -661,26 +716,10 @@ def sphere_vanishing_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BU
             "p-adic depth of f exceeds floor(deg f / 2); no decomposition exists"
         )
     blocks = [(i, t - i, _binom_basis_indices(f.nvars, df - 2 * i)) for i in range(t + 1)]
-    unknown_slots = [(i, idx) for i, _, indices in blocks for idx in indices]
     amat = _system_matrix(M, df, blocks)
-    z = int_solve(amat, [int(c) for c in rhs_coords])
-    if z is None:
-        xq = rat_solve(
-            [[Fraction(v) for v in row] for row in amat],
-            [Fraction(int(c)) for c in rhs_coords],
-        )
-        if xq is None:
-            raise TheoremViolation("decomposition system inconsistent over Q")
-        scale = _p_free_denominator(xq, p)
-        z = int_solve(amat, [int(c) * scale for c in rhs_coords])
-        if z is None:
-            raise TheoremViolation("no integer decomposition at any p-free scale")
-        q0 *= scale
-    slots = {}
-    for (i, idx), val in zip(unknown_slots, z):
-        if val:
-            slots.setdefault(i, {})[idx] = val
-    rs = [RatMultiPoly.from_binomial(f.nvars, slots.get(i, {})) for i in range(t + 1)]
+    z, scale = _p_free_solve(amat, [int(c) for c in rhs_coords], p, "sphere-vanishing decomposition")
+    q0 *= scale
+    rs = list(_block_polys(f.nvars, blocks, z).values())  # blocks i = 0..t
     m_rat = M.as_ratpoly()
     acc = RatMultiPoly.zero(f.nvars)
     mpow = RatMultiPoly.constant(f.nvars, 1)
@@ -702,7 +741,7 @@ def sphere_periodic_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUD
     if df >= p:
         raise ValueError("needs deg(f) < p")
     if M.p_rank() < 3:
-        raise ValueError("needs p-rank >= 3")
+        raise RankHypothesisFailed("needs p-rank >= 3")
     base_points = M.sphere_points(budget)
     witness = _first_noninteger_fiber(f, base_points, p, skip_constant=True)
     if witness is not None:
@@ -723,29 +762,11 @@ def sphere_periodic_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUD
     blocks = [(0, s_star - 1, eq_indices)] + [
         (i, s_star - i, _binom_basis_indices(nvars, df - 2 * i)) for i in range(2, t + 1)
     ]
-    unknown_slots = [(i, idx) for i, _, indices in blocks for idx in indices]
     amat = _system_matrix(M, df, blocks)[1:]
-    z = int_solve(amat, [int(c) for c in rhs_coords])
-    if z is None:
-        xq = rat_solve(
-            [[Fraction(v) for v in row] for row in amat],
-            [Fraction(int(c)) for c in rhs_coords],
-        )
-        if xq is None:
-            raise TheoremViolation("periodic decomposition inconsistent over Q")
-        scale = _p_free_denominator(xq, p)
-        z = int_solve(amat, [int(c) * scale for c in rhs_coords])
-        if z is None:
-            raise TheoremViolation("no integer solution at any p-free scale")
-        q0 *= scale
-    slots = {}
-    for (i, idx), val in zip(unknown_slots, z):
-        if val:
-            slots.setdefault(i, {})[idx] = val
-    r0 = RatMultiPoly.from_binomial(nvars, slots.get(0, {}))
-    rs = {
-        i: RatMultiPoly.from_binomial(nvars, slots.get(i, {})) for i in range(2, t + 1)
-    }
+    z, scale = _p_free_solve(amat, [int(c) for c in rhs_coords], p, "periodic decomposition")
+    q0 *= scale
+    rs = _block_polys(nvars, blocks, z)
+    r0 = rs.pop(0)
     m_rat = M.as_ratpoly()
     acc = r0.scale(Fraction(1, p))
     mpow = m_rat * m_rat

@@ -592,13 +592,19 @@ class RatMultiPoly(_PolyBase):
 
         f(n) = sum_i c_i C(n, i) exactly; the inverse of from_binomial.
         """
+        nums, den = self._binomial_numerators()
+        return {e: Fraction(v, den) for e, v in nums.items()}
+
+    def _binomial_numerators(self):
+        """(nums, den): the binomial coordinates are nums[i] / den, with den
+        the lcm of the coefficient denominators and nums integers."""
         den = self.denominator_lcm()
         nums, _ = _expand_axes(
             {e: c.numerator * (den // c.denominator) for e, c in self.terms.items()},
             self.nvars,
             "S2",
         )
-        return {e: Fraction(v, den) for e, v in nums.items()}
+        return nums, den
 
     @classmethod
     def from_binomial(cls, nvars, coeffs):
@@ -618,14 +624,16 @@ class RatMultiPoly(_PolyBase):
         return cls(nvars, {e: Fraction(v, den * scale) for e, v in nums.items()})
 
     def is_integer_valued(self):
-        return all(c.denominator == 1 for c in self.binomial_coeffs().values())
+        nums, den = self._binomial_numerators()
+        return all(n % den == 0 for n in nums.values())
 
     def is_integer_coefficient(self):
         return all(c.denominator == 1 for c in self.terms.values())
 
     def takes_z_over_p_values(self, p):
         """True iff f(Z^d) is contained in Z/p (i.e. p*f is integer valued)."""
-        return self.scale(p).is_integer_valued()
+        nums, den = self._binomial_numerators()
+        return all(n * p % den == 0 for n in nums.values())
 
     def denominator_lcm(self):
         return lcm(*(c.denominator for c in self.terms.values()))

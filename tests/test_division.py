@@ -5,8 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spherefp.counting import BudgetExceeded, all_points, enumerate_zeros, gowers_set
-from spherefp import counting, division
+from spherefp.counting import (
+    BudgetExceeded,
+    RankHypothesisFailed,
+    all_points,
+    enumerate_zeros,
+    gowers_set,
+)
+from spherefp import _zlinalg, counting, division
 from spherefp.division import (
     DivisionCert,
     HypothesisFailed,
@@ -516,6 +522,107 @@ def test_decomposition_systems_match_polynomial_columns(monkeypatch, rng):
             slots = [(0, idx, s_star - 1) for idx in grids[0][1:]]
             slots += [(i, idx, s_star - i) for i in range(2, t + 1) for idx in grids[i]]
             assert seen[0] == _reference_columns(M, df, slots)[1:]
+
+
+
+def _fail_first_int_solve(monkeypatch):
+    """Make division.int_solve answer None on its first call, after running
+    the real solve so that its reduction is memoised; count every call to
+    int_solve and rat_solve."""
+    calls = {"int": 0, "rat": 0}
+    real_int, real_rat = division.int_solve, division.rat_solve
+
+    def int_solve(a, b):
+        calls["int"] += 1
+        x = real_int(a, b)
+        return None if calls["int"] == 1 else x
+
+    def rat_solve(a, b):
+        calls["rat"] += 1
+        return real_rat(a, b)
+
+    monkeypatch.setattr(division, "int_solve", int_solve)
+    monkeypatch.setattr(division, "rat_solve", rat_solve)
+    _zlinalg._hermite_reduce.cache_clear()
+    return calls
+
+
+def _assert_fallback_served_by_memo(calls):
+    # rat_solve found a p-free scale and the second int_solve met the
+    # reduction of the first, keyed on the same matrix values
+    assert calls == {"int": 2, "rat": 1}
+    info = _zlinalg._hermite_reduce.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_vanishing_decompose_p_free_scale_fallback(monkeypatch, rng):
+    Mz = ZpQuadForm.sphere(5, 4, 1)
+    mz = Mz.as_ratpoly()
+    f = mz * mz.scale(3) + mz * random_int_valued(4, 2, rng)
+    calls = _fail_first_int_solve(monkeypatch)
+    q0, rs = sphere_vanishing_decompose(f, Mz)
+    _assert_fallback_served_by_memo(calls)
+    assert q0 % 5 != 0
+    acc = RatMultiPoly.zero(4)
+    mpow = RatMultiPoly.constant(4, 1)
+    for r in rs:
+        assert r.is_integer_valued()
+        acc = acc + mpow * r
+        mpow = mpow * mz
+    assert acc == f.scale(q0)
+
+
+def test_periodic_decompose_p_free_scale_fallback(monkeypatch, rng):
+    Mz = ZpQuadForm.sphere(5, 4, 1)
+    mz = Mz.as_ratpoly()
+    g = random_int_valued(4, 3, rng)
+    f = mz * mz + g.scale(Fraction(1, 5)) + RatMultiPoly.constant(4, Fraction(3, 7))
+    calls = _fail_first_int_solve(monkeypatch)
+    q0, c, r0, rs = sphere_periodic_decompose(f, Mz)
+    _assert_fallback_served_by_memo(calls)
+    assert q0 % 5 != 0
+    assert r0.is_integer_valued() and all(r.is_integer_valued() for r in rs.values())
+    acc = RatMultiPoly.constant(4, c) + r0.scale(Fraction(1, 5))
+    mpow = mz * mz
+    for i in sorted(rs):
+        acc = acc + mpow * rs[i]
+        mpow = mpow * mz
+    assert acc == f.scale(q0)
+
+
+def test_decomposition_systems_are_built_per_value_key():
+    # two form objects with equal values share one system; a changed entry
+    # of the (public, mutable) form data gets its own
+    blocks = [(1, 0, _binom_basis_indices(4, 0)), (0, 1, _binom_basis_indices(4, 2))]
+    a, b = ZpQuadForm.sphere(5, 4, 1), ZpQuadForm.sphere(5, 4, 1)
+    first = division._system_matrix(a, 2, blocks)
+    first[0][0] += 1  # the caller owns the lists it gets
+    assert division._system_matrix(b, 2, blocks) == division._system_matrix(a, 2, blocks) != first
+    b.v -= 1
+    assert division._system_matrix(b, 2, blocks) != division._system_matrix(a, 2, blocks)
+    assert division._system_rows.cache_info().maxsize == division.SYSTEM_CACHE_SIZE
+
+
+def test_rank_preconditions_raise_typed_errors(f7):
+    # rank 2 forms: every rank hypothesis fails before any other work
+    A = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    Mz = ZpQuadForm(5, A, None, -1)
+    M = QuadForm(f7, A, [0] * 4, 6)
+    x = RatMultiPoly.variable(4, 0)
+    for solver in (lift_nullstellensatz, sphere_vanishing_decompose, sphere_periodic_decompose):
+        with pytest.raises(RankHypothesisFailed, match="p-rank"):
+            solver(x, Mz)
+    P = FpMultiPoly(7, 4, {(1, 0, 0, 0): 1})
+    with pytest.raises(RankHypothesisFailed, match="rank"):
+        nullstellensatz(P, M)
+    with pytest.raises(RankHypothesisFailed, match="rank"):
+        dichotomy(P, M, 0.3)
+    with pytest.raises(RankHypothesisFailed, match="rank"):
+        antiderivative(P, M)
+    with pytest.raises(RankHypothesisFailed, match="rank"):
+        gowers_equation_solve(P, P, QuadForm.dot_form(f7, 3, radius=1), 1)
+    # still a ValueError, so the CLI keeps its input-error exit code
+    assert issubclass(RankHypothesisFailed, ValueError)
 
 
 # -- the batched witness scan against the scalar recursion ----------------------

@@ -600,3 +600,39 @@ def test_from_binomial_index_arity():
     got = RatMultiPoly.from_binomial(2, {(-1, 2): 5, (1, -3): Fraction(1, 7), (1, 0): 2})
     assert got == RatMultiPoly(2, {(1, 0): 2})
     assert RatMultiPoly.from_binomial(2, {(0, -1): 4}).is_zero()
+
+
+def _integer_valued_reference(f):
+    """Integer valued iff every binomial coordinate is an integer (Fractions)."""
+    return all(c.denominator == 1 for c in f.binomial_coeffs().values())
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@_basis_settings
+@given(data=st.data())
+def test_integrality_tests_match_fraction_definition(p, data):
+    # binomial coordinates over 1, p and p^2 (and a unit), so both answers
+    # come up, and arbitrary coefficients, which are rarely integer valued
+    if data.draw(st.booleans()):
+        nvars = data.draw(st.integers(1, 6))
+        exps = data.draw(st.lists(_exponent(nvars, 8), min_size=1, max_size=6))
+        dens = st.sampled_from([1, 1, p, p * p, 2 * p])
+        nums = st.integers(-(2**70), 2**70)
+        coeffs = {e: Fraction(data.draw(nums), data.draw(dens)) for e in exps}
+        f = RatMultiPoly.from_binomial(nvars, coeffs)
+    else:
+        f = RatMultiPoly(*data.draw(_coordinate_dicts()))
+    assert f.is_integer_valued() == _integer_valued_reference(f)
+    assert f.takes_z_over_p_values(p) == _integer_valued_reference(f.scale(p))
+
+
+def test_integrality_tests_examples():
+    x = RatMultiPoly.variable(2, 0)
+    half_square = (x * x - x).scale(Fraction(1, 2))  # C(x, 2)
+    assert half_square.is_integer_valued() and half_square.takes_z_over_p_values(5)
+    assert not (x * x).scale(Fraction(1, 2)).is_integer_valued()
+    assert x.scale(Fraction(1, 5)).takes_z_over_p_values(5)
+    assert not x.scale(Fraction(1, 25)).takes_z_over_p_values(5)
+    assert not x.scale(Fraction(1, 10)).takes_z_over_p_values(5)
+    assert RatMultiPoly.zero(3).is_integer_valued()
+    assert RatMultiPoly.zero(3).takes_z_over_p_values(7)
