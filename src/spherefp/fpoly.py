@@ -6,6 +6,14 @@ Two sparse representations share the exponent-tuple-keyed term map:
   FpMultiPoly  -- coefficients in {0..p-1}, functions F_p^d -> F_p
   RatMultiPoly -- exact Fraction coefficients, functions Z^d -> Q
 
+They also share one arithmetic.  The ring-independent operations (+, -,
+negation, scale, *, substitute, compose_linear, shift, delta, partial) are
+written once, on _PolyBase, over raw coefficients.  Each ring supplies one
+hook, _new(terms, nvars=None), which builds a same-ring polynomial through
+its constructor; the constructor reduces every coefficient (c mod p, or
+Fraction(c) exactly) and drops the zeros.  Operands must agree in ring, p
+and arity, else ArityMismatch.
+
 The bridge is the pair (tau, iota): tau embeds F_p into {0..p-1} inside Z
 and iota reduces Z (and rationals with p-free denominator) back to F_p.
 A RatMultiPoly f taking values in Z/p induces the FpMultiPoly
@@ -23,6 +31,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
+from operator import add
 
 import numpy as np
 
@@ -116,8 +125,26 @@ def binom_int(n: int, k: int) -> int:
     return num // _factorial(k)
 
 
+def _linear_terms(coeffs, const):
+    """The term map of sum_j coeffs[j] n_j + const, in len(coeffs) variables."""
+    nvars = len(coeffs)
+    terms = {}
+    for j, c in enumerate(coeffs):
+        exp = [0] * nvars
+        exp[j] = 1
+        terms[tuple(exp)] = c
+    terms[(0,) * nvars] = const
+    return terms
+
+
+def _diagonal(d, c):
+    """The d x d matrix c I as a list of rows."""
+    return [[c if i == j else 0 for j in range(d)] for i in range(d)]
+
+
 class _PolyBase:
-    """Shared sparse-term plumbing; subclasses fix the coefficient domain."""
+    """Shared sparse-term plumbing and arithmetic; a subclass fixes the
+    coefficient ring through its constructor and the _new hook."""
 
     __slots__ = ("nvars", "terms")
 
@@ -170,6 +197,102 @@ class _PolyBase:
         )
         return f"{type(self).__name__}<{self.nvars} vars>({body})"
 
+    # -- arithmetic, shared by both rings --------------------------------------
+    # Results are built by self._new, whose constructor reduces the raw
+    # coefficients summed and multiplied here.
+
+    def _check(self, other):
+        # p is None on Q, so this also rejects mixing the two rings
+        if other.nvars != self.nvars or getattr(other, "p", None) != getattr(self, "p", None):
+            raise ArityMismatch("mixed ring, p or arity")
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return self._new(terms)
+
+    def __sub__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) - c
+        return self._new(terms)
+
+    def __neg__(self):
+        return self._new({e: -c for e, c in self.terms.items()})
+
+    def scale(self, c):
+        # c converted as the ring converts a coefficient: a float factor
+        # becomes its exact Fraction before it meets a rational coefficient
+        c = self._new({(0,) * self.nvars: c}).constant_term()
+        return self._new({e: c * v for e, v in self.terms.items()})
+
+    def __mul__(self, other):
+        self._check(other)
+        terms = {}
+        get = terms.get
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                old = get(e)
+                terms[e] = c if old is None else old + c
+        return self._new(terms)
+
+    def substitute(self, images):
+        """Substitute variable j by the polynomial images[j]."""
+        if len(images) != self.nvars:
+            raise ArityMismatch("substitution arity mismatch")
+        nvars = images[0].nvars
+        out = self._new({}, nvars)
+        pow_cache = {}
+        for e, c in self.terms.items():
+            term = self._new({(0,) * nvars: c}, nvars)
+            for j, k in enumerate(e):
+                if k == 0:
+                    continue
+                key = (j, k)
+                if key not in pow_cache:
+                    acc = images[j]
+                    for _ in range(k - 1):
+                        acc = acc * images[j]
+                    pow_cache[key] = acc
+                term = term * pow_cache[key]
+            out = out + term
+        return out
+
+    def compose_linear(self, B, shift=None):
+        """f(n B + shift) for B given as a list of rows (n is a row vector).
+
+        B has nvars columns and one row per variable of the result.
+        """
+        d = self.nvars
+        if shift is None:
+            shift = [0] * d
+        if len(shift) != d:
+            raise ArityMismatch("shift arity mismatch")
+        return self.substitute(
+            [self._new(_linear_terms([row[j] for row in B], shift[j]), len(B)) for j in range(d)]
+        )
+
+    def shift(self, h):
+        """f(n + h) for a constant shift h."""
+        return self.compose_linear(_diagonal(self.nvars, 1), h)
+
+    def delta(self, h):
+        """Difference operator f(. + h) - f(.)."""
+        return self.shift(h) - self
+
+    def partial(self, j):
+        """Formal partial derivative in variable j."""
+        terms = {}
+        for e, c in self.terms.items():
+            if e[j]:
+                terms[e[:j] + (e[j] - 1,) + e[j + 1 :]] = c * e[j]
+        return self._new(terms)
+
 
 class FpMultiPoly(_PolyBase):
     """Polynomial function F_p^d -> F_p in sparse exponent -> coefficient form."""
@@ -194,6 +317,14 @@ class FpMultiPoly(_PolyBase):
     def _zero_coeff(self):
         return 0
 
+    def _new(self, terms, nvars=None):
+        return FpMultiPoly(self.p, self.nvars if nvars is None else nvars, terms)
+
+    # bench/tracing.py times these per ring, under the name in the class's
+    # own namespace, so the shared methods are bound here as well
+    __mul__ = _PolyBase.__mul__
+    compose_linear = _PolyBase.compose_linear
+
     # -- construction helpers -------------------------------------------------
 
     @classmethod
@@ -212,50 +343,7 @@ class FpMultiPoly(_PolyBase):
 
     @classmethod
     def from_linear(cls, p, coeffs, const=0):
-        nvars = len(coeffs)
-        terms = {}
-        for j, c in enumerate(coeffs):
-            exp = [0] * nvars
-            exp[j] = 1
-            terms[tuple(exp)] = c
-        terms[(0,) * nvars] = const
-        return cls(p, nvars, terms)
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def _check(self, other):
-        if self.p != other.p or self.nvars != other.nvars:
-            raise ArityMismatch("mixed p or arity")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return FpMultiPoly(self.p, self.nvars, terms)
-
-    def __sub__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) - c
-        return FpMultiPoly(self.p, self.nvars, terms)
-
-    def __neg__(self):
-        return FpMultiPoly(self.p, self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def scale(self, c):
-        return FpMultiPoly(self.p, self.nvars, {e: c * v for e, v in self.terms.items()})
-
-    def __mul__(self, other):
-        self._check(other)
-        p = self.p
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = (terms.get(e, 0) + c1 * c2) % p
-        return FpMultiPoly(p, self.nvars, terms)
+        return cls(p, len(coeffs), _linear_terms(coeffs, const))
 
     def evaluate(self, point):
         if len(point) != self.nvars:
@@ -324,63 +412,6 @@ class FpMultiPoly(_PolyBase):
             out[:, start : start + step] = vals % p
         return out
 
-    def delta(self, h):
-        """Difference operator f(. + h) - f(.)."""
-        return self.shift(h) - self
-
-    def shift(self, h):
-        """f(n + h) for a constant shift h in F_p^d."""
-        if len(h) != self.nvars:
-            raise ArityMismatch("shift arity mismatch")
-        return self.substitute(
-            [FpMultiPoly.variable(self.p, self.nvars, j) + FpMultiPoly.constant(self.p, self.nvars, h[j]) for j in range(self.nvars)]
-        )
-
-    def substitute(self, images):
-        """Substitute variable j by the polynomial images[j]."""
-        if len(images) != self.nvars:
-            raise ArityMismatch("substitution arity mismatch")
-        nvars = images[0].nvars
-        out = FpMultiPoly.zero(self.p, nvars)
-        pow_cache = {}
-        for e, c in self.terms.items():
-            term = FpMultiPoly.constant(self.p, nvars, c)
-            for j, k in enumerate(e):
-                if k == 0:
-                    continue
-                key = (j, k)
-                if key not in pow_cache:
-                    acc = images[j]
-                    for _ in range(k - 1):
-                        acc = acc * images[j]
-                    pow_cache[key] = acc
-                term = term * pow_cache[key]
-            out = out + term
-        return out
-
-    def compose_linear(self, B, shift=None):
-        """f(n B + shift) for B given as a list of rows (n is a row vector)."""
-        d = self.nvars
-        p = self.p
-        if shift is None:
-            shift = [0] * d
-        images = []
-        for j in range(d):
-            coeffs = [B[k][j] for k in range(d)]
-            images.append(FpMultiPoly.from_linear(p, coeffs, shift[j]))
-        return self.substitute(images)
-
-    def partial(self, j):
-        """Formal partial derivative in variable j."""
-        terms = {}
-        for e, c in self.terms.items():
-            if e[j] == 0:
-                continue
-            e2 = list(e)
-            e2[j] -= 1
-            terms[tuple(e2)] = terms.get(tuple(e2), 0) + c * e[j]
-        return FpMultiPoly(self.p, self.nvars, terms)
-
     def homogeneous_part(self, degree):
         return FpMultiPoly(
             self.p, self.nvars, {e: c for e, c in self.terms.items() if sum(e) == degree}
@@ -423,6 +454,8 @@ class FpMultiPoly(_PolyBase):
 class RatMultiPoly(_PolyBase):
     """Polynomial Z^d -> Q with exact rational coefficients."""
 
+    __slots__ = ()
+
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
         clean = {}
@@ -440,6 +473,11 @@ class RatMultiPoly(_PolyBase):
     def _zero_coeff(self):
         return Fraction(0)
 
+    def _new(self, terms, nvars=None):
+        return RatMultiPoly(self.nvars if nvars is None else nvars, terms)
+
+    __mul__ = _PolyBase.__mul__  # timed per ring by bench/tracing.py
+
     @classmethod
     def zero(cls, nvars):
         return cls(nvars, {})
@@ -456,48 +494,7 @@ class RatMultiPoly(_PolyBase):
 
     @classmethod
     def from_linear(cls, coeffs, const=0):
-        nvars = len(coeffs)
-        terms = {}
-        for j, c in enumerate(coeffs):
-            exp = [0] * nvars
-            exp[j] = 1
-            terms[tuple(exp)] = Fraction(c)
-        terms[(0,) * nvars] = Fraction(const)
-        return cls(nvars, terms)
-
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise ArityMismatch("mixed arity")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return RatMultiPoly(self.nvars, terms)
-
-    def __sub__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) - c
-        return RatMultiPoly(self.nvars, terms)
-
-    def __neg__(self):
-        return RatMultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def scale(self, c):
-        c = Fraction(c)
-        return RatMultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
-
-    def __mul__(self, other):
-        self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return RatMultiPoly(self.nvars, terms)
+        return cls(len(coeffs), _linear_terms(coeffs, const))
 
     def evaluate(self, point):
         if len(point) != self.nvars:
@@ -511,80 +508,15 @@ class RatMultiPoly(_PolyBase):
             total += v
         return total
 
-    def substitute(self, images):
-        if len(images) != self.nvars:
-            raise ArityMismatch("substitution arity mismatch")
-        nvars = images[0].nvars
-        out = RatMultiPoly.zero(nvars)
-        pow_cache = {}
-        for e, c in self.terms.items():
-            term = RatMultiPoly.constant(nvars, c)
-            for j, k in enumerate(e):
-                if k == 0:
-                    continue
-                key = (j, k)
-                if key not in pow_cache:
-                    acc = images[j]
-                    for _ in range(k - 1):
-                        acc = acc * images[j]
-                    pow_cache[key] = acc
-                term = term * pow_cache[key]
-            out = out + term
-        return out
-
-    def shift(self, h):
-        """f(n + h) for an integer (or rational) shift h."""
-        if len(h) != self.nvars:
-            raise ArityMismatch("shift arity mismatch")
-        return self.substitute(
-            [
-                RatMultiPoly.variable(self.nvars, j)
-                + RatMultiPoly.constant(self.nvars, h[j])
-                for j in range(self.nvars)
-            ]
-        )
-
-    def delta(self, h):
-        """Difference operator f(. + h) - f(.)."""
-        return self.shift(h) - self
-
-    def partial(self, j):
-        terms = {}
-        for e, c in self.terms.items():
-            if e[j] == 0:
-                continue
-            e2 = list(e)
-            e2[j] -= 1
-            terms[tuple(e2)] = terms.get(tuple(e2), Fraction(0)) + c * e[j]
-        return RatMultiPoly(self.nvars, terms)
-
     def fiber_map(self, base, p):
         """The polynomial m |-> f(base + p*m) in fresh variables m."""
-        if len(base) != self.nvars:
-            raise ArityMismatch("base arity mismatch")
-        images = [
-            RatMultiPoly.variable(self.nvars, j).scale(p)
-            + RatMultiPoly.constant(self.nvars, base[j])
-            for j in range(self.nvars)
-        ]
-        return self.substitute(images)
+        return self.compose_linear(_diagonal(self.nvars, p), base)
 
     def two_variable_period_poly(self, p):
         """(n, m) |-> f(n + p*m) - f(n) on 2*nvars variables."""
         d = self.nvars
-        images = []
-        for j in range(d):
-            exp_n = [0] * (2 * d)
-            exp_n[j] = 1
-            exp_m = [0] * (2 * d)
-            exp_m[d + j] = 1
-            images.append(
-                RatMultiPoly(2 * d, {tuple(exp_n): Fraction(1), tuple(exp_m): Fraction(p)})
-            )
-        shifted = self.substitute(images)
-        widened = self.substitute(
-            [RatMultiPoly.variable(2 * d, j) for j in range(d)]
-        )
+        shifted = self.compose_linear(_diagonal(d, 1) + _diagonal(d, p))
+        widened = self.compose_linear(_diagonal(d, 1) + _diagonal(d, 0))
         return shifted - widened
 
     def binomial_coeffs(self):
@@ -652,6 +584,8 @@ class RatMultiPoly(_PolyBase):
         terms = {}
         for t in obj["terms"]:
             exp = tuple(t["exp"])
+            if any(e < 0 for e in exp):
+                raise ValueRangeError("exponents must be nonnegative")
             terms[exp] = terms.get(exp, Fraction(0)) + Fraction(t["coeff"])
         return cls(obj["nvars"], terms)
 

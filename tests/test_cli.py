@@ -101,6 +101,39 @@ def test_malformed_input_exit_2(tmp_path):
     assert code == 2
 
 
+# the CLI under a 1.5 GB address-space cap, since weyl once grew memory
+# without bound on a negative exponent
+BOUNDED = [
+    sys.executable,
+    "-c",
+    "import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000,) * 2); "
+    "runpy.run_module('spherefp.cli', run_name='__main__')",
+]
+
+
+@pytest.mark.parametrize(
+    "args, blob",
+    [
+        (
+            ["weyl", "--prime", "5", "--delta", "0.4"],
+            {"poly": {"nvars": 3, "terms": [{"exp": [-1, 0, 0], "coeff": "1"}]}, "radius": 1},
+        ),
+        (
+            ["decompose", "--kind", "lift-nullstellensatz"],
+            {
+                "form": {"p": 5, "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "u": [0] * 3, "v": -1},
+                "poly": {"nvars": 3, "terms": [{"exp": [-1, 0, 0], "coeff": "1"}]},
+            },
+        ),
+    ],
+)
+def test_negative_exponents_in_rational_input_exit_2(tmp_path, args, blob):
+    path = write(tmp_path, "neg.json", blob)
+    proc = subprocess.run(BOUNDED + args + ["--json", path], capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "exponents must be nonnegative" in proc.stderr
+
+
 def test_budget_exit_3(sphere_json):
     code, _, err = run_cli(["count", "--json", sphere_json, "--budget", "10"])
     assert code == 3

@@ -1,7 +1,8 @@
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -636,3 +637,142 @@ def test_integrality_tests_examples():
     assert not x.scale(Fraction(1, 10)).takes_z_over_p_values(5)
     assert RatMultiPoly.zero(3).is_integer_valued()
     assert RatMultiPoly.zero(3).takes_z_over_p_values(7)
+
+
+# -- the arithmetic shared by both rings, pointwise against evaluate ------------
+
+
+_small_fractions = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 25]))
+_ints = st.integers(-6, 6)
+_arith_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _ring_polys(draw, nvars, count, ring=None):
+    """count polynomials in nvars variables over one ring, F_p for a drawn
+    p in {5, 7, 11, 13} or Q; ring ("fp" or "rat") fixes it, else it is drawn."""
+    ring = ring or draw(st.sampled_from(["fp", "rat"]))
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    polys = []
+    for _ in range(count):
+        exps = draw(st.lists(_exponent(nvars, 3), max_size=5))
+        if ring == "fp":
+            polys.append(FpMultiPoly(p, nvars, {e: draw(st.integers(-20, 20)) for e in exps}))
+        else:
+            polys.append(RatMultiPoly(nvars, {e: draw(_small_fractions) for e in exps}))
+    return polys
+
+
+def _in_ring(f, v):
+    """v as a value of f's ring: a residue mod p, or v itself over Q."""
+    return v % f.p if isinstance(f, FpMultiPoly) else v
+
+
+@_arith_settings
+@given(data=st.data())
+def test_ring_operations_match_pointwise(data):
+    nvars = data.draw(st.integers(1, 3))
+    f, g = data.draw(_ring_polys(nvars, 2))
+    c = data.draw(st.one_of(_ints, _small_fractions) if isinstance(f, RatMultiPoly) else _ints)
+    x = data.draw(st.lists(_ints, min_size=nvars, max_size=nvars))
+    fx, gx = f.evaluate(x), g.evaluate(x)
+    assert (f + g).evaluate(x) == _in_ring(f, fx + gx)
+    assert (f - g).evaluate(x) == _in_ring(f, fx - gx)
+    assert (-f).evaluate(x) == _in_ring(f, -fx)
+    assert f.scale(c).evaluate(x) == _in_ring(f, c * fx)
+    assert (f * g).evaluate(x) == _in_ring(f, fx * gx)
+
+
+@_arith_settings
+@given(data=st.data())
+def test_shift_and_delta_match_pointwise(data):
+    nvars = data.draw(st.integers(1, 3))
+    (f,) = data.draw(_ring_polys(nvars, 1))
+    x = data.draw(st.lists(_ints, min_size=nvars, max_size=nvars))
+    h = data.draw(st.lists(_ints, min_size=nvars, max_size=nvars))
+    moved = [a + b for a, b in zip(x, h)]
+    assert f.shift(h).evaluate(x) == f.evaluate(moved)
+    assert f.delta(h).evaluate(x) == _in_ring(f, f.evaluate(moved) - f.evaluate(x))
+
+
+@_arith_settings
+@given(data=st.data())
+def test_partial_matches_power_rule_per_monomial(data):
+    nvars = data.draw(st.integers(1, 3))
+    (f,) = data.draw(_ring_polys(nvars, 1))
+    j = data.draw(st.integers(0, nvars - 1))
+    x = data.draw(st.lists(_ints, min_size=nvars, max_size=nvars))
+    # d/dn_j (c n^e) = c e_j n^(e - unit_j), evaluated monomial by monomial
+    want = sum(
+        c * e[j] * x[j] ** (e[j] - 1) * prod(x[i] ** e[i] for i in range(nvars) if i != j)
+        for e, c in f.terms.items()
+        if e[j]
+    )
+    assert f.partial(j).evaluate(x) == _in_ring(f, want)
+
+
+@_arith_settings
+@given(data=st.data())
+def test_substitute_into_other_arity_matches_pointwise(data):
+    nvars, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    ring = data.draw(st.sampled_from(["fp", "rat"]))
+    (f,) = data.draw(_ring_polys(nvars, 1, ring))
+    images = data.draw(_ring_polys(m, nvars, ring))
+    if ring == "fp":  # the images and f over one field
+        images = [FpMultiPoly(f.p, m, g.terms) for g in images]
+    y = data.draw(st.lists(_ints, min_size=m, max_size=m))
+    got = f.substitute(images)
+    assert got.nvars == m
+    assert got.evaluate(y) == f.evaluate([g.evaluate(y) for g in images])
+
+
+@_arith_settings
+@given(data=st.data())
+def test_compose_linear_with_shift_matches_pointwise(data):
+    nvars = data.draw(st.integers(1, 3))
+    (f,) = data.draw(_ring_polys(nvars, 1))
+    rows = st.lists(_ints, min_size=nvars, max_size=nvars)
+    B = data.draw(st.lists(rows, min_size=nvars, max_size=nvars))
+    shift = data.draw(rows)
+    x = data.draw(rows)
+    image = [sum(x[k] * B[k][j] for k in range(nvars)) + shift[j] for j in range(nvars)]
+    assert f.compose_linear(B, shift).evaluate(x) == f.evaluate(image)
+
+
+@_arith_settings
+@given(data=st.data())
+def test_fiber_map_and_period_poly_match_pointwise(data):
+    nvars = data.draw(st.integers(1, 3))
+    (f,) = data.draw(_ring_polys(nvars, 1, "rat"))
+    p = data.draw(st.sampled_from([5, 7, 11, 13]))
+    n = data.draw(st.lists(_ints, min_size=nvars, max_size=nvars))
+    m = data.draw(st.lists(_ints, min_size=nvars, max_size=nvars))
+    moved = [a + p * b for a, b in zip(n, m)]
+    assert f.fiber_map(n, p).evaluate(m) == f.evaluate(moved)
+    assert f.two_variable_period_poly(p).evaluate(n + m) == f.evaluate(moved) - f.evaluate(n)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_mixed_rings_raise_arity_mismatch_in_both_orders(op):
+    fp5 = FpMultiPoly(5, 2, {(1, 0): 2, (0, 0): 1})
+    fp7 = FpMultiPoly(7, 2, {(1, 0): 2, (0, 0): 1})
+    rat = RatMultiPoly(2, {(1, 0): Fraction(2, 5), (0, 0): 1})
+    wide = FpMultiPoly(5, 3, {(1, 0, 0): 2})
+    for a, b in [(fp5, rat), (rat, fp5), (fp5, fp7), (fp7, fp5), (fp5, wide), (wide, fp5)]:
+        with pytest.raises(ArityMismatch):
+            op(a, b)
+
+
+def test_rat_scale_converts_its_factor_exactly():
+    f = RatMultiPoly(1, {(1,): 3, (0,): Fraction(1, 7)})
+    # 0.1 is the binary fraction Fraction(0.1), not the float product 0.1 * 3
+    assert f.scale(0.1) == RatMultiPoly(1, {(1,): 3 * Fraction(0.1), (0,): Fraction(0.1) / 7})
+    assert f.scale(Fraction(7, 3)).terms == {(1,): 7, (0,): Fraction(1, 3)}
+
+
+def test_rat_from_json_rejects_negative_exponents():
+    bad = {"nvars": 3, "terms": [{"exp": [-1, 0, 0], "coeff": "1"}]}
+    with pytest.raises(ValueRangeError):
+        RatMultiPoly.from_json(bad)
+    ok = {"nvars": 3, "terms": [{"exp": [1, 0, 0], "coeff": "1"}, {"exp": [0, 0, 7], "coeff": "2/3"}]}
+    assert RatMultiPoly.from_json(ok) == RatMultiPoly(3, {(1, 0, 0): 1, (0, 0, 7): Fraction(2, 3)})

@@ -27,3 +27,27 @@ def test_each_class_defined_in_one_module():
                 where.setdefault(node.name, set()).add(path.name)
     twice = {name: sorted(mods) for name, mods in where.items() if len(mods) > 1}
     assert twice == {}, f"classes defined in more than one module: {twice}"
+
+
+SHARED_ARITHMETIC = {
+    "_check", "__add__", "__sub__", "__neg__", "scale", "__mul__",
+    "substitute", "shift", "delta", "partial", "compose_linear",
+}
+
+
+def test_polynomial_arithmetic_defined_once_on_the_base():
+    # one sparse arithmetic for F_p and Q: a ring class only builds its own
+    # polynomials (the _new hook), so a second copy of an operation that
+    # drifts from the first cannot come back
+    from spherefp.fpoly import FpMultiPoly, RatMultiPoly, _PolyBase
+
+    tree = ast.parse((SRC / "fpoly.py").read_text())
+    where = {}
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and node.name in SHARED_ARITHMETIC:
+                where.setdefault(node.name, []).append(cls.name)
+    assert where == {name: ["_PolyBase"] for name in SHARED_ARITHMETIC}
+    for cls in (FpMultiPoly, RatMultiPoly):
+        stray = [n for n in SHARED_ARITHMETIC if getattr(cls, n) is not getattr(_PolyBase, n)]
+        assert stray == [], f"{cls.__name__} does not use the shared {stray}"
