@@ -5,15 +5,13 @@ Exit codes: 0 first branch / success, 1 second branch / witness found,
 4 internal failure: a theorem violation, a solver that found no solution
 where the theory promises one, or any other uncaught exception.  Reports are
 canonical JSON (sorted keys, fixed separators) so identical seeds give
-byte-identical output regardless of the thread count; all parallel
-reductions in the library are order-independent by construction.
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import traceback
@@ -363,13 +361,6 @@ def build_parser():
     parser.add_argument("--delta", type=float, default=0.3)
     parser.add_argument("--freq-budget", type=int, default=0)
     parser.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="accepted for interface stability; all reductions are "
-        "order-independent so the output does not depend on it",
-    )
     parser.add_argument("--json", help="input JSON file")
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--s", type=int, default=1, help="degree / Gowers level")

@@ -25,7 +25,7 @@ from .counting import (
     enumerate_zeros,
     gowers_blocks,
 )
-from .ffcore import FpMatrix, HypothesisFailed, PrimeField, rref
+from .ffcore import FpMatrix, HypothesisFailed, PrimeField, matrix_inverse
 from .fpoly import (
     FpMultiPoly,
     RatMultiPoly,
@@ -68,18 +68,6 @@ class NotPartiallyPeriodic(ValueError):
     def __init__(self, witness):
         super().__init__(f"not partially p-periodic on the quadric: {witness}")
         self.witness = witness
-
-
-def matrix_inverse(B: FpMatrix) -> FpMatrix:
-    field = B.field
-    n = B.nrows
-    aug = FpMatrix(
-        field, [B.rows[i] + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    )
-    red, rk, _ = rref(aug)
-    if rk < n:
-        raise ValueError("matrix is singular")
-    return FpMatrix(field, [red.rows[i][n:] for i in range(n)])
 
 
 # -- pivot change and long division --------------------------------------------
@@ -517,11 +505,6 @@ class ZpQuadForm:
                     raise ValueError("A must be symmetric")
         self.u = [int(x) for x in (u or [0] * self.d)]
         self.v = int(v)
-
-    @classmethod
-    def from_fp(cls, M: QuadForm):
-        """The regular lift: integer entries tau(A), tau(u), tau(v)."""
-        return cls(M.p, M.A.to_lists(), M.u[:], M.v)
 
     @classmethod
     def sphere(cls, p, d, radius):

@@ -130,13 +130,25 @@ class FpMatrix:
     """Dense matrix over F_p; entries kept as canonical representatives."""
 
     def __init__(self, field: PrimeField, rows):
-        self.field = field
-        self.rows = [[field.red(x) for x in row] for row in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
+        p = field.p
+        self._set(field, [[x % p for x in row] for row in rows])
         for row in self.rows:
             if len(row) != self.ncols:
                 raise ValueError("ragged matrix")
+
+    def _set(self, field, rows):
+        self.field = field
+        self.rows = rows
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+
+    @classmethod
+    def _canonical(cls, field, rows):
+        """Wrap rows that already hold equal-length canonical entries,
+        without copying or reducing them again."""
+        mat = cls.__new__(cls)
+        mat._set(field, rows)
+        return mat
 
     @classmethod
     def identity(cls, field, n):
@@ -219,33 +231,51 @@ def rref(mat: FpMatrix):
     field = mat.field
     p = field.p
     m = [row[:] for row in mat.rows]
-    nrows, ncols = mat.nrows, mat.ncols
+    nrows = mat.nrows
     pivots = []
     r = 0
-    for c in range(ncols):
-        pivot_row = None
+    for c in range(mat.ncols):
         for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot_row = i
+            if m[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [(x * inv) % p for x in m[r]]
+        m[r], m[i] = m[i], m[r]
+        prow = m[r]
+        inv = field.inv(prow[c])
+        # every row at or below r is zero left of c, so only the tail changes
+        prow[c:] = tail = [x * inv % p for x in prow[c:]]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [(m[i][j] - f * m[r][j]) % p for j in range(ncols)]
+            row = m[i]
+            f = row[c]
+            if f and i != r:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return FpMatrix(field, m), r, pivots
+    return FpMatrix._canonical(field, m), r, pivots
 
 
 def rank(mat: FpMatrix) -> int:
     return rref(mat)[1]
+
+
+def _kernel_basis(red: FpMatrix, pivots, n):
+    """Basis of the solutions of the homogeneous system on the first n
+    columns of a reduced matrix: one vector per free column."""
+    p = red.field.p
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(n):
+        if free in pivot_set:
+            continue
+        v = [0] * n
+        v[free] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -red.rows[r][free] % p
+        basis.append(v)
+    return basis
 
 
 def solve_linear(mat: FpMatrix, rhs):
@@ -255,30 +285,37 @@ def solve_linear(mat: FpMatrix, rhs):
     particular + span(basis).  Raises Infeasible when there is none.
     """
     field = mat.field
+    p = field.p
     if len(rhs) != mat.nrows:
         raise ValueError("dimension mismatch")
-    aug = FpMatrix(field, [mat.rows[i] + [rhs[i]] for i in range(mat.nrows)])
-    red, rk, pivots = rref(aug)
+    aug = FpMatrix._canonical(field, [row + [b % p] for row, b in zip(mat.rows, rhs)])
+    red, _, pivots = rref(aug)
     n = mat.ncols
     if n in pivots:
         raise Infeasible("inconsistent linear system")
     particular = [0] * n
     for r, c in enumerate(pivots):
         particular[c] = red.rows[r][n]
-    basis = []
-    pivot_set = set(pivots)
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [0] * n
-        v[free] = 1
-        for r, c in enumerate(pivots):
-            v[c] = field.neg(red.rows[r][free])
-        basis.append(v)
-    return particular, basis
+    return particular, _kernel_basis(red, pivots, n)
 
 
 def nullspace(mat: FpMatrix):
     """Basis of {x : mat * x = 0}."""
-    _, basis = solve_linear(mat, [0] * mat.nrows)
-    return basis
+    red, _, pivots = rref(mat)
+    return _kernel_basis(red, pivots, mat.ncols)
+
+
+def matrix_inverse(B: FpMatrix) -> FpMatrix:
+    """B^{-1}, read off the reduction of [B | I]; raises ValueError when
+    B is singular."""
+    n = B.nrows
+    if B.ncols != n:
+        raise ValueError("matrix is not square")
+    aug = FpMatrix._canonical(
+        B.field, [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(B.rows)]
+    )
+    red, _, pivots = rref(aug)
+    # [B | I] always has rank n; B is invertible iff no pivot lands in I
+    if pivots and pivots[-1] >= n:
+        raise ValueError("matrix is singular")
+    return FpMatrix._canonical(B.field, [row[n:] for row in red.rows[:n]])

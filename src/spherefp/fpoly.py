@@ -341,10 +341,6 @@ class FpMultiPoly(_PolyBase):
         exp[j] = 1
         return cls(p, nvars, {tuple(exp): 1})
 
-    @classmethod
-    def from_linear(cls, p, coeffs, const=0):
-        return cls(p, len(coeffs), _linear_terms(coeffs, const))
-
     def evaluate(self, point):
         if len(point) != self.nvars:
             raise ArityMismatch("point arity mismatch")
@@ -461,7 +457,8 @@ class RatMultiPoly(_PolyBase):
         clean = {}
         if terms:
             for exp, c in terms.items():
-                c = Fraction(c)
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
                 if c == 0:
                     continue
                 exp = tuple(exp)
@@ -491,10 +488,6 @@ class RatMultiPoly(_PolyBase):
         exp = [0] * nvars
         exp[j] = 1
         return cls(nvars, {tuple(exp): Fraction(1)})
-
-    @classmethod
-    def from_linear(cls, coeffs, const=0):
-        return cls(len(coeffs), _linear_terms(coeffs, const))
 
     def evaluate(self, point):
         if len(point) != self.nvars:

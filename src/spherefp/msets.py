@@ -579,37 +579,6 @@ def _random_poly(p, nvars, degree, rng, nterms=None):
     )
 
 
-def _solve_mod_numpy(rows, rhs, p):
-    """One solution of rows x = rhs over F_p via vectorized elimination,
-    or None.  rows: (m, n) int array."""
-    a = np.concatenate([rows % p, (rhs % p).reshape(-1, 1)], axis=1).astype(np.int64)
-    m, ncols = a.shape
-    n = ncols - 1
-    pivots = []
-    r = 0
-    for c in range(n):
-        nz = np.flatnonzero(a[r:, c])
-        if len(nz) == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if np.any(a[r:, n]):
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for t, c in enumerate(pivots):
-        x[c] = a[t, n]
-    return x
-
-
 def ideal_membership(P: FpMultiPoly, family, M: QuadForm, k: int):
     """Q_j with P = sum_j F_j Q_j and deg Q_j <= deg P - 2, or None.
 
@@ -627,27 +596,24 @@ def ideal_membership(P: FpMultiPoly, family, M: QuadForm, k: int):
             cols.append(fp * FpMultiPoly(p, nvars, {e: 1}))
     eq_monoms = _monomials_up_to(nvars, P.degree())
     eq_index = {e: t for t, e in enumerate(eq_monoms)}
-    rows = np.zeros((len(eq_monoms), len(cols)), dtype=np.int64)
+    rows = [[0] * len(cols) for _ in eq_monoms]
     for c, poly in enumerate(cols):
         for e, coef in poly.terms.items():
             if e not in eq_index:
                 return None
-            rows[eq_index[e], c] = coef
-    rhs = np.zeros(len(eq_monoms), dtype=np.int64)
+            rows[eq_index[e]][c] = coef
+    rhs = [0] * len(eq_monoms)
     for e, coef in P.terms.items():
         rhs[eq_index[e]] = coef
-    sol = _solve_mod_numpy(rows, rhs, p)
-    if sol is None:
+    try:
+        sol, _ = solve_linear(FpMatrix(M.field, rows), rhs)
+    except Infeasible:
         return None
-    qs = []
     per = len(monoms)
-    for j in range(len(fpolys)):
-        terms = {}
-        for t, e in enumerate(monoms):
-            c = int(sol[j * per + t])
-            if c:
-                terms[e] = c
-        qs.append(FpMultiPoly(p, nvars, terms))
+    qs = [
+        FpMultiPoly(p, nvars, dict(zip(monoms, sol[j * per : (j + 1) * per])))
+        for j in range(len(fpolys))
+    ]
     check = FpMultiPoly.zero(p, nvars)
     for fp, q in zip(fpolys, qs):
         check = check + fp * q

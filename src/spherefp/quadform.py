@@ -12,8 +12,8 @@ from .ffcore import (  # TheoremViolation is re-exported from here
     HypothesisFailed,
     PrimeField,
     TheoremViolation,
+    nullspace,
     rank as mat_rank,
-    solve_linear,
 )
 from .fpoly import FpMultiPoly
 
@@ -387,9 +387,7 @@ def perp(M: QuadForm, direction_basis):
     field = M.field
     if not direction_basis:
         return AffineSubspace.full_space(field, M.d).basis
-    rows = [M.A.vecmat(m) for m in direction_basis]
-    _, basis = solve_linear(FpMatrix(field, rows), [0] * len(rows))
-    return basis
+    return nullspace(FpMatrix(field, [M.A.vecmat(m) for m in direction_basis]))
 
 
 def gram_matrix(M: QuadForm, vectors):
@@ -483,9 +481,9 @@ def _parallel_witness(field, aw, bw, vw, d):
         n = [0] * d
         n[j] = 1
         return tuple(n)
-    particular, basis = solve_linear(FpMatrix(field, [aw]), [0])
+    basis = nullspace(FpMatrix(field, [aw]))
     p = field.p
-    for vec in [particular] + [b for b in basis]:
+    for vec in [[0] * d] + basis:
         if (sum(vec[i] * bw[i] for i in range(d)) + vw) % p != 0:
             return tuple(vec)
     for b1 in basis:

@@ -770,6 +770,18 @@ def test_rat_scale_converts_its_factor_exactly():
     assert f.scale(Fraction(7, 3)).terms == {(1,): 7, (0,): Fraction(1, 3)}
 
 
+def test_rat_constructor_accepts_int_str_and_fraction_alike():
+    as_int = RatMultiPoly(2, {(1, 0): 3, (0, 1): -2, (0, 0): 0})
+    as_str = RatMultiPoly(2, {(1, 0): "3", (0, 1): "-4/2", (0, 0): "0"})
+    as_frac = RatMultiPoly(2, {(1, 0): Fraction(3), (0, 1): Fraction(-2), (0, 0): Fraction(0)})
+    assert as_int == as_str == as_frac
+    for f in (as_int, as_str, as_frac):
+        # zero terms are dropped and every kept coefficient is a Fraction
+        assert f.terms == {(1, 0): 3, (0, 1): -2}
+        assert all(type(c) is Fraction for c in f.terms.values())
+    assert RatMultiPoly(1, {(2,): Fraction(0), (1,): "0/5"}).terms == {}
+
+
 def test_rat_from_json_rejects_negative_exponents():
     bad = {"nvars": 3, "terms": [{"exp": [-1, 0, 0], "coeff": "1"}]}
     with pytest.raises(ValueRangeError):

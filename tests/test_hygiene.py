@@ -51,3 +51,18 @@ def test_polynomial_arithmetic_defined_once_on_the_base():
     for cls in (FpMultiPoly, RatMultiPoly):
         stray = [n for n in SHARED_ARITHMETIC if getattr(cls, n) is not getattr(_PolyBase, n)]
         assert stray == [], f"{cls.__name__} does not use the shared {stray}"
+
+
+F_P_ELIMINATION = {"rref", "rank", "solve_linear", "nullspace", "matrix_inverse"}
+
+
+def test_one_f_p_eliminator_in_ffcore():
+    # one pivot rule for every linear system over F_p: a second eliminator
+    # (such as a vectorized numpy copy of rref) can drift from the first
+    where = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in F_P_ELIMINATION | {"_solve_mod_numpy"}:
+                where.setdefault(node.name, []).append(path.name)
+    assert where == {name: ["ffcore.py"] for name in F_P_ELIMINATION}
