@@ -287,6 +287,7 @@ def _check_against_numpy_reference(case):
     assert kind != "inconsistent"
     part, basis = solve_linear(m, rhs)
     assert part == expected.tolist()
+    assert solve_linear(m, [b - 2 * p for b in rhs]) == (part, basis)  # rhs is reduced mod p
     assert m.matvec(part) == rhs
     assert all(m.matvec(b) == [0] * m.nrows for b in basis)
     assert len(basis) == m.ncols - rank(m)
