@@ -96,18 +96,70 @@ def subspace_points(S: AffineSubspace, budget=DEFAULT_BUDGET) -> np.ndarray:
     return pts[order]
 
 
+def _inverses(p):
+    """x^(p-2) mod p for x in 0..p-1: the inverse of every unit, and 0 at 0."""
+    x = np.arange(p, dtype=np.int64)
+    out = np.ones(p, dtype=np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
+def _solve_zeros(M: QuadForm):
+    """V(M) as int64 rows in lexicographic order, one line at a time.
+
+    On the line through the prefix x' along the last axis M is
+    a t^2 + b(x') t + c(x') (QuadForm.line_coefficients).  With a != 0 the
+    roots are (-b +- r) / 2a where r^2 = b^2 - 4ac, read from a table of
+    square roots built from r = 0..(p-1)/2; with a = 0 the root of
+    b t + c = 0 is -c / b, and a line with b = c = 0 lies in V(M).  Each
+    prefix then holds count roots first, first + step, ..., emitted in
+    prefix order with the roots ascending."""
+    p, d = M.p, M.d
+    a, b, c = M.line_coefficients()
+    b, c = b.reshape(-1), c.reshape(-1)
+    if a:
+        inv = pow(2 * a, -1, p)
+        # over the discriminant D: how many r have r^2 = D, and r / 2a for
+        # one of them, filled from r = 0..(p-1)/2
+        r = np.arange((p + 1) // 2, dtype=np.int64)
+        sq = r * r % p
+        nroots, root = np.zeros(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
+        nroots[sq], root[sq] = 2, r * inv % p
+        nroots[0] = 1
+        disc = (b * b - 4 * a % p * c) % p
+        mid, half = (p - b) * inv % p, root[disc]  # -b / 2a and r / 2a
+        t1, t2 = (mid + half) % p, (mid - half) % p
+        first, step, count = np.minimum(t1, t2), np.abs(t1 - t2), nroots[disc]
+    else:
+        first = (-c % p) * _inverses(p)[b] % p
+        step = np.ones_like(c)
+        count = np.where(b != 0, 1, np.where(c == 0, p, 0))
+    line = np.repeat(np.arange(len(count)), count)
+    # the index of each row among the roots of its line
+    j = np.arange(len(line)) - (np.cumsum(count) - count)[line]
+    pts = np.empty((len(line), d), dtype=np.int64)
+    pts[:, d - 1] = first[line] + step[line] * j
+    for axis in range(d - 2, -1, -1):
+        line, pts[:, axis] = np.divmod(line, p)
+    return pts
+
+
 def _grid_zeros(M: QuadForm, budget):
-    """(M.grid_values(), V(M) in lex order) from one grid, after the p^d
-    budget check."""
+    """(M.grid_values(), V(M) in lex order), after the p^d budget check."""
     _check_budget(M.p**M.d, budget)
-    grid = M.grid_values()
-    return grid, np.argwhere(grid == 0)
+    return M.grid_values(), _solve_zeros(M)
 
 
 def enumerate_zeros(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
     """Sound and complete list of V(M) (intersected with V + c), lex order."""
     if S is None:
-        return _grid_zeros(M, budget)[1]
+        _check_budget(M.p**M.d, budget)
+        return _solve_zeros(M)
     pts = subspace_points(S, budget)
     return pts[M.eval_array(pts) == 0]
 

@@ -142,6 +142,19 @@ def _diagonal(d, c):
     return [[c if i == j else 0 for j in range(d)] for i in range(d)]
 
 
+def _product(terms1, terms2):
+    """The raw term map of the product of two term maps."""
+    terms = {}
+    get = terms.get
+    for e1, c1 in terms1.items():
+        for e2, c2 in terms2.items():
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            old = get(e)
+            terms[e] = c if old is None else old + c
+    return terms
+
+
 class _PolyBase:
     """Shared sparse-term plumbing and arithmetic; a subclass fixes the
     coefficient ring through its constructor and the _new hook."""
@@ -231,37 +244,40 @@ class _PolyBase:
 
     def __mul__(self, other):
         self._check(other)
-        terms = {}
-        get = terms.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                old = get(e)
-                terms[e] = c if old is None else old + c
-        return self._new(terms)
+        return self._new(_product(self.terms, other.terms))
 
     def substitute(self, images):
-        """Substitute variable j by the polynomial images[j]."""
+        """Substitute variable j by the polynomial images[j].
+
+        Each power images[j]^k is built once; every term's product of
+        powers is added, times its coefficient, into one term map."""
         if len(images) != self.nvars:
             raise ArityMismatch("substitution arity mismatch")
         nvars = images[0].nvars
-        out = self._new({}, nvars)
-        pow_cache = {}
+        zero = self._new({}, nvars)
+        for image in images:
+            zero._check(image)
+        powers = {}
+
+        def power(j, k):
+            if k == 1:
+                return images[j].terms
+            if (j, k) not in powers:
+                prev = _product(power(j, k - 1), images[j].terms)
+                powers[j, k] = self._new(prev, nvars).terms
+            return powers[j, k]
+
+        one = {(0,) * nvars: 1}
+        terms = {}
+        get = terms.get
         for e, c in self.terms.items():
-            term = self._new({(0,) * nvars: c}, nvars)
-            for j, k in enumerate(e):
-                if k == 0:
-                    continue
-                key = (j, k)
-                if key not in pow_cache:
-                    acc = images[j]
-                    for _ in range(k - 1):
-                        acc = acc * images[j]
-                    pow_cache[key] = acc
-                term = term * pow_cache[key]
-            out = out + term
-        return out
+            factors = [power(j, k) for j, k in enumerate(e) if k] or [one]
+            acc = factors[0]
+            for f in factors[1:]:
+                acc = _product(acc, f)
+            for m, v in acc.items():
+                terms[m] = get(m, 0) + c * v
+        return self._new(terms, nvars)
 
     def compose_linear(self, B, shift=None):
         """f(n B + shift) for B given as a list of rows (n is a row vector).
@@ -365,10 +381,12 @@ class FpMultiPoly(_PolyBase):
         Returns a (len(polys), N) int64 array of residues in {0..p-1}; row r
         holds polys[r].  All polynomials must share p and nvars.  Every
         monomial they use, and the parents that build it, is filled once
-        into a (monomials x points) table of residues, one degree level at
-        a time; one coefficient-matrix product mod p then gives every row.
-        Points are taken mod p first, so any int64 coordinates are valid,
-        and at most EVAL_CHUNK_CELLS table cells are held at once.
+        into a (monomials x points) table, one degree level at a time; one
+        coefficient-matrix product then gives every row, and one reduction
+        mod p each value.  A level is reduced mod p only where the bound
+        on its entries would make that product inexact in float64.  Points
+        are taken mod p first, so any int64 coordinates are valid, and at
+        most EVAL_CHUNK_CELLS table cells are held at once.
         """
         points = np.asarray(points, dtype=np.int64)
         if not polys:
@@ -380,9 +398,10 @@ class FpMultiPoly(_PolyBase):
             raise ArityMismatch("point arity mismatch")
         pos, levels = _monomial_closure(set().union(*(f.terms for f in polys)), nvars)
         nmon = len(pos)
-        # the product is exact in float64 while each of its partial sums
-        # stays below 2^53; past that each term is reduced before summing
+        # past this bound even a table of residues makes the product inexact,
+        # so each term is reduced before summing in int64
         in_float = nmon * (p - 1) ** 2 < 2**53
+        reduced = _reduced_levels(p, nmon, len(levels))
         coeffs = np.zeros((len(polys), nmon), dtype=np.float64 if in_float else np.int64)
         for r, f in enumerate(polys):
             coeffs[r, [pos[e] for e in f.terms]] = list(f.terms.values())
@@ -393,10 +412,11 @@ class FpMultiPoly(_PolyBase):
             x = np.ascontiguousarray((points[start : start + step] % p).T)
             tab = np.empty((nmon, x.shape[1]), dtype=np.int64)
             tab[0] = 1  # row 0 is the zero exponent
-            for lo, hi, par, var in levels:
+            for (lo, hi, par, var), red in zip(levels, reduced):
                 level = tab[lo:hi]
                 np.multiply(tab[par], x[var], out=level)
-                level %= p
+                if red:
+                    level %= p
             if in_float:
                 vals = (coeffs @ tab.astype(np.float64)).astype(np.int64)
             else:
@@ -731,6 +751,28 @@ def _binom_basis_indices(nvars, max_degree):
     rec([], max_degree)
     out.sort()
     return tuple(out)
+
+
+def _reduced_levels(p, nmon, depth):
+    """Which of the degree levels 1..depth of an eval_many table, on nmon
+    monomials, are reduced mod p.
+
+    The coefficient product is exact in float64 while each of its partial
+    sums stays below 2^53, that is while nmon * (p - 1) * (largest table
+    entry) < 2^53.  The entries of level t are at most the bound of level
+    t - 1 times p - 1 (row 0 holds 1).  A level whose bound would reach the
+    limit is reduced, and its bound becomes p - 1.  Once
+    nmon * (p - 1)^2 >= 2^53 that is every level.
+    """
+    limit = 2**53 // (nmon * (p - 1))
+    out = []
+    bound = 1
+    for _ in range(depth):
+        bound *= p - 1
+        out.append(bound >= limit)
+        if bound >= limit:
+            bound = p - 1
+    return out
 
 
 def _monomial_closure(exps, nvars):

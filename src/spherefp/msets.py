@@ -539,7 +539,12 @@ def fubini_check(family, M: QuadForm, k: int, kprime: int, f, budget=DEFAULT_BUD
         for a, b in zip(boundaries, boundaries[1:])
         for row in map(tuple, pts[a:b].tolist())
     ]
-    exact = all(isinstance(v, (int, Fraction)) for v in values)
+    # numpy integers are exact too; they become ints so no int64 sum wraps
+    kinds = set(map(type, values))
+    exact = all(issubclass(t, (int, Fraction, np.integer)) for t in kinds)
+    wide = tuple(t for t in kinds if issubclass(t, np.integer))
+    if exact and wide:
+        values = [int(v) if isinstance(v, wide) else v for v in values]
     if exact:
         lhs = Fraction(sum(values), len(values))
         inner_total = Fraction(0)

@@ -55,6 +55,30 @@ class AffineSubspace:
         return cls(field, obj["basis"], obj.get("offset"))
 
 
+def _broadcast_values(p, rows, u, v, k):
+    """(x A) . x + u . x + v mod p on [p]^k, A and u cut to their first k
+    rows and columns, as an int64 array of shape (p,)*k.
+
+    Built by broadcasting, one axis at a time: the diagonal and linear
+    column of axis i, then the cross table 2 a_ij x_i x_j of each earlier
+    axis j, then one reduction mod p.  Every product is reduced before the
+    next, so no intermediate exceeds about p^2."""
+    import numpy as np
+
+    x = np.arange(p, dtype=np.int64)
+    grid = np.array(v, dtype=np.int64)
+    for i in range(k):
+        row = rows[i]
+        grid = grid[..., None] + (row[i] * x % p * x + u[i] * x) % p
+        for j in range(i):
+            c = 2 * row[j] % p
+            if c:
+                table = (c * x % p)[:, None] * x % p
+                grid += table.reshape((p,) + (1,) * (i - j - 1) + (p,))
+        grid %= p
+    return grid
+
+
 class QuadForm:
     """M(n) = (nA).n + u.n + v with A symmetric over F_p."""
 
@@ -100,27 +124,20 @@ class QuadForm:
     def grid_values(self):
         """M on all of F_p^d as an int64 array of shape (p,)*d: the entry at
         index x is M(x), so the flat (C) order is the lexicographic order of
-        counting.all_points.
+        counting.all_points.  Built by _broadcast_values."""
+        return _broadcast_values(self.p, self.A.rows, self.u, self.v, self.d)
 
-        Built by broadcasting, one axis at a time: the diagonal and linear
-        column of axis i, then the cross table 2 a_ij x_i x_j of each earlier
-        axis j, then one reduction mod p.  Every product is reduced before the
-        next, so no intermediate exceeds about p^2."""
-        import numpy as np
-
-        p = self.p
-        x = np.arange(p, dtype=np.int64)
-        grid = np.array(self.v, dtype=np.int64)
-        for i in range(self.d):
-            row = self.A.rows[i]
-            grid = grid[..., None] + (row[i] * x % p * x + self.u[i] * x) % p
-            for j in range(i):
-                c = 2 * row[j] % p
-                if c:
-                    table = (c * x % p)[:, None] * x % p
-                    grid += table.reshape((p,) + (1,) * (i - j - 1) + (p,))
-            grid %= p
-        return grid
+    def line_coefficients(self):
+        """(a, b, c) with M(x', t) = a t^2 + b(x') t + c(x') on the lines
+        along the last axis: a = A[d-1][d-1] as an int, b and c as int64
+        arrays of shape (p,)*(d-1) over the prefixes x', in lexicographic
+        order, built by _broadcast_values."""
+        p, d, rows = self.p, self.d, self.A.rows
+        last = rows[d - 1]
+        zero = [[0] * d] * d
+        b = _broadcast_values(p, zero, [2 * x % p for x in last], self.u[d - 1], d - 1)
+        c = _broadcast_values(p, rows, self.u, self.v, d - 1)
+        return last[d - 1], b, c
 
     def as_poly(self) -> FpMultiPoly:
         terms = {}

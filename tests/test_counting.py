@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherefp.counting import (
     BudgetExceeded,
@@ -20,6 +22,7 @@ from spherefp.counting import (
     vmh_count_report,
     zero_count_check,
 )
+from spherefp import counting
 from spherefp.ffcore import PrimeField
 from spherefp.quadform import AffineSubspace, QuadForm, perp
 
@@ -350,6 +353,123 @@ def test_enumerate_zeros_matches_point_by_point_reference(rng):
                 assert np.array_equal(got, want)
             # the last kernel form is the nonzero constant 1: V(M) is empty
             assert got.shape == (0, d)
+
+
+# -- the line solver behind enumerate_zeros ---------------------------------------
+# On the line through x' along the last axis M is a t^2 + b(x') t + c(x'),
+# with a = A[d-1][d-1], b = 2 A[d-1][:d-1] . x' + u[d-1] and c = M(x', 0).
+
+
+@st.composite
+def line_forms(draw):
+    """A form at p in {5, 7, 11, 13}, d in 1..5, whose last axis takes one of
+    the solver's branches: a != 0 (lines with 0, 1 and 2 roots), a = 0 with
+    b not identically 0, or b = 0 on every line, with c = 0 on some lines
+    (all p roots there) or on none."""
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    d = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("quadratic", "linear", "flat", "zero", "constant")))
+    elem = st.integers(0, p - 1)
+    a = [[0] * d for _ in range(d)]
+    if kind not in ("zero", "constant"):
+        for i in range(d - 1):
+            for j in range(i, d - 1):
+                a[i][j] = a[j][i] = draw(elem)
+    u = [draw(elem) for _ in range(d - 1)] + [0]
+    v = draw(elem)
+    if kind == "quadratic":
+        a[d - 1][d - 1] = draw(st.integers(1, p - 1))
+        for j in range(d - 1):
+            a[d - 1][j] = a[j][d - 1] = draw(elem)
+        u[d - 1] = draw(elem)
+    elif kind == "linear":
+        for j in range(d - 1):
+            a[d - 1][j] = a[j][d - 1] = draw(elem)
+        u[d - 1] = draw(st.integers(1, p - 1))
+    elif kind == "zero":
+        u, v = [0] * d, 0
+    elif kind == "constant":
+        u, v = [0] * d, draw(st.integers(1, p - 1))
+    return QuadForm(PrimeField(p), a, u, v)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(line_forms())
+def test_enumerate_zeros_solver_matches_reference(M):
+    got, want = enumerate_zeros(M), reference_zeros(M)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def line_root_counts(M):
+    """The number of roots on each line, in prefix order."""
+    p, d = M.p, M.d
+    counts = np.zeros(p ** (d - 1), dtype=np.int64)
+    prefixes = reference_zeros(M)[:, : d - 1]
+    np.add.at(counts, (prefixes * p ** np.arange(d - 2, -1, -1)).sum(axis=1), 1)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "A, u, v, counts",
+    [
+        # a != 0: t^2 = x^2 + 1 has 2, 0, 1, 1, 0 roots at x = 0..4
+        ([[4, 0], [0, 1]], [0, 0], 4, {0, 1, 2}),
+        # a = 0, b = 2x + 1 vanishes only at x = 2, where c = x + 3 = 0
+        ([[0, 1], [1, 0]], [1, 1], 3, {1, 5}),
+        # a = 0, b = 2x + 1 vanishes at x = 2, where c = x = 2 != 0
+        ([[0, 1], [1, 0]], [1, 1], 0, {0, 1}),
+        # b = 0 on every line: c = x^2 - 1 is 0 at x = 1, 4 only
+        ([[1, 0], [0, 0]], [0, 0], 4, {0, 5}),
+    ],
+)
+def test_enumerate_zeros_solver_branches(f5, A, u, v, counts):
+    M = QuadForm(f5, A, u, v)
+    assert set(line_root_counts(M).tolist()) == counts
+    assert np.array_equal(enumerate_zeros(M), reference_zeros(M))
+
+
+@pytest.mark.parametrize(
+    "p, A, u, v",
+    [
+        (2097169, [[2097168]], [2097167], 2097166),
+        (2097169, [[1]], [0], 2097168),  # t^2 = 1: t = 1 and p - 1
+        (2097169, [[0]], [2097168], 2097167),  # a = 0: one root
+        (10007, [[10006, 10005], [10005, 10004]], [10003, 10002], 10001),
+        (10007, [[10006, 10005], [10005, 0]], [10003, 10002], 10001),  # a = 0
+    ],
+)
+def test_enumerate_zeros_stays_exact_at_large_p(p, A, u, v):
+    # every product of two residues reaches about p^2 and 4ac about 4 p^2
+    M = QuadForm(PrimeField(p), A, u, v)
+    d = M.d
+    got = enumerate_zeros(M, None, budget=p**d)  # 10007^2 is past the default
+    assert got.dtype == np.int64 and got.shape[1] == d
+    # sound: every row is a zero, exactly; strictly increasing, so no repeats
+    assert all(M.evaluate(row) == 0 for row in got.tolist())
+    rows = [tuple(row) for row in got.tolist()]
+    assert rows == sorted(set(rows))
+    # complete on whole lines: at d = 1 the only line, else the extreme
+    # prefixes and a spread of others, each scanned point by point
+    t = np.arange(p, dtype=np.int64)
+    prefixes = [()] if d == 1 else [(x,) for x in (0, 1, p - 2, p - 1, *range(5, p, p // 40))]
+    for x in prefixes:
+        line = np.column_stack([np.full((p, d - 1), x, dtype=np.int64), t])
+        want = line[M.eval_array(line) == 0]
+        assert np.array_equal(got[(got[:, : d - 1] == x).all(axis=1)], want)
+
+
+def test_enumerate_zeros_budget_boundary(rng):
+    for p, d in ((5, 3), (7, 4), (13, 2)):
+        M = random_form(PrimeField(p), d, rng)
+        assert np.array_equal(enumerate_zeros(M, None, budget=p**d), reference_zeros(M))
+        with pytest.raises(BudgetExceeded):
+            enumerate_zeros(M, None, budget=p**d - 1)
+        grid, rows = counting._grid_zeros(M, p**d)
+        assert np.array_equal(rows, reference_zeros(M))
+        assert np.array_equal(grid, M.grid_values())
+        with pytest.raises(BudgetExceeded):
+            counting._grid_zeros(M, p**d - 1)
 
 
 def test_grid_values_reduces_every_product():

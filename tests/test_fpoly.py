@@ -308,6 +308,37 @@ def test_eval_many_reduces_products_past_the_float_bound(p, d, s, rng):
     _assert_batch_matches_reference(polys, _random_points(p, d, 60, rng))
 
 
+def test_eval_many_reduces_no_level_at_small_p_and_degree():
+    # every monomial of degree <= 3 in 12 variables, at p = 13
+    nmon = len(fpoly._binom_basis_indices(12, 3))
+    for p in (5, 7, 11, 13):
+        assert fpoly._reduced_levels(p, nmon, 3) == [False] * 3
+
+
+@pytest.mark.parametrize(
+    "p, exps, reduced",
+    [
+        # x^4 and y^3 close to 8 monomials: 8 * 1008 * 1008^4 < 2^53
+        (1009, [(4, 0), (0, 3)], [False] * 4),
+        # xy makes 9, and the same bound passes 2^53 at degree 4
+        (1009, [(4, 0), (0, 3), (1, 1)], [False, False, False, True]),
+        # x^8 on 9 monomials: level 4 is reduced to p - 1, so level 7 is next
+        (1009, [(8, 0)], [False, False, False, True, False, False, True, False]),
+        # an unreduced degree-2 entry times a coefficient passes 2^53
+        (1000003, [(3, 0), (1, 2)], [False, True, True]),
+    ],
+)
+def test_eval_many_reduces_only_levels_past_the_float_bound(p, exps, reduced, rng):
+    polys = [FpMultiPoly(p, 2, {e: rng.randrange(1, p) for e in exps}) for _ in range(3)]
+    polys.append(FpMultiPoly(p, 2, dict.fromkeys(exps, p - 2)))  # odd entries near the bound
+    pos, levels = fpoly._monomial_closure(set(exps), 2)
+    assert fpoly._reduced_levels(p, len(pos), len(levels)) == reduced
+    # coordinates p - 2 and p - 1 (the largest entries), negative and >= p
+    points = _random_points(p, 2, 100, rng, lo=-2 * p, hi=3 * p)
+    points[:4] = [[p - 2, p - 2], [p - 1, p - 1], [-2, 2 * p - 2], [-1, -p - 1]]
+    _assert_batch_matches_reference(polys, points)
+
+
 def test_eval_many_reduces_coordinates_outside_0_to_p(rng):
     p, d = 7, 3
     polys = [random_fp_poly(p, d, 4, rng) for _ in range(6)]

@@ -488,6 +488,26 @@ def test_fubini_check_calls_f_on_int_tuples_in_row_order(f5):
     assert all(type(x) is tuple and all(type(c) is int for c in x) for x in seen)
 
 
+def test_fubini_check_keeps_numpy_integers_exact(f5):
+    M = QuadForm.dot_form(f5, 3, radius=1)
+    fam = gowers_family(M, 1)
+    prepared = fubini_prepare(fam, M, 2, 1)
+    want = fubini_check(fam, M, 2, 1, lambda x: x[0] % 2, prepared=prepared)
+    got = fubini_check(fam, M, 2, 1, lambda x: np.int64(x[0] % 2), prepared=prepared)
+    assert got == want and want[0] == Fraction(13, 30)
+    assert all(type(v) is Fraction for v in got)
+    # 900 values of 2^62 would wrap an int64 sum
+    big = 2**62
+    got = fubini_check(fam, M, 2, 1, lambda x: np.int64(big + x[0]), prepared=prepared)
+    want = fubini_check(fam, M, 2, 1, lambda x: big + x[0], prepared=prepared)
+    assert got == want and want[0] > big
+    # numpy integers next to Fractions and ints stay exact as well
+    mixed = [np.int32(1), Fraction(1, 3), 2, np.uint8(4)]
+    got = fubini_check(fam, M, 2, 1, lambda x: mixed[x[0] % 4], prepared=prepared)
+    want = fubini_check(fam, M, 2, 1, lambda x: [1, Fraction(1, 3), 2, 4][x[0] % 4], prepared=prepared)
+    assert got == want and type(got[0]) is Fraction
+
+
 def test_eval_array_reduces_before_scaling():
     # at p = 2097169 a dot product (x_i A) . x_j reaches d p^2 ~ 2^45, and
     # scaling it by b_ij before reducing would pass 2^63
