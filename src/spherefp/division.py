@@ -3,9 +3,16 @@ on quadrics: Nullstellensatz certificates, the containment dichotomy,
 anti-derivatives, intrinsic-polynomial decompositions, the Gowers-cube
 equation, and the Z/p lifts of all of these.
 
-Every solver returns objects that re-verify by symbolic substitution with
-zero tolerance; witness searches scan lexicographically and stop at the
-first violation, so outcomes are deterministic.
+Every solver re-verifies what it returns, exactly.  F_p certificates are
+multiplied out and compared.  The Z/p certificates (the sphere-vanishing
+and periodic decompositions and the lifted Nullstellensatz) are checked on
+integer values instead of Fraction products: fpoly._simplex_grid_sum
+evaluates each factor of the identity, denominators cleared, on the
+simplex grid of degree D, the largest total degree of a summand.  A
+polynomial of degree <= D that vanishes on that grid is zero, since its
+binomial coordinates are its forward differences there, so the grid
+decides the identity.  Witness searches scan lexicographically and stop at
+the first violation, so outcomes are deterministic.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .fpoly import (
     _fiber_coefficient_table,  # re-exported: bench/tracing.py wraps it by this name
     _first_noninteger_fiber,
     _newton_differences,
+    _simplex_grid_sum,
     induce,
     p_expand,
     regular_lift,
@@ -585,7 +593,8 @@ def lift_nullstellensatz(P: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUDGET):
     P0 = M.integer_poly() * f1 + i0
     if not (P1.is_integer_coefficient() and P0.is_integer_valued()):
         raise TheoremViolation("lifted certificate has the wrong value classes")
-    if m_rat * P1 + P0 != P:
+    vals, _ = _simplex_grid_sum(P.nvars, [(1, [m_rat, P1]), (1, [P0]), (-1, [P])])
+    if (vals != 0).any():
         raise TheoremViolation("lifted certificate failed to re-verify")
     return P1, P0
 
@@ -675,7 +684,7 @@ def sphere_vanishing_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BU
     <= deg(f) - 2i and Q0 coprime to p, for f integer valued on V_p(M).
 
     The solution shape is found as an exact integer linear system in the
-    binomial-basis coordinates of the R_i and certified by substitution.
+    binomial-basis coordinates of the R_i and certified on the simplex grid.
     """
     p = M.p
     df = f.degree()
@@ -704,14 +713,13 @@ def sphere_vanishing_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BU
     q0 *= scale
     rs = list(_block_polys(f.nvars, blocks, z).values())  # blocks i = 0..t
     m_rat = M.as_ratpoly()
-    acc = RatMultiPoly.zero(f.nvars)
-    mpow = RatMultiPoly.constant(f.nvars, 1)
-    for i in range(t + 1):
-        acc = acc + mpow * rs[i]
-        mpow = mpow * m_rat
-    if acc != f.scale(q0):
+    vals, _ = _simplex_grid_sum(
+        f.nvars, [(q0, [f])] + [(-1, [m_rat] * i + [r]) for i, r in enumerate(rs)]
+    )
+    if (vals != 0).any():
         raise TheoremViolation("sphere-vanishing decomposition failed to re-verify")
-    if not f.scale(p**t).is_integer_valued():
+    # p^t f is integer valued exactly when its binomial coordinates are integers
+    if any((c * p**t).denominator != 1 for c in coords.values()):
         raise TheoremViolation("second clause p^{floor(deg/2)} f failed")
     return q0, rs
 
@@ -751,15 +759,14 @@ def sphere_periodic_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUD
     rs = _block_polys(nvars, blocks, z)
     r0 = rs.pop(0)
     m_rat = M.as_ratpoly()
-    acc = r0.scale(Fraction(1, p))
-    mpow = m_rat * m_rat
-    for i in range(2, t + 1):
-        acc = acc + mpow * rs[i]
-        mpow = mpow * m_rat
-    cc = f.scale(q0) - acc
-    if cc.degree() > 0:
+    # Q0 f - R_0/p - sum M^i R_i must be the constant C: equal to its value
+    # at the origin everywhere on the grid
+    vals, den = _simplex_grid_sum(
+        nvars, [(q0, [f]), (Fraction(-1, p), [r0])] + [(-1, [m_rat] * i + [r]) for i, r in rs.items()]
+    )
+    if (vals != vals[0]).any():
         raise TheoremViolation("periodic decomposition failed to re-verify")
-    c_value = cc.constant_term()
+    c_value = Fraction(int(vals[0]), den)
     # normalize: integer-over-p and integer parts of the constant belong to
     # the R_0 / p slot, so e.g. f = g/p comes back as (C, R_0) = (0, Q0 g)
     den = c_value.denominator

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .counting import root_sum
 from .division import ZpQuadForm, lift_nullstellensatz
 from .ffcore import BudgetExceeded
-from .fpoly import RatMultiPoly, binom_int, partial_periodicity_witness
+from .fpoly import RatMultiPoly, _simplex_grid_sum, binom_int, partial_periodicity_witness
 from .quadform import TheoremViolation
 
 
@@ -303,7 +303,7 @@ def weyl_dichotomy(g: RatMultiPoly, p: int, radius: int, delta: float, budget=10
     """Either |E_{n in sphere} e(g(tau n)/p)| <= delta (the value is
     reported), or g(tau n)/p mod Z is a constant a/p on the sphere and the
     footnote certificate g = (n.n - tau(r)) g1 + p g2 + a is produced via
-    the lifted Nullstellensatz and verified symbolically.
+    the lifted Nullstellensatz and verified exactly on the simplex grid.
 
     omega may carry a precomputed list of sphere points to avoid
     re-enumeration across many calls."""
@@ -321,8 +321,8 @@ def weyl_dichotomy(g: RatMultiPoly, p: int, radius: int, delta: float, budget=10
         Mz = ZpQuadForm.sphere(p, d, radius)
         shifted = (g - RatMultiPoly.constant(d, a)).scale(Fraction(1, p))
         g1, g2 = lift_nullstellensatz(shifted, Mz)
-        lhs = Mz.integer_poly() * g1 + g2.scale(p) + RatMultiPoly.constant(d, a)
-        if lhs != g:
+        vals, _ = _simplex_grid_sum(d, [(1, [Mz.integer_poly(), g1]), (p, [g2]), (a, []), (-1, [g])])
+        if (vals != 0).any():
             raise TheoremViolation("Weyl certificate failed to re-verify")
         return WeylOutcome("constant", 1.0, Fraction(a, p), g1, g2)
     counts = [0] * p

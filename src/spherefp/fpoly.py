@@ -843,6 +843,87 @@ def _newton_differences(values, nvars, deg):
     return values
 
 
+@lru_cache(maxsize=None)
+def _grid_powers(nvars, deg):
+    """powers[j, k, t] = grid[t][j] ** k for k = 0..deg on the simplex grid
+    _binom_basis_indices(nvars, deg), read-only.  Every entry is at most
+    deg^deg, so the table is int64 while that is below 2^63, else Python
+    integers.  Cached per (nvars, deg)."""
+    cols = np.array(_binom_basis_indices(nvars, deg), dtype=np.int64).reshape(-1, nvars).T
+    dtype = np.int64 if deg**deg < 2**63 else object
+    powers = np.empty((nvars, deg + 1, cols.shape[1]), dtype=dtype)
+    powers[:, 0] = 1
+    for k in range(1, deg + 1):
+        powers[:, k] = powers[:, k - 1] * cols.astype(dtype)
+    powers.flags.writeable = False
+    return powers
+
+
+def _simplex_grid_sum(nvars, summands):
+    """Decide an identity sum_s c_s prod(factors_s) = 0 (or = constant)
+    exactly, on integer values instead of polynomial products.
+
+    summands is a list of (c, factors): c an int or Fraction, factors a list
+    of RatMultiPoly in nvars variables (an empty list is the constant 1).
+    D is the largest total degree of a nonzero summand, the sum of its
+    factors' degrees (0 when every summand is zero).  Each factor is
+    evaluated as its cleared integer numerator on the grid
+    _binom_basis_indices(nvars, D), and the summands are combined over one
+    common denominator.  Returns (values, den): the sum at grid[t] is
+    values[t] / den, with den > 0.
+
+    The sum has degree <= D, and a polynomial of degree <= D is determined
+    by its values on that grid (its binomial coordinates are the forward
+    differences there, see _newton_differences).  So the sum is the zero
+    polynomial exactly when every value is 0, and a constant exactly when
+    every value equals values[0], its value at the origin.
+
+    Arithmetic is int64 where a bound shows it exact, else Python integers,
+    in two steps: the factor values are bounded by their coefficients
+    (a monomial of degree k is at most D^k on the grid), and the products
+    and their sum by the largest factor values actually found.
+    """
+    live = [(Fraction(c), fs) for c, fs in summands if c and all(fs)]
+    factors = list({id(f): f for _, fs in live for f in fs}.values())
+    row = {id(f): r for r, f in enumerate(factors)}
+    dens, sizes, nums, exps, starts = [], [], [], [], []
+    for f in factors:
+        den = f.denominator_lcm()
+        cleared = [c.numerator * (den // c.denominator) for c in f.terms.values()]
+        dens.append(den)
+        sizes.append(sum(map(abs, cleared)))
+        starts.append(len(nums))
+        nums += cleared
+        exps += f.terms
+    e = np.array(exps, dtype=np.intp).reshape(-1, nvars)
+    fdeg = np.maximum.reduceat(e.sum(axis=1), starts).tolist() if factors else []
+    deg = max((sum(fdeg[row[id(f)]] for f in fs) for _, fs in live), default=0)
+    powers = _grid_powers(nvars, deg)
+    vals = np.zeros((0, powers.shape[2]), dtype=np.int64)
+    if factors:
+        bound = max(s * deg**k for s, k in zip(sizes, fdeg))
+        dtype = np.int64 if bound < 2**63 else object
+        mono = powers[0, e[:, 0]]
+        for j in range(1, nvars):
+            mono = mono * powers[j, e[:, j]]
+        terms = np.array(nums, dtype=dtype)[:, None] * mono.astype(dtype, copy=False)
+        vals = np.add.reduceat(terms, starts, axis=0)
+    sden = [c.denominator * prod(dens[row[id(f)]] for f in fs) for c, fs in live]
+    den = lcm(*sden)
+    weights = [c.numerator * (den // d) for (c, _), d in zip(live, sden)]
+    top = np.abs(vals).max(axis=1, initial=0).tolist()
+    bound = sum(abs(w) * prod(top[row[id(f)]] for f in fs) for w, (_, fs) in zip(weights, live))
+    if bound >= 2**63:
+        vals = vals.astype(object)
+    total = np.zeros(powers.shape[2], dtype=vals.dtype)
+    for w, (_, fs) in zip(weights, live):
+        term = w
+        for f in fs:
+            term = term * vals[row[id(f)]]
+        total += term
+    return total, den
+
+
 def _fiber_coefficient_table(f: RatMultiPoly, base_points, p):
     """Binomial-basis coefficients of every fiber map m -> f(n0 + p m).
 

@@ -635,10 +635,10 @@ def sample_mset(family, M, k, rng, count, max_rounds=4000):
     have = 0
     for _ in range(max_rounds):
         batch = np_rng.integers(0, p, size=(4096, k * d), dtype=np.int64)
-        keep = np.ones(len(batch), dtype=bool)
+        hits = batch
         for f in family:
-            keep &= f.eval_array(batch) == 0
-        hits = batch[keep]
+            # each later function sees only the rows the earlier ones kept
+            hits = hits[f.eval_array(hits) == 0]
         if len(hits):
             got.append(hits)
             have += len(hits)

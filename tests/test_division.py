@@ -768,3 +768,80 @@ def test_gowers_equation_s2_matches_per_tuple_check(monkeypatch, f5, rng):
     Q = mp * random_fp_poly(5, 5, 1, rng) + random_fp_poly(5, 5, 1, rng)
     assert per_tuple(P, Q) is None
     assert gowers_equation_solve(P, Q, M, 2)[0] == "factorization"
+
+
+# -- the re-verify steps reject a corrupted certificate ---------------------------
+
+
+def _shift_first_coordinate(monkeypatch):
+    # every solution int_solve returns comes back with its first entry + 1
+    real = division.int_solve
+
+    def shifted(rows, rhs):
+        z = real(rows, rhs)
+        return None if z is None else [z[0] + 1] + z[1:]
+
+    monkeypatch.setattr(division, "int_solve", shifted)
+
+
+def test_vanishing_reverify_rejects_a_corrupted_solution(monkeypatch, rng):
+    # the first coordinate is that of C(n, 0) in R_0: Q0 f - sum M^i R_i is -1
+    Mz = ZpQuadForm.sphere(5, 4, 1)
+    mz = Mz.as_ratpoly()
+    f = random_int_valued(4, 4, rng) + mz * random_int_valued(4, 2, rng)
+    sphere_vanishing_decompose(f, Mz)
+    _shift_first_coordinate(monkeypatch)
+    with pytest.raises(TheoremViolation, match="sphere-vanishing decomposition failed to re-verify"):
+        sphere_vanishing_decompose(f, Mz)
+
+
+def test_periodic_reverify_rejects_a_corrupted_solution(monkeypatch, rng):
+    # R_0 has no constant coordinate: the first is that of C(n, e_4), so
+    # Q0 f - R_0/p - sum M^i R_i picks up -n_4/p and is no longer constant
+    Mz = ZpQuadForm.sphere(5, 4, 1)
+    mz = Mz.as_ratpoly()
+    f = mz * mz + random_int_valued(4, 3, rng).scale(Fraction(1, 5)) + RatMultiPoly.constant(4, Fraction(3, 7))
+    sphere_periodic_decompose(f, Mz)
+    _shift_first_coordinate(monkeypatch)
+    with pytest.raises(TheoremViolation, match="periodic decomposition failed to re-verify"):
+        sphere_periodic_decompose(f, Mz)
+
+
+def test_lift_reverify_rejects_a_corrupted_certificate(monkeypatch, rng):
+    # P1 = f2 + 1 still has integer coefficients and P0 is unchanged, so
+    # only the identity P = M P1 + P0 fails, by M
+    Mz = ZpQuadForm.sphere(5, 4, 1)
+    P = Mz.as_ratpoly() * random_int_valued(4, 2, rng) + random_int_valued(4, 4, rng)
+    lift_nullstellensatz(P, Mz)
+    real = division.p_expand
+
+    def shifted(f, p):
+        f1, f2 = real(f, p)
+        return f1, f2 + RatMultiPoly.constant(f2.nvars, 1)
+
+    monkeypatch.setattr(division, "p_expand", shifted)
+    with pytest.raises(TheoremViolation, match="lifted certificate failed to re-verify"):
+        lift_nullstellensatz(P, Mz)
+
+
+# -- the p-free rescaling behind both decompositions ------------------------------
+
+
+def test_p_free_solve_integer_solution_at_scale_one():
+    assert division._p_free_solve([[1, 0], [0, 3]], [4, 6], 5, "x") == ([4, 2], 1)
+
+
+def test_p_free_solve_rescales_by_the_p_free_denominator():
+    # 2 z = 1 has no integer solution; z = 1/2 has the p-free denominator 2
+    assert division._p_free_solve([[2]], [1], 5, "x") == ([1], 2)
+
+
+def test_p_free_solve_rejects_a_p_power_denominator():
+    # z = 1/5: removing the factors p leaves the scale 1, which does not help
+    with pytest.raises(TheoremViolation, match="no integer x at any p-free scale"):
+        division._p_free_solve([[5]], [1], 5, "x")
+
+
+def test_p_free_solve_rejects_an_inconsistent_system():
+    with pytest.raises(TheoremViolation, match="x inconsistent over Q"):
+        division._p_free_solve([[1], [1]], [0, 1], 5, "x")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from spherefp import equidist
 from spherefp.division import ZpQuadForm
 from spherefp.equidist import (
     DichotomyViolation,
@@ -20,6 +21,7 @@ from spherefp.equidist import (
     weyl_dichotomy,
 )
 from spherefp.fpoly import RatMultiPoly, is_partially_p_periodic_on
+from spherefp.quadform import TheoremViolation
 
 from conftest import random_int_valued
 
@@ -176,6 +178,23 @@ def test_weyl_constant_branch_constructed(rng):
         assert lhs == g
         assert out.g1.is_integer_valued() and out.g2.is_integer_valued()
 
+
+
+def test_weyl_reverify_rejects_a_corrupted_certificate(monkeypatch, rng):
+    # g1 + 1 in place of g1 moves (n.n - r) g1 + p g2 + a off g by n.n - r
+    p, d, r = 7, 4, 1
+    npoly = ZpQuadForm.sphere(p, d, r).integer_poly()
+    g = npoly * random_int_valued(d, 1, rng) + random_int_valued(d, 2, rng).scale(p) + RatMultiPoly.constant(d, 3)
+    assert weyl_dichotomy(g, p, r, 0.5).branch == "constant"
+    real = equidist.lift_nullstellensatz
+
+    def shifted(P, M):
+        g1, g2 = real(P, M)
+        return g1 + RatMultiPoly.constant(d, 1), g2
+
+    monkeypatch.setattr(equidist, "lift_nullstellensatz", shifted)
+    with pytest.raises(TheoremViolation, match="Weyl certificate failed to re-verify"):
+        weyl_dichotomy(g, p, r, 0.5)
 
 def test_weyl_cubic_example():
     # n1^3 on the radius-1 sphere mod 7: cubes collapse onto {0, 1, 6},

@@ -819,3 +819,99 @@ def test_rat_from_json_rejects_negative_exponents():
         RatMultiPoly.from_json(bad)
     ok = {"nvars": 3, "terms": [{"exp": [1, 0, 0], "coeff": "1"}, {"exp": [0, 0, 7], "coeff": "2/3"}]}
     assert RatMultiPoly.from_json(ok) == RatMultiPoly(3, {(1, 0, 0): 1, (0, 0, 7): Fraction(2, 3)})
+
+
+# -- identities decided on the simplex grid -------------------------------------
+
+
+def _sum_reference(nvars, summands):
+    """sum_s c_s prod(factors_s) built by RatMultiPoly products in Fractions:
+    the comparison the certificate re-verifies made before the grid."""
+    total = RatMultiPoly.zero(nvars)
+    for c, factors in summands:
+        term = RatMultiPoly.constant(nvars, c)
+        for f in factors:
+            term = term * f
+        total = total + term
+    return total
+
+
+def _assert_grid_sum_matches_reference(nvars, summands):
+    values, den = fpoly._simplex_grid_sum(nvars, summands)
+    ref = _sum_reference(nvars, summands)
+    top = max((sum(f.degree() for f in fs) for c, fs in summands if c and all(fs)), default=0)
+    grid = fpoly._binom_basis_indices(nvars, top)
+    assert den > 0 and len(values) == len(grid)
+    assert [Fraction(int(v), den) for v in values] == [ref.evaluate(g) for g in grid]
+    assert bool((values == 0).all()) == ref.is_zero()
+    assert bool((values == values[0]).all()) == (ref.degree() <= 0)
+    return ref
+
+
+_small_coefficients = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 6, 7]))
+
+
+@st.composite
+def _grid_sum_cases(draw):
+    """(nvars, summands, kind): c A B - c (A B) + d C - d C, plus a constant
+    for kind "constant", or with one coefficient of the expanded A B moved
+    at an exponent of the top degree D for kind "perturbed"."""
+    nvars = draw(st.integers(1, 4))
+    # small coefficients keep a case on the int64 path
+    coefficients = draw(st.sampled_from([_small_coefficients, _coefficients]))
+
+    def poly(deg):
+        exps = draw(st.lists(_exponent(nvars, deg), min_size=1, max_size=5))
+        return RatMultiPoly(nvars, {e: draw(coefficients) for e in exps})
+
+    A, B, C = poly(3), poly(3), poly(4)
+    c, d = draw(coefficients), draw(coefficients)
+    kind = draw(st.sampled_from(["identity", "constant", "perturbed"]))
+    AB = A * B
+    summands = [(c, [A, B]), (d, [C]), (-d, [C])]
+    if kind == "perturbed" and c and AB:
+        top = max(A.degree() + B.degree(), C.degree() if d else 0)
+        axes = draw(st.lists(st.integers(0, nvars - 1), min_size=top, max_size=top))
+        exp = tuple(axes.count(j) for j in range(nvars))
+        AB = AB + RatMultiPoly(nvars, {exp: draw(coefficients.filter(bool))})
+    summands.append((-c, [AB]))
+    if kind == "constant":
+        summands.append((draw(coefficients), []))
+    return nvars, summands, kind
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_grid_sum_cases())
+def test_simplex_grid_sum_matches_fraction_reference(case):
+    # coefficients reach past 2^63 and denominators reach 2^61 - 1, so the
+    # Python-integer path is taken as well as the int64 one
+    nvars, summands, kind = case
+    ref = _assert_grid_sum_matches_reference(nvars, summands)
+    if kind == "identity":
+        assert ref.is_zero()
+    elif kind == "constant":
+        assert ref.degree() <= 0
+
+
+def test_simplex_grid_sum_examples():
+    x, y = RatMultiPoly.variable(2, 0), RatMultiPoly.variable(2, 1)
+    # (x + y)^2 = x^2 + 2 x y + y^2 on the degree-2 grid of 6 points
+    s = x + y
+    values, den = fpoly._simplex_grid_sum(2, [(1, [s, s]), (-1, [x * x + (x * y).scale(2) + y * y])])
+    assert values.dtype == np.int64 and len(values) == 6 and den == 1 and not values.any()
+    # x (x - 1) / 2 - C(x, 2) is zero, and + 3/7 makes it the constant 3/7
+    half = RatMultiPoly(2, {(2, 0): Fraction(1, 2), (1, 0): Fraction(-1, 2)})
+    binom = RatMultiPoly.from_binomial(2, {(2, 0): 1})
+    values, den = fpoly._simplex_grid_sum(2, [(1, [half]), (-1, [binom]), (Fraction(3, 7), [])])
+    assert [Fraction(int(v), den) for v in values] == [Fraction(3, 7)] * 6
+    # C(x, 2) C(y, 2) vanishes on the degree-3 grid; only the degree-4 grid
+    # sees it, and the top degree comes from the factors, not their number
+    values, _ = fpoly._simplex_grid_sum(2, [(1, [binom, RatMultiPoly.from_binomial(2, {(0, 2): 1})])])
+    assert len(values) == 15 and list(values).count(0) == 14
+    # zero factors and zero weights drop their summand; nothing left is 0
+    values, den = fpoly._simplex_grid_sum(2, [(5, [x, RatMultiPoly.zero(2)]), (0, [y])])
+    assert list(values) == [0] and den == 1
+    # values past 2^63 are Python integers
+    big = x.scale(2**70)
+    values, _ = fpoly._simplex_grid_sum(2, [(1, [big, big])])
+    assert values.dtype == object and max(values) == 2**140 * 4

@@ -66,3 +66,15 @@ def test_one_f_p_eliminator_in_ffcore():
             if isinstance(node, ast.FunctionDef) and node.name in F_P_ELIMINATION | {"_solve_mod_numpy"}:
                 where.setdefault(node.name, []).append(path.name)
     assert where == {name: ["ffcore.py"] for name in F_P_ELIMINATION}
+
+
+def test_one_grid_identity_checker_in_fpoly():
+    # certificates are re-verified by one exact evaluation on the simplex
+    # grid; a second copy (or a return to Fraction products) could drift
+    where = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in {"_simplex_grid_sum", "_grid_powers"}:
+                where.setdefault(node.name, []).append(path.name)
+    assert where == {"_simplex_grid_sum": ["fpoly.py"], "_grid_powers": ["fpoly.py"]}

@@ -610,3 +610,37 @@ def test_fubini_prepare_groups_lexicographic_rows_by_prefix(case):
     proj, _ = i_projection(family, M, k, {1})
     shaped = [restrict_blocks(g, M, [1]) for g in proj]
     assert omega_i_size == len(_enumerate_mset_reference(shaped, M, 1))
+
+
+def _sample_mset_reference(family, M, k, rng, count, max_rounds=4000):
+    """sample_mset with every function of the family evaluated on every row
+    of a batch, the rows kept by one mask."""
+    p, d = M.p, M.d
+    np_rng = np.random.default_rng(rng.randrange(2**63))
+    got, have = [], 0
+    for _ in range(max_rounds):
+        batch = np_rng.integers(0, p, size=(4096, k * d), dtype=np.int64)
+        keep = np.ones(len(batch), dtype=bool)
+        for f in family:
+            keep &= f.eval_array(batch) == 0
+        hits = batch[keep]
+        if len(hits):
+            got.append(hits)
+            have += len(hits)
+        if have >= count:
+            return np.concatenate(got)[:count]
+    raise BudgetExceeded("rejection sampling failed to hit the M-set")
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_sample_mset_matches_all_rows_reference(p):
+    # same stream, same rows, same order: Box_1 (two functions) and Box_2
+    # (four), at a radius where M(n) = 0 has no solution at n = 0
+    M = QuadForm.dot_form(PrimeField(p), 3, radius=1)
+    for s, count in ((1, 300), (2, 12)):
+        fam = gowers_family(M, s)
+        for seed in range(3):
+            got = sample_mset(fam, M, s + 1, random.Random(seed), count)
+            want = _sample_mset_reference(fam, M, s + 1, random.Random(seed), count)
+            assert got.shape == (count, (s + 1) * 3)
+            assert np.array_equal(got, want)
