@@ -825,8 +825,8 @@ def test_rat_from_json_rejects_negative_exponents():
 
 
 def _sum_reference(nvars, summands):
-    """sum_s c_s prod(factors_s) built by RatMultiPoly products in Fractions:
-    the comparison the certificate re-verifies made before the grid."""
+    """sum_s c_s prod(factors_s) built by RatMultiPoly products in
+    Fractions: the reference for fpoly._simplex_grid_sum."""
     total = RatMultiPoly.zero(nvars)
     for c, factors in summands:
         term = RatMultiPoly.constant(nvars, c)
@@ -869,11 +869,14 @@ def _grid_sum_cases(draw):
     kind = draw(st.sampled_from(["identity", "constant", "perturbed"]))
     AB = A * B
     summands = [(c, [A, B]), (d, [C]), (-d, [C])]
-    if kind == "perturbed" and c and AB:
-        top = max(A.degree() + B.degree(), C.degree() if d else 0)
-        axes = draw(st.lists(st.integers(0, nvars - 1), min_size=top, max_size=top))
-        exp = tuple(axes.count(j) for j in range(nvars))
-        AB = AB + RatMultiPoly(nvars, {exp: draw(coefficients.filter(bool))})
+    if kind == "perturbed":
+        if not (c and AB):
+            kind = "identity"
+        else:
+            top = max(A.degree() + B.degree(), C.degree() if d else 0)
+            axes = draw(st.lists(st.integers(0, nvars - 1), min_size=top, max_size=top))
+            exp = tuple(axes.count(j) for j in range(nvars))
+            AB = AB + RatMultiPoly(nvars, {exp: draw(coefficients.filter(bool))})
     summands.append((-c, [AB]))
     if kind == "constant":
         summands.append((draw(coefficients), []))
@@ -891,6 +894,8 @@ def test_simplex_grid_sum_matches_fraction_reference(case):
         assert ref.is_zero()
     elif kind == "constant":
         assert ref.degree() <= 0
+    else:  # the moved coefficient alone, at its degree-D monomial
+        assert len(ref.terms) == 1
 
 
 def test_simplex_grid_sum_examples():
