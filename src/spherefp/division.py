@@ -761,12 +761,12 @@ def sphere_periodic_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUD
     m_rat = M.as_ratpoly()
     # Q0 f - R_0/p - sum M^i R_i must be the constant C: equal to its value
     # at the origin everywhere on the grid
-    vals, den = _simplex_grid_sum(
+    vals, vals_den = _simplex_grid_sum(
         nvars, [(q0, [f]), (Fraction(-1, p), [r0])] + [(-1, [m_rat] * i + [r]) for i, r in rs.items()]
     )
     if (vals != vals[0]).any():
         raise TheoremViolation("periodic decomposition failed to re-verify")
-    c_value = Fraction(int(vals[0]), den)
+    c_value = Fraction(int(vals[0]), vals_den)
     # normalize: integer-over-p and integer parts of the constant belong to
     # the R_0 / p slot, so e.g. f = g/p comes back as (C, R_0) = (0, Q0 g)
     den = c_value.denominator
