@@ -67,14 +67,16 @@ HERMITE_CACHE_SIZE = 16
 
 @lru_cache(maxsize=HERMITE_CACHE_SIZE)
 def _hermite_reduce(rows):
-    """(h, u, pivcols) with u unimodular, u A^T = h in echelon form.
+    """The pivot rows of h = u A^T, u unimodular and h in echelon form.
 
-    rows: A as a tuple of row tuples of ints.  h and u are tuples of row
-    tuples; pivcols lists (row, col) of the positive pivots of h.  Each
-    pivot is the smallest nonzero entry left in its column after repeated
-    integer row reduction (Hermite-style, Cohen §2.4).  The result is
-    memoised on the matrix, so solving many right-hand sides against one
-    system pays for the reduction once; it is never mutated.
+    rows: A as a tuple of row tuples of ints.  Returns, for each positive
+    pivot of h in echelon order, (col, pivot, h_row, u_row): h_row and u_row
+    are the nonzero (column, value) pairs of that row of h and of u, the
+    only rows a back-substitution reads.  Each pivot is the smallest
+    nonzero entry left in its column after repeated integer row reduction
+    (Hermite-style, Cohen §2.4).  The result is memoised on the matrix, so
+    solving many right-hand sides against one system pays for the
+    reduction once; it is never mutated.
     """
     nrows = len(rows)
     ncols = len(rows[0])
@@ -110,7 +112,11 @@ def _hermite_reduce(rows):
             row += 1
             if row == ncols:
                 break
-    return tuple(map(tuple, at)), tuple(map(tuple, u)), tuple(pivcols)
+    return tuple((c, at[r][c], _support(at[r]), _support(u[r])) for r, c in pivcols)
+
+
+def _support(row):
+    return tuple((j, a) for j, a in enumerate(row) if a)
 
 
 def int_solve(rows, rhs):
@@ -119,27 +125,24 @@ def int_solve(rows, rhs):
     rows: list of lists of ints; rhs: list of ints.  The transposed system
     is Hermite-reduced once per distinct matrix (_hermite_reduce, keyed on
     its values); each call then solves y H = rhs in echelon order and
-    returns the fresh list x = y U.
+    returns the fresh list x = y U, updating the residual and x only on the
+    supports of the pivot rows of H and U.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     if nrows == 0 or ncols == 0:
         return [0] * ncols if all(b == 0 for b in rhs) else None
-    at, u, pivcols = _hermite_reduce(tuple(map(tuple, rows)))
-    y = [0] * ncols
     residual = list(rhs)
-    for r, c in pivcols:
-        if residual[c] % at[r][c] != 0:
+    x = [0] * ncols
+    for c, piv, h_row, u_row in _hermite_reduce(tuple(map(tuple, rows))):
+        t, rem = divmod(residual[c], piv)
+        if rem:
             return None
-        t = residual[c] // at[r][c]
-        y[r] = t
         if t:
-            residual = [a - t * b for a, b in zip(residual, at[r])]
+            for j, a in h_row:
+                residual[j] -= t * a
+            for j, a in u_row:
+                x[j] += t * a
     if any(residual):
         return None
-    # x = y U gives the combination of original columns
-    x = [0] * ncols
-    for t, urow in zip(y, u):
-        if t:
-            x = [a + t * b for a, b in zip(x, urow)]
     return x

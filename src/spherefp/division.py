@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 import numpy as np
@@ -644,12 +644,23 @@ def _system_rows(p, A, u, v, df, blocks):
     return tuple(map(tuple, _newton_differences(np.concatenate(parts), d, df).T.tolist()))
 
 
-def _p_free_denominator(coords, p):
-    """lcm of the denominators of coords, with every factor p removed."""
-    q = lcm(*(c.denominator for c in coords))
+def _p_free_part(q, p):
+    """q with every factor p removed."""
     while q % p == 0:
         q //= p
     return q
+
+
+def _scaled_rhs(nums, den, indices, p, depth):
+    """(q0, rhs) for the binomial coordinates nums[idx] / den at indices:
+    q0 is the p-free part of their common denominator, rhs their values
+    times q0 p^depth as integers, or None when one of those is not one."""
+    sel = [nums.get(idx, 0) for idx in indices]
+    q0 = _p_free_part(den // gcd(den, *sel), p)
+    scaled = [n * q0 * p**depth for n in sel]
+    if any(c % den for c in scaled):
+        return q0, None
+    return q0, [c // den for c in scaled]
 
 
 def _p_free_solve(amat, rhs, p, what):
@@ -662,7 +673,7 @@ def _p_free_solve(amat, rhs, p, what):
     xq = rat_solve([[Fraction(v) for v in row] for row in amat], [Fraction(c) for c in rhs])
     if xq is None:
         raise TheoremViolation(f"{what} inconsistent over Q")
-    scale = _p_free_denominator(xq, p)
+    scale = _p_free_part(lcm(*(c.denominator for c in xq)), p)
     z = int_solve(amat, [c * scale for c in rhs])
     if z is None:
         raise TheoremViolation(f"no integer {what} at any p-free scale")
@@ -699,17 +710,15 @@ def sphere_vanishing_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BU
     if df < 0:
         return 1, [RatMultiPoly.zero(f.nvars)]
     t = df // 2
-    coords = f.binomial_coeffs()
-    q0 = _p_free_denominator(coords.values(), p)
-    eq_indices = _binom_basis_indices(f.nvars, df)
-    rhs_coords = [coords.get(idx, 0) * q0 * p**t for idx in eq_indices]
-    if any(c.denominator != 1 for c in rhs_coords):
+    nums, den = f._binomial_numerators()
+    q0, rhs = _scaled_rhs(nums, den, _binom_basis_indices(f.nvars, df), p, t)
+    if rhs is None:
         raise TheoremViolation(
             "p-adic depth of f exceeds floor(deg f / 2); no decomposition exists"
         )
     blocks = [(i, t - i, _binom_basis_indices(f.nvars, df - 2 * i)) for i in range(t + 1)]
     amat = _system_matrix(M, df, blocks)
-    z, scale = _p_free_solve(amat, [int(c) for c in rhs_coords], p, "sphere-vanishing decomposition")
+    z, scale = _p_free_solve(amat, rhs, p, "sphere-vanishing decomposition")
     q0 *= scale
     rs = list(_block_polys(f.nvars, blocks, z).values())  # blocks i = 0..t
     m_rat = M.as_ratpoly()
@@ -719,7 +728,7 @@ def sphere_vanishing_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BU
     if (vals != 0).any():
         raise TheoremViolation("sphere-vanishing decomposition failed to re-verify")
     # p^t f is integer valued exactly when its binomial coordinates are integers
-    if any((c * p**t).denominator != 1 for c in coords.values()):
+    if any(n * p**t % den for n in nums.values()):
         raise TheoremViolation("second clause p^{floor(deg/2)} f failed")
     return q0, rs
 
@@ -738,23 +747,20 @@ def sphere_periodic_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUD
     if witness is not None:
         raise NotPartiallyPeriodic(witness)
     nvars = f.nvars
-    zero_idx = (0,) * nvars
     t = df // 2
     s_star = max(1, t)
     # the constant term of f only moves the zero coordinate, which C absorbs
-    coords = f.binomial_coeffs()
-    nonconst = [c for idx, c in coords.items() if idx != zero_idx]
-    q0 = _p_free_denominator(nonconst, p)
+    nums, den = f._binomial_numerators()
     eq_indices = _binom_basis_indices(nvars, df)[1:]  # all but the zero index
-    rhs_coords = [coords.get(idx, 0) * q0 * p**s_star for idx in eq_indices]
-    if any(c.denominator != 1 for c in rhs_coords):
+    q0, rhs = _scaled_rhs(nums, den, eq_indices, p, s_star)
+    if rhs is None:
         raise TheoremViolation("p-adic depth exceeds the periodic decomposition shape")
     # R_0 without its constant coordinate (redundant with C), then M^i R_i
     blocks = [(0, s_star - 1, eq_indices)] + [
         (i, s_star - i, _binom_basis_indices(nvars, df - 2 * i)) for i in range(2, t + 1)
     ]
     amat = _system_matrix(M, df, blocks)[1:]
-    z, scale = _p_free_solve(amat, [int(c) for c in rhs_coords], p, "periodic decomposition")
+    z, scale = _p_free_solve(amat, rhs, p, "periodic decomposition")
     q0 *= scale
     rs = _block_polys(nvars, blocks, z)
     r0 = rs.pop(0)

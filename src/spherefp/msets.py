@@ -21,7 +21,7 @@ from .fpoly import FpMultiPoly
 from .fpoly import _binom_basis_indices as _monomials_up_to  # cached, sorted tuple
 from .quadform import QuadForm
 
-ENUM_CHUNK_ROWS = 1 << 18  # mask cells (prefix rows x p^d block points) per chunk
+ENUM_CHUNK_ROWS = 1 << 18  # mask cells (prefix rows x column-cut block points) per chunk
 
 
 class NotConsistent(ValueError):
@@ -437,9 +437,13 @@ def enumerate_mset(family, M: QuadForm, k: int, budget=DEFAULT_BUDGET):
     """V(family) as an (N, k*d) array, built block by block using the
     standard representation, in lexicographic order.
 
-    Each chunk of prefix rows x is masked against all p^d block points y at
-    once: a function with top block blk is pre(x) + cross(x) . y + new(y)
-    (see _top_block_split), so the block product is never materialised."""
+    A function with top block blk is pre(x) + cross(x) . y + new(y) on
+    (prefix row x, block point y) (see _top_block_split).  The functions
+    with no cross term and a constant pre filter the p^d block points once
+    (the column cut); the others mask each chunk of prefix rows against the
+    surviving points only, so the block product is never materialised.
+    ENUM_CHUNK_ROWS counts those surviving cells.  The budget still charges
+    every prefix row p^d block points, before each block."""
     p, d = M.p, M.d
     a = np.array(M.A.rows, dtype=np.int64)
     rep = standard_rep(family, M, k)
@@ -448,30 +452,43 @@ def enumerate_mset(family, M: QuadForm, k: int, budget=DEFAULT_BUDGET):
         by_block.setdefault(f.max_block(), []).append(f)
     partial = np.zeros((1, 0), dtype=np.int64)
     pts = all_points(p, d)
-    step = max(1, ENUM_CHUNK_ROWS // len(pts))
     for blk in range(1, k + 1):
         if partial.shape[0] * len(pts) > budget:
             raise BudgetExceeded("M-set enumeration exceeds budget")
-        splits = [
-            _top_block_split(restrict_blocks(f, M, list(range(1, blk + 1))), pts, a)
-            for f in by_block.get(blk, [])
-        ]
-        kept = []
-        # one chunk even when partial is empty, so the result keeps its width
-        for start in range(0, max(len(partial), 1), step):
+        cut = np.ones(len(pts), dtype=bool)
+        splits = []
+        for f in by_block.get(blk, []):
+            prefix, cross_terms, new = _top_block_split(
+                restrict_blocks(f, M, list(range(1, blk + 1))), pts, a
+            )
+            if cross_terms or prefix.b or not prefix.is_pure():
+                splits.append((prefix, cross_terms, new))
+            else:
+                cut &= (new + prefix.u) % p == 0
+        block = pts[cut]
+        splits = [(prefix, cross_terms, new[cut]) for prefix, cross_terms, new in splits]
+        step = max(1, ENUM_CHUNK_ROWS // max(len(block), 1))
+        chunks = []  # (first prefix row, kept cells per row, kept columns)
+        for start in range(0, len(partial), step):
             part = partial[start : start + step]
-            mask = np.ones((len(part), len(pts)), dtype=bool)
+            mask = np.ones((len(part), len(block)), dtype=bool)
             for prefix, cross_terms, new in splits:
                 vals = prefix.eval_array(part)[:, None] + new
                 if cross_terms:
                     cross = np.zeros((len(part), d), dtype=np.int64)
                     for i, c in cross_terms:
                         cross = (cross + c * ((part[:, (i - 1) * d : i * d] @ a) % p)) % p
-                    vals += cross @ pts.T
+                    vals += cross @ block.T
                 mask &= vals % p == 0
-            rows, cols = np.nonzero(mask)
-            kept.append(np.concatenate([part[rows], pts[cols]], axis=1))
-        partial = np.concatenate(kept)
+            chunks.append((start, np.count_nonzero(mask, axis=1), np.nonzero(mask)[1]))
+        width = partial.shape[1]
+        out = np.empty((sum(len(cols) for _, _, cols in chunks), width + d), dtype=np.int64)
+        at = 0
+        for start, counts, cols in chunks:
+            out[at : at + len(cols), :width] = np.repeat(partial[start : start + step], counts, axis=0)
+            out[at : at + len(cols), width:] = block[cols]
+            at += len(cols)
+        partial = out
     return partial
 
 
@@ -510,12 +527,17 @@ def fubini_prepare(family, M: QuadForm, k: int, kprime: int, budget=DEFAULT_BUDG
     """Enumerations shared by repeated Fubini checks over the same set:
     (points of Omega in lexicographic order, so grouped by I-prefix, the
     start of each prefix's run plus len(points), |Omega_I|)."""
-    d = M.d
+    p, d = M.p, M.d
     pts = enumerate_mset(family, M, k, budget)
     if len(pts) == 0:
         raise ValueError("empty M-set")
     cut = kprime * d
-    changed = np.any(pts[1:, :cut] != pts[:-1, :cut], axis=1)
+    if p**cut < 2**63:
+        # each I-prefix read as one base-p number
+        key = pts[:, :cut] @ np.array([p**e for e in range(cut - 1, -1, -1)], dtype=np.int64)
+        changed = key[1:] != key[:-1]
+    else:
+        changed = np.any(pts[1:, :cut] != pts[:-1, :cut], axis=1)
     boundaries = [0] + (np.flatnonzero(changed) + 1).tolist() + [len(pts)]
     proj, _ = i_projection(family, M, k, set(range(1, kprime + 1)))
     proj_shaped = [restrict_blocks(g, M, list(range(1, kprime + 1))) for g in proj]

@@ -1,9 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherefp.counting import (
     BudgetExceeded,
@@ -845,3 +848,52 @@ def test_p_free_solve_rejects_a_p_power_denominator():
 def test_p_free_solve_rejects_an_inconsistent_system():
     with pytest.raises(TheoremViolation, match="x inconsistent over Q"):
         division._p_free_solve([[1], [1]], [0, 1], 5, "x")
+
+
+# -- the sphere solvers' right-hand sides ------------------------------------------
+
+
+def _scaled_rhs_reference(f, indices, p, depth):
+    """(q0, rhs) from Fraction binomial coordinates: q0 the lcm of their
+    denominators with every factor p removed, rhs the coordinates times
+    q0 p^depth, or None when one is not an integer."""
+    coords = f.binomial_coeffs()
+    q0 = lcm(*(coords.get(idx, Fraction(0)).denominator for idx in indices))
+    while q0 % p == 0:
+        q0 //= p
+    scaled = [coords.get(idx, 0) * q0 * p**depth for idx in indices]
+    if any(c.denominator != 1 for c in scaled):
+        return q0, None
+    return q0, [int(c) for c in scaled]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([5, 7]), st.integers(0, 3), st.booleans())
+def test_scaled_rhs_matches_fraction_products(seed, p, depth, skip_zero):
+    r = random.Random(seed)
+    nvars = r.randint(1, 4)
+    f = random_rat_poly(nvars, r.randint(0, 4), r, denominators=(1, 2, 3, p, 2 * p, p * p, 3 * p**3))
+    indices = _binom_basis_indices(nvars, max(f.degree(), 0))[1 if skip_zero else 0 :]
+    nums, den = f._binomial_numerators()
+    assert division._scaled_rhs(nums, den, indices, p, depth) == _scaled_rhs_reference(f, indices, p, depth)
+
+
+def test_sphere_solver_depth_checks_keep_their_messages(monkeypatch):
+    # with the fiber scan passed over, f = (C(n_1, 2) + n_2) / 25 is too
+    # deep for both shapes, and f / 3 meets the vanishing solver's second
+    # clause after a successful solve at Q0 = 3
+    monkeypatch.setattr(division, "_first_noninteger_fiber", lambda *a, **k: None)
+    Mz = ZpQuadForm.sphere(5, 4, 1)
+    g = RatMultiPoly.from_binomial(4, {(2, 0, 0, 0): 1, (0, 1, 0, 0): 1})
+    deep = g.scale(Fraction(1, 25))
+    with pytest.raises(TheoremViolation) as err:
+        sphere_vanishing_decompose(deep, Mz)
+    assert str(err.value) == "p-adic depth of f exceeds floor(deg f / 2); no decomposition exists"
+    with pytest.raises(TheoremViolation) as err:
+        sphere_periodic_decompose(deep, Mz)
+    assert str(err.value) == "p-adic depth exceeds the periodic decomposition shape"
+    with pytest.raises(TheoremViolation) as err:
+        sphere_vanishing_decompose(g.scale(Fraction(1, 3)), Mz)
+    assert str(err.value) == "second clause p^{floor(deg/2)} f failed"
+    q0, c, r0, rs = sphere_periodic_decompose(g.scale(Fraction(1, 3)), Mz)
+    assert q0 == 3 and c == 0 and r0 == g.scale(5)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherefp.counting import all_points, gowers_set
 from spherefp.ffcore import BudgetExceeded, PrimeField
@@ -568,7 +570,56 @@ def _mset_cases():
         "random_p7": (gowers_family(R, 1), R, 2),
         "vm_k1": (sphere_family(S), S, 1),
         "first_block_empty": ([MQuadFn(E, 2, {(1, 1): 1}, None, E.v)], E, 2),
+        # column cut: block 1 is free, then M(n) = 0 alone removes every
+        # block-2 point, so the empty result follows 5 prefix rows
+        "second_block_empty": ([MQuadFn(E, 2, {(2, 2): 1}, None, E.v)], E, 2),
+        # two prefix-free functions (M(n) = 0 and a linear one) cut block 2
+        # and a cross function masks the rest
+        "cut_two_plus_cross": (
+            [
+                MQuadFn(M, 2, {(2, 2): 1}, [[0] * 3, M.u[:]], M.v),
+                MQuadFn(M, 2, None, [[0] * 3, [1, 2, 0]], 1),
+                MQuadFn(M, 2, {(1, 2): 1, (1, 1): 3}, [[1, 0, 4], [0] * 3], 2),
+            ],
+            M,
+            2,
+        ),
+        # a nonzero constant in a prefix-free function of block 1 and in
+        # both kinds of block-3 function
+        "cut_constant": (
+            [
+                MQuadFn(N, 3, None, [[1, 3], [0, 0], [0, 0]], 4),
+                MQuadFn(N, 3, {(3, 3): 2}, [[0, 0], [0, 0], [1, 0]], 3),
+                MQuadFn(N, 3, {(2, 3): 1}, [[0, 0], [1, 0], [0, 0]], 2),
+            ],
+            N,
+            3,
+        ),
     }
+
+
+def _column_cut_shape(family, M, k):
+    """Per block, (prefix-free functions, masked functions) of the standard
+    representation, split the way enumerate_mset splits them."""
+    shape = [[0, 0] for _ in range(k)]
+    for f in standard_rep(family, M, k).functions:
+        blk = f.max_block()
+        free = all(ij == (blk, blk) for ij in f.b) and not any(map(any, f.v[: blk - 1]))
+        shape[blk - 1][0 if free else 1] += 1
+    return [tuple(s) for s in shape]
+
+
+def test_column_cut_cases_exercise_the_cut():
+    cases = _mset_cases()
+    assert _column_cut_shape(*cases["box1_hn"]) == [(0, 0), (1, 1)]
+    assert _column_cut_shape(*cases["second_block_empty"]) == [(0, 0), (1, 0)]
+    assert _column_cut_shape(*cases["cut_two_plus_cross"]) == [(0, 0), (2, 1)]
+    assert _column_cut_shape(*cases["cut_constant"]) == [(1, 0), (0, 0), (1, 1)]
+    fam, M, k = cases["cut_constant"]
+    assert all(f.u for f in standard_rep(fam, M, k).functions)
+    assert enumerate_mset(*cases["second_block_empty"]).shape == (0, 2)
+    assert len(enumerate_mset(*cases["cut_two_plus_cross"])) > 0
+    assert len(enumerate_mset(*cases["cut_constant"])) > 0
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 7, 300, None])
@@ -596,6 +647,71 @@ def test_enumerate_mset_budget_counts_prefix_rows_times_block_points(f5):
         enumerate_mset(fam, M, 2, budget=15624)
     with pytest.raises(NotConsistent):
         enumerate_mset([fam[0], MQuadFn(M, 2, {(2, 2): 1}, None, M.v + 1)], M, 2)
+
+
+def _random_family(r, M, k):
+    """One to three functions, each with a random top block, drawn
+    prefix-free (at most b on the top block's square, a linear part on the
+    top block only: "free" and "linear") or with random cross terms and
+    linear parts on earlier blocks ("cross")."""
+    p, d = M.p, M.d
+    fam = []
+    for _ in range(r.randint(1, 3)):
+        top = r.randint(1, k)
+        v = [[0] * d for _ in range(k)]
+        v[top - 1] = [r.randrange(p) for _ in range(d)]
+        b = {}
+        kind = r.choice(["free", "linear", "cross"])
+        if kind == "free":
+            b[(top, top)] = r.randrange(p)
+        elif kind == "cross":
+            for i in range(1, top + 1):
+                if r.random() < 0.6:
+                    b[(i, top)] = r.randrange(p)
+            for i in range(top - 1):
+                if r.random() < 0.3:
+                    v[i] = [r.randrange(p) for _ in range(d)]
+        fam.append(MQuadFn(M, k, b, v, r.randrange(p)))
+    return fam
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([5, 7]))
+def test_enumerate_mset_matches_reference_on_random_families(seed, p):
+    r = random.Random(seed)
+    d = r.randint(1, 3)
+    k = r.randint(1, 6 // d)
+    M = random_form(PrimeField(p), d, r)
+    fam = _random_family(r, M, k)
+    try:
+        want = _enumerate_mset_reference(fam, M, k)
+    except NotConsistent:
+        with pytest.raises(NotConsistent):
+            enumerate_mset(fam, M, k)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        for cap in (1, 37, None):
+            if cap is not None:
+                mp.setattr(msets, "ENUM_CHUNK_ROWS", cap)
+            got = enumerate_mset(fam, M, k)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [2097143, 2097169])
+def test_fubini_prepare_run_starts_at_the_packed_key_limit(p):
+    # d = 1, k = k' = 3: p^3 < 2^63 at p = 2097143, so the runs are found on
+    # packed keys close to 2^63; at p = 2097169 the column scan takes over
+    E = QuadForm(PrimeField(p), [[1]], [0], p - 4)  # n = 2 or p - 2
+    fam = [MQuadFn(E, 3, {(i, i): 1}, None, E.v) for i in (1, 2, 3)]
+    fam.append(MQuadFn(E, 3, {(1, 3): 1, (3, 3): 1}, None, p - 8))  # n_3 = n_1
+    pts, boundaries, omega_i_size = fubini_prepare(fam, E, 3, 3)
+    roots = [2, p - 2]
+    want = [(a, b, a) for a in roots for b in roots]
+    assert pts.tolist() == [list(t) for t in want]
+    assert boundaries == list(range(len(want) + 1)) and omega_i_size == len(want)
+    _, boundaries, _ = fubini_prepare(fam, E, 3, 1)
+    assert boundaries == [0, 2, 4]
 
 
 @pytest.mark.parametrize("case", ["box1_nh", "box1_hn", "box2", "mixed"])

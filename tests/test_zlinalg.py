@@ -1,4 +1,5 @@
-"""The memoised integer solver against the single-shot solver it replaced."""
+"""The memoised integer solver against the single-shot solver it replaced,
+and its sparse back-substitution against a dense one."""
 
 import copy
 
@@ -16,6 +17,14 @@ def _int_solve_reference(rows, rhs):
     ncols = len(rows[0]) if rows else 0
     if nrows == 0 or ncols == 0:
         return [0] * ncols if all(b == 0 for b in rhs) else None
+    return _dense_back_substitution(*_hermite_reference(rows), rhs)
+
+
+def _hermite_reference(rows):
+    """(at, u, pivcols): u unimodular, u A^T = at in echelon form, as dense
+    lists, with (row, col) of each positive pivot."""
+    nrows = len(rows)
+    ncols = len(rows[0])
     at = [list(col) for col in zip(*rows)]  # ncols x nrows
     u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     row = 0
@@ -47,6 +56,13 @@ def _int_solve_reference(rows, rhs):
             row += 1
             if row == ncols:
                 break
+    return at, u, pivcols
+
+
+def _dense_back_substitution(at, u, pivcols, rhs):
+    """y at = rhs in echelon order over whole dense rows, then x = y u, or
+    None when a pivot does not divide or a residual is left."""
+    ncols = len(u)
     y = [0] * ncols
     residual = list(rhs)
     for r, c in pivcols:
@@ -154,3 +170,55 @@ def test_reduction_memo_is_bounded_and_keyed_on_values():
     for k in range(_zlinalg.HERMITE_CACHE_SIZE + 5):
         int_solve([[k + 1, 1]], [k])
     assert _zlinalg._hermite_reduce.cache_info().currsize == _zlinalg.HERMITE_CACHE_SIZE
+
+
+@st.composite
+def _wide_systems(draw):
+    """(rows, [rhs, ...]): larger and sparser systems than _systems, with
+    right-hand sides in the integer image and image vectors with one entry
+    moved (mostly inconsistent over Z: a pivot that does not divide or a
+    residual left over)."""
+    nrows = draw(st.integers(2, 10))
+    ncols = draw(st.integers(2, 14))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-40, 40))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        rows[j] = [3 * a for a in rows[i]]
+    rhss = []
+    for _ in range(draw(st.integers(1, 5))):
+        b = _apply(rows, [draw(st.integers(-9, 9)) for _ in range(ncols)])
+        if draw(st.booleans()):
+            b[draw(st.integers(0, nrows - 1))] += draw(st.integers(1, 5))
+        rhss.append(b)
+    return rows, rhss
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_wide_systems())
+def test_int_solve_matches_dense_back_substitution_first_and_memoised(case):
+    rows, rhss = case
+    reduced = _hermite_reference(rows)
+    expected = [_dense_back_substitution(*reduced, b) for b in rhss]
+    for x, b in zip(expected, rhss):
+        assert x is None or _apply(rows, x) == b
+    for attempt in ("first", "memoised"):
+        if attempt == "first":
+            _zlinalg._hermite_reduce.cache_clear()
+        for b, want in zip(rhss, expected):
+            assert int_solve(rows, b) == want
+        info = _zlinalg._hermite_reduce.cache_info()
+        assert info.misses == 1 and info.hits == (len(rhss) - 1 if attempt == "first" else 2 * len(rhss) - 1)
+
+
+def test_int_solve_sparse_pivot_rows_examples():
+    # a pivot that does not divide, a residual left past the last pivot,
+    # and a consistent system whose U rows carry several entries
+    rows = [[2, 4, 0], [0, 6, 3]]
+    _zlinalg._hermite_reduce.cache_clear()
+    for b in ([1, 0], [2, 3], [4, 9], [0, 0]):
+        assert int_solve(rows, b) == _int_solve_reference(rows, b)
+    assert int_solve([[1, 1], [1, 1]], [1, 2]) is None
+    x = int_solve([[3, 5, 7], [2, 0, 1]], [1, 4])
+    assert x == _int_solve_reference([[3, 5, 7], [2, 0, 1]], [1, 4])
+    assert _apply([[3, 5, 7], [2, 0, 1]], x) == [1, 4]
