@@ -710,8 +710,8 @@ def sphere_vanishing_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BU
     if df < 0:
         return 1, [RatMultiPoly.zero(f.nvars)]
     t = df // 2
-    nums, den = f._binomial_numerators()
-    q0, rhs = _scaled_rhs(nums, den, _binom_basis_indices(f.nvars, df), p, t)
+    nums, nums_den = f._binomial_numerators()
+    q0, rhs = _scaled_rhs(nums, nums_den, _binom_basis_indices(f.nvars, df), p, t)
     if rhs is None:
         raise TheoremViolation(
             "p-adic depth of f exceeds floor(deg f / 2); no decomposition exists"
@@ -728,7 +728,7 @@ def sphere_vanishing_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BU
     if (vals != 0).any():
         raise TheoremViolation("sphere-vanishing decomposition failed to re-verify")
     # p^t f is integer valued exactly when its binomial coordinates are integers
-    if any(n * p**t % den for n in nums.values()):
+    if any(n * p**t % nums_den for n in nums.values()):
         raise TheoremViolation("second clause p^{floor(deg/2)} f failed")
     return q0, rs
 
@@ -750,9 +750,9 @@ def sphere_periodic_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUD
     t = df // 2
     s_star = max(1, t)
     # the constant term of f only moves the zero coordinate, which C absorbs
-    nums, den = f._binomial_numerators()
+    nums, nums_den = f._binomial_numerators()
     eq_indices = _binom_basis_indices(nvars, df)[1:]  # all but the zero index
-    q0, rhs = _scaled_rhs(nums, den, eq_indices, p, s_star)
+    q0, rhs = _scaled_rhs(nums, nums_den, eq_indices, p, s_star)
     if rhs is None:
         raise TheoremViolation("p-adic depth exceeds the periodic decomposition shape")
     # R_0 without its constant coordinate (redundant with C), then M^i R_i

@@ -527,17 +527,12 @@ def fubini_prepare(family, M: QuadForm, k: int, kprime: int, budget=DEFAULT_BUDG
     """Enumerations shared by repeated Fubini checks over the same set:
     (points of Omega in lexicographic order, so grouped by I-prefix, the
     start of each prefix's run plus len(points), |Omega_I|)."""
-    p, d = M.p, M.d
+    d = M.d
     pts = enumerate_mset(family, M, k, budget)
     if len(pts) == 0:
         raise ValueError("empty M-set")
     cut = kprime * d
-    if p**cut < 2**63:
-        # each I-prefix read as one base-p number
-        key = pts[:, :cut] @ np.array([p**e for e in range(cut - 1, -1, -1)], dtype=np.int64)
-        changed = key[1:] != key[:-1]
-    else:
-        changed = np.any(pts[1:, :cut] != pts[:-1, :cut], axis=1)
+    changed = np.any(pts[1:, :cut] != pts[:-1, :cut], axis=1)
     boundaries = [0] + (np.flatnonzero(changed) + 1).tolist() + [len(pts)]
     proj, _ = i_projection(family, M, k, set(range(1, kprime + 1)))
     proj_shaped = [restrict_blocks(g, M, list(range(1, kprime + 1))) for g in proj]

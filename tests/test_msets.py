@@ -698,22 +698,6 @@ def test_enumerate_mset_matches_reference_on_random_families(seed, p):
             assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("p", [2097143, 2097169])
-def test_fubini_prepare_run_starts_at_the_packed_key_limit(p):
-    # d = 1, k = k' = 3: p^3 < 2^63 at p = 2097143, so the runs are found on
-    # packed keys close to 2^63; at p = 2097169 the column scan takes over
-    E = QuadForm(PrimeField(p), [[1]], [0], p - 4)  # n = 2 or p - 2
-    fam = [MQuadFn(E, 3, {(i, i): 1}, None, E.v) for i in (1, 2, 3)]
-    fam.append(MQuadFn(E, 3, {(1, 3): 1, (3, 3): 1}, None, p - 8))  # n_3 = n_1
-    pts, boundaries, omega_i_size = fubini_prepare(fam, E, 3, 3)
-    roots = [2, p - 2]
-    want = [(a, b, a) for a in roots for b in roots]
-    assert pts.tolist() == [list(t) for t in want]
-    assert boundaries == list(range(len(want) + 1)) and omega_i_size == len(want)
-    _, boundaries, _ = fubini_prepare(fam, E, 3, 1)
-    assert boundaries == [0, 2, 4]
-
-
 @pytest.mark.parametrize("case", ["box1_nh", "box1_hn", "box2", "mixed"])
 def test_fubini_prepare_groups_lexicographic_rows_by_prefix(case):
     family, M, k = _mset_cases()[case]
