@@ -36,6 +36,7 @@ from .ffcore import FpMatrix, HypothesisFailed, PrimeField, matrix_inverse
 from .fpoly import (
     FpMultiPoly,
     RatMultiPoly,
+    ValueRangeError,
     _binom_basis_indices,
     _fiber_coefficient_table,  # re-exported: bench/tracing.py wraps it by this name
     _first_noninteger_fiber,
@@ -570,9 +571,9 @@ def lift_nullstellensatz(P: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUDGET):
     p = M.p
     s = P.degree()
     if s >= p:
-        raise ValueError("needs deg(P) < p")
+        raise ValueRangeError("needs deg(P) < p")
     if not P.takes_z_over_p_values(p):
-        raise ValueError("P must take values in Z/p")
+        raise ValueRangeError("P must take values in Z/p")
     if M.p_rank() < 3:
         raise RankHypothesisFailed("needs p-rank >= 3")
     Mbar = M.induced()
@@ -700,7 +701,7 @@ def sphere_vanishing_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BU
     p = M.p
     df = f.degree()
     if df >= p:
-        raise ValueError("needs deg(f) < p")
+        raise ValueRangeError("needs deg(f) < p")
     if M.p_rank() < 3:
         raise RankHypothesisFailed("needs p-rank >= 3")
     base_points = M.sphere_points(budget)
@@ -739,7 +740,7 @@ def sphere_periodic_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUD
     p = M.p
     df = f.degree()
     if df >= p:
-        raise ValueError("needs deg(f) < p")
+        raise ValueRangeError("needs deg(f) < p")
     if M.p_rank() < 3:
         raise RankHypothesisFailed("needs p-rank >= 3")
     base_points = M.sphere_points(budget)

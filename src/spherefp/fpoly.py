@@ -30,7 +30,7 @@ import json
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import comb, lcm, prod
 from operator import add
 
 import numpy as np
@@ -729,7 +729,7 @@ def partial_periodicity_witness(f: RatMultiPoly, omega, p: int):
     return _first_noninteger_fiber(f, sorted(omega), p, skip_constant=True)
 
 
-# -- fiber tables through Newton differences on the simplex grid ---------------
+# -- simplex-grid kernels: Newton differences, grid sums, fiber tables ---------
 
 
 @lru_cache(maxsize=None)
@@ -924,46 +924,99 @@ def _simplex_grid_sum(nvars, summands):
     return total, den
 
 
+@lru_cache(maxsize=None)
+def _fiber_axis_table(p, deg):
+    """The fiber of one monomial axis, for every residue: K[n0, k, i] =
+    Delta^i of m -> (n0 + p m)^k at m = 0, that is
+    sum_r (-1)^(i-r) C(i, r) (n0 + p r)^k, for n0 in 0..p-1 and k, i in
+    0..deg (0 when i > k).  Returns (table, table64, top), read-only:
+    table[n0, k (deg + 1) + i] = K[n0, k, i] in Python integers, table64
+    the same in int64 with every entry of 2^63 or more stored as 0, and
+    top[k] = max over n0, i of |K[n0, k, i]|.  Cached per (p, deg).
+
+    An entry stored as 0 is never read from table64: a term of exponent e
+    reads only rows k = e_j, and its top[e_j] enters the int64 bound of
+    _fiber_coefficient_table.
+    """
+    span = range(deg + 1)
+    rows = [
+        [sum((-1) ** (i - r) * comb(i, r) * (n0 + p * r) ** k for r in range(i + 1))
+         for k in span for i in span]
+        for n0 in range(p)
+    ]
+    top = [max(abs(x) for row in rows for x in row[k * (deg + 1) : (k + 1) * (deg + 1)]) for k in span]
+    table = np.array(rows, dtype=object)
+    table64 = np.array([[x if abs(x) < 2**63 else 0 for x in row] for row in rows], dtype=np.int64)
+    table.flags.writeable = table64.flags.writeable = False
+    return table, table64, top
+
+
+@lru_cache(maxsize=None)
+def _fiber_pair_plan(nvars, deg):
+    """Every pair (e, g) with g <= e componentwise on the simplex grid
+    _binom_basis_indices(nvars, deg), sorted by g's grid position.  Returns
+    (pos, epos, gpos, cols): pos maps each exponent to its grid position;
+    the read-only arrays epos and gpos hold the positions of e and g per
+    pair, and cols[j] = e_j (deg + 1) + g_j, the column of
+    _fiber_axis_table that axis j reads.  Cached per (nvars, deg)."""
+    grid = _binom_basis_indices(nvars, deg)
+    pos = {e: t for t, e in enumerate(grid)}
+    pairs = [
+        (g, tuple(map(add, g, h))) for g in grid for h in _binom_basis_indices(nvars, deg - sum(g))
+    ]
+    epos = np.array([pos[e] for _, e in pairs], dtype=np.intp)
+    gpos = np.array([pos[g] for g, _ in pairs], dtype=np.intp)
+    cols = np.array([[e[j] * (deg + 1) + g[j] for g, e in pairs] for j in range(nvars)], dtype=np.intp)
+    for arr in (epos, gpos, cols):
+        arr.flags.writeable = False
+    return pos, epos, gpos, cols
+
+
 def _fiber_coefficient_table(f: RatMultiPoly, base_points, p):
     """Binomial-basis coefficients of every fiber map m -> f(n0 + p m).
 
     The denominators of f are cleared by den = lcm of its coefficient
-    denominators; the integer polynomial den * f is evaluated at n0 + p g
-    for every base point n0 and every g on the grid
-    _binom_basis_indices(nvars, deg f), and Newton differences turn each
-    row of values into coordinates.  Returns (grid, numerators, den): the
-    coefficient of C(m, grid[t]) in the fiber at base_points[b] is
-    numerators[b, t] / den, so it is an integer exactly when den divides
-    numerators[b, t].  The table is int64 when a bound on every value,
-    power and difference shows it exact, else Python integers.
+    denominators, c_e = den f_e.  Monomials and forward differences both
+    factor over the axes, so the coefficient of C(m, g) in the fiber of
+    den f at n0 is sum over the terms e >= g of c_e prod_j K[n0_j, e_j, g_j],
+    with K the per-axis table of _fiber_axis_table.  Each pair (e, g) of
+    _fiber_pair_plan whose e is a term of f is one product of table columns
+    over the base points, and np.add.reduceat sums each g's pairs.
+
+    Returns (grid, numerators, den), grid = _binom_basis_indices(nvars,
+    deg f): the coefficient of C(m, grid[t]) in the fiber at base_points[b]
+    is numerators[b, t] / den, so it is an integer exactly when den divides
+    numerators[b, t].  The table is int64 while sum_e |c_e| prod_j top[e_j]
+    (top as in _fiber_axis_table), which bounds every partial product and
+    sum, and den are below 2^63, else Python integers.  Base points must
+    lie in [0, p)^nvars.
     """
     d = f.nvars
     deg = max(f.degree(), 0)
     grid = _binom_basis_indices(d, deg)
     den = f.denominator_lcm()
     base = np.asarray(base_points, dtype=np.int64).reshape(-1, d)
-    pts = base[:, None, :] + p * np.array(grid, dtype=np.int64)[None, :, :]
-    cleared = {e: int(c * den) for e, c in f.terms.items()}
-    # |den f| at these points is at most the bound, each power column too
-    # (coordinates taken >= 1), and a difference of order |g| at most 2^|g|
-    # times it
-    xmax = [int(np.abs(pts[:, :, j]).max(initial=1)) for j in range(d)]
-    bound = sum(abs(c) * prod(map(pow, xmax, e)) for e, c in cleared.items())
-    dtype = np.int64 if max(bound << deg, den) < 2**63 else object
-    powers = []
-    for j in range(d):
-        col = pts[:, :, j].astype(dtype)
-        pw = [1, col]
-        for _ in range(f.max_var_power(j) - 1):
-            pw.append(pw[-1] * col)
-        powers.append(pw)
-    vals = np.zeros(pts.shape[:2], dtype=dtype)
-    for e, term in cleared.items():
-        for j, k in enumerate(e):
-            if k:
-                term = term * powers[j][k]
-        vals += term
-    return grid, _newton_differences(vals, d, deg), den
+    if base.size and (base.min() < 0 or base.max() >= p):
+        raise ValueRangeError("fiber base points must lie in [0, p)^nvars")
+    table, table64, top = _fiber_axis_table(p, deg)
+    pos, epos, gpos, cols = _fiber_pair_plan(d, deg)
+    cleared = [c.numerator * (den // c.denominator) for c in f.terms.values()]
+    bound = sum(abs(c) * prod(top[k] for k in e) for e, c in zip(f.terms, cleared))
+    dtype = np.int64 if max(bound, den) < 2**63 else object
+    out = np.zeros((len(base), len(grid)), dtype=dtype)
+    if not cleared:
+        return grid, out, den
+    coef = np.zeros(len(grid), dtype=dtype)
+    coef[[pos[e] for e in f.terms]] = cleared
+    sel = np.flatnonzero(coef[epos])
+    tab = table64 if dtype is np.int64 else table
+    vals = coef[epos[sel]] * tab[:, cols[0, sel]][base[:, 0]]
+    for j in range(1, d):
+        vals *= tab[:, cols[j, sel]][base[:, j]]
+    gsel = gpos[sel]
+    starts = np.flatnonzero(np.diff(gsel, prepend=-1))
+    out[:, gsel[starts]] = np.add.reduceat(vals, starts, axis=1)
+    return grid, out, den
 
 
 def _first_noninteger_fiber(f, base_points, p, skip_constant=False):

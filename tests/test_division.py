@@ -1,7 +1,8 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -46,7 +47,9 @@ from spherefp.ffcore import FpMatrix, PrimeField, rank as mat_rank
 from spherefp.fpoly import (
     FpMultiPoly,
     RatMultiPoly,
+    ValueRangeError,
     _binom_basis_indices,
+    _fiber_axis_table,
     _fiber_coefficient_table,
     induce,
     partial_periodicity_witness,
@@ -432,7 +435,7 @@ def test_gowers_equation_budget_honesty(f5, rng):
         gowers_equation_solve(P, Q, M, 2, budget=10**6)
 
 
-# -- the Newton-difference kernel against the Fraction basis-change paths -------
+# -- the fiber tables against the Fraction basis-change paths -------------------
 
 
 def _fiber_table_reference(f, base_points, p):
@@ -446,8 +449,79 @@ def _fiber_table_reference(f, base_points, p):
     return rows
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@functools.cache
+def _axis_differences(p):
+    """K[n0][k][i]: the i-th forward difference at 0 of m -> (n0 + p m)^k,
+    by repeated differencing of its values, for n0, k, i < p."""
+    out = []
+    for n0 in range(p):
+        rows = []
+        for k in range(p):
+            vals = [(n0 + p * m) ** k for m in range(p)]
+            diffs = []
+            for _ in range(p):
+                diffs.append(vals[0])
+                vals = [b - a for a, b in zip(vals, vals[1:])]
+            rows.append(diffs)
+        out.append(rows)
+    return out
+
+
+def _int64_bound(f, p):
+    """sum_e |den f_e| prod_j max_{n0, i} |K[n0][e_j][i]|: the fiber table is
+    int64 exactly when this (and den) is below 2^63."""
+    K = _axis_differences(p)
+    top = [max(abs(x) for rows in K for x in rows[k]) for k in range(p)]
+    den = f.denominator_lcm()
+    return sum(abs(c * den) * prod(top[k] for k in e) for e, c in f.terms.items())
+
+
+def _factors_around_int64(f, p):
+    """The largest integer s with s * bound < 2^63 and the smallest with
+    s * bound >= 2^63, each coprime to den so that f.scale(s) keeps den and
+    its bound is s * bound."""
+    den, bound = f.denominator_lcm(), _int64_bound(f, p)
+    lo = (2**63 - 1) // bound
+    hi = lo + 1
+    while gcd(lo, den) != 1:
+        lo -= 1
+    while gcd(hi, den) != 1:
+        hi += 1
+    assert _int64_bound(f.scale(lo), p) < 2**63 <= _int64_bound(f.scale(hi), p)
+    return lo, hi
+
+
+def _check_fiber_table(g, pts, p, object_dtype, want=None):
+    """The fiber table of g at pts as Fractions, checked against want, or
+    against _fiber_table_reference when want is None."""
+    grid, numerators, den = _fiber_coefficient_table(g, pts, p)
+    assert (numerators.dtype == object) == object_dtype
+    assert grid == _binom_basis_indices(g.nvars, max(g.degree(), 0))
+    assert numerators.shape == (len(pts), len(grid))
+    table = [[Fraction(x, den) for x in row] for row in numerators.tolist()]
+    assert table == (_fiber_table_reference(g, pts, p) if want is None else want)
+    return table
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_fiber_axis_table_matches_forward_differences(p):
+    K = _axis_differences(p)
+    for deg in range(p):
+        table, table64, top = _fiber_axis_table(p, deg)
+        assert table.shape == table64.shape == (p, (deg + 1) ** 2)
+        assert not (table.flags.writeable or table64.flags.writeable)
+        for n0 in range(p):
+            want = [K[n0][k][i] for k in range(deg + 1) for i in range(deg + 1)]
+            assert table[n0].tolist() == want
+            assert table64[n0].tolist() == [x if abs(x) < 2**63 else 0 for x in want]
+        assert top == [max(abs(K[n0][k][i]) for n0 in range(p) for i in range(p)) for k in range(deg + 1)]
+    # the int64 copy masks entries at p = 13 only
+    assert any(abs(x) >= 2**63 for rows in K for x in rows[p - 1]) == (p == 13)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_fiber_table_matches_fiber_map(p, rng):
+    sphere = ZpQuadForm.sphere(p, 4, 1).sphere_points()
     for d in range(1, 5):
         for deg in range(5):
             top = tuple([deg] + [0] * (d - 1))
@@ -455,14 +529,24 @@ def test_fiber_table_matches_fiber_map(p, rng):
             f = f + RatMultiPoly(d, {top: Fraction(rng.randint(1, 9), p)})
             base_points = sorted({tuple(rng.randrange(p) for _ in range(d)) for _ in range(4)})
             big = f.scale(10**30)  # past the int64 bound: Python integers
-            for g in (f, big, RatMultiPoly.zero(d), RatMultiPoly.constant(d, Fraction(-4, 3))):
+            tiny = f.scale(Fraction(1, p**30))  # so is den, with the same c_e
+            for g in (f, big, tiny, RatMultiPoly.zero(d), RatMultiPoly.constant(d, Fraction(-4, 3))):
                 for pts in (base_points, base_points[:1]):
-                    grid, numerators, den = _fiber_coefficient_table(g, pts, p)
-                    assert (numerators.dtype == object) == (g is big)
-                    assert grid == _binom_basis_indices(d, max(g.degree(), 0))
-                    assert numerators.shape == (len(pts), len(grid))
-                    table = [[Fraction(x, den) for x in row] for row in numerators.tolist()]
-                    assert table == _fiber_table_reference(g, pts, p)
+                    _check_fiber_table(g, pts, p, g is big or g is tiny)
+            if (d, deg) == (4, 4):
+                want = _check_fiber_table(f, sphere, p, False)
+                # one factor on each side of the int64 bound; the fiber map
+                # is linear, so the reference scales with f
+                lo, hi = _factors_around_int64(f, p)
+                for s, object_dtype in ((lo, False), (hi, True)):
+                    _check_fiber_table(f.scale(s), sphere, p, object_dtype, [[s * x for x in row] for row in want])
+
+
+def test_fiber_table_rejects_base_points_outside_residues():
+    f = RatMultiPoly(2, {(1, 1): Fraction(1, 5)})
+    for pts in ([(0, 5)], [(-1, 0)]):
+        with pytest.raises(ValueRangeError, match="base points"):
+            _fiber_coefficient_table(f, pts, 5)
 
 
 def test_partial_periodicity_witness_matches_fiber_scan(rng):
@@ -626,6 +710,22 @@ def test_rank_preconditions_raise_typed_errors(f7):
         gowers_equation_solve(P, P, QuadForm.dot_form(f7, 3, radius=1), 1)
     # still a ValueError, so the CLI keeps its input-error exit code
     assert issubclass(RankHypothesisFailed, ValueError)
+
+
+def test_z_over_p_preconditions_raise_value_range_error():
+    # deg >= p (and, for the lifted Nullstellensatz, values outside Z/p)
+    # raise fpoly.ValueRangeError before any other work, as induce does
+    Mz = ZpQuadForm.sphere(5, 4, 1)
+    high = RatMultiPoly(4, {(5, 0, 0, 0): Fraction(1)})
+    for solver in (lift_nullstellensatz, sphere_vanishing_decompose, sphere_periodic_decompose):
+        with pytest.raises(ValueRangeError, match="deg") as info:
+            solver(high, Mz)
+        assert type(info.value) is ValueRangeError
+    with pytest.raises(ValueRangeError, match="Z/p") as info:
+        lift_nullstellensatz(RatMultiPoly(4, {(1, 0, 0, 0): Fraction(1, 25)}), Mz)
+    assert type(info.value) is ValueRangeError
+    # still a ValueError, so the CLI keeps its input-error exit code
+    assert issubclass(ValueRangeError, ValueError)
 
 
 # -- the batched witness scan against the scalar recursion ----------------------

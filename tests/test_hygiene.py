@@ -78,3 +78,23 @@ def test_one_grid_identity_checker_in_fpoly():
             if isinstance(node, ast.FunctionDef) and node.name in {"_simplex_grid_sum", "_grid_powers"}:
                 where.setdefault(node.name, []).append(path.name)
     assert where == {"_simplex_grid_sum": ["fpoly.py"], "_grid_powers": ["fpoly.py"]}
+
+
+def test_traced_layers_resolve_on_the_package():
+    # bench/tracing.py wraps each LAYERS entry by module and attribute name;
+    # a rename in spherefp would leave that layer silently untraced
+    import importlib
+    import importlib.util
+
+    path = SRC.parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("spherefp_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name, modname, attrs, _ in tracing.LAYERS:
+        owner = importlib.import_module("spherefp." + modname)
+        for attr in attrs.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(f"{name}: spherefp.{modname}.{attrs}")
+    assert tracing.LAYERS and missing == []
