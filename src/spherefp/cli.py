@@ -1,11 +1,12 @@
 """Command-line frontend: JSON in, JSON certificates and reports out.
 
-Exit codes: 0 first branch / success, 1 second branch / witness found,
-2 input error (including a numeric flag out of range), 3 budget exceeded,
-4 internal failure: a theorem violation, a solver that found no solution
-where the theory promises one, or any other uncaught exception.  Reports are
-canonical JSON (sorted keys, fixed separators) so identical seeds give
-byte-identical output.
+Exit codes: 0 first branch / success, 1 second branch / witness found.
+Any other code is the exit_code of the ffcore.SpherefpError raised: 2 input
+error, 3 budget exceeded, 4 theorem violation, 5 hypothesis not met.  Any
+error raised while reading the input is an input error; after parsing
+nothing is converted, and an exception from outside the library is a crash,
+printed with its traceback, exit 4.  Reports are canonical JSON (sorted
+keys, fixed separators) so identical seeds give byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,24 +16,20 @@ import json
 import random
 import sys
 import traceback
+from contextlib import contextmanager
+from operator import index
 
 from . import counting, division, equidist, msets
-from .counting import BudgetExceeded
+from .ffcore import MalformedInput, SpherefpError
 from .fpoly import FpMultiPoly, RatMultiPoly
 from .msets import NotConsistent
-from .quadform import AffineSubspace, QuadForm, TheoremViolation, normalize
+from .quadform import AffineSubspace, QuadForm, normalize
 
 SCHEMA = "sphere-hofa/1"
 
 EXIT_FIRST = 0
 EXIT_SECOND = 1
-EXIT_INPUT = 2
-EXIT_BUDGET = 3
-EXIT_INTERNAL = 4
-
-
-class InputError(Exception):
-    pass
+EXIT_INTERNAL = SpherefpError.exit_code
 
 
 def canonical_dumps(obj) -> str:
@@ -49,40 +46,43 @@ def _emit(report, out_path):
         sys.stdout.write(text)
 
 
+@contextmanager
+def _reading_input():
+    """The one parse guard: any error raised while reading outside input
+    (the JSON file, a field lookup, a from_json) is an input error."""
+    try:
+        yield
+    except MalformedInput:
+        raise
+    except Exception as exc:
+        raise MalformedInput(f"{type(exc).__name__}: {exc}") from None
+
+
 def _load_json(path):
     if path is None:
-        raise InputError("missing --json input file")
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read JSON input: {exc}") from None
+        raise MalformedInput("missing --json input file")
+    with open(path) as fh:
+        return json.load(fh)
 
 
-def _quadform(obj):
-    try:
-        return QuadForm.from_json(obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad quadratic form: {exc}") from None
+def _same_arity(d, polys):
+    if any(P.nvars != d for P in polys):
+        raise MalformedInput(f"polynomial nvars differs from the form's d = {d}")
 
 
-def _fp_poly(obj, p):
-    try:
-        return FpMultiPoly.from_json(p, obj)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad F_p polynomial: {exc}") from None
-
-
-def _rat_poly(obj):
-    try:
-        return RatMultiPoly.from_json(obj)
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational polynomial: {exc}") from None
+def _form_and_polys(args, *keys):
+    """The F_p form under "form" and the F_p polynomial under each key."""
+    with _reading_input():
+        data = _load_json(args.json)
+        M = QuadForm.from_json(data["form"])
+        polys = [FpMultiPoly.from_json(M.p, data[key]) for key in keys]
+        _same_arity(M.d, polys)
+    return (M, *polys)
 
 
 def cmd_normalize(args):
-    data = _load_json(args.json)
-    M = _quadform(data)
+    with _reading_input():
+        M = QuadForm.from_json(_load_json(args.json))
     cert = normalize(M)
     report = cert.to_json()
     report["verified"] = cert.verify()
@@ -91,20 +91,22 @@ def cmd_normalize(args):
 
 
 def cmd_count(args):
-    data = _load_json(args.json)
-    M = _quadform(data["form"] if "form" in data else data)
-    S = None
-    if isinstance(data, dict) and data.get("subspace"):
-        S = AffineSubspace.from_json(M.field, data["subspace"])
+    with _reading_input():
+        data = _load_json(args.json)
+        M = QuadForm.from_json(data["form"] if "form" in data else data)
+        S = None
+        if isinstance(data, dict) and data.get("subspace"):
+            S = AffineSubspace.from_json(M.field, data["subspace"])
     rep = counting.zero_count_check(M, S, args.budget)
     _emit(rep.to_json(), args.out)
     return EXIT_FIRST
 
 
 def cmd_expsum(args):
-    data = _load_json(args.json)
-    M = _quadform(data["form"])
-    xi = data["xi"]
+    with _reading_input():
+        data = _load_json(args.json)
+        M = QuadForm.from_json(data["form"])
+        xi = [index(x) for x in data["xi"]]
     value = counting.exp_sum(M, xi, args.budget)
     report = {
         "re": value.real,
@@ -118,17 +120,16 @@ def cmd_expsum(args):
 
 
 def cmd_gowers(args):
-    data = _load_json(args.json)
-    M = _quadform(data["form"] if "form" in data else data)
+    with _reading_input():
+        data = _load_json(args.json)
+        M = QuadForm.from_json(data["form"] if "form" in data else data)
     rep = counting.gowers_count_report(M, args.s, None, args.budget)
     _emit(rep.to_json(), args.out)
     return EXIT_FIRST
 
 
 def cmd_divide(args):
-    data = _load_json(args.json)
-    M = _quadform(data["form"])
-    P = _fp_poly(data["poly"], M.p)
+    M, P = _form_and_polys(args, "poly")
     cert = division.bij_division(P, M)
     report = cert.to_json()
     report["verified"] = cert.verify()
@@ -137,9 +138,7 @@ def cmd_divide(args):
 
 
 def cmd_nullstellensatz(args):
-    data = _load_json(args.json)
-    M = _quadform(data["form"])
-    P = _fp_poly(data["poly"], M.p)
+    M, P = _form_and_polys(args, "poly")
     kind, payload = division.nullstellensatz(P, M, args.budget)
     if kind == "certificate":
         _emit({"kind": "certificate", "quotient": payload.to_json()}, args.out)
@@ -149,9 +148,7 @@ def cmd_nullstellensatz(args):
 
 
 def cmd_dichotomy(args):
-    data = _load_json(args.json)
-    M = _quadform(data["form"])
-    P = _fp_poly(data["poly"], M.p)
+    M, P = _form_and_polys(args, "poly")
     verdict = division.dichotomy(P, M, args.delta, args.budget)
     report = verdict.to_json()
     report["delta"] = args.delta
@@ -160,11 +157,9 @@ def cmd_dichotomy(args):
 
 
 def cmd_decompose(args):
-    data = _load_json(args.json)
     kind = args.kind
     if kind == "intrinsic":
-        M = _quadform(data["form"])
-        g = _fp_poly(data["poly"], M.p)
+        M, g = _form_and_polys(args, "poly")
         res = division.intrinsic_decompose(g, M, args.s, args.budget)
         if res[0] == "decomposition":
             _emit(
@@ -175,9 +170,7 @@ def cmd_decompose(args):
         _emit({"kind": "witness", "cube": [list(x) for x in res[1]]}, args.out)
         return EXIT_SECOND
     if kind == "gowers-equation":
-        M = _quadform(data["form"])
-        P = _fp_poly(data["P"], M.p)
-        Q = _fp_poly(data["Q"], M.p)
+        M, P, Q = _form_and_polys(args, "P", "Q")
         res = division.gowers_equation_solve(P, Q, M, args.s, args.budget)
         if res[0] == "factorization":
             _emit(
@@ -193,8 +186,11 @@ def cmd_decompose(args):
             return EXIT_FIRST
         _emit({"kind": "witness", "cube": [list(x) for x in res[1]]}, args.out)
         return EXIT_SECOND
-    Mz = division.ZpQuadForm.from_json(data["form"])
-    f = _rat_poly(data["poly"])
+    with _reading_input():
+        data = _load_json(args.json)
+        Mz = division.ZpQuadForm.from_json(data["form"])
+        f = RatMultiPoly.from_json(data["poly"])
+        _same_arity(Mz.d, [f])
     if kind == "lift-nullstellensatz":
         try:
             p1, p0 = division.lift_nullstellensatz(f, Mz, args.budget)
@@ -231,13 +227,21 @@ def cmd_decompose(args):
             args.out,
         )
         return EXIT_FIRST
-    raise InputError(f"unknown decomposition kind {kind!r}")
+    raise MalformedInput(f"unknown decomposition kind {kind!r}")
+
+
+def _form_and_family(args):
+    """The F_p form under "form", the M-set family under "family" with its
+    k, and the whole input for further fields."""
+    with _reading_input():
+        data = _load_json(args.json)
+        M = QuadForm.from_json(data["form"])
+        family, k = msets.family_from_json(M, data["family"])
+    return M, family, k, data
 
 
 def cmd_mset_repr(args):
-    data = _load_json(args.json)
-    M = _quadform(data["form"])
-    family, k = msets.family_from_json(M, data["family"])
+    M, family, k, _ = _form_and_family(args)
     try:
         rep = msets.standard_rep(family, M, k)
     except NotConsistent as exc:
@@ -248,13 +252,14 @@ def cmd_mset_repr(args):
 
 
 def cmd_fubini_check(args):
-    data = _load_json(args.json)
-    M = _quadform(data["form"])
-    family, k = msets.family_from_json(M, data["family"])
+    M, family, k, data = _form_and_family(args)
+    with _reading_input():
+        all_ones = data.get("f") == "one"
+        kprime = index(data.get("kprime", 1))
     rng = random.Random(args.seed)
     table = {}
 
-    if data.get("f") == "one":
+    if all_ones:
         func = lambda x: 1
     else:
         def func(x):
@@ -262,7 +267,7 @@ def cmd_fubini_check(args):
                 table[x] = rng.choice((-1, 1))
             return table[x]
 
-    lhs, rhs, diff = msets.fubini_check(family, M, k, data.get("kprime", 1), func, args.budget)
+    lhs, rhs, diff = msets.fubini_check(family, M, k, kprime, func, args.budget)
     bound = 4 * M.p**-0.5
     _emit(
         {
@@ -278,9 +283,7 @@ def cmd_fubini_check(args):
 
 
 def cmd_irreducibility_probe(args):
-    data = _load_json(args.json)
-    M = _quadform(data["form"])
-    family, k = msets.family_from_json(M, data["family"])
+    M, family, k, _ = _form_and_family(args)
     rng = random.Random(args.seed)
     verdicts = msets.irreducibility_probe(
         family, M, k, args.s, args.delta, args.trials, rng, args.budget
@@ -297,9 +300,11 @@ def cmd_irreducibility_probe(args):
 
 
 def cmd_equidist(args):
-    data = _load_json(args.json)
-    g = equidist.TorusPolySeq.from_json(data["sequence"])
-    omega = equidist.sphere_points(args.prime, g.d, data.get("radius", 0), args.budget)
+    with _reading_input():
+        data = _load_json(args.json)
+        g = equidist.TorusPolySeq.from_json(data["sequence"])
+        radius = index(data.get("radius", 0))
+    omega = equidist.sphere_points(args.prime, g.d, radius, args.budget)
     K = args.freq_budget or max(1, min(1000, int(args.delta**-2) + 1))
     rep = equidist.equidist_test(g, omega, args.delta, K)
     report = rep.to_json()
@@ -309,9 +314,11 @@ def cmd_equidist(args):
 
 
 def cmd_weyl(args):
-    data = _load_json(args.json)
-    g = _rat_poly(data["poly"])
-    out = equidist.weyl_dichotomy(g, args.prime, data.get("radius", 0), args.delta, args.budget)
+    with _reading_input():
+        data = _load_json(args.json)
+        g = RatMultiPoly.from_json(data["poly"])
+        radius = index(data.get("radius", 0))
+    out = equidist.weyl_dichotomy(g, args.prime, radius, args.delta, args.budget)
     report = out.to_json()
     report["delta"] = args.delta
     _emit(report, args.out)
@@ -319,14 +326,14 @@ def cmd_weyl(args):
 
 
 def cmd_leibman_probe(args):
-    data = _load_json(args.json) if args.json else {}
+    with _reading_input():
+        data = _load_json(args.json) if args.json else {}
+        d = index(data.get("dim", args.dim))
+        s = index(data.get("s", 2))
+        radius = index(data.get("radius", 1))
     rng = random.Random(args.seed)
-    d = data.get("dim", args.dim)
-    s = data.get("s", 2)
     K = args.freq_budget or 20
-    res = equidist.leibman_probe(
-        args.prime, d, data.get("radius", 1), s, args.delta, args.trials, K, rng, args.budget
-    )
+    res = equidist.leibman_probe(args.prime, d, radius, s, args.delta, args.trials, K, rng, args.budget)
     _emit(res, args.out)
     return EXIT_FIRST if not res["violations"] else EXIT_SECOND
 
@@ -380,7 +387,9 @@ def _validate(args):
     ]
     for flag, value, low in floors:
         if value < low:
-            raise InputError(f"{flag} must be at least {low}, got {value}")
+            raise MalformedInput(f"{flag} must be at least {low}, got {value}")
+    if not 0 < args.delta <= 1:  # also rejects nan
+        raise MalformedInput(f"--delta must lie in (0, 1], got {args.delta}")
 
 
 def main(argv=None):
@@ -389,19 +398,10 @@ def main(argv=None):
     try:
         _validate(args)
         return COMMANDS[args.command](args)
-    except InputError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return EXIT_INPUT
-    except BudgetExceeded as exc:
-        sys.stderr.write(f"budget exceeded: {exc}\n")
-        return EXIT_BUDGET
-    except (KeyError, TypeError, ValueError) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return EXIT_INPUT
-    except TheoremViolation as exc:
-        sys.stderr.write(f"theorem violation: {exc}\n")
-        return EXIT_INTERNAL
-    except Exception:  # NoSolution, DichotomyViolation or a bug: never a branch code
+    except SpherefpError as exc:
+        sys.stderr.write(f"{exc.label}: {exc}\n")
+        return exc.exit_code
+    except Exception:  # a bug: never a branch code
         sys.stderr.write(f"internal error:\n{traceback.format_exc()}")
         return EXIT_INTERNAL
 

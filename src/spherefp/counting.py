@@ -17,18 +17,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffcore import BudgetExceeded, FpMatrix, rank as mat_rank
+from .ffcore import BudgetExceeded, FpMatrix, HypothesisNotMet, MalformedInput, rank as mat_rank
 from .quadform import AffineSubspace, QuadForm, qf_rank, restricted_rank
 
 DEFAULT_BUDGET = 10**8
 O_CONSTANT = 4  # explicit stand-in for every O(.) constant at desk scale
 
 
-class RankHypothesisFailed(ValueError):
+class RankHypothesisFailed(HypothesisNotMet):
     pass
 
 
-class DependentShifts(ValueError):
+class DependentShifts(HypothesisNotMet):
     pass
 
 
@@ -196,6 +196,8 @@ def root_sum(counts, p):
 
 def exp_sum(M: QuadForm, xi, budget=DEFAULT_BUDGET):
     """E_{n in V(M)} e(xi . tau(n) / p), exact summands, |error| < 1e-10."""
+    if len(xi) != M.d:
+        raise MalformedInput(f"xi has length {len(xi)}, the form has d = {M.d}")
     pts = enumerate_zeros(M, None, budget)
     if len(pts) == 0:
         raise RankHypothesisFailed("V(M) is empty")
@@ -223,7 +225,7 @@ def exp_sum_bound(M: QuadForm) -> float:
 def gauss_sum(p: int, j: int):
     """sum_{n in F_p} e(j n^2 / p); modulus sqrt(p) for j != 0."""
     if j % p == 0:
-        raise ValueError("j must be nonzero")
+        raise HypothesisNotMet("j must be nonzero")
     counts = np.bincount(
         np.array([(j * n * n) % p for n in range(p)], dtype=np.int64), minlength=p
     )

@@ -32,7 +32,8 @@ from .counting import (
     enumerate_zeros,
     gowers_blocks,
 )
-from .ffcore import FpMatrix, HypothesisFailed, PrimeField, matrix_inverse
+from .ffcore import FpMatrix, HypothesisFailed, HypothesisNotMet, MalformedInput, PrimeField
+from .ffcore import TheoremViolation, matrix_inverse
 from .fpoly import (
     FpMultiPoly,
     RatMultiPoly,
@@ -46,34 +47,30 @@ from .fpoly import (
     p_expand,
     regular_lift,
 )
-from .quadform import QuadForm, TheoremViolation, qf_rank
+from .quadform import QuadForm, qf_rank
 
 
-class PivotZero(ValueError):
+class PivotZero(HypothesisNotMet):
     pass
 
 
-class ZeroMatrix(ValueError):
+class ZeroMatrix(HypothesisNotMet):
     pass
 
 
-class NoSolution(Exception):
-    pass
-
-
-class WitnessFound(Exception):
+class WitnessFound(HypothesisNotMet):
     def __init__(self, witness):
         super().__init__(f"witness {witness}")
         self.witness = witness
 
 
-class NotSphereIntegral(ValueError):
+class NotSphereIntegral(HypothesisNotMet):
     def __init__(self, witness):
         super().__init__(f"not integer valued on the quadric: {witness}")
         self.witness = witness
 
 
-class NotPartiallyPeriodic(ValueError):
+class NotPartiallyPeriodic(HypothesisNotMet):
     def __init__(self, witness):
         super().__init__(f"not partially p-periodic on the quadric: {witness}")
         self.witness = witness
@@ -94,7 +91,7 @@ def pivot_change(A: FpMatrix):
     p = field.p
     d = A.nrows
     if not A.is_symmetric():
-        raise ValueError("pivot_change needs a symmetric matrix")
+        raise MalformedInput("pivot_change needs a symmetric matrix")
     for i in range(d):
         if A.rows[i][i] != 0:
             rows = [[0] * d for _ in range(d)]
@@ -153,9 +150,10 @@ class DivisionCert:
         return True
 
     def divisor_multiple(self):
-        """The polynomial R with P = M R when the remainders vanish."""
+        """The polynomial R with P = M R when the remainders vanish; a
+        nonzero remainder raises HypothesisNotMet."""
         if not self.remainder_is_zero():
-            raise NoSolution("nonzero remainder")
+            raise HypothesisNotMet("nonzero remainder")
         binv = matrix_inverse(self.B)
         return self.quotient.compose_linear(binv.rows)
 
@@ -199,7 +197,7 @@ def standard_division(P: FpMultiPoly, M: QuadForm) -> DivisionCert:
     """The standard long division P = M Q + n_1 R_1(n') + R_0(n');
     requires the upper-left entry of A to be nonzero and deg(P) < p."""
     if P.degree() >= M.p:
-        raise ValueError("standard division requires deg(P) < p")
+        raise ValueRangeError("standard division requires deg(P) < p")
     if M.A.rows[0][0] == 0:
         raise PivotZero("upper-left entry of A is zero")
     ident = FpMatrix.identity(M.field, M.d)
@@ -213,7 +211,7 @@ def standard_division(P: FpMultiPoly, M: QuadForm) -> DivisionCert:
 def bij_division(P: FpMultiPoly, M: QuadForm) -> DivisionCert:
     """B_{i,j}-standard long division: pivot first, then divide."""
     if P.degree() >= M.p:
-        raise ValueError("division requires deg(P) < p")
+        raise ValueRangeError("division requires deg(P) < p")
     pivot, B = pivot_change(M.A)
     pb = P.compose_linear(B.rows)
     mb = M.composed(B)
@@ -232,7 +230,7 @@ def nullstellensatz(P: FpMultiPoly, M: QuadForm, budget=DEFAULT_BUDGET):
     ('witness', n) with n in V(M), P(n) != 0.  Total by the dichotomy."""
     s = P.degree()
     if not (M.p >= 5 and M.p > 2 * s):
-        raise ValueError("needs p >= 5 and p > 2 deg(P)")
+        raise ValueRangeError("needs p >= 5 and p > 2 deg(P)")
     return _nullstellensatz_core(P, M, budget)
 
 
@@ -302,7 +300,7 @@ def antiderivative(Q: FpMultiPoly, M: QuadForm, budget=DEFAULT_BUDGET):
     """Given d1M diQ = diM d1Q on V(M) for all i and Q(0) = 0, produce Q'
     with Q = M Q'.  Hypothesis failures carry (i, witness point)."""
     if Q.constant_term() != 0:
-        raise ValueError("antiderivative requires Q(0) = 0")
+        raise HypothesisNotMet("antiderivative requires Q(0) = 0")
     if qf_rank(M) < 3:
         raise RankHypothesisFailed("antiderivative needs rank(M) >= 3")
     mp = M.as_poly()
@@ -436,7 +434,7 @@ def intrinsic_decompose(g: FpMultiPoly, M: QuadForm, s: int, budget=DEFAULT_BUDG
     deg g1 <= s - 2, deg g2 <= s - 1, or ('witness', cube) with a Gowers
     cube on which the s-fold difference of g does not vanish."""
     if g.degree() > s:
-        raise ValueError("deg(g) must be at most s")
+        raise ValueRangeError("deg(g) must be at most s")
     res = reduce_mod_form(g, M, s - 1)
     if res is not None:
         g1, g2 = res
@@ -490,7 +488,7 @@ def gowers_equation_solve(P: FpMultiPoly, Q: FpMultiPoly, M: QuadForm, s: int, b
     rp = reduce_mod_form(P, M, s - 2)
     rq = reduce_mod_form(Q, M, s - 1)
     if rp is None or rq is None:
-        raise NoSolution(
+        raise TheoremViolation(
             "cube equation holds on Box_s but a factorization does not exist"
         )
     p1, p2 = rp
@@ -511,7 +509,7 @@ class ZpQuadForm:
         for i in range(self.d):
             for j in range(self.d):
                 if self.A[i][j] != self.A[j][i]:
-                    raise ValueError("A must be symmetric")
+                    raise MalformedInput("A must be symmetric")
         self.u = [int(x) for x in (u or [0] * self.d)]
         self.v = int(v)
 

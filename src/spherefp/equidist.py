@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .counting import root_sum
+from .counting import RankHypothesisFailed, root_sum
 from .division import ZpQuadForm, lift_nullstellensatz
-from .ffcore import BudgetExceeded
-from .fpoly import RatMultiPoly, _simplex_grid_sum, binom_int, partial_periodicity_witness
-from .quadform import TheoremViolation
+from .ffcore import BudgetExceeded, HypothesisNotMet, MalformedInput, TheoremViolation
+from .fpoly import ArityMismatch, NotIntegerValued, RatMultiPoly, ValueRangeError
+from .fpoly import _simplex_grid_sum, binom_int, partial_periodicity_witness
 
 
-class DichotomyViolation(Exception):
+class DichotomyViolation(TheoremViolation):
     """Large sum without exact constancy; expected only outside the
     theorem regime (d < s + 13 or p too small)."""
 
@@ -48,21 +48,21 @@ class TorusPolySeq:
         for idx, vec in coeffs.items():
             idx = tuple(idx)
             if len(idx) != d:
-                raise ValueError("index arity mismatch")
+                raise ArityMismatch("index arity mismatch")
             if sum(idx) > s:
-                raise ValueError("coefficient beyond the filtration degree")
+                raise MalformedInput("coefficient beyond the filtration degree")
             vec = tuple(Fraction(x) for x in vec)
             if len(vec) != m:
-                raise ValueError("coefficient dimension mismatch")
+                raise MalformedInput("coefficient dimension mismatch")
             if any(vec):
                 self.coeffs[idx] = vec
         if block_dims is not None:
             if len(block_dims) != s + 1:
-                raise ValueError("need s + 1 filtration block dimensions")
+                raise MalformedInput("need s + 1 filtration block dimensions")
             for idx, vec in self.coeffs.items():
                 mj = block_dims[sum(idx)]
                 if any(vec[: m - mj]):
-                    raise ValueError(
+                    raise MalformedInput(
                         f"degree-{sum(idx)} coefficient leaves filtration block"
                     )
         self.block_dims = block_dims
@@ -81,7 +81,7 @@ class TorusPolySeq:
     def dot(self, k) -> RatMultiPoly:
         """The scalar sequence k . g as a rational polynomial."""
         if len(k) != self.m:
-            raise ValueError("frequency arity mismatch")
+            raise ArityMismatch("frequency arity mismatch")
         out = {}
         for idx, vec in self.coeffs.items():
             c = sum(Fraction(ki) * vi for ki, vi in zip(k, vec))
@@ -125,7 +125,7 @@ class TorusPolySeq:
         d = obj.get("d")
         if d is None:
             if not coeffs:
-                raise ValueError("cannot infer arity of an empty sequence")
+                raise MalformedInput("cannot infer arity of an empty sequence")
             d = len(next(iter(coeffs)))
         return cls(d, obj["m"], obj["s"], coeffs)
 
@@ -169,6 +169,13 @@ def frequencies(m, K):
     return out
 
 
+def frequency_count(m, K):
+    """len(frequencies(m, K)) in closed form: a vector with exactly j
+    nonzero entries has C(m, j) supports, 2^j sign patterns and C(K, j)
+    positive j-tuples of sum at most K."""
+    return sum(2**j * math.comb(m, j) * math.comb(K, j) for j in range(1, m + 1))
+
+
 class EquidistReport:
     def __init__(self, verdict, max_fourier, witness_k=None, constant=None, delta=None):
         self.verdict = verdict  # 'equidistributed' | 'obstructed' | 'violation'
@@ -206,7 +213,7 @@ def constancy_check(k, g: TorusPolySeq, omega):
     """Whether k.g(tau(n)) mod Z is a single value on omega; returns
     (bool, that value as a Fraction in [0,1))."""
     if not omega:
-        raise ValueError("empty point set")
+        raise HypothesisNotMet("empty point set")
     values = _phase_values(g, k, omega)
     first = values[0]
     return all(v == first for v in values), first
@@ -228,10 +235,11 @@ def equidist_test(g: TorusPolySeq, omega, delta, K, freq_budget=200000):
     an exact obstruction raises DichotomyViolation."""
     omega = [tuple(int(x) for x in n) for n in omega]
     if not omega:
-        raise ValueError("empty point set")
+        raise HypothesisNotMet("empty point set")
+    count = frequency_count(g.m, K)
+    if count > freq_budget:
+        raise BudgetExceeded(f"{count} frequencies exceed budget")
     freqs = frequencies(g.m, K)
-    if len(freqs) > freq_budget:
-        raise BudgetExceeded(f"{len(freqs)} frequencies exceed budget")
     max_fourier = 0.0
     argmax = None
     best_const = None
@@ -291,7 +299,7 @@ def _mod_p_residues(g: RatMultiPoly, p: int, points):
 
     dd = g.denominator_lcm()
     if dd % p == 0:
-        raise ValueError("denominator divisible by p")
+        raise ValueRangeError("denominator divisible by p")
     cleared = g.scale(dd)
     terms = {e: int(c) % p for e, c in cleared.terms.items()}
     h = FpMultiPoly(p, g.nvars, terms)
@@ -308,12 +316,12 @@ def weyl_dichotomy(g: RatMultiPoly, p: int, radius: int, delta: float, budget=10
     omega may carry a precomputed list of sphere points to avoid
     re-enumeration across many calls."""
     if not g.is_integer_valued():
-        raise ValueError("weyl_dichotomy requires an integer valued polynomial")
+        raise NotIntegerValued("weyl_dichotomy requires an integer valued polynomial")
     d = g.nvars
     if omega is None:
         omega = sphere_points(p, d, radius, budget)
     if not omega:
-        raise TheoremViolation("empty sphere (rank hypothesis fails)")
+        raise RankHypothesisFailed("empty sphere (rank hypothesis fails)")
     residues = [int(r) for r in _mod_p_residues(g, p, omega)]
     first = residues[0]
     if all(rv == first for rv in residues):

@@ -1,20 +1,56 @@
 """Exact arithmetic in the prime field F_p and the small linear algebra kit
 used everywhere else: canonical representatives, Legendre symbols, reduced
 row echelon form, and linear solving with explicit null-space bases.
+The library's one error hierarchy, with its exit codes, is defined here.
 """
 
 from __future__ import annotations
 
 
-class NotPrime(ValueError):
+class SpherefpError(Exception):
+    """Base of every error the library raises on purpose.  The class carries
+    the exit policy: the command line prints f"{label}: {message}" and exits
+    with exit_code, never 0 or 1, the two branches of a dichotomy."""
+
+    exit_code = 4
+    label = "internal error"
+
+
+class MalformedInput(SpherefpError, ValueError):
+    """Not a valid object: ragged, asymmetric, or mismatched in arity."""
+
+    exit_code = 2
+    label = "input error"
+
+
+class BudgetExceeded(SpherefpError):
+    exit_code = 3
+    label = "budget exceeded"
+
+
+class HypothesisNotMet(SpherefpError, ValueError):
+    """Well-formed input outside a stated hypothesis: a rank bound,
+    deg < p, values in Z/p, independent shifts, a consistent family."""
+
+    exit_code = 5
+    label = "hypothesis not met"
+
+
+class TheoremViolation(SpherefpError):
+    """A proven implication failed on a concrete instance.
+
+    Never raised in the theorem regime; at desk scale it is an honest
+    failure mode rather than a silently wrong certificate.
+    """
+
+    label = "theorem violation"
+
+
+class NotPrime(MalformedInput):
     pass
 
 
-class BudgetExceeded(Exception):
-    pass
-
-
-class HypothesisFailed(Exception):
+class HypothesisFailed(HypothesisNotMet):
     """A checked hypothesis fails; witness is the point (or data) where."""
 
     def __init__(self, witness, message="hypothesis failed"):
@@ -22,16 +58,8 @@ class HypothesisFailed(Exception):
         self.witness = witness
 
 
-class Infeasible(Exception):
+class Infeasible(SpherefpError):
     """Raised by solve_linear when the system has no solution."""
-
-
-class TheoremViolation(AssertionError):
-    """A proven implication failed on a concrete instance.
-
-    Never raised in the theorem regime; at desk scale it is an honest
-    failure mode rather than a silently wrong certificate.
-    """
 
 
 def _is_prime(n: int) -> bool:
@@ -55,7 +83,7 @@ class PrimeField:
         if not _is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if p < 5:
-            raise ValueError("p must be an odd prime >= 5")
+            raise MalformedInput("p must be an odd prime >= 5")
         self.p = p
 
     def __repr__(self):
@@ -86,7 +114,7 @@ class PrimeField:
         # extended Euclid, not Fermat exponentiation
         a = a % self.p
         if a == 0:
-            raise ZeroDivisionError("inverse of 0")
+            raise SpherefpError("inverse of 0")
         r0, r1 = self.p, a
         s0, s1 = 0, 1
         while r1:
@@ -111,7 +139,7 @@ class PrimeField:
         for c in range(2, self.p):
             if self.legendre(c) == -1:
                 return c
-        raise AssertionError("no quadratic non-residue found")  # impossible for p >= 3
+        raise TheoremViolation("no quadratic non-residue found")  # impossible for p >= 3
 
     def sqrt(self, a: int):
         """A square root of a, or None when a is a non-residue."""
@@ -134,7 +162,7 @@ class FpMatrix:
         self._set(field, [[x % p for x in row] for row in rows])
         for row in self.rows:
             if len(row) != self.ncols:
-                raise ValueError("ragged matrix")
+                raise MalformedInput("ragged matrix")
 
     def _set(self, field, rows):
         self.field = field
@@ -179,7 +207,7 @@ class FpMatrix:
 
     def matmul(self, other: "FpMatrix") -> "FpMatrix":
         if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
+            raise MalformedInput("dimension mismatch")
         p = self.field.p
         out = []
         for i in range(self.nrows):
@@ -194,7 +222,7 @@ class FpMatrix:
 
     def matvec(self, vec):
         if len(vec) != self.ncols:
-            raise ValueError("dimension mismatch")
+            raise MalformedInput("dimension mismatch")
         p = self.field.p
         return [
             sum(self.rows[i][k] * vec[k] for k in range(self.ncols)) % p
@@ -203,7 +231,7 @@ class FpMatrix:
 
     def vecmat(self, vec):
         if len(vec) != self.nrows:
-            raise ValueError("dimension mismatch")
+            raise MalformedInput("dimension mismatch")
         p = self.field.p
         return [
             sum(vec[i] * self.rows[i][j] for i in range(self.nrows)) % p
@@ -287,7 +315,7 @@ def solve_linear(mat: FpMatrix, rhs):
     field = mat.field
     p = field.p
     if len(rhs) != mat.nrows:
-        raise ValueError("dimension mismatch")
+        raise MalformedInput("dimension mismatch")
     aug = FpMatrix._canonical(field, [row + [b % p] for row, b in zip(mat.rows, rhs)])
     red, _, pivots = rref(aug)
     n = mat.ncols
@@ -306,16 +334,16 @@ def nullspace(mat: FpMatrix):
 
 
 def matrix_inverse(B: FpMatrix) -> FpMatrix:
-    """B^{-1}, read off the reduction of [B | I]; raises ValueError when
+    """B^{-1}, read off the reduction of [B | I]; raises HypothesisNotMet when
     B is singular."""
     n = B.nrows
     if B.ncols != n:
-        raise ValueError("matrix is not square")
+        raise MalformedInput("matrix is not square")
     aug = FpMatrix._canonical(
         B.field, [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(B.rows)]
     )
     red, _, pivots = rref(aug)
     # [B | I] always has rank n; B is invertible iff no pivot lands in I
     if pivots and pivots[-1] >= n:
-        raise ValueError("matrix is singular")
+        raise HypothesisNotMet("matrix is singular")
     return FpMatrix._canonical(B.field, [row[n:] for row in red.rows[:n]])

@@ -35,22 +35,23 @@ from operator import add
 
 import numpy as np
 
-from .ffcore import PrimeField, TheoremViolation
+from .ffcore import HypothesisNotMet, MalformedInput, PrimeField, TheoremViolation
 
 # monomial-table cells (monomials x points) held at a time: 512 KB of int64,
 # small enough to stay in cache while every level of the table is filled
 EVAL_CHUNK_CELLS = 1 << 16
 
 
-class ArityMismatch(ValueError):
+class ArityMismatch(MalformedInput):
     pass
 
 
-class ValueRangeError(ValueError):
-    """A rational polynomial does not take values in Z/p as required."""
+class ValueRangeError(HypothesisNotMet):
+    """A degree, exponent or value range that a hypothesis needs fails,
+    such as deg < p or values in Z/p."""
 
 
-class NotIntegerValued(ValueError):
+class NotIntegerValued(HypothesisNotMet):
     pass
 
 

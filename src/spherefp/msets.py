@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .counting import BudgetExceeded, CountReport, DEFAULT_BUDGET, all_points
-from .ffcore import FpMatrix, rank as mat_rank, rref, solve_linear, Infeasible
+from .ffcore import FpMatrix, HypothesisNotMet, Infeasible, MalformedInput, rank as mat_rank, rref, solve_linear
 from .fpoly import FpMultiPoly
 from .fpoly import _binom_basis_indices as _monomials_up_to  # cached, sorted tuple
 from .quadform import QuadForm
@@ -24,7 +24,7 @@ from .quadform import QuadForm
 ENUM_CHUNK_ROWS = 1 << 18  # mask cells (prefix rows x column-cut block points) per chunk
 
 
-class NotConsistent(ValueError):
+class NotConsistent(HypothesisNotMet):
     pass
 
 
@@ -37,7 +37,7 @@ class MQuadFn:
         self.b = {}
         for (i, j), c in (b or {}).items():
             if not (1 <= i <= j <= k):
-                raise ValueError("b indices must satisfy 1 <= i <= j <= k")
+                raise MalformedInput("b indices must satisfy 1 <= i <= j <= k")
             c = c % self.p
             if c:
                 self.b[(i, j)] = c
@@ -530,7 +530,7 @@ def fubini_prepare(family, M: QuadForm, k: int, kprime: int, budget=DEFAULT_BUDG
     d = M.d
     pts = enumerate_mset(family, M, k, budget)
     if len(pts) == 0:
-        raise ValueError("empty M-set")
+        raise HypothesisNotMet("empty M-set")
     cut = kprime * d
     changed = np.any(pts[1:, :cut] != pts[:-1, :cut], axis=1)
     boundaries = [0] + (np.flatnonzero(changed) + 1).tolist() + [len(pts)]

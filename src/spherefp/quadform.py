@@ -10,6 +10,8 @@ from .ffcore import (  # TheoremViolation is re-exported from here
     BudgetExceeded,
     FpMatrix,
     HypothesisFailed,
+    HypothesisNotMet,
+    MalformedInput,
     PrimeField,
     TheoremViolation,
     nullspace,
@@ -18,7 +20,7 @@ from .ffcore import (  # TheoremViolation is re-exported from here
 from .fpoly import FpMultiPoly
 
 
-class RankTooSmall(ValueError):
+class RankTooSmall(HypothesisNotMet):
     pass
 
 
@@ -32,9 +34,9 @@ class AffineSubspace:
         self.dim_ambient = d
         for b in self.basis:
             if len(b) != d:
-                raise ValueError("ragged basis")
+                raise MalformedInput("ragged basis")
         if self.basis and mat_rank(FpMatrix(field, self.basis)) != len(self.basis):
-            raise ValueError("basis vectors are dependent")
+            raise MalformedInput("basis vectors are dependent")
         self.offset = [field.red(x) for x in (offset or [0] * d)]
 
     def dim(self):
@@ -87,11 +89,11 @@ class QuadForm:
         self.p = field.p
         self.A = A if isinstance(A, FpMatrix) else FpMatrix(field, A)
         if not self.A.is_symmetric():
-            raise ValueError("A must be symmetric")
+            raise MalformedInput("A must be symmetric")
         self.d = self.A.nrows
         self.u = [field.red(x) for x in (u or [0] * self.d)]
         if len(self.u) != self.d:
-            raise ValueError("u has wrong length")
+            raise MalformedInput("u has wrong length")
         self.v = field.red(v)
 
     @classmethod

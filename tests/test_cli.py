@@ -1,11 +1,15 @@
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import spherefp
 from spherefp import cli, counting, division, equidist
 from spherefp.cli import main
+from spherefp.ffcore import SpherefpError
 from spherefp.quadform import TheoremViolation
 
 RUN = [sys.executable, "-m", "spherefp.cli"]
@@ -323,35 +327,154 @@ def test_sphere_vanishing_cli_and_inferred_arity(tmp_path):
     assert code in (0, 1)
 
 
-@pytest.mark.parametrize(
-    "error",
-    [
-        TheoremViolation("forced"),
-        division.NoSolution("forced"),
-        equidist.DichotomyViolation({"forced": True}),
-        RuntimeError("forced"),
-    ],
-)
-def test_internal_failure_exit_4(monkeypatch, tmp_path, sphere_json, capsys, error):
-    # a failure inside the library must not read as the second branch (1)
+def _raise_from_nullstellensatz(monkeypatch, tmp_path, sphere_json, error):
+    # the input parses; the error comes from the library call after it
     def broken(*args, **kwargs):
         raise error
 
     monkeypatch.setattr(division, "nullstellensatz", broken)
     one = {"nvars": 3, "terms": [{"exp": [0, 0, 0], "coeff": 1}]}
     path = write(tmp_path, "ns.json", {"form": json.loads(open(sphere_json).read()), "poly": one})
-    assert main(["nullstellensatz", "--json", path]) == cli.EXIT_INTERNAL == 4
-    assert capsys.readouterr().out == ""
+    return main(["nullstellensatz", "--json", path])
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        TheoremViolation("forced"),
+        equidist.DichotomyViolation({"forced": True}),
+        RuntimeError("forced"),
+        TypeError("forced"),
+        KeyError("forced"),
+        ValueError("forced"),
+        ZeroDivisionError("forced"),
+    ],
+)
+def test_internal_failure_exit_4(monkeypatch, tmp_path, sphere_json, capsys, error):
+    # a failure inside the library must not read as the second branch (1),
+    # and a builtin error after parsing is a crash, not an input error (2)
+    assert _raise_from_nullstellensatz(monkeypatch, tmp_path, sphere_json, error) == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if isinstance(error, SpherefpError):
+        assert captured.err == f"theorem violation: {error}\n"
+    else:
+        assert captured.err.startswith("internal error:\nTraceback")
+        assert f"{type(error).__name__}: " in captured.err
+
+
+def _library_errors():
+    for info in pkgutil.iter_modules(spherefp.__path__):
+        importlib.import_module(f"spherefp.{info.name}")
+    found, todo = {SpherefpError}, [SpherefpError]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return found
+
+
+# every library error class, with the exit code and stderr label it must give
+EXIT_CODES = {
+    "ffcore.SpherefpError": (4, "internal error"),
+    "ffcore.Infeasible": (4, "internal error"),
+    "ffcore.TheoremViolation": (4, "theorem violation"),
+    "equidist.DichotomyViolation": (4, "theorem violation"),
+    "ffcore.MalformedInput": (2, "input error"),
+    "ffcore.NotPrime": (2, "input error"),
+    "fpoly.ArityMismatch": (2, "input error"),
+    "ffcore.BudgetExceeded": (3, "budget exceeded"),
+    "ffcore.HypothesisNotMet": (5, "hypothesis not met"),
+    "ffcore.HypothesisFailed": (5, "hypothesis not met"),
+    "quadform.RankTooSmall": (5, "hypothesis not met"),
+    "counting.RankHypothesisFailed": (5, "hypothesis not met"),
+    "counting.DependentShifts": (5, "hypothesis not met"),
+    "fpoly.ValueRangeError": (5, "hypothesis not met"),
+    "fpoly.NotIntegerValued": (5, "hypothesis not met"),
+    "msets.NotConsistent": (5, "hypothesis not met"),
+    "division.PivotZero": (5, "hypothesis not met"),
+    "division.ZeroMatrix": (5, "hypothesis not met"),
+    "division.WitnessFound": (5, "hypothesis not met"),
+    "division.NotSphereIntegral": (5, "hypothesis not met"),
+    "division.NotPartiallyPeriodic": (5, "hypothesis not met"),
+}
+
+
+def test_every_library_error_has_its_exit_code(monkeypatch, tmp_path, sphere_json, capsys):
+    classes = {f"{cls.__module__.removeprefix('spherefp.')}.{cls.__name__}": cls for cls in _library_errors()}
+    assert sorted(classes) == sorted(EXIT_CODES), "a library error class is missing from EXIT_CODES"
+    for name, cls in sorted(classes.items()):
+        code, label = EXIT_CODES[name]
+        assert _raise_from_nullstellensatz(monkeypatch, tmp_path, sphere_json, cls("forced")) == code, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        # one line, no traceback
+        assert captured.err.startswith(f"{label}: ") and captured.err.count("\n") == 1, name
+
+
+@pytest.mark.parametrize("command", sorted(set(cli.COMMANDS) - {"leibman-probe"}))
+@pytest.mark.parametrize("blob", [{}, []])
+def test_unreadable_input_exits_2_for_every_command(tmp_path, capsys, command, blob):
+    path = write(tmp_path, "blob.json", blob)
+    assert main([command, "--json", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: ")
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        {"p": 4, "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "u": [0] * 3, "v": 4},
+        {"p": 5, "A": [[1, 1, 0], [0, 1, 0], [0, 0, 1]], "u": [0] * 3, "v": 4},
+    ],
+)
+@pytest.mark.parametrize("command", ["normalize", "count", "gowers"])
+def test_malformed_form_exits_2(tmp_path, capsys, command, form):
+    assert main([command, "--json", write(tmp_path, "form.json", form)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: ")
+
+
+def test_polynomial_arity_must_match_the_form(tmp_path, sphere_json, capsys):
+    # before, divide crashed and an intrinsic decomposition "succeeded" on a
+    # 4-variable polynomial against a 3-variable form
+    form = json.loads(open(sphere_json).read())
+    poly = {"nvars": 4, "terms": [{"exp": [1, 0, 0, 0], "coeff": 1}]}
+    path = write(tmp_path, "mis.json", {"form": form, "poly": poly})
+    for args in (["divide"], ["decompose", "--kind", "intrinsic", "--s", "2"]):
+        assert main(args + ["--json", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "nvars" in captured.err
+
+
+def test_hypothesis_failure_exits_5(tmp_path, capsys):
+    # deg P = 3 >= p / 2 at p = 5: well-formed, outside the hypothesis
+    form = {"p": 5, "A": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "u": [0] * 4, "v": 4}
+    poly = {"nvars": 4, "terms": [{"exp": [3, 0, 0, 0], "coeff": 1}]}
+    path = write(tmp_path, "ns.json", {"form": form, "poly": poly})
+    assert main(["nullstellensatz", "--json", path]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("hypothesis not met: ")
 
 
 @pytest.mark.parametrize(
     "flags",
-    [["--budget", "0"], ["--budget", "-5"], ["--trials", "0"], ["--s", "-1"], ["--freq-budget", "-1"]],
+    [
+        ["--budget", "0"],
+        ["--budget", "-5"],
+        ["--trials", "0"],
+        ["--s", "-1"],
+        ["--freq-budget", "-1"],
+        ["--delta", "0"],
+        ["--delta", "-0.3"],
+        ["--delta", "nan"],
+    ],
 )
 def test_numeric_flags_validated_before_work(monkeypatch, sphere_json, capsys, flags):
     def never(*args, **kwargs):
         raise AssertionError("work started before flag validation")
 
     monkeypatch.setattr(counting, "zero_count_check", never)
-    assert main(["count", "--json", sphere_json] + flags) == cli.EXIT_INPUT == 2
+    assert main(["count", "--json", sphere_json] + flags) == 2
     assert flags[0] in capsys.readouterr().err

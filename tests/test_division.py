@@ -20,7 +20,6 @@ from spherefp import _zlinalg, counting, division
 from spherefp.division import (
     DivisionCert,
     HypothesisFailed,
-    NoSolution,
     NotPartiallyPeriodic,
     NotSphereIntegral,
     PivotZero,
@@ -43,7 +42,7 @@ from spherefp.division import (
     _cube_difference,
     _cube_differences,
 )
-from spherefp.ffcore import FpMatrix, PrimeField, rank as mat_rank
+from spherefp.ffcore import FpMatrix, HypothesisNotMet, PrimeField, rank as mat_rank
 from spherefp.fpoly import (
     FpMultiPoly,
     RatMultiPoly,
@@ -105,6 +104,8 @@ def test_standard_division_examples(f5):
     cert2 = standard_division(FpMultiPoly(5, 2, {(1, 0): 1}), M)
     assert cert2.quotient.is_zero()
     assert cert2.r1 == FpMultiPoly.constant(5, 2, 1) and cert2.r0.is_zero()
+    with pytest.raises(HypothesisNotMet, match="nonzero remainder"):
+        cert2.divisor_multiple()  # n_1 is no multiple of M
 
     cert3 = standard_division(FpMultiPoly(5, 2, {(3, 0): 1}), M)
     assert cert3.verify()

@@ -14,6 +14,7 @@ from spherefp.equidist import (
     constancy_check,
     equidist_test,
     frequencies,
+    frequency_count,
     leibman_probe,
     random_partially_periodic,
     seq_eval,
@@ -253,3 +254,21 @@ def test_frequency_budget_overrun_is_the_library_budget_error():
     with pytest.raises(BudgetExceeded):
         equidist_test(g, omega, 0.2, 5, freq_budget=9)
     assert equidist_test(g, omega, 0.2, 5, freq_budget=10).verdict == "obstructed"
+
+
+def test_frequency_budget_checked_before_frequencies_are_built(monkeypatch):
+    from spherefp.ffcore import BudgetExceeded
+
+    def never(*args, **kwargs):
+        raise AssertionError("frequencies built before the budget check")
+
+    # m = 2, K = 320: 205,440 frequencies against the default budget of 200,000
+    g = TorusPolySeq(3, 2, 1, {(1, 0, 0): (Fraction(1, 5), Fraction(2, 5))})
+    monkeypatch.setattr(equidist, "frequencies", never)
+    with pytest.raises(BudgetExceeded, match="205440 frequencies"):
+        equidist_test(g, [(0, 0, 1)], 0.2, 320)
+
+
+@pytest.mark.parametrize("m, K", [(1, 5), (2, 5), (3, 5), (2, 50), (3, 20)])
+def test_frequency_count_closed_form(m, K):
+    assert frequency_count(m, K) == len(frequencies(m, K))

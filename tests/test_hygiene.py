@@ -98,3 +98,39 @@ def test_traced_layers_resolve_on_the_package():
         if not callable(owner):
             missing.append(f"{name}: spherefp.{modname}.{attrs}")
     assert tracing.LAYERS and missing == []
+
+
+def test_every_library_exception_derives_from_the_one_base():
+    # cli.main reads exit_code and label off the error, so a class outside
+    # the hierarchy would fall through to the crash handler
+    import importlib
+
+    from spherefp.ffcore import SpherefpError
+
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"spherefp.{path.stem}" if path.stem != "__init__" else "spherefp")
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(module, node.name)
+                if issubclass(cls, BaseException) and not issubclass(cls, SpherefpError):
+                    stray.append(f"{path.name}:{node.name}")
+    assert stray == [], f"exception classes outside SpherefpError: {stray}"
+
+
+def test_no_raise_names_a_builtin_exception():
+    # a builtin raised on purpose carries no exit code; after parsing the
+    # command line treats it as a crash
+    import builtins
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                obj = getattr(builtins, target.id, None) if isinstance(target, ast.Name) else None
+                if isinstance(obj, type) and issubclass(obj, BaseException):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == [], f"raise of a builtin exception in src/spherefp: {found}"
