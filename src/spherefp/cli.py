@@ -58,11 +58,15 @@ def _reading_input():
         raise MalformedInput(f"{type(exc).__name__}: {exc}") from None
 
 
+def _no_float(text):
+    raise MalformedInput(f"number {text} is not an integer; write a fraction as an \"a/b\" string")
+
+
 def _load_json(path):
     if path is None:
         raise MalformedInput("missing --json input file")
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=_no_float, parse_constant=_no_float)
 
 
 def _same_arity(d, polys):

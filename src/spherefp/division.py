@@ -559,7 +559,7 @@ class ZpQuadForm:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["p"], obj["A"], obj.get("u"), obj.get("v", 0))
+        return cls(PrimeField(obj["p"]).p, obj["A"], obj.get("u"), obj.get("v", 0))
 
 
 def lift_nullstellensatz(P: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUDGET):

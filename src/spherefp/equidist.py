@@ -41,6 +41,8 @@ class TorusPolySeq:
     """
 
     def __init__(self, d, m, s, coeffs, block_dims=None):
+        if d < 1 or m < 1 or s < 0:
+            raise MalformedInput(f"need d, m >= 1 and s >= 0, got d = {d}, m = {m}, s = {s}")
         self.d = d
         self.m = m
         self.s = s
@@ -400,6 +402,8 @@ def leibman_probe(p, d, radius, s, delta, trials, K, rng, budget=10**8):
     """Statistics of the (delta, K)-dichotomy over random partially
     p-periodic scalar sequences on the sphere; exceptions are recorded with
     full data and flagged when the theorem hypotheses (d >= s + 13) fail."""
+    if d < 1 or s < 1:
+        raise MalformedInput(f"leibman_probe needs d, s >= 1, got d = {d}, s = {s}")
     omega = sphere_points(p, d, radius, budget)
     results = {"equidistributed": 0, "obstructed": 0, "violations": []}
     regime_ok = d >= s + 13

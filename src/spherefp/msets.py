@@ -41,7 +41,10 @@ class MQuadFn:
             c = c % self.p
             if c:
                 self.b[(i, j)] = c
-        self.v = [[x % self.p for x in (v[i] if v else [0] * self.d)] for i in range(k)]
+        v = v or [[0] * self.d] * k
+        if len(v) != k or any(len(row) != self.d for row in v):
+            raise MalformedInput("v must hold k vectors of length d")
+        self.v = [[x % self.p for x in row] for row in v]
         self.u = u % self.p
 
     def evaluate(self, blocks):

@@ -422,30 +422,43 @@ def test_unreadable_input_exits_2_for_every_command(tmp_path, capsys, command, b
     assert captured.out == "" and captured.err.startswith("input error: ")
 
 
-@pytest.mark.parametrize(
-    "form",
-    [
-        {"p": 4, "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "u": [0] * 3, "v": 4},
-        {"p": 5, "A": [[1, 1, 0], [0, 1, 0], [0, 0, 1]], "u": [0] * 3, "v": 4},
-    ],
-)
-@pytest.mark.parametrize("command", ["normalize", "count", "gowers"])
-def test_malformed_form_exits_2(tmp_path, capsys, command, form):
-    assert main([command, "--json", write(tmp_path, "form.json", form)]) == 2
+DOT3 = {"p": 5, "A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "u": [0] * 3, "v": 4}
+DOT4 = {"p": 7, "A": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "u": [0] * 4, "v": 6}
+ZP4 = {"p": 5, "A": DOT4["A"], "u": [0] * 4, "v": -1}
+X1 = {"nvars": 4, "terms": [{"exp": [1, 0, 0, 0], "coeff": 1}]}
+
+
+def _family(v):
+    return {"form": DOT4, "family": {"k": 2, "functions": [{"b": {"1,1": 1}, "v": v, "u": 6}]}}
+
+
+# input that parses as JSON but is not a valid object; before the input
+# checks, several of these crashed after parsing (exit 4) or, for the
+# arity mismatch of an intrinsic decomposition, "succeeded" with exit 0
+MALFORMED = [
+    (["normalize"], DOT3 | {"p": 4}, "4 is not prime"),
+    (["count"], DOT3 | {"A": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]}, "A must be symmetric"),
+    (["gowers"], DOT3 | {"A": [[1, 0, 0], [0, 1.5, 0], [0, 0, 1]]}, "number 1.5 is not an integer"),
+    (["divide"], {"form": DOT3, "poly": X1}, "nvars differs"),
+    (["decompose", "--kind", "intrinsic", "--s", "2"], {"form": DOT3, "poly": X1}, "nvars differs"),
+    (["decompose", "--kind", "sphere-periodic"], {"form": ZP4 | {"p": 4}, "poly": X1}, "4 is not prime"),
+    (["decompose", "--kind", "sphere-periodic"], {"form": ZP4 | {"p": "5"}, "poly": X1}, "TypeError"),
+    (["mset-repr"], _family([[0] * 3, [0] * 4]), "v must hold k vectors of length d"),
+    (["mset-repr"], _family([[0] * 4]), "v must hold k vectors of length d"),
+    (["equidist"], {"sequence": {"m": 0, "s": 2, "d": 3, "coeffs": []}, "radius": 1}, "need d, m >= 1"),
+    (["equidist"], {"sequence": {"m": 1, "s": 2, "d": 0, "coeffs": []}, "radius": 1}, "need d, m >= 1"),
+    (["leibman-probe", "--trials", "2", "--dim", "0"], None, "leibman_probe needs d, s >= 1"),
+    (["leibman-probe", "--trials", "2"], {"s": 0}, "leibman_probe needs d, s >= 1"),
+]
+
+
+@pytest.mark.parametrize("args, blob, message", MALFORMED)
+def test_malformed_input_exits_2(tmp_path, capsys, args, blob, message):
+    if blob is not None:
+        args = args + ["--json", write(tmp_path, "in.json", blob)]
+    assert main(args) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("input error: ")
-
-
-def test_polynomial_arity_must_match_the_form(tmp_path, sphere_json, capsys):
-    # before, divide crashed and an intrinsic decomposition "succeeded" on a
-    # 4-variable polynomial against a 3-variable form
-    form = json.loads(open(sphere_json).read())
-    poly = {"nvars": 4, "terms": [{"exp": [1, 0, 0, 0], "coeff": 1}]}
-    path = write(tmp_path, "mis.json", {"form": form, "poly": poly})
-    for args in (["divide"], ["decompose", "--kind", "intrinsic", "--s", "2"]):
-        assert main(args + ["--json", path]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "nvars" in captured.err
+    assert captured.out == "" and captured.err.startswith("input error: ") and message in captured.err
 
 
 def test_hypothesis_failure_exits_5(tmp_path, capsys):
