@@ -18,7 +18,7 @@ the first violation, so outcomes are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -664,11 +664,9 @@ def _scaled_rhs(nums, den, indices, p, depth):
 
 def _p_free_solve(amat, rhs, p, what):
     """(z, scale) with amat z = scale * rhs in integers, scale coprime to p:
-    scale is 1 when rhs itself has an integer solution, else the p-free
-    denominator of one rational solution."""
-    z = int_solve(amat, rhs)
-    if z is not None:
-        return z, 1
+    the fallback once int_solve(amat, rhs) found nothing.  scale is the
+    p-free denominator of one rational solution (1 when that solution is
+    integral)."""
     xq = rat_solve([[Fraction(v) for v in row] for row in amat], [Fraction(c) for c in rhs])
     if xq is None:
         raise TheoremViolation(f"{what} inconsistent over Q")
@@ -677,6 +675,44 @@ def _p_free_solve(amat, rhs, p, what):
     if z is None:
         raise TheoremViolation(f"no integer {what} at any p-free scale")
     return z, scale
+
+
+def _scan_fibers(f, M, budget, error, skip_constant=False):
+    """Enumerate V_p(M) under budget and raise error(witness) at the first
+    fiber of f with a non-integral binomial coordinate (the constant one
+    passed over when skip_constant), if there is one."""
+    base = enumerate_zeros(M.induced(), None, budget)
+    witness = _first_noninteger_fiber(f, base, M.p, skip_constant)
+    if witness is not None:
+        raise error(witness)
+
+
+def _solve_certificate_first(system, rhs, q0, p, what, certify, scan):
+    """certify(Q0, z) for a solution z of system() z = scale * rhs, with
+    Q0 = q0 scale; system builds the integer matrix.
+
+    When int_solve answers at q0 = 1 and certify accepts, the certificate
+    itself proves the hypothesis that scan() checks, so scan is not called.
+    Every other path calls scan() before anything that can raise, so its
+    witness outranks a failed solve or re-verify.  With q0 != 1 no
+    certificate can spare the scan, so it runs before the system is built,
+    as in the scan-first order."""
+    if q0 != 1:
+        scan()
+    amat = system()
+    z = int_solve(amat, rhs)
+    if q0 == 1:
+        if z is not None:
+            try:
+                return certify(1, z)
+            except TheoremViolation:
+                scan()
+                raise
+        scan()
+    scale = 1
+    if z is None:
+        z, scale = _p_free_solve(amat, rhs, p, what)
+    return certify(q0 * scale, z)
 
 
 def _block_polys(nvars, blocks, z):
@@ -695,6 +731,11 @@ def sphere_vanishing_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BU
 
     The solution shape is found as an exact integer linear system in the
     binomial-basis coordinates of the R_i and certified on the simplex grid.
+    Certificate first: a solution at Q0 = 1 that re-verifies proves the
+    hypothesis (f = sum M^i R_i is an integer wherever M is), so it is
+    returned without enumerating V_p(M) and charges nothing to budget.
+    Every other outcome enumerates V_p(M) under budget and scans the fibers
+    of f first, so a NotSphereIntegral witness outranks a failed solve.
     """
     p = M.p
     df = f.degree()
@@ -702,49 +743,53 @@ def sphere_vanishing_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BU
         raise ValueRangeError("needs deg(f) < p")
     if M.p_rank() < 3:
         raise RankHypothesisFailed("needs p-rank >= 3")
-    base_points = M.sphere_points(budget)
-    witness = _first_noninteger_fiber(f, base_points, p)
-    if witness is not None:
-        raise NotSphereIntegral(witness)
     if df < 0:
         return 1, [RatMultiPoly.zero(f.nvars)]
+    scan = partial(_scan_fibers, f, M, budget, NotSphereIntegral)
     t = df // 2
     nums, nums_den = f._binomial_numerators()
     q0, rhs = _scaled_rhs(nums, nums_den, _binom_basis_indices(f.nvars, df), p, t)
     if rhs is None:
+        scan()
         raise TheoremViolation(
             "p-adic depth of f exceeds floor(deg f / 2); no decomposition exists"
         )
     blocks = [(i, t - i, _binom_basis_indices(f.nvars, df - 2 * i)) for i in range(t + 1)]
-    amat = _system_matrix(M, df, blocks)
-    z, scale = _p_free_solve(amat, rhs, p, "sphere-vanishing decomposition")
-    q0 *= scale
-    rs = list(_block_polys(f.nvars, blocks, z).values())  # blocks i = 0..t
     m_rat = M.as_ratpoly()
-    vals, _ = _simplex_grid_sum(
-        f.nvars, [(q0, [f])] + [(-1, [m_rat] * i + [r]) for i, r in enumerate(rs)]
-    )
-    if (vals != 0).any():
-        raise TheoremViolation("sphere-vanishing decomposition failed to re-verify")
-    # p^t f is integer valued exactly when its binomial coordinates are integers
-    if any(n * p**t % nums_den for n in nums.values()):
-        raise TheoremViolation("second clause p^{floor(deg/2)} f failed")
-    return q0, rs
+
+    def certify(q0, z):
+        rs = list(_block_polys(f.nvars, blocks, z).values())  # blocks i = 0..t
+        vals, _ = _simplex_grid_sum(
+            f.nvars, [(q0, [f])] + [(-1, [m_rat] * i + [r]) for i, r in enumerate(rs)]
+        )
+        if (vals != 0).any():
+            raise TheoremViolation("sphere-vanishing decomposition failed to re-verify")
+        # p^t f is integer valued exactly when its binomial coordinates are integers
+        if any(n * p**t % nums_den for n in nums.values()):
+            raise TheoremViolation("second clause p^{floor(deg/2)} f failed")
+        return q0, rs
+
+    system = partial(_system_matrix, M, df, blocks)
+    return _solve_certificate_first(system, rhs, q0, p, "sphere-vanishing decomposition", certify, scan)
 
 
 def sphere_periodic_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUDGET):
     """Solve Q0 f = C + R_0/p + sum_{i>=2} M^i R_i for f partially
-    p-periodic on V_p(M); R_i integer valued, C a free rational constant."""
+    p-periodic on V_p(M); R_i integer valued, C a free rational constant.
+
+    Certificate first, as sphere_vanishing_decompose: a solution at Q0 = 1
+    that re-verifies proves partial periodicity (R_0(n0 + p m) = R_0(n0)
+    mod p since deg R_0 < p), so V_p(M) is not enumerated; every other
+    outcome scans the fibers under budget first, and a NotPartiallyPeriodic
+    witness outranks a failed solve.
+    """
     p = M.p
     df = f.degree()
     if df >= p:
         raise ValueRangeError("needs deg(f) < p")
     if M.p_rank() < 3:
         raise RankHypothesisFailed("needs p-rank >= 3")
-    base_points = M.sphere_points(budget)
-    witness = _first_noninteger_fiber(f, base_points, p, skip_constant=True)
-    if witness is not None:
-        raise NotPartiallyPeriodic(witness)
+    scan = partial(_scan_fibers, f, M, budget, NotPartiallyPeriodic, skip_constant=True)
     nvars = f.nvars
     t = df // 2
     s_star = max(1, t)
@@ -753,35 +798,40 @@ def sphere_periodic_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUD
     eq_indices = _binom_basis_indices(nvars, df)[1:]  # all but the zero index
     q0, rhs = _scaled_rhs(nums, nums_den, eq_indices, p, s_star)
     if rhs is None:
+        scan()
         raise TheoremViolation("p-adic depth exceeds the periodic decomposition shape")
     # R_0 without its constant coordinate (redundant with C), then M^i R_i
     blocks = [(0, s_star - 1, eq_indices)] + [
         (i, s_star - i, _binom_basis_indices(nvars, df - 2 * i)) for i in range(2, t + 1)
     ]
-    amat = _system_matrix(M, df, blocks)[1:]
-    z, scale = _p_free_solve(amat, rhs, p, "periodic decomposition")
-    q0 *= scale
-    rs = _block_polys(nvars, blocks, z)
-    r0 = rs.pop(0)
     m_rat = M.as_ratpoly()
-    # Q0 f - R_0/p - sum M^i R_i must be the constant C: equal to its value
-    # at the origin everywhere on the grid
-    vals, vals_den = _simplex_grid_sum(
-        nvars, [(q0, [f]), (Fraction(-1, p), [r0])] + [(-1, [m_rat] * i + [r]) for i, r in rs.items()]
-    )
-    if (vals != vals[0]).any():
-        raise TheoremViolation("periodic decomposition failed to re-verify")
-    c_value = Fraction(int(vals[0]), vals_den)
-    # normalize: integer-over-p and integer parts of the constant belong to
-    # the R_0 / p slot, so e.g. f = g/p comes back as (C, R_0) = (0, Q0 g)
-    den = c_value.denominator
-    if den % p == 0 and (den // p) % p != 0:
-        m = den // p
-        t = c_value.numerator * pow(m, -1, p) % p
-        c_value -= Fraction(t, p)
-        r0 = r0 + RatMultiPoly.constant(nvars, t)
-    whole = c_value.numerator // c_value.denominator
-    if whole:
-        c_value -= whole
-        r0 = r0 + RatMultiPoly.constant(nvars, p * whole)
-    return q0, c_value, r0, rs
+
+    def certify(q0, z):
+        rs = _block_polys(nvars, blocks, z)
+        r0 = rs.pop(0)
+        # Q0 f - R_0/p - sum M^i R_i must be the constant C: equal to its
+        # value at the origin everywhere on the grid
+        vals, vals_den = _simplex_grid_sum(
+            nvars, [(q0, [f]), (Fraction(-1, p), [r0])] + [(-1, [m_rat] * i + [r]) for i, r in rs.items()]
+        )
+        if (vals != vals[0]).any():
+            raise TheoremViolation("periodic decomposition failed to re-verify")
+        c_value = Fraction(int(vals[0]), vals_den)
+        # normalize: integer-over-p and integer parts of the constant belong
+        # to the R_0 / p slot, so e.g. f = g/p comes back as (C, R_0) = (0, Q0 g)
+        den = c_value.denominator
+        if den % p == 0 and (den // p) % p != 0:
+            m = den // p
+            k = c_value.numerator * pow(m, -1, p) % p
+            c_value -= Fraction(k, p)
+            r0 = r0 + RatMultiPoly.constant(nvars, k)
+        whole = c_value.numerator // c_value.denominator
+        if whole:
+            c_value -= whole
+            r0 = r0 + RatMultiPoly.constant(nvars, p * whole)
+        return q0, c_value, r0, rs
+
+    def system():
+        return _system_matrix(M, df, blocks)[1:]
+
+    return _solve_certificate_first(system, rhs, q0, p, "periodic decomposition", certify, scan)

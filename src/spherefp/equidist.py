@@ -404,6 +404,11 @@ def leibman_probe(p, d, radius, s, delta, trials, K, rng, budget=10**8):
     full data and flagged when the theorem hypotheses (d >= s + 13) fail."""
     if d < 1 or s < 1:
         raise MalformedInput(f"leibman_probe needs d, s >= 1, got d = {d}, s = {s}")
+    # each draw is re-checked by partial_periodicity_witness, whose fiber
+    # plan holds a pair (e, g <= e) per exponent pair of total degree <= s
+    pairs = math.comb(2 * d + s, 2 * d)
+    if pairs > budget:
+        raise BudgetExceeded(f"fiber pair plan of size {pairs} exceeds budget {budget}")
     omega = sphere_points(p, d, radius, budget)
     results = {"equidistributed": 0, "obstructed": 0, "violations": []}
     regime_ok = d >= s + 13

@@ -30,7 +30,7 @@ import json
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import add
 
 import numpy as np
@@ -56,11 +56,6 @@ class NotIntegerValued(HypothesisNotMet):
 
 
 @lru_cache(maxsize=None)
-def _factorial(n: int) -> int:
-    return 1 if n <= 1 else n * _factorial(n - 1)
-
-
-@lru_cache(maxsize=None)
 def _stirling_table(deg, kind):
     """(scale, rows) of one axis of a basis change of degree deg, in integers.
 
@@ -81,11 +76,11 @@ def _stirling_table(deg, kind):
         if kind == "S2":
             ws = s2
         elif kind == "s1":
-            ws = [s * (_factorial(deg) // _factorial(k)) for s in s1]
+            ws = [s * (factorial(deg) // factorial(k)) for s in s1]
         else:  # a prime p > deg, so k! is a unit
-            ws = [s * pow(_factorial(k), -1, kind) % kind for s in s1]
+            ws = [s * pow(factorial(k), -1, kind) % kind for s in s1]
         rows.append(tuple((t, w) for t, w in enumerate(ws) if w))
-    return (_factorial(deg) if kind == "s1" else 1), tuple(rows)
+    return (factorial(deg) if kind == "s1" else 1), tuple(rows)
 
 
 def _expand_axes(coords, nvars, kind):
@@ -123,7 +118,7 @@ def binom_int(n: int, k: int) -> int:
     num = 1
     for i in range(k):
         num *= n - i
-    return num // _factorial(k)
+    return num // factorial(k)
 
 
 def _linear_terms(coeffs, const):
@@ -1022,7 +1017,9 @@ def _fiber_coefficient_table(f: RatMultiPoly, base_points, p):
 
 def _first_noninteger_fiber(f, base_points, p, skip_constant=False):
     """(n0, index) of the first non-integral fiber binomial coefficient,
-    scanning base points in the given order and indices in grid order."""
+    scanning base points in the given order and indices in grid order.
+    Base points are tuples or the rows of an int array; n0 is a tuple of
+    Python ints either way."""
     if f.is_zero() or len(base_points) == 0:
         return None
     grid, numerators, den = _fiber_coefficient_table(f, base_points, p)
@@ -1033,4 +1030,4 @@ def _first_noninteger_fiber(f, base_points, p, skip_constant=False):
     if len(hits) == 0:
         return None
     b, t = hits[0]
-    return tuple(base_points[b]), grid[t]
+    return tuple(map(int, base_points[b])), grid[t]

@@ -143,6 +143,21 @@ def test_budget_exit_3(sphere_json):
     assert code == 3
 
 
+@pytest.mark.parametrize("blob", [{"s": 40, "dim": 4}, {"s": 1000000}])
+def test_leibman_probe_degree_over_budget_exits_3(monkeypatch, tmp_path, capsys, blob):
+    # each draw is re-checked on a fiber plan of C(2d + s, 2d) pairs: 3.8e8
+    # at d = 4, s = 40; refused before the sphere is enumerated or a draw made
+    def never(*args, **kwargs):
+        raise AssertionError("leibman_probe started work before its budget check")
+
+    monkeypatch.setattr(equidist, "sphere_points", never)
+    monkeypatch.setattr(equidist, "random_partially_periodic", never)
+    path = write(tmp_path, "probe.json", blob)
+    assert main(["leibman-probe", "--trials", "2", "--json", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("budget exceeded: fiber pair plan of size")
+
+
 def test_gowers_and_dichotomy(tmp_path, sphere_json):
     form = json.loads(open(sphere_json).read())
     code, out, _ = run_cli(["gowers", "--json", sphere_json, "--s", "1"])

@@ -42,7 +42,7 @@ from spherefp.division import (
     _cube_difference,
     _cube_differences,
 )
-from spherefp.ffcore import FpMatrix, HypothesisNotMet, PrimeField, rank as mat_rank
+from spherefp.ffcore import FpMatrix, HypothesisNotMet, PrimeField, SpherefpError, rank as mat_rank
 from spherefp.fpoly import (
     FpMultiPoly,
     RatMultiPoly,
@@ -50,6 +50,7 @@ from spherefp.fpoly import (
     _binom_basis_indices,
     _fiber_axis_table,
     _fiber_coefficient_table,
+    _first_noninteger_fiber,
     induce,
     partial_periodicity_witness,
     regular_lift,
@@ -998,3 +999,228 @@ def test_sphere_solver_depth_checks_keep_their_messages(monkeypatch):
     assert str(err.value) == "second clause p^{floor(deg/2)} f failed"
     q0, c, r0, rs = sphere_periodic_decompose(g.scale(Fraction(1, 3)), Mz)
     assert q0 == 3 and c == 0 and r0 == g.scale(5)
+
+
+# -- certificate first: the same outcomes as the scan-first order -----------------
+
+
+def _reference_solve(amat, rhs, p, what):
+    z = division.int_solve(amat, rhs)
+    return (z, 1) if z is not None else division._p_free_solve(amat, rhs, p, what)
+
+
+def _scan_first_vanishing(f, M, budget=counting.DEFAULT_BUDGET):
+    """sphere_vanishing_decompose in its scan-first order: enumerate V_p(M)
+    and scan every fiber of f, then solve."""
+    p = M.p
+    df = f.degree()
+    if df >= p:
+        raise ValueRangeError("needs deg(f) < p")
+    if M.p_rank() < 3:
+        raise RankHypothesisFailed("needs p-rank >= 3")
+    witness = _first_noninteger_fiber(f, M.sphere_points(budget), p)
+    if witness is not None:
+        raise NotSphereIntegral(witness)
+    if df < 0:
+        return 1, [RatMultiPoly.zero(f.nvars)]
+    t = df // 2
+    nums, nums_den = f._binomial_numerators()
+    q0, rhs = division._scaled_rhs(nums, nums_den, _binom_basis_indices(f.nvars, df), p, t)
+    if rhs is None:
+        raise TheoremViolation("p-adic depth of f exceeds floor(deg f / 2); no decomposition exists")
+    blocks = [(i, t - i, _binom_basis_indices(f.nvars, df - 2 * i)) for i in range(t + 1)]
+    amat = division._system_matrix(M, df, blocks)
+    z, scale = _reference_solve(amat, rhs, p, "sphere-vanishing decomposition")
+    q0 *= scale
+    rs = list(division._block_polys(f.nvars, blocks, z).values())
+    m_rat = M.as_ratpoly()
+    vals, _ = division._simplex_grid_sum(
+        f.nvars, [(q0, [f])] + [(-1, [m_rat] * i + [r]) for i, r in enumerate(rs)]
+    )
+    if (vals != 0).any():
+        raise TheoremViolation("sphere-vanishing decomposition failed to re-verify")
+    if any(n * p**t % nums_den for n in nums.values()):
+        raise TheoremViolation("second clause p^{floor(deg/2)} f failed")
+    return q0, rs
+
+
+def _scan_first_periodic(f, M, budget=counting.DEFAULT_BUDGET):
+    """sphere_periodic_decompose in its scan-first order."""
+    p = M.p
+    df = f.degree()
+    if df >= p:
+        raise ValueRangeError("needs deg(f) < p")
+    if M.p_rank() < 3:
+        raise RankHypothesisFailed("needs p-rank >= 3")
+    witness = _first_noninteger_fiber(f, M.sphere_points(budget), p, skip_constant=True)
+    if witness is not None:
+        raise NotPartiallyPeriodic(witness)
+    nvars = f.nvars
+    t = df // 2
+    s_star = max(1, t)
+    nums, nums_den = f._binomial_numerators()
+    eq_indices = _binom_basis_indices(nvars, df)[1:]
+    q0, rhs = division._scaled_rhs(nums, nums_den, eq_indices, p, s_star)
+    if rhs is None:
+        raise TheoremViolation("p-adic depth exceeds the periodic decomposition shape")
+    blocks = [(0, s_star - 1, eq_indices)] + [
+        (i, s_star - i, _binom_basis_indices(nvars, df - 2 * i)) for i in range(2, t + 1)
+    ]
+    amat = division._system_matrix(M, df, blocks)[1:]
+    z, scale = _reference_solve(amat, rhs, p, "periodic decomposition")
+    q0 *= scale
+    rs = division._block_polys(nvars, blocks, z)
+    r0 = rs.pop(0)
+    m_rat = M.as_ratpoly()
+    vals, vals_den = division._simplex_grid_sum(
+        nvars, [(q0, [f]), (Fraction(-1, p), [r0])] + [(-1, [m_rat] * i + [r]) for i, r in rs.items()]
+    )
+    if (vals != vals[0]).any():
+        raise TheoremViolation("periodic decomposition failed to re-verify")
+    c_value = Fraction(int(vals[0]), vals_den)
+    den = c_value.denominator
+    if den % p == 0 and (den // p) % p != 0:
+        k = c_value.numerator * pow(den // p, -1, p) % p
+        c_value -= Fraction(k, p)
+        r0 = r0 + RatMultiPoly.constant(nvars, k)
+    whole = c_value.numerator // c_value.denominator
+    if whole:
+        c_value -= whole
+        r0 = r0 + RatMultiPoly.constant(nvars, p * whole)
+    return q0, c_value, r0, rs
+
+
+def _outcome(solver, f, M):
+    try:
+        return solver(f, M)
+    except SpherefpError as exc:
+        return exc
+
+
+def _forward(M, r):
+    mz = M.as_ratpoly()
+    d = M.d
+    return random_int_valued(d, 4, r) + mz * random_int_valued(d, 2, r) + mz * mz * random_int_valued(d, 0, r)
+
+
+def _lucas_part(d, p, r):
+    """sum_k a_k C(n, idx_k) / p with |idx_k| <= 4: by Lucas, non-integral
+    on the fiber of every n0 with sum_k a_k C(n0, idx_k) != 0 mod p."""
+    coeffs = {}
+    for _ in range(r.randint(1, 3)):
+        idx = [0] * d
+        for _ in range(r.randint(1, 4)):
+            idx[r.randrange(d)] += 1
+        coeffs[tuple(idx)] = Fraction(r.randrange(1, p), p)
+    return RatMultiPoly.from_binomial(d, coeffs)
+
+
+def _draw_instance(kind, M, r):
+    p, d = M.p, M.d
+    if kind == "forward":
+        return _forward(M, r) + RatMultiPoly.constant(d, Fraction(r.randint(0, 9), r.choice((1, 3, 7))))
+    if kind == "lucas":
+        return random_int_valued(d, 4, r) + _lucas_part(d, p, r)
+    if kind == "deep_linear":
+        lin = {tuple(int(i == j) for i in range(d)): Fraction(r.randrange(1, p), p * p) for j in range(d)}
+        return RatMultiPoly(d, lin) + random_int_valued(d, 4, r).scale(Fraction(1, p)) + random_int_valued(d, 3, r)
+    if kind == "p_free":
+        # a denominator coprime to p gives Q0 != 1
+        return _forward(M, r) + random_int_valued(d, 3, r).scale(Fraction(1, r.choice((2, 3))))
+    # depth violation g / p^(t+1), t = deg g // 2
+    g = random_int_valued(d, 4, r)
+    return g.scale(Fraction(1, p ** (max(g.degree(), 0) // 2 + 1)))
+
+
+def _random_zp_form(d, r):
+    if r.random() < 0.5:
+        return ZpQuadForm.sphere(5, d, r.randrange(5))
+    while True:
+        A = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                A[i][j] = A[j][i] = r.randrange(-4, 5)
+        M = ZpQuadForm(5, A, [r.randrange(5) for _ in range(d)], r.randrange(5))
+        if M.p_rank() >= 3:
+            return M
+
+
+def _assert_same_outcome(new, ref):
+    if isinstance(ref, SpherefpError):
+        assert type(new) is type(ref), (new, ref)
+        assert str(new) == str(ref)
+        assert getattr(new, "witness", None) == getattr(ref, "witness", None)
+        if hasattr(ref, "witness"):
+            n0, idx = new.witness
+            assert all(type(x) is int for x in n0 + idx), new.witness
+    else:
+        assert new == ref
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([3, 4]),
+    st.sampled_from(["forward", "lucas", "deep_linear", "p_free", "depth"]),
+)
+def test_certificate_first_matches_scan_first_order(seed, d, kind):
+    r = random.Random(seed)
+    M = _random_zp_form(d, r)
+    f = _draw_instance(kind, M, r)
+    for new, ref in (
+        (sphere_vanishing_decompose, _scan_first_vanishing),
+        (sphere_periodic_decompose, _scan_first_periodic),
+    ):
+        _assert_same_outcome(_outcome(new, f, M), _outcome(ref, f, M))
+
+
+def test_forward_certificates_enumerate_nothing(monkeypatch, rng):
+    # q0 = 1 forward instances, drawn as the benchmark draws them at d = 4:
+    # the certificate proves the hypothesis, so V_p(M) is never scanned
+    def never(*args, **kwargs):
+        raise AssertionError("V_p(M) scanned on the certificate path")
+
+    Mz = ZpQuadForm.sphere(5, 4, 1)
+    monkeypatch.setattr(division, "_first_noninteger_fiber", never)
+    monkeypatch.setattr(division, "enumerate_zeros", never)
+    for _ in range(10):
+        f = _forward(Mz, rng)
+        q0, rs = sphere_vanishing_decompose(f, Mz)
+        assert q0 == 1
+        c = RatMultiPoly.constant(4, Fraction(rng.randint(0, 9), rng.choice((1, 3, 7))))
+        q0, c_value, r0, rs = sphere_periodic_decompose(c + f, Mz)
+        assert q0 == 1
+
+
+def test_p_free_denominators_scan_before_solving(monkeypatch, rng):
+    # with q0 != 1 the certificate path is closed: the witness comes from
+    # the scan, with no integer system built or solved first
+    def never(*args, **kwargs):
+        raise AssertionError("the system was built or solved before the scan")
+
+    Mz = ZpQuadForm.sphere(5, 4, 1)
+    f = _forward(Mz, rng) + RatMultiPoly.variable(4, 0).scale(Fraction(1, 3))
+    monkeypatch.setattr(division, "_system_matrix", never)
+    monkeypatch.setattr(division, "int_solve", never)
+    with pytest.raises(NotSphereIntegral):
+        sphere_vanishing_decompose(f, Mz)
+    with pytest.raises(NotPartiallyPeriodic):
+        sphere_periodic_decompose(f, Mz)
+
+
+def test_certificates_above_the_enumeration_budget(rng):
+    # at p = 5, d = 15 the sphere has 5^15 > DEFAULT_BUDGET base candidates:
+    # a forward f is certified without enumerating, an adversarial one still
+    # needs the witness scan and so still exceeds the budget
+    Mz = ZpQuadForm.sphere(5, 15, 1)
+    mz = Mz.as_ratpoly()
+    x0, x1 = RatMultiPoly.variable(15, 0), RatMultiPoly.variable(15, 1)
+    f = random_int_valued(15, 2, rng) + mz.scale(3) + x0 * x1
+    q0, rs = sphere_vanishing_decompose(f, Mz)
+    assert q0 == 1 and len(rs) == 2
+    q0, c_value, r0, rs = sphere_periodic_decompose(f + RatMultiPoly.constant(15, Fraction(1, 3)), Mz)
+    assert q0 == 1 and c_value == Fraction(1, 3)
+    with pytest.raises(BudgetExceeded):
+        sphere_vanishing_decompose(f + x0.scale(Fraction(1, 5)), Mz)
+    with pytest.raises(BudgetExceeded):
+        sphere_periodic_decompose(f + x0.scale(Fraction(1, 25)), Mz)

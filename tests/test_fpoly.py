@@ -611,6 +611,13 @@ def test_stirling_tables_expand_their_basis(kind):
                     assert scale == 1 and all(0 < w < kind for _, w in row)
 
 
+def test_binom_int_past_the_recursion_limit():
+    # k! for k in the thousands, where a factorial recursing once per unit
+    # of k would overflow the interpreter stack
+    assert fpoly.binom_int(3000, 1500) == comb(3000, 1500)
+    assert fpoly.binom_int(-1, 2001) == -1
+
+
 def test_basis_change_examples_with_scale_and_common_denominator():
     # C(n, 12) has the scale 12! to divide out; 1/6 and 1/10 share den 30
     assert RatMultiPoly.from_binomial(1, {(12,): 1}).evaluate([15]) == comb(15, 12)
