@@ -42,6 +42,7 @@ from .fpoly import (
     _fiber_coefficient_table,  # re-exported: bench/tracing.py wraps it by this name
     _first_noninteger_fiber,
     _newton_differences,
+    _quadratic_terms,
     _simplex_grid_sum,
     induce,
     p_expand,
@@ -532,20 +533,7 @@ class ZpQuadForm:
 
     def integer_poly(self) -> RatMultiPoly:
         """(nA)n + u.n + v as an integer-coefficient polynomial (= p M)."""
-        d = self.d
-        terms = {}
-        for i in range(d):
-            for j in range(d):
-                e = [0] * d
-                e[i] += 1
-                e[j] += 1
-                terms[tuple(e)] = terms.get(tuple(e), 0) + self.A[i][j]
-        for i in range(d):
-            e = [0] * d
-            e[i] = 1
-            terms[tuple(e)] = terms.get(tuple(e), 0) + self.u[i]
-        terms[(0,) * d] = self.v
-        return RatMultiPoly(d, {e: Fraction(c) for e, c in terms.items() if c})
+        return RatMultiPoly(self.d, _quadratic_terms(self.A, self.u, self.v))
 
     def as_ratpoly(self) -> RatMultiPoly:
         return self.integer_poly().scale(Fraction(1, self.p))

@@ -8,12 +8,20 @@ scans integer frequency vectors k with 0 < |k|_1 <= K in graded
 lexicographic order and reports the largest Fourier average.  An
 obstruction is only declared when the composed character is exactly
 constant on the set, which makes |E e(k.g)| = 1 an algebraic identity.
+
+Phases are integer residues.  With Q the lcm of g's coefficient
+denominators, k.g(n) = r/Q mod Z with r = (B (A k mod Q))_n mod Q, where A
+holds Q times g's binomial-basis coefficients and B[n, i] = C(n, i) mod Q
+is built once per point set from one per-axis table of binomials.  Weyl
+sums read their residues mod p from the same table.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .counting import RankHypothesisFailed, root_sum
 from .division import ZpQuadForm, lift_nullstellensatz
@@ -75,35 +83,6 @@ class TorusPolySeq:
         degree = max((sum(i) for i in coeffs), default=0)
         return cls(f.nvars, 1, s if s is not None else degree, coeffs)
 
-    def component(self, j) -> RatMultiPoly:
-        return RatMultiPoly.from_binomial(
-            self.d, {idx: vec[j] for idx, vec in self.coeffs.items()}
-        )
-
-    def dot(self, k) -> RatMultiPoly:
-        """The scalar sequence k . g as a rational polynomial."""
-        if len(k) != self.m:
-            raise ArityMismatch("frequency arity mismatch")
-        out = {}
-        for idx, vec in self.coeffs.items():
-            c = sum(Fraction(ki) * vi for ki, vi in zip(k, vec))
-            if c:
-                out[idx] = c
-        return RatMultiPoly.from_binomial(self.d, out)
-
-    def evaluate(self, n):
-        """g(n) in Q^m before reduction mod Z^m."""
-        total = [Fraction(0)] * self.m
-        for idx, vec in self.coeffs.items():
-            w = 1
-            for nj, ij in zip(n, idx):
-                if ij:
-                    w *= binom_int(nj, ij)
-            if w:
-                for t in range(self.m):
-                    total[t] += vec[t] * w
-        return tuple(total)
-
     def to_json(self):
         return {
             "m": self.m,
@@ -130,11 +109,6 @@ class TorusPolySeq:
                 raise MalformedInput("cannot infer arity of an empty sequence")
             d = len(next(iter(coeffs)))
         return cls(d, obj["m"], obj["s"], coeffs)
-
-
-def seq_eval(g: TorusPolySeq, n):
-    """g(n) reduced into [0,1)^m, exactly."""
-    return tuple(x - math.floor(x) for x in g.evaluate(n))
 
 
 class HorizontalCharacter:
@@ -195,38 +169,81 @@ class EquidistReport:
         return out
 
 
-def _character_average(values):
-    """|mean of e(x)| over exact rational phases x, with exact detection of
-    the fully-constant case."""
-    first = values[0]
-    if all(v == first for v in values):
+def _binomial_residue_table(points, indices, d, Q):
+    """B[b, t] = prod_j C(n_bj, i_tj) mod Q for the rows n_b of points
+    (integers of any sign and size, d per row) and the indices i_t.
+
+    One per-axis table holds C(x, i) mod Q for every distinct coordinate x
+    and every i up to the largest index entry.  Each axis gathers the
+    table's columns i_tj first and then the rows of its coordinates, as
+    division's fiber table does.  B is int64 while len(indices) Q^2 < 2^63,
+    which keeps B times a vector of residues mod Q exact, else Python
+    integers."""
+    pts = np.asarray(points)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ArityMismatch("point arity mismatch")
+    values, where = np.unique(pts, return_inverse=True)
+    where = where.reshape(pts.shape)
+    idx = np.array(indices, dtype=np.intp).reshape(len(indices), d)
+    dtype = np.int64 if len(indices) * Q * Q < 2**63 else object
+    top = int(idx.max(initial=0))
+    table = np.array([[binom_int(int(x), i) % Q for i in range(top + 1)] for x in values], dtype=dtype)
+    out = table[:, idx[:, 0]][where[:, 0]]
+    for j in range(1, d):
+        out = out * table[:, idx[:, j]][where[:, j]] % Q
+    return out
+
+
+def _phase_residues(g: TorusPolySeq, omega):
+    """(Q, residues) with Q the lcm of g's coefficient denominators:
+    k.g(n) mod Z is residues(k)[b] / Q at the b-th point n of omega.  The
+    table B is built once; each frequency is one product B (A k mod Q),
+    where A holds Q times g's binomial-basis coefficients."""
+    if len(omega) == 0:
+        raise HypothesisNotMet("empty point set")
+    Q = math.lcm(*(c.denominator for vec in g.coeffs.values() for c in vec))
+    A = [[c.numerator * (Q // c.denominator) for c in vec] for vec in g.coeffs.values()]
+    B = _binomial_residue_table(omega, list(g.coeffs), g.d, Q)
+
+    def residues(k):
+        if len(k) != g.m:
+            raise ArityMismatch("frequency arity mismatch")
+        ak = [sum(a * int(kj) for a, kj in zip(row, k)) % Q for row in A]
+        return B @ np.array(ak, dtype=B.dtype) % Q
+
+    return Q, residues
+
+
+def _character_average(residues, Q):
+    """|mean of e(r/Q)| over integer residues r, with exact detection of
+    the fully-constant case.  cos and sin are taken once per distinct
+    residue; fsum of the same multiset of floats is exact, so the result
+    does not depend on the order of the points.  r / Q is an int true
+    division, correctly rounded like the float of r/Q in lowest terms."""
+    distinct, where = np.unique(residues, return_inverse=True)
+    if len(distinct) == 1:
         return 1.0, True
-    re = math.fsum(math.cos(2 * math.pi * float(v)) for v in values)
-    im = math.fsum(math.sin(2 * math.pi * float(v)) for v in values)
-    return abs(complex(re, im)) / len(values), False
-
-
-def _phase_values(g: TorusPolySeq, k, omega):
-    poly = g.dot(k)
-    return [poly.evaluate([int(x) for x in n]) % 1 for n in omega]
+    turns = [2 * math.pi * (int(r) / Q) for r in distinct]
+    re = math.fsum(np.array([math.cos(x) for x in turns])[where].tolist())
+    im = math.fsum(np.array([math.sin(x) for x in turns])[where].tolist())
+    return abs(complex(re, im)) / len(residues), False
 
 
 def constancy_check(k, g: TorusPolySeq, omega):
     """Whether k.g(tau(n)) mod Z is a single value on omega; returns
     (bool, that value as a Fraction in [0,1))."""
-    if not omega:
-        raise HypothesisNotMet("empty point set")
-    values = _phase_values(g, k, omega)
-    first = values[0]
-    return all(v == first for v in values), first
+    Q, residues = _phase_residues(g, omega)
+    r = residues(k)
+    return bool((r == r[0]).all()), Fraction(int(r[0]), Q)
 
 
 def character_search(g: TorusPolySeq, omega, K):
     """First character (graded lex, complexity <= K) constant on omega."""
+    Q, residues = _phase_residues(g, omega)
     for k in frequencies(g.m, K):
-        ok, value = constancy_check(k, g, omega)
-        if ok:
-            return HorizontalCharacter(k), value
+        r = residues(k)
+        if (r == r[0]).all():
+            return HorizontalCharacter(k), Fraction(int(r[0]), Q)
     return None, None
 
 
@@ -235,25 +252,25 @@ def equidist_test(g: TorusPolySeq, omega, delta, K, freq_budget=200000):
     |k|_1 <= K is at most delta (delta-equidistributed at budget K), or an
     exactly-constant character exists (obstructed); a large average without
     an exact obstruction raises DichotomyViolation."""
-    omega = [tuple(int(x) for x in n) for n in omega]
-    if not omega:
+    if len(omega) == 0:
         raise HypothesisNotMet("empty point set")
     count = frequency_count(g.m, K)
     if count > freq_budget:
         raise BudgetExceeded(f"{count} frequencies exceed budget")
     freqs = frequencies(g.m, K)
+    Q, residues = _phase_residues(g, omega)
     max_fourier = 0.0
     argmax = None
     best_const = None
     for k in freqs:
-        val, is_const = _character_average(_phase_values(g, k, omega))
+        r = residues(k)
+        val, is_const = _character_average(r, Q)
         if val > max_fourier + 1e-15:
             max_fourier = val
             argmax = k
         if is_const and best_const is None:
-            best_const = k
+            best_const, value = k, Fraction(int(r[0]), Q)
     if best_const is not None:
-        ok, value = constancy_check(best_const, g, omega)
         return EquidistReport("obstructed", max_fourier, best_const, value, delta)
     if max_fourier <= delta + 1e-9:
         return EquidistReport("equidistributed", max_fourier, argmax, None, delta)
@@ -266,12 +283,8 @@ def equidist_test(g: TorusPolySeq, omega, delta, K, freq_budget=200000):
 
 
 def sphere_points(p, d, radius, budget=10**8):
-    from .counting import enumerate_zeros
-    from .ffcore import PrimeField
-    from .quadform import QuadForm
-
-    M = QuadForm.dot_form(PrimeField(p), d, radius=radius)
-    return list(map(tuple, enumerate_zeros(M, None, budget).tolist()))
+    """tau(V(n.n - radius)) over F_p: the sphere's integer points in [0, p)^d."""
+    return ZpQuadForm.sphere(p, d, radius).sphere_points(budget)
 
 
 class WeylOutcome:
@@ -292,23 +305,6 @@ class WeylOutcome:
         return out
 
 
-def _mod_p_residues(g: RatMultiPoly, p: int, points):
-    """g(n) mod p over an (N, d) integer array, for integer valued g of
-    degree < p (the p-free denominator is cleared and inverted mod p)."""
-    import numpy as np
-
-    from .fpoly import FpMultiPoly
-
-    dd = g.denominator_lcm()
-    if dd % p == 0:
-        raise ValueRangeError("denominator divisible by p")
-    cleared = g.scale(dd)
-    terms = {e: int(c) % p for e, c in cleared.terms.items()}
-    h = FpMultiPoly(p, g.nvars, terms)
-    inv = pow(dd, -1, p)
-    return (h.eval_array(np.asarray(points, dtype=np.int64)) * inv) % p
-
-
 def weyl_dichotomy(g: RatMultiPoly, p: int, radius: int, delta: float, budget=10**8, omega=None):
     """Either |E_{n in sphere} e(g(tau n)/p)| <= delta (the value is
     reported), or g(tau n)/p mod Z is a constant a/p on the sphere and the
@@ -317,14 +313,19 @@ def weyl_dichotomy(g: RatMultiPoly, p: int, radius: int, delta: float, budget=10
 
     omega may carry a precomputed list of sphere points to avoid
     re-enumeration across many calls."""
-    if not g.is_integer_valued():
+    nums, den = g._binomial_numerators()
+    if any(n % den for n in nums.values()):
         raise NotIntegerValued("weyl_dichotomy requires an integer valued polynomial")
     d = g.nvars
     if omega is None:
         omega = sphere_points(p, d, radius, budget)
-    if not omega:
+    if len(omega) == 0:
         raise RankHypothesisFailed("empty sphere (rank hypothesis fails)")
-    residues = [int(r) for r in _mod_p_residues(g, p, omega)]
+    if den % p == 0:
+        raise ValueRangeError("denominator divisible by p")
+    # g(n) = sum_i (nums[i] / den) C(n, i) with integer binomial coordinates
+    table = _binomial_residue_table(omega, list(nums), d, p)
+    residues = (table @ np.array([n // den % p for n in nums.values()], dtype=table.dtype) % p).tolist()
     first = residues[0]
     if all(rv == first for rv in residues):
         a = first
@@ -353,8 +354,6 @@ def random_partially_periodic(p, d, s, rng, omega, max_tries=200):
     """A random degree-<= s rational polynomial with p-power denominators
     that is partially p-periodic on omega.  Draws from building blocks that
     are periodic by construction and re-checks symbolically."""
-    from .division import ZpQuadForm
-
     for _ in range(max_tries):
         style = rng.randrange(3)
         if style == 0:

@@ -133,6 +133,22 @@ def _linear_terms(coeffs, const):
     return terms
 
 
+def _quadratic_terms(A, u, v):
+    """The term map of (nA)n + u.n + v, in len(A) variables, unreduced:
+    each ring's constructor reduces the coefficients and drops the zeros."""
+    d = len(A)
+    terms = {}
+    for i in range(d):
+        for j in range(d):
+            e = [0] * d
+            e[i] += 1
+            e[j] += 1
+            e = tuple(e)
+            terms[e] = terms.get(e, 0) + A[i][j]
+    terms.update(_linear_terms(u, v))
+    return terms
+
+
 def _diagonal(d, c):
     """The d x d matrix c I as a list of rows."""
     return [[c if i == j else 0 for j in range(d)] for i in range(d)]

@@ -17,7 +17,7 @@ from .ffcore import (  # TheoremViolation is re-exported from here
     nullspace,
     rank as mat_rank,
 )
-from .fpoly import FpMultiPoly
+from .fpoly import FpMultiPoly, _quadratic_terms
 
 
 class RankTooSmall(HypothesisNotMet):
@@ -142,21 +142,7 @@ class QuadForm:
         return last[d - 1], b, c
 
     def as_poly(self) -> FpMultiPoly:
-        terms = {}
-        d, p = self.d, self.p
-        for i in range(d):
-            for j in range(d):
-                e = [0] * d
-                e[i] += 1
-                e[j] += 1
-                e = tuple(e)
-                terms[e] = (terms.get(e, 0) + self.A.rows[i][j]) % p
-        for i in range(d):
-            e = [0] * d
-            e[i] = 1
-            terms[tuple(e)] = (terms.get(tuple(e), 0) + self.u[i]) % p
-        terms[(0,) * d] = self.v
-        return FpMultiPoly(p, d, terms)
+        return FpMultiPoly(self.p, self.d, _quadratic_terms(self.A.rows, self.u, self.v))
 
     def shifted(self, h):
         """The quadratic form n |-> M(n + h)."""

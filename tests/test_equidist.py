@@ -1,10 +1,16 @@
+import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherefp import equidist
+from spherefp.cli import main
+from spherefp.counting import root_sum
 from spherefp.division import ZpQuadForm
 from spherefp.equidist import (
     DichotomyViolation,
@@ -17,11 +23,10 @@ from spherefp.equidist import (
     frequency_count,
     leibman_probe,
     random_partially_periodic,
-    seq_eval,
     sphere_points,
     weyl_dichotomy,
 )
-from spherefp.fpoly import RatMultiPoly, is_partially_p_periodic_on
+from spherefp.fpoly import RatMultiPoly, ValueRangeError, binom_int, is_partially_p_periodic_on
 from spherefp.quadform import TheoremViolation
 
 from conftest import random_int_valued
@@ -37,13 +42,112 @@ def sphere_form_poly(p, d, r):
     return RatMultiPoly(d, terms)
 
 
-def test_seq_eval_examples():
+def test_single_point_phase_examples():
     const = TorusPolySeq(1, 1, 0, {(0,): (Fraction(7, 3),)})
-    assert seq_eval(const, [11]) == (Fraction(1, 3),)
+    assert constancy_check((1,), const, [(11,)]) == (True, Fraction(1, 3))
     lin = TorusPolySeq(1, 1, 1, {(1,): (Fraction(1, 5),)})
-    assert seq_eval(lin, [5]) == (0,)
+    assert constancy_check((1,), lin, [(5,)]) == (True, 0)
     binom = TorusPolySeq(1, 1, 2, {(2,): (Fraction(1, 5),)})
-    assert seq_eval(binom, [4]) == (Fraction(1, 5),)
+    assert constancy_check((1,), binom, [(4,)]) == (True, Fraction(1, 5))
+
+
+# -- the Fraction reference for the integer-residue phases ------------------------
+
+
+def reference_phase(g, k, n):
+    """k.g(n) mod Z through k.g as a RatMultiPoly, evaluated in Fractions."""
+    dot = {idx: sum(Fraction(kj) * c for kj, c in zip(k, vec)) for idx, vec in g.coeffs.items()}
+    return RatMultiPoly.from_binomial(g.d, dot).evaluate(list(n)) % 1
+
+
+def reference_average(values):
+    """|mean of e(v)| over Fraction phases, summed point by point."""
+    if len(set(values)) == 1:
+        return 1.0
+    re = math.fsum(math.cos(2 * math.pi * float(v)) for v in values)
+    im = math.fsum(math.sin(2 * math.pi * float(v)) for v in values)
+    return abs(complex(re, im)) / len(values)
+
+
+# 10^12 + 39 is prime, so Q (and len(terms) Q^2) leaves int64
+DENOMINATORS = [1, 2, 3, 5, 7, 25, 49, 2**31 - 1, 10**12 + 39]
+
+
+def random_sequence(r):
+    d, m, s = r.randint(1, 3), r.randint(1, 3), r.randint(0, 3)
+    coeffs = {}
+    for _ in range(r.choice([0, 1, 3, 5])):  # no terms: g = 0
+        idx = [0] * d
+        for _ in range(r.randint(0, s)):
+            idx[r.randrange(d)] += 1
+        den = r.choice(DENOMINATORS)
+        coeffs[tuple(idx)] = tuple(Fraction(r.randrange(-60, 60), den) for _ in range(m))
+    return TorusPolySeq(d, m, s, coeffs)
+
+
+def random_points(r, d, p):
+    # negative coordinates and coordinates >= p, besides the sphere's [0, p)
+    return [tuple(r.randrange(-2 * p, 3 * p) for _ in range(d)) for _ in range(r.randint(1, 30))]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_residue_phases_match_the_fraction_reference(seed):
+    r = random.Random(seed)
+    g = random_sequence(r)
+    omega = random_points(r, g.d, r.choice([5, 7, 13]))
+    freqs = frequencies(g.m, 2)
+    phases = {k: [reference_phase(g, k, n) for n in omega] for k in freqs}
+    for k in freqs:
+        assert constancy_check(k, g, omega) == (len(set(phases[k])) == 1, phases[k][0])
+    # the old scan: first strict maximum and first constant frequency
+    max_fourier, argmax, const = 0.0, None, None
+    for k in freqs:
+        val = reference_average(phases[k])
+        if val > max_fourier + 1e-15:
+            max_fourier, argmax = val, k
+        if const is None and len(set(phases[k])) == 1:
+            const = k
+    rep = equidist_test(g, omega, 1.0, 2)
+    assert rep.max_fourier == max_fourier
+    if const is None:
+        assert (rep.verdict, rep.witness_k) == ("equidistributed", argmax)
+    else:
+        assert (rep.verdict, rep.witness_k, rep.constant) == ("obstructed", const, phases[const][0])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_weyl_residues_match_exact_evaluation(seed):
+    r = random.Random(seed)
+    p, d = r.choice([5, 7]), r.randint(1, 4)
+    coeffs = {}
+    for _ in range(r.randint(0, 4)):
+        idx = [0] * d
+        for _ in range(r.randint(0, 3)):
+            idx[r.randrange(d)] += 1
+        coeffs[tuple(idx)] = r.randrange(-20, 20)
+    g = RatMultiPoly.from_binomial(d, coeffs)  # integer valued, p-free denominators
+    omega = random_points(r, d, p)
+    residues = [int(g.evaluate(list(n))) % p for n in omega]
+    if len(set(residues)) == 1:
+        return  # the constant branch certifies on the sphere, not on omega
+    with mock.patch.object(equidist, "root_sum", wraps=root_sum) as spy:
+        out = weyl_dichotomy(g, p, 1, 1.0, omega=omega)
+    counts = [residues.count(a) for a in range(p)]
+    assert spy.call_args.args == (counts, p)
+    assert out.branch == "sum_small" and out.value == abs(root_sum(counts, p)) / len(omega)
+
+
+@pytest.mark.parametrize("Q, dtype", [(25, "int64"), (10**12 + 39, "object")])
+def test_binomial_residue_table_entries(Q, dtype):
+    indices = [(0, 0), (2, 1), (3, 0), (1, 3)]
+    points = [(-7, 4), (0, 0), (12, -3), (10**13, 5)]
+    table = equidist._binomial_residue_table(points, indices, 2, Q)
+    assert table.dtype == dtype
+    assert table.tolist() == [
+        [binom_int(n[0], i[0]) * binom_int(n[1], i[1]) % Q for i in indices] for n in points
+    ]
 
 
 def test_filtration_blocks():
@@ -219,6 +323,17 @@ def test_weyl_constant_poly():
 def test_weyl_rejects_non_integer_valued():
     with pytest.raises(ValueError):
         weyl_dichotomy(RatMultiPoly(3, {(1, 0, 0): Fraction(1, 3)}), 5, 1, 0.5)
+
+
+def test_weyl_rejects_a_denominator_divisible_by_p(tmp_path, capsys):
+    # C(n1, 5) is integer valued, but its monomial denominator 120 is 0 mod 5
+    g = RatMultiPoly.from_binomial(4, {(5, 0, 0, 0): 1})
+    with pytest.raises(ValueRangeError, match="denominator divisible by p"):
+        weyl_dichotomy(g, 5, 1, 0.5)
+    path = tmp_path / "weyl.json"
+    path.write_text(json.dumps({"poly": g.to_json(), "radius": 1}))
+    assert main(["weyl", "--prime", "5", "--delta", "0.5", "--json", str(path)]) == 5
+    assert capsys.readouterr().err == "hypothesis not met: denominator divisible by p\n"
 
 
 def test_leibman_probe_smoke(rng):

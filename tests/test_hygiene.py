@@ -80,6 +80,26 @@ def test_one_grid_identity_checker_in_fpoly():
     assert where == {"_simplex_grid_sum": ["fpoly.py"], "_grid_powers": ["fpoly.py"]}
 
 
+def test_one_binomial_residue_table_in_equidist():
+    # equidist's phases and Weyl residues come from one integer table; a
+    # second evaluator (or a return to Fraction evaluation) could drift
+    names = {"_binomial_residue_table", "_phase_values", "_mod_p_residues", "seq_eval"}
+    where = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                where.setdefault(node.name, []).append(path.name)
+    assert where == {"_binomial_residue_table": ["equidist.py"]}
+    tree = ast.parse((SRC / "equidist.py").read_text())
+    evaluations = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "evaluate"
+    ]
+    assert evaluations == []
+
+
 def test_traced_layers_resolve_on_the_package():
     # bench/tracing.py wraps each LAYERS entry by module and attribute name;
     # a rename in spherefp would leave that layer silently untraced
