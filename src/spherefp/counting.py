@@ -334,16 +334,16 @@ def gowers_blocks(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=D
 
 def gowers_set(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET, count_only=False):
     """Box_s(V(M) n (V+c)): the tuples (n, h_1..h_s) whose full cube lies in
-    the set (the points n themselves at s = 0).  Returns the list of tuples,
-    or the cardinality when count_only; the budget is gowers_blocks' rule.
+    the set (the points n themselves at s = 0), as enumerate_mset's (N, (s+1)d)
+    int64 rows n | h_1 | .. | h_s in lex order, or the cardinality when
+    count_only; the budget is gowers_blocks' rule.
     """
     if count_only:
         return sum(len(H) for _, H, _ in gowers_blocks(M, s, S, budget))
-    out = []
+    parts = [np.empty((0, (s + 1) * M.d), dtype=np.int64)]
     for prefix, H, _ in gowers_blocks(M, s, S, budget):
-        head = tuple(tuple(pt.tolist()) for pt in prefix)
-        out.extend(head + (tuple(h),) if s else tuple(h) for h in H.tolist())
-    return out
+        parts.append(np.hstack([np.broadcast_to(pt, H.shape) for pt in prefix] + [H]))
+    return np.concatenate(parts)
 
 
 def gowers_count_report(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):

@@ -469,10 +469,7 @@ def gowers_equation_solve(P: FpMultiPoly, Q: FpMultiPoly, M: QuadForm, s: int, b
         bad = np.argwhere(diff != 0)
         if len(bad):
             i, j = bad[0]
-            n = tuple(int(x) for x in zeros[i])
-            m = zeros[j]
-            h = tuple(int((m[t] - n[t]) % M.p) for t in range(M.d))
-            return "witness", (n, h)
+            return "witness", _cube((zeros[i],), (zeros[j] - zeros[i]) % M.p)
     else:
         # the walk runs to its end even after a witness: a Box_s that does
         # not fit the budget is refused, never checked in part
@@ -539,8 +536,10 @@ class ZpQuadForm:
         return self.integer_poly().scale(Fraction(1, self.p))
 
     def sphere_points(self, budget=DEFAULT_BUDGET):
-        """tau(V(M-bar)): the base integer points of V_p(M) inside [p]^d."""
-        return list(map(tuple, enumerate_zeros(self.induced(), None, budget).tolist()))
+        """tau(V(M-bar)): the base integer points of V_p(M) inside [p]^d, as
+        enumerate_zeros' (N, d) int64 rows in lex order.  The one source of
+        V_p(M) base points."""
+        return enumerate_zeros(self.induced(), None, budget)
 
     def to_json(self):
         return {"p": self.p, "A": self.A, "u": self.u, "v": self.v}
@@ -669,8 +668,7 @@ def _scan_fibers(f, M, budget, error, skip_constant=False):
     """Enumerate V_p(M) under budget and raise error(witness) at the first
     fiber of f with a non-integral binomial coordinate (the constant one
     passed over when skip_constant), if there is one."""
-    base = enumerate_zeros(M.induced(), None, budget)
-    witness = _first_noninteger_fiber(f, base, M.p, skip_constant)
+    witness = _first_noninteger_fiber(f, M.sphere_points(budget), M.p, skip_constant)
     if witness is not None:
         raise error(witness)
 

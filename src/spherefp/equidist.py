@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import RankHypothesisFailed, root_sum
+from .counting import DEFAULT_BUDGET, RankHypothesisFailed, root_sum
 from .division import ZpQuadForm, lift_nullstellensatz
 from .ffcore import BudgetExceeded, HypothesisNotMet, MalformedInput, TheoremViolation
 from .fpoly import ArityMismatch, NotIntegerValued, RatMultiPoly, ValueRangeError
@@ -282,8 +282,9 @@ def equidist_test(g: TorusPolySeq, omega, delta, K, freq_budget=200000):
 # -- the spherical Weyl dichotomy ------------------------------------------------
 
 
-def sphere_points(p, d, radius, budget=10**8):
-    """tau(V(n.n - radius)) over F_p: the sphere's integer points in [0, p)^d."""
+def sphere_points(p, d, radius, budget=DEFAULT_BUDGET):
+    """tau(V(n.n - radius)) over F_p: the sphere's integer points in [0, p)^d,
+    as ZpQuadForm.sphere_points' (N, d) int64 rows in lex order."""
     return ZpQuadForm.sphere(p, d, radius).sphere_points(budget)
 
 
@@ -305,14 +306,14 @@ class WeylOutcome:
         return out
 
 
-def weyl_dichotomy(g: RatMultiPoly, p: int, radius: int, delta: float, budget=10**8, omega=None):
+def weyl_dichotomy(g: RatMultiPoly, p: int, radius: int, delta: float, budget=DEFAULT_BUDGET, omega=None):
     """Either |E_{n in sphere} e(g(tau n)/p)| <= delta (the value is
     reported), or g(tau n)/p mod Z is a constant a/p on the sphere and the
     footnote certificate g = (n.n - tau(r)) g1 + p g2 + a is produced via
     the lifted Nullstellensatz and verified exactly on the simplex grid.
 
-    omega may carry a precomputed list of sphere points to avoid
-    re-enumeration across many calls."""
+    omega may carry the sphere's points, as sphere_points returns them, to
+    avoid re-enumeration across many calls."""
     nums, den = g._binomial_numerators()
     if any(n % den for n in nums.values()):
         raise NotIntegerValued("weyl_dichotomy requires an integer valued polynomial")
@@ -325,10 +326,9 @@ def weyl_dichotomy(g: RatMultiPoly, p: int, radius: int, delta: float, budget=10
         raise ValueRangeError("denominator divisible by p")
     # g(n) = sum_i (nums[i] / den) C(n, i) with integer binomial coordinates
     table = _binomial_residue_table(omega, list(nums), d, p)
-    residues = (table @ np.array([n // den % p for n in nums.values()], dtype=table.dtype) % p).tolist()
-    first = residues[0]
-    if all(rv == first for rv in residues):
-        a = first
+    r = table @ np.array([n // den % p for n in nums.values()], dtype=table.dtype) % p
+    if (r == r[0]).all():
+        a = int(r[0])
         Mz = ZpQuadForm.sphere(p, d, radius)
         shifted = (g - RatMultiPoly.constant(d, a)).scale(Fraction(1, p))
         g1, g2 = lift_nullstellensatz(shifted, Mz)
@@ -336,9 +336,7 @@ def weyl_dichotomy(g: RatMultiPoly, p: int, radius: int, delta: float, budget=10
         if (vals != 0).any():
             raise TheoremViolation("Weyl certificate failed to re-verify")
         return WeylOutcome("constant", 1.0, Fraction(a, p), g1, g2)
-    counts = [0] * p
-    for rv in residues:
-        counts[rv] += 1
+    counts = np.bincount(r.astype(np.int64), minlength=p).tolist()
     value = abs(root_sum(counts, p)) / len(omega)
     if value <= delta:
         return WeylOutcome("sum_small", value)
@@ -397,7 +395,7 @@ def random_partially_periodic(p, d, s, rng, omega, max_tries=200):
     raise BudgetExceeded("could not generate a partially periodic sample")
 
 
-def leibman_probe(p, d, radius, s, delta, trials, K, rng, budget=10**8):
+def leibman_probe(p, d, radius, s, delta, trials, K, rng, budget=DEFAULT_BUDGET):
     """Statistics of the (delta, K)-dichotomy over random partially
     p-periodic scalar sequences on the sphere; exceptions are recorded with
     full data and flagged when the theorem hypotheses (d >= s + 13) fail."""

@@ -737,8 +737,9 @@ def is_partially_p_periodic_on(f: RatMultiPoly, omega, p: int) -> bool:
 
 
 def partial_periodicity_witness(f: RatMultiPoly, omega, p: int):
-    """First (n0, index) violating partial p-periodicity, or None."""
-    return _first_noninteger_fiber(f, sorted(omega), p, skip_constant=True)
+    """(n0, index) violating partial p-periodicity, n0 the lexicographically
+    least violating point of omega (rows in any order), or None."""
+    return _first_noninteger_fiber(f, omega, p, skip_constant=True)
 
 
 # -- simplex-grid kernels: Newton differences, grid sums, fiber tables ---------
@@ -1032,18 +1033,19 @@ def _fiber_coefficient_table(f: RatMultiPoly, base_points, p):
 
 
 def _first_noninteger_fiber(f, base_points, p, skip_constant=False):
-    """(n0, index) of the first non-integral fiber binomial coefficient,
-    scanning base points in the given order and indices in grid order.
-    Base points are tuples or the rows of an int array; n0 is a tuple of
-    Python ints either way."""
+    """(n0, index) of a non-integral fiber binomial coefficient: n0 the
+    lexicographically least base point with one (the first row of an
+    enumerator's output), index the first in grid order.  Base points are
+    int rows or tuples, in any order; n0 is a tuple of Python ints."""
     if f.is_zero() or len(base_points) == 0:
         return None
-    grid, numerators, den = _fiber_coefficient_table(f, base_points, p)
+    base = np.asarray(base_points, dtype=np.int64).reshape(-1, f.nvars)
+    grid, numerators, den = _fiber_coefficient_table(f, base, p)
     bad = numerators % den != 0
     if skip_constant:
         bad[:, 0] = False  # grid[0] is the zero index
-    hits = np.argwhere(bad)
-    if len(hits) == 0:
+    rows = np.flatnonzero(bad.any(axis=1))
+    if len(rows) == 0:
         return None
-    b, t = hits[0]
-    return tuple(map(int, base_points[b])), grid[t]
+    b = rows[np.lexsort(base[rows].T[::-1])[0]]
+    return tuple(map(int, base[b])), grid[int(np.argmax(bad[b]))]

@@ -19,11 +19,15 @@ from spherefp.counting import (
     gowers_count_report,
     gowers_set,
     quadratic_root_count,
+    subspace_points,
     vmh_count_report,
     zero_count_check,
 )
 from spherefp import counting
+from spherefp.division import ZpQuadForm
+from spherefp.equidist import sphere_points
 from spherefp.ffcore import PrimeField
+from spherefp.msets import enumerate_mset, gowers_family
 from spherefp.quadform import AffineSubspace, QuadForm, perp
 
 from conftest import random_form, random_fp_poly
@@ -152,7 +156,7 @@ def test_gowers_sets(f5):
     empty = QuadForm(f5, [[0, 0], [0, 0]], None, 1)
     assert gowers_set(empty, 1, count_only=True) == 0
     # explicit tuples satisfy the cube condition
-    tuples = gowers_set(M, 2)
+    tuples = gowers_set(M, 2).reshape(-1, 3, 3)
     for (n, h1, h2) in tuples[:50]:
         for e1 in (0, 1):
             for e2 in (0, 1):
@@ -260,14 +264,58 @@ def test_box1_on_subspace_is_squared_count(f5):
 def test_gowers_set_rows_match_mset_enumerator(f5, rng):
     # enumerate_mset builds Box_s block by block from gowers_family: an
     # independent enumerator with the same lexicographic row order
-    from spherefp.msets import enumerate_mset, gowers_family
-
     for M in (QuadForm.dot_form(f5, 3, radius=1), random_form(f5, 3, rng, min_rank=2)):
         for s in (0, 1, 2):
-            want = [tuple(row) for row in enumerate_mset(gowers_family(M, s), M, s + 1).tolist()]
-            got = [sum(tup, ()) if s else tup for tup in gowers_set(M, s)]
-            assert got == want
+            want = enumerate_mset(gowers_family(M, s), M, s + 1)
+            assert np.array_equal(gowers_set(M, s), want)
             assert gowers_set(M, s, count_only=True) == len(want)
+
+
+# -- one point-set format for every enumerator ----------------------------------
+
+F5 = PrimeField(5)
+SPHERE3 = QuadForm.dot_form(F5, 3, radius=1)
+EMPTY2 = QuadForm(F5, [[0, 0], [0, 0]], None, 1)  # the constant 1
+PLANE = AffineSubspace(F5, [[1, 0, 0], [0, 1, 1]], [0, 1, 0])
+
+
+# name -> (call, row width, whether the set is empty)
+SET_ENUMERATORS = {
+    "subspace_points": (lambda: subspace_points(PLANE), 3, False),
+    "enumerate_zeros": (lambda: enumerate_zeros(SPHERE3), 3, False),
+    "enumerate_zeros-empty": (lambda: enumerate_zeros(EMPTY2), 2, True),
+    "enumerate_zeros-S": (lambda: enumerate_zeros(SPHERE3, PLANE), 3, False),
+    "enumerate_zeros-S-empty": (
+        lambda: enumerate_zeros(EMPTY2, AffineSubspace(F5, [[1, 1]], [0, 0])), 2, True,
+    ),
+    "enumerate_vmh": (lambda: enumerate_vmh(QuadForm.dot_form(F5, 5, radius=1), [(1, 2, 0, 0, 0)]), 5, False),
+    "ZpQuadForm.sphere_points": (lambda: ZpQuadForm.sphere(5, 3, 1).sphere_points(), 3, False),
+    "ZpQuadForm.sphere_points-empty": (lambda: ZpQuadForm(5, [[0, 0], [0, 0]], None, 1).sphere_points(), 2, True),
+    "equidist.sphere_points": (lambda: sphere_points(5, 3, 1), 3, False),
+    "equidist.sphere_points-empty": (lambda: sphere_points(5, 1, 2), 1, True),  # n^2 = 2
+    "gowers_set-s0": (lambda: gowers_set(SPHERE3, 0), 3, False),
+    "gowers_set-s1": (lambda: gowers_set(SPHERE3, 1), 6, False),
+    "gowers_set-s2": (lambda: gowers_set(SPHERE3, 2), 9, False),
+    "gowers_set-S": (lambda: gowers_set(SPHERE3, 2, PLANE), 9, False),
+    "gowers_set-empty": (lambda: gowers_set(EMPTY2, 1), 4, True),
+    "enumerate_mset": (lambda: enumerate_mset(gowers_family(SPHERE3, 1), SPHERE3, 2), 6, False),
+    "enumerate_mset-empty": (
+        lambda: enumerate_mset(gowers_family(EMPTY2, 1), EMPTY2, 2), 4, True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SET_ENUMERATORS))
+def test_set_enumerators_return_lex_ordered_int64_rows(name):
+    # a point set is an (N, width) int64 array with strictly increasing
+    # lexicographic rows, from every enumerator and on an empty set too
+    call, width, empty = SET_ENUMERATORS[name]
+    pts = call()
+    assert isinstance(pts, np.ndarray) and pts.dtype == np.int64
+    assert pts.ndim == 2 and pts.shape[1] == width
+    assert (len(pts) == 0) == empty
+    rows = pts.tolist()
+    assert all(a < b for a, b in zip(rows, rows[1:]))
 
 
 def test_gowers_set_budget_counts_every_walked_tuple(f5):
@@ -295,7 +343,7 @@ def test_box2_on_subspace_matches_brute_force(f5):
         # the corners n + h_1 and n + h_2 first, then n + h_1 + h_2
         edge = [h for h in direction if add(n, h) in omega]
         brute += [(n, h1, h2) for h1 in edge for h2 in edge if add(add(n, h1), h2) in omega]
-    assert gowers_set(M, 2, S) == brute
+    assert np.array_equal(gowers_set(M, 2, S), np.array(brute).reshape(-1, 12))
     assert gowers_set(M, 2, S, count_only=True) == len(brute)
 
 

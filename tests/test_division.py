@@ -262,7 +262,7 @@ def test_intrinsic_decompose_agreement(f5, rng):
             _, g1, g2 = res
             assert mp * g1 + g2 == g
             if tuples is None:
-                tuples = gowers_set(M, 1)[:200]
+                tuples = gowers_set(M, 1)[:200].reshape(-1, 2, 5).tolist()
             for (n, h) in tuples:
                 assert (g.evaluate([(n[i] + h[i]) % 5 for i in range(5)]) - g.evaluate(list(n))) % 5 == (
                     (g2.evaluate([(n[i] + h[i]) % 5 for i in range(5)]) - g2.evaluate(list(n))) % 5
@@ -553,7 +553,7 @@ def test_fiber_table_rejects_base_points_outside_residues():
 
 def test_partial_periodicity_witness_matches_fiber_scan(rng):
     p, d = 5, 3
-    omega = ZpQuadForm.sphere(p, d, 1).sphere_points()
+    omega = list(map(tuple, ZpQuadForm.sphere(p, d, 1).sphere_points().tolist()))
     zero = (0,) * d
     witnesses = 0
     for _ in range(30):

@@ -100,6 +100,43 @@ def test_one_binomial_residue_table_in_equidist():
     assert evaluations == []
 
 
+def _functions(node, prefix=""):
+    """(qualified name, node) of every function under node, methods too."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(child, ast.FunctionDef):
+                yield prefix + child.name, child
+            yield from _functions(child, prefix + child.name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def _calls(node, name):
+    """The calls under node of a function or method called name."""
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                yield call
+
+
+def test_v_p_base_points_come_from_one_enumerator():
+    # V_p(M) base points are ZpQuadForm.sphere_points' int64 rows in lex
+    # order: a second enumeration of M.induced() or a re-sort of omega
+    # would bring back a second point-set format beside it
+    where = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, fn in _functions(tree):
+            for call in _calls(fn, "enumerate_zeros"):
+                if [c for arg in call.args for c in _calls(arg, "induced")]:
+                    where.add(f"{path.name}:{name}")
+    assert where == {"division.py:ZpQuadForm.sphere_points"}
+    tree = ast.parse((SRC / "fpoly.py").read_text())
+    witness = [fn for name, fn in _functions(tree) if name == "partial_periodicity_witness"]
+    assert len(witness) == 1 and list(_calls(witness[0], "sorted")) == []
+
+
 def test_traced_layers_resolve_on_the_package():
     # bench/tracing.py wraps each LAYERS entry by module and attribute name;
     # a rename in spherefp would leave that layer silently untraced
