@@ -39,11 +39,11 @@ class CountReport:
         |exact - main_term| <= constant_used * error_bound
     """
 
-    def __init__(self, exact, main_term, error_bound, constant_used=O_CONSTANT):
+    def __init__(self, exact, main_term, error_bound):
         self.exact = exact
         self.main_term = Fraction(main_term)
         self.error_bound = float(error_bound)
-        self.constant_used = constant_used
+        self.constant_used = O_CONSTANT
 
     @property
     def passed(self):
@@ -149,12 +149,6 @@ def _solve_zeros(M: QuadForm):
     return pts
 
 
-def _grid_zeros(M: QuadForm, budget):
-    """(M.grid_values(), V(M) in lex order), after the p^d budget check."""
-    _check_budget(M.p**M.d, budget)
-    return M.grid_values(), _solve_zeros(M)
-
-
 def enumerate_zeros(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
     """Sound and complete list of V(M) (intersected with V + c), lex order."""
     if S is None:
@@ -250,9 +244,12 @@ def quadratic_root_count(M: QuadForm, budget=DEFAULT_BUDGET):
 
 
 def enumerate_vmh(M: QuadForm, shifts, budget=DEFAULT_BUDGET):
-    """V(M)^{h_1..h_r} = V(M) n (intersection of V(M(.+h_i))), lex order."""
+    """V(M)^{h_1..h_r} = V(M) n (intersection of V(M(.+h_i))), lex order:
+    the rows n of V(M) with M(n + h) = 0 for each h."""
     field = M.field
     r = len(shifts)
+    if any(len(h) != M.d for h in shifts):
+        raise MalformedInput(f"every shift must have length d = {M.d}")
     if r:
         if mat_rank(FpMatrix(field, [list(h) for h in shifts])) < r:
             raise DependentShifts("shift vectors are linearly dependent")
@@ -260,12 +257,10 @@ def enumerate_vmh(M: QuadForm, shifts, budget=DEFAULT_BUDGET):
         raise RankHypothesisFailed("M must be non-degenerate")
     if M.d - 2 * r < 3:
         raise RankHypothesisFailed(f"need d - 2r >= 3, got {M.d - 2 * r}")
-    grid, pts = _grid_zeros(M, budget)
-    keep = np.ones(len(pts), dtype=bool)
+    pts = enumerate_zeros(M, None, budget)
     for h in shifts:
-        # M(n + h) = grid[(n + h) mod p]
-        keep &= grid[tuple(((pts + np.array(h, dtype=np.int64)) % M.p).T)] == 0
-    return pts[keep]
+        pts = pts[M.eval_array((pts + np.array(h, dtype=np.int64)) % M.p) == 0]
+    return pts
 
 
 def vmh_count_report(M: QuadForm, shifts, budget=DEFAULT_BUDGET):
@@ -276,24 +271,29 @@ def vmh_count_report(M: QuadForm, shifts, budget=DEFAULT_BUDGET):
     return CountReport(len(pts), main, bound)
 
 
+def _children(prefix, keep, H, cand, A, p):
+    """Lazily, each prefix + (h,) for h in H with keep narrowed by (h A) . x = 0."""
+    for h, ha in zip(H, H @ A % p):
+        yield prefix + (h,), keep & ((cand @ ha) % p == 0)
+
+
 def gowers_blocks(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
     """Walk Box_s(V(M) n (V+c)) in lexicographic order, one block per prefix.
 
     Yields (prefix, H, room): prefix is (n, h_1..h_{s-1}) as 1-D arrays and
     the rows of H are every h_s completing it (at s = 0 there is one block,
-    prefix () and H the zeros).  The corner mask M(n + h) = 0 is computed
-    once per n and narrowed by (h_i A) . h = 0 for each h_i of the prefix;
-    cube membership reduces to these pairwise conditions.
+    prefix () and H the zeros).  Each corner n + h lies in the set, so the
+    candidates at n are the differences (b - n) mod p over its rows b, in lex
+    order; each h_i of the prefix narrows them by (h_i A) . h = 0, and cube
+    membership reduces to these pairwise conditions.  The walk keeps its own
+    stack, so s is bounded by the budget and not by the recursion limit.
 
     Budget: one unit per tuple (n, h_1..h_t), t <= s.  A prefix is charged
     when the walk reaches it, the rows of H when the consumer resumes after
     them, so a scan that stops inside H pays only for what it read; room is
     the budget left before H."""
-    p = M.p
-    if S is None:
-        grid, base = _grid_zeros(M, budget)
-    else:
-        base = enumerate_zeros(M, S, budget)
+    p, d = M.p, M.d
+    base = enumerate_zeros(M, S, budget)
     used = 0
 
     def charge(units):
@@ -306,30 +306,27 @@ def gowers_blocks(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=D
         yield (), base, budget
         charge(len(base))
         return
-    if S is None:
-        space = all_points(p, M.d)
-    else:
-        space = subspace_points(AffineSubspace(M.field, S.basis), budget)
-
-    def walk(prefix, keep):
-        # keep: the h in space with every corner of (prefix, h) in the set
-        charge(1)
-        cand = space[keep]
-        if len(prefix) == s:
-            yield prefix, cand, budget - used
-            charge(len(cand))
-            return
-        for h in cand:
-            ha = np.array(M.A.vecmat(h.tolist()), dtype=np.int64)
-            yield from walk(prefix + (h,), keep & ((space @ ha) % p == 0))
-
+    A = np.array(M.A.rows, dtype=np.int64)
+    # rows in lex order by the key sum_j h_j p^(d-1-j), Python ints past int64
+    kind = np.int64 if p**d < 2**63 else object
+    weights = np.array([p ** (d - 1 - j) for j in range(d)], dtype=kind)
     for n in base:
-        if S is None:
-            # M(n + h) = grid[(n + h) mod p]: roll the grid back by n
-            corners = np.roll(grid, tuple(-n), tuple(range(M.d))).reshape(-1) == 0
-        else:
-            corners = M.shifted(n.tolist()).eval_array(space) == 0
-        yield from walk((n,), corners)
+        cand = (base - n) % p
+        cand = cand[np.argsort(cand.astype(kind) @ weights)]
+        # each entry iterates the children (prefix, mask over cand) of a node
+        stack = [iter([((n,), np.ones(len(cand), dtype=bool))])]
+        while stack:
+            for prefix, keep in stack[-1]:
+                charge(1)
+                H = cand[keep]
+                if len(prefix) == s:
+                    yield prefix, H, budget - used
+                    charge(len(H))
+                else:
+                    stack.append(_children(prefix, keep, H, cand, A, p))
+                    break
+            else:
+                stack.pop()
 
 
 def gowers_set(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET, count_only=False):

@@ -348,11 +348,11 @@ def weyl_dichotomy(g: RatMultiPoly, p: int, radius: int, delta: float, budget=DE
 # -- Leibman probe ---------------------------------------------------------------
 
 
-def random_partially_periodic(p, d, s, rng, omega, max_tries=200):
+def random_partially_periodic(p, d, s, rng, omega):
     """A random degree-<= s rational polynomial with p-power denominators
     that is partially p-periodic on omega.  Draws from building blocks that
     are periodic by construction and re-checks symbolically."""
-    for _ in range(max_tries):
+    for _ in range(200):
         style = rng.randrange(3)
         if style == 0:
             # Z/p coefficients: p-periodic (degree < p)

@@ -233,7 +233,7 @@ def _stack(family):
     return [f.coeff_vectors()[0] for f in family], [f.coeff_vectors()[1] for f in family]
 
 
-def classify(family, M: QuadForm, k: int, perm_budget=720):
+def classify(family, M: QuadForm, k: int):
     """Flags {pure, consistent, independent, nice} for an (M,k)-family.
 
     nice is True when witnessed (already nice, or nice after a searched
@@ -249,7 +249,7 @@ def classify(family, M: QuadForm, k: int, perm_budget=720):
     consistent = rank_full == rank_prime
     independent = rank_prime == len(family)
     pure = all(f.is_pure() for f in family)
-    nice = _nice_search(family, M, k, perm_budget)
+    nice = _nice_search(family, M, k)
     return {
         "pure": pure,
         "consistent": consistent,
@@ -258,13 +258,13 @@ def classify(family, M: QuadForm, k: int, perm_budget=720):
     }
 
 
-def _nice_search(family, M, k, perm_budget):
+def _nice_search(family, M, k):
     from itertools import permutations
     from math import factorial
 
     if all(f.is_nice() for f in family):
         return True
-    if factorial(k) > perm_budget:
+    if factorial(k) > 720:  # every block permutation up to k = 6
         return None
     field = M.field
     p = M.p
@@ -530,6 +530,8 @@ def fubini_prepare(family, M: QuadForm, k: int, kprime: int, budget=DEFAULT_BUDG
     """Enumerations shared by repeated Fubini checks over the same set:
     (points of Omega in lexicographic order, so grouped by I-prefix, the
     start of each prefix's run plus len(points), |Omega_I|)."""
+    if not 0 <= kprime <= k:
+        raise MalformedInput(f"kprime must lie in 0..k = {k}, got {kprime}")
     d = M.d
     pts = enumerate_mset(family, M, k, budget)
     if len(pts) == 0:
@@ -647,13 +649,13 @@ def ideal_membership(P: FpMultiPoly, family, M: QuadForm, k: int):
     return qs
 
 
-def sample_mset(family, M, k, rng, count, max_rounds=4000):
+def sample_mset(family, M, k, rng, count):
     """count points of V(family) by vectorized rejection sampling."""
     p, d = M.p, M.d
     np_rng = np.random.default_rng(rng.randrange(2**63))
     got = []
     have = 0
-    for _ in range(max_rounds):
+    for _ in range(4000):
         batch = np_rng.integers(0, p, size=(4096, k * d), dtype=np.int64)
         hits = batch
         for f in family:

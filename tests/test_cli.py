@@ -143,6 +143,14 @@ def test_budget_exit_3(sphere_json):
     assert code == 3
 
 
+def test_gowers_walk_deeper_than_the_recursion_limit_exits_3(sphere_json, capsys):
+    # the Box_s walk keeps its own stack, so a large s runs out of budget,
+    # not of Python frames
+    assert main(["gowers", "--json", sphere_json, "--s", "1500", "--budget", "100000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("budget exceeded:")
+
+
 @pytest.mark.parametrize("blob", [{"s": 40, "dim": 4}, {"s": 1000000}])
 def test_leibman_probe_degree_over_budget_exits_3(monkeypatch, tmp_path, capsys, blob):
     # each draw is re-checked on a fiber plan of C(2d + s, 2d) pairs: 3.8e8
@@ -464,6 +472,8 @@ MALFORMED = [
     (["equidist"], {"sequence": {"m": 1, "s": 2, "d": 0, "coeffs": []}, "radius": 1}, "need d, m >= 1"),
     (["leibman-probe", "--trials", "2", "--dim", "0"], None, "leibman_probe needs d, s >= 1"),
     (["leibman-probe", "--trials", "2"], {"s": 0}, "leibman_probe needs d, s >= 1"),
+    (["fubini-check"], _family([[0] * 4] * 2) | {"kprime": 3}, "kprime must lie in 0..k = 2, got 3"),
+    (["fubini-check"], _family([[0] * 4] * 2) | {"kprime": -1}, "kprime must lie in 0..k = 2, got -1"),
 ]
 
 

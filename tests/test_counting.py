@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from spherefp.counting import (
 from spherefp import counting
 from spherefp.division import ZpQuadForm
 from spherefp.equidist import sphere_points
-from spherefp.ffcore import PrimeField
+from spherefp.ffcore import FpMatrix, MalformedInput, PrimeField, rank as mat_rank
 from spherefp.msets import enumerate_mset, gowers_family
 from spherefp.quadform import AffineSubspace, QuadForm, perp
 
@@ -347,6 +348,42 @@ def test_box2_on_subspace_matches_brute_force(f5):
     assert gowers_set(M, 2, S, count_only=True) == len(brute)
 
 
+def test_gowers_set_on_a_point_subspace(f5):
+    # V = 0: a point c on V(M) gives the single row c | 0 | .. | 0 and a
+    # point off V(M) gives no rows, checked at every c of F_5^3
+    M = QuadForm.dot_form(f5, 3, radius=1)
+    for c in all_points(5, 3).tolist():
+        point = AffineSubspace(f5, [], c)
+        for s in (0, 1, 2, 3):
+            brute = [c + [0] * (3 * s)] if M.evaluate(c) == 0 else []
+            rows = gowers_set(M, s, point)
+            assert rows.shape == (len(brute), 3 * (s + 1)) and rows.tolist() == brute
+            rep = gowers_count_report(M, s, point)
+            assert rep.exact == len(brute) and rep.main_term == Fraction(1, 5 ** (s * (s + 1) // 2 + 1))
+
+
+def test_box1_on_a_subspace_with_keys_past_int64(rng):
+    # p^d = 97^10 > 2^63: the walk orders its candidates by Python-int keys;
+    # Box_1 of any set is every (n, m - n), lexicographic in (n, m - n)
+    p, d = 97, 10
+    field = PrimeField(p)
+    M = QuadForm.dot_form(field, d, radius=3)
+    basis = [[rng.randrange(p) for _ in range(d)] for _ in range(2)]
+    S = AffineSubspace(field, basis, [rng.randrange(p) for _ in range(d)])
+    zeros = enumerate_zeros(M, S).tolist()
+    brute = sorted(n + [(b - a) % p for a, b in zip(n, m)] for n in zeros for m in zeros)
+    assert len(zeros) > 10 and gowers_set(M, 1, S).tolist() == brute
+
+
+def test_enumerate_vmh_rejects_shifts_of_the_wrong_length(f5, monkeypatch):
+    def never(*args):
+        raise AssertionError("enumerated before the shifts were checked")
+
+    monkeypatch.setattr(counting, "enumerate_zeros", never)
+    with pytest.raises(MalformedInput, match="length d = 5"):
+        enumerate_vmh(QuadForm.dot_form(f5, 5, radius=1), [[1, 2, 3]])
+
+
 def test_root_sum_matches_the_former_formulas(rng):
     # the helper replaced two formulas; both must give the same bits
     import cmath
@@ -513,11 +550,6 @@ def test_enumerate_zeros_budget_boundary(rng):
         assert np.array_equal(enumerate_zeros(M, None, budget=p**d), reference_zeros(M))
         with pytest.raises(BudgetExceeded):
             enumerate_zeros(M, None, budget=p**d - 1)
-        grid, rows = counting._grid_zeros(M, p**d)
-        assert np.array_equal(rows, reference_zeros(M))
-        assert np.array_equal(grid, M.grid_values())
-        with pytest.raises(BudgetExceeded):
-            counting._grid_zeros(M, p**d - 1)
 
 
 def test_grid_values_reduces_every_product():
@@ -563,15 +595,26 @@ def test_enumerate_vmh_matches_point_by_point_reference(rng):
 
 
 def test_gowers_blocks_corner_masks_match_shifted_forms(f5, rng):
-    # at s = 1 the block of n holds every h with M(n + h) = 0: the rolled
-    # grid mask against the shifted form, for every n of V(M)
+    # at s = 1 the block of n holds every h of the direction space V with
+    # M(n + h) = 0, checked against the shifted form on all of V, for every
+    # n of V(M) n (V + c): on F_p^d and on subspaces of each dimension
     from spherefp.counting import gowers_blocks
 
     for d in (3, 4):
-        space = all_points(5, d)
         for M in [QuadForm.dot_form(f5, d, radius=1)] + kernel_forms(f5, d, rng)[:3]:
-            blocks = list(gowers_blocks(M, 1))
-            starts = np.array([n for (n,), _, _ in blocks], dtype=np.int64).reshape(-1, d)
-            assert np.array_equal(starts, enumerate_zeros(M))
-            for (n,), H, _ in blocks:
-                assert np.array_equal(H, space[M.shifted(n.tolist()).eval_array(space) == 0])
+            zeros = enumerate_zeros(M)
+            point = zeros[0].tolist() if len(zeros) else [0] * d
+            subspaces = [None, AffineSubspace(f5, [], point)]
+            for k in range(1, d):
+                while True:
+                    basis = [[rng.randrange(5) for _ in range(d)] for _ in range(k)]
+                    if mat_rank(FpMatrix(f5, basis)) == k:
+                        break
+                subspaces.append(AffineSubspace(f5, basis, [rng.randrange(5) for _ in range(d)]))
+            for S in subspaces:
+                space = all_points(5, d) if S is None else subspace_points(AffineSubspace(f5, S.basis, [0] * d))
+                blocks = list(gowers_blocks(M, 1, S))
+                starts = np.array([n for (n,), _, _ in blocks], dtype=np.int64).reshape(-1, d)
+                assert np.array_equal(starts, enumerate_zeros(M, S))
+                for (n,), H, _ in blocks:
+                    assert np.array_equal(H, space[M.shifted(n.tolist()).eval_array(space) == 0])

@@ -772,8 +772,7 @@ def _witness_scan_reference(g, M, s, budget):
 def test_first_gowers_witness_matches_scalar_scan(monkeypatch, p, d, s, rng):
     # the walk refuses budgets below p^d before it enumerates V(M); lift
     # that guard so budgets at and below the node count reach the scan
-    grid_zeros = counting._grid_zeros
-    monkeypatch.setattr(counting, "_grid_zeros", lambda M, budget: grid_zeros(M, p**d))
+    monkeypatch.setattr(counting, "enumerate_zeros", lambda M, S, budget: enumerate_zeros(M, S, p**d))
     field = PrimeField(p)
     cap = 10000  # scans the reference cannot finish within cap must raise on both sides
     for trial in range(10):

@@ -137,6 +137,25 @@ def test_v_p_base_points_come_from_one_enumerator():
     assert len(witness) == 1 and list(_calls(witness[0], "sorted")) == []
 
 
+def test_box_s_candidates_come_from_the_zero_set_rows():
+    # the Box_s walk and enumerate_vmh read their shifted sets off the rows
+    # of V(M) (n V + c); a p^d value grid rolled or looked up beside them
+    # would be a second corner path, so the grid serves only the
+    # square-value count
+    where, calls, rolls, grid_zeros = set(), 0, [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += len(list(_calls(tree, "grid_values")))
+        rolls += [f"{path.name}:{call.lineno}" for call in _calls(tree, "roll")]
+        for name, fn in _functions(tree):
+            if list(_calls(fn, "grid_values")):
+                where.add(f"{path.name}:{name}")
+            if fn.name == "_grid_zeros":
+                grid_zeros.append(f"{path.name}:{name}")
+    assert where == {"counting.py:quadratic_root_count"} and calls == 1
+    assert rolls == [] and grid_zeros == []
+
+
 def test_traced_layers_resolve_on_the_package():
     # bench/tracing.py wraps each LAYERS entry by module and attribute name;
     # a rename in spherefp would leave that layer silently untraced

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherefp.counting import all_points, gowers_set
-from spherefp.ffcore import BudgetExceeded, PrimeField
+from spherefp.ffcore import BudgetExceeded, MalformedInput, PrimeField
 from spherefp import msets
 from spherefp.fpoly import FpMultiPoly
 from spherefp.msets import (
@@ -246,6 +246,25 @@ def test_fubini_equal_weight_and_pm1(f5):
 
     lhs, rhs, diff = fubini_check(fam, M, 2, 1, f)
     assert float(diff) <= 4 * 5**-0.5
+
+
+def test_fubini_kprime_ends_are_exact_and_outside_is_refused(f5, monkeypatch):
+    # I = {} and I = {1..k} both make each side the plain mean over Omega;
+    # a kprime outside 0..k names no block set and is refused before any
+    # enumeration
+    M = QuadForm.dot_form(f5, 3, radius=1)
+    fam = gowers_family(M, 1)
+    for kprime in (0, 2):
+        lhs, rhs, diff = fubini_check(fam, M, 2, kprime, lambda x: x[0] + 2 * x[4])
+        assert lhs == rhs and diff == 0
+
+    def never(*args):
+        raise AssertionError("enumerated before kprime was checked")
+
+    monkeypatch.setattr(msets, "enumerate_mset", never)
+    for kprime in (-1, 3):
+        with pytest.raises(MalformedInput, match="kprime must lie in 0..k = 2"):
+            fubini_check(fam, M, 2, kprime, lambda x: 1)
 
 
 def test_fubini_uneven_fibers(f5):
