@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, gcd, lcm
-from operator import mul
+from math import gcd
 
 import numpy as np
 
-from ._zlinalg import int_solve, rat_solve
+from ._zlinalg import _hermite_reduce, int_solve
 from .counting import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -41,7 +40,6 @@ from .fpoly import (
     _binom_basis_indices,
     _fiber_coefficient_table,  # re-exported: bench/tracing.py wraps it by this name
     _first_noninteger_fiber,
-    _newton_differences,
     _quadratic_terms,
     _simplex_grid_sum,
     induce,
@@ -588,46 +586,83 @@ def lift_nullstellensatz(P: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUDGET):
 # -- p-expansion solvers (solution shapes as exact integer linear systems) ------
 
 
-# Distinct (form, degree, solution shape) systems kept by _system_rows; the
-# int_solve reduction memo in _zlinalg has the same bound.
-SYSTEM_CACHE_SIZE = 16
+# Distinct (form, degree, solution shape) systems whose Hermite reduction is
+# kept.  A solver sweep over one form meets one system per degree and
+# solution shape; the degree-4 systems at p = 5, d = 4 (70 x 86) take about
+# 0.2 MB with their reduction, so a full memo stays in the low megabytes.
+REDUCTION_CACHE_SIZE = 16
+
+
+def _times_variable(col, j):
+    """n_j col for col = {a: c} standing for sum_a c C(n, a), by
+    n_j C(n_j, a_j) = (a_j + 1) C(n_j, a_j + 1) + a_j C(n_j, a_j)."""
+    out = {}
+    for a, c in col.items():
+        k = a[j]
+        up = a[:j] + (k + 1,) + a[j + 1 :]
+        out[up] = out.get(up, 0) + (k + 1) * c
+        if k:
+            out[a] = out.get(a, 0) + k * c
+    return out
+
+
+def _add_into(out, scale, col):
+    """out += scale col, coordinate-wise; nothing when scale is 0."""
+    if scale:
+        for a, c in col.items():
+            out[a] = out.get(a, 0) + scale * c
+
+
+def _times_form(col, A, u, v):
+    """N col for N = (nA)n + u.n + v = sum_j n_j (sum_l A_jl n_l + u_j) + v,
+    all in binomial coordinates."""
+    moved = [_times_variable(col, j) for j in range(len(A))]
+    out = {}
+    _add_into(out, v, col)
+    for j, row in enumerate(A):
+        inner = {}
+        _add_into(inner, u[j], col)
+        for a_jl, n_l_col in zip(row, moved):
+            _add_into(inner, a_jl, n_l_col)
+        _add_into(out, 1, _times_variable(inner, j))
+    return out
 
 
 def _system_matrix(M: ZpQuadForm, df, blocks):
     """The columns p^k N^i C(n, idx) with N = p M, for each block
     (i, k, indices) and idx in indices, in binomial coordinates up to degree
-    df, as grid rows x columns (fresh lists, built once per value key)."""
-    rows = _system_rows(
-        M.p,
-        tuple(map(tuple, M.A)),
-        tuple(M.u),
-        M.v,
-        df,
-        tuple((i, k, tuple(indices)) for i, k, indices in blocks),
-    )
-    return [list(row) for row in rows]
-
-
-@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
-def _system_rows(p, A, u, v, df, blocks):
-    """_system_matrix on the form's integer values, as row tuples: the
-    integer values of the columns on the grid go through Newton
-    differences.  Keyed on values, since ZpQuadForm fields are mutable."""
-    d = len(A)
-    grid = _binom_basis_indices(d, df)
-    nvals = [
-        sum(x * sum(map(mul, row, g)) for x, row in zip(g, A)) + sum(map(mul, u, g)) + v
-        for g in grid
-    ]
-    g_arr = np.array(grid, dtype=np.int64).reshape(len(grid), d)
-    span = range(max(df, 0) + 1)
-    comb_table = np.array([[comb(a, b) for b in span] for a in span], dtype=object)
-    parts = []
+    df: rows in _binom_basis_indices(M.d, df) order, as fresh lists.  Each
+    column is built in closed form, one factor N at a time (_times_form)."""
+    pos = {g: r for r, g in enumerate(_binom_basis_indices(M.d, df))}
+    cols = []
     for i, k, indices in blocks:
-        idx = np.array(indices, dtype=np.int64).reshape(len(indices), d)
-        binoms = comb_table[g_arr[None, :, :], idx[:, None, :]].prod(axis=2)
-        parts.append(binoms * np.array([p**k * nv**i for nv in nvals], dtype=object))
-    return tuple(map(tuple, _newton_differences(np.concatenate(parts), d, df).T.tolist()))
+        for idx in indices:
+            col = {idx: M.p**k}
+            for _ in range(i):
+                col = _times_form(col, M.A, M.u, M.v)
+            cols.append(col)
+    rows = [[0] * len(cols) for _ in pos]
+    for c, col in enumerate(cols):
+        for a, x in col.items():
+            rows[pos[a]][c] = x
+    return rows
+
+
+@lru_cache(maxsize=REDUCTION_CACHE_SIZE)
+def _reduced_system(p, A, u, v, df, blocks, drop):
+    """_hermite_reduce of _system_matrix(ZpQuadForm(p, A, u, v), df, blocks)
+    without its first drop rows.  Keyed on values, since ZpQuadForm fields
+    are mutable; a hit neither builds nor hashes the matrix."""
+    return _hermite_reduce(_system_matrix(ZpQuadForm(p, A, u, v), df, blocks)[drop:])
+
+
+def _solve_system(M: ZpQuadForm, df, blocks, drop, rhs):
+    """One integer solution z of A z = rhs, or None, where A is the system
+    of (M, df, blocks) without its first drop rows; the reduction of A
+    comes from the one memo, _reduced_system."""
+    key = tuple((i, k, tuple(indices)) for i, k, indices in blocks)
+    reduction = _reduced_system(M.p, tuple(map(tuple, M.A)), tuple(M.u), M.v, df, key, drop)
+    return int_solve(reduction, rhs, sum(len(indices) for _, _, indices in blocks))
 
 
 def _p_free_part(q, p):
@@ -649,21 +684,6 @@ def _scaled_rhs(nums, den, indices, p, depth):
     return q0, [c // den for c in scaled]
 
 
-def _p_free_solve(amat, rhs, p, what):
-    """(z, scale) with amat z = scale * rhs in integers, scale coprime to p:
-    the fallback once int_solve(amat, rhs) found nothing.  scale is the
-    p-free denominator of one rational solution (1 when that solution is
-    integral)."""
-    xq = rat_solve([[Fraction(v) for v in row] for row in amat], [Fraction(c) for c in rhs])
-    if xq is None:
-        raise TheoremViolation(f"{what} inconsistent over Q")
-    scale = _p_free_part(lcm(*(c.denominator for c in xq)), p)
-    z = int_solve(amat, [c * scale for c in rhs])
-    if z is None:
-        raise TheoremViolation(f"no integer {what} at any p-free scale")
-    return z, scale
-
-
 def _scan_fibers(f, M, budget, error, skip_constant=False):
     """Enumerate V_p(M) under budget and raise error(witness) at the first
     fiber of f with a non-integral binomial coordinate (the constant one
@@ -673,11 +693,10 @@ def _scan_fibers(f, M, budget, error, skip_constant=False):
         raise error(witness)
 
 
-def _solve_certificate_first(system, rhs, q0, p, what, certify, scan):
-    """certify(Q0, z) for a solution z of system() z = scale * rhs, with
-    Q0 = q0 scale; system builds the integer matrix.
+def _solve_certificate_first(solve, q0, what, certify, scan):
+    """certify(q0, z) for the integer solution z = solve() of the system.
 
-    When int_solve answers at q0 = 1 and certify accepts, the certificate
+    When solve answers at q0 = 1 and certify accepts, the certificate
     itself proves the hypothesis that scan() checks, so scan is not called.
     Every other path calls scan() before anything that can raise, so its
     witness outranks a failed solve or re-verify.  With q0 != 1 no
@@ -685,8 +704,7 @@ def _solve_certificate_first(system, rhs, q0, p, what, certify, scan):
     as in the scan-first order."""
     if q0 != 1:
         scan()
-    amat = system()
-    z = int_solve(amat, rhs)
+    z = solve()
     if q0 == 1:
         if z is not None:
             try:
@@ -695,10 +713,16 @@ def _solve_certificate_first(system, rhs, q0, p, what, certify, scan):
                 scan()
                 raise
         scan()
-    scale = 1
     if z is None:
-        z, scale = _p_free_solve(amat, rhs, p, what)
-    return certify(q0 * scale, z)
+        # No p-free rescale of rhs can help.  Block 0 of every sphere system
+        # is p^e I on every row (vanishing: e = floor(deg f / 2) over all
+        # indices; periodic: e = s* - 1 over every row but the dropped zero
+        # index).  So if A z = c rhs has an integer solution with p not
+        # dividing c, take c' with c c' = 1 mod p^e: c' z solves it for
+        # c c' rhs, and moving (c c' - 1) / p^e rhs off block 0 solves
+        # A z = rhs.  Hermite int_solve is complete, so its None is final.
+        raise TheoremViolation(f"no integer {what}")
+    return certify(q0, z)
 
 
 def _block_polys(nvars, blocks, z):
@@ -755,8 +779,8 @@ def sphere_vanishing_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BU
             raise TheoremViolation("second clause p^{floor(deg/2)} f failed")
         return q0, rs
 
-    system = partial(_system_matrix, M, df, blocks)
-    return _solve_certificate_first(system, rhs, q0, p, "sphere-vanishing decomposition", certify, scan)
+    solve = partial(_solve_system, M, df, blocks, 0, rhs)
+    return _solve_certificate_first(solve, q0, "sphere-vanishing decomposition", certify, scan)
 
 
 def sphere_periodic_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUDGET):
@@ -817,7 +841,5 @@ def sphere_periodic_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUD
             r0 = r0 + RatMultiPoly.constant(nvars, p * whole)
         return q0, c_value, r0, rs
 
-    def system():
-        return _system_matrix(M, df, blocks)[1:]
-
-    return _solve_certificate_first(system, rhs, q0, p, "periodic decomposition", certify, scan)
+    solve = partial(_solve_system, M, df, blocks, 1, rhs)
+    return _solve_certificate_first(solve, q0, "periodic decomposition", certify, scan)

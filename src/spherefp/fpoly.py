@@ -742,7 +742,7 @@ def partial_periodicity_witness(f: RatMultiPoly, omega, p: int):
     return _first_noninteger_fiber(f, omega, p, skip_constant=True)
 
 
-# -- simplex-grid kernels: Newton differences, grid sums, fiber tables ---------
+# -- simplex-grid kernels: basis indices, grid sums, fiber tables --------------
 
 
 @lru_cache(maxsize=None)
@@ -824,39 +824,6 @@ def _monomial_closure(exps, nvars):
 
 
 @lru_cache(maxsize=None)
-def _newton_plan(nvars, deg):
-    """(target, source) positions on _binom_basis_indices(nvars, deg), one
-    pair per axis j and difference order k: targets have g_j >= k and each
-    source is its target moved one step down along axis j."""
-    grid = _binom_basis_indices(nvars, deg)
-    pos = {g: t for t, g in enumerate(grid)}
-    plan = []
-    for j in range(nvars):
-        for k in range(1, deg + 1):
-            tgt = [t for t, g in enumerate(grid) if g[j] >= k]
-            src = [pos[grid[t][:j] + (grid[t][j] - 1,) + grid[t][j + 1 :]] for t in tgt]
-            plan.append((np.array(tgt, dtype=np.intp), np.array(src, dtype=np.intp)))
-    return tuple(plan)
-
-
-def _newton_differences(values, nvars, deg):
-    """Binomial-basis coordinates from values on the simplex grid, in place.
-
-    values[r, t] = h_r(grid[t]) for polynomials h_r of degree <= deg, where
-    grid = _binom_basis_indices(nvars, deg); afterwards values[r, t] is the
-    coefficient of C(n, grid[t]) in h_r, that is Delta^grid[t] h_r(0)
-    (Newton's forward-difference formula).  Each plan step is one forward
-    difference along one axis, applied to all points with g_j >= k at
-    once; after deg steps on axis j a point holds Delta_j^{g_j} of the
-    previous axis' values at g_j = 0.  Exact on object arrays of integers
-    or Fractions, and on int64 arrays while 2^deg max|values| < 2^63.
-    """
-    for tgt, src in _newton_plan(nvars, deg):
-        values[:, tgt] -= values[:, src]
-    return values
-
-
-@lru_cache(maxsize=None)
 def _grid_powers(nvars, deg):
     """powers[j, k, t] = grid[t][j] ** k for k = 0..deg on the simplex grid
     _binom_basis_indices(nvars, deg), read-only.  Every entry is at most
@@ -886,10 +853,10 @@ def _simplex_grid_sum(nvars, summands):
     values[t] / den, with den > 0.
 
     The sum has degree <= D, and a polynomial of degree <= D is determined
-    by its values on that grid (its binomial coordinates are the forward
-    differences there, see _newton_differences).  So the sum is the zero
-    polynomial exactly when every value is 0, and a constant exactly when
-    every value equals values[0], its value at the origin.
+    by its values on that grid: its coefficient of C(n, g) is the forward
+    difference Delta^g at the origin, which reads only grid points.  So the
+    sum is the zero polynomial exactly when every value is 0, and a constant
+    exactly when every value equals values[0], its value at the origin.
 
     Arithmetic is int64 where a bound shows it exact, else Python integers,
     in two steps: the factor values are bounded by their coefficients

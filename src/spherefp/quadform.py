@@ -30,11 +30,15 @@ class AffineSubspace:
     def __init__(self, field: PrimeField, basis, offset=None):
         self.field = field
         self.basis = [[field.red(x) for x in b] for b in basis]
-        d = len(self.basis[0]) if self.basis else (len(offset) if offset else 0)
+        if not self.basis and not offset:
+            raise MalformedInput("an empty basis needs an offset to fix the ambient dimension")
+        d = len(self.basis[0]) if self.basis else len(offset)
         self.dim_ambient = d
         for b in self.basis:
             if len(b) != d:
                 raise MalformedInput("ragged basis")
+        if offset is not None and len(offset) != d:
+            raise MalformedInput(f"offset of length {len(offset)} for basis vectors of length {d}")
         if self.basis and mat_rank(FpMatrix(field, self.basis)) != len(self.basis):
             raise MalformedInput("basis vectors are dependent")
         self.offset = [field.red(x) for x in (offset or [0] * d)]

@@ -474,6 +474,11 @@ MALFORMED = [
     (["leibman-probe", "--trials", "2"], {"s": 0}, "leibman_probe needs d, s >= 1"),
     (["fubini-check"], _family([[0] * 4] * 2) | {"kprime": 3}, "kprime must lie in 0..k = 2, got 3"),
     (["fubini-check"], _family([[0] * 4] * 2) | {"kprime": -1}, "kprime must lie in 0..k = 2, got -1"),
+    # an offset shorter than the basis vectors: a numpy broadcast crash
+    # (exit 4), and with a rank-1 basis a "hypothesis not met" (exit 5)
+    (["count"], {"form": DOT3, "subspace": {"basis": DOT3["A"], "offset": [0, 0]}}, "offset of length 2"),
+    (["count"], {"form": DOT3, "subspace": {"basis": [[1, 0, 0]], "offset": [0, 0]}}, "offset of length 2"),
+    (["count"], {"form": DOT3, "subspace": {"basis": [], "offset": []}}, "empty basis needs an offset"),
 ]
 
 

@@ -618,3 +618,35 @@ def test_gowers_blocks_corner_masks_match_shifted_forms(f5, rng):
                 assert np.array_equal(starts, enumerate_zeros(M, S))
                 for (n,), H, _ in blocks:
                     assert np.array_equal(H, space[M.shifted(n.tolist()).eval_array(space) == 0])
+
+# -- subspace input is checked at the entry ----------------------------------------
+
+
+def test_affine_subspace_rejects_a_mismatched_offset_and_an_empty_ambient():
+    with pytest.raises(MalformedInput, match="offset of length 2 for basis vectors of length 3"):
+        AffineSubspace(F5, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0])
+    with pytest.raises(MalformedInput, match="offset of length 4"):
+        AffineSubspace(F5, [[1, 0, 0]], [0, 0, 0, 0])
+    for offset in (None, []):
+        with pytest.raises(MalformedInput, match="empty basis needs an offset"):
+            AffineSubspace(F5, [], offset)
+    point = AffineSubspace(F5, [], [1, 0, 0])  # a point subspace stays valid
+    assert (point.dim_ambient, point.dim()) == (3, 0)
+    assert AffineSubspace(F5, [[1, 0, 0]]).offset == [0, 0, 0]
+
+
+def test_a_subspace_of_another_ambient_dimension_is_refused_before_any_work(monkeypatch):
+    wide = AffineSubspace(F5, [[1, 0, 0, 0]], [0, 0, 0, 0])
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started on a mismatched subspace")
+
+    monkeypatch.setattr(counting, "subspace_points", never)
+    for call in (
+        lambda: enumerate_zeros(SPHERE3, wide),
+        lambda: gowers_set(SPHERE3, 1, wide),
+        lambda: gowers_count_report(QuadForm.dot_form(F5, 3, 1), 1, wide),
+        lambda: enumerate_zeros(QuadForm.dot_form(F5, 5, 1), PLANE),
+    ):
+        with pytest.raises(MalformedInput, match="subspace of F_p\\^"):
+            call()

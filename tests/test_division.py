@@ -1,5 +1,6 @@
 import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -58,6 +59,7 @@ from spherefp.fpoly import (
 from spherefp.quadform import QuadForm, TheoremViolation
 
 from conftest import random_form, random_fp_poly, random_int_valued, random_rat_poly
+from test_zlinalg import _int_solve_reference
 
 
 def test_pivot_change_cases(f5):
@@ -586,110 +588,101 @@ def _reference_columns(M, df, slots):
         coords = col.binomial_coeffs()
         assert set(coords) <= set(eq)
         cols.append([int(coords.get(g, 0)) for g in eq])
-    return [list(row) for row in zip(*cols)]
+    return [[col[r] for col in cols] for r in range(len(eq))]
 
 
-def test_decomposition_systems_match_polynomial_columns(monkeypatch, rng):
-    seen = []
-    real = division.int_solve
-    monkeypatch.setattr(division, "int_solve", lambda a, b: seen.append(a) or real(a, b))
-    A = [[1, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]]
-    for M in (ZpQuadForm.sphere(5, 3, 1), ZpQuadForm(5, A, [1, 0, 2, 0], 3)):
-        d, p = M.d, M.p
-        for df in range(5):
-            # random_int_valued draws coefficients in -9..9, so f has degree df
-            top = RatMultiPoly.from_binomial(d, {tuple([df] + [0] * (d - 1)): 10})
-            f = random_int_valued(d, df, rng) + top
-            t, s_star = df // 2, max(1, df // 2)
-            grids = [_binom_basis_indices(d, df - 2 * i) for i in range(t + 1)]
-            seen.clear()
-            sphere_vanishing_decompose(f, M)
-            slots = [(i, idx, t - i) for i in range(t + 1) for idx in grids[i]]
-            assert seen[0] == _reference_columns(M, df, slots)
-            seen.clear()
-            sphere_periodic_decompose(f, M)
-            slots = [(0, idx, s_star - 1) for idx in grids[0][1:]]
-            slots += [(i, idx, s_star - i) for i in range(2, t + 1) for idx in grids[i]]
-            assert seen[0] == _reference_columns(M, df, slots)[1:]
+def _vanishing_blocks(d, df):
+    t = df // 2
+    return [(i, t - i, _binom_basis_indices(d, df - 2 * i)) for i in range(t + 1)]
 
 
-
-def _fail_first_int_solve(monkeypatch):
-    """Make division.int_solve answer None on its first call, after running
-    the real solve so that its reduction is memoised; count every call to
-    int_solve and rat_solve."""
-    calls = {"int": 0, "rat": 0}
-    real_int, real_rat = division.int_solve, division.rat_solve
-
-    def int_solve(a, b):
-        calls["int"] += 1
-        x = real_int(a, b)
-        return None if calls["int"] == 1 else x
-
-    def rat_solve(a, b):
-        calls["rat"] += 1
-        return real_rat(a, b)
-
-    monkeypatch.setattr(division, "int_solve", int_solve)
-    monkeypatch.setattr(division, "rat_solve", rat_solve)
-    _zlinalg._hermite_reduce.cache_clear()
-    return calls
+def _periodic_blocks(d, df):
+    t = df // 2
+    s_star = max(1, t)
+    return [(0, s_star - 1, _binom_basis_indices(d, df)[1:])] + [
+        (i, s_star - i, _binom_basis_indices(d, df - 2 * i)) for i in range(2, t + 1)
+    ]
 
 
-def _assert_fallback_served_by_memo(calls):
-    # rat_solve found a p-free scale and the second int_solve met the
-    # reduction of the first, keyed on the same matrix values
-    assert calls == {"int": 2, "rat": 1}
-    info = _zlinalg._hermite_reduce.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+def _reference_system(M, df, blocks):
+    """_reference_columns for the columns of the blocks (i, k, indices)."""
+    return _reference_columns(M, df, [(i, idx, k) for i, k, indices in blocks for idx in indices])
 
 
-def test_vanishing_decompose_p_free_scale_fallback(monkeypatch, rng):
-    Mz = ZpQuadForm.sphere(5, 4, 1)
-    mz = Mz.as_ratpoly()
-    f = mz * mz.scale(3) + mz * random_int_valued(4, 2, rng)
-    calls = _fail_first_int_solve(monkeypatch)
-    q0, rs = sphere_vanishing_decompose(f, Mz)
-    _assert_fallback_served_by_memo(calls)
-    assert q0 % 5 != 0
-    acc = RatMultiPoly.zero(4)
-    mpow = RatMultiPoly.constant(4, 1)
-    for r in rs:
-        assert r.is_integer_valued()
-        acc = acc + mpow * r
-        mpow = mpow * mz
-    assert acc == f.scale(q0)
+def _random_zp_form_at(p, d, r):
+    """A symmetric integer form with random u and v (any p-rank)."""
+    A = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            A[i][j] = A[j][i] = r.randrange(-p, p)
+    return ZpQuadForm(p, A, [r.randrange(-p, p) for _ in range(d)], r.randrange(-p, p))
 
 
-def test_periodic_decompose_p_free_scale_fallback(monkeypatch, rng):
-    Mz = ZpQuadForm.sphere(5, 4, 1)
-    mz = Mz.as_ratpoly()
-    g = random_int_valued(4, 3, rng)
-    f = mz * mz + g.scale(Fraction(1, 5)) + RatMultiPoly.constant(4, Fraction(3, 7))
-    calls = _fail_first_int_solve(monkeypatch)
-    q0, c, r0, rs = sphere_periodic_decompose(f, Mz)
-    _assert_fallback_served_by_memo(calls)
-    assert q0 % 5 != 0
-    assert r0.is_integer_valued() and all(r.is_integer_valued() for r in rs.values())
-    acc = RatMultiPoly.constant(4, c) + r0.scale(Fraction(1, 5))
-    mpow = mz * mz
-    for i in sorted(rs):
-        acc = acc + mpow * rs[i]
-        mpow = mpow * mz
-    assert acc == f.scale(q0)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([5, 7, 11, 13]), st.sampled_from([3, 4]))
+def test_decomposition_systems_match_polynomial_columns(seed, p, d):
+    # the closed-form columns against products of RatMultiPoly, in both
+    # solution shapes, on a random form with u and v
+    r = random.Random(seed)
+    M = _random_zp_form_at(p, d, r)
+    for df in range(min(5, p)):
+        for blocks in (_vanishing_blocks(d, df), _periodic_blocks(d, df)):
+            assert division._system_matrix(M, df, blocks) == _reference_system(M, df, blocks)
 
 
-def test_decomposition_systems_are_built_per_value_key():
-    # two form objects with equal values share one system; a changed entry
-    # of the (public, mutable) form data gets its own
-    blocks = [(1, 0, _binom_basis_indices(4, 0)), (0, 1, _binom_basis_indices(4, 2))]
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([5, 7, 11]), st.booleans())
+def test_p_free_scale_does_not_change_solvability(seed, p, periodic):
+    # the fact that leaves the sphere solvers no p-free fallback: block 0 of
+    # each system is p^e I, so for c coprime to p, A z = c rhs has an integer
+    # solution exactly when A z = rhs has one
+    r = random.Random(seed)
+    d, df = r.choice([3, 4]), r.randint(0, 4)
+    M = _random_zp_form_at(p, d, r)
+    blocks = (_periodic_blocks if periodic else _vanishing_blocks)(d, df)
+    amat = division._system_matrix(M, df, blocks)[int(periodic) :]
+    ncols = sum(len(indices) for _, _, indices in blocks)
+    reduction = _zlinalg._hermite_reduce(amat)
+    image = [sum(map(operator.mul, row, [r.randint(-9, 9) for _ in range(ncols)])) for row in amat]
+    for rhs in (
+        image,
+        [b + r.choice([0, 0, 1, p]) * r.randint(-3, 3) for b in image],
+        [r.randint(-50, 50) for _ in amat],
+    ):
+        c = r.choice([k for k in range(2, 40) if k % p])
+        plain, scaled = (_zlinalg.int_solve(reduction, b, ncols) for b in (rhs, [c * x for x in rhs]))
+        assert (plain is None) == (scaled is None)
+        for z, b in ((plain, rhs), (scaled, [c * x for x in rhs])):
+            assert z is None or [sum(map(operator.mul, row, z)) for row in amat] == b
+
+
+def test_decomposition_systems_are_built_per_value_key(monkeypatch):
+    # one memo of reductions: two form objects with equal values share an
+    # entry, a changed entry of the (public, mutable) form data gets its
+    # own, and a hit builds no matrix
+    blocks = _periodic_blocks(4, 4)
     a, b = ZpQuadForm.sphere(5, 4, 1), ZpQuadForm.sphere(5, 4, 1)
-    first = division._system_matrix(a, 2, blocks)
-    first[0][0] += 1  # the caller owns the lists it gets
-    assert division._system_matrix(b, 2, blocks) == division._system_matrix(a, 2, blocks) != first
+    ncols = sum(len(indices) for _, _, indices in blocks)
+    rhs = [0] * (len(_binom_basis_indices(4, 4)) - 1)
+    rhs[0] = 5
+    division._reduced_system.cache_clear()
+    z = division._solve_system(a, 4, blocks, 1, rhs)
+    assert z is not None and division._solve_system(b, 4, blocks, 1, rhs) == z
+    info = division._reduced_system.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert info.maxsize == division.REDUCTION_CACHE_SIZE
     b.v -= 1
-    assert division._system_matrix(b, 2, blocks) != division._system_matrix(a, 2, blocks)
-    assert division._system_rows.cache_info().maxsize == division.SYSTEM_CACHE_SIZE
+    other = [1] + rhs[1:]
+    want = _int_solve_reference(_reference_system(b, 4, blocks)[1:], other)
+    assert division._solve_system(b, 4, blocks, 1, other) == want
+    assert division._reduced_system.cache_info().currsize == 2
+
+    def never(*args):
+        raise AssertionError("a memo hit built the system")
+
+    monkeypatch.setattr(division, "_system_matrix", never)
+    assert division._solve_system(a, 4, blocks, 1, rhs) == z
+    assert len(z) == ncols
 
 
 def test_rank_preconditions_raise_typed_errors(f7):
@@ -881,8 +874,8 @@ def _shift_first_coordinate(monkeypatch):
     # every solution int_solve returns comes back with its first entry + 1
     real = division.int_solve
 
-    def shifted(rows, rhs):
-        z = real(rows, rhs)
+    def shifted(*args):
+        z = real(*args)
         return None if z is None else [z[0] + 1] + z[1:]
 
     monkeypatch.setattr(division, "int_solve", shifted)
@@ -926,29 +919,6 @@ def test_lift_reverify_rejects_a_corrupted_certificate(monkeypatch, rng):
     monkeypatch.setattr(division, "p_expand", shifted)
     with pytest.raises(TheoremViolation, match="lifted certificate failed to re-verify"):
         lift_nullstellensatz(P, Mz)
-
-
-# -- the p-free rescaling behind both decompositions ------------------------------
-
-
-def test_p_free_solve_integer_solution_at_scale_one():
-    assert division._p_free_solve([[1, 0], [0, 3]], [4, 6], 5, "x") == ([4, 2], 1)
-
-
-def test_p_free_solve_rescales_by_the_p_free_denominator():
-    # 2 z = 1 has no integer solution; z = 1/2 has the p-free denominator 2
-    assert division._p_free_solve([[2]], [1], 5, "x") == ([1], 2)
-
-
-def test_p_free_solve_rejects_a_p_power_denominator():
-    # z = 1/5: removing the factors p leaves the scale 1, which does not help
-    with pytest.raises(TheoremViolation, match="no integer x at any p-free scale"):
-        division._p_free_solve([[5]], [1], 5, "x")
-
-
-def test_p_free_solve_rejects_an_inconsistent_system():
-    with pytest.raises(TheoremViolation, match="x inconsistent over Q"):
-        division._p_free_solve([[1], [1]], [0, 1], 5, "x")
 
 
 # -- the sphere solvers' right-hand sides ------------------------------------------
@@ -1003,9 +973,13 @@ def test_sphere_solver_depth_checks_keep_their_messages(monkeypatch):
 # -- certificate first: the same outcomes as the scan-first order -----------------
 
 
-def _reference_solve(amat, rhs, p, what):
-    z = division.int_solve(amat, rhs)
-    return (z, 1) if z is not None else division._p_free_solve(amat, rhs, p, what)
+def _reference_solve(M, df, blocks, drop, rhs, what):
+    """The system from polynomial products, solved by the dense one-pass
+    Hermite reference: neither the builder nor the memo under test."""
+    z = _int_solve_reference(_reference_system(M, df, blocks)[drop:], rhs)
+    if z is None:
+        raise TheoremViolation(f"no integer {what}")
+    return z
 
 
 def _scan_first_vanishing(f, M, budget=counting.DEFAULT_BUDGET):
@@ -1028,9 +1002,7 @@ def _scan_first_vanishing(f, M, budget=counting.DEFAULT_BUDGET):
     if rhs is None:
         raise TheoremViolation("p-adic depth of f exceeds floor(deg f / 2); no decomposition exists")
     blocks = [(i, t - i, _binom_basis_indices(f.nvars, df - 2 * i)) for i in range(t + 1)]
-    amat = division._system_matrix(M, df, blocks)
-    z, scale = _reference_solve(amat, rhs, p, "sphere-vanishing decomposition")
-    q0 *= scale
+    z = _reference_solve(M, df, blocks, 0, rhs, "sphere-vanishing decomposition")
     rs = list(division._block_polys(f.nvars, blocks, z).values())
     m_rat = M.as_ratpoly()
     vals, _ = division._simplex_grid_sum(
@@ -1065,9 +1037,7 @@ def _scan_first_periodic(f, M, budget=counting.DEFAULT_BUDGET):
     blocks = [(0, s_star - 1, eq_indices)] + [
         (i, s_star - i, _binom_basis_indices(nvars, df - 2 * i)) for i in range(2, t + 1)
     ]
-    amat = division._system_matrix(M, df, blocks)[1:]
-    z, scale = _reference_solve(amat, rhs, p, "periodic decomposition")
-    q0 *= scale
+    z = _reference_solve(M, df, blocks, 1, rhs, "periodic decomposition")
     rs = division._block_polys(nvars, blocks, z)
     r0 = rs.pop(0)
     m_rat = M.as_ratpoly()

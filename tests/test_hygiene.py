@@ -156,6 +156,27 @@ def test_box_s_candidates_come_from_the_zero_set_rows():
     assert rolls == [] and grid_zeros == []
 
 
+def test_one_memo_of_sphere_systems():
+    # a sphere system is built in closed form and its Hermite reduction is
+    # kept in one memo in division; _zlinalg keeps neither a cache nor a
+    # rational path, and the rational fallback and the grid/Newton builder
+    # stay gone
+    def imported(path):
+        tree = ast.parse(path.read_text())
+        return {a.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+
+    assert imported(SRC / "_zlinalg.py").isdisjoint({"lru_cache", "Fraction", "functools", "fractions"})
+    tree = ast.parse((SRC / "division.py").read_text())
+    caches = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "lru_cache"]
+    assert len(caches) == 1, f"lru_cache used at division.py lines {caches}"
+    gone = {"rat_solve", "_p_free_solve", "_newton_differences"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{fn.name}" for _, fn in _functions(tree) if fn.name in gone]
+    assert found == []
+
+
 def test_traced_layers_resolve_on_the_package():
     # bench/tracing.py wraps each LAYERS entry by module and attribute name;
     # a rename in spherefp would leave that layer silently untraced

@@ -1,13 +1,21 @@
-"""The memoised integer solver against the single-shot solver it replaced,
-and its sparse back-substitution against a dense one."""
+"""The integer solver (a sparse back-substitution through a reduction kept
+between right-hand sides) against a single-shot dense solver, and the one
+memo of sphere-system reductions."""
 
 import copy
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherefp import _zlinalg
-from spherefp._zlinalg import int_solve
+from spherefp import _zlinalg, division
+from spherefp._zlinalg import _hermite_reduce, int_solve
+from spherefp.division import ZpQuadForm
+from spherefp.fpoly import _binom_basis_indices
+
+
+def _solve(rows, rhs):
+    """int_solve through a fresh reduction of rows."""
+    return int_solve(_hermite_reduce(rows), rhs, len(rows[0]) if rows else 0)
 
 
 def _int_solve_reference(rows, rhs):
@@ -125,51 +133,62 @@ def test_int_solve_matches_reference_in_either_order(case):
     expected = [_int_solve_reference(rows, b) for b in rhss]
     for x, b in zip(expected, rhss):
         assert x is None or _apply(rows, x) == b
-    _zlinalg._hermite_reduce.cache_clear()
+    reduction = _hermite_reduce(rows)
     for order in (list(range(len(rhss))), list(reversed(range(len(rhss))))):
         for i in order:
-            assert int_solve(rows, rhss[i]) == expected[i]
+            assert int_solve(reduction, rhss[i], len(rows[0])) == expected[i]
 
 
 @_settings
 @given(_systems())
 def test_int_solve_answers_do_not_alias_the_memo(case):
+    # a kept reduction is shared by every later solve: neither the answers
+    # nor the caller's matrix may alias it
     rows, rhss = case
     kept = copy.deepcopy(rows)
+    reduction = _hermite_reduce(rows)
     for b in rhss:
-        x = int_solve(rows, b)
+        x = int_solve(reduction, b, len(rows[0]))
         if x is not None:
             x[0] += 7  # a caller scribbling on its answer
-        assert int_solve(kept, b) == _int_solve_reference(kept, b)
-    # the caller's matrix changes after a call: the next answer is the one
-    # for the new values, and the old values still get theirs
-    rows[0][0] += 1
+        assert int_solve(reduction, b, len(rows[0])) == _int_solve_reference(kept, b)
+    rows[0][0] += 1  # the caller's matrix changes after the reduction
     for b in rhss:
-        assert int_solve(rows, b) == _int_solve_reference(rows, b)
-        assert int_solve(kept, b) == _int_solve_reference(kept, b)
+        assert int_solve(reduction, b, len(rows[0])) == _int_solve_reference(kept, b)
+        assert _solve(rows, b) == _int_solve_reference(rows, b)
 
 
 def test_int_solve_degenerate_shapes():
-    assert int_solve([], []) == _int_solve_reference([], []) == []
-    assert int_solve([[], []], [0, 0]) == []
-    assert int_solve([[], []], [0, 1]) is None
-    assert int_solve([[0, 0]], [0]) == [0, 0]
-    assert int_solve([[0, 0]], [1]) is None
-    assert int_solve([[2, 4]], [3]) is None  # consistent over Q only
-    assert int_solve([[2, 3]], [1]) == _int_solve_reference([[2, 3]], [1])
+    assert _solve([], []) == _int_solve_reference([], []) == []
+    assert _hermite_reduce([]) == _hermite_reduce([[], []]) == ()
+    assert _solve([[], []], [0, 0]) == []
+    assert _solve([[], []], [0, 1]) is None
+    assert int_solve((), [], 3) == [0, 0, 0]
+    assert _solve([[0, 0]], [0]) == [0, 0]
+    assert _solve([[0, 0]], [1]) is None
+    assert _solve([[2, 4]], [3]) is None  # consistent over Q only
+    assert _solve([[2, 3]], [1]) == _int_solve_reference([[2, 3]], [1])
 
 
 def test_reduction_memo_is_bounded_and_keyed_on_values():
-    assert _zlinalg._hermite_reduce.cache_info().maxsize == _zlinalg.HERMITE_CACHE_SIZE
-    _zlinalg._hermite_reduce.cache_clear()
-    rows = [[1, 2, 3], [0, 4, 5]]
-    int_solve(rows, [1, 1])
-    int_solve([list(r) for r in rows], [2, 3])
-    info = _zlinalg._hermite_reduce.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
-    for k in range(_zlinalg.HERMITE_CACHE_SIZE + 5):
-        int_solve([[k + 1, 1]], [k])
-    assert _zlinalg._hermite_reduce.cache_info().currsize == _zlinalg.HERMITE_CACHE_SIZE
+    # the one memo is division's, bounded by its module constant and keyed
+    # on values: equal blocks from fresh lists share an entry, and a change
+    # of degree, block or dropped rows is a new one
+    assert not hasattr(_zlinalg._hermite_reduce, "cache_info")
+    assert division._reduced_system.cache_info().maxsize == division.REDUCTION_CACHE_SIZE
+    division._reduced_system.cache_clear()
+    M = ZpQuadForm.sphere(5, 3, 1)
+
+    def blocks(df):
+        return [(0, df // 2, list(_binom_basis_indices(3, df)))]
+
+    for df, drop in ((2, 0), (2, 0), (2, 1), (3, 0)):
+        division._solve_system(M, df, blocks(df), drop, [0] * (len(_binom_basis_indices(3, df)) - drop))
+    info = division._reduced_system.cache_info()
+    assert (info.hits, info.misses) == (1, 3)
+    for v in range(division.REDUCTION_CACHE_SIZE + 5):
+        division._solve_system(ZpQuadForm(5, M.A, None, v), 1, blocks(1), 0, [0] * 4)
+    assert division._reduced_system.cache_info().currsize == division.REDUCTION_CACHE_SIZE
 
 
 @st.composite
@@ -197,28 +216,25 @@ def _wide_systems(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_wide_systems())
 def test_int_solve_matches_dense_back_substitution_first_and_memoised(case):
+    # one reduction serves every right-hand side, first pass and second
     rows, rhss = case
     reduced = _hermite_reference(rows)
     expected = [_dense_back_substitution(*reduced, b) for b in rhss]
     for x, b in zip(expected, rhss):
         assert x is None or _apply(rows, x) == b
-    for attempt in ("first", "memoised"):
-        if attempt == "first":
-            _zlinalg._hermite_reduce.cache_clear()
+    reduction = _hermite_reduce(rows)
+    for _ in ("first", "memoised"):
         for b, want in zip(rhss, expected):
-            assert int_solve(rows, b) == want
-        info = _zlinalg._hermite_reduce.cache_info()
-        assert info.misses == 1 and info.hits == (len(rhss) - 1 if attempt == "first" else 2 * len(rhss) - 1)
+            assert int_solve(reduction, b, len(rows[0])) == want
 
 
 def test_int_solve_sparse_pivot_rows_examples():
     # a pivot that does not divide, a residual left past the last pivot,
     # and a consistent system whose U rows carry several entries
     rows = [[2, 4, 0], [0, 6, 3]]
-    _zlinalg._hermite_reduce.cache_clear()
     for b in ([1, 0], [2, 3], [4, 9], [0, 0]):
-        assert int_solve(rows, b) == _int_solve_reference(rows, b)
-    assert int_solve([[1, 1], [1, 1]], [1, 2]) is None
-    x = int_solve([[3, 5, 7], [2, 0, 1]], [1, 4])
+        assert _solve(rows, b) == _int_solve_reference(rows, b)
+    assert _solve([[1, 1], [1, 1]], [1, 2]) is None
+    x = _solve([[3, 5, 7], [2, 0, 1]], [1, 4])
     assert x == _int_solve_reference([[3, 5, 7], [2, 0, 1]], [1, 4])
     assert _apply([[3, 5, 7], [2, 0, 1]], x) == [1, 4]
