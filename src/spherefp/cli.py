@@ -62,11 +62,25 @@ def _no_float(text):
     raise MalformedInput(f"number {text} is not an integer; write a fraction as an \"a/b\" string")
 
 
+def _no_bool(obj):
+    """No input field is a boolean, and bool is an int subclass that every
+    integer check would let through as 0 or 1."""
+    if isinstance(obj, bool):
+        raise MalformedInput(f"{json.dumps(obj)} is not an integer")
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for item in obj:
+            _no_bool(item)
+
+
 def _load_json(path):
     if path is None:
         raise MalformedInput("missing --json input file")
     with open(path) as fh:
-        return json.load(fh, parse_float=_no_float, parse_constant=_no_float)
+        data = json.load(fh, parse_float=_no_float, parse_constant=_no_float)
+    _no_bool(data)
+    return data
 
 
 def _same_arity(d, polys):

@@ -151,11 +151,13 @@ def _solve_zeros(M: QuadForm):
 
 def enumerate_zeros(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
     """Sound and complete list of V(M) (intersected with V + c), lex order."""
-    if S is not None and S.dim_ambient != M.d:
-        raise MalformedInput(f"subspace of F_p^{S.dim_ambient} for a form in {M.d} variables")
     if S is None:
         _check_budget(M.p**M.d, budget)
         return _solve_zeros(M)
+    if S.dim_ambient != M.d:
+        raise MalformedInput(f"subspace of F_p^{S.dim_ambient} for a form in {M.d} variables")
+    if S.field.p != M.p:
+        raise MalformedInput(f"subspace over F_{S.field.p} for a form over F_{M.p}")
     pts = subspace_points(S, budget)
     return pts[M.eval_array(pts) == 0]
 

@@ -5,8 +5,14 @@ irreducibility probe.
 A function F(n_1..n_k) = sum_{i<=j} b_ij (n_i A) . n_j + sum_i v_i . n_i + u
 is stored by its upper-triangular b map, its block linear parts v_i, and
 its constant u, all relative to the matrix A of an ambient quadratic form.
-Families are classified through their coefficient vectors v_M(F) and
-v'_M(F), and standardized by reduced row echelon form.
+MQuadFn.beta is its symmetric k x k block matrix, the one source of the
+quadratic part for as_poly (beta (x) A), transformed and the nice search.
+
+A family is reduced once, by _echelon: one reduced row echelon form of its
+coefficient vectors v_M(F).  The family is consistent (rank v_M equals
+rank v'_M) when no pivot falls on the constant column.  The reduced rows
+are the standard representation, and enumerate_mset, the projections and
+the codimension read them directly.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .counting import BudgetExceeded, CountReport, DEFAULT_BUDGET, all_points
-from .ffcore import FpMatrix, HypothesisNotMet, Infeasible, MalformedInput, rank as mat_rank, rref, solve_linear
-from .fpoly import FpMultiPoly
+from .ffcore import FpMatrix, HypothesisNotMet, Infeasible, MalformedInput, rref, solve_linear
+from .fpoly import FpMultiPoly, _quadratic_terms
 from .fpoly import _binom_basis_indices as _monomials_up_to  # cached, sorted tuple
 from .quadform import QuadForm
 
@@ -28,8 +34,15 @@ class NotConsistent(HypothesisNotMet):
     pass
 
 
+def _check_k(k, least=1):
+    """k counts blocks: an int >= least, never a bool or a string."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < least:
+        raise MalformedInput(f"k must be an integer >= {least}, got {k!r}")
+
+
 class MQuadFn:
     def __init__(self, M: QuadForm, k: int, b=None, v=None, u=0):
+        _check_k(k, 0)  # the prefix of a block-1 function is a constant of 0 blocks
         self.M = M
         self.k = k
         self.d = M.d
@@ -74,28 +87,22 @@ class MQuadFn:
         return total % p
 
     def as_poly(self) -> FpMultiPoly:
-        p, d, k = self.p, self.d, self.k
-        nv = k * d
-        terms = {}
+        """F as a polynomial in the k*d stacked coordinates: its quadratic
+        matrix is beta (x) A."""
+        a = self.M.A.rows
+        kron = [[bij * x for bij in bi for x in row] for bi in self.beta() for row in a]
+        return FpMultiPoly(self.p, self.k * self.d, _quadratic_terms(kron, sum(self.v, []), self.u))
+
+    def beta(self):
+        """The symmetric k x k block matrix of the quadratic part: b_ii on
+        the diagonal and b_ij / 2 off it, so the quadratic part is
+        sum_{i,j} beta_ij (n_i A) . n_j."""
+        k, p = self.k, self.p
+        half = pow(2, -1, p)
+        beta = [[0] * k for _ in range(k)]
         for (i, j), c in self.b.items():
-            for s in range(d):
-                for t in range(d):
-                    a = self.M.A.rows[s][t]
-                    if a == 0:
-                        continue
-                    e = [0] * nv
-                    e[(i - 1) * d + s] += 1
-                    e[(j - 1) * d + t] += 1
-                    e = tuple(e)
-                    terms[e] = (terms.get(e, 0) + c * a) % p
-        for i in range(k):
-            for t in range(d):
-                if self.v[i][t]:
-                    e = [0] * nv
-                    e[i * d + t] = 1
-                    terms[tuple(e)] = (terms.get(tuple(e), 0) + self.v[i][t]) % p
-        terms[(0,) * nv] = self.u
-        return FpMultiPoly(p, nv, terms)
+            beta[i - 1][j - 1] = beta[j - 1][i - 1] = c if i == j else c * half % p
+        return beta
 
     def max_block(self):
         """Largest block index the function depends on (0 for constants)."""
@@ -153,13 +160,7 @@ class MQuadFn:
     def transformed(self, T, shift=None):
         """F(L(n) + shift) for the block-linear map L(n)_i = sum_t n_t T[t][i]."""
         p, k, d = self.p, self.k, self.d
-        half = pow(2, -1, p)
-        beta = [[0] * k for _ in range(k)]
-        for (i, j), c in self.b.items():
-            if i == j:
-                beta[i - 1][i - 1] = c
-            else:
-                beta[i - 1][j - 1] = beta[j - 1][i - 1] = c * half % p
+        beta = self.beta()
         shift = shift or [[0] * d for _ in range(k)]
         # beta' = T beta T^T
         tb = [[sum(T[s][i] * beta[i][j] for i in range(k)) % p for j in range(k)] for s in range(k)]
@@ -229,8 +230,29 @@ class MRepresentation:
         }
 
 
-def _stack(family):
-    return [f.coeff_vectors()[0] for f in family], [f.coeff_vectors()[1] for f in family]
+def _echelon(family, M: QuadForm, order=None):
+    """One row reduction of the coefficient vectors v_M(F) of a family:
+    (its nonzero reduced rows, consistent).  With order, slot t of each
+    vector is slot order[t] of v'_M, and the constant slot stays last.
+    consistent, rank v_M == rank v'_M, holds when no pivot falls on the
+    constant column."""
+    rows = [f.coeff_vectors()[0] for f in family]
+    if not rows:
+        return [], True
+    if order is not None:
+        rows = [[row[t] for t in order] + row[-1:] for row in rows]
+    red, rk, pivots = rref(FpMatrix(M.field, rows))
+    return red.rows[:rk], len(rows[0]) - 1 not in pivots
+
+
+def _reduced_rows(family, M: QuadForm, order=None):
+    """_echelon's rows; raises NotConsistent when the family spans a
+    nonzero constant.  No reduced row is then zero outside the constant
+    slot, so every function built from one has max_block() >= 1."""
+    rows, consistent = _echelon(family, M, order)
+    if not consistent:
+        raise NotConsistent("family spans a nonzero constant")
+    return rows
 
 
 def classify(family, M: QuadForm, k: int):
@@ -240,21 +262,13 @@ def classify(family, M: QuadForm, k: int):
     block permutation plus translation), otherwise None for unknown: no
     general decision procedure is available.
     """
-    field = M.field
-    if not family:
-        return {"pure": True, "consistent": True, "independent": True, "nice": True}
-    vm, vpm = _stack(family)
-    rank_full = mat_rank(FpMatrix(field, vm))
-    rank_prime = mat_rank(FpMatrix(field, vpm))
-    consistent = rank_full == rank_prime
-    independent = rank_prime == len(family)
-    pure = all(f.is_pure() for f in family)
-    nice = _nice_search(family, M, k)
+    rows, consistent = _echelon(family, M)
+    rank_prime = len(rows) - (not consistent)
     return {
-        "pure": pure,
+        "pure": all(f.is_pure() for f in family),
         "consistent": consistent,
-        "independent": independent,
-        "nice": nice,
+        "independent": rank_prime == len(family),
+        "nice": _nice_search(family, M, k),
     }
 
 
@@ -269,36 +283,18 @@ def _nice_search(family, M, k):
     field = M.field
     p = M.p
     d = M.d
-    half = pow(2, -1, p)
-    betas_orig = []
-    for f in family:
-        beta = [[0] * k for _ in range(k)]
-        for (i, j), c in f.b.items():
-            if i == j:
-                beta[i - 1][i - 1] = c
-            else:
-                beta[i - 1][j - 1] = beta[j - 1][i - 1] = c * half % p
-        betas_orig.append(beta)
+    betas = [f.beta() for f in family]
     for sigma in permutations(range(k)):
-        # after the permutation L(n)_i = n_{sigma^{-1}(i)}, each function's
-        # quadratic support must sit in a single pivot column
-        shaped = True
-        for beta in betas_orig:
-            pivots = set()
-            for i in range(k):
-                for j in range(k):
-                    if beta[sigma[i]][sigma[j]]:
-                        pivots.add(max(i, j))
-            if len(pivots) > 1:
-                shaped = False
-                break
-        if not shaped:
+        # L(n)_i = n_{sigma^{-1}(i)}: each function's quadratic support
+        # must then sit in a single pivot column
+        tin = [[1 if sigma[t] == s else 0 for s in range(k)] for t in range(k)]
+        if any(len({j for _, j in f.transformed(tin).b}) > 1 for f in family):
             continue
         # solve for a shift w (in original block indexing) killing every
         # transformed linear part v_{sigma(s)} + 2 sum_j beta_{sigma(s), j} (w_j A)
         rows = []
         rhs = []
-        for f, beta in zip(family, betas_orig):
+        for f, beta in zip(family, betas):
             for s in range(k):
                 for t in range(d):
                     row = [0] * (k * d)
@@ -314,7 +310,6 @@ def _nice_search(family, M, k):
         except Infeasible:
             continue
         shift = [shift_flat[j * d : (j + 1) * d] for j in range(k)]
-        tin = [[1 if sigma[t] == s else 0 for s in range(k)] for t in range(k)]
         if all(f.transformed(tin, shift).is_nice() for f in family):
             return True
     return None
@@ -323,33 +318,15 @@ def _nice_search(family, M, k):
 def standard_rep(family, M: QuadForm, k: int) -> MRepresentation:
     """Standard M-representation by row reduction of the coefficient
     vectors; raises NotConsistent when a nonzero constant lies in the span."""
-    field = M.field
-    flags = classify(family, M, k)
-    if not flags["consistent"]:
-        raise NotConsistent("family spans a nonzero constant")
-    if not family:
-        return MRepresentation(M, k, [], [0] * k, flags)
-    vm, _ = _stack(family)
-    red, rk, _ = rref(FpMatrix(field, vm))
-    functions = []
-    for r in range(rk):
-        row = red.rows[r]
-        if all(c == 0 for c in row[:-1]):
-            raise NotConsistent("reduced row is a nonzero constant")
-        functions.append(MQuadFn.from_coeff_vector(M, k, row))
+    functions = [MQuadFn.from_coeff_vector(M, k, row) for row in _reduced_rows(family, M)]
     dim_vector = [0] * k
     for f in functions:
-        top = f.max_block()
-        if top == 0:
-            raise NotConsistent("constant row survived reduction")
-        dim_vector[top - 1] += 1
-    out_flags = classify(functions, M, k)
-    return MRepresentation(M, k, functions, dim_vector, out_flags)
+        dim_vector[f.max_block() - 1] += 1
+    return MRepresentation(M, k, functions, dim_vector, classify(functions, M, k))
 
 
 def total_codim(family, M: QuadForm, k: int) -> int:
-    rep = standard_rep(family, M, k)
-    return rep.total_codim
+    return len(_reduced_rows(family, M))
 
 
 def gowers_family(M: QuadForm, s: int):
@@ -373,12 +350,6 @@ def i_projection(family, M: QuadForm, k: int, blocks):
     """(J_I, J'_I): row-reduce so that a maximal independent set of
     combinations does not touch the blocks outside I; V(J_I) is unique even
     though the split itself is not."""
-    field = M.field
-    flags = classify(family, M, k)
-    if not flags["consistent"]:
-        raise NotConsistent("family spans a nonzero constant")
-    if not family:
-        return [], []
     inside = set(blocks)
     d = M.d
     # slot layout of v'_M: for i = k..1: b_{i,i..1} then v_i
@@ -391,14 +362,10 @@ def i_projection(family, M: QuadForm, k: int, blocks):
     outside_slots = [t for t, bl in enumerate(slot_blocks) if not bl <= inside]
     inside_slots = [t for t, bl in enumerate(slot_blocks) if bl <= inside]
     order = outside_slots + inside_slots
-    vm, _ = _stack(family)
     width = len(slot_blocks)
-    permuted = [[row[t] for t in order] + [row[width]] for row in vm]
-    red, rk, _ = rref(FpMatrix(field, permuted))
     proj, rest = [], []
     n_out = len(outside_slots)
-    for r in range(rk):
-        row = red.rows[r]
+    for row in _reduced_rows(family, M, order):
         unpermuted = [0] * (width + 1)
         for pos, t in enumerate(order):
             unpermuted[t] = row[pos]
@@ -437,8 +404,8 @@ def _top_block_split(g: MQuadFn, pts, a):
 
 
 def enumerate_mset(family, M: QuadForm, k: int, budget=DEFAULT_BUDGET):
-    """V(family) as an (N, k*d) array, built block by block using the
-    standard representation, in lexicographic order.
+    """V(family) as an (N, k*d) array, built block by block from the
+    family's reduced rows, in lexicographic order.
 
     A function with top block blk is pre(x) + cross(x) . y + new(y) on
     (prefix row x, block point y) (see _top_block_split).  The functions
@@ -449,9 +416,9 @@ def enumerate_mset(family, M: QuadForm, k: int, budget=DEFAULT_BUDGET):
     every prefix row p^d block points, before each block."""
     p, d = M.p, M.d
     a = np.array(M.A.rows, dtype=np.int64)
-    rep = standard_rep(family, M, k)
     by_block = {}
-    for f in rep.functions:
+    for row in _reduced_rows(family, M):
+        f = MQuadFn.from_coeff_vector(M, k, row)
         by_block.setdefault(f.max_block(), []).append(f)
     partial = np.zeros((1, 0), dtype=np.int64)
     pts = all_points(p, d)
@@ -499,8 +466,7 @@ def mset_cardinality_check(family, M: QuadForm, k: int, budget=DEFAULT_BUDGET, r
     """|V(family)| against p^{dk - r}; exact within budget, otherwise a
     seeded Monte-Carlo estimate with a 3-sigma tolerance folded in."""
     p, d = M.p, M.d
-    rep = standard_rep(family, M, k)
-    r = rep.total_codim
+    r = len(_reduced_rows(family, M))
     main = Fraction(p) ** (d * k - r)
     bound = float(main) * p**-0.5
     if p ** (d * k) <= budget:
@@ -687,6 +653,8 @@ def irreducibility_probe(
     Exact counting under budget; otherwise a seeded stratified sample with
     a 3-sigma guard band.  Containment is certified by degree-bounded ideal
     membership (available exactly for forward-constructed members)."""
+    if not family:
+        raise HypothesisNotMet("the irreducibility probe needs a nonempty family")
     p, d = M.p, M.d
     nvars = k * d
     exact_mode = p ** (d * k) <= budget
@@ -759,4 +727,5 @@ def family_to_json(family, k):
 
 def family_from_json(M, obj):
     k = obj["k"]
+    _check_k(k)
     return [MQuadFn.from_json(M, k, fo) for fo in obj["functions"]], k

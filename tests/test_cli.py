@@ -479,6 +479,14 @@ MALFORMED = [
     (["count"], {"form": DOT3, "subspace": {"basis": DOT3["A"], "offset": [0, 0]}}, "offset of length 2"),
     (["count"], {"form": DOT3, "subspace": {"basis": [[1, 0, 0]], "offset": [0, 0]}}, "offset of length 2"),
     (["count"], {"form": DOT3, "subspace": {"basis": [], "offset": []}}, "empty basis needs an offset"),
+    # a boolean is an int to Python: true read as 1 exited 0, and k = true
+    # was echoed back as true; k = -1 gave an empty dimension vector (exit
+    # 0) and k = "2" a crash (exit 4)
+    (["expsum"], {"form": DOT3 | {"A": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}, "xi": [1, 0, 0]}, "true is not an integer"),
+    (["expsum"], {"form": DOT3, "xi": [True, 0, 0]}, "true is not an integer"),
+    (["mset-repr"], {"form": DOT4, "family": {"k": True, "functions": []}}, "true is not an integer"),
+    (["mset-repr"], {"form": DOT4, "family": {"k": -1, "functions": []}}, "k must be an integer >= 1, got -1"),
+    (["mset-repr"], {"form": DOT4, "family": {"k": "2", "functions": []}}, "k must be an integer >= 1, got '2'"),
 ]
 
 
@@ -499,6 +507,13 @@ def test_hypothesis_failure_exits_5(tmp_path, capsys):
     assert main(["nullstellensatz", "--json", path]) == 5
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("hypothesis not met: ")
+
+
+def test_irreducibility_probe_of_an_empty_family_exits_5(tmp_path, capsys):
+    path = write(tmp_path, "probe.json", {"form": DOT4, "family": {"k": 1, "functions": []}})
+    assert main(["irreducibility-probe", "--json", path, "--trials", "3"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "hypothesis not met: the irreducibility probe needs a nonempty family\n"
 
 
 @pytest.mark.parametrize(

@@ -650,3 +650,20 @@ def test_a_subspace_of_another_ambient_dimension_is_refused_before_any_work(monk
     ):
         with pytest.raises(MalformedInput, match="subspace of F_p\\^"):
             call()
+
+
+def test_a_subspace_over_another_prime_is_refused_before_any_work(monkeypatch):
+    # an F_7 offset coordinate 6 would come back as a row outside [0, 5)^3
+    other = AffineSubspace(PrimeField(7), [[1, 0, 0], [0, 1, 0]], [0, 0, 6])
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started on a subspace over another prime")
+
+    monkeypatch.setattr(counting, "subspace_points", never)
+    for call in (
+        lambda: enumerate_zeros(QuadForm.dot_form(F5, 3, 1), other),
+        lambda: gowers_set(QuadForm.dot_form(F5, 3, 1), 1, other),
+        lambda: gowers_count_report(QuadForm.dot_form(F5, 3, 1), 1, other),
+    ):
+        with pytest.raises(MalformedInput, match="subspace over F_7 for a form over F_5"):
+            call()

@@ -177,6 +177,20 @@ def test_one_memo_of_sphere_systems():
     assert found == []
 
 
+def test_msets_reduces_a_family_in_one_place():
+    # every M-family is reduced by one rref in one function, whose pivots
+    # also decide consistency (no rank calls beside it), and the symmetric
+    # block matrix beta, with its 1/2 off the diagonal, is built once
+    text = (SRC / "msets.py").read_text()
+    tree = ast.parse(text)
+    callers = sorted({name for name, fn in _functions(tree) if list(_calls(fn, "rref"))})
+    assert callers == ["_echelon"] and len(list(_calls(tree, "rref"))) == 1
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "rank" not in imported
+    halves = [name for name, fn in _functions(tree) if "pow(2, -1" in ast.get_source_segment(text, fn)]
+    assert text.count("pow(2, -1") == 1 and halves == ["MQuadFn.beta"]
+
+
 def test_traced_layers_resolve_on_the_package():
     # bench/tracing.py wraps each LAYERS entry by module and attribute name;
     # a rename in spherefp would leave that layer silently untraced

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherefp.counting import all_points, gowers_set
-from spherefp.ffcore import BudgetExceeded, MalformedInput, PrimeField
+from spherefp.ffcore import BudgetExceeded, FpMatrix, HypothesisNotMet, MalformedInput, PrimeField, rank
 from spherefp import msets
 from spherefp.fpoly import FpMultiPoly
 from spherefp.msets import (
@@ -763,3 +763,94 @@ def test_sample_mset_matches_all_rows_reference(p):
             want = _sample_mset_reference(fam, M, s + 1, random.Random(seed), count)
             assert got.shape == (count, (s + 1) * 3)
             assert np.array_equal(got, want)
+
+
+# -- one echelon per family, one beta per function ------------------------------------
+
+
+def _random_cross_fn(r, M, k):
+    """A function with every b_ij and linear part drawn at random, cross terms included."""
+    p, d = M.p, M.d
+    b = {(i, j): r.randrange(p) for i in range(1, k + 1) for j in range(i, k + 1)}
+    v = [[r.randrange(p) for _ in range(d)] for _ in range(k)]
+    return MQuadFn(M, k, b, v, r.randrange(p))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([5, 7]))
+def test_as_poly_agrees_with_scalar_evaluate_everywhere(seed, p):
+    r = random.Random(seed)
+    k = r.randint(1, 3)
+    d = r.randint(1, 4 // k)
+    M = random_form(PrimeField(p), d, r)
+    F = _random_cross_fn(r, M, k)
+    pts = all_points(p, k * d)
+    want = [F.evaluate([row[i * d : (i + 1) * d] for i in range(k)]) for row in pts.tolist()]
+    assert F.as_poly().eval_array(pts).tolist() == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([5, 7]))
+def test_classify_flags_match_their_rank_definitions(seed, p):
+    # consistent: rank v_M == rank v'_M; independent: rank v'_M == r
+    r = random.Random(seed)
+    d = r.randint(1, 3)
+    k = r.randint(1, 3)
+    M = random_form(PrimeField(p), d, r)
+    fam = [_random_cross_fn(r, M, k) if r.random() < 0.5 else MQuadFn(M, k) for _ in range(r.randint(1, 4))]
+    if r.random() < 0.5:  # a multiple of the first function with another constant
+        c = r.randrange(1, p)
+        f = fam[0]
+        fam.append(MQuadFn(M, k, {ij: c * x for ij, x in f.b.items()}, [[c * x for x in v] for v in f.v], r.randrange(p)))
+    rank_full = rank(FpMatrix(M.field, [f.coeff_vectors()[0] for f in fam]))
+    rank_prime = rank(FpMatrix(M.field, [f.coeff_vectors()[1] for f in fam]))
+    flags = classify(fam, M, k)
+    assert flags["consistent"] == (rank_full == rank_prime)
+    assert flags["independent"] == (rank_prime == len(fam))
+
+
+def test_enumerate_mset_reduces_its_family_once(monkeypatch, f5):
+    calls = []
+    real_rref = msets.rref
+
+    def counted(mat):
+        calls.append(mat.nrows)
+        return real_rref(mat)
+
+    def never(*args, **kwargs):
+        raise AssertionError("enumerate_mset classified its family")
+
+    monkeypatch.setattr(msets, "rref", counted)
+    monkeypatch.setattr(msets, "classify", never)
+    monkeypatch.setattr(msets, "_nice_search", never)
+    M = QuadForm.dot_form(f5, 3, radius=1)
+    fam = gowers_family(M, 1)
+    assert len(enumerate_mset(fam, M, 2)) == gowers_set(M, 1, count_only=True)
+    assert calls == [len(fam)]
+
+
+def test_probe_refuses_an_empty_family_before_any_work(monkeypatch, f5):
+    def never(*args, **kwargs):
+        raise AssertionError("the probe enumerated or sampled an empty family")
+
+    monkeypatch.setattr(msets, "enumerate_mset", never)
+    monkeypatch.setattr(msets, "sample_mset", never)
+    M = QuadForm.dot_form(f5, 3, radius=1)
+    rng = random.Random(0)
+    for budget in (10**6, 1):
+        with pytest.raises(HypothesisNotMet, match="nonempty family"):
+            irreducibility_probe([], M, 2, 2, 0.3, 10, rng, budget=budget)
+    assert rng.random() == random.Random(0).random()
+
+
+@pytest.mark.parametrize("k", [-1, "2", True, 2.0, None])
+def test_k_is_an_int(f5, k):
+    # a family has k >= 1 blocks; a single function may have none (the
+    # constant prefix that enumerate_mset splits off block 1)
+    M = QuadForm.dot_form(f5, 3, radius=1)
+    with pytest.raises(MalformedInput, match="k must be an integer >= 0"):
+        MQuadFn(M, k)
+    with pytest.raises(MalformedInput, match="k must be an integer >= 1"):
+        family_from_json(M, {"k": k, "functions": []})
+    with pytest.raises(MalformedInput, match="k must be an integer >= 1, got 0"):
+        family_from_json(M, {"k": 0, "functions": []})
