@@ -81,21 +81,6 @@ def _check_budget(size, budget):
         raise BudgetExceeded(f"enumeration of size {size} exceeds budget {budget}")
 
 
-def subspace_points(S: AffineSubspace, budget=DEFAULT_BUDGET) -> np.ndarray:
-    """All points of V + c in lexicographic order of the ambient tuples."""
-    p = S.field.p
-    k = S.dim()
-    _check_budget(p**k, budget)
-    coeffs = all_points(p, k)
-    if k == 0:
-        pts = np.array([S.offset], dtype=np.int64)
-    else:
-        basis = np.array(S.basis, dtype=np.int64)
-        pts = (coeffs @ basis + np.array(S.offset, dtype=np.int64)) % p
-    order = np.lexsort(pts.T[::-1])
-    return pts[order]
-
-
 def _inverses(p):
     """x^(p-2) mod p for x in 0..p-1: the inverse of every unit, and 0 at 0."""
     x = np.arange(p, dtype=np.int64)
@@ -150,7 +135,14 @@ def _solve_zeros(M: QuadForm):
 
 
 def enumerate_zeros(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
-    """Sound and complete list of V(M) (intersected with V + c), lex order."""
+    """V(M), or V(M) n (V + c), as int64 rows in lexicographic order.
+
+    On V + c with basis B (k rows) M is pulled back to the parameters,
+    t |-> M(t B + c) (QuadForm.composed), that form in k variables is solved
+    by _solve_zeros like V(M) itself, and each row t is mapped to
+    (t B + c) mod p and the rows sorted.  A point subspace (k = 0) is its
+    offset when M vanishes there.  The subspace is checked against M, and
+    p^d (p^k on V + c) against the budget, before any work."""
     if S is None:
         _check_budget(M.p**M.d, budget)
         return _solve_zeros(M)
@@ -158,8 +150,12 @@ def enumerate_zeros(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT
         raise MalformedInput(f"subspace of F_p^{S.dim_ambient} for a form in {M.d} variables")
     if S.field.p != M.p:
         raise MalformedInput(f"subspace over F_{S.field.p} for a form over F_{M.p}")
-    pts = subspace_points(S, budget)
-    return pts[M.eval_array(pts) == 0]
+    _check_budget(M.p ** S.dim(), budget)
+    if S.dim() == 0:
+        return np.array([S.offset] if M.evaluate(S.offset) == 0 else [], dtype=np.int64).reshape(-1, M.d)
+    t = _solve_zeros(M.composed(S.basis, S.offset))
+    pts = (t @ np.array(S.basis, dtype=np.int64) + np.array(S.offset, dtype=np.int64)) % M.p
+    return pts[np.lexsort(pts.T[::-1])]
 
 
 def zero_count_check(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
@@ -333,27 +329,23 @@ def gowers_blocks(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=D
                 stack.pop()
 
 
-def gowers_set(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET, count_only=False):
-    """Box_s(V(M) n (V+c)): the tuples (n, h_1..h_s) whose full cube lies in
-    the set (the points n themselves at s = 0), as enumerate_mset's (N, (s+1)d)
-    int64 rows n | h_1 | .. | h_s in lex order, or the cardinality when
-    count_only; the budget is gowers_blocks' rule.
+def gowers_set(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
+    """|Box_s(V(M) n (V+c))|: the number of tuples (n, h_1..h_s) whose full
+    cube lies in the set (the points n themselves at s = 0), summed over the
+    blocks of gowers_blocks under its budget rule.  On F_p^d the tuples as
+    rows n | h_1 | .. | h_s are enumerate_mset(gowers_family(M, s), M, s + 1).
     """
-    if count_only:
-        return sum(len(H) for _, H, _ in gowers_blocks(M, s, S, budget))
-    parts = [np.empty((0, (s + 1) * M.d), dtype=np.int64)]
-    for prefix, H, _ in gowers_blocks(M, s, S, budget):
-        parts.append(np.hstack([np.broadcast_to(pt, H.shape) for pt in prefix] + [H]))
-    return np.concatenate(parts)
+    return sum(len(H) for _, H, _ in gowers_blocks(M, s, S, budget))
 
 
 def gowers_count_report(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
-    """Cardinality of Box_s against p^{(s+1)(d-r) - (s(s+1)/2 + 1)}.
+    """|Box_s(V(M) n (V+c))| (gowers_set) against
+    p^{(s+1)(d-r) - (s(s+1)/2 + 1)}, r the codimension of V + c.
 
     The main term is the proven one when rank(M|_{V+c}) >= s^2 + s + 3; the
     report still carries it otherwise so callers can inspect the ratio.
     """
-    count = gowers_set(M, s, S, budget, count_only=True)
+    count = gowers_set(M, s, S, budget)
     p = M.p
     d_eff = M.d if S is None else S.dim()
     main = Fraction(p) ** ((s + 1) * d_eff - (s * (s + 1) // 2 + 1))

@@ -199,12 +199,7 @@ def standard_division(P: FpMultiPoly, M: QuadForm) -> DivisionCert:
         raise ValueRangeError("standard division requires deg(P) < p")
     if M.A.rows[0][0] == 0:
         raise PivotZero("upper-left entry of A is zero")
-    ident = FpMatrix.identity(M.field, M.d)
-    q, r1, r0 = _euclidean_divide(P, M.as_poly(), M.field)
-    cert = DivisionCert(P, M, (1, 1), ident, q, r1, r0)
-    if not cert.verify():
-        raise TheoremViolation("division certificate failed to verify")
-    return cert
+    return bij_division(P, M)  # with A[0][0] != 0, pivot_change picks (1, 1) and the identity
 
 
 def bij_division(P: FpMultiPoly, M: QuadForm) -> DivisionCert:

@@ -230,12 +230,15 @@ class MRepresentation:
         }
 
 
-def _echelon(family, M: QuadForm, order=None):
-    """One row reduction of the coefficient vectors v_M(F) of a family:
-    (its nonzero reduced rows, consistent).  With order, slot t of each
-    vector is slot order[t] of v'_M, and the constant slot stays last.
+def _echelon(family, M: QuadForm, k: int, order=None):
+    """One row reduction of the coefficient vectors v_M(F) of an
+    (M,k)-family: (its nonzero reduced rows, consistent).  Raises
+    MalformedInput when some function has another k.  With order, slot t of
+    each vector is slot order[t] of v'_M, and the constant slot stays last.
     consistent, rank v_M == rank v'_M, holds when no pivot falls on the
     constant column."""
+    if any(f.k != k for f in family):
+        raise MalformedInput(f"every function of an (M,{k})-family must have k = {k}")
     rows = [f.coeff_vectors()[0] for f in family]
     if not rows:
         return [], True
@@ -245,11 +248,11 @@ def _echelon(family, M: QuadForm, order=None):
     return red.rows[:rk], len(rows[0]) - 1 not in pivots
 
 
-def _reduced_rows(family, M: QuadForm, order=None):
+def _reduced_rows(family, M: QuadForm, k: int, order=None):
     """_echelon's rows; raises NotConsistent when the family spans a
     nonzero constant.  No reduced row is then zero outside the constant
     slot, so every function built from one has max_block() >= 1."""
-    rows, consistent = _echelon(family, M, order)
+    rows, consistent = _echelon(family, M, k, order)
     if not consistent:
         raise NotConsistent("family spans a nonzero constant")
     return rows
@@ -262,7 +265,7 @@ def classify(family, M: QuadForm, k: int):
     block permutation plus translation), otherwise None for unknown: no
     general decision procedure is available.
     """
-    rows, consistent = _echelon(family, M)
+    rows, consistent = _echelon(family, M, k)
     rank_prime = len(rows) - (not consistent)
     return {
         "pure": all(f.is_pure() for f in family),
@@ -318,7 +321,7 @@ def _nice_search(family, M, k):
 def standard_rep(family, M: QuadForm, k: int) -> MRepresentation:
     """Standard M-representation by row reduction of the coefficient
     vectors; raises NotConsistent when a nonzero constant lies in the span."""
-    functions = [MQuadFn.from_coeff_vector(M, k, row) for row in _reduced_rows(family, M)]
+    functions = [MQuadFn.from_coeff_vector(M, k, row) for row in _reduced_rows(family, M, k)]
     dim_vector = [0] * k
     for f in functions:
         dim_vector[f.max_block() - 1] += 1
@@ -326,7 +329,7 @@ def standard_rep(family, M: QuadForm, k: int) -> MRepresentation:
 
 
 def total_codim(family, M: QuadForm, k: int) -> int:
-    return len(_reduced_rows(family, M))
+    return len(_reduced_rows(family, M, k))
 
 
 def gowers_family(M: QuadForm, s: int):
@@ -365,7 +368,7 @@ def i_projection(family, M: QuadForm, k: int, blocks):
     width = len(slot_blocks)
     proj, rest = [], []
     n_out = len(outside_slots)
-    for row in _reduced_rows(family, M, order):
+    for row in _reduced_rows(family, M, k, order):
         unpermuted = [0] * (width + 1)
         for pos, t in enumerate(order):
             unpermuted[t] = row[pos]
@@ -417,7 +420,7 @@ def enumerate_mset(family, M: QuadForm, k: int, budget=DEFAULT_BUDGET):
     p, d = M.p, M.d
     a = np.array(M.A.rows, dtype=np.int64)
     by_block = {}
-    for row in _reduced_rows(family, M):
+    for row in _reduced_rows(family, M, k):
         f = MQuadFn.from_coeff_vector(M, k, row)
         by_block.setdefault(f.max_block(), []).append(f)
     partial = np.zeros((1, 0), dtype=np.int64)
@@ -466,7 +469,7 @@ def mset_cardinality_check(family, M: QuadForm, k: int, budget=DEFAULT_BUDGET, r
     """|V(family)| against p^{dk - r}; exact within budget, otherwise a
     seeded Monte-Carlo estimate with a 3-sigma tolerance folded in."""
     p, d = M.p, M.d
-    r = len(_reduced_rows(family, M))
+    r = len(_reduced_rows(family, M, k))
     main = Fraction(p) ** (d * k - r)
     bound = float(main) * p**-0.5
     if p ** (d * k) <= budget:
@@ -652,9 +655,12 @@ def irreducibility_probe(
 
     Exact counting under budget; otherwise a seeded stratified sample with
     a 3-sigma guard band.  Containment is certified by degree-bounded ideal
-    membership (available exactly for forward-constructed members)."""
+    membership (available exactly for forward-constructed members).  The
+    family is reduced first, so an inconsistent one is refused in either
+    mode before any point is drawn."""
     if not family:
         raise HypothesisNotMet("the irreducibility probe needs a nonempty family")
+    _reduced_rows(family, M, k)
     p, d = M.p, M.d
     nvars = k * d
     exact_mode = p ** (d * k) <= budget

@@ -2,8 +2,10 @@ import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from spherefp.counting import DEFAULT_BUDGET, gowers_blocks
 from spherefp.ffcore import PrimeField
 from spherefp.fpoly import FpMultiPoly, RatMultiPoly
 from spherefp.quadform import QuadForm, qf_rank
@@ -12,6 +14,15 @@ from spherefp.quadform import QuadForm, qf_rank
 # directory that pyproject's pytest pythonpath gives this process
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+
+def box_rows(M, s, S=None, budget=DEFAULT_BUDGET):
+    """Box_s(V(M) n (V+c)) as (N, (s+1)d) int64 rows n | h_1 | .. | h_s,
+    stacked from the blocks of counting.gowers_blocks in walk order."""
+    parts = [np.empty((0, (s + 1) * M.d), dtype=np.int64)]
+    for prefix, H, _ in gowers_blocks(M, s, S, budget):
+        parts.append(np.hstack([np.broadcast_to(pt, H.shape) for pt in prefix] + [H]))
+    return np.concatenate(parts)
 
 
 def random_symmetric(field, d, rng):

@@ -148,7 +148,7 @@ def test_criterion_3_gowers_fubini():
     for d in (3, 4, 5):
         M = QuadForm.dot_form(f5, d, radius=1)
         v = len(enumerate_zeros(M))
-        box_ok &= gowers_set(M, 1, count_only=True) == v * v
+        box_ok &= gowers_set(M, 1) == v * v
     M5 = QuadForm.dot_form(f5, 5, radius=1)
     # Box_1 in the (h, n) block order so the Fubini fibers genuinely vary
     fam = [

@@ -20,18 +20,17 @@ from spherefp.counting import (
     gowers_count_report,
     gowers_set,
     quadratic_root_count,
-    subspace_points,
     vmh_count_report,
     zero_count_check,
 )
 from spherefp import counting
 from spherefp.division import ZpQuadForm
 from spherefp.equidist import sphere_points
-from spherefp.ffcore import FpMatrix, MalformedInput, PrimeField, rank as mat_rank
+from spherefp.ffcore import FpMatrix, MalformedInput, PrimeField, nullspace, rank as mat_rank
 from spherefp.msets import enumerate_mset, gowers_family
 from spherefp.quadform import AffineSubspace, QuadForm, perp
 
-from conftest import random_form, random_fp_poly
+from conftest import box_rows, random_form, random_fp_poly
 
 
 def test_sphere_30_with_fiber_oracle(f5):
@@ -151,13 +150,13 @@ def test_vmh(f5):
 
 def test_gowers_sets(f5):
     M = QuadForm.dot_form(f5, 3, radius=1)
-    assert gowers_set(M, 0, count_only=True) == 30
+    assert gowers_set(M, 0) == 30
     v = len(enumerate_zeros(M))
-    assert gowers_set(M, 1, count_only=True) == v * v
+    assert gowers_set(M, 1) == v * v
     empty = QuadForm(f5, [[0, 0], [0, 0]], None, 1)
-    assert gowers_set(empty, 1, count_only=True) == 0
+    assert gowers_set(empty, 1) == 0
     # explicit tuples satisfy the cube condition
-    tuples = gowers_set(M, 2).reshape(-1, 3, 3)
+    tuples = box_rows(M, 2).reshape(-1, 3, 3)
     for (n, h1, h2) in tuples[:50]:
         for e1 in (0, 1):
             for e2 in (0, 1):
@@ -250,13 +249,52 @@ def test_subspace_enumeration_matches_brute_force(f5):
     assert got == brute
 
 
+def on_subspace(pts, S):
+    """Which rows lie on V + c: W (x - c) = 0 for a basis W of the
+    annihilator of V, with no parametrisation of V + c."""
+    d = S.dim_ambient
+    W = nullspace(FpMatrix(S.field, S.basis)) if S.basis else np.eye(d, dtype=np.int64)
+    W = np.array(W, dtype=np.int64).reshape(-1, d)
+    return ((pts - np.array(S.offset, dtype=np.int64)) @ W.T % S.field.p == 0).all(axis=1)
+
+
+def test_enumerate_zeros_on_subspaces_matches_brute_force(rng):
+    # V(M) n (V + c) against all of [p]^d filtered point by point, at every
+    # dimension k of V; forms with zero diagonals and unit basis vectors
+    # leave the pulled-back form a = 0 on its last axis, the line branch
+    # b t + c = 0
+    flat = 0
+    for p in (5, 7, 11, 13):
+        field = PrimeField(p)
+        for d in range(1, 6 if p <= 7 else 5):
+            for k in range(d + 1):
+                for trial in range(3):
+                    M = random_form(field, d, rng)
+                    if trial:  # zero the diagonal
+                        M = QuadForm(field, [[0 if i == j else x for j, x in enumerate(row)]
+                                             for i, row in enumerate(M.A.rows)], M.u, M.v)
+                    while True:
+                        basis = [[rng.randrange(p) for _ in range(d)] for _ in range(k)]
+                        if k and trial:
+                            basis[-1] = np.eye(d, dtype=int)[rng.randrange(d)].tolist()
+                        if not k or mat_rank(FpMatrix(field, basis)) == k:
+                            break
+                    S = AffineSubspace(field, basis, [rng.randrange(p) for _ in range(d)])
+                    if k:
+                        flat += M.composed(S.basis, S.offset).A.rows[-1][-1] == 0
+                    want = reference_zeros(M)
+                    got = enumerate_zeros(M, S)
+                    assert got.dtype == np.int64 and np.array_equal(got, want[on_subspace(want, S)])
+    assert flat >= 50
+
+
 def test_box1_on_subspace_is_squared_count(f5):
     # (n, h) -> (n, n + h) is a bijection Box_1(Omega) -> Omega^2 for any
     # Omega cut from an affine subspace
     M = QuadForm.dot_form(f5, 4, radius=1)
     S = AffineSubspace(f5, [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]], [0, 1, 0, 0])
     v = len(enumerate_zeros(M, S))
-    assert gowers_set(M, 1, S, count_only=True) == v * v
+    assert gowers_set(M, 1, S) == v * v
 
 
 # -- the one Box_s walk behind gowers_set ----------------------------------------
@@ -264,12 +302,13 @@ def test_box1_on_subspace_is_squared_count(f5):
 
 def test_gowers_set_rows_match_mset_enumerator(f5, rng):
     # enumerate_mset builds Box_s block by block from gowers_family: an
-    # independent enumerator with the same lexicographic row order
+    # independent enumerator with the same lexicographic row order as the
+    # rows stacked from the walk's blocks
     for M in (QuadForm.dot_form(f5, 3, radius=1), random_form(f5, 3, rng, min_rank=2)):
         for s in (0, 1, 2):
             want = enumerate_mset(gowers_family(M, s), M, s + 1)
-            assert np.array_equal(gowers_set(M, s), want)
-            assert gowers_set(M, s, count_only=True) == len(want)
+            assert np.array_equal(box_rows(M, s), want)
+            assert gowers_set(M, s) == len(want)
 
 
 # -- one point-set format for every enumerator ----------------------------------
@@ -282,7 +321,6 @@ PLANE = AffineSubspace(F5, [[1, 0, 0], [0, 1, 1]], [0, 1, 0])
 
 # name -> (call, row width, whether the set is empty)
 SET_ENUMERATORS = {
-    "subspace_points": (lambda: subspace_points(PLANE), 3, False),
     "enumerate_zeros": (lambda: enumerate_zeros(SPHERE3), 3, False),
     "enumerate_zeros-empty": (lambda: enumerate_zeros(EMPTY2), 2, True),
     "enumerate_zeros-S": (lambda: enumerate_zeros(SPHERE3, PLANE), 3, False),
@@ -294,11 +332,12 @@ SET_ENUMERATORS = {
     "ZpQuadForm.sphere_points-empty": (lambda: ZpQuadForm(5, [[0, 0], [0, 0]], None, 1).sphere_points(), 2, True),
     "equidist.sphere_points": (lambda: sphere_points(5, 3, 1), 3, False),
     "equidist.sphere_points-empty": (lambda: sphere_points(5, 1, 2), 1, True),  # n^2 = 2
-    "gowers_set-s0": (lambda: gowers_set(SPHERE3, 0), 3, False),
-    "gowers_set-s1": (lambda: gowers_set(SPHERE3, 1), 6, False),
-    "gowers_set-s2": (lambda: gowers_set(SPHERE3, 2), 9, False),
-    "gowers_set-S": (lambda: gowers_set(SPHERE3, 2, PLANE), 9, False),
-    "gowers_set-empty": (lambda: gowers_set(EMPTY2, 1), 4, True),
+    # Box_s as the rows stacked from gowers_blocks, the walk gowers_set counts
+    "gowers_set-s0": (lambda: box_rows(SPHERE3, 0), 3, False),
+    "gowers_set-s1": (lambda: box_rows(SPHERE3, 1), 6, False),
+    "gowers_set-s2": (lambda: box_rows(SPHERE3, 2), 9, False),
+    "gowers_set-S": (lambda: box_rows(SPHERE3, 2, PLANE), 9, False),
+    "gowers_set-empty": (lambda: box_rows(EMPTY2, 1), 4, True),
     "enumerate_mset": (lambda: enumerate_mset(gowers_family(SPHERE3, 1), SPHERE3, 2), 6, False),
     "enumerate_mset-empty": (
         lambda: enumerate_mset(gowers_family(EMPTY2, 1), EMPTY2, 2), 4, True,
@@ -323,9 +362,7 @@ def test_gowers_set_budget_counts_every_walked_tuple(f5):
     # one unit per tuple (n, h_1..h_t), t <= s: |V| + |Box_1| + |Box_2|
     # = 30 + 900 + 7650 (the parent's candidate count needed 116,250)
     M = QuadForm.dot_form(f5, 3, radius=1)
-    assert gowers_set(M, 2, budget=8580, count_only=True) == 7650
-    with pytest.raises(BudgetExceeded):
-        gowers_set(M, 2, budget=8579, count_only=True)
+    assert gowers_set(M, 2, budget=8580) == 7650
     with pytest.raises(BudgetExceeded):
         gowers_set(M, 2, budget=8579)
 
@@ -344,8 +381,8 @@ def test_box2_on_subspace_matches_brute_force(f5):
         # the corners n + h_1 and n + h_2 first, then n + h_1 + h_2
         edge = [h for h in direction if add(n, h) in omega]
         brute += [(n, h1, h2) for h1 in edge for h2 in edge if add(add(n, h1), h2) in omega]
-    assert np.array_equal(gowers_set(M, 2, S), np.array(brute).reshape(-1, 12))
-    assert gowers_set(M, 2, S, count_only=True) == len(brute)
+    assert np.array_equal(box_rows(M, 2, S), np.array(brute).reshape(-1, 12))
+    assert gowers_set(M, 2, S) == len(brute)
 
 
 def test_gowers_set_on_a_point_subspace(f5):
@@ -356,8 +393,9 @@ def test_gowers_set_on_a_point_subspace(f5):
         point = AffineSubspace(f5, [], c)
         for s in (0, 1, 2, 3):
             brute = [c + [0] * (3 * s)] if M.evaluate(c) == 0 else []
-            rows = gowers_set(M, s, point)
+            rows = box_rows(M, s, point)
             assert rows.shape == (len(brute), 3 * (s + 1)) and rows.tolist() == brute
+            assert gowers_set(M, s, point) == len(brute)
             rep = gowers_count_report(M, s, point)
             assert rep.exact == len(brute) and rep.main_term == Fraction(1, 5 ** (s * (s + 1) // 2 + 1))
 
@@ -372,7 +410,7 @@ def test_box1_on_a_subspace_with_keys_past_int64(rng):
     S = AffineSubspace(field, basis, [rng.randrange(p) for _ in range(d)])
     zeros = enumerate_zeros(M, S).tolist()
     brute = sorted(n + [(b - a) % p for a, b in zip(n, m)] for n in zeros for m in zeros)
-    assert len(zeros) > 10 and gowers_set(M, 1, S).tolist() == brute
+    assert len(zeros) > 10 and box_rows(M, 1, S).tolist() == brute
 
 
 def test_enumerate_vmh_rejects_shifts_of_the_wrong_length(f5, monkeypatch):
@@ -550,6 +588,11 @@ def test_enumerate_zeros_budget_boundary(rng):
         assert np.array_equal(enumerate_zeros(M, None, budget=p**d), reference_zeros(M))
         with pytest.raises(BudgetExceeded):
             enumerate_zeros(M, None, budget=p**d - 1)
+        # on V + c the budget is p^k, k = dim V
+        S = AffineSubspace(PrimeField(p), np.eye(d, dtype=int)[: d - 1].tolist(), [1] * d)
+        assert np.array_equal(enumerate_zeros(M, S, budget=p ** (d - 1)), enumerate_zeros(M, S))
+        with pytest.raises(BudgetExceeded):
+            enumerate_zeros(M, S, budget=p ** (d - 1) - 1)
 
 
 def test_grid_values_reduces_every_product():
@@ -612,7 +655,9 @@ def test_gowers_blocks_corner_masks_match_shifted_forms(f5, rng):
                         break
                 subspaces.append(AffineSubspace(f5, basis, [rng.randrange(5) for _ in range(d)]))
             for S in subspaces:
-                space = all_points(5, d) if S is None else subspace_points(AffineSubspace(f5, S.basis, [0] * d))
+                space = all_points(5, d)
+                if S is not None:  # the direction space V
+                    space = space[on_subspace(space, AffineSubspace(f5, S.basis, [0] * d))]
                 blocks = list(gowers_blocks(M, 1, S))
                 starts = np.array([n for (n,), _, _ in blocks], dtype=np.int64).reshape(-1, d)
                 assert np.array_equal(starts, enumerate_zeros(M, S))
@@ -641,7 +686,7 @@ def test_a_subspace_of_another_ambient_dimension_is_refused_before_any_work(monk
     def never(*args, **kwargs):
         raise AssertionError("work started on a mismatched subspace")
 
-    monkeypatch.setattr(counting, "subspace_points", never)
+    monkeypatch.setattr(counting, "_solve_zeros", never)
     for call in (
         lambda: enumerate_zeros(SPHERE3, wide),
         lambda: gowers_set(SPHERE3, 1, wide),
@@ -659,7 +704,7 @@ def test_a_subspace_over_another_prime_is_refused_before_any_work(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("work started on a subspace over another prime")
 
-    monkeypatch.setattr(counting, "subspace_points", never)
+    monkeypatch.setattr(counting, "_solve_zeros", never)
     for call in (
         lambda: enumerate_zeros(QuadForm.dot_form(F5, 3, 1), other),
         lambda: gowers_set(QuadForm.dot_form(F5, 3, 1), 1, other),

@@ -15,7 +15,6 @@ from spherefp.counting import (
     RankHypothesisFailed,
     all_points,
     enumerate_zeros,
-    gowers_set,
 )
 from spherefp import _zlinalg, counting, division
 from spherefp.division import (
@@ -58,7 +57,7 @@ from spherefp.fpoly import (
 )
 from spherefp.quadform import QuadForm, TheoremViolation
 
-from conftest import random_form, random_fp_poly, random_int_valued, random_rat_poly
+from conftest import box_rows, random_form, random_fp_poly, random_int_valued, random_rat_poly
 from test_zlinalg import _int_solve_reference
 
 
@@ -264,7 +263,7 @@ def test_intrinsic_decompose_agreement(f5, rng):
             _, g1, g2 = res
             assert mp * g1 + g2 == g
             if tuples is None:
-                tuples = gowers_set(M, 1)[:200].reshape(-1, 2, 5).tolist()
+                tuples = box_rows(M, 1)[:200].reshape(-1, 2, 5).tolist()
             for (n, h) in tuples:
                 assert (g.evaluate([(n[i] + h[i]) % 5 for i in range(5)]) - g.evaluate(list(n))) % 5 == (
                     (g2.evaluate([(n[i] + h[i]) % 5 for i in range(5)]) - g2.evaluate(list(n))) % 5

@@ -156,6 +156,31 @@ def test_box_s_candidates_come_from_the_zero_set_rows():
     assert rolls == [] and grid_zeros == []
 
 
+def test_zero_sets_come_from_the_line_solver_alone(monkeypatch):
+    # V(M) and V(M) n (V + c) are both solved line by line by
+    # counting._solve_zeros, the slice on the form pulled back to the
+    # parameters of V + c: no point list of V + c filtered by eval_array
+    # beside it, and one Box_s row builder (enumerate_mset), so gowers_set
+    # only counts
+    from spherefp import counting
+    from spherefp.ffcore import PrimeField
+    from spherefp.quadform import AffineSubspace, QuadForm
+
+    text = "".join(path.read_text() for path in sorted(SRC.glob("*.py")))
+    assert "subspace_points" not in text and "count_only" not in text
+    tree = ast.parse((SRC / "counting.py").read_text())
+    enum = [fn for name, fn in _functions(tree) if name == "enumerate_zeros"]
+    assert len(enum) == 1 and list(_calls(enum[0], "eval_array")) == []
+    solved = []
+    solve = counting._solve_zeros
+    monkeypatch.setattr(counting, "_solve_zeros", lambda M: solved.append(M.d) or solve(M))
+    field = PrimeField(5)
+    M = QuadForm.dot_form(field, 3, 1)
+    counting.enumerate_zeros(M)
+    counting.enumerate_zeros(M, AffineSubspace(field, [[1, 0, 0], [0, 1, 1]], [0, 1, 0]))
+    assert solved == [3, 2]
+
+
 def test_one_memo_of_sphere_systems():
     # a sphere system is built in closed form and its Hermite reduction is
     # kept in one memo in division; _zlinalg keeps neither a cache nor a

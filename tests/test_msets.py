@@ -131,7 +131,7 @@ def test_gowers_family_cuts_box(f5):
     for d in (3, 4, 5):
         M = QuadForm.dot_form(PrimeField(5), d, radius=1)
         fam = gowers_family(M, 1)
-        assert len(enumerate_mset(fam, M, 2)) == gowers_set(M, 1, count_only=True)
+        assert len(enumerate_mset(fam, M, 2)) == gowers_set(M, 1)
 
 
 def test_family_structural_closure(f5, rng):
@@ -196,7 +196,7 @@ def test_i_projection_box(f5):
     fam = gowers_family(M, 2)
     proj, rest = i_projection(fam, M, 3, {1, 2})
     got = enumerate_mset([restrict_blocks(g, M, [1, 2]) for g in proj], M, 2)
-    assert len(got) == gowers_set(M, 1, count_only=True)
+    assert len(got) == gowers_set(M, 1)
     # every remaining generator depends on block 3
     for g in rest:
         assert g.max_block() == 3
@@ -661,7 +661,7 @@ def test_enumerate_mset_budget_counts_prefix_rows_times_block_points(f5):
     M = QuadForm.dot_form(f5, 3, radius=1)
     fam = _box1_hn_family(M)
     assert standard_rep(fam, M, 2).dimension_vector == [0, 2]
-    assert len(enumerate_mset(fam, M, 2, budget=15625)) == gowers_set(M, 1, count_only=True)
+    assert len(enumerate_mset(fam, M, 2, budget=15625)) == gowers_set(M, 1)
     with pytest.raises(BudgetExceeded):
         enumerate_mset(fam, M, 2, budget=15624)
     with pytest.raises(NotConsistent):
@@ -825,7 +825,7 @@ def test_enumerate_mset_reduces_its_family_once(monkeypatch, f5):
     monkeypatch.setattr(msets, "_nice_search", never)
     M = QuadForm.dot_form(f5, 3, radius=1)
     fam = gowers_family(M, 1)
-    assert len(enumerate_mset(fam, M, 2)) == gowers_set(M, 1, count_only=True)
+    assert len(enumerate_mset(fam, M, 2)) == gowers_set(M, 1)
     assert calls == [len(fam)]
 
 
@@ -854,3 +854,33 @@ def test_k_is_an_int(f5, k):
         family_from_json(M, {"k": k, "functions": []})
     with pytest.raises(MalformedInput, match="k must be an integer >= 1, got 0"):
         family_from_json(M, {"k": 0, "functions": []})
+
+
+def test_probe_refuses_an_inconsistent_family_in_either_mode(monkeypatch, f5):
+    # M(n) = 0 and M(n) = -1 span the constant 1, so V is empty: both modes
+    # refuse the family before a point is enumerated or drawn
+    def never(*args, **kwargs):
+        raise AssertionError("the probe enumerated or sampled an inconsistent family")
+
+    monkeypatch.setattr(msets, "enumerate_mset", never)
+    monkeypatch.setattr(msets, "sample_mset", never)
+    M = QuadForm.dot_form(f5, 3, radius=1)
+    fam = [MQuadFn(M, 2, {(1, 1): 1}, None, M.v), MQuadFn(M, 2, {(1, 1): 1}, None, M.v + 1)]
+    for budget in (10**6, 1):  # exact, then sampled
+        with pytest.raises(NotConsistent):
+            irreducibility_probe(fam, M, 2, 2, 0.3, 10, random.Random(0), budget=budget)
+
+
+def test_a_function_of_another_k_is_refused(f5):
+    # a block-1 function in a family read as k = 2 (or 3) has a shorter
+    # coefficient vector; every reduction of the family refuses it
+    M = QuadForm.dot_form(f5, 3, radius=1)
+    fam = [MQuadFn(M, 1, {(1, 1): 1}, None, M.v)]
+    for call in (
+        lambda: standard_rep(fam, M, 2),
+        lambda: enumerate_mset(fam, M, 2),
+        lambda: total_codim(fam, M, 3),
+    ):
+        with pytest.raises(MalformedInput, match="must have k = "):
+            call()
+    assert total_codim(fam, M, 1) == 1
