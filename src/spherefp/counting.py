@@ -19,6 +19,10 @@ import numpy as np
 
 from .ffcore import BudgetExceeded, FpMatrix, HypothesisNotMet, MalformedInput, rank as mat_rank
 from .quadform import AffineSubspace, QuadForm, qf_rank, restricted_rank
+# after quadform, which loads fpoly: loading fpoly here first changes the
+# modules' load order, and that order alone moved the lifts and cli
+# benchmark times by about 10% on a 2-vCPU VM
+from .fpoly import EVAL_CHUNK_CELLS
 
 DEFAULT_BUDGET = 10**8
 O_CONSTANT = 4  # explicit stand-in for every O(.) constant at desk scale
@@ -74,6 +78,12 @@ def all_points(p: int, k: int) -> np.ndarray:
     for j in range(k):
         cols.append((idx // p ** (k - 1 - j)) % p)
     return np.stack(cols, axis=1)
+
+
+def _check_s(s, least=0):
+    """s counts the h_i of a Box_s tuple: an int >= least, never a bool."""
+    if isinstance(s, bool) or not isinstance(s, int) or s < least:
+        raise MalformedInput(f"s must be an integer >= {least}, got {s!r}")
 
 
 def _check_budget(size, budget):
@@ -277,6 +287,21 @@ def _children(prefix, keep, H, cand, A, p):
         yield prefix + (h,), keep & ((cand @ ha) % p == 0)
 
 
+def _box_meter(s, budget):
+    """charge(units) for the Box_s budget rule: adds units to the total used,
+    raises BudgetExceeded once it passes budget, and returns the room left."""
+    used = 0
+
+    def charge(units):
+        nonlocal used
+        used += units
+        if used > budget:
+            raise BudgetExceeded(f"Box_{s} walk exceeds budget {budget}")
+        return budget - used
+
+    return charge
+
+
 def gowers_blocks(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
     """Walk Box_s(V(M) n (V+c)) in lexicographic order, one block per prefix.
 
@@ -287,21 +312,16 @@ def gowers_blocks(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=D
     order; each h_i of the prefix narrows them by (h_i A) . h = 0, and cube
     membership reduces to these pairwise conditions.  The walk keeps its own
     stack, so s is bounded by the budget and not by the recursion limit.
+    The witness scans walk it; gowers_set counts the same tuples without it.
 
     Budget: one unit per tuple (n, h_1..h_t), t <= s.  A prefix is charged
     when the walk reaches it, the rows of H when the consumer resumes after
     them, so a scan that stops inside H pays only for what it read; room is
     the budget left before H."""
+    _check_s(s)
     p, d = M.p, M.d
     base = enumerate_zeros(M, S, budget)
-    used = 0
-
-    def charge(units):
-        nonlocal used
-        used += units
-        if used > budget:
-            raise BudgetExceeded(f"Box_{s} walk exceeds budget {budget}")
-
+    charge = _box_meter(s, budget)
     if s == 0:
         yield (), base, budget
         charge(len(base))
@@ -317,10 +337,10 @@ def gowers_blocks(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=D
         stack = [iter([((n,), np.ones(len(cand), dtype=bool))])]
         while stack:
             for prefix, keep in stack[-1]:
-                charge(1)
+                room = charge(1)
                 H = cand[keep]
                 if len(prefix) == s:
-                    yield prefix, H, budget - used
+                    yield prefix, H, room
                     charge(len(H))
                 else:
                     stack.append(_children(prefix, keep, H, cand, A, p))
@@ -329,17 +349,71 @@ def gowers_blocks(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=D
                 stack.pop()
 
 
+def _pair_zeros(H, A, p, charge):
+    """The zero entries of (H A) . H^T mod p, that is the pairs (h, h') of
+    rows with (h A) . h' = 0, counted and charged EVAL_CHUNK_CELLS cells at a
+    time."""
+    HA, HT = H @ A % p, H.T
+    step = max(1, EVAL_CHUNK_CELLS // max(1, len(H)))
+    total = 0
+    for start in range(0, len(H), step):
+        zeros = int(np.count_nonzero(HA[start : start + step] @ HT % p == 0))
+        charge(zeros)
+        total += zeros
+    return total
+
+
 def gowers_set(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
     """|Box_s(V(M) n (V+c))|: the number of tuples (n, h_1..h_s) whose full
-    cube lies in the set (the points n themselves at s = 0), summed over the
-    blocks of gowers_blocks under its budget rule.  On F_p^d the tuples as
-    rows n | h_1 | .. | h_s are enumerate_mset(gowers_family(M, s), M, s + 1).
-    """
-    return sum(len(H) for _, H, _ in gowers_blocks(M, s, S, budget))
+    cube lies in the set (the points n themselves at s = 0), counted without
+    walking the tuples of the last two levels.
+
+    With N points there are N tuples (n) and N^2 tuples (n, h_1), so
+    |Box_1| = N^2.  For s >= 2 the candidates at n are (b - n) mod p over the
+    rows b, unsorted; the nodes (n, h_1..h_{s-2}) are narrowed by masks as in
+    gowers_blocks (_children), and a node whose candidate rows are H has |H|
+    children and, as its leaves, the pairs of H with (h A) . h' = 0.
+
+    Budget: gowers_blocks' rule, one unit per tuple (n, h_1..h_t), t <= s, so
+    it raises exactly when that walk does.  The N(N + 1) tuples of the first
+    two levels are charged before any pair product is built.  On F_p^d the
+    tuples as rows n | h_1 | .. | h_s are
+    enumerate_mset(gowers_family(M, s), M, s + 1)."""
+    _check_s(s)
+    p = M.p
+    base = enumerate_zeros(M, S, budget)
+    N = len(base)
+    charge = _box_meter(s, budget)
+    if s == 0:
+        charge(N)
+        return N
+    charge(N * (N + 1))
+    if s == 1:
+        return N * N
+    A = np.array(M.A.rows, dtype=np.int64)
+    count = 0
+    for n in base:
+        cand = (base - n) % p
+        stack = [iter([((n,), np.ones(N, dtype=bool))])]
+        while stack:
+            for prefix, keep in stack[-1]:
+                H = cand[keep]
+                if len(prefix) > 2:  # (n, h_1, h_2, ..): past the charged floor
+                    charge(1)
+                if len(prefix) == s - 1:
+                    if s > 2:
+                        charge(len(H))
+                    count += _pair_zeros(H, A, p, charge)
+                else:
+                    stack.append(_children(prefix, keep, H, cand, A, p))
+                    break
+            else:
+                stack.pop()
+    return count
 
 
 def gowers_count_report(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
-    """|Box_s(V(M) n (V+c))| (gowers_set) against
+    """|Box_s(V(M) n (V+c))|, counted by gowers_set, against
     p^{(s+1)(d-r) - (s(s+1)/2 + 1)}, r the codimension of V + c.
 
     The main term is the proven one when rank(M|_{V+c}) >= s^2 + s + 3; the

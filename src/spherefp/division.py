@@ -28,6 +28,7 @@ from .counting import (
     BudgetExceeded,
     DEFAULT_BUDGET,
     RankHypothesisFailed,
+    _check_s,
     enumerate_zeros,
     gowers_blocks,
 )
@@ -450,6 +451,7 @@ def gowers_equation_solve(P: FpMultiPoly, Q: FpMultiPoly, M: QuadForm, s: int, b
     ('factorization', P1, P2, Q1, Q2) with P = M P1 + P2, Q = M Q1 + Q2 and
     the degree bounds deg P2 <= s - 2, deg Q2 <= s - 1; a violated
     hypothesis returns ('witness', cube)."""
+    _check_s(s, 1)  # the P-block takes s - 1 differences
     if qf_rank(M) < s + 3:
         raise RankHypothesisFailed("needs rank(M) >= s + 3")
     if s == 1:

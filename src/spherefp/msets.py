@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import BudgetExceeded, CountReport, DEFAULT_BUDGET, all_points
+from .counting import BudgetExceeded, CountReport, DEFAULT_BUDGET, _check_s, all_points
 from .ffcore import FpMatrix, HypothesisNotMet, Infeasible, MalformedInput, rref, solve_linear
 from .fpoly import FpMultiPoly, _quadratic_terms
 from .fpoly import _binom_basis_indices as _monomials_up_to  # cached, sorted tuple
@@ -335,6 +335,7 @@ def total_codim(family, M: QuadForm, k: int) -> int:
 def gowers_family(M: QuadForm, s: int):
     """The (M, s+1)-family cutting out Box_s(V(M)):
     {M(n), M(n+h_i) - M(n), (h_i A).h_j (i < j)}."""
+    _check_s(s)
     k = s + 1
     fams = []
     base = MQuadFn(M, k, {(1, 1): 1}, [M.u[:]] + [[0] * M.d] * s, M.v)

@@ -25,6 +25,11 @@ def box_rows(M, s, S=None, budget=DEFAULT_BUDGET):
     return np.concatenate(parts)
 
 
+def box_count(M, s, S=None, budget=DEFAULT_BUDGET):
+    """|Box_s(V(M) n (V+c))| as the rows in the blocks of counting.gowers_blocks."""
+    return sum(len(H) for _, H, _ in gowers_blocks(M, s, S, budget))
+
+
 def random_symmetric(field, d, rng):
     a = [[0] * d for _ in range(d)]
     for i in range(d):

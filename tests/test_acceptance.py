@@ -49,6 +49,7 @@ from spherefp.fpoly import (
 from spherefp.msets import (
     MQuadFn,
     _monomials_up_to,
+    enumerate_mset,
     fubini_check,
     fubini_prepare,
     gowers_family,
@@ -148,6 +149,8 @@ def test_criterion_3_gowers_fubini():
     for d in (3, 4, 5):
         M = QuadForm.dot_form(f5, d, radius=1)
         v = len(enumerate_zeros(M))
+        # the rows from the independent M-set builder, and the counter beside them
+        box_ok &= len(enumerate_mset(gowers_family(M, 1), M, 2)) == v * v
         box_ok &= gowers_set(M, 1) == v * v
     M5 = QuadForm.dot_form(f5, 5, radius=1)
     # Box_1 in the (h, n) block order so the Fubini fibers genuinely vary

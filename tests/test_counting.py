@@ -17,6 +17,7 @@ from spherefp.counting import (
     exp_sum,
     exp_sum_bound,
     gauss_sum,
+    gowers_blocks,
     gowers_count_report,
     gowers_set,
     quadratic_root_count,
@@ -24,13 +25,14 @@ from spherefp.counting import (
     zero_count_check,
 )
 from spherefp import counting
-from spherefp.division import ZpQuadForm
+from spherefp.division import ZpQuadForm, first_gowers_witness, gowers_equation_solve
 from spherefp.equidist import sphere_points
 from spherefp.ffcore import FpMatrix, MalformedInput, PrimeField, nullspace, rank as mat_rank
+from spherefp.fpoly import FpMultiPoly
 from spherefp.msets import enumerate_mset, gowers_family
 from spherefp.quadform import AffineSubspace, QuadForm, perp
 
-from conftest import box_rows, random_form, random_fp_poly
+from conftest import box_count, box_rows, random_form, random_fp_poly
 
 
 def test_sphere_30_with_fiber_oracle(f5):
@@ -365,6 +367,87 @@ def test_gowers_set_budget_counts_every_walked_tuple(f5):
     assert gowers_set(M, 2, budget=8580) == 7650
     with pytest.raises(BudgetExceeded):
         gowers_set(M, 2, budget=8579)
+
+
+def _walk_used(M, s, S, budget):
+    """The units the gowers_blocks walk charges in all, or None past budget:
+    what it charged before its last block plus that block's rows."""
+    used = 0
+    try:
+        for _, H, room in gowers_blocks(M, s, S, budget):
+            used = budget - room + len(H)
+    except BudgetExceeded:
+        return None
+    return used
+
+
+def _outcome(call):
+    try:
+        return call()
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def test_gowers_set_counts_the_walk_under_its_budget(rng):
+    # the counter against the walk: the same |Box_s| on F_p^d, on random
+    # subspaces and on point subspaces, for random (often rank-deficient)
+    # forms; the same answer at the walk's exact total used and the same
+    # BudgetExceeded one unit below it; and past the cap, the same refusal
+    cap, answered = 2 * 10**4, 0
+    for p in (5, 7, 11):
+        field = PrimeField(p)
+        for d in range(1, 5):
+            for s in range(4):
+                M = random_form(field, d, rng)
+                while True:
+                    k = rng.randint(1, d)
+                    basis = [[rng.randrange(p) for _ in range(d)] for _ in range(k)]
+                    if mat_rank(FpMatrix(field, basis)) == k:
+                        break
+                offset = [rng.randrange(p) for _ in range(d)]
+                zeros = enumerate_zeros(M).tolist()  # a point on V(M) or off it
+                point = rng.choice(zeros) if zeros and rng.random() < 0.5 else offset
+                for S in (None, AffineSubspace(field, basis, offset), AffineSubspace(field, [], point)):
+                    used = _walk_used(M, s, S, cap)
+                    if used is None:
+                        want = _outcome(lambda: box_count(M, s, S, cap))
+                        assert isinstance(want, str)
+                        assert _outcome(lambda: gowers_set(M, s, S, cap)) == want
+                        continue
+                    assert gowers_set(M, s, S) == box_count(M, s, S)
+                    for budget in (used, used - 1):
+                        want = _outcome(lambda: box_count(M, s, S, budget))
+                        assert _outcome(lambda: gowers_set(M, s, S, budget)) == want
+                    assert isinstance(want, str)
+                    answered += isinstance(_outcome(lambda: gowers_set(M, s, S, used)), int)
+    assert answered >= 50  # the others stop at enumerate_zeros' p^k check first
+
+
+def test_box_s_entry_points_refuse_an_s_that_is_not_a_count(monkeypatch):
+    # a negative s made the walk run until the budget ran out, and s = 1.5
+    # too; every Box_s entry point refuses such an s before any enumeration
+    def never(*args):
+        raise AssertionError("enumerated before s was checked")
+
+    monkeypatch.setattr(counting, "_solve_zeros", never)
+    M = QuadForm.dot_form(F5, 5, 1)
+    g = FpMultiPoly(5, 5, {(1, 0, 0, 0, 0): 1})
+    calls = (
+        lambda s: list(gowers_blocks(M, s)),
+        lambda s: gowers_set(M, s),
+        lambda s: gowers_count_report(M, s),
+        lambda s: gowers_family(M, s),
+        lambda s: first_gowers_witness(g, M, s),
+        lambda s: gowers_equation_solve(g, g, M, s),
+    )
+    for call in calls:
+        for s in (-1, 1.5, True, "2", None):
+            with pytest.raises(MalformedInput, match="s must be an integer >= "):
+                call(s)
+    # the cube equation takes s - 1 differences of P: s = 0 crashed with an
+    # IndexError on the empty prefix of the s = 0 walk
+    with pytest.raises(MalformedInput, match="s must be an integer >= 1, got 0"):
+        gowers_equation_solve(g, g, M, 0)
 
 
 def test_box2_on_subspace_matches_brute_force(f5):

@@ -181,6 +181,27 @@ def test_zero_sets_come_from_the_line_solver_alone(monkeypatch):
     assert solved == [3, 2]
 
 
+def test_gowers_set_counts_without_the_walk_or_the_row_builder(monkeypatch):
+    # |Box_s| is counted from the zero set's rows and their pair products:
+    # neither the lexicographic walk nor the M-set row builder runs
+    from conftest import box_count
+    from spherefp import counting, msets
+    from spherefp.ffcore import PrimeField
+    from spherefp.quadform import AffineSubspace, QuadForm
+
+    def never(*args, **kwargs):
+        raise AssertionError("gowers_set walked or built Box_s rows")
+
+    field = PrimeField(5)
+    M = QuadForm.dot_form(field, 3, 1)
+    plane = AffineSubspace(field, [[1, 0, 0], [0, 1, 1]], [0, 1, 0])
+    want = [box_count(M, s, S) for s in range(4) for S in (None, plane)]
+    monkeypatch.setattr(counting, "gowers_blocks", never)
+    monkeypatch.setattr(msets, "enumerate_mset", never)
+    assert [counting.gowers_set(M, s, S) for s in range(4) for S in (None, plane)] == want
+    assert want[:6:2] == [30, 900, 7650]
+
+
 def test_one_memo_of_sphere_systems():
     # a sphere system is built in closed form and its Hermite reduction is
     # kept in one memo in division; _zlinalg keeps neither a cache nor a
