@@ -80,10 +80,10 @@ def all_points(p: int, k: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _check_s(s, least=0):
-    """s counts the h_i of a Box_s tuple: an int >= least, never a bool."""
-    if isinstance(s, bool) or not isinstance(s, int) or s < least:
-        raise MalformedInput(f"s must be an integer >= {least}, got {s!r}")
+def _check_count(name, value, least):
+    """value counts (h_i, blocks, a norm): an int >= least, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise MalformedInput(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_budget(size, budget):
@@ -302,6 +302,27 @@ def _box_meter(s, budget):
     return charge
 
 
+def _walk(n, cand, depth, A, p, charge):
+    """The Box_s walk from the base point n over the rows of cand, in their
+    order: (prefix, H, room) for each node prefix = (n, h_1..h_{depth-1}),
+    H the rows completing it.  A node costs one unit when reached, and room
+    is the budget left after it; the caller charges H.  The stack is
+    explicit, so depth is bounded by the budget, not the recursion limit."""
+    # each entry iterates the children (prefix, mask over cand) of a node
+    stack = [iter([((n,), np.ones(len(cand), dtype=bool))])]
+    while stack:
+        for prefix, keep in stack[-1]:
+            room = charge(1)
+            H = cand[keep]
+            if len(prefix) == depth:
+                yield prefix, H, room
+            else:
+                stack.append(_children(prefix, keep, H, cand, A, p))
+                break
+        else:
+            stack.pop()
+
+
 def gowers_blocks(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
     """Walk Box_s(V(M) n (V+c)) in lexicographic order, one block per prefix.
 
@@ -310,15 +331,14 @@ def gowers_blocks(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=D
     prefix () and H the zeros).  Each corner n + h lies in the set, so the
     candidates at n are the differences (b - n) mod p over its rows b, in lex
     order; each h_i of the prefix narrows them by (h_i A) . h = 0, and cube
-    membership reduces to these pairwise conditions.  The walk keeps its own
-    stack, so s is bounded by the budget and not by the recursion limit.
-    The witness scans walk it; gowers_set counts the same tuples without it.
+    membership reduces to these pairwise conditions (_walk).  The witness
+    scans read it; gowers_set counts the same tuples on the unsorted walk.
 
     Budget: one unit per tuple (n, h_1..h_t), t <= s.  A prefix is charged
     when the walk reaches it, the rows of H when the consumer resumes after
     them, so a scan that stops inside H pays only for what it read; room is
     the budget left before H."""
-    _check_s(s)
+    _check_count("s", s, 0)
     p, d = M.p, M.d
     base = enumerate_zeros(M, S, budget)
     charge = _box_meter(s, budget)
@@ -333,20 +353,9 @@ def gowers_blocks(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=D
     for n in base:
         cand = (base - n) % p
         cand = cand[np.argsort(cand.astype(kind) @ weights)]
-        # each entry iterates the children (prefix, mask over cand) of a node
-        stack = [iter([((n,), np.ones(len(cand), dtype=bool))])]
-        while stack:
-            for prefix, keep in stack[-1]:
-                room = charge(1)
-                H = cand[keep]
-                if len(prefix) == s:
-                    yield prefix, H, room
-                    charge(len(H))
-                else:
-                    stack.append(_children(prefix, keep, H, cand, A, p))
-                    break
-            else:
-                stack.pop()
+        for prefix, H, room in _walk(n, cand, s, A, p, charge):
+            yield prefix, H, room
+            charge(len(H))
 
 
 def _pair_zeros(H, A, p, charge):
@@ -366,20 +375,19 @@ def _pair_zeros(H, A, p, charge):
 def gowers_set(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
     """|Box_s(V(M) n (V+c))|: the number of tuples (n, h_1..h_s) whose full
     cube lies in the set (the points n themselves at s = 0), counted without
-    walking the tuples of the last two levels.
+    walking the tuples of the last level.
 
     With N points there are N tuples (n) and N^2 tuples (n, h_1), so
     |Box_1| = N^2.  For s >= 2 the candidates at n are (b - n) mod p over the
-    rows b, unsorted; the nodes (n, h_1..h_{s-2}) are narrowed by masks as in
-    gowers_blocks (_children), and a node whose candidate rows are H has |H|
-    children and, as its leaves, the pairs of H with (h A) . h' = 0.
+    rows b, unsorted; _walk reaches the nodes (n, h_1..h_{s-2}) as in
+    gowers_blocks, and a node whose candidate rows are H has |H| children
+    and, as their leaves, the pairs of H with (h A) . h' = 0.
 
-    Budget: gowers_blocks' rule, one unit per tuple (n, h_1..h_t), t <= s, so
-    it raises exactly when that walk does.  The N(N + 1) tuples of the first
-    two levels are charged before any pair product is built.  On F_p^d the
-    tuples as rows n | h_1 | .. | h_s are
-    enumerate_mset(gowers_family(M, s), M, s + 1)."""
-    _check_s(s)
+    Budget: gowers_blocks' rule, one unit per tuple (n, h_1..h_t), t <= s,
+    so it raises exactly when that walk does; the leaves are charged one
+    chunk of pair products at a time.  On F_p^d the tuples as rows
+    n | h_1 | .. | h_s are enumerate_mset(gowers_family(M, s), M, s + 1)."""
+    _check_count("s", s, 0)
     p = M.p
     base = enumerate_zeros(M, S, budget)
     N = len(base)
@@ -387,28 +395,15 @@ def gowers_set(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFA
     if s == 0:
         charge(N)
         return N
-    charge(N * (N + 1))
     if s == 1:
+        charge(N * (N + 1))
         return N * N
     A = np.array(M.A.rows, dtype=np.int64)
     count = 0
     for n in base:
-        cand = (base - n) % p
-        stack = [iter([((n,), np.ones(N, dtype=bool))])]
-        while stack:
-            for prefix, keep in stack[-1]:
-                H = cand[keep]
-                if len(prefix) > 2:  # (n, h_1, h_2, ..): past the charged floor
-                    charge(1)
-                if len(prefix) == s - 1:
-                    if s > 2:
-                        charge(len(H))
-                    count += _pair_zeros(H, A, p, charge)
-                else:
-                    stack.append(_children(prefix, keep, H, cand, A, p))
-                    break
-            else:
-                stack.pop()
+        for _, H, _ in _walk(n, (base - n) % p, s - 1, A, p, charge):
+            charge(len(H))
+            count += _pair_zeros(H, A, p, charge)
     return count
 
 

@@ -25,12 +25,12 @@ import numpy as np
 
 from ._zlinalg import _hermite_reduce, int_solve
 from .counting import (
-    BudgetExceeded,
     DEFAULT_BUDGET,
     RankHypothesisFailed,
-    _check_s,
+    _check_count,
     enumerate_zeros,
     gowers_blocks,
+    gowers_set,
 )
 from .ffcore import FpMatrix, HypothesisFailed, HypothesisNotMet, MalformedInput, PrimeField
 from .ffcore import TheoremViolation, matrix_inverse
@@ -409,19 +409,24 @@ def _cube(prefix, h):
     return tuple(tuple(int(x) for x in pt) for pt in (*prefix, h))
 
 
-def first_gowers_witness(g: FpMultiPoly, M: QuadForm, s: int, budget=DEFAULT_BUDGET):
-    """First (n, h_1..h_s) in Box_s(V(M)), lexicographic, with a nonzero
-    s-fold difference of g; None if the scan completes without one.
-
-    The budget is gowers_blocks' rule: one unit per tuple (n, h_1..h_t),
-    t <= s, up to and including the witness.  Each block of cubes is
-    evaluated in one _cube_differences call, cut where the budget ends."""
+def _first_cube(M: QuadForm, s: int, budget, values):
+    """First (n, h_1..h_s) in Box_s(V(M)), lexicographic, on which
+    values(n, [h_1..h_s]) is nonzero mod p; None if the walk completes
+    without one.  values takes a block at once, its h_s a stack of rows cut
+    where the budget ends, so the budget (gowers_blocks' rule) pays for the
+    tuples up to and including the witness."""
     for prefix, H, room in gowers_blocks(M, s, None, budget):
         pts = [*prefix, H[:room]]
-        hit = np.flatnonzero(_cube_differences(g, pts[0], pts[1:]))
+        hit = np.flatnonzero(values(pts[0], pts[1:]) % M.p)
         if len(hit):
             return _cube(prefix, H[hit[0]])
     return None
+
+
+def first_gowers_witness(g: FpMultiPoly, M: QuadForm, s: int, budget=DEFAULT_BUDGET):
+    """First (n, h_1..h_s) in Box_s(V(M)), lexicographic, with a nonzero
+    s-fold difference of g; None if the scan (_first_cube) completes without one."""
+    return _first_cube(M, s, budget, partial(_cube_differences, g))
 
 
 def intrinsic_decompose(g: FpMultiPoly, M: QuadForm, s: int, budget=DEFAULT_BUDGET):
@@ -450,15 +455,16 @@ def gowers_equation_solve(P: FpMultiPoly, Q: FpMultiPoly, M: QuadForm, s: int, b
     (the P-block is P(n) itself when s = 1).  On success returns
     ('factorization', P1, P2, Q1, Q2) with P = M P1 + P2, Q = M Q1 + Q2 and
     the degree bounds deg P2 <= s - 2, deg Q2 <= s - 1; a violated
-    hypothesis returns ('witness', cube)."""
-    _check_s(s, 1)  # the P-block takes s - 1 differences
+    hypothesis returns ('witness', cube).  A Box_s that does not fit the
+    budget (gowers_set) is refused, never checked in part: at s = 1 before
+    the N x N table is built, at s >= 2 after the first witness."""
+    _check_count("s", s, 1)  # the P-block takes s - 1 differences
     if qf_rank(M) < s + 3:
         raise RankHypothesisFailed("needs rank(M) >= s + 3")
     if s == 1:
         # P(n) + Q(n+h) - Q(n) = 0 on Box_1 = {(n, m - n) : n, m in V(M)}
+        gowers_set(M, 1, None, budget)
         zeros = enumerate_zeros(M, None, budget)
-        if len(zeros) ** 2 > budget:
-            raise BudgetExceeded("Box_1 hypothesis scan exceeds budget")
         pv, qv = FpMultiPoly.eval_many([P, Q], zeros)
         diff = (pv[:, None] - qv[:, None] + qv[None, :]) % M.p
         bad = np.argwhere(diff != 0)
@@ -466,17 +472,11 @@ def gowers_equation_solve(P: FpMultiPoly, Q: FpMultiPoly, M: QuadForm, s: int, b
             i, j = bad[0]
             return "witness", _cube((zeros[i],), (zeros[j] - zeros[i]) % M.p)
     else:
-        # the walk runs to its end even after a witness: a Box_s that does
-        # not fit the budget is refused, never checked in part
-        witness = None
-        for prefix, H, _ in gowers_blocks(M, s, None, budget):
-            if witness is None:
-                n, hs = prefix[0], list(prefix[1:])
-                diff = _cube_differences(P, n, hs) + _cube_differences(Q, n, hs + [H])
-                bad = np.flatnonzero(diff % M.p)
-                if len(bad):
-                    witness = _cube(prefix, H[bad[0]])
+        witness = _first_cube(
+            M, s, budget, lambda n, hs: _cube_differences(P, n, hs[:-1]) + _cube_differences(Q, n, hs)
+        )
         if witness is not None:
+            gowers_set(M, s, None, budget)  # raises exactly when the whole walk would
             return "witness", witness
     rp = reduce_mod_form(P, M, s - 2)
     rq = reduce_mod_form(Q, M, s - 1)

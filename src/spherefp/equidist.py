@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import DEFAULT_BUDGET, RankHypothesisFailed, root_sum
+from .counting import DEFAULT_BUDGET, RankHypothesisFailed, _check_count, root_sum
 from .division import ZpQuadForm, lift_nullstellensatz
 from .ffcore import BudgetExceeded, HypothesisNotMet, MalformedInput, TheoremViolation
 from .fpoly import ArityMismatch, NotIntegerValued, RatMultiPoly, ValueRangeError
@@ -247,11 +247,19 @@ def character_search(g: TorusPolySeq, omega, K):
     return None, None
 
 
+def _check_delta(delta):
+    """delta is a mean's bound: it lies in (0, 1]."""
+    if not 0 < delta <= 1:  # also rejects nan
+        raise MalformedInput(f"delta must lie in (0, 1], got {delta}")
+
+
 def equidist_test(g: TorusPolySeq, omega, delta, K, freq_budget=200000):
     """The torus dichotomy: either every nontrivial character average with
     |k|_1 <= K is at most delta (delta-equidistributed at budget K), or an
     exactly-constant character exists (obstructed); a large average without
     an exact obstruction raises DichotomyViolation."""
+    _check_count("K", K, 1)
+    _check_delta(delta)
     if len(omega) == 0:
         raise HypothesisNotMet("empty point set")
     count = frequency_count(g.m, K)
@@ -314,6 +322,7 @@ def weyl_dichotomy(g: RatMultiPoly, p: int, radius: int, delta: float, budget=DE
 
     omega may carry the sphere's points, as sphere_points returns them, to
     avoid re-enumeration across many calls."""
+    _check_delta(delta)
     nums, den = g._binomial_numerators()
     if any(n % den for n in nums.values()):
         raise NotIntegerValued("weyl_dichotomy requires an integer valued polynomial")
@@ -401,6 +410,8 @@ def leibman_probe(p, d, radius, s, delta, trials, K, rng, budget=DEFAULT_BUDGET)
     full data and flagged when the theorem hypotheses (d >= s + 13) fail."""
     if d < 1 or s < 1:
         raise MalformedInput(f"leibman_probe needs d, s >= 1, got d = {d}, s = {s}")
+    _check_count("K", K, 1)
+    _check_delta(delta)
     # each draw is re-checked by partial_periodicity_witness, whose fiber
     # plan holds a pair (e, g <= e) per exponent pair of total degree <= s
     pairs = math.comb(2 * d + s, 2 * d)

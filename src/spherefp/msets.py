@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import BudgetExceeded, CountReport, DEFAULT_BUDGET, _check_s, all_points
+from .counting import BudgetExceeded, CountReport, DEFAULT_BUDGET, _check_count, all_points
 from .ffcore import FpMatrix, HypothesisNotMet, Infeasible, MalformedInput, rref, solve_linear
 from .fpoly import FpMultiPoly, _quadratic_terms
 from .fpoly import _binom_basis_indices as _monomials_up_to  # cached, sorted tuple
@@ -34,15 +34,9 @@ class NotConsistent(HypothesisNotMet):
     pass
 
 
-def _check_k(k, least=1):
-    """k counts blocks: an int >= least, never a bool or a string."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < least:
-        raise MalformedInput(f"k must be an integer >= {least}, got {k!r}")
-
-
 class MQuadFn:
     def __init__(self, M: QuadForm, k: int, b=None, v=None, u=0):
-        _check_k(k, 0)  # the prefix of a block-1 function is a constant of 0 blocks
+        _check_count("k", k, 0)  # the prefix of a block-1 function is a constant of 0 blocks
         self.M = M
         self.k = k
         self.d = M.d
@@ -335,7 +329,7 @@ def total_codim(family, M: QuadForm, k: int) -> int:
 def gowers_family(M: QuadForm, s: int):
     """The (M, s+1)-family cutting out Box_s(V(M)):
     {M(n), M(n+h_i) - M(n), (h_i A).h_j (i < j)}."""
-    _check_s(s)
+    _check_count("s", s, 0)
     k = s + 1
     fams = []
     base = MQuadFn(M, k, {(1, 1): 1}, [M.u[:]] + [[0] * M.d] * s, M.v)
@@ -537,20 +531,10 @@ def fubini_check(family, M: QuadForm, k: int, kprime: int, f, budget=DEFAULT_BUD
     wide = tuple(t for t in kinds if issubclass(t, np.integer))
     if exact and wide:
         values = [int(v) if isinstance(v, wide) else v for v in values]
-    if exact:
-        lhs = Fraction(sum(values), len(values))
-        inner_total = Fraction(0)
-    else:
-        lhs = sum(values) / len(values)
-        inner_total = 0.0
-    for a, b in zip(boundaries, boundaries[1:]):
-        chunk = values[a:b]
-        if exact:
-            inner_total += Fraction(sum(chunk), len(chunk))
-        else:
-            inner_total += sum(chunk) / len(chunk)
+    mean = (lambda xs: Fraction(sum(xs), len(xs))) if exact else (lambda xs: sum(xs) / len(xs))
+    lhs = mean(values)
     # prefixes of Omega_I carrying no fiber contribute zero inner mean
-    rhs = inner_total / omega_i_size
+    rhs = sum(mean(values[a:b]) for a, b in zip(boundaries, boundaries[1:])) / omega_i_size
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -734,5 +718,5 @@ def family_to_json(family, k):
 
 def family_from_json(M, obj):
     k = obj["k"]
-    _check_k(k)
+    _check_count("k", k, 1)
     return [MQuadFn.from_json(M, k, fo) for fo in obj["functions"]], k

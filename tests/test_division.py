@@ -434,8 +434,25 @@ def test_gowers_equation_budget_honesty(f5, rng):
     M = QuadForm.dot_form(f5, 5, radius=1)
     P = random_fp_poly(5, 5, 1, rng)
     Q = random_fp_poly(5, 5, 2, rng)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"^Box_2 walk exceeds budget 1000000$"):
         gowers_equation_solve(P, Q, M, 2, budget=10**6)
+
+
+def test_gowers_equation_s1_budget_is_box_1s_rule(monkeypatch, f5, rng):
+    # the N x N table at s = 1 is checked by gowers_set's rule for Box_1,
+    # N (N + 1) tuples, with its message, before the table is built
+    M = QuadForm.dot_form(f5, 4, radius=1)
+    N = len(enumerate_zeros(M))
+    mp = M.as_poly()
+    P = mp * random_fp_poly(5, 4, 0, rng)
+    Q = mp * random_fp_poly(5, 4, 1, rng) + FpMultiPoly.constant(5, 4, 2)
+    assert gowers_equation_solve(P, Q, M, 1, budget=N * N + N)[0] == "factorization"
+    monkeypatch.setattr(FpMultiPoly, "eval_many", None)  # the table is never built
+    for budget in (N * N + N - 1, N * N):
+        with pytest.raises(BudgetExceeded, match=rf"^Box_1 walk exceeds budget {budget}$"):
+            gowers_equation_solve(P, Q, M, 1, budget=budget)
+        with pytest.raises(BudgetExceeded, match=rf"^Box_1 walk exceeds budget {budget}$"):
+            counting.gowers_set(M, 1, None, budget)
 
 
 # -- the fiber tables against the Fraction basis-change paths -------------------
@@ -842,6 +859,8 @@ def test_gowers_equation_s2_matches_per_tuple_check(monkeypatch, f5, rng):
             yield (np.array(n), np.array(h1)), H, budget
 
     monkeypatch.setattr(division, "gowers_blocks", blocks)
+    # the fit check after a witness counts the faked Box_2, not the real one
+    monkeypatch.setattr(division, "gowers_set", lambda M, s, S, budget: len(box))
 
     def per_tuple(P, Q):
         for tup in box:

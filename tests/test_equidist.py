@@ -384,6 +384,37 @@ def test_frequency_budget_checked_before_frequencies_are_built(monkeypatch):
         equidist_test(g, [(0, 0, 1)], 0.2, 320)
 
 
+def test_entry_points_refuse_a_vacuous_K_and_a_delta_outside_0_1(monkeypatch, rng):
+    # K = 0 tested no frequency yet read "equidistributed", K = -1 crashed in
+    # math.comb, and delta <= 0 or nan raised the theorem's DichotomyViolation:
+    # all three are bad input, refused before any work with the CLI's rule
+    from spherefp.ffcore import MalformedInput
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the input checks")
+
+    omega = sphere_points(5, 3, 1)
+    g = TorusPolySeq.from_rat_poly(RatMultiPoly(3, {(1, 0, 0): Fraction(1, 5)}), 1)
+    f = RatMultiPoly(3, {(1, 0, 0): Fraction(1)})
+    monkeypatch.setattr(equidist, "frequency_count", never)
+    monkeypatch.setattr(equidist, "sphere_points", never)
+    for K in (0, -1, True, 2.0, "2"):
+        with pytest.raises(MalformedInput, match=f"K must be an integer >= 1, got {K!r}"):
+            equidist_test(g, omega, 0.3, K)
+        with pytest.raises(MalformedInput, match="K must be an integer >= 1"):
+            leibman_probe(5, 4, 1, 2, 0.3, 3, K, rng)
+    for delta in (0, -1, float("nan"), 1.5):
+        with pytest.raises(MalformedInput, match=r"delta must lie in \(0, 1\], got"):
+            equidist_test(g, omega, delta, 2)
+        with pytest.raises(MalformedInput, match=r"delta must lie in \(0, 1\]"):
+            weyl_dichotomy(f, 5, 1, delta)
+        with pytest.raises(MalformedInput, match=r"delta must lie in \(0, 1\]"):
+            leibman_probe(5, 4, 1, 2, delta, 3, 20, rng)
+    monkeypatch.undo()
+    assert equidist_test(g, omega, 1, 1).verdict == "equidistributed"
+    assert weyl_dichotomy(f, 5, 1, 1.0).branch == "sum_small"
+
+
 @pytest.mark.parametrize("m, K", [(1, 5), (2, 5), (3, 5), (2, 50), (3, 20)])
 def test_frequency_count_closed_form(m, K):
     assert frequency_count(m, K) == len(frequencies(m, K))

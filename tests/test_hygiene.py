@@ -183,7 +183,8 @@ def test_zero_sets_come_from_the_line_solver_alone(monkeypatch):
 
 def test_gowers_set_counts_without_the_walk_or_the_row_builder(monkeypatch):
     # |Box_s| is counted from the zero set's rows and their pair products:
-    # neither the lexicographic walk nor the M-set row builder runs
+    # neither the lexicographic walk (gowers_blocks, sorted candidates) nor
+    # the M-set row builder runs
     from conftest import box_count
     from spherefp import counting, msets
     from spherefp.ffcore import PrimeField
@@ -200,6 +201,26 @@ def test_gowers_set_counts_without_the_walk_or_the_row_builder(monkeypatch):
     monkeypatch.setattr(msets, "enumerate_mset", never)
     assert [counting.gowers_set(M, s, S) for s in range(4) for S in (None, plane)] == want
     assert want[:6:2] == [30, 900, 7650]
+
+
+def test_box_s_has_one_walk_one_scan_and_one_budget_rule():
+    # one explicit-stack walk of Box_s (counting._walk) serves the
+    # lexicographic blocks and the count; one scan (division._first_cube)
+    # serves both witness searches; and the s = 1 cube equation is checked
+    # by Box_1's own rule, not by a second budget beside it
+    tree = ast.parse((SRC / "counting.py").read_text())
+    functions = dict(_functions(tree))
+    assert sorted(name for name, fn in functions.items() if list(_calls(fn, "pop"))) == ["_walk"]
+    assert sorted(name for name, fn in functions.items() if list(_calls(fn, "_walk"))) == [
+        "gowers_blocks", "gowers_set",
+    ]
+    tree = ast.parse((SRC / "division.py").read_text())
+    functions = dict(_functions(tree))
+    assert [name for name, fn in functions.items() if list(_calls(fn, "gowers_blocks"))] == ["_first_cube"]
+    for name in ("first_gowers_witness", "gowers_equation_solve"):
+        assert len(list(_calls(functions[name], "_first_cube"))) == 1
+    text = "".join(path.read_text() for path in sorted(SRC.glob("*.py")))
+    assert "hypothesis scan exceeds" not in text
 
 
 def test_one_memo_of_sphere_systems():
