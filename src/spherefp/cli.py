@@ -406,8 +406,7 @@ def _validate(args):
     for flag, value, low in floors:
         if value < low:
             raise MalformedInput(f"{flag} must be at least {low}, got {value}")
-    if not 0 < args.delta <= 1:  # also rejects nan
-        raise MalformedInput(f"--delta must lie in (0, 1], got {args.delta}")
+    counting._check_delta(args.delta, "--delta")
 
 
 def main(argv=None):

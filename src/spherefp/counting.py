@@ -86,6 +86,12 @@ def _check_count(name, value, least):
         raise MalformedInput(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_delta(delta, name="delta"):
+    """delta bounds a mean or a share of points: it lies in (0, 1]."""
+    if not 0 < delta <= 1:  # also rejects nan
+        raise MalformedInput(f"{name} must lie in (0, 1], got {delta}")
+
+
 def _check_budget(size, budget):
     if size > budget:
         raise BudgetExceeded(f"enumeration of size {size} exceeds budget {budget}")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import gcd
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .counting import (
     DEFAULT_BUDGET,
     RankHypothesisFailed,
     _check_count,
+    _check_delta,
     enumerate_zeros,
     gowers_blocks,
     gowers_set,
@@ -268,6 +268,7 @@ def dichotomy(P: FpMultiPoly, M: QuadForm, delta: float, budget=DEFAULT_BUDGET):
     """|V(P) n V(M)| <= delta |V(M)| with the exact count, or containment
     with a division certificate.  A middle-ground outcome contradicts the
     theorem and raises."""
+    _check_delta(delta)
     if qf_rank(M) < 3:
         raise RankHypothesisFailed("dichotomy needs rank(M) >= 3")
     zeros = enumerate_zeros(M, None, budget)
@@ -662,23 +663,12 @@ def _solve_system(M: ZpQuadForm, df, blocks, drop, rhs):
     return int_solve(reduction, rhs, sum(len(indices) for _, _, indices in blocks))
 
 
-def _p_free_part(q, p):
-    """q with every factor p removed."""
-    while q % p == 0:
-        q //= p
-    return q
-
-
 def _scaled_rhs(nums, den, indices, p, depth):
-    """(q0, rhs) for the binomial coordinates nums[idx] / den at indices:
-    q0 is the p-free part of their common denominator, rhs their values
-    times q0 p^depth as integers, or None when one of those is not one."""
-    sel = [nums.get(idx, 0) for idx in indices]
-    q0 = _p_free_part(den // gcd(den, *sel), p)
-    scaled = [n * q0 * p**depth for n in sel]
+    """[nums[idx] * p^depth / den for idx in indices] if all are integers, else None."""
+    scaled = [nums.get(idx, 0) * p**depth for idx in indices]
     if any(c % den for c in scaled):
-        return q0, None
-    return q0, [c // den for c in scaled]
+        return None
+    return [c // den for c in scaled]
 
 
 def _scan_fibers(f, M, budget, error, skip_constant=False):
@@ -690,36 +680,32 @@ def _scan_fibers(f, M, budget, error, skip_constant=False):
         raise error(witness)
 
 
-def _solve_certificate_first(solve, q0, what, certify, scan):
-    """certify(q0, z) for the integer solution z = solve() of the system.
+def _solve_certificate_first(solve, what, certify, scan):
+    """certify(z) for the integer solution z = solve() of the system.
 
-    When solve answers at q0 = 1 and certify accepts, the certificate
-    itself proves the hypothesis that scan() checks, so scan is not called.
-    Every other path calls scan() before anything that can raise, so its
-    witness outranks a failed solve or re-verify.  With q0 != 1 no
-    certificate can spare the scan, so it runs before the system is built,
-    as in the scan-first order."""
-    if q0 != 1:
-        scan()
+    When solve answers and certify accepts, the certificate itself proves
+    the hypothesis that scan() checks, so scan is not called.  Every other
+    path calls scan() before anything that can raise, so its witness
+    outranks a failed solve or re-verify."""
+    # The paper's Q0 is always 1 here.  Were Q0 != 1, a binomial coordinate of
+    # f in the index set (periodic: all but the zero index) would have a prime
+    # l != p in its denominator.  As n0 + pZ^d is dense in Z_l^d, integer fiber
+    # coordinates at n0 would make f (periodic: f - f(n0)) l-integral on Z_l^d,
+    # and so its binomial coordinates (Mahler).  So every fiber fails, and as
+    # V_p(M) is nonempty at p-rank >= 3, scan() raises on the rhs-is-None path.
     z = solve()
-    if q0 == 1:
-        if z is not None:
-            try:
-                return certify(1, z)
-            except TheoremViolation:
-                scan()
-                raise
-        scan()
-    if z is None:
-        # No p-free rescale of rhs can help.  Block 0 of every sphere system
-        # is p^e I on every row (vanishing: e = floor(deg f / 2) over all
-        # indices; periodic: e = s* - 1 over every row but the dropped zero
-        # index).  So if A z = c rhs has an integer solution with p not
-        # dividing c, take c' with c c' = 1 mod p^e: c' z solves it for
-        # c c' rhs, and moving (c c' - 1) / p^e rhs off block 0 solves
-        # A z = rhs.  Hermite int_solve is complete, so its None is final.
-        raise TheoremViolation(f"no integer {what}")
-    return certify(q0, z)
+    if z is not None:
+        try:
+            return certify(z)
+        except TheoremViolation:
+            scan()
+            raise
+    scan()
+    # Nor can a p-free rescale c help: block 0 is p^e I (e = deg f // 2, or
+    # s* - 1 off the periodic system's dropped zero index), so with
+    # c c' = 1 mod p^e, c' z solves A z = c c' rhs, and moving (c c' - 1) / p^e
+    # rhs off block 0 solves A z = rhs.  Hermite int_solve is complete, so None is final.
+    raise TheoremViolation(f"no integer {what}")
 
 
 def _block_polys(nvars, blocks, z):
@@ -733,16 +719,15 @@ def _block_polys(nvars, blocks, z):
 
 
 def sphere_vanishing_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUDGET):
-    """Solve Q0 f = sum_i M^i R_i with R_i integer valued of degree
-    <= deg(f) - 2i and Q0 coprime to p, for f integer valued on V_p(M).
+    """Solve f = sum_i M^i R_i with R_i integer valued of degree <= deg(f) - 2i
+    for f integer valued on V_p(M); returns (1, [R_i]), the paper's Q0 being 1.
 
-    The solution shape is found as an exact integer linear system in the
-    binomial-basis coordinates of the R_i and certified on the simplex grid.
-    Certificate first: a solution at Q0 = 1 that re-verifies proves the
-    hypothesis (f = sum M^i R_i is an integer wherever M is), so it is
-    returned without enumerating V_p(M) and charges nothing to budget.
-    Every other outcome enumerates V_p(M) under budget and scans the fibers
-    of f first, so a NotSphereIntegral witness outranks a failed solve.
+    The solution shape is an exact integer linear system in the binomial
+    coordinates of the R_i, certified on the simplex grid.  Certificate
+    first: a solution that re-verifies proves the hypothesis (f = sum M^i R_i
+    is an integer wherever M is), so V_p(M) is not enumerated and nothing is
+    charged to budget.  Every other outcome scans the fibers of f under
+    budget first, so a NotSphereIntegral witness outranks a failed solve.
     """
     p = M.p
     df = f.degree()
@@ -755,40 +740,36 @@ def sphere_vanishing_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BU
     scan = partial(_scan_fibers, f, M, budget, NotSphereIntegral)
     t = df // 2
     nums, nums_den = f._binomial_numerators()
-    q0, rhs = _scaled_rhs(nums, nums_den, _binom_basis_indices(f.nvars, df), p, t)
-    if rhs is None:
+    rhs = _scaled_rhs(nums, nums_den, _binom_basis_indices(f.nvars, df), p, t)
+    if rhs is None:  # p^t f is integer valued (the second clause) iff rhs exists
         scan()
-        raise TheoremViolation(
-            "p-adic depth of f exceeds floor(deg f / 2); no decomposition exists"
-        )
+        raise TheoremViolation("p-adic depth of f exceeds floor(deg f / 2); no decomposition exists")
     blocks = [(i, t - i, _binom_basis_indices(f.nvars, df - 2 * i)) for i in range(t + 1)]
     m_rat = M.as_ratpoly()
 
-    def certify(q0, z):
+    def certify(z):
         rs = list(_block_polys(f.nvars, blocks, z).values())  # blocks i = 0..t
         vals, _ = _simplex_grid_sum(
-            f.nvars, [(q0, [f])] + [(-1, [m_rat] * i + [r]) for i, r in enumerate(rs)]
+            f.nvars, [(1, [f])] + [(-1, [m_rat] * i + [r]) for i, r in enumerate(rs)]
         )
         if (vals != 0).any():
             raise TheoremViolation("sphere-vanishing decomposition failed to re-verify")
-        # p^t f is integer valued exactly when its binomial coordinates are integers
-        if any(n * p**t % nums_den for n in nums.values()):
-            raise TheoremViolation("second clause p^{floor(deg/2)} f failed")
-        return q0, rs
+        return 1, rs
 
     solve = partial(_solve_system, M, df, blocks, 0, rhs)
-    return _solve_certificate_first(solve, q0, "sphere-vanishing decomposition", certify, scan)
+    return _solve_certificate_first(solve, "sphere-vanishing decomposition", certify, scan)
 
 
 def sphere_periodic_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUDGET):
-    """Solve Q0 f = C + R_0/p + sum_{i>=2} M^i R_i for f partially
-    p-periodic on V_p(M); R_i integer valued, C a free rational constant.
+    """Solve f = C + R_0/p + sum_{i>=2} M^i R_i for f partially p-periodic on
+    V_p(M); R_i integer valued, C a free rational constant.  Returns
+    (1, C, R_0, {i: R_i}), Q0 = 1 as in sphere_vanishing_decompose.
 
-    Certificate first, as sphere_vanishing_decompose: a solution at Q0 = 1
-    that re-verifies proves partial periodicity (R_0(n0 + p m) = R_0(n0)
-    mod p since deg R_0 < p), so V_p(M) is not enumerated; every other
-    outcome scans the fibers under budget first, and a NotPartiallyPeriodic
-    witness outranks a failed solve.
+    Certificate first, as sphere_vanishing_decompose: a solution that
+    re-verifies proves partial periodicity (R_0(n0 + p m) = R_0(n0) mod p
+    since deg R_0 < p), so V_p(M) is not enumerated; every other outcome
+    scans the fibers under budget first, and a NotPartiallyPeriodic witness
+    outranks a failed solve.
     """
     p = M.p
     df = f.degree()
@@ -803,7 +784,7 @@ def sphere_periodic_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUD
     # the constant term of f only moves the zero coordinate, which C absorbs
     nums, nums_den = f._binomial_numerators()
     eq_indices = _binom_basis_indices(nvars, df)[1:]  # all but the zero index
-    q0, rhs = _scaled_rhs(nums, nums_den, eq_indices, p, s_star)
+    rhs = _scaled_rhs(nums, nums_den, eq_indices, p, s_star)
     if rhs is None:
         scan()
         raise TheoremViolation("p-adic depth exceeds the periodic decomposition shape")
@@ -813,30 +794,29 @@ def sphere_periodic_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUD
     ]
     m_rat = M.as_ratpoly()
 
-    def certify(q0, z):
+    def certify(z):
         rs = _block_polys(nvars, blocks, z)
         r0 = rs.pop(0)
-        # Q0 f - R_0/p - sum M^i R_i must be the constant C: equal to its
+        # f - R_0/p - sum M^i R_i must be the constant C: equal to its
         # value at the origin everywhere on the grid
         vals, vals_den = _simplex_grid_sum(
-            nvars, [(q0, [f]), (Fraction(-1, p), [r0])] + [(-1, [m_rat] * i + [r]) for i, r in rs.items()]
+            nvars, [(1, [f]), (Fraction(-1, p), [r0])] + [(-1, [m_rat] * i + [r]) for i, r in rs.items()]
         )
         if (vals != vals[0]).any():
             raise TheoremViolation("periodic decomposition failed to re-verify")
         c_value = Fraction(int(vals[0]), vals_den)
         # normalize: integer-over-p and integer parts of the constant belong
-        # to the R_0 / p slot, so e.g. f = g/p comes back as (C, R_0) = (0, Q0 g)
+        # to the R_0 / p slot, so e.g. f = g/p comes back as (C, R_0) = (0, g)
         den = c_value.denominator
         if den % p == 0 and (den // p) % p != 0:
-            m = den // p
-            k = c_value.numerator * pow(m, -1, p) % p
+            k = c_value.numerator * pow(den // p, -1, p) % p
             c_value -= Fraction(k, p)
             r0 = r0 + RatMultiPoly.constant(nvars, k)
         whole = c_value.numerator // c_value.denominator
         if whole:
             c_value -= whole
             r0 = r0 + RatMultiPoly.constant(nvars, p * whole)
-        return q0, c_value, r0, rs
+        return 1, c_value, r0, rs
 
     solve = partial(_solve_system, M, df, blocks, 1, rhs)
-    return _solve_certificate_first(solve, q0, "periodic decomposition", certify, scan)
+    return _solve_certificate_first(solve, "periodic decomposition", certify, scan)

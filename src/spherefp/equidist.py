@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import DEFAULT_BUDGET, RankHypothesisFailed, _check_count, root_sum
+from .counting import DEFAULT_BUDGET, RankHypothesisFailed, _check_count, _check_delta, root_sum
 from .division import ZpQuadForm, lift_nullstellensatz
 from .ffcore import BudgetExceeded, HypothesisNotMet, MalformedInput, TheoremViolation
 from .fpoly import ArityMismatch, NotIntegerValued, RatMultiPoly, ValueRangeError
@@ -245,12 +245,6 @@ def character_search(g: TorusPolySeq, omega, K):
         if (r == r[0]).all():
             return HorizontalCharacter(k), Fraction(int(r[0]), Q)
     return None, None
-
-
-def _check_delta(delta):
-    """delta is a mean's bound: it lies in (0, 1]."""
-    if not 0 < delta <= 1:  # also rejects nan
-        raise MalformedInput(f"delta must lie in (0, 1], got {delta}")
 
 
 def equidist_test(g: TorusPolySeq, omega, delta, K, freq_budget=200000):

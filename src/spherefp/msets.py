@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import BudgetExceeded, CountReport, DEFAULT_BUDGET, _check_count, all_points
+from .counting import BudgetExceeded, CountReport, DEFAULT_BUDGET, _check_count, _check_delta, all_points
 from .ffcore import FpMatrix, HypothesisNotMet, Infeasible, MalformedInput, rref, solve_linear
 from .fpoly import FpMultiPoly, _quadratic_terms
 from .fpoly import _binom_basis_indices as _monomials_up_to  # cached, sorted tuple
@@ -460,34 +460,13 @@ def enumerate_mset(family, M: QuadForm, k: int, budget=DEFAULT_BUDGET):
     return partial
 
 
-def mset_cardinality_check(family, M: QuadForm, k: int, budget=DEFAULT_BUDGET, rng=None, samples=10**6):
-    """|V(family)| against p^{dk - r}; exact within budget, otherwise a
-    seeded Monte-Carlo estimate with a 3-sigma tolerance folded in."""
+def mset_cardinality_check(family, M: QuadForm, k: int, budget=DEFAULT_BUDGET):
+    """|V(family)| against p^{dk - r}, counted exactly by enumerate_mset,
+    whose budget rule refuses a set that does not fit."""
     p, d = M.p, M.d
     r = len(_reduced_rows(family, M, k))
     main = Fraction(p) ** (d * k - r)
-    bound = float(main) * p**-0.5
-    if p ** (d * k) <= budget:
-        exact = len(enumerate_mset(family, M, k, budget))
-        return CountReport(exact, main, bound)
-    import random
-
-    rng = rng or random.Random(0)
-    np_rng = np.random.default_rng(rng.randrange(2**63))
-    hits = 0
-    done = 0
-    while done < samples:
-        batch = np_rng.integers(0, p, size=(min(65536, samples - done), k * d), dtype=np.int64)
-        keep = np.ones(len(batch), dtype=bool)
-        for f in family:
-            keep &= f.eval_array(batch) == 0
-        hits += int(keep.sum())
-        done += len(batch)
-    estimate = hits / samples * p ** (d * k)
-    sigma = (max(hits, 1) ** 0.5 / samples) * p ** (d * k)
-    report = CountReport(int(round(estimate)), main, bound)
-    report.error_bound = bound / report.constant_used + 3 * sigma / report.constant_used
-    return report
+    return CountReport(len(enumerate_mset(family, M, k, budget)), main, float(main) * p**-0.5)
 
 
 def fubini_prepare(family, M: QuadForm, k: int, kprime: int, budget=DEFAULT_BUDGET):
@@ -643,6 +622,7 @@ def irreducibility_probe(
     membership (available exactly for forward-constructed members).  The
     family is reduced first, so an inconsistent one is refused in either
     mode before any point is drawn."""
+    _check_delta(delta)
     if not family:
         raise HypothesisNotMet("the irreducibility probe needs a nonempty family")
     _reduced_rows(family, M, k)

@@ -795,3 +795,39 @@ def test_a_subspace_over_another_prime_is_refused_before_any_work(monkeypatch):
     ):
         with pytest.raises(MalformedInput, match="subspace over F_7 for a form over F_5"):
             call()
+
+
+@pytest.mark.parametrize("delta", [float("nan"), -1, 0, 1.5, 2])
+def test_one_delta_rule_at_every_entry_point(monkeypatch, rng, delta):
+    # counting._check_delta is the one rule: the three equidist entry points,
+    # the dichotomy and the irreducibility probe refuse delta outside (0, 1]
+    # before any work, with the same message; at delta = 2 the dichotomy used
+    # to answer "small" and at nan or -1 to raise "middle ground"
+    from spherefp import division, equidist, msets
+    from spherefp.fpoly import RatMultiPoly
+    from spherefp.msets import MQuadFn
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the delta check")
+
+    M = QuadForm.dot_form(F5, 3, radius=1)
+    family = [MQuadFn(M, 1, {(1, 1): 1}, [M.u[:]], M.v)]
+    g = equidist.TorusPolySeq(3, 1, 1, {(1, 0, 0): (Fraction(1, 5),)})
+    monkeypatch.setattr(division, "qf_rank", never)
+    monkeypatch.setattr(msets, "_reduced_rows", never)
+    monkeypatch.setattr(equidist, "frequency_count", never)
+    monkeypatch.setattr(equidist, "sphere_points", never)
+    calls = [
+        lambda: division.dichotomy(FpMultiPoly.variable(5, 3, 0), M, delta),
+        lambda: msets.irreducibility_probe(family, M, 1, 2, delta, 3, rng),
+        lambda: equidist.equidist_test(g, [(0, 0, 1)], delta, 2),
+        lambda: equidist.weyl_dichotomy(RatMultiPoly.variable(3, 0), 5, 1, delta),
+        lambda: equidist.leibman_probe(5, 4, 1, 2, delta, 3, 20, rng),
+    ]
+    for call in calls:
+        with pytest.raises(MalformedInput) as err:
+            call()
+        assert str(err.value) == f"delta must lie in (0, 1], got {delta}"
+    with pytest.raises(MalformedInput) as err:
+        counting._check_delta(delta, "--delta")
+    assert str(err.value) == f"--delta must lie in (0, 1], got {delta}"

@@ -964,13 +964,14 @@ def test_scaled_rhs_matches_fraction_products(seed, p, depth, skip_zero):
     f = random_rat_poly(nvars, r.randint(0, 4), r, denominators=(1, 2, 3, p, 2 * p, p * p, 3 * p**3))
     indices = _binom_basis_indices(nvars, max(f.degree(), 0))[1 if skip_zero else 0 :]
     nums, den = f._binomial_numerators()
-    assert division._scaled_rhs(nums, den, indices, p, depth) == _scaled_rhs_reference(f, indices, p, depth)
+    ref_q0, rhs = _scaled_rhs_reference(f, indices, p, depth)
+    # an l-part (ref_q0 != 1) leaves no right-hand side: the solvers scan for its witness
+    assert division._scaled_rhs(nums, den, indices, p, depth) == (rhs if ref_q0 == 1 else None)
 
 
 def test_sphere_solver_depth_checks_keep_their_messages(monkeypatch):
     # with the fiber scan passed over, f = (C(n_1, 2) + n_2) / 25 is too
-    # deep for both shapes, and f / 3 meets the vanishing solver's second
-    # clause after a successful solve at Q0 = 3
+    # deep for both shapes
     monkeypatch.setattr(division, "_first_noninteger_fiber", lambda *a, **k: None)
     Mz = ZpQuadForm.sphere(5, 4, 1)
     g = RatMultiPoly.from_binomial(4, {(2, 0, 0, 0): 1, (0, 1, 0, 0): 1})
@@ -981,11 +982,6 @@ def test_sphere_solver_depth_checks_keep_their_messages(monkeypatch):
     with pytest.raises(TheoremViolation) as err:
         sphere_periodic_decompose(deep, Mz)
     assert str(err.value) == "p-adic depth exceeds the periodic decomposition shape"
-    with pytest.raises(TheoremViolation) as err:
-        sphere_vanishing_decompose(g.scale(Fraction(1, 3)), Mz)
-    assert str(err.value) == "second clause p^{floor(deg/2)} f failed"
-    q0, c, r0, rs = sphere_periodic_decompose(g.scale(Fraction(1, 3)), Mz)
-    assert q0 == 3 and c == 0 and r0 == g.scale(5)
 
 
 # -- certificate first: the same outcomes as the scan-first order -----------------
@@ -1016,7 +1012,7 @@ def _scan_first_vanishing(f, M, budget=counting.DEFAULT_BUDGET):
         return 1, [RatMultiPoly.zero(f.nvars)]
     t = df // 2
     nums, nums_den = f._binomial_numerators()
-    q0, rhs = division._scaled_rhs(nums, nums_den, _binom_basis_indices(f.nvars, df), p, t)
+    q0, rhs = _scaled_rhs_reference(f, _binom_basis_indices(f.nvars, df), p, t)
     if rhs is None:
         raise TheoremViolation("p-adic depth of f exceeds floor(deg f / 2); no decomposition exists")
     blocks = [(i, t - i, _binom_basis_indices(f.nvars, df - 2 * i)) for i in range(t + 1)]
@@ -1047,9 +1043,8 @@ def _scan_first_periodic(f, M, budget=counting.DEFAULT_BUDGET):
     nvars = f.nvars
     t = df // 2
     s_star = max(1, t)
-    nums, nums_den = f._binomial_numerators()
     eq_indices = _binom_basis_indices(nvars, df)[1:]
-    q0, rhs = division._scaled_rhs(nums, nums_den, eq_indices, p, s_star)
+    q0, rhs = _scaled_rhs_reference(f, eq_indices, p, s_star)
     if rhs is None:
         raise TheoremViolation("p-adic depth exceeds the periodic decomposition shape")
     blocks = [(0, s_star - 1, eq_indices)] + [
@@ -1193,6 +1188,30 @@ def test_p_free_denominators_scan_before_solving(monkeypatch, rng):
         sphere_vanishing_decompose(f, Mz)
     with pytest.raises(NotPartiallyPeriodic):
         sphere_periodic_decompose(f, Mz)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_l_part_witness_is_the_first_base_point(seed):
+    # a prime l != p in a non-constant binomial denominator fails the fiber
+    # of every base point (n0 + pZ^d is dense in Z_l^d), so both solvers
+    # raise at the first point of V_p(M) and Q0 = 1 always suffices
+    r = random.Random(seed)
+    M = _random_zp_form(r.choice((3, 4)), r)
+    x = RatMultiPoly.variable(M.d, r.randrange(M.d))
+    l = r.choice((2, 3, 7))
+    f = _forward(M, r) + x.scale(Fraction(r.randrange(1, l), l))
+    first = tuple(int(v) for v in M.sphere_points()[0])
+    for solver, error in (
+        (sphere_vanishing_decompose, NotSphereIntegral),
+        (sphere_periodic_decompose, NotPartiallyPeriodic),
+    ):
+        with pytest.raises(error) as err:
+            solver(f, M)
+        assert err.value.witness[0] == first
+    # an l-part in the constant coordinate alone is C's: still Q0 = 1
+    f = _forward(M, r) + RatMultiPoly.constant(M.d, Fraction(1, 3))
+    q0, c_value, r0, rs = sphere_periodic_decompose(f, M)
+    assert q0 == 1 and c_value.denominator == 3
 
 
 def test_certificates_above_the_enumeration_budget(rng):

@@ -244,6 +244,30 @@ def test_one_memo_of_sphere_systems():
     assert found == []
 
 
+def test_sphere_solvers_work_at_q0_one_only():
+    # Q0 != 1 always meets a failing fiber first, so no q0 is carried, no
+    # p-free part is taken and the implied second clause is not rechecked
+    text = (SRC / "division.py").read_text()
+    tree = ast.parse(text)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+    assert "q0" not in names
+    assert "_p_free_part" not in {name for name, _ in _functions(tree)}
+    assert "second clause p^" not in text
+    solve = {name: fn for name, fn in _functions(tree)}["_solve_certificate_first"]
+    assert [a.arg for a in solve.args.args] == ["solve", "what", "certify", "scan"]
+
+
+def test_one_delta_rule():
+    # the bound of a mean, 0 < delta <= 1, is written once, in counting
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        found += [f"{path.name}:{name}" for name, _ in _functions(ast.parse(text)) if name == "_check_delta"]
+        found += [f"{path.name}:text"] * text.count("must lie in (0, 1]")
+    assert sorted(found) == ["counting.py:_check_delta", "counting.py:text"]
+
+
 def test_msets_reduces_a_family_in_one_place():
     # every M-family is reduced by one rref in one function, whose pivots
     # also decide consistency (no rank calls beside it), and the symmetric

@@ -468,13 +468,15 @@ def test_enumerate_mset_against_brute_force(f5, rng):
     assert got == brute
 
 
-def test_cardinality_monte_carlo_branch(f5, rng):
-    # force the sampled path with a tiny budget; seeded and batched
-    M = QuadForm.dot_form(f5, 3, radius=1)
+def test_cardinality_is_exact_or_refused(f5):
+    # no sampled estimate: Box_1 at d = 5 (p^{dk} above the budget) is
+    # counted exactly, and a budget it does not fit is refused
+    M = QuadForm.dot_form(f5, 5, radius=1)
     fam = gowers_family(M, 1)
-    rep = mset_cardinality_check(fam, M, 2, budget=10, rng=rng, samples=40000)
-    assert rep.main_term == 5**4
-    assert rep.passed  # 3-sigma band folded into the bound
+    rep = mset_cardinality_check(fam, M, 2, budget=5 * 10**6)
+    assert rep.exact == 422500 and rep.main_term == 5**8
+    with pytest.raises(BudgetExceeded):
+        mset_cardinality_check(fam, M, 2, budget=10)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 7, 300])
