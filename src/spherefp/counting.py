@@ -213,8 +213,6 @@ def exp_sum(M: QuadForm, xi, budget=DEFAULT_BUDGET):
         raise RankHypothesisFailed("V(M) is empty")
     p = M.p
     xi_arr = np.array([x % p for x in xi], dtype=np.int64)
-    if not xi_arr.any():
-        return complex(1.0, 0.0)
     phases = (pts @ xi_arr) % p
     counts = np.bincount(phases, minlength=p)
     if np.count_nonzero(counts) == 1:
@@ -390,8 +388,10 @@ def gowers_set(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFA
     and, as their leaves, the pairs of H with (h A) . h' = 0.
 
     Budget: gowers_blocks' rule, one unit per tuple (n, h_1..h_t), t <= s,
-    so it raises exactly when that walk does; the leaves are charged one
-    chunk of pair products at a time.  On F_p^d the tuples as rows
+    so it raises exactly when that walk does.  Every walk at s >= 1 charges
+    the N + N^2 tuples (n) and (n, h_1), so a budget below N (N + 1) is
+    refused before any pair product; the leaves are charged one chunk of
+    pair products at a time.  On F_p^d the tuples as rows
     n | h_1 | .. | h_s are enumerate_mset(gowers_family(M, s), M, s + 1)."""
     _check_count("s", s, 0)
     p = M.p
@@ -401,8 +401,8 @@ def gowers_set(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFA
     if s == 0:
         charge(N)
         return N
-    if s == 1:
-        charge(N * (N + 1))
+    if s == 1 or N * (N + 1) > budget:
+        charge(N * (N + 1))  # at s >= 2 this raises
         return N * N
     A = np.array(M.A.rows, dtype=np.int64)
     count = 0

@@ -456,15 +456,16 @@ def gowers_equation_solve(P: FpMultiPoly, Q: FpMultiPoly, M: QuadForm, s: int, b
     (the P-block is P(n) itself when s = 1).  On success returns
     ('factorization', P1, P2, Q1, Q2) with P = M P1 + P2, Q = M Q1 + Q2 and
     the degree bounds deg P2 <= s - 2, deg Q2 <= s - 1; a violated
-    hypothesis returns ('witness', cube).  A Box_s that does not fit the
-    budget (gowers_set) is refused, never checked in part: at s = 1 before
-    the N x N table is built, at s >= 2 after the first witness."""
+    hypothesis returns ('witness', cube).  Box_s is checked with gowers_set
+    first, at every s, so a Box_s that does not fit the budget is refused
+    before any of it is scanned; one that fits fits the scan too, which
+    charges a prefix of the same walk."""
     _check_count("s", s, 1)  # the P-block takes s - 1 differences
     if qf_rank(M) < s + 3:
         raise RankHypothesisFailed("needs rank(M) >= s + 3")
+    gowers_set(M, s, None, budget)
     if s == 1:
         # P(n) + Q(n+h) - Q(n) = 0 on Box_1 = {(n, m - n) : n, m in V(M)}
-        gowers_set(M, 1, None, budget)
         zeros = enumerate_zeros(M, None, budget)
         pv, qv = FpMultiPoly.eval_many([P, Q], zeros)
         diff = (pv[:, None] - qv[:, None] + qv[None, :]) % M.p
@@ -477,7 +478,6 @@ def gowers_equation_solve(P: FpMultiPoly, Q: FpMultiPoly, M: QuadForm, s: int, b
             M, s, budget, lambda n, hs: _cube_differences(P, n, hs[:-1]) + _cube_differences(Q, n, hs)
         )
         if witness is not None:
-            gowers_set(M, s, None, budget)  # raises exactly when the whole walk would
             return "witness", witness
     rp = reduce_mod_form(P, M, s - 2)
     rq = reduce_mod_form(Q, M, s - 1)

@@ -27,7 +27,9 @@ from .counting import DEFAULT_BUDGET, RankHypothesisFailed, _check_count, _check
 from .division import ZpQuadForm, lift_nullstellensatz
 from .ffcore import BudgetExceeded, HypothesisNotMet, MalformedInput, TheoremViolation
 from .fpoly import ArityMismatch, NotIntegerValued, RatMultiPoly, ValueRangeError
-from .fpoly import _simplex_grid_sum, binom_int, partial_periodicity_witness
+from .fpoly import _random_exponent, _simplex_grid_sum, binom_int, partial_periodicity_witness
+
+FREQ_BUDGET = 200000  # frequency vectors one equidist_test may scan
 
 
 class DichotomyViolation(TheoremViolation):
@@ -247,7 +249,7 @@ def character_search(g: TorusPolySeq, omega, K):
     return None, None
 
 
-def equidist_test(g: TorusPolySeq, omega, delta, K, freq_budget=200000):
+def equidist_test(g: TorusPolySeq, omega, delta, K):
     """The torus dichotomy: either every nontrivial character average with
     |k|_1 <= K is at most delta (delta-equidistributed at budget K), or an
     exactly-constant character exists (obstructed); a large average without
@@ -257,7 +259,7 @@ def equidist_test(g: TorusPolySeq, omega, delta, K, freq_budget=200000):
     if len(omega) == 0:
         raise HypothesisNotMet("empty point set")
     count = frequency_count(g.m, K)
-    if count > freq_budget:
+    if count > FREQ_BUDGET:
         raise BudgetExceeded(f"{count} frequencies exceed budget")
     freqs = frequencies(g.m, K)
     Q, residues = _phase_residues(g, omega)
@@ -359,28 +361,17 @@ def random_partially_periodic(p, d, s, rng, omega):
         style = rng.randrange(3)
         if style == 0:
             # Z/p coefficients: p-periodic (degree < p)
-            terms = {}
-            for _ in range(rng.randint(1, 6)):
-                e = [0] * d
-                for _ in range(rng.randint(0, s)):
-                    e[rng.randrange(d)] += 1
-                terms[tuple(e)] = Fraction(rng.randrange(p), p)
+            terms = {
+                _random_exponent(rng, d, s): Fraction(rng.randrange(p), p) for _ in range(rng.randint(1, 6))
+            }
             f = RatMultiPoly(d, terms)
         elif style == 1:
             # p-periodic part plus an integer-valued binomial part and a
             # free rational constant
-            coeffs = {}
-            for _ in range(rng.randint(1, 6)):
-                idx = [0] * d
-                for _ in range(rng.randint(0, s)):
-                    idx[rng.randrange(d)] += 1
-                coeffs[tuple(idx)] = rng.randrange(5)
-            terms = {}
-            for _ in range(rng.randint(1, 4)):
-                e = [0] * d
-                for _ in range(rng.randint(0, s)):
-                    e[rng.randrange(d)] += 1
-                terms[tuple(e)] = Fraction(rng.randrange(p), p)
+            coeffs = {_random_exponent(rng, d, s): rng.randrange(5) for _ in range(rng.randint(1, 6))}
+            terms = {
+                _random_exponent(rng, d, s): Fraction(rng.randrange(p), p) for _ in range(rng.randint(1, 4))
+            }
             f = (
                 RatMultiPoly.from_binomial(d, coeffs)
                 + RatMultiPoly(d, terms)

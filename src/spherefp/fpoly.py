@@ -154,6 +154,15 @@ def _diagonal(d, c):
     return [[c if i == j else 0 for j in range(d)] for i in range(d)]
 
 
+def _random_exponent(rng, nvars, degree):
+    """A sparse exponent draw: a total degree t uniform in 0..degree, then t
+    variables drawn one at a time, each raised by one."""
+    e = [0] * nvars
+    for _ in range(rng.randint(0, degree)):
+        e[rng.randrange(nvars)] += 1
+    return tuple(e)
+
+
 def _product(terms1, terms2):
     """The raw term map of the product of two term maps."""
     terms = {}

@@ -23,7 +23,7 @@ import numpy as np
 
 from .counting import BudgetExceeded, CountReport, DEFAULT_BUDGET, _check_count, _check_delta, all_points
 from .ffcore import FpMatrix, HypothesisNotMet, Infeasible, MalformedInput, rref, solve_linear
-from .fpoly import FpMultiPoly, _quadratic_terms
+from .fpoly import FpMultiPoly, _quadratic_terms, _random_exponent
 from .fpoly import _binom_basis_indices as _monomials_up_to  # cached, sorted tuple
 from .quadform import QuadForm
 
@@ -277,36 +277,29 @@ def _nice_search(family, M, k):
         return True
     if factorial(k) > 720:  # every block permutation up to k = 6
         return None
-    field = M.field
-    p = M.p
-    d = M.d
-    betas = [f.beta() for f in family]
+    p, d, a = M.p, M.d, M.A.rows
+    # a shift w (original block indexing) must kill every transformed linear
+    # part v_i + 2 sum_j beta_ij (w_j A); a block order only reorders these
+    # equations, so they are solved once, before any order is tried
+    rows = [
+        [2 * beta[i][j] * a[tt][t] % p for j in range(k) for tt in range(d)]
+        for beta in (f.beta() for f in family)
+        for i in range(k)
+        for t in range(d)
+    ]
+    rhs = [-x % p for f in family for v_i in f.v for x in v_i]
+    try:
+        shift_flat, _ = solve_linear(FpMatrix(M.field, rows), rhs)
+    except Infeasible:
+        return None
+    shift = [shift_flat[j * d : (j + 1) * d] for j in range(k)]
     for sigma in permutations(range(k)):
-        # L(n)_i = n_{sigma^{-1}(i)}: each function's quadratic support
-        # must then sit in a single pivot column
+        # L(n)_i = n_{sigma^{-1}(i)} moves block i to position inv[i]: each
+        # function's quadratic support must then sit in a single pivot column
+        inv = {sigma[t] + 1: t for t in range(k)}
+        if any(len({max(inv[i], inv[j]) for i, j in f.b}) > 1 for f in family):
+            continue
         tin = [[1 if sigma[t] == s else 0 for s in range(k)] for t in range(k)]
-        if any(len({j for _, j in f.transformed(tin).b}) > 1 for f in family):
-            continue
-        # solve for a shift w (in original block indexing) killing every
-        # transformed linear part v_{sigma(s)} + 2 sum_j beta_{sigma(s), j} (w_j A)
-        rows = []
-        rhs = []
-        for f, beta in zip(family, betas):
-            for s in range(k):
-                for t in range(d):
-                    row = [0] * (k * d)
-                    for j in range(k):
-                        bij = beta[sigma[s]][j]
-                        if bij:
-                            for tt in range(d):
-                                row[j * d + tt] = (row[j * d + tt] + 2 * bij * M.A.rows[tt][t]) % p
-                    rows.append(row)
-                    rhs.append(field.neg(f.v[sigma[s]][t]))
-        try:
-            shift_flat, _ = solve_linear(FpMatrix(field, rows), rhs)
-        except Infeasible:
-            continue
-        shift = [shift_flat[j * d : (j + 1) * d] for j in range(k)]
         if all(f.transformed(tin, shift).is_nice() for f in family):
             return True
     return None
@@ -527,12 +520,7 @@ def _random_poly(p, nvars, degree, rng, nterms=None):
     slices far too often (n1 n2 n3 alone meets a quadric in about 3 p^{d-2}
     points), which is adversarial rather than random for the probe."""
     if nterms is not None:
-        terms = {}
-        for _ in range(nterms):
-            e = [0] * nvars
-            for _ in range(rng.randint(0, degree)):
-                e[rng.randrange(nvars)] += 1
-            terms[tuple(e)] = rng.randrange(p)
+        terms = {_random_exponent(rng, nvars, degree): rng.randrange(p) for _ in range(nterms)}
         return FpMultiPoly(p, nvars, terms)
     return FpMultiPoly(
         p, nvars, {e: rng.randrange(p) for e in _monomials_up_to(nvars, degree)}

@@ -89,6 +89,8 @@ def test_exp_sum_examples(f5):
     M = QuadForm.dot_form(f5, 3, radius=1)
     assert exp_sum(M, (0, 0, 0)) == 1.0
     assert exp_sum(M, (5, 0, 0)) == 1.0
+    # a zero frequency takes the single-phase rule: e(0), repr and all
+    assert [repr(exp_sum(M, xi)) for xi in ((0, 0, 0), (5, 0, 0))] == ["(1+0j)"] * 2
     val = exp_sum(M, (1, 0, 0))
     # closed form from the fiber decomposition 4, 9, 4, 4, 9:
     # |sum| = 5 (sqrt 5 - 1) / 2, averaged over the 30 points
@@ -367,6 +369,30 @@ def test_gowers_set_budget_counts_every_walked_tuple(f5):
     assert gowers_set(M, 2, budget=8580) == 7650
     with pytest.raises(BudgetExceeded):
         gowers_set(M, 2, budget=8579)
+
+
+def test_gowers_set_refuses_below_n_n_plus_1_before_any_pair_product(monkeypatch, f5):
+    # every walk at s >= 1 charges the N tuples (n) and the N^2 tuples
+    # (n, h_1), so a budget below N (N + 1) is refused up front, with the
+    # walk's message; at N (N + 1) the s = 2 walk starts and reads pairs
+    M = QuadForm.dot_form(f5, 3, radius=1)
+    N = 30
+    real = counting._pair_zeros
+    read = []
+
+    def spy(H, A, p, charge):
+        read.append(len(H))
+        return real(H, A, p, charge)
+
+    monkeypatch.setattr(counting, "_pair_zeros", spy)
+    for s in (2, 3):
+        with pytest.raises(BudgetExceeded, match=rf"^Box_{s} walk exceeds budget {N * (N + 1) - 1}$"):
+            gowers_set(M, s, budget=N * (N + 1) - 1)
+    assert read == []
+    with pytest.raises(BudgetExceeded, match=rf"^Box_2 walk exceeds budget {N * (N + 1)}$"):
+        gowers_set(M, 2, budget=N * (N + 1))
+    assert read != []
+    assert gowers_set(M, 2, budget=8580) == 7650
 
 
 def _walk_used(M, s, S, budget):

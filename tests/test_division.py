@@ -438,6 +438,23 @@ def test_gowers_equation_budget_honesty(f5, rng):
         gowers_equation_solve(P, Q, M, 2, budget=10**6)
 
 
+def test_gowers_equation_refuses_box_s_before_any_scan(monkeypatch, f5):
+    # a Box_2 that does not fit is refused by the count first, with the
+    # walk's message, and the cube equation is never evaluated: a scan
+    # would evaluate it on every block until the budget ran out
+    M = QuadForm.dot_form(f5, 5, radius=1)
+    mp = M.as_poly()
+    P = mp * FpMultiPoly.constant(5, 5, 2)
+    Q = mp * FpMultiPoly(5, 5, {(1, 0, 0, 0, 0): 1}) + FpMultiPoly(5, 5, {(0, 1, 0, 0, 0): 3})
+
+    def never(*args, **kwargs):
+        raise AssertionError("the cube equation scanned Box_s before its fit check")
+
+    monkeypatch.setattr(division, "_first_cube", never)
+    with pytest.raises(BudgetExceeded, match=r"^Box_2 walk exceeds budget 100000$"):
+        gowers_equation_solve(P, Q, M, 2, budget=10**5)
+
+
 def test_gowers_equation_s1_budget_is_box_1s_rule(monkeypatch, f5, rng):
     # the N x N table at s = 1 is checked by gowers_set's rule for Box_1,
     # N (N + 1) tuples, with its message, before the table is built

@@ -360,15 +360,17 @@ def test_sequence_json_roundtrip():
     assert g2.coeffs == g.coeffs and g2.m == g.m and g2.s == g.s
 
 
-def test_frequency_budget_overrun_is_the_library_budget_error():
+def test_frequency_budget_overrun_is_the_library_budget_error(monkeypatch):
     from spherefp.ffcore import BudgetExceeded
 
     omega = sphere_points(5, 3, 1)
     g = TorusPolySeq.from_rat_poly(RatMultiPoly(3, {(1, 0, 0): Fraction(1, 5)}), 1)
     # m = 1, K = 5: the ten frequencies +-1..+-5, and k = 5 kills n1/5
+    monkeypatch.setattr(equidist, "FREQ_BUDGET", 9)
     with pytest.raises(BudgetExceeded):
-        equidist_test(g, omega, 0.2, 5, freq_budget=9)
-    assert equidist_test(g, omega, 0.2, 5, freq_budget=10).verdict == "obstructed"
+        equidist_test(g, omega, 0.2, 5)
+    monkeypatch.setattr(equidist, "FREQ_BUDGET", 10)
+    assert equidist_test(g, omega, 0.2, 5).verdict == "obstructed"
 
 
 def test_frequency_budget_checked_before_frequencies_are_built(monkeypatch):

@@ -223,6 +223,23 @@ def test_box_s_has_one_walk_one_scan_and_one_budget_rule():
     assert "hypothesis scan exceeds" not in text
 
 
+def test_checks_run_once_before_the_work_they_guard():
+    # the nice search solves its translation system once, before the block
+    # orders are tried (an order only reorders its equations), and the cube
+    # equation checks that Box_s fits once, before any scan, at every s
+    loop_kinds = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    search = dict(_functions(ast.parse((SRC / "msets.py").read_text())))["_nice_search"]
+    in_loops = {node for loop in ast.walk(search) if isinstance(loop, loop_kinds) for node in ast.walk(loop)}
+    solves = list(_calls(search, "solve_linear"))
+    assert len(solves) == 1 and solves[0] not in in_loops
+    solve = dict(_functions(ast.parse((SRC / "division.py").read_text())))["gowers_equation_solve"]
+    assert len(list(_calls(solve, "gowers_set"))) == 1
+    # the count is a statement of the body itself, ahead of the s = 1 branch
+    body = [ast.unparse(node) for node in solve.body]
+    branch = next(i for i, line in enumerate(body) if line.startswith("if s == 1"))
+    assert body.index("gowers_set(M, s, None, budget)") < branch
+
+
 def test_one_memo_of_sphere_systems():
     # a sphere system is built in closed form and its Hermite reduction is
     # kept in one memo in division; _zlinalg keeps neither a cache nor a

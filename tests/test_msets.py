@@ -83,6 +83,97 @@ def test_classify_examples(f5):
     assert flags["nice"] is True and flags["independent"]
 
 
+def _nice_search_per_order(family, M, k):
+    """The nice search as it was before its translation system was solved
+    once: every block order builds and solves its own system."""
+    from itertools import permutations
+    from math import factorial
+
+    from spherefp.ffcore import Infeasible, solve_linear
+
+    if all(f.is_nice() for f in family):
+        return True
+    if factorial(k) > 720:
+        return None
+    field, p, d = M.field, M.p, M.d
+    betas = [f.beta() for f in family]
+    for sigma in permutations(range(k)):
+        tin = [[1 if sigma[t] == s else 0 for s in range(k)] for t in range(k)]
+        if any(len({j for _, j in f.transformed(tin).b}) > 1 for f in family):
+            continue
+        rows = []
+        rhs = []
+        for f, beta in zip(family, betas):
+            for s in range(k):
+                for t in range(d):
+                    row = [0] * (k * d)
+                    for j in range(k):
+                        bij = beta[sigma[s]][j]
+                        if bij:
+                            for tt in range(d):
+                                row[j * d + tt] = (row[j * d + tt] + 2 * bij * M.A.rows[tt][t]) % p
+                    rows.append(row)
+                    rhs.append(field.neg(f.v[sigma[s]][t]))
+        try:
+            shift_flat, _ = solve_linear(FpMatrix(field, rows), rhs)
+        except Infeasible:
+            continue
+        shift = [shift_flat[j * d : (j + 1) * d] for j in range(k)]
+        if all(f.transformed(tin, shift).is_nice() for f in family):
+            return True
+    return None
+
+
+def _disguised_family(r, M, k, linear):
+    """1-3 functions, each nice in one hidden block order (a pivot c and
+    terms b_ic, i <= c), moved by one random block permutation and, when
+    linear, by a random translation; then, one time in two, one function
+    gets one more random quadratic (or, when linear, linear) coefficient,
+    which often leaves no order that works."""
+    p, d = M.p, M.d
+    fam = []
+    for _ in range(r.randint(1, 3)):
+        c = r.randint(1, k)
+        b = {(i, c): r.randrange(1, p) for i in range(1, c + 1) if r.random() < 0.6}
+        fam.append(MQuadFn(M, k, b, None, r.randrange(p)))
+    order = list(range(k))
+    r.shuffle(order)
+    T = [[1 if order[t] == i else 0 for i in range(k)] for t in range(k)]
+    shift = [[r.randrange(p) for _ in range(d)] for _ in range(k)] if linear else None
+    fam = [f.transformed(T, shift) for f in fam]
+    if r.random() < 0.5:
+        f = fam[r.randrange(len(fam))]
+        if linear and r.random() < 0.5:
+            v = [row[:] for row in f.v]
+            v[r.randrange(k)][r.randrange(d)] += r.randrange(1, p)
+            fam.append(MQuadFn(M, k, f.b, v, f.u))
+        else:
+            i = r.randint(1, k)
+            b = dict(f.b)
+            b[(i, r.randint(i, k))] = r.randrange(1, p)
+            fam.append(MQuadFn(M, k, b, f.v, f.u))
+        fam.remove(f)
+    return fam
+
+
+def test_nice_search_matches_the_per_order_search():
+    # one translation solve before the block orders decides as every order
+    # solving its own system did: 240 seeded families with k up to 6, pure
+    # and with linear parts, both outcomes drawn
+    outcomes = {}
+    for seed in range(240):
+        r = random.Random(seed)
+        p = r.choice([5, 7])
+        k = r.randint(2, 6)
+        M = random_form(PrimeField(p), r.randint(1, 3), r)
+        linear = seed % 2 == 1
+        fam = _disguised_family(r, M, k, linear)
+        got = msets._nice_search(fam, M, k)
+        assert got is _nice_search_per_order(fam, M, k), seed
+        outcomes[linear, got] = outcomes.get((linear, got), 0) + 1
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 4, outcomes
+
+
 def test_standard_rep_idempotent_and_preserves_zero_set(f5, rng):
     M = QuadForm.dot_form(f5, 3, radius=1)
     fam = gowers_family(M, 1)
