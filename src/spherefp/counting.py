@@ -6,7 +6,9 @@ are tested at an explicit 4.  Enumeration is lexicographic over canonical
 representatives so point lists are reproducible byte for byte.  Complex
 sums are assembled from a residue histogram (np.bincount) and a length-p
 table of roots of unity, summed with math.fsum, so the only float error is
-the final compensated accumulation.
+the final compensated accumulation.  Counts that need no point list,
+|V(M) n (V+c)| and |Box_s| for s <= 2, are closed forms from one
+congruence diagonalization and the Gauss-sum zero counts of quadrics.
 """
 
 from __future__ import annotations
@@ -14,11 +16,15 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, permutations
 
 import numpy as np
 
-from .ffcore import BudgetExceeded, FpMatrix, HypothesisNotMet, MalformedInput, rank as mat_rank
-from .quadform import AffineSubspace, QuadForm, qf_rank, restricted_rank
+from .ffcore import (
+    BudgetExceeded, FpMatrix, HypothesisNotMet, MalformedInput, TheoremViolation, rank as mat_rank,
+)
+from .quadform import AffineSubspace, QuadForm, _congruence_diagonalize, qf_rank, restricted_rank
 # after quadform, which loads fpoly: loading fpoly here first changes the
 # modules' load order, and that order alone moved the lifts and cli
 # benchmark times by about 10% on a 2-vCPU VM
@@ -97,17 +103,39 @@ def _check_budget(size, budget):
         raise BudgetExceeded(f"enumeration of size {size} exceeds budget {budget}")
 
 
-def _inverses(p):
-    """x^(p-2) mod p for x in 0..p-1: the inverse of every unit, and 0 at 0."""
-    x = np.arange(p, dtype=np.int64)
-    out = np.ones(p, dtype=np.int64)
-    e = p - 2
+def _check_slice(M: QuadForm, S: AffineSubspace | None, budget):
+    """The checks before any work on V(M) n (V + c): the subspace against M
+    (ambient dimension, then prime), then p^d (p^k on V + c) against the
+    budget."""
+    if S is not None:
+        if S.dim_ambient != M.d:
+            raise MalformedInput(f"subspace of F_p^{S.dim_ambient} for a form in {M.d} variables")
+        if S.field.p != M.p:
+            raise MalformedInput(f"subspace over F_{S.field.p} for a form over F_{M.p}")
+    _check_budget(M.p ** (M.d if S is None else S.dim()), budget)
+
+
+def _power(x, e, p):
+    """x^e mod p entrywise for an int64 array x of residues, e >= 0."""
+    out = np.ones_like(x)
     while e:
         if e & 1:
             out = out * x % p
         x = x * x % p
         e >>= 1
     return out
+
+
+def _inverses(p):
+    """x^(p-2) mod p for x in 0..p-1: the inverse of every unit, and 0 at 0."""
+    return _power(np.arange(p, dtype=np.int64), p - 2, p)
+
+
+def _eta(x, p):
+    """The Legendre symbol of each residue in the int64 array x: 1 on the
+    nonzero squares, -1 on the non-squares and 0 at 0 (Euler's criterion)."""
+    t = _power(x, (p - 1) // 2, p)
+    return np.where(t == p - 1, -1, t)
 
 
 def _solve_zeros(M: QuadForm):
@@ -158,15 +186,10 @@ def enumerate_zeros(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT
     by _solve_zeros like V(M) itself, and each row t is mapped to
     (t B + c) mod p and the rows sorted.  A point subspace (k = 0) is its
     offset when M vanishes there.  The subspace is checked against M, and
-    p^d (p^k on V + c) against the budget, before any work."""
+    p^d (p^k on V + c) against the budget, before any work (_check_slice)."""
+    _check_slice(M, S, budget)
     if S is None:
-        _check_budget(M.p**M.d, budget)
         return _solve_zeros(M)
-    if S.dim_ambient != M.d:
-        raise MalformedInput(f"subspace of F_p^{S.dim_ambient} for a form in {M.d} variables")
-    if S.field.p != M.p:
-        raise MalformedInput(f"subspace over F_{S.field.p} for a form over F_{M.p}")
-    _check_budget(M.p ** S.dim(), budget)
     if S.dim() == 0:
         return np.array([S.offset] if M.evaluate(S.offset) == 0 else [], dtype=np.int64).reshape(-1, M.d)
     t = _solve_zeros(M.composed(S.basis, S.offset))
@@ -174,9 +197,221 @@ def enumerate_zeros(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT
     return pts[np.lexsort(pts.T[::-1])]
 
 
+def _zero_set_class(M: QuadForm, S: AffineSubspace | None = None):
+    """(k, r, eta, kappa): what the closed-form counts read of M on V + c.
+
+    M is pulled back to the k parameters of V + c (all of F_p^d when S is
+    None) and diagonalized by congruence, x = yT with T A T^T = diag(D),
+    so that M = sum_i D_i y_i^2 + u'.y + v with u' = T u.  r is the rank,
+    eta the Legendre symbol of D_1..D_r, and kappa = v - sum_i u'_i^2 / 4D_i,
+    the constant left once the squares are completed; kappa is None when
+    u' has a coordinate past r, that is when u is not in Im A.  A point
+    subspace is the form in 0 variables with kappa = M(c)."""
+    if S is not None:
+        if S.dim() == 0:
+            return 0, 0, 1, M.evaluate(S.offset)
+        M = M.composed(S.basis, S.offset)
+    field, p = M.field, M.p
+    T, diag = _congruence_diagonalize(M)
+    r = sum(1 for x in diag if x)
+    u = T.matvec(M.u)
+    if any(u[r:]):
+        kappa = None
+    else:
+        kappa = (M.v - sum(u[i] * u[i] * field.inv(4 * diag[i]) for i in range(r))) % p
+    return M.d, r, field.legendre(math.prod(diag[:r])), kappa
+
+
+def _line_reps(p, n):
+    """One point per line of F_p^n (first nonzero coordinate 1), as int64
+    arrays of at most EVAL_CHUNK_CELLS rows."""
+    for lead in range(n):
+        tail = n - 1 - lead
+        for start in range(0, p**tail, EVAL_CHUNK_CELLS):
+            idx = np.arange(start, min(p**tail, start + EVAL_CHUNK_CELLS), dtype=np.int64)
+            xi = np.zeros((len(idx), n), dtype=np.int64)
+            xi[:, lead] = 1
+            for j in range(n - 1, lead, -1):
+                idx, xi[:, j] = np.divmod(idx, p)
+            yield xi
+
+
+def _det(G, p):
+    """det G mod p for a stack of small square int64 matrices (Leibniz)."""
+    n = G.shape[-1]
+    out = np.zeros(len(G), dtype=np.int64)
+    for perm in permutations(range(n)):
+        term = np.ones(len(G), dtype=np.int64)
+        for i, j in enumerate(perm):
+            term = term * G[:, i, j] % p
+        odd = sum(a > b for a, b in combinations(perm, 2)) % 2
+        out = (out - term if odd else out + term) % p
+    return out
+
+
+_CLASSES = (4, 3, 3, 2)  # r_G <= 3 (s <= 2), then eta_G, eta_sigma (each + 1) and w0
+
+
+def _classify(G, p):
+    """Counts of the corner Gram matrices in the stack G by class
+    (r_G, eta_G, eta_sigma, w0), a flat bincount over _CLASSES.
+
+    r_G is the rank and eta_G the Legendre symbol of the nonzero part:
+    over any field the rank of a symmetric matrix is the largest size of a
+    nonzero principal minor, and every nonzero principal minor of that size
+    has the square class of the nonzero part.  sigma = G_00, and w0 says
+    w = G e_0 = 0."""
+    n = G.shape[-1]
+    rank = np.zeros(len(G), dtype=np.int64)
+    eta = np.zeros(len(G), dtype=np.int64)
+    for size in range(1, n + 1):
+        found = np.zeros(len(G), dtype=bool)
+        minor = np.zeros(len(G), dtype=np.int64)
+        for idx in combinations(range(n), size):
+            m = _det(G[:, idx][:, :, idx], p)
+            new = ~found & (m != 0)
+            minor[new] = m[new]
+            found |= new
+        rank[found] = size
+        eta[found] = _eta(minor[found], p)
+    w0 = ~G[:, :, 0].any(axis=1)
+    keys = np.ravel_multi_index((rank, eta + 1, _eta(G[:, 0, 0], p) + 1, w0), _CLASSES)
+    return np.bincount(keys, minlength=math.prod(_CLASSES))
+
+
+def _line_classes(p, s):
+    """_classify over one xi per line of F_p^(2^s), with
+    G = sum_eps xi_eps c_eps^T c_eps and c_eps = (1, eps) in F_p^(s+1)."""
+    n = s + 1
+    c = np.hstack([np.ones((2**s, 1), dtype=np.int64), all_points(2, s)])
+    outer = (c[:, :, None] * c[:, None, :]).reshape(2**s, n * n)  # c_eps^T c_eps
+    return sum(_classify((xi @ outer % p).reshape(-1, n, n), p) for xi in _line_reps(p, 2**s))
+
+
+def _gram2(sigma, t):
+    """The s = 2 corner Gram matrices [[sigma, a, b], [a, a, c], [b, c, b]]
+    for the rows (a, b, c) of t."""
+    a, b, c = t.T
+    return np.stack([sigma, a, b, a, a, c, b, c, b], axis=1).reshape(-1, 3, 3)
+
+
+def _schur_classes(p):
+    """The s = 2 class counts in about p^2 steps instead of p^3: those of
+    _line_classes(p, 2), up to the point chosen on each line.
+
+    At s = 2, G = [[sigma, a, b], [a, a, c], [b, c, b]] with sigma = sum xi,
+    a = xi_10 + xi_11, b = xi_01 + xi_11 and c = xi_11, an invertible map,
+    so the lines are (sigma, a, b, c) = (1, 0, 0, 0) and (sigma, t) for every
+    sigma and one t per line of (a, b, c).  Where T = [[a, c], [c, b]] has
+    D = ab - c^2 != 0, G is congruent to T (+) (sigma - star), with the Schur
+    complement star = (a, b) T^-1 (a, b)^T = ab(a + b - 2c) / D: sigma = star
+    has rank 2 and eta_G = eta(D), and every other sigma rank 3 and
+    eta_G = eta(D) eta(sigma - star).  With sigma = star tau, tau not in
+    {0, 1}, there are (p - 2 - y - x eta(-1) - xy) / 4 values of tau with
+    eta(tau) = y and eta(tau - 1) = x.  w = (sigma, a, b) is 0 only where
+    sigma = a = b = 0.  The t on the conic ab = c^2, about p + 1 of them,
+    are classified with every sigma by _classify."""
+    minus = 1 if p % 4 == 1 else -1  # eta(-1)
+    counts = _classify(_gram2(np.ones(1, dtype=np.int64), np.zeros((1, 3), dtype=np.int64)), p)
+
+    def add(r, eta_g, eta_sigma, w0, lines):
+        counts[np.ravel_multi_index((r, eta_g + 1, eta_sigma + 1, w0), _CLASSES)] += lines
+
+    for t in _line_reps(p, 3):
+        a, b, c = t.T
+        D = (a * b - c * c) % p
+        conic = t[D == 0]
+        step = max(1, EVAL_CHUNK_CELLS // max(1, len(conic)))
+        for start in range(0, p, step):
+            sigma = np.arange(start, min(p, start + step), dtype=np.int64)
+            counts += _classify(_gram2(np.repeat(sigma, len(conic)), np.tile(conic, (len(sigma), 1))), p)
+        a, b, c, D = (x[D != 0] for x in (a, b, c, D))
+        star = a * b % p * ((a + b - 2 * c) % p) % p * _power(D, p - 2, p) % p
+        group = (_eta(D, p) + 1, _eta(star, p) + 1, (a == 0) & (b == 0))
+        for key, reps in enumerate(np.bincount(np.ravel_multi_index(group, (3, 3, 2)), minlength=18)):
+            if not reps:
+                continue
+            eta_d, eta_star, ab0 = (int(x) for x in np.unravel_index(key, (3, 3, 2)))
+            eta_d, eta_star, reps = eta_d - 1, eta_star - 1, int(reps)
+            add(2, eta_d, eta_star, ab0, reps)  # sigma = star
+            if eta_star == 0:
+                for y in (1, -1):
+                    add(3, eta_d * y, y, 0, reps * (p - 1) // 2)
+            else:
+                add(3, eta_d * minus * eta_star, 0, 0, reps)  # sigma = 0
+                for x in (1, -1):
+                    for y in (1, -1):
+                        add(3, eta_d * eta_star * x, eta_star * y, 0, reps * (p - 2 - y - x * minus - x * y) // 4)
+    return counts
+
+
+@lru_cache(maxsize=None)
+def _pencil_classes(p, s):
+    """The lines of xi in F_p^(2^s), s <= 2, by the class of the corner
+    Gram matrix G = sum_eps xi_eps c_eps^T c_eps, c_eps = (1, eps) in
+    F_p^(s+1): ((r_G, eta_G, eta_sigma, w0), lines) pairs with Python int
+    entries (_classify).  F_xi(X) = sum_eps xi_eps M(c_eps X) has quadratic
+    part G (x) A.  A class depends on the point chosen on its line (lambda xi
+    has eta_G times eta(lambda)^r_G and eta_sigma times eta(lambda)); the
+    terms _box_size sums do not.  The table depends on (p, s) alone, so it is
+    built once per pair: one xi per line for s <= 1 (at most p + 1 lines),
+    _schur_classes at s = 2."""
+    counts = _schur_classes(p) if s == 2 else _line_classes(p, s)
+    return tuple(
+        ((r, eta_g - 1, eta_sigma - 1, bool(w0)), int(counts[key]))
+        for key, (r, eta_g, eta_sigma, w0) in enumerate(np.ndindex(_CLASSES))
+        if counts[key]
+    )
+
+
+def _box_size(field, s, form):
+    """|Box_s| of the zero set whose _zero_set_class is form, in closed form.
+
+    By orthogonality, with m = (s+1)k variables X = (n, h_1..h_s),
+        |Box_s| = p^(-2^s) [p^m + sum over lines [xi] of (p Z(F_xi) - p^m)],
+    F_xi(X) = sum_eps xi_eps M(c_eps X): quadratic part G (x) A, linear part
+    w (x) u and constant sigma v (_pencil_classes).  As w = G e_0 lies in
+    Im G with w^T G^+ w = sigma, the linear part lies in Im(G (x) A) when u
+    is in Im A or w = 0; then completing the square leaves the constant
+    sigma kappa, and Z(F_xi) = p^(m-r) N_r(Delta, -sigma kappa), with
+    r = r_G r_A and Delta = det'G^r_A det'A^r_G.  Otherwise F_xi has a
+    linear direction, Z = p^(m-1), and the line adds nothing.  N_r(Delta, t),
+    the number of solutions of sum_i D_i y_i^2 = t in F_p^r, is
+        p^(r-1) + p^((r-1)/2) eta((-1)^((r-1)/2) t Delta)     r odd,
+        p^(r-1) + nu(t) p^((r-2)/2) eta((-1)^(r/2) Delta)     r even,
+    nu(0) = p - 1 and nu(t) = -1 otherwise (Lidl-Niederreiter, Finite
+    Fields, Thms 6.26-6.27), and [t = 0] at r = 0."""
+    p, (k, r_a, eta_a, kappa) = field.p, form
+    m = (s + 1) * k
+    minus = field.legendre(-1)
+    eta_kappa = 0 if kappa is None else field.legendre(kappa)
+    total = p**m
+    for (r_g, eta_g, eta_sigma, w0), lines in _pencil_classes(p, s):
+        if kappa is None and not w0:
+            continue
+        r = r_g * r_a
+        eta_t = 0 if w0 else minus * eta_sigma * eta_kappa  # eta(-sigma kappa)
+        if r == 0:
+            term = p ** (m + 1) * (eta_t == 0) - p**m
+        else:
+            # p Z - p^m is p^(m-r+1) times the N_r term past p^(r-1)
+            sign = eta_g**r_a * eta_a**r_g * minus ** (r // 2)
+            if r % 2:
+                term = p ** (m - r // 2) * sign * eta_t
+            else:
+                term = p ** (m - r // 2) * sign * (p - 1 if eta_t == 0 else -1)
+        total += lines * term
+    count, rest = divmod(total, p ** 2**s)
+    if rest:
+        raise TheoremViolation(f"the Box_{s} character sum {total} is not a multiple of p^{2**s}")
+    return count
+
+
 def zero_count_check(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
     """|V(M) n (V+c)| against p^{d-r-1} with error exponent (s-2)/2,
-    s = rank of the restricted form (needs s >= 3)."""
+    s = rank of the restricted form (needs s >= 3).  The count is the
+    closed form (_box_size at s = 0), after the rank check and enumerate_zeros'
+    checks of the subspace and of p^d (p^k on V + c) against the budget."""
     if S is None:
         s = qf_rank(M)
         r = 0
@@ -185,7 +420,8 @@ def zero_count_check(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAUL
         r = S.codim()
     if s < 3:
         raise RankHypothesisFailed(f"restricted rank {s} < 3")
-    exact = len(enumerate_zeros(M, S, budget))
+    _check_slice(M, S, budget)
+    exact = _box_size(M.field, 0, _zero_set_class(M, S))
     d = M.d
     main = Fraction(M.p) ** (d - r - 1)
     bound = float(M.p) ** (d - r - 1 - (s - 2) / 2)
@@ -241,16 +477,19 @@ def gauss_sum(p: int, j: int):
 
 
 def quadratic_root_count(M: QuadForm, budget=DEFAULT_BUDGET):
-    """#{n : M(n) is a square} against p^d / 2."""
+    """#{n : M(n) is a square} against p^d / 2: the sum of |V(M - t)| over
+    t = 0 and the nonzero squares, each in closed form (_box_size at s = 0).
+    M - t differs from M only in v, so its kappa is kappa - t."""
     r = qf_rank(M)
     if r < 2:
         raise RankHypothesisFailed(f"rank {r} < 2")
     p = M.p
     _check_budget(p**M.d, budget)
-    squares = np.zeros(p, dtype=bool)
-    for x in range(p):
-        squares[(x * x) % p] = True
-    exact = int(squares[M.grid_values()].sum())
+    k, r_a, eta_a, kappa = _zero_set_class(M)
+    exact = sum(
+        _box_size(M.field, 0, (k, r_a, eta_a, None if kappa is None else (kappa - t) % p))
+        for t in {x * x % p for x in range(p)}
+    )
     main = Fraction(p**M.d, 2)
     expo = -(r - 2) / 2 if r >= 3 else -0.5
     bound = float(main) * float(p) ** expo
@@ -378,32 +617,42 @@ def _pair_zeros(H, A, p, charge):
 
 def gowers_set(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
     """|Box_s(V(M) n (V+c))|: the number of tuples (n, h_1..h_s) whose full
-    cube lies in the set (the points n themselves at s = 0), counted without
-    walking the tuples of the last level.
+    cube lies in the set (the points n themselves at s = 0).
 
-    With N points there are N tuples (n) and N^2 tuples (n, h_1), so
-    |Box_1| = N^2.  For s >= 2 the candidates at n are (b - n) mod p over the
-    rows b, unsorted; _walk reaches the nodes (n, h_1..h_{s-2}) as in
-    gowers_blocks, and a node whose candidate rows are H has |H| children
-    and, as their leaves, the pairs of H with (h A) . h' = 0.
+    For s <= 2 nothing is enumerated: with N = |V(M) n (V+c)| and
+    |Box_2| in closed form (_box_size), and |Box_1| = N^2, since n and
+    n + h_1 range over the set independently.  For s >= 3 the candidates at
+    n are (b - n) mod p over the rows b, unsorted; _walk reaches the nodes
+    (n, h_1..h_{s-2}) as in gowers_blocks, and a node whose candidate rows
+    are H has |H| children and, as their leaves, the pairs of H with
+    (h A) . h' = 0 (_pair_zeros).
 
     Budget: gowers_blocks' rule, one unit per tuple (n, h_1..h_t), t <= s,
-    so it raises exactly when that walk does.  Every walk at s >= 1 charges
-    the N + N^2 tuples (n) and (n, h_1), so a budget below N (N + 1) is
-    refused before any pair product; the leaves are charged one chunk of
-    pair products at a time.  On F_p^d the tuples as rows
-    n | h_1 | .. | h_s are enumerate_mset(gowers_family(M, s), M, s + 1)."""
+    so it raises exactly when that walk does, with its message.  The subspace
+    and p^d (p^k on V + c) are checked first, as by enumerate_zeros; then
+    |Box_0|, |Box_1| and |Box_2| are charged in turn, so a budget below
+    N (N + 1) is refused before any Box_2 work, and for s >= 3 before the
+    walk, which then charges its own tuples from the start.  On F_p^d the
+    tuples as rows n | h_1 | .. | h_s are
+    enumerate_mset(gowers_family(M, s), M, s + 1)."""
     _check_count("s", s, 0)
+    _check_slice(M, S, budget)
+    charge = _box_meter(s, budget)
+    form = _zero_set_class(M, S)
+    N = _box_size(M.field, 0, form)
+    charge(N)
+    if s == 0:
+        return N
+    charge(N * N)
+    if s == 1:
+        return N * N
+    box2 = _box_size(M.field, 2, form)
+    charge(box2)
+    if s == 2:
+        return box2
     p = M.p
     base = enumerate_zeros(M, S, budget)
-    N = len(base)
     charge = _box_meter(s, budget)
-    if s == 0:
-        charge(N)
-        return N
-    if s == 1 or N * (N + 1) > budget:
-        charge(N * (N + 1))  # at s >= 2 this raises
-        return N * N
     A = np.array(M.A.rows, dtype=np.int64)
     count = 0
     for n in base:
@@ -414,7 +663,8 @@ def gowers_set(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFA
 
 
 def gowers_count_report(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
-    """|Box_s(V(M) n (V+c))|, counted by gowers_set, against
+    """|Box_s(V(M) n (V+c))|, counted by gowers_set (in closed form for
+    s <= 2, with the walk's budget rule), against
     p^{(s+1)(d-r) - (s(s+1)/2 + 1)}, r the codimension of V + c.
 
     The main term is the proven one when rank(M|_{V+c}) >= s^2 + s + 3; the

@@ -35,6 +35,7 @@ from .counting import (
 from .ffcore import FpMatrix, HypothesisFailed, HypothesisNotMet, MalformedInput, PrimeField
 from .ffcore import TheoremViolation, matrix_inverse
 from .fpoly import (
+    ArityMismatch,
     FpMultiPoly,
     RatMultiPoly,
     ValueRangeError,
@@ -424,9 +425,19 @@ def _first_cube(M: QuadForm, s: int, budget, values):
     return None
 
 
+def _check_arity(M: QuadForm, *polys):
+    """Each polynomial takes the points of F_p^d, d = M.d: refused before any
+    enumeration, with the message eval_array gives a point of another length."""
+    if any(f.nvars != M.d for f in polys):
+        raise ArityMismatch("point arity mismatch")
+
+
 def first_gowers_witness(g: FpMultiPoly, M: QuadForm, s: int, budget=DEFAULT_BUDGET):
     """First (n, h_1..h_s) in Box_s(V(M)), lexicographic, with a nonzero
-    s-fold difference of g; None if the scan (_first_cube) completes without one."""
+    s-fold difference of g; None if the scan (_first_cube) completes without one.
+    s, then the arity of g, are checked before any enumeration."""
+    _check_count("s", s, 0)
+    _check_arity(M, g)
     return _first_cube(M, s, budget, partial(_cube_differences, g))
 
 
@@ -456,13 +467,16 @@ def gowers_equation_solve(P: FpMultiPoly, Q: FpMultiPoly, M: QuadForm, s: int, b
     (the P-block is P(n) itself when s = 1).  On success returns
     ('factorization', P1, P2, Q1, Q2) with P = M P1 + P2, Q = M Q1 + Q2 and
     the degree bounds deg P2 <= s - 2, deg Q2 <= s - 1; a violated
-    hypothesis returns ('witness', cube).  Box_s is checked with gowers_set
-    first, at every s, so a Box_s that does not fit the budget is refused
-    before any of it is scanned; one that fits fits the scan too, which
-    charges a prefix of the same walk."""
+    hypothesis returns ('witness', cube).  s, then the rank, then the arity
+    of P and Q are checked first.  Box_s is checked with gowers_set next, at
+    every s, so a Box_s that does not fit the budget is refused before any
+    of it is scanned; one that fits fits the scan too, which charges a
+    prefix of the same walk.  For s <= 2 that check counts Box_s in closed
+    form, so it enumerates nothing."""
     _check_count("s", s, 1)  # the P-block takes s - 1 differences
     if qf_rank(M) < s + 3:
         raise RankHypothesisFailed("needs rank(M) >= s + 3")
+    _check_arity(M, P, Q)
     gowers_set(M, s, None, budget)
     if s == 1:
         # P(n) + Q(n+h) - Q(n) = 0 on Box_1 = {(n, m - n) : n, m in V(M)}

@@ -127,12 +127,6 @@ class QuadForm:
         q = ((points @ a) % p * points).sum(axis=1) % p
         return (q + points @ u + self.v) % p
 
-    def grid_values(self):
-        """M on all of F_p^d as an int64 array of shape (p,)*d: the entry at
-        index x is M(x), so the flat (C) order is the lexicographic order of
-        counting.all_points.  Built by _broadcast_values."""
-        return _broadcast_values(self.p, self.A.rows, self.u, self.v, self.d)
-
     def line_coefficients(self):
         """(a, b, c) with M(x', t) = a t^2 + b(x') t + c(x') on the lines
         along the last axis: a = A[d-1][d-1] as an int, b and c as int64

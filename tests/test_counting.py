@@ -27,12 +27,12 @@ from spherefp.counting import (
 from spherefp import counting
 from spherefp.division import ZpQuadForm, first_gowers_witness, gowers_equation_solve
 from spherefp.equidist import sphere_points
-from spherefp.ffcore import FpMatrix, MalformedInput, PrimeField, nullspace, rank as mat_rank
+from spherefp.ffcore import FpMatrix, MalformedInput, PrimeField, TheoremViolation, nullspace, rank as mat_rank
 from spherefp.fpoly import FpMultiPoly
 from spherefp.msets import enumerate_mset, gowers_family
 from spherefp.quadform import AffineSubspace, QuadForm, perp
 
-from conftest import box_count, box_rows, random_form, random_fp_poly
+from conftest import box_count, box_rows, random_form, random_fp_poly, random_symmetric
 
 
 def test_sphere_30_with_fiber_oracle(f5):
@@ -364,17 +364,25 @@ def test_set_enumerators_return_lex_ordered_int64_rows(name):
 
 def test_gowers_set_budget_counts_every_walked_tuple(f5):
     # one unit per tuple (n, h_1..h_t), t <= s: |V| + |Box_1| + |Box_2|
-    # = 30 + 900 + 7650 (the parent's candidate count needed 116,250)
+    # = 30 + 900 + 7650 (the parent's candidate count needed 116,250), with
+    # the walk's message one unit below; p^d = 125 is below both totals
     M = QuadForm.dot_form(f5, 3, radius=1)
-    assert gowers_set(M, 2, budget=8580) == 7650
-    with pytest.raises(BudgetExceeded):
-        gowers_set(M, 2, budget=8579)
+    for s, used, count in ((1, 930, 900), (2, 8580, 7650)):
+        assert gowers_set(M, s, budget=used) == count
+        with pytest.raises(BudgetExceeded, match=rf"^Box_{s} walk exceeds budget {used - 1}$"):
+            gowers_set(M, s, budget=used - 1)
+    for s in range(4):
+        # V(M) is empty, so no tuple is charged: only p^d = 25 can refuse
+        with pytest.raises(BudgetExceeded, match=r"^enumeration of size 25 exceeds budget 24$"):
+            gowers_set(EMPTY2, s, None, 24)
+        assert gowers_set(EMPTY2, s, None, 25) == 0
 
 
 def test_gowers_set_refuses_below_n_n_plus_1_before_any_pair_product(monkeypatch, f5):
     # every walk at s >= 1 charges the N tuples (n) and the N^2 tuples
     # (n, h_1), so a budget below N (N + 1) is refused up front, with the
-    # walk's message; at N (N + 1) the s = 2 walk starts and reads pairs
+    # walk's message; |Box_2| is charged next, in closed form, so the s = 3
+    # walk starts, and reads pairs, only once |V| + |Box_1| + |Box_2| = 8580 fits
     M = QuadForm.dot_form(f5, 3, radius=1)
     N = 30
     real = counting._pair_zeros
@@ -388,9 +396,11 @@ def test_gowers_set_refuses_below_n_n_plus_1_before_any_pair_product(monkeypatch
     for s in (2, 3):
         with pytest.raises(BudgetExceeded, match=rf"^Box_{s} walk exceeds budget {N * (N + 1) - 1}$"):
             gowers_set(M, s, budget=N * (N + 1) - 1)
+        with pytest.raises(BudgetExceeded, match=rf"^Box_{s} walk exceeds budget {N * (N + 1)}$"):
+            gowers_set(M, s, budget=N * (N + 1))
     assert read == []
-    with pytest.raises(BudgetExceeded, match=rf"^Box_2 walk exceeds budget {N * (N + 1)}$"):
-        gowers_set(M, 2, budget=N * (N + 1))
+    with pytest.raises(BudgetExceeded, match=r"^Box_3 walk exceeds budget 8580$"):
+        gowers_set(M, 3, budget=8580)
     assert read != []
     assert gowers_set(M, 2, budget=8580) == 7650
 
@@ -414,39 +424,161 @@ def _outcome(call):
         return str(exc)
 
 
+def closed_form_cases(field, d, rng):
+    """Forms in d variables: two random ones (often singular), a singular one
+    with u off Im A (A's first row and column zero, u_0 != 0), the same A
+    with u = 0, and an affine form u.x + v."""
+    p = field.p
+    forms = [random_form(field, d, rng) for _ in range(2)]
+    A = random_symmetric(field, d, rng)
+    for j in range(d):
+        A[0][j] = A[j][0] = 0
+    u = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(d - 1)]
+    forms.append(QuadForm(field, A, u, rng.randrange(p)))
+    forms.append(QuadForm(field, A, None, rng.randrange(p)))
+    forms.append(QuadForm(field, [[0] * d for _ in range(d)], u, rng.randrange(p)))
+    return forms
+
+
+def closed_form_subspaces(field, M, rng):
+    """F_p^d, a random slice V + c of dimension 1..d, and a point subspace
+    on V(M) or off it."""
+    p, d = field.p, M.d
+    k = rng.randint(1, d)
+    while True:
+        basis = [[rng.randrange(p) for _ in range(d)] for _ in range(k)]
+        if mat_rank(FpMatrix(field, basis)) == k:
+            break
+    zeros = enumerate_zeros(M).tolist()
+    point = rng.choice(zeros) if zeros and rng.random() < 0.5 else [rng.randrange(p) for _ in range(d)]
+    return [None, AffineSubspace(field, basis, [rng.randrange(p) for _ in range(d)]), AffineSubspace(field, [], point)]
+
+
 def test_gowers_set_counts_the_walk_under_its_budget(rng):
-    # the counter against the walk: the same |Box_s| on F_p^d, on random
-    # subspaces and on point subspaces, for random (often rank-deficient)
-    # forms; the same answer at the walk's exact total used and the same
-    # BudgetExceeded one unit below it; and past the cap, the same refusal
+    # the counter (closed form for s <= 2, the walk after it for s = 3)
+    # against the walk: the same |Box_s| on F_p^d, on random subspaces and
+    # on point subspaces, for random (often rank-deficient) forms, forms
+    # with u off Im A and affine forms; the same answer at the walk's exact
+    # total used and the same BudgetExceeded one unit below it (the walk's
+    # message, or enumerate_zeros' p^k one, which comes first); and past
+    # the cap, the same refusal
     cap, answered = 2 * 10**4, 0
-    for p in (5, 7, 11):
+    for p in (5, 7, 11, 13):
         field = PrimeField(p)
         for d in range(1, 5):
-            for s in range(4):
-                M = random_form(field, d, rng)
-                while True:
-                    k = rng.randint(1, d)
-                    basis = [[rng.randrange(p) for _ in range(d)] for _ in range(k)]
-                    if mat_rank(FpMatrix(field, basis)) == k:
-                        break
-                offset = [rng.randrange(p) for _ in range(d)]
-                zeros = enumerate_zeros(M).tolist()  # a point on V(M) or off it
-                point = rng.choice(zeros) if zeros and rng.random() < 0.5 else offset
-                for S in (None, AffineSubspace(field, basis, offset), AffineSubspace(field, [], point)):
-                    used = _walk_used(M, s, S, cap)
-                    if used is None:
-                        want = _outcome(lambda: box_count(M, s, S, cap))
+            for M in closed_form_cases(field, d, rng):
+                for S in closed_form_subspaces(field, M, rng):
+                    for s in range(4):
+                        used = _walk_used(M, s, S, cap)
+                        if used is None:
+                            want = _outcome(lambda: box_count(M, s, S, cap))
+                            assert isinstance(want, str)
+                            assert _outcome(lambda: gowers_set(M, s, S, cap)) == want
+                            continue
+                        assert gowers_set(M, s, S) == box_count(M, s, S)
+                        for budget in (used, used - 1):
+                            want = _outcome(lambda: box_count(M, s, S, budget))
+                            assert _outcome(lambda: gowers_set(M, s, S, budget)) == want
                         assert isinstance(want, str)
-                        assert _outcome(lambda: gowers_set(M, s, S, cap)) == want
-                        continue
-                    assert gowers_set(M, s, S) == box_count(M, s, S)
-                    for budget in (used, used - 1):
-                        want = _outcome(lambda: box_count(M, s, S, budget))
-                        assert _outcome(lambda: gowers_set(M, s, S, budget)) == want
-                    assert isinstance(want, str)
-                    answered += isinstance(_outcome(lambda: gowers_set(M, s, S, used)), int)
-    assert answered >= 50  # the others stop at enumerate_zeros' p^k check first
+                        answered += isinstance(_outcome(lambda: gowers_set(M, s, S, used)), int)
+    assert answered >= 300  # the others stop at enumerate_zeros' p^k check first
+
+
+# -- the closed forms against Lidl-Niederreiter -----------------------------------
+
+
+def lidl_niederreiter_count(p, coeffs, t, d):
+    """#{x in F_p^d : sum_i coeffs_i x_i^2 = t}, the coefficients nonzero
+    and the other d - r variables free: Lidl-Niederreiter, Finite Fields,
+    Thms 6.26 (r even) and 6.27 (r odd), eta by Euler's criterion."""
+
+    def eta(x):
+        x %= p
+        return 0 if x == 0 else (1 if pow(x, (p - 1) // 2, p) == 1 else -1)
+
+    r, delta = len(coeffs), math.prod(coeffs)
+    if r == 0:
+        n = int(t % p == 0)
+    elif r % 2:
+        n = p ** (r - 1) + p ** ((r - 1) // 2) * eta((-1) ** ((r - 1) // 2) * t * delta)
+    else:
+        nu = p - 1 if t % p == 0 else -1
+        n = p ** (r - 1) + nu * p ** ((r - 2) // 2) * eta((-1) ** (r // 2) * delta)
+    return p ** (d - r) * n
+
+
+def test_zero_counts_match_lidl_niederreiter_on_diagonal_forms(rng):
+    # sum_i D_i x_i^2 - t in a random basis, on all of F_p^d for d up to 6:
+    # the closed-form |V(M)| and |Box_1| = |V(M)|^2 against the textbook
+    # count, with the oracle itself checked by enumeration where d <= 3
+    for p in (5, 7, 11, 13):
+        field = PrimeField(p)
+        for d in range(7):
+            for r in range(d + 1):
+                coeffs = [rng.randrange(1, p) for _ in range(r)]
+                t = rng.randrange(p)
+                diag = [[coeffs[i] if i == j and i < r else 0 for j in range(d)] for i in range(d)]
+                M = QuadForm(field, diag, None, -t)
+                if d:
+                    while True:
+                        R = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+                        if mat_rank(FpMatrix(field, R)) == d:
+                            break
+                    M = M.composed(R)
+                want = lidl_niederreiter_count(p, coeffs, t, d)
+                if 1 <= d <= 3:
+                    assert len(reference_zeros(M)) == want
+                assert gowers_set(M, 0) == want and gowers_set(M, 1, None, 10**20) == want * want
+                if r >= 3:
+                    assert zero_count_check(M).exact == want
+
+
+def test_pencil_classes_cover_every_line_once(rng):
+    # the class table counts each line of F_p^(2^s) once, and s = 0 is the
+    # one line xi = 1: G = (1), sigma = 1, w = 1; gowers_set never needs the
+    # s = 1 table (|Box_1| = N^2), so the closed form must give N^2 by itself
+    for p in (5, 7, 11, 13):
+        field = PrimeField(p)
+        for s in range(3):
+            table = counting._pencil_classes(p, s)
+            assert sum(lines for _, lines in table) == (p ** 2**s - 1) // (p - 1)
+            assert all(type(lines) is int for _, lines in table)
+        assert counting._pencil_classes(p, 0) == (((1, 1, 1, False), 1),)
+        for d in range(1, 5):
+            for M in closed_form_cases(field, d, rng):
+                for S in closed_form_subspaces(field, M, rng):
+                    form = counting._zero_set_class(M, S)
+                    assert counting._box_size(field, 1, form) == counting._box_size(field, 0, form) ** 2
+
+
+def test_schur_classes_match_one_xi_per_line():
+    # the s = 2 table from the Schur complement in sigma against the
+    # classification of one xi per line of F_p^4; a class depends on the
+    # point chosen on its line (a non-square lambda turns eta_G into
+    # (-1)^r_G eta_G and eta_sigma into -eta_sigma), so both tables are
+    # compared closed under that scaling
+    def closed(counts):
+        out = counts.copy()
+        for key in np.flatnonzero(counts):
+            r, eta_g, eta_sigma, w0 = (int(x) for x in np.unravel_index(key, counting._CLASSES))
+            flipped = (r, (-1) ** r * (eta_g - 1) + 1, 1 - (eta_sigma - 1), w0)
+            out[np.ravel_multi_index(flipped, counting._CLASSES)] += counts[key]
+        return out
+
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        schur = counting._schur_classes(p)
+        assert schur.sum() == (p**4 - 1) // (p - 1)
+        assert np.array_equal(closed(schur), closed(counting._line_classes(p, 2)))
+
+
+def test_a_character_sum_off_the_lattice_raises_a_typed_error(monkeypatch):
+    # the bracket of the closed form must be a multiple of p^(2^s); a
+    # corrupted class table is refused with TheoremViolation, not an assert
+    M = QuadForm(F5, [[1]], None, -1)  # x^2 = 1: V(M) = {1, 4}
+    assert gowers_set(M, 2) == box_count(M, 2)
+    monkeypatch.setattr(counting, "_pencil_classes", lambda p, s: (((1, 1, 1, False), 1),))
+    with pytest.raises(TheoremViolation, match=r"^the Box_2 character sum 250 is not a multiple of p\^4$"):
+        gowers_set(M, 2)
 
 
 def test_box_s_entry_points_refuse_an_s_that_is_not_a_count(monkeypatch):
@@ -554,7 +686,7 @@ def test_root_sum_matches_the_former_formulas(rng):
             assert root_sum(counts, p) == got
 
 
-# -- the value grid behind every whole-space scan --------------------------------
+# -- point-by-point references for the whole-space scans ---------------------
 
 
 def reference_zeros(M):
@@ -702,26 +834,6 @@ def test_enumerate_zeros_budget_boundary(rng):
         assert np.array_equal(enumerate_zeros(M, S, budget=p ** (d - 1)), enumerate_zeros(M, S))
         with pytest.raises(BudgetExceeded):
             enumerate_zeros(M, S, budget=p ** (d - 1) - 1)
-
-
-def test_grid_values_reduces_every_product():
-    # above 2^21 an unreduced a * x * x overflows int64 at x near p
-    p = 2097169
-    M = QuadForm(PrimeField(p), [[p - 1]], [p - 2], p - 3)
-    grid = M.grid_values()
-    assert grid.shape == (p,) and grid.dtype == np.int64
-    assert np.array_equal(grid, M.eval_array(np.arange(p, dtype=np.int64)[:, None]))
-    assert [int(grid[x]) for x in (p - 2, p - 1)] == [M.evaluate([x]) for x in (p - 2, p - 1)]
-
-
-def test_grid_values_is_eval_array_in_lexicographic_order(rng):
-    for p in (5, 7):
-        field = PrimeField(p)
-        for d in range(1, 5):
-            for M in kernel_forms(field, d, rng):
-                grid = M.grid_values()
-                assert grid.shape == (p,) * d and grid.flags.c_contiguous
-                assert np.array_equal(grid.reshape(-1), M.eval_array(all_points(p, d)))
 
 
 def test_quadratic_root_count_matches_point_by_point_reference(rng):

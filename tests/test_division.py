@@ -44,6 +44,7 @@ from spherefp.division import (
 )
 from spherefp.ffcore import FpMatrix, HypothesisNotMet, PrimeField, SpherefpError, rank as mat_rank
 from spherefp.fpoly import (
+    ArityMismatch,
     FpMultiPoly,
     RatMultiPoly,
     ValueRangeError,
@@ -470,6 +471,29 @@ def test_gowers_equation_s1_budget_is_box_1s_rule(monkeypatch, f5, rng):
             gowers_equation_solve(P, Q, M, 1, budget=budget)
         with pytest.raises(BudgetExceeded, match=rf"^Box_1 walk exceeds budget {budget}$"):
             counting.gowers_set(M, 1, None, budget)
+
+
+def test_gowers_scans_refuse_another_arity_before_any_enumeration(monkeypatch, f5):
+    # a polynomial in 4 variables against a form in 6: the witness scan
+    # crashed with numpy's broadcast ValueError, and so did the cube
+    # equation at s >= 2, while at s = 1 it refused only after its fit
+    # check; now ArityMismatch comes before any enumeration, at every s
+    # (after s and, in the cube equation, the rank), with the message
+    # eval_array gives a point of another length
+    def never(*args, **kwargs):
+        raise AssertionError("enumerated before the arity check")
+
+    monkeypatch.setattr(counting, "_solve_zeros", never)
+    monkeypatch.setattr(counting, "_zero_set_class", never)
+    M = QuadForm.dot_form(f5, 6, radius=1)  # rank 6: the cube equation's s + 3 for s <= 3
+    short = FpMultiPoly(5, 4, {(1, 0, 0, 0): 1})
+    fits = FpMultiPoly(5, 6, {(1, 0, 0, 0, 0, 0): 1})
+    for s in (1, 2, 3):
+        with pytest.raises(ArityMismatch, match="^point arity mismatch$"):
+            first_gowers_witness(short, M, s)
+        for P, Q in ((short, fits), (fits, short)):
+            with pytest.raises(ArityMismatch, match="^point arity mismatch$"):
+                gowers_equation_solve(P, Q, M, s)
 
 
 # -- the fiber tables against the Fraction basis-change paths -------------------

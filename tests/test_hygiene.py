@@ -140,20 +140,17 @@ def test_v_p_base_points_come_from_one_enumerator():
 def test_box_s_candidates_come_from_the_zero_set_rows():
     # the Box_s walk and enumerate_vmh read their shifted sets off the rows
     # of V(M) (n V + c); a p^d value grid rolled or looked up beside them
-    # would be a second corner path, so the grid serves only the
-    # square-value count
-    where, calls, rolls, grid_zeros = set(), 0, [], []
+    # would be a second corner path, and the square-value count, the grid's
+    # last caller, sums closed-form zero counts, so no p^d grid is left
+    calls, rolls, grid_zeros = 0, [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         calls += len(list(_calls(tree, "grid_values")))
         rolls += [f"{path.name}:{call.lineno}" for call in _calls(tree, "roll")]
         for name, fn in _functions(tree):
-            if list(_calls(fn, "grid_values")):
-                where.add(f"{path.name}:{name}")
-            if fn.name == "_grid_zeros":
+            if fn.name in ("_grid_zeros", "grid_values"):
                 grid_zeros.append(f"{path.name}:{name}")
-    assert where == {"counting.py:quadratic_root_count"} and calls == 1
-    assert rolls == [] and grid_zeros == []
+    assert calls == 0 and rolls == [] and grid_zeros == []
 
 
 def test_zero_sets_come_from_the_line_solver_alone(monkeypatch):
@@ -201,6 +198,33 @@ def test_gowers_set_counts_without_the_walk_or_the_row_builder(monkeypatch):
     monkeypatch.setattr(msets, "enumerate_mset", never)
     assert [counting.gowers_set(M, s, S) for s in range(4) for S in (None, plane)] == want
     assert want[:6:2] == [30, 900, 7650]
+
+
+def test_counts_to_box_2_enumerate_nothing(monkeypatch):
+    # |V(M) n (V + c)|, the square-value count and Box_s for s <= 2 are
+    # closed forms: neither the line solver nor the walk runs, on F_p^d, on
+    # a slice or on a point; the walk and its pair products serve s >= 3
+    from conftest import box_count
+    from spherefp import counting
+    from spherefp.ffcore import PrimeField
+    from spherefp.quadform import AffineSubspace, QuadForm
+
+    def never(*args, **kwargs):
+        raise AssertionError("a closed-form count enumerated")
+
+    field = PrimeField(5)
+    M = QuadForm.dot_form(field, 4, 1)
+    subspaces = [
+        None,
+        AffineSubspace(field, [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 3]], [0, 1, 0, 2]),
+        AffineSubspace(field, [], [1, 0, 0, 0]),
+    ]
+    want = [box_count(M, s, S) for s in range(3) for S in subspaces]
+    for name in ("_solve_zeros", "_walk", "_pair_zeros", "gowers_blocks"):
+        monkeypatch.setattr(counting, name, never)
+    assert [counting.gowers_set(M, s, S) for s in range(3) for S in subspaces] == want
+    assert counting.zero_count_check(M, subspaces[1]).exact == want[1]
+    assert counting.quadratic_root_count(M).exact == 385  # by eval_array on all 625 points
 
 
 def test_box_s_has_one_walk_one_scan_and_one_budget_rule():
