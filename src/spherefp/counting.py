@@ -16,15 +16,13 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, permutations
 
 import numpy as np
 
 from .ffcore import (
     BudgetExceeded, FpMatrix, HypothesisNotMet, MalformedInput, TheoremViolation, rank as mat_rank,
 )
-from .quadform import AffineSubspace, QuadForm, _congruence_diagonalize, qf_rank, restricted_rank
+from .quadform import AffineSubspace, QuadForm, _congruence_diagonalize, qf_rank
 # after quadform, which loads fpoly: loading fpoly here first changes the
 # modules' load order, and that order alone moved the lifts and cli
 # benchmark times by about 10% on a 2-vCPU VM
@@ -103,39 +101,33 @@ def _check_budget(size, budget):
         raise BudgetExceeded(f"enumeration of size {size} exceeds budget {budget}")
 
 
-def _check_slice(M: QuadForm, S: AffineSubspace | None, budget):
-    """The checks before any work on V(M) n (V + c): the subspace against M
-    (ambient dimension, then prime), then p^d (p^k on V + c) against the
-    budget."""
+def _check_subspace(M: QuadForm, S: AffineSubspace | None):
+    """S against M: its ambient dimension, then its prime."""
     if S is not None:
         if S.dim_ambient != M.d:
             raise MalformedInput(f"subspace of F_p^{S.dim_ambient} for a form in {M.d} variables")
         if S.field.p != M.p:
             raise MalformedInput(f"subspace over F_{S.field.p} for a form over F_{M.p}")
+
+
+def _check_slice(M: QuadForm, S: AffineSubspace | None, budget):
+    """The checks before any work on V(M) n (V + c): the subspace against M,
+    then p^d (p^k on V + c) against the budget."""
+    _check_subspace(M, S)
     _check_budget(M.p ** (M.d if S is None else S.dim()), budget)
 
 
-def _power(x, e, p):
-    """x^e mod p entrywise for an int64 array x of residues, e >= 0."""
-    out = np.ones_like(x)
+def _inverses(p):
+    """x^(p-2) mod p for x in 0..p-1: the inverse of every unit, and 0 at 0."""
+    x = np.arange(p, dtype=np.int64)
+    out = np.ones(p, dtype=np.int64)
+    e = p - 2
     while e:
         if e & 1:
             out = out * x % p
         x = x * x % p
         e >>= 1
     return out
-
-
-def _inverses(p):
-    """x^(p-2) mod p for x in 0..p-1: the inverse of every unit, and 0 at 0."""
-    return _power(np.arange(p, dtype=np.int64), p - 2, p)
-
-
-def _eta(x, p):
-    """The Legendre symbol of each residue in the int64 array x: 1 on the
-    nonzero squares, -1 on the non-squares and 0 at 0 (Euler's criterion)."""
-    t = _power(x, (p - 1) // 2, p)
-    return np.where(t == p - 1, -1, t)
 
 
 def _solve_zeros(M: QuadForm):
@@ -222,146 +214,52 @@ def _zero_set_class(M: QuadForm, S: AffineSubspace | None = None):
     return M.d, r, field.legendre(math.prod(diag[:r])), kappa
 
 
-def _line_reps(p, n):
-    """One point per line of F_p^n (first nonzero coordinate 1), as int64
-    arrays of at most EVAL_CHUNK_CELLS rows."""
-    for lead in range(n):
-        tail = n - 1 - lead
-        for start in range(0, p**tail, EVAL_CHUNK_CELLS):
-            idx = np.arange(start, min(p**tail, start + EVAL_CHUNK_CELLS), dtype=np.int64)
-            xi = np.zeros((len(idx), n), dtype=np.int64)
-            xi[:, lead] = 1
-            for j in range(n - 1, lead, -1):
-                idx, xi[:, j] = np.divmod(idx, p)
-            yield xi
-
-
-def _det(G, p):
-    """det G mod p for a stack of small square int64 matrices (Leibniz)."""
-    n = G.shape[-1]
-    out = np.zeros(len(G), dtype=np.int64)
-    for perm in permutations(range(n)):
-        term = np.ones(len(G), dtype=np.int64)
-        for i, j in enumerate(perm):
-            term = term * G[:, i, j] % p
-        odd = sum(a > b for a, b in combinations(perm, 2)) % 2
-        out = (out - term if odd else out + term) % p
-    return out
-
-
-_CLASSES = (4, 3, 3, 2)  # r_G <= 3 (s <= 2), then eta_G, eta_sigma (each + 1) and w0
-
-
-def _classify(G, p):
-    """Counts of the corner Gram matrices in the stack G by class
-    (r_G, eta_G, eta_sigma, w0), a flat bincount over _CLASSES.
-
-    r_G is the rank and eta_G the Legendre symbol of the nonzero part:
-    over any field the rank of a symmetric matrix is the largest size of a
-    nonzero principal minor, and every nonzero principal minor of that size
-    has the square class of the nonzero part.  sigma = G_00, and w0 says
-    w = G e_0 = 0."""
-    n = G.shape[-1]
-    rank = np.zeros(len(G), dtype=np.int64)
-    eta = np.zeros(len(G), dtype=np.int64)
-    for size in range(1, n + 1):
-        found = np.zeros(len(G), dtype=bool)
-        minor = np.zeros(len(G), dtype=np.int64)
-        for idx in combinations(range(n), size):
-            m = _det(G[:, idx][:, :, idx], p)
-            new = ~found & (m != 0)
-            minor[new] = m[new]
-            found |= new
-        rank[found] = size
-        eta[found] = _eta(minor[found], p)
-    w0 = ~G[:, :, 0].any(axis=1)
-    keys = np.ravel_multi_index((rank, eta + 1, _eta(G[:, 0, 0], p) + 1, w0), _CLASSES)
-    return np.bincount(keys, minlength=math.prod(_CLASSES))
-
-
-def _line_classes(p, s):
-    """_classify over one xi per line of F_p^(2^s), with
-    G = sum_eps xi_eps c_eps^T c_eps and c_eps = (1, eps) in F_p^(s+1)."""
-    n = s + 1
-    c = np.hstack([np.ones((2**s, 1), dtype=np.int64), all_points(2, s)])
-    outer = (c[:, :, None] * c[:, None, :]).reshape(2**s, n * n)  # c_eps^T c_eps
-    return sum(_classify((xi @ outer % p).reshape(-1, n, n), p) for xi in _line_reps(p, 2**s))
-
-
-def _gram2(sigma, t):
-    """The s = 2 corner Gram matrices [[sigma, a, b], [a, a, c], [b, c, b]]
-    for the rows (a, b, c) of t."""
-    a, b, c = t.T
-    return np.stack([sigma, a, b, a, a, c, b, c, b], axis=1).reshape(-1, 3, 3)
-
-
-def _schur_classes(p):
-    """The s = 2 class counts in about p^2 steps instead of p^3: those of
-    _line_classes(p, 2), up to the point chosen on each line.
-
-    At s = 2, G = [[sigma, a, b], [a, a, c], [b, c, b]] with sigma = sum xi,
-    a = xi_10 + xi_11, b = xi_01 + xi_11 and c = xi_11, an invertible map,
-    so the lines are (sigma, a, b, c) = (1, 0, 0, 0) and (sigma, t) for every
-    sigma and one t per line of (a, b, c).  Where T = [[a, c], [c, b]] has
-    D = ab - c^2 != 0, G is congruent to T (+) (sigma - star), with the Schur
-    complement star = (a, b) T^-1 (a, b)^T = ab(a + b - 2c) / D: sigma = star
-    has rank 2 and eta_G = eta(D), and every other sigma rank 3 and
-    eta_G = eta(D) eta(sigma - star).  With sigma = star tau, tau not in
-    {0, 1}, there are (p - 2 - y - x eta(-1) - xy) / 4 values of tau with
-    eta(tau) = y and eta(tau - 1) = x.  w = (sigma, a, b) is 0 only where
-    sigma = a = b = 0.  The t on the conic ab = c^2, about p + 1 of them,
-    are classified with every sigma by _classify."""
-    minus = 1 if p % 4 == 1 else -1  # eta(-1)
-    counts = _classify(_gram2(np.ones(1, dtype=np.int64), np.zeros((1, 3), dtype=np.int64)), p)
-
-    def add(r, eta_g, eta_sigma, w0, lines):
-        counts[np.ravel_multi_index((r, eta_g + 1, eta_sigma + 1, w0), _CLASSES)] += lines
-
-    for t in _line_reps(p, 3):
-        a, b, c = t.T
-        D = (a * b - c * c) % p
-        conic = t[D == 0]
-        step = max(1, EVAL_CHUNK_CELLS // max(1, len(conic)))
-        for start in range(0, p, step):
-            sigma = np.arange(start, min(p, start + step), dtype=np.int64)
-            counts += _classify(_gram2(np.repeat(sigma, len(conic)), np.tile(conic, (len(sigma), 1))), p)
-        a, b, c, D = (x[D != 0] for x in (a, b, c, D))
-        star = a * b % p * ((a + b - 2 * c) % p) % p * _power(D, p - 2, p) % p
-        group = (_eta(D, p) + 1, _eta(star, p) + 1, (a == 0) & (b == 0))
-        for key, reps in enumerate(np.bincount(np.ravel_multi_index(group, (3, 3, 2)), minlength=18)):
-            if not reps:
-                continue
-            eta_d, eta_star, ab0 = (int(x) for x in np.unravel_index(key, (3, 3, 2)))
-            eta_d, eta_star, reps = eta_d - 1, eta_star - 1, int(reps)
-            add(2, eta_d, eta_star, ab0, reps)  # sigma = star
-            if eta_star == 0:
-                for y in (1, -1):
-                    add(3, eta_d * y, y, 0, reps * (p - 1) // 2)
-            else:
-                add(3, eta_d * minus * eta_star, 0, 0, reps)  # sigma = 0
-                for x in (1, -1):
-                    for y in (1, -1):
-                        add(3, eta_d * eta_star * x, eta_star * y, 0, reps * (p - 2 - y - x * minus - x * y) // 4)
-    return counts
-
-
-@lru_cache(maxsize=None)
 def _pencil_classes(p, s):
-    """The lines of xi in F_p^(2^s), s <= 2, by the class of the corner
-    Gram matrix G = sum_eps xi_eps c_eps^T c_eps, c_eps = (1, eps) in
-    F_p^(s+1): ((r_G, eta_G, eta_sigma, w0), lines) pairs with Python int
-    entries (_classify).  F_xi(X) = sum_eps xi_eps M(c_eps X) has quadratic
-    part G (x) A.  A class depends on the point chosen on its line (lambda xi
-    has eta_G times eta(lambda)^r_G and eta_sigma times eta(lambda)); the
-    terms _box_size sums do not.  The table depends on (p, s) alone, so it is
-    built once per pair: one xi per line for s <= 1 (at most p + 1 lines),
-    _schur_classes at s = 2."""
-    counts = _schur_classes(p) if s == 2 else _line_classes(p, s)
-    return tuple(
-        ((r, eta_g - 1, eta_sigma - 1, bool(w0)), int(counts[key]))
-        for key, (r, eta_g, eta_sigma, w0) in enumerate(np.ndindex(_CLASSES))
-        if counts[key]
-    )
+    """The nonzero xi in F_p^(2^s), s in {0, 2}, counted by the class of the
+    corner Gram matrix G = sum_eps xi_eps c_eps^T c_eps, c_eps = (1, eps) in
+    F_p^(s+1): ((r_G, eta_G, eta_sigma, w0), count) pairs of Python ints.
+    r_G is the rank of G, eta_G the Legendre symbol of its nonzero part
+    (det' G), eta_sigma that of sigma = G_00 = sum xi, and w0 says that
+    w = G e_0 is 0.  F_xi(X) = sum_eps xi_eps M(c_eps X) has quadratic part
+    G (x) A (_box_size).
+
+    At s = 0, G = (xi).  At s = 2, G is the form sum_eps xi_eps l_eps(x)^2
+    with l_eps(x) = x_0 + eps_1 x_1 + eps_2 x_2, four linear forms on F_p^3
+    any three of which are a basis.  Three zero coordinates of xi give the
+    4(p - 1) forms of rank 1, where eta_G = eta_sigma; w = 0 exactly on the
+    line of xi = (1, -1, -1, 1), the form 2 x_1 x_2.  Any other rank-2 G
+    with sigma = 0 has the isotropic vector e_0 off its radical, so it is a
+    hyperbolic plane too: eta_G = eta(-1).  Scaling xi by a non-square turns
+    eta_sigma into -eta_sigma and eta_G into (-1)^r_G eta_G, so at rank 2 a
+    count does not depend on eta_sigma = +-1, and at rank 3 it depends on
+    eta_G and eta_sigma through their product alone.  With q = p - 1 and
+    epsilon = eta(-1) the counts are
+        rank 1, eta_G = eta_sigma            2q each
+        rank 2, w = 0, (epsilon, 0)          q
+        rank 2, (epsilon, 0)                 q(3p - 1)
+        rank 2, (-epsilon, +-1)              q^2 (p + 3) / 4 each
+        rank 2, (epsilon, +-1)               q(p - 3)(p + 1) / 4 each
+        rank 3, (+-1, 0)                     q^3 / 2 each
+        rank 3, eta_G eta_sigma = epsilon    q(p^3 + 2p^2 - 4p - 1) / 4 each
+        rank 3, eta_G eta_sigma = -epsilon   q^2 (p^2 - 3p + 1) / 4 each
+    (p^4 - 1 in all).  Each polynomial is fixed by the classification of
+    one xi per line at five primes of its class mod 4 and matches it at
+    every prime from 5 to 199 (PrimeField takes p >= 5; at p = 3 the counts
+    differ); the tests check the table against the class of every xi for
+    p <= 23."""
+    q, eps = p - 1, 1 if p % 4 == 1 else -1
+    if s == 0:
+        return tuple(((1, e, e, False), q // 2) for e in (1, -1))
+    table = [((1, e, e, False), 2 * q) for e in (1, -1)]
+    table += [((2, eps, 0, True), q), ((2, eps, 0, False), q * (3 * p - 1))]
+    for f in (1, -1):
+        table += [((2, -eps, f, False), q * q * (p + 3) // 4), ((2, eps, f, False), q * (p - 3) * (p + 1) // 4)]
+    for e in (1, -1):
+        table.append(((3, e, 0, False), q**3 // 2))
+        for f in (1, -1):
+            count = q * (p**3 + 2 * p * p - 4 * p - 1) if e * f == eps else q * q * (p * p - 3 * p + 1)
+            table.append(((3, e, f, False), count // 4))
+    return tuple(table)
 
 
 def _box_size(field, s, form):
@@ -369,13 +267,16 @@ def _box_size(field, s, form):
 
     By orthogonality, with m = (s+1)k variables X = (n, h_1..h_s),
         |Box_s| = p^(-2^s) [p^m + sum over lines [xi] of (p Z(F_xi) - p^m)],
+    and each of the p - 1 nonzero points of a line gives its term, so
+        |Box_s| = [(p - 1) p^m + sum over xi != 0 of (p Z(F_xi) - p^m)]
+                  / ((p - 1) p^(2^s)),
     F_xi(X) = sum_eps xi_eps M(c_eps X): quadratic part G (x) A, linear part
     w (x) u and constant sigma v (_pencil_classes).  As w = G e_0 lies in
     Im G with w^T G^+ w = sigma, the linear part lies in Im(G (x) A) when u
     is in Im A or w = 0; then completing the square leaves the constant
     sigma kappa, and Z(F_xi) = p^(m-r) N_r(Delta, -sigma kappa), with
     r = r_G r_A and Delta = det'G^r_A det'A^r_G.  Otherwise F_xi has a
-    linear direction, Z = p^(m-1), and the line adds nothing.  N_r(Delta, t),
+    linear direction, Z = p^(m-1), and xi adds nothing.  N_r(Delta, t),
     the number of solutions of sum_i D_i y_i^2 = t in F_p^r, is
         p^(r-1) + p^((r-1)/2) eta((-1)^((r-1)/2) t Delta)     r odd,
         p^(r-1) + nu(t) p^((r-2)/2) eta((-1)^(r/2) Delta)     r even,
@@ -385,8 +286,8 @@ def _box_size(field, s, form):
     m = (s + 1) * k
     minus = field.legendre(-1)
     eta_kappa = 0 if kappa is None else field.legendre(kappa)
-    total = p**m
-    for (r_g, eta_g, eta_sigma, w0), lines in _pencil_classes(p, s):
+    total = (p - 1) * p**m
+    for (r_g, eta_g, eta_sigma, w0), count in _pencil_classes(p, s):
         if kappa is None and not w0:
             continue
         r = r_g * r_a
@@ -400,29 +301,27 @@ def _box_size(field, s, form):
                 term = p ** (m - r // 2) * sign * eta_t
             else:
                 term = p ** (m - r // 2) * sign * (p - 1 if eta_t == 0 else -1)
-        total += lines * term
-    count, rest = divmod(total, p ** 2**s)
+        total += count * term
+    box, rest = divmod(total, (p - 1) * p ** 2**s)
     if rest:
-        raise TheoremViolation(f"the Box_{s} character sum {total} is not a multiple of p^{2**s}")
-    return count
+        raise TheoremViolation(f"the Box_{s} character sum {total} is not a multiple of (p - 1) p^{2**s}")
+    return box
 
 
 def zero_count_check(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
     """|V(M) n (V+c)| against p^{d-r-1} with error exponent (s-2)/2,
-    s = rank of the restricted form (needs s >= 3).  The count is the
-    closed form (_box_size at s = 0), after the rank check and enumerate_zeros'
-    checks of the subspace and of p^d (p^k on V + c) against the budget."""
-    if S is None:
-        s = qf_rank(M)
-        r = 0
-    else:
-        s = restricted_rank(M, S)
-        r = S.codim()
+    s = rank of the restricted form (needs s >= 3).  The subspace is checked
+    against M first; one congruence diagonalization (_zero_set_class) then
+    gives s for the rank check and, once p^d (p^k on V + c) has passed the
+    budget, the count in closed form (_box_size at s = 0)."""
+    _check_subspace(M, S)
+    form = k, s, _, _ = _zero_set_class(M, S)
     if s < 3:
         raise RankHypothesisFailed(f"restricted rank {s} < 3")
-    _check_slice(M, S, budget)
-    exact = _box_size(M.field, 0, _zero_set_class(M, S))
+    _check_budget(M.p**k, budget)
+    exact = _box_size(M.field, 0, form)
     d = M.d
+    r = d - k
     main = Fraction(M.p) ** (d - r - 1)
     bound = float(M.p) ** (d - r - 1 - (s - 2) / 2)
     return CountReport(exact, main, bound)
@@ -479,15 +378,16 @@ def gauss_sum(p: int, j: int):
 def quadratic_root_count(M: QuadForm, budget=DEFAULT_BUDGET):
     """#{n : M(n) is a square} against p^d / 2: the sum of |V(M - t)| over
     t = 0 and the nonzero squares, each in closed form (_box_size at s = 0).
-    M - t differs from M only in v, so its kappa is kappa - t."""
-    r = qf_rank(M)
+    M - t differs from M only in v, so its kappa is kappa - t.  The rank r
+    is the one _zero_set_class reads, checked before p^d against the
+    budget."""
+    k, r, eta, kappa = _zero_set_class(M)
     if r < 2:
         raise RankHypothesisFailed(f"rank {r} < 2")
     p = M.p
     _check_budget(p**M.d, budget)
-    k, r_a, eta_a, kappa = _zero_set_class(M)
     exact = sum(
-        _box_size(M.field, 0, (k, r_a, eta_a, None if kappa is None else (kappa - t) % p))
+        _box_size(M.field, 0, (k, r, eta, None if kappa is None else (kappa - t) % p))
         for t in {x * x % p for x in range(p)}
     )
     main = Fraction(p**M.d, 2)

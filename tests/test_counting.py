@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -533,51 +535,76 @@ def test_zero_counts_match_lidl_niederreiter_on_diagonal_forms(rng):
                     assert zero_count_check(M).exact == want
 
 
-def test_pencil_classes_cover_every_line_once(rng):
-    # the class table counts each line of F_p^(2^s) once, and s = 0 is the
-    # one line xi = 1: G = (1), sigma = 1, w = 1; gowers_set never needs the
-    # s = 1 table (|Box_1| = N^2), so the closed form must give N^2 by itself
-    for p in (5, 7, 11, 13):
-        field = PrimeField(p)
-        for s in range(3):
-            table = counting._pencil_classes(p, s)
-            assert sum(lines for _, lines in table) == (p ** 2**s - 1) // (p - 1)
-            assert all(type(lines) is int for _, lines in table)
-        assert counting._pencil_classes(p, 0) == (((1, 1, 1, False), 1),)
-        for d in range(1, 5):
-            for M in closed_form_cases(field, d, rng):
-                for S in closed_form_subspaces(field, M, rng):
-                    form = counting._zero_set_class(M, S)
-                    assert counting._box_size(field, 1, form) == counting._box_size(field, 0, form) ** 2
+def _minor_det(G, p):
+    """det G mod p for a stack of small square int64 matrices (cofactors)."""
+    if G.shape[-1] == 1:
+        return G[:, 0, 0] % p
+    rest = np.delete(G, 0, axis=1)
+    return sum((-1) ** j * G[:, 0, j] * _minor_det(np.delete(rest, j, axis=2), p) for j in range(G.shape[-1])) % p
 
 
-def test_schur_classes_match_one_xi_per_line():
-    # the s = 2 table from the Schur complement in sigma against the
-    # classification of one xi per line of F_p^4; a class depends on the
-    # point chosen on its line (a non-square lambda turns eta_G into
-    # (-1)^r_G eta_G and eta_sigma into -eta_sigma), so both tables are
-    # compared closed under that scaling
-    def closed(counts):
-        out = counts.copy()
-        for key in np.flatnonzero(counts):
-            r, eta_g, eta_sigma, w0 = (int(x) for x in np.unravel_index(key, counting._CLASSES))
-            flipped = (r, (-1) ** r * (eta_g - 1) + 1, 1 - (eta_sigma - 1), w0)
-            out[np.ravel_multi_index(flipped, counting._CLASSES)] += counts[key]
-        return out
+def pencil_classes_by_enumeration(p, s):
+    """The nonzero xi in F_p^(2^s) counted by the class (r_G, eta_G,
+    eta_sigma, w0) of G = sum_eps xi_eps c_eps^T c_eps, c_eps = (1, eps), one
+    xi at a time: r_G is the largest size of a nonzero principal minor, and
+    every such minor has the square class of det' G."""
 
-    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
-        schur = counting._schur_classes(p)
-        assert schur.sum() == (p**4 - 1) // (p - 1)
-        assert np.array_equal(closed(schur), closed(counting._line_classes(p, 2)))
+    def eta(x):
+        t = np.ones_like(x)
+        for _ in range((p - 1) // 2):
+            t = t * x % p
+        return np.where(t == p - 1, -1, t)
+
+    n = s + 1
+    c = np.hstack([np.ones((2**s, 1), dtype=np.int64), all_points(2, s)])
+    xi = all_points(p, 2**s)[1:]
+    G = np.einsum("xe,ei,ej->xij", xi, c, c) % p
+    rank, eta_g = np.zeros(len(G), dtype=np.int64), np.zeros(len(G), dtype=np.int64)
+    for size in range(1, n + 1):
+        for idx in itertools.combinations(range(n), size):
+            minor = _minor_det(G[:, idx][:, :, idx], p)
+            new = (minor != 0) & (rank < size)
+            rank[new], eta_g[new] = size, eta(minor[new])
+    w0 = ~G[:, :, 0].any(axis=1)
+    keys, counts = np.unique(np.stack([rank, eta_g, eta(G[:, 0, 0]), w0]), axis=1, return_counts=True)
+    return {(int(r), int(e), int(f), bool(w)): int(n) for (r, e, f, w), n in zip(keys.T, counts)}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+def test_pencil_classes_match_the_class_of_every_xi(p):
+    # the closed-form class counts of _pencil_classes against the
+    # classification of every nonzero xi, at s = 0 and s = 2 (|Box_1| = N^2
+    # needs no table), both classes of p mod 4
+    for s in (0, 2):
+        table = counting._pencil_classes(p, s)
+        assert all(type(n) is int and n > 0 for _, n in table)
+        assert sum(n for _, n in table) == p ** 2**s - 1
+        assert dict(table) == pencil_classes_by_enumeration(p, s)
+
+
+def test_closed_form_counts_do_no_work_that_grows_with_p():
+    # the class table is a closed form, so a set of dimension 0 or 1 at a
+    # large prime is counted at once; x^2 = 1 has |V| = 2 and
+    # |Box_2| = N(2N - 1) = 6 (h_1 h_2 = 0), a point subspace 1 at every s
+    start = time.perf_counter()
+    line = QuadForm(PrimeField(100003), [[1]], None, -1)
+    assert [gowers_set(line, s) for s in range(3)] == [2, 4, 6]
+    big = PrimeField(2**31 - 1)
+    sphere = QuadForm.dot_form(big, 3, 1)
+    point = AffineSubspace(big, [], [1, 0, 0])
+    assert [gowers_set(sphere, s, point) for s in range(3)] == [1, 1, 1]
+    assert gowers_count_report(sphere, 2, point).exact == 1
+    assert time.perf_counter() - start < 0.5
 
 
 def test_a_character_sum_off_the_lattice_raises_a_typed_error(monkeypatch):
-    # the bracket of the closed form must be a multiple of p^(2^s); a
-    # corrupted class table is refused with TheoremViolation, not an assert
+    # the bracket of the closed form must be a multiple of (p - 1) p^(2^s);
+    # a corrupted class table is refused with TheoremViolation, not an assert
     M = QuadForm(F5, [[1]], None, -1)  # x^2 = 1: V(M) = {1, 4}
     assert gowers_set(M, 2) == box_count(M, 2)
-    monkeypatch.setattr(counting, "_pencil_classes", lambda p, s: (((1, 1, 1, False), 1),))
-    with pytest.raises(TheoremViolation, match=r"^the Box_2 character sum 250 is not a multiple of p\^4$"):
+    table = counting._pencil_classes
+    monkeypatch.setattr(counting, "_pencil_classes", lambda p, s: table(p, s) if s < 2 else (((1, 1, 1, False), 1),))
+    with pytest.raises(TheoremViolation, match=r"^the Box_2 character sum 625 is not a multiple of \(p - 1\) p\^4$"):
         gowers_set(M, 2)
 
 
