@@ -327,6 +327,23 @@ def solve_linear(mat: FpMatrix, rhs):
     return particular, _kernel_basis(red, pivots, n)
 
 
+def particular_solver(mat: FpMatrix):
+    """One reduction of mat for many right-hand sides: (rows, pivots, E).
+
+    rows are r = rank(mat) independent rows (the pivot columns of the
+    transpose), pivots the pivot columns of mat's reduced form R, and E the
+    r x r matrix with E mat[rows] = R, the right half of the reduced
+    [mat[rows] | I_r].  When mat x = b is solvable, the particular solution
+    solve_linear returns has x[pivots] = E b[rows] and zero elsewhere,
+    since R x = E mat[rows] x.  For any other b that x is not a solution,
+    which a caller checks."""
+    _, r, rows = rref(mat.transpose())
+    n = mat.ncols
+    aug = [mat.rows[i] + [int(s == t) for s in range(r)] for t, i in enumerate(rows)]
+    red, _, pivots = rref(FpMatrix._canonical(mat.field, aug))
+    return rows, pivots, [row[n:] for row in red.rows]
+
+
 def nullspace(mat: FpMatrix):
     """Basis of {x : mat * x = 0}."""
     red, _, pivots = rref(mat)

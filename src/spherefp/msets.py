@@ -18,16 +18,27 @@ the codimension read them directly.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .counting import BudgetExceeded, CountReport, DEFAULT_BUDGET, _check_count, _check_delta, all_points
-from .ffcore import FpMatrix, HypothesisNotMet, Infeasible, MalformedInput, rref, solve_linear
+from .ffcore import (
+    FpMatrix,
+    HypothesisNotMet,
+    Infeasible,
+    MalformedInput,
+    PrimeField,
+    particular_solver,
+    rref,
+    solve_linear,
+)
 from .fpoly import FpMultiPoly, _quadratic_terms, _random_exponent
 from .fpoly import _binom_basis_indices as _monomials_up_to  # cached, sorted tuple
-from .quadform import QuadForm
+from .quadform import QuadForm, bilinear
 
 ENUM_CHUNK_ROWS = 1 << 18  # mask cells (prefix rows x column-cut block points) per chunk
+MEMBERSHIP_CACHE_SIZE = 32  # reduced ideal-membership systems kept, one per (family, k, deg P)
 
 
 class NotConsistent(HypothesisNotMet):
@@ -65,20 +76,29 @@ class MQuadFn:
             total += sum(self.v[i][t] * blocks[i][t] for t in range(self.d))
         return total % p
 
+    @cached_property
+    def _kernel(self):
+        """(rows, cols, a, lin) with F = (x a + lin) . y + u for x =
+        pts[:, rows] and y = pts[:, cols]: block (i, j) of a is b_ij A mod p.
+        rows spans the blocks i of the b_ij, cols the blocks j of the b_ij
+        and of the nonzero v_j, so no block outside them is multiplied."""
+        d, p = self.d, self.p
+        top = [i for i, _ in self.b]
+        side = [j for _, j in self.b] + [j + 1 for j in range(self.k) if any(self.v[j])]
+        r0, r1 = (min(top), max(top)) if top else (1, 0)
+        c0, c1 = (min(side), max(side)) if side else (1, 0)
+        a = np.zeros(((r1 - r0 + 1) * d, (c1 - c0 + 1) * d), dtype=np.int64)
+        for (i, j), c in self.b.items():
+            a[(i - r0) * d : (i - r0 + 1) * d, (j - c0) * d : (j - c0 + 1) * d] = c * self.M.a64 % p
+        lin = np.array(sum(self.v[c0 - 1 : c1], []), dtype=np.int64)
+        return slice((r0 - 1) * d, r1 * d), slice((c0 - 1) * d, c1 * d), a, lin
+
     def eval_array(self, pts):
         """pts: (N, k*d) array of stacked blocks."""
-        p = self.p
-        a = np.array(self.M.A.rows, dtype=np.int64)
-        total = np.full(len(pts), self.u, dtype=np.int64)
-        for (i, j), c in self.b.items():
-            bi = pts[:, (i - 1) * self.d : i * self.d]
-            bj = pts[:, (j - 1) * self.d : j * self.d]
-            total = (total + c * ((((bi @ a) % p) * bj).sum(axis=1) % p)) % p
-        for i in range(self.k):
-            vi = np.array(self.v[i], dtype=np.int64)
-            if vi.any():
-                total = (total + pts[:, i * self.d : (i + 1) * self.d] @ vi) % p
-        return total % p
+        rows, cols, a, lin = self._kernel
+        x = pts[:, rows]
+        y = x if rows == cols else pts[:, cols]
+        return (bilinear(x, a, y, self.p, lin) + self.u) % self.p
 
     def as_poly(self) -> FpMultiPoly:
         """F as a polynomial in the k*d stacked coordinates: its quadratic
@@ -379,26 +399,24 @@ def restrict_blocks(fn: MQuadFn, M, blocks):
     return MQuadFn(M, len(blocks), b, v, fn.u)
 
 
-def _top_block_split(g: MQuadFn, pts, a):
+def _top_block_split(g: MQuadFn, pts):
     """g on (prefix x, block point y), g with top block k = g.k, as
-    pre(x) + cross(x) . y + new(y): the prefix function (every term touching
-    block k dropped), the cross coefficients [(i, b_ik) for i < k], and new
-    = b_kk (yA).y + v_k.y mod p on the block points pts, a = A as an array."""
-    p, k = g.p, g.k
+    pre(x) + cross(x, y) + new(y): the prefix function (every term touching
+    block k dropped), the function cross = sum_{i<k} b_ik (x_i A) . y (None
+    when it is zero), and new = b_kk (yA).y + v_k.y mod p on the block
+    points pts."""
+    k = g.k
     prefix = MQuadFn(g.M, k - 1, {ij: c for ij, c in g.b.items() if ij[1] < k}, g.v[: k - 1], g.u)
-    cross = [(i, c) for (i, j), c in g.b.items() if j == k and i < k]
-    new = (pts @ np.array(g.v[k - 1], dtype=np.int64)) % p
-    c = g.b.get((k, k), 0)
-    if c:
-        new = (new + c * ((((pts @ a) % p) * pts).sum(axis=1) % p)) % p
-    return prefix, cross, new
+    cross = {(i, j): c for (i, j), c in g.b.items() if i < j == k}
+    new = MQuadFn(g.M, 1, {(1, 1): g.b.get((k, k), 0)}, [g.v[k - 1]]).eval_array(pts)
+    return prefix, MQuadFn(g.M, k, cross) if cross else None, new
 
 
 def enumerate_mset(family, M: QuadForm, k: int, budget=DEFAULT_BUDGET):
     """V(family) as an (N, k*d) array, built block by block from the
     family's reduced rows, in lexicographic order.
 
-    A function with top block blk is pre(x) + cross(x) . y + new(y) on
+    A function with top block blk is pre(x) + cross(x, y) + new(y) on
     (prefix row x, block point y) (see _top_block_split).  The functions
     with no cross term and a constant pre filter the p^d block points once
     (the column cut); the others mask each chunk of prefix rows against the
@@ -406,7 +424,6 @@ def enumerate_mset(family, M: QuadForm, k: int, budget=DEFAULT_BUDGET):
     ENUM_CHUNK_ROWS counts those surviving cells.  The budget still charges
     every prefix row p^d block points, before each block."""
     p, d = M.p, M.d
-    a = np.array(M.A.rows, dtype=np.int64)
     by_block = {}
     for row in _reduced_rows(family, M, k):
         f = MQuadFn.from_coeff_vector(M, k, row)
@@ -419,27 +436,23 @@ def enumerate_mset(family, M: QuadForm, k: int, budget=DEFAULT_BUDGET):
         cut = np.ones(len(pts), dtype=bool)
         splits = []
         for f in by_block.get(blk, []):
-            prefix, cross_terms, new = _top_block_split(
-                restrict_blocks(f, M, list(range(1, blk + 1))), pts, a
-            )
-            if cross_terms or prefix.b or not prefix.is_pure():
-                splits.append((prefix, cross_terms, new))
+            prefix, cross, new = _top_block_split(restrict_blocks(f, M, list(range(1, blk + 1))), pts)
+            if cross is not None or prefix.b or not prefix.is_pure():
+                splits.append((prefix, cross, new))
             else:
                 cut &= (new + prefix.u) % p == 0
         block = pts[cut]
-        splits = [(prefix, cross_terms, new[cut]) for prefix, cross_terms, new in splits]
+        splits = [(prefix, cross, new[cut]) for prefix, cross, new in splits]
         step = max(1, ENUM_CHUNK_ROWS // max(len(block), 1))
         chunks = []  # (first prefix row, kept cells per row, kept columns)
         for start in range(0, len(partial), step):
             part = partial[start : start + step]
             mask = np.ones((len(part), len(block)), dtype=bool)
-            for prefix, cross_terms, new in splits:
+            for prefix, cross, new in splits:
                 vals = prefix.eval_array(part)[:, None] + new
-                if cross_terms:
-                    cross = np.zeros((len(part), d), dtype=np.int64)
-                    for i, c in cross_terms:
-                        cross = (cross + c * ((part[:, (i - 1) * d : i * d] @ a) % p)) % p
-                    vals += cross @ block.T
+                if cross is not None:
+                    rows, _, a, _ = cross._kernel
+                    vals += bilinear(part[:, rows], a, block, p, outer=True)
                 mask &= vals % p == 0
             chunks.append((start, np.count_nonzero(mask, axis=1), np.nonzero(mask)[1]))
         width = partial.shape[1]
@@ -532,31 +545,20 @@ def ideal_membership(P: FpMultiPoly, family, M: QuadForm, k: int):
 
     Degree-bounded, so success certifies containment of V(family) in V(P)
     but failure proves nothing (the general Nullstellensatz for M-sets is
-    open)."""
+    open).  The linear system is reduced once per value of (family, k,
+    deg P) by _membership_system; P only supplies the right-hand side.  The
+    unknowns are solve_linear's particular solution (free ones zero), and
+    the sum is re-verified, so a P outside the column span gets None."""
     p = M.p
     nvars = k * M.d
-    sq = max(P.degree() - 2, 0)
-    fpolys = [f.as_poly() for f in family]
-    monoms = _monomials_up_to(nvars, sq)
-    cols = []
-    for fp in fpolys:
-        for e in monoms:
-            cols.append(fp * FpMultiPoly(p, nvars, {e: 1}))
-    eq_monoms = _monomials_up_to(nvars, P.degree())
-    eq_index = {e: t for t, e in enumerate(eq_monoms)}
-    rows = [[0] * len(cols) for _ in eq_monoms]
-    for c, poly in enumerate(cols):
-        for e, coef in poly.terms.items():
-            if e not in eq_index:
-                return None
-            rows[eq_index[e]][c] = coef
-    rhs = [0] * len(eq_monoms)
-    for e, coef in P.terms.items():
-        rhs[eq_index[e]] = coef
-    try:
-        sol, _ = solve_linear(FpMatrix(M.field, rows), rhs)
-    except Infeasible:
+    system = _membership_system(p, M.d, k, tuple(map(_value_key, family)), P.degree())
+    if system is None:
         return None
+    fpolys, monoms, eq_monoms, pivots, inverse = system
+    rhs = [P.terms.get(e, 0) for e in eq_monoms]
+    sol = [0] * (len(fpolys) * len(monoms))
+    for c, row in zip(pivots, inverse):
+        sol[c] = sum(x * b for x, b in zip(row, rhs)) % p
     per = len(monoms)
     qs = [
         FpMultiPoly(p, nvars, dict(zip(monoms, sol[j * per : (j + 1) * per])))
@@ -570,8 +572,50 @@ def ideal_membership(P: FpMultiPoly, family, M: QuadForm, k: int):
     return qs
 
 
+def _value_key(f: MQuadFn):
+    """Everything f.as_poly() depends on, as a hashable value."""
+    return f.p, tuple(map(tuple, f.M.A.rows)), f.k, tuple(sorted(f.b.items())), tuple(map(tuple, f.v)), f.u
+
+
+@lru_cache(maxsize=MEMBERSHIP_CACHE_SIZE)
+def _membership_system(p, d, k, functions, degree):
+    """The system of ideal_membership for the functions with these
+    _value_keys, reduced once: one column per F_j times a monomial of
+    degree <= degree - 2, one row per monomial of degree <= degree.  None
+    when a column has a monomial of higher degree.
+
+    Otherwise (fpolys, monoms, eq_monoms, pivots, inverse): the F_j as
+    polynomials, the monomials multiplying them, then ffcore's
+    particular_solver of the system with its rows given as monomials: the
+    particular solution has x[pivots] = E b_r, b_r the coefficients of P
+    on those monomials."""
+    fpolys = [
+        MQuadFn(QuadForm(PrimeField(fp), list(map(list, a))), fk, dict(b), list(map(list, v)), u).as_poly()
+        for fp, a, fk, b, v, u in functions
+    ]
+    nvars = k * d
+    monoms = _monomials_up_to(nvars, max(degree - 2, 0))
+    eq_monoms = _monomials_up_to(nvars, degree)
+    eq_index = {e: t for t, e in enumerate(eq_monoms)}
+    cols = [fp * FpMultiPoly(p, nvars, {e: 1}) for fp in fpolys for e in monoms]
+    rows = [[0] * len(cols) for _ in eq_monoms]
+    for c, poly in enumerate(cols):
+        for e, coef in poly.terms.items():
+            if e not in eq_index:
+                return None
+            rows[eq_index[e]][c] = coef
+    chosen, pivots, inverse = particular_solver(FpMatrix(PrimeField(p), rows))
+    return tuple(fpolys), monoms, tuple(eq_monoms[i] for i in chosen), tuple(pivots), tuple(map(tuple, inverse))
+
+
 def sample_mset(family, M, k, rng, count):
-    """count points of V(family) by vectorized rejection sampling."""
+    """count points of V(family) by vectorized rejection sampling.
+
+    Batches of 4096 uniform rows of [p]^(k d) come from one numpy generator
+    seeded by rng.randrange(2^63); each function of the family is evaluated
+    only on the rows the earlier ones kept.  The kept rows are the first
+    count hits in draw order.  The budget is the draw cap, 4000 batches of
+    4096 rows: BudgetExceeded when they hold fewer than count hits."""
     p, d = M.p, M.d
     np_rng = np.random.default_rng(rng.randrange(2**63))
     got = []

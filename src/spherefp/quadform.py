@@ -6,6 +6,10 @@ the parallel-matrix certificate.
 
 from __future__ import annotations
 
+from functools import cached_property
+
+import numpy as np
+
 from .ffcore import (  # TheoremViolation is re-exported from here
     BudgetExceeded,
     FpMatrix,
@@ -69,8 +73,6 @@ def _broadcast_values(p, rows, u, v, k):
     column of axis i, then the cross table 2 a_ij x_i x_j of each earlier
     axis j, then one reduction mod p.  Every product is reduced before the
     next, so no intermediate exceeds about p^2."""
-    import numpy as np
-
     x = np.arange(p, dtype=np.int64)
     grid = np.array(v, dtype=np.int64)
     for i in range(k):
@@ -83,6 +85,48 @@ def _broadcast_values(p, rows, u, v, k):
                 grid += table.reshape((p,) + (1,) * (i - j - 1) + (p,))
         grid %= p
     return grid
+
+
+def _entry_bound(x):
+    """A bound on the absolute values of an int64 array, in one pass: its
+    largest entry read as unsigned, so a negative entry reads as 2^63 or
+    more and gets its side reduced."""
+    return int(x.view(np.uint64).max()) if x.size else 0
+
+
+def bilinear(x, a, y, p, lin=None, outer=False):
+    """(x a + lin) . y row by row, or every row of x a + lin against every
+    row of y with outer, as int64 values congruent to it mod p.
+
+    x is (N, n), a is (n, m) and y is (N, m), or (N', m) with outer; a and
+    lin (length m) hold residues, x and y any int64 entries.  Every value is
+    below 2^62 in absolute value, so a caller adds a few residues and
+    reduces once.  As in fpoly._reduced_levels, a side is reduced mod p
+    only where a bound on its entries says the next sum of products could
+    reach that limit: x before the product with a, then x a, then y.  On
+    residues at p <= 13 and n, m <= 14 nothing is reduced.  Once all three
+    are reduced a sum may still reach the limit, about max(n, m) (p - 1)^2,
+    and such a p raises MalformedInput."""
+    limit = 2**62
+    n, m = a.shape
+    same = y is x
+    x = np.asarray(x, dtype=np.int64)
+    y = x if same else np.asarray(y, dtype=np.int64)
+    xb = _entry_bound(x)
+    yb = xb if same else _entry_bound(y)
+    if n * xb * (p - 1) + p >= limit:
+        x, xb = x % p, p - 1
+    xa = x @ a
+    if lin is not None:
+        xa += lin
+    xab = n * xb * (p - 1) + p - 1
+    if m * xab * yb >= limit:
+        xa, xab = xa % p, p - 1
+    if m * xab * yb >= limit:
+        y, yb = y % p, p - 1
+    if m * xab * yb >= limit:
+        raise MalformedInput(f"p = {p} is too large for exact int64 evaluation")
+    return xa @ y.T if outer else np.einsum("ij,ij->i", xa, y)
 
 
 class QuadForm:
@@ -118,14 +162,16 @@ class QuadForm:
         lin = sum(self.u[i] * n[i] for i in range(self.d)) % p
         return (q + lin + self.v) % p
 
-    def eval_array(self, points):
-        import numpy as np
+    @cached_property
+    def a64(self):
+        """A as a read-only int64 array, built once per form."""
+        a = np.array(self.A.rows, dtype=np.int64).reshape(self.d, self.d)
+        a.flags.writeable = False
+        return a
 
-        p = self.p
-        a = np.array(self.A.rows, dtype=np.int64)
+    def eval_array(self, points):
         u = np.array(self.u, dtype=np.int64)
-        q = ((points @ a) % p * points).sum(axis=1) % p
-        return (q + points @ u + self.v) % p
+        return (bilinear(points, self.a64, points, self.p, u) + self.v) % self.p
 
     def line_coefficients(self):
         """(a, b, c) with M(x', t) = a t^2 + b(x') t + c(x') on the lines

@@ -12,6 +12,7 @@ from spherefp.ffcore import (
     PrimeField,
     matrix_inverse,
     nullspace,
+    particular_solver,
     rank,
     rref,
     solve_linear,
@@ -304,6 +305,33 @@ def test_solve_linear_matches_numpy_reference(case):
 @pytest.mark.parametrize("kind", ["consistent", "inconsistent"])
 def test_solve_linear_matches_numpy_reference_at_largest_membership_shape(p, kind):
     _check_against_numpy_reference(_system(p, 700, 31, 0.05, kind, seed=p))
+
+
+def _apply_solver(solver, rhs, ncols, p):
+    rows, pivots, inverse = solver
+    x = [0] * ncols
+    for c, row in zip(pivots, inverse):
+        x[c] = sum(e * rhs[i] for e, i in zip(row, rows)) % p
+    return x
+
+
+@_settings
+@given(_systems())
+def test_particular_solver_gives_solve_linears_particular_solution(case):
+    # one reduction serves every right-hand side: a solvable one gets the
+    # particular solution of solve_linear, any other one a vector that
+    # fails mat x = b
+    p, rows, rhs, _ = case
+    m = FpMatrix(PrimeField(p), rows)
+    solver = particular_solver(m)
+    assert len(solver[0]) == len(solver[1]) == rank(m)
+    x = _apply_solver(solver, rhs, m.ncols, p)
+    try:
+        part, _ = solve_linear(m, rhs)
+    except Infeasible:
+        assert m.matvec(x) != rhs
+    else:
+        assert x == part
 
 
 @_settings

@@ -377,3 +377,21 @@ def test_no_raise_names_a_builtin_exception():
                 if isinstance(obj, type) and issubclass(obj, BaseException):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == [], f"raise of a builtin exception in src/spherefp: {found}"
+
+
+def test_one_quadratic_kernel():
+    # (x A + lin) . y is quadform.bilinear's alone, reduced where its bound
+    # says so; "@ a) % p", a product reduced mod p before it is summed, is
+    # the mark of a copy that reduces at every step
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted(SRC.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "@ a) % p" in line
+    ]
+    assert found == [], f"per-product reductions in src/spherefp: {found}"
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers += [f"{path.stem}.{name}" for name, fn in _functions(tree) if list(_calls(fn, "bilinear"))]
+    assert sorted(callers) == ["msets.MQuadFn.eval_array", "msets.enumerate_mset", "quadform.QuadForm.eval_array"]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -397,6 +399,112 @@ def test_ideal_membership(f5, rng):
     assert ideal_membership(FpMultiPoly.constant(5, 6, 1), fam, M, 2) is None
 
 
+def _ideal_membership_reference(P, family, M, k):
+    """ideal_membership as it was before its system was cached: the whole
+    (monomials x columns) system built and solved for every P."""
+    from spherefp.ffcore import Infeasible, solve_linear
+    from spherefp.fpoly import _binom_basis_indices as monomials_up_to
+
+    p = M.p
+    nvars = k * M.d
+    sq = max(P.degree() - 2, 0)
+    fpolys = [f.as_poly() for f in family]
+    monoms = monomials_up_to(nvars, sq)
+    cols = []
+    for fp in fpolys:
+        for e in monoms:
+            cols.append(fp * FpMultiPoly(p, nvars, {e: 1}))
+    eq_monoms = monomials_up_to(nvars, P.degree())
+    eq_index = {e: t for t, e in enumerate(eq_monoms)}
+    rows = [[0] * len(cols) for _ in eq_monoms]
+    for c, poly in enumerate(cols):
+        for e, coef in poly.terms.items():
+            if e not in eq_index:
+                return None
+            rows[eq_index[e]][c] = coef
+    rhs = [0] * len(eq_monoms)
+    for e, coef in P.terms.items():
+        rhs[eq_index[e]] = coef
+    try:
+        sol, _ = solve_linear(FpMatrix(M.field, rows), rhs)
+    except Infeasible:
+        return None
+    per = len(monoms)
+    qs = [
+        FpMultiPoly(p, nvars, dict(zip(monoms, sol[j * per : (j + 1) * per])))
+        for j in range(len(fpolys))
+    ]
+    check = FpMultiPoly.zero(p, nvars)
+    for fp, q in zip(fpolys, qs):
+        check = check + fp * q
+    if check != P:
+        return None
+    return qs
+
+
+def _qs_bytes(qs):
+    return None if qs is None else json.dumps([q.to_json() for q in qs])
+
+
+def _membership_cases(r, family, k, p, nvars):
+    """(kind, P): members (sums F_j Q_j, deg Q_j <= 1), a member plus one
+    monomial, a dense cubic, and polynomials of degree < 2, whose system
+    has a column monomial outside its rows."""
+    fpolys = [f.as_poly() for f in family]
+    for deg in (1, 0):
+        P = FpMultiPoly.zero(p, nvars)
+        for fp in fpolys:
+            P = P + fp * random_fp_poly(p, nvars, deg, r, 4)
+        yield "member", P
+        yield "plus a monomial", P + FpMultiPoly(p, nvars, {tuple(r.randrange(2) for _ in range(nvars)): 1})
+    yield "dense cubic", msets._random_poly(p, nvars, 3, r)
+    yield "low", FpMultiPoly.constant(p, nvars, 1 + r.randrange(p - 1))
+    yield "low", FpMultiPoly(p, nvars, {(1,) + (0,) * (nvars - 1): 1})
+    yield "low", FpMultiPoly.zero(p, nvars)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_cached_ideal_membership_matches_uncached_reference(p):
+    # the same Q_j, byte for byte, for members, non-members and
+    # polynomials whose system has a monomial outside its rows
+    r = random.Random(p)
+    M = QuadForm.dot_form(PrimeField(p), 3, radius=1)
+    N = random_form(PrimeField(p), 2, r, min_rank=1)
+    families = [(gowers_family(M, 1), M, 2), (sphere_family(M), M, 1)]
+    families.append(([_random_cross_fn(r, N, 2), _random_cross_fn(r, N, 2)], N, 2))
+    certified = {}
+    for family, form, k in families:
+        for kind, P in _membership_cases(r, family, k, p, k * form.d):
+            got = ideal_membership(P, family, form, k)
+            assert _qs_bytes(got) == _qs_bytes(_ideal_membership_reference(P, family, form, k))
+            certified.setdefault(kind, []).append(got is not None)
+    assert sum(certified["member"]) >= 5 and not any(certified["low"])
+
+
+def test_ideal_membership_system_is_keyed_by_value():
+    # two families equal in value, on distinct objects (forms included),
+    # share one reduced system; one coefficient apart, they have two
+    msets._membership_system.cache_clear()
+    M1 = QuadForm.dot_form(PrimeField(5), 3, radius=1)
+    M2 = QuadForm.dot_form(PrimeField(5), 3, radius=1)
+    fam1, fam2 = gowers_family(M1, 1), gowers_family(M2, 1)
+    r = random.Random(3)
+    P = FpMultiPoly.zero(5, 6)
+    for fp in (f.as_poly() for f in fam1):
+        P = P + fp * random_fp_poly(5, 6, 1, r, 4)
+    first = ideal_membership(P, fam1, M1, 2)
+    assert first is not None
+    assert _qs_bytes(ideal_membership(P, fam2, M2, 2)) == _qs_bytes(first)
+    info = msets._membership_system.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    fam3 = gowers_family(M2, 1)
+    fam3[0] = MQuadFn(M2, 2, {(1, 1): 1}, [[0, 0, 1], [0, 0, 0]], M2.v)
+    got = ideal_membership(P, fam3, M2, 2)
+    assert _qs_bytes(got) == _qs_bytes(_ideal_membership_reference(P, fam3, M2, 2))
+    info = msets._membership_system.cache_info()
+    assert (info.currsize, info.misses) == (2, 2)
+
+
 def test_sample_mset_hits_the_set(f5, rng):
     M = QuadForm.dot_form(f5, 3, radius=1)
     fam = gowers_family(M, 1)
@@ -638,6 +746,45 @@ def test_eval_array_reduces_before_scaling():
     assert F.eval_array(pts).tolist() == want
 
 
+def _kernel_inputs(r, p, n, width):
+    """Residues, then negatives, then entries >= p (up to 2^61, so that even
+    x is reduced before its product with A), one block of n rows each."""
+    big = min(2**61, 50 * p)
+    return np.array(
+        [[r.randrange(p) for _ in range(width)] for _ in range(n)]
+        + [[r.randrange(-big, 1) for _ in range(width)] for _ in range(n)]
+        + [[r.randrange(p, big) for _ in range(width)] for _ in range(n)]
+        + [[r.choice((2**61, -(2**61))) + r.randrange(p) for _ in range(width)] for _ in range(n)],
+        dtype=np.int64,
+    )
+
+
+@pytest.mark.parametrize("p", [5, 11, 2097169])
+def test_bilinear_kernel_matches_scalar_evaluate(p):
+    # MQuadFn.eval_array, QuadForm.eval_array and enumerate_mset's cross
+    # term share quadform.bilinear; every b_ij, cross terms and linear
+    # parts are drawn, and each row is checked against scalar evaluate
+    from spherefp.quadform import bilinear
+
+    r = random.Random(p)
+    for _ in range(6):
+        d, k = r.randint(1, 4), r.randint(1, 3)
+        M = random_form(PrimeField(p), d, r)
+        F = _random_cross_fn(r, M, k)
+        pts = _kernel_inputs(r, p, 12, k * d)
+        want = [F.evaluate([row[i * d : (i + 1) * d] for i in range(k)]) for row in pts.tolist()]
+        assert F.eval_array(pts).tolist() == want
+        blocks = pts[:, :d]
+        assert M.eval_array(blocks).tolist() == [M.evaluate(row) for row in blocks.tolist()]
+        # the outer form (x a) . y for every pair of rows, as enumerate_mset uses it
+        a = np.array([[r.randrange(p) for _ in range(d)] for _ in range(k * d)], dtype=np.int64)
+        vals = bilinear(pts, a, blocks, p, outer=True)
+        assert np.abs(vals).max() < 2**62
+        want = [[sum(x * int(a[i, j]) * y[j] for i, x in enumerate(xr) for j in range(d)) % p for y in blocks.tolist()]
+                for xr in pts.tolist()]
+        assert (vals % p).tolist() == want
+
+
 def _enumerate_mset_reference(family, M, k):
     """The block product filter enumerate_mset replaced: every candidate row
     (prefix, y) is materialised with repeat/tile and kept when each standard
@@ -856,6 +1003,26 @@ def test_sample_mset_matches_all_rows_reference(p):
             want = _sample_mset_reference(fam, M, s + 1, random.Random(seed), count)
             assert got.shape == (count, (s + 1) * 3)
             assert np.array_equal(got, want)
+
+
+# SHA-256 of the bench's sampled probe configuration (Box_1 at p in {7, 11},
+# d = 7, 1500 samples, seeds 0-2): the sample_mset arrays as little-endian
+# int64 bytes, and the json.dumps(..., sort_keys=True) of the verdict lists
+PROBE_SAMPLES_SHA256 = "ceadf044b5b36b97c5c461afc6e50842136a9c0f70ea9b5d1f46dcb51507f6d1"
+PROBE_VERDICTS_SHA256 = "6e546a8c2046bad44d5963c292b3cc8094618189c3454412461738e6d23b1c02"
+
+
+def test_sampled_probe_bytes_are_pinned():
+    samples, verdicts = hashlib.sha256(), []
+    for p in (7, 11):
+        M = QuadForm.dot_form(PrimeField(p), 7, radius=1)
+        fam = gowers_family(M, 1)
+        for seed in range(3):
+            pts = sample_mset(fam, M, 2, random.Random(seed), 1500)
+            samples.update(np.ascontiguousarray(pts, dtype="<i8").tobytes())
+            verdicts.append(irreducibility_probe(fam, M, 2, 3, 0.3, 10, random.Random(seed), samples=1500))
+    assert samples.hexdigest() == PROBE_SAMPLES_SHA256
+    assert hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest() == PROBE_VERDICTS_SHA256
 
 
 # -- one echelon per family, one beta per function ------------------------------------
