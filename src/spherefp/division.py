@@ -406,11 +406,6 @@ def _cube_differences(g: FpMultiPoly, n, hs):
     return (signs @ vals) % p
 
 
-def _cube(prefix, h):
-    """The tuple (n, h_1..h_s) of a Box_s walk row, as tuples of ints."""
-    return tuple(tuple(int(x) for x in pt) for pt in (*prefix, h))
-
-
 def _first_cube(M: QuadForm, s: int, budget, values):
     """First (n, h_1..h_s) in Box_s(V(M)), lexicographic, on which
     values(n, [h_1..h_s]) is nonzero mod p; None if the walk completes
@@ -421,7 +416,7 @@ def _first_cube(M: QuadForm, s: int, budget, values):
         pts = [*prefix, H[:room]]
         hit = np.flatnonzero(values(pts[0], pts[1:]) % M.p)
         if len(hit):
-            return _cube(prefix, H[hit[0]])
+            return tuple(tuple(int(x) for x in pt) for pt in (*prefix, H[hit[0]]))
     return None
 
 
@@ -464,44 +459,37 @@ def gowers_equation_solve(P: FpMultiPoly, Q: FpMultiPoly, M: QuadForm, s: int, b
 
         Delta_{h_{s-1}}..Delta_{h_1} P(n) + Delta_{h_s}..Delta_{h_1} Q(n) = 0
 
-    (the P-block is P(n) itself when s = 1).  On success returns
-    ('factorization', P1, P2, Q1, Q2) with P = M P1 + P2, Q = M Q1 + Q2 and
-    the degree bounds deg P2 <= s - 2, deg Q2 <= s - 1; a violated
-    hypothesis returns ('witness', cube).  s, then the rank, then the arity
-    of P and Q are checked first.  Box_s is checked with gowers_set next, at
-    every s, so a Box_s that does not fit the budget is refused before any
-    of it is scanned; one that fits fits the scan too, which charges a
-    prefix of the same walk.  For s <= 2 that check counts Box_s in closed
-    form, so it enumerates nothing."""
+    (the P-block is P(n) itself when s = 1).  Returns ('factorization',
+    P1, P2, Q1, Q2) with P = M P1 + P2, Q = M Q1 + Q2 and the degree bounds
+    deg P2 <= s - 2, deg Q2 <= s - 1, or ('witness', cube) with the
+    lexicographically first cube (n, h_1..h_s) on which the equation fails.
+
+    s, then the rank, then the arity of P and Q are checked first.  Box_s is
+    checked with gowers_set next, so a Box_s that does not fit the budget is
+    refused before any other work; for s <= 2 that count is a closed form.
+    The factorization is tried before any scan, as in intrinsic_decompose,
+    and is a proof on its own: every corner of a Box_s cube lies in V(M), so
+    the M P1 and M Q1 terms vanish on it, and the (s-1)-fold difference of
+    P2 and the s-fold difference of Q2 vanish by degree.  Only when a
+    reduction fails is Box_s scanned (_first_cube, a prefix of the walk
+    gowers_set has fitted), at every s."""
     _check_count("s", s, 1)  # the P-block takes s - 1 differences
     if qf_rank(M) < s + 3:
         raise RankHypothesisFailed("needs rank(M) >= s + 3")
     _check_arity(M, P, Q)
     gowers_set(M, s, None, budget)
-    if s == 1:
-        # P(n) + Q(n+h) - Q(n) = 0 on Box_1 = {(n, m - n) : n, m in V(M)}
-        zeros = enumerate_zeros(M, None, budget)
-        pv, qv = FpMultiPoly.eval_many([P, Q], zeros)
-        diff = (pv[:, None] - qv[:, None] + qv[None, :]) % M.p
-        bad = np.argwhere(diff != 0)
-        if len(bad):
-            i, j = bad[0]
-            return "witness", _cube((zeros[i],), (zeros[j] - zeros[i]) % M.p)
-    else:
-        witness = _first_cube(
-            M, s, budget, lambda n, hs: _cube_differences(P, n, hs[:-1]) + _cube_differences(Q, n, hs)
-        )
-        if witness is not None:
-            return "witness", witness
     rp = reduce_mod_form(P, M, s - 2)
     rq = reduce_mod_form(Q, M, s - 1)
-    if rp is None or rq is None:
+    if rp is not None and rq is not None:
+        return "factorization", *rp, *rq
+    witness = _first_cube(
+        M, s, budget, lambda n, hs: _cube_differences(P, n, hs[:-1]) + _cube_differences(Q, n, hs)
+    )
+    if witness is None:
         raise TheoremViolation(
             "cube equation holds on Box_s but a factorization does not exist"
         )
-    p1, p2 = rp
-    q1, q2 = rq
-    return "factorization", p1, p2, q1, q2
+    return "witness", witness
 
 
 # -- Z/p quadratic forms and the lifting trick ----------------------------------
@@ -518,7 +506,9 @@ class ZpQuadForm:
             for j in range(self.d):
                 if self.A[i][j] != self.A[j][i]:
                     raise MalformedInput("A must be symmetric")
-        self.u = [int(x) for x in (u or [0] * self.d)]
+        self.u = [int(x) for x in ([0] * self.d if u is None else u)]
+        if len(self.u) != self.d:
+            raise MalformedInput("u has wrong length")
         self.v = int(v)
 
     @classmethod

@@ -59,7 +59,7 @@ class MQuadFn:
             c = c % self.p
             if c:
                 self.b[(i, j)] = c
-        v = v or [[0] * self.d] * k
+        v = [[0] * self.d] * k if v is None else v
         if len(v) != k or any(len(row) != self.d for row in v):
             raise MalformedInput("v must hold k vectors of length d")
         self.v = [[x % self.p for x in row] for row in v]

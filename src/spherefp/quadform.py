@@ -139,7 +139,7 @@ class QuadForm:
         if not self.A.is_symmetric():
             raise MalformedInput("A must be symmetric")
         self.d = self.A.nrows
-        self.u = [field.red(x) for x in (u or [0] * self.d)]
+        self.u = [field.red(x) for x in ([0] * self.d if u is None else u)]
         if len(self.u) != self.d:
             raise MalformedInput("u has wrong length")
         self.v = field.red(v)
@@ -440,13 +440,10 @@ def perp(M: QuadForm, direction_basis):
 
 
 def gram_matrix(M: QuadForm, vectors):
-    field = M.field
-    p = field.p
-    rows = []
-    for hi in vectors:
-        hia = M.A.vecmat(hi)
-        rows.append([sum(hia[k] * hj[k] for k in range(M.d)) % p for hj in vectors])
-    return FpMatrix(field, rows)
+    """((h_i A).h_j): the matrix of M pulled back through the vectors."""
+    if not vectors:
+        return FpMatrix(M.field, [])
+    return M.composed(vectors).A
 
 def isotropic_test(M: QuadForm, vectors) -> bool:
     """True iff the Gram matrix ((h_i A).h_j) is singular."""
@@ -461,10 +458,7 @@ def restricted_rank(M: QuadForm, S: AffineSubspace) -> int:
     parametrization; independent of the choice)."""
     if not S.basis:
         return 0
-    field = M.field
-    B = FpMatrix(field, S.basis)
-    A2 = B.matmul(M.A).matmul(B.transpose())
-    return mat_rank(A2)
+    return mat_rank(M.composed(S.basis).A)
 
 
 def find_nonisotropic(M: QuadForm, k: int):

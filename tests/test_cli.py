@@ -487,6 +487,10 @@ MALFORMED = [
     (["mset-repr"], {"form": DOT4, "family": {"k": True, "functions": []}}, "true is not an integer"),
     (["mset-repr"], {"form": DOT4, "family": {"k": -1, "functions": []}}, "k must be an integer >= 1, got -1"),
     (["mset-repr"], {"form": DOT4, "family": {"k": "2", "functions": []}}, "k must be an integer >= 1, got '2'"),
+    # an empty u or v was read as all zeros (exit 0)
+    (["normalize"], DOT3 | {"u": []}, "u has wrong length"),
+    (["decompose", "--kind", "sphere-periodic"], {"form": ZP4 | {"u": []}, "poly": X1}, "u has wrong length"),
+    (["mset-repr"], _family([]), "v must hold k vectors of length d"),
 ]
 
 

@@ -271,9 +271,10 @@ def test_intrinsic_decompose_agreement(f5, rng):
                 )
 
 
-def test_gowers_equation_forward_and_adversarial(f5, rng):
+def test_gowers_equation_forward_and_adversarial(monkeypatch, f5, rng):
     M = QuadForm.dot_form(f5, 4, radius=1)
     mp = M.as_poly()
+    forward = []
     for _ in range(10):
         p1 = random_fp_poly(5, 4, 0, rng)
         q1 = random_fp_poly(5, 4, 1, rng)
@@ -285,6 +286,14 @@ def test_gowers_equation_forward_and_adversarial(f5, rng):
         _, r1, r2, s1, s2 = res
         assert mp * r1 + r2 == P and mp * s1 + s2 == Q
         assert r2.degree() <= -1 and s2.degree() <= 0
+        forward.append((P, Q))
+    # the factorization is a proof: with both reductions made to fail, the
+    # solver's own scan of Box_1 finds no witness on any forward instance
+    with monkeypatch.context() as patch:
+        patch.setattr(division, "reduce_mod_form", lambda *args: None)
+        for P, Q in forward:
+            with pytest.raises(TheoremViolation, match="^cube equation holds on Box_s"):
+                gowers_equation_solve(P, Q, M, 1)
     # adversarial random pair: witness on Box_1
     P, Q = random_fp_poly(5, 4, 2, rng), random_fp_poly(5, 4, 3, rng)
     res = gowers_equation_solve(P, Q, M, 1)
@@ -454,18 +463,28 @@ def test_gowers_equation_refuses_box_s_before_any_scan(monkeypatch, f5):
     monkeypatch.setattr(division, "_first_cube", never)
     with pytest.raises(BudgetExceeded, match=r"^Box_2 walk exceeds budget 100000$"):
         gowers_equation_solve(P, Q, M, 2, budget=10**5)
+    # once Box_2 fits, the factorization is the answer and proves it, so the
+    # 57,768,750 tuples are not scanned
+    res = gowers_equation_solve(P, Q, M, 2, budget=10**8)
+    assert res == (
+        "factorization",
+        FpMultiPoly.constant(5, 5, 2),
+        FpMultiPoly.zero(5, 5),
+        FpMultiPoly(5, 5, {(1, 0, 0, 0, 0): 1}),
+        FpMultiPoly(5, 5, {(0, 1, 0, 0, 0): 3}),
+    )
 
 
 def test_gowers_equation_s1_budget_is_box_1s_rule(monkeypatch, f5, rng):
-    # the N x N table at s = 1 is checked by gowers_set's rule for Box_1,
-    # N (N + 1) tuples, with its message, before the table is built
+    # the s = 1 cube equation is checked by gowers_set's rule for Box_1,
+    # N (N + 1) tuples, with its message, before any polynomial is evaluated
     M = QuadForm.dot_form(f5, 4, radius=1)
     N = len(enumerate_zeros(M))
     mp = M.as_poly()
     P = mp * random_fp_poly(5, 4, 0, rng)
     Q = mp * random_fp_poly(5, 4, 1, rng) + FpMultiPoly.constant(5, 4, 2)
     assert gowers_equation_solve(P, Q, M, 1, budget=N * N + N)[0] == "factorization"
-    monkeypatch.setattr(FpMultiPoly, "eval_many", None)  # the table is never built
+    monkeypatch.setattr(FpMultiPoly, "eval_many", None)  # nothing is evaluated before the refusal
     for budget in (N * N + N - 1, N * N):
         with pytest.raises(BudgetExceeded, match=rf"^Box_1 walk exceeds budget {budget}$"):
             gowers_equation_solve(P, Q, M, 1, budget=budget)
@@ -924,6 +943,69 @@ def test_gowers_equation_s2_matches_per_tuple_check(monkeypatch, f5, rng):
     Q = mp * random_fp_poly(5, 5, 1, rng) + random_fp_poly(5, 5, 1, rng)
     assert per_tuple(P, Q) is None
     assert gowers_equation_solve(P, Q, M, 2)[0] == "factorization"
+    # and the solver's own scan agrees once both reductions are made to fail
+    monkeypatch.setattr(division, "reduce_mod_form", lambda *args: None)
+    with pytest.raises(TheoremViolation, match="^cube equation holds on Box_s"):
+        gowers_equation_solve(P, Q, M, 2)
+
+
+def _box1_first(P, Q, M, order="h"):
+    """The first (n, h) of Box_1(V(M)) with P(n) + Q(n + h) - Q(n) != 0, by
+    one scalar _cube_difference per pair, n in lexicographic order and for
+    each n the h (order "h") or the m = n + h (order "m") in lexicographic
+    order; None if the equation holds on all of Box_1."""
+    p = M.p
+    zeros = [tuple(n) for n in enumerate_zeros(M).tolist()]
+    on = set(zeros)
+    for n in zeros:
+        if order == "h":
+            hs = itertools.product(range(p), repeat=M.d)
+        else:
+            hs = (tuple((a - b) % p for a, b in zip(m, n)) for m in zeros)
+        for h in hs:
+            m = tuple((a + b) % p for a, b in zip(n, h))
+            if m in on and (_cube_difference(P, n, []) + _cube_difference(Q, n, [h])) % p:
+                return n, h
+    return None
+
+
+def test_gowers_equation_s1_matches_per_tuple_check(f5, rng):
+    # s = 1 takes the path of every s: the witness is the first (n, h) in
+    # lexicographic order, as in first_gowers_witness, not the first (n, m)
+    sphere = QuadForm.dot_form(f5, 4, radius=1)
+    reordered = 0
+    for trial in range(16):
+        if trial % 2:  # a shifted sphere with P = 0
+            M = sphere.shifted([rng.randrange(5) for _ in range(4)])
+            P = FpMultiPoly.zero(5, 4)
+        else:
+            M, P = sphere, random_fp_poly(5, 4, 2, rng)
+        Q = random_fp_poly(5, 4, 3, rng)
+        want = _box1_first(P, Q, M)
+        res = gowers_equation_solve(P, Q, M, 1)
+        if want is None:
+            assert res[0] == "factorization"
+        else:
+            assert res == ("witness", want)
+            reordered += want != _box1_first(P, Q, M, order="m")
+    assert reordered  # at least one witness where the (n, m) order differs
+
+
+def test_gowers_equation_s1_witness_builds_no_pair_table(rng):
+    # at p = 17, d = 4, N = |V(M)| is about 4900: an N x N int64 table of
+    # pairs would take about 190 MB, the scan a few blocks of N rows
+    import tracemalloc
+
+    M = QuadForm.dot_form(PrimeField(17), 4, radius=1)
+    P, Q = random_fp_poly(17, 4, 2, rng), random_fp_poly(17, 4, 3, rng)
+    tracemalloc.start()
+    try:
+        res = gowers_equation_solve(P, Q, M, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res[0] == "witness"
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # -- the re-verify steps reject a corrupted certificate ---------------------------

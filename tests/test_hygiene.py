@@ -250,7 +250,8 @@ def test_box_s_has_one_walk_one_scan_and_one_budget_rule():
 def test_checks_run_once_before_the_work_they_guard():
     # the nice search solves its translation system once, before the block
     # orders are tried (an order only reorders its equations), and the cube
-    # equation checks that Box_s fits once, before any scan, at every s
+    # equation checks that Box_s fits once, then tries the factorization,
+    # and scans Box_s only after both reductions, on one path at every s
     loop_kinds = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     search = dict(_functions(ast.parse((SRC / "msets.py").read_text())))["_nice_search"]
     in_loops = {node for loop in ast.walk(search) if isinstance(loop, loop_kinds) for node in ast.walk(loop)}
@@ -258,10 +259,17 @@ def test_checks_run_once_before_the_work_they_guard():
     assert len(solves) == 1 and solves[0] not in in_loops
     solve = dict(_functions(ast.parse((SRC / "division.py").read_text())))["gowers_equation_solve"]
     assert len(list(_calls(solve, "gowers_set"))) == 1
-    # the count is a statement of the body itself, ahead of the s = 1 branch
+    # the count is a statement of the body itself, ahead of both reductions,
+    # and both come before the one scan; no table of V(M) values is built
     body = [ast.unparse(node) for node in solve.body]
-    branch = next(i for i, line in enumerate(body) if line.startswith("if s == 1"))
-    assert body.index("gowers_set(M, s, None, budget)") < branch
+    count = body.index("gowers_set(M, s, None, budget)")
+    reductions = [i for i, line in enumerate(body) if "reduce_mod_form(" in line]
+    scans = [i for i, line in enumerate(body) if "_first_cube(" in line]
+    assert len(reductions) == 2 and len(scans) == 1
+    assert count < min(reductions) and max(reductions) < scans[0]
+    assert len(list(_calls(solve, "reduce_mod_form"))) == 2
+    for name in ("enumerate_zeros", "eval_many"):
+        assert list(_calls(solve, name)) == []
 
 
 def test_one_memo_of_sphere_systems():
