@@ -115,7 +115,7 @@ def cmd_count(args):
         S = None
         if isinstance(data, dict) and data.get("subspace"):
             S = AffineSubspace.from_json(M.field, data["subspace"])
-    rep = counting.zero_count_check(M, S, args.budget)
+    rep = counting.zero_count_check(M, S)
     _emit(rep.to_json(), args.out)
     return EXIT_FIRST
 

@@ -7,8 +7,9 @@ representatives so point lists are reproducible byte for byte.  Complex
 sums are assembled from a residue histogram (np.bincount) and a length-p
 table of roots of unity, summed with math.fsum, so the only float error is
 the final compensated accumulation.  Counts that need no point list,
-|V(M) n (V+c)| and |Box_s| for s <= 2, are closed forms from one
-congruence diagonalization and the Gauss-sum zero counts of quadrics.
+|V(M) n (V+c)|, |V(M)^{h_1..h_r}| and |Box_s| for s <= 2, are closed forms
+from one congruence diagonalization and the Gauss-sum zero counts of
+quadrics, and take no budget: a budget meters only an enumeration that runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ffcore import (
-    BudgetExceeded, FpMatrix, HypothesisNotMet, MalformedInput, TheoremViolation, rank as mat_rank,
+    BudgetExceeded, FpMatrix, HypothesisNotMet, MalformedInput, TheoremViolation, rank as mat_rank, solve_linear,
 )
 from .quadform import AffineSubspace, QuadForm, _congruence_diagonalize, qf_rank
 # after quadform, which loads fpoly: loading fpoly here first changes the
@@ -96,11 +97,6 @@ def _check_delta(delta, name="delta"):
         raise MalformedInput(f"{name} must lie in (0, 1], got {delta}")
 
 
-def _check_budget(size, budget):
-    if size > budget:
-        raise BudgetExceeded(f"enumeration of size {size} exceeds budget {budget}")
-
-
 def _check_subspace(M: QuadForm, S: AffineSubspace | None):
     """S against M: its ambient dimension, then its prime."""
     if S is not None:
@@ -111,10 +107,12 @@ def _check_subspace(M: QuadForm, S: AffineSubspace | None):
 
 
 def _check_slice(M: QuadForm, S: AffineSubspace | None, budget):
-    """The checks before any work on V(M) n (V + c): the subspace against M,
-    then p^d (p^k on V + c) against the budget."""
+    """The checks before any enumeration of V(M) n (V + c): the subspace
+    against M, then p^d (p^k on V + c) against the budget."""
     _check_subspace(M, S)
-    _check_budget(M.p ** (M.d if S is None else S.dim()), budget)
+    size = M.p ** (M.d if S is None else S.dim())
+    if size > budget:
+        raise BudgetExceeded(f"enumeration of size {size} exceeds budget {budget}")
 
 
 def _inverses(p):
@@ -308,22 +306,19 @@ def _box_size(field, s, form):
     return box
 
 
-def zero_count_check(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
+def zero_count_check(M: QuadForm, S: AffineSubspace | None = None):
     """|V(M) n (V+c)| against p^{d-r-1} with error exponent (s-2)/2,
     s = rank of the restricted form (needs s >= 3).  The subspace is checked
     against M first; one congruence diagonalization (_zero_set_class) then
-    gives s for the rank check and, once p^d (p^k on V + c) has passed the
-    budget, the count in closed form (_box_size at s = 0)."""
+    gives s for the rank check and the count in closed form (_box_size at
+    s = 0), so nothing is enumerated and no budget is taken."""
     _check_subspace(M, S)
     form = k, s, _, _ = _zero_set_class(M, S)
     if s < 3:
         raise RankHypothesisFailed(f"restricted rank {s} < 3")
-    _check_budget(M.p**k, budget)
     exact = _box_size(M.field, 0, form)
-    d = M.d
-    r = d - k
-    main = Fraction(M.p) ** (d - r - 1)
-    bound = float(M.p) ** (d - r - 1 - (s - 2) / 2)
+    main = Fraction(M.p) ** (k - 1)  # d - r - 1, r the codimension of V + c
+    bound = float(M.p) ** (k - 1 - (s - 2) / 2)
     return CountReport(exact, main, bound)
 
 
@@ -375,17 +370,16 @@ def gauss_sum(p: int, j: int):
     return root_sum(counts, p)
 
 
-def quadratic_root_count(M: QuadForm, budget=DEFAULT_BUDGET):
+def quadratic_root_count(M: QuadForm):
     """#{n : M(n) is a square} against p^d / 2: the sum of |V(M - t)| over
-    t = 0 and the nonzero squares, each in closed form (_box_size at s = 0).
-    M - t differs from M only in v, so its kappa is kappa - t.  The rank r
-    is the one _zero_set_class reads, checked before p^d against the
-    budget."""
+    t = 0 and the nonzero squares, each in closed form (_box_size at s = 0),
+    so nothing is enumerated and no budget is taken.  M - t differs from M
+    only in v, so its kappa is kappa - t.  The rank r is the one
+    _zero_set_class reads."""
     k, r, eta, kappa = _zero_set_class(M)
     if r < 2:
         raise RankHypothesisFailed(f"rank {r} < 2")
     p = M.p
-    _check_budget(p**M.d, budget)
     exact = sum(
         _box_size(M.field, 0, (k, r, eta, None if kappa is None else (kappa - t) % p))
         for t in {x * x % p for x in range(p)}
@@ -396,32 +390,31 @@ def quadratic_root_count(M: QuadForm, budget=DEFAULT_BUDGET):
     return CountReport(exact, main, bound)
 
 
-def enumerate_vmh(M: QuadForm, shifts, budget=DEFAULT_BUDGET):
-    """V(M)^{h_1..h_r} = V(M) n (intersection of V(M(.+h_i))), lex order:
-    the rows n of V(M) with M(n + h) = 0 for each h."""
-    field = M.field
-    r = len(shifts)
-    if any(len(h) != M.d for h in shifts):
-        raise MalformedInput(f"every shift must have length d = {M.d}")
-    if r:
-        if mat_rank(FpMatrix(field, [list(h) for h in shifts])) < r:
-            raise DependentShifts("shift vectors are linearly dependent")
-    if qf_rank(M) < M.d:
+def vmh_count_report(M: QuadForm, shifts):
+    """|V(M)^{h_1..h_r}|, V(M) n V(M(. + h_1)) n .., against p^{d-r-1}
+    with error p^{d-r-1.5}, after the shift, rank and d - 2r checks.
+    M(n + h) - M(n) = 2 nAh + M(h) - v is linear in n, so the set is the
+    slice V(M) n L_h, L_h = {n : 2 nAh_i = v - M(h_i) for every i}, of
+    codimension r as M is non-degenerate and the h_i independent: one
+    solve_linear and a closed form (_box_size at s = 0), no budget."""
+    field, d, r = M.field, M.d, len(shifts)
+    if any(len(h) != d for h in shifts):
+        raise MalformedInput(f"every shift must have length d = {d}")
+    if r and mat_rank(FpMatrix(field, [list(h) for h in shifts])) < r:
+        raise DependentShifts("shift vectors are linearly dependent")
+    if qf_rank(M) < d:
         raise RankHypothesisFailed("M must be non-degenerate")
-    if M.d - 2 * r < 3:
-        raise RankHypothesisFailed(f"need d - 2r >= 3, got {M.d - 2 * r}")
-    pts = enumerate_zeros(M, None, budget)
-    for h in shifts:
-        pts = pts[M.eval_array((pts + np.array(h, dtype=np.int64)) % M.p) == 0]
-    return pts
-
-
-def vmh_count_report(M: QuadForm, shifts, budget=DEFAULT_BUDGET):
-    pts = enumerate_vmh(M, shifts, budget)
-    d, r, p = M.d, len(shifts), M.p
-    main = Fraction(p) ** (d - r - 1)
-    bound = float(p) ** (d - r - 1.5)
-    return CountReport(len(pts), main, bound)
+    if d - 2 * r < 3:
+        raise RankHypothesisFailed(f"need d - 2r >= 3, got {d - 2 * r}")
+    L = None
+    if r:
+        rows = [[2 * x for x in M.A.vecmat(h)] for h in shifts]
+        offset, basis = solve_linear(FpMatrix(field, rows), [M.v - M.evaluate(h) for h in shifts])
+        L = AffineSubspace(field, basis, offset)
+    exact = _box_size(field, 0, _zero_set_class(M, L))
+    main = Fraction(M.p) ** (d - r - 1)
+    bound = float(M.p) ** (d - r - 1.5)
+    return CountReport(exact, main, bound)
 
 
 def _children(prefix, keep, H, cand, A, p):
@@ -475,7 +468,7 @@ def gowers_blocks(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=D
     candidates at n are the differences (b - n) mod p over its rows b, in lex
     order; each h_i of the prefix narrows them by (h_i A) . h = 0, and cube
     membership reduces to these pairwise conditions (_walk).  The witness
-    scans read it; gowers_set counts the same tuples on the unsorted walk.
+    scans read it; _metered_gowers_set counts its tuples, walking unsorted.
 
     Budget: one unit per tuple (n, h_1..h_t), t <= s.  A prefix is charged
     when the walk reaches it, the rows of H when the consumer resumes after
@@ -519,37 +512,34 @@ def gowers_set(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFA
     """|Box_s(V(M) n (V+c))|: the number of tuples (n, h_1..h_s) whose full
     cube lies in the set (the points n themselves at s = 0).
 
-    For s <= 2 nothing is enumerated: with N = |V(M) n (V+c)| and
-    |Box_2| in closed form (_box_size), and |Box_1| = N^2, since n and
-    n + h_1 range over the set independently.  For s >= 3 the candidates at
-    n are (b - n) mod p over the rows b, unsorted; _walk reaches the nodes
-    (n, h_1..h_{s-2}) as in gowers_blocks, and a node whose candidate rows
-    are H has |H| children and, as their leaves, the pairs of H with
-    (h A) . h' = 0 (_pair_zeros).
-
-    Budget: gowers_blocks' rule, one unit per tuple (n, h_1..h_t), t <= s,
-    so it raises exactly when that walk does, with its message.  The subspace
-    and p^d (p^k on V + c) are checked first, as by enumerate_zeros; then
-    |Box_0|, |Box_1| and |Box_2| are charged in turn, so a budget below
-    N (N + 1) is refused before any Box_2 work, and for s >= 3 before the
-    walk, which then charges its own tuples from the start.  On F_p^d the
-    tuples as rows n | h_1 | .. | h_s are
+    For s <= 2 it is a closed form: s and the subspace are checked, nothing
+    is enumerated and no budget is taken.  N = |V(M) n (V+c)| and |Box_2|
+    come from one _zero_set_class (_box_size), and |Box_1| = N^2, since n
+    and n + h_1 range over the set independently.  For s >= 3 it walks,
+    under the walk's budget rule (_metered_gowers_set).  On F_p^d the tuples
+    as rows n | h_1 | .. | h_s are
     enumerate_mset(gowers_family(M, s), M, s + 1)."""
     _check_count("s", s, 0)
+    if s <= 2:
+        _check_subspace(M, S)
+        form = _zero_set_class(M, S)
+        return _box_size(M.field, 2, form) if s == 2 else _box_size(M.field, 0, form) ** (s + 1)
+    return _metered_gowers_set(M, s, S, budget)
+
+
+def _metered_gowers_set(M: QuadForm, s: int, S: AffineSubspace | None, budget):
+    """|Box_s(V(M) n (V+c))| under gowers_blocks' budget rule, one unit per
+    tuple (n, h_1..h_t), t <= s, refused exactly when that walk would be,
+    with its message: the fit check before a scan of Box_s.  After
+    _check_slice, |Box_0| + .. + |Box_min(s, 2)| (gowers_set) is charged;
+    for s >= 3 _walk then reaches the nodes (n, h_1..h_{s-2}) over the
+    unsorted candidates (b - n) mod p, and a node with candidate rows H has
+    |H| children and the pairs of H with (h A) . h' = 0 (_pair_zeros)."""
     _check_slice(M, S, budget)
-    charge = _box_meter(s, budget)
-    form = _zero_set_class(M, S)
-    N = _box_size(M.field, 0, form)
-    charge(N)
-    if s == 0:
-        return N
-    charge(N * N)
-    if s == 1:
-        return N * N
-    box2 = _box_size(M.field, 2, form)
-    charge(box2)
-    if s == 2:
-        return box2
+    counts = [gowers_set(M, t, S) for t in range(min(s, 2) + 1)]
+    _box_meter(s, budget)(sum(counts))
+    if s <= 2:
+        return counts[s]
     p = M.p
     base = enumerate_zeros(M, S, budget)
     charge = _box_meter(s, budget)
@@ -563,8 +553,8 @@ def gowers_set(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFA
 
 
 def gowers_count_report(M: QuadForm, s: int, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
-    """|Box_s(V(M) n (V+c))|, counted by gowers_set (in closed form for
-    s <= 2, with the walk's budget rule), against
+    """|Box_s(V(M) n (V+c))|, counted by gowers_set (in closed form and
+    free of budget for s <= 2, by the metered walk past it), against
     p^{(s+1)(d-r) - (s(s+1)/2 + 1)}, r the codimension of V + c.
 
     The main term is the proven one when rank(M|_{V+c}) >= s^2 + s + 3; the

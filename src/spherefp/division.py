@@ -28,9 +28,9 @@ from .counting import (
     RankHypothesisFailed,
     _check_count,
     _check_delta,
+    _metered_gowers_set,
     enumerate_zeros,
     gowers_blocks,
-    gowers_set,
 )
 from .ffcore import FpMatrix, HypothesisFailed, HypothesisNotMet, MalformedInput, PrimeField
 from .ffcore import TheoremViolation, matrix_inverse
@@ -295,11 +295,17 @@ def dichotomy(P: FpMultiPoly, M: QuadForm, delta: float, budget=DEFAULT_BUDGET):
 
 def antiderivative(Q: FpMultiPoly, M: QuadForm, budget=DEFAULT_BUDGET):
     """Given d1M diQ = diM d1Q on V(M) for all i and Q(0) = 0, produce Q'
-    with Q = M Q'.  Hypothesis failures carry (i, witness point)."""
+    with Q = M Q'.  Hypothesis failures carry (i, witness point).  A zero
+    remainder, Q = M W, is the answer and proves the hypothesis (each
+    d1M diQ - diM d1Q is M (d1M diW - diM d1W)), so only a Q that M does not
+    divide, or one of degree >= p, is scanned, under budget."""
     if Q.constant_term() != 0:
         raise HypothesisNotMet("antiderivative requires Q(0) = 0")
     if qf_rank(M) < 3:
         raise RankHypothesisFailed("antiderivative needs rank(M) >= 3")
+    cert = bij_division(Q, M) if Q.degree() < M.p else None
+    if cert is not None and cert.remainder_is_zero():
+        return cert.divisor_multiple()
     mp = M.as_poly()
     zeros = enumerate_zeros(M, None, budget)
     d1m = mp.partial(0)
@@ -313,18 +319,16 @@ def antiderivative(Q: FpMultiPoly, M: QuadForm, budget=DEFAULT_BUDGET):
                 (i + 1, tuple(int(x) for x in zeros[bad[0]])),
                 "derivative proportionality fails on V(M)",
             )
-    cert = bij_division(Q, M)
-    if not cert.remainder_is_zero():
-        if cert.r1.is_zero() and cert.r0.degree() <= 0:
-            # The proof machinery yields Q = M W + a; when M(0) != 0 the
-            # normalization Q(0) = 0 does not force a = 0, so the stated
-            # conclusion can fail by a constant (e.g. Q = n.n, M = n.n - r).
-            raise TheoremViolation(
-                "anti-derivative differs from a multiple of M by the nonzero "
-                f"constant {cert.r0.constant_term()}"
-            )
-        raise TheoremViolation("anti-derivative hypothesis holds but M does not divide Q")
-    return cert.divisor_multiple()
+    cert = cert or bij_division(Q, M)  # raises ValueRangeError at deg Q >= p
+    if cert.r1.is_zero() and cert.r0.degree() <= 0:
+        # The proof machinery yields Q = M W + a; when M(0) != 0 the
+        # normalization Q(0) = 0 does not force a = 0, so the stated
+        # conclusion can fail by a constant (e.g. Q = n.n, M = n.n - r).
+        raise TheoremViolation(
+            "anti-derivative differs from a multiple of M by the nonzero "
+            f"constant {cert.r0.constant_term()}"
+        )
+    raise TheoremViolation("anti-derivative hypothesis holds but M does not divide Q")
 
 
 # -- intrinsic decomposition and the Gowers equation ----------------------------
@@ -464,24 +468,22 @@ def gowers_equation_solve(P: FpMultiPoly, Q: FpMultiPoly, M: QuadForm, s: int, b
     deg P2 <= s - 2, deg Q2 <= s - 1, or ('witness', cube) with the
     lexicographically first cube (n, h_1..h_s) on which the equation fails.
 
-    s, then the rank, then the arity of P and Q are checked first.  Box_s is
-    checked with gowers_set next, so a Box_s that does not fit the budget is
-    refused before any other work; for s <= 2 that count is a closed form.
-    The factorization is tried before any scan, as in intrinsic_decompose,
-    and is a proof on its own: every corner of a Box_s cube lies in V(M), so
-    the M P1 and M Q1 terms vanish on it, and the (s-1)-fold difference of
-    P2 and the s-fold difference of Q2 vanish by degree.  Only when a
-    reduction fails is Box_s scanned (_first_cube, a prefix of the walk
-    gowers_set has fitted), at every s."""
+    After the s, rank and arity checks the factorization is tried, as in
+    intrinsic_decompose; it is a proof on its own and takes no budget: every
+    corner of a Box_s cube lies in V(M), so the M P1 and M Q1 terms vanish
+    on it, and the differences of P2 and Q2 vanish by degree.  Only when a
+    reduction fails is Box_s scanned (_first_cube), at every s, after the
+    walk's fit check (_metered_gowers_set), so a Box_s that does not fit is
+    refused before anything is evaluated."""
     _check_count("s", s, 1)  # the P-block takes s - 1 differences
     if qf_rank(M) < s + 3:
         raise RankHypothesisFailed("needs rank(M) >= s + 3")
     _check_arity(M, P, Q)
-    gowers_set(M, s, None, budget)
     rp = reduce_mod_form(P, M, s - 2)
     rq = reduce_mod_form(Q, M, s - 1)
     if rp is not None and rq is not None:
         return "factorization", *rp, *rq
+    _metered_gowers_set(M, s, None, budget)
     witness = _first_cube(
         M, s, budget, lambda n, hs: _cube_differences(P, n, hs[:-1]) + _cube_differences(Q, n, hs)
     )

@@ -138,9 +138,17 @@ def test_negative_exponents_in_rational_input_exit_2(tmp_path, args, blob):
     assert "exponents must be nonnegative" in proc.stderr
 
 
-def test_budget_exit_3(sphere_json):
-    code, _, err = run_cli(["count", "--json", sphere_json, "--budget", "10"])
-    assert code == 3
+def test_budget_exit_3(tmp_path, sphere_json):
+    # an enumeration past its budget exits 3: expsum enumerates V(M), 125
+    # candidates against 10.  The count is a closed form and takes no
+    # budget, so count --budget 1 reports what the default budget does
+    form = json.loads(open(sphere_json).read())
+    path = write(tmp_path, "expsum.json", {"form": form, "xi": [1, 0, 0]})
+    code, out, err = run_cli(["expsum", "--json", path, "--budget", "10"])
+    assert code == 3 and out == ""
+    assert err == "budget exceeded: enumeration of size 125 exceeds budget 10\n"
+    want = run_cli(["count", "--json", sphere_json])
+    assert want[0] == 0 and run_cli(["count", "--json", sphere_json, "--budget", "1"]) == want
 
 
 def test_gowers_walk_deeper_than_the_recursion_limit_exits_3(sphere_json, capsys):

@@ -14,7 +14,6 @@ from spherefp.counting import (
     DependentShifts,
     RankHypothesisFailed,
     all_points,
-    enumerate_vmh,
     enumerate_zeros,
     exp_sum,
     exp_sum_bound,
@@ -142,16 +141,15 @@ def test_quadratic_root_count(f5):
 
 def test_vmh(f5):
     M = QuadForm.dot_form(f5, 5, radius=1)
-    pts = enumerate_vmh(M, [(1, 0, 0, 0, 0)])
-    # every point satisfies M(n) = M(n + h) = 0
-    shifted = M.shifted([1, 0, 0, 0, 0])
-    assert all(M.evaluate(list(v)) == 0 and shifted.evaluate(list(v)) == 0 for v in pts[:20])
+    # the points with M(n) = M(n + h) = 0, counted point by point
+    want = reference_zeros(M)
+    want = want[M.shifted([1, 0, 0, 0, 0]).eval_array(want) == 0]
     rep = vmh_count_report(M, [(1, 0, 0, 0, 0)])
-    assert rep.passed and rep.main_term == 125
+    assert rep.exact == len(want) and rep.passed and rep.main_term == 125
 
-    assert len(enumerate_vmh(M, [])) == len(enumerate_zeros(M))
+    assert vmh_count_report(M, []).exact == len(enumerate_zeros(M))
     with pytest.raises(DependentShifts):
-        enumerate_vmh(M, [(1, 0, 0, 0, 0), (2, 0, 0, 0, 0)])
+        vmh_count_report(M, [(1, 0, 0, 0, 0), (2, 0, 0, 0, 0)])
 
 
 def test_gowers_sets(f5):
@@ -333,7 +331,6 @@ SET_ENUMERATORS = {
     "enumerate_zeros-S-empty": (
         lambda: enumerate_zeros(EMPTY2, AffineSubspace(F5, [[1, 1]], [0, 0])), 2, True,
     ),
-    "enumerate_vmh": (lambda: enumerate_vmh(QuadForm.dot_form(F5, 5, radius=1), [(1, 2, 0, 0, 0)]), 5, False),
     "ZpQuadForm.sphere_points": (lambda: ZpQuadForm.sphere(5, 3, 1).sphere_points(), 3, False),
     "ZpQuadForm.sphere_points-empty": (lambda: ZpQuadForm(5, [[0, 0], [0, 0]], None, 1).sphere_points(), 2, True),
     "equidist.sphere_points": (lambda: sphere_points(5, 3, 1), 3, False),
@@ -365,26 +362,33 @@ def test_set_enumerators_return_lex_ordered_int64_rows(name):
 
 
 def test_gowers_set_budget_counts_every_walked_tuple(f5):
-    # one unit per tuple (n, h_1..h_t), t <= s: |V| + |Box_1| + |Box_2|
-    # = 30 + 900 + 7650 (the parent's candidate count needed 116,250), with
-    # the walk's message one unit below; p^d = 125 is below both totals
+    # Box_s for s <= 2 is a closed form and takes no budget, so it answers
+    # at budget 1, on an empty V(M) too.  The walk's rule, one unit per
+    # tuple (n, h_1..h_t), t <= s, stays with what enumerates: the fit check
+    # of a Box_s scan charges |V| + |Box_1| + |Box_2| = 30 + 900 + 7650, with
+    # the walk's message one unit below, and p^d = 25 refuses first
     M = QuadForm.dot_form(f5, 3, radius=1)
     for s, used, count in ((1, 930, 900), (2, 8580, 7650)):
-        assert gowers_set(M, s, budget=used) == count
+        assert gowers_set(M, s, budget=1) == count
+        assert counting._metered_gowers_set(M, s, None, used) == count
         with pytest.raises(BudgetExceeded, match=rf"^Box_{s} walk exceeds budget {used - 1}$"):
-            gowers_set(M, s, budget=used - 1)
+            counting._metered_gowers_set(M, s, None, used - 1)
     for s in range(4):
+        if s <= 2:
+            assert gowers_set(EMPTY2, s, None, 1) == 0
         # V(M) is empty, so no tuple is charged: only p^d = 25 can refuse
+        count = gowers_set if s == 3 else counting._metered_gowers_set
         with pytest.raises(BudgetExceeded, match=r"^enumeration of size 25 exceeds budget 24$"):
-            gowers_set(EMPTY2, s, None, 24)
-        assert gowers_set(EMPTY2, s, None, 25) == 0
+            count(EMPTY2, s, None, 24)
+        assert count(EMPTY2, s, None, 25) == 0
 
 
 def test_gowers_set_refuses_below_n_n_plus_1_before_any_pair_product(monkeypatch, f5):
     # every walk at s >= 1 charges the N tuples (n) and the N^2 tuples
     # (n, h_1), so a budget below N (N + 1) is refused up front, with the
     # walk's message; |Box_2| is charged next, in closed form, so the s = 3
-    # walk starts, and reads pairs, only once |V| + |Box_1| + |Box_2| = 8580 fits
+    # walk starts, and reads pairs, only once |V| + |Box_1| + |Box_2| = 8580
+    # fits.  |Box_2| itself is free of budget
     M = QuadForm.dot_form(f5, 3, radius=1)
     N = 30
     real = counting._pair_zeros
@@ -395,16 +399,14 @@ def test_gowers_set_refuses_below_n_n_plus_1_before_any_pair_product(monkeypatch
         return real(H, A, p, charge)
 
     monkeypatch.setattr(counting, "_pair_zeros", spy)
-    for s in (2, 3):
-        with pytest.raises(BudgetExceeded, match=rf"^Box_{s} walk exceeds budget {N * (N + 1) - 1}$"):
-            gowers_set(M, s, budget=N * (N + 1) - 1)
-        with pytest.raises(BudgetExceeded, match=rf"^Box_{s} walk exceeds budget {N * (N + 1)}$"):
-            gowers_set(M, s, budget=N * (N + 1))
+    for budget in (N * (N + 1) - 1, N * (N + 1)):
+        with pytest.raises(BudgetExceeded, match=rf"^Box_3 walk exceeds budget {budget}$"):
+            gowers_set(M, 3, budget=budget)
     assert read == []
     with pytest.raises(BudgetExceeded, match=r"^Box_3 walk exceeds budget 8580$"):
         gowers_set(M, 3, budget=8580)
     assert read != []
-    assert gowers_set(M, 2, budget=8580) == 7650
+    assert gowers_set(M, 2, budget=N * (N + 1) - 1) == 7650
 
 
 def _walk_used(M, s, S, budget):
@@ -460,10 +462,13 @@ def test_gowers_set_counts_the_walk_under_its_budget(rng):
     # the counter (closed form for s <= 2, the walk after it for s = 3)
     # against the walk: the same |Box_s| on F_p^d, on random subspaces and
     # on point subspaces, for random (often rank-deficient) forms, forms
-    # with u off Im A and affine forms; the same answer at the walk's exact
-    # total used and the same BudgetExceeded one unit below it (the walk's
-    # message, or enumerate_zeros' p^k one, which comes first); and past
-    # the cap, the same refusal
+    # with u off Im A and affine forms.  For s <= 2 the count is free of
+    # budget, so it answers at budget 1; the walk's budget rule is that of
+    # the fit check of a Box_s scan (_metered_gowers_set, which gowers_set
+    # is at s = 3): the same answer at the walk's exact total used and the
+    # same BudgetExceeded one unit below it (the walk's message, or
+    # enumerate_zeros' p^k one, which comes first); and past the cap, the
+    # same refusal
     cap, answered = 2 * 10**4, 0
     for p in (5, 7, 11, 13):
         field = PrimeField(p)
@@ -471,18 +476,21 @@ def test_gowers_set_counts_the_walk_under_its_budget(rng):
             for M in closed_form_cases(field, d, rng):
                 for S in closed_form_subspaces(field, M, rng):
                     for s in range(4):
+                        count = gowers_set if s == 3 else counting._metered_gowers_set
+                        if s <= 2:
+                            assert gowers_set(M, s, S, 1) == gowers_set(M, s, S)
                         used = _walk_used(M, s, S, cap)
                         if used is None:
                             want = _outcome(lambda: box_count(M, s, S, cap))
                             assert isinstance(want, str)
-                            assert _outcome(lambda: gowers_set(M, s, S, cap)) == want
+                            assert _outcome(lambda: count(M, s, S, cap)) == want
                             continue
                         assert gowers_set(M, s, S) == box_count(M, s, S)
                         for budget in (used, used - 1):
                             want = _outcome(lambda: box_count(M, s, S, budget))
-                            assert _outcome(lambda: gowers_set(M, s, S, budget)) == want
+                            assert _outcome(lambda: count(M, s, S, budget)) == want
                         assert isinstance(want, str)
-                        answered += isinstance(_outcome(lambda: gowers_set(M, s, S, used)), int)
+                        answered += isinstance(_outcome(lambda: count(M, s, S, used)), int)
     assert answered >= 300  # the others stop at enumerate_zeros' p^k check first
 
 
@@ -530,7 +538,7 @@ def test_zero_counts_match_lidl_niederreiter_on_diagonal_forms(rng):
                 want = lidl_niederreiter_count(p, coeffs, t, d)
                 if 1 <= d <= 3:
                     assert len(reference_zeros(M)) == want
-                assert gowers_set(M, 0) == want and gowers_set(M, 1, None, 10**20) == want * want
+                assert gowers_set(M, 0) == want and gowers_set(M, 1) == want * want
                 if r >= 3:
                     assert zero_count_check(M).exact == want
 
@@ -681,13 +689,13 @@ def test_box1_on_a_subspace_with_keys_past_int64(rng):
     assert len(zeros) > 10 and box_rows(M, 1, S).tolist() == brute
 
 
-def test_enumerate_vmh_rejects_shifts_of_the_wrong_length(f5, monkeypatch):
+def test_vmh_count_report_rejects_shifts_of_the_wrong_length(f5, monkeypatch):
     def never(*args):
-        raise AssertionError("enumerated before the shifts were checked")
+        raise AssertionError("counted before the shifts were checked")
 
-    monkeypatch.setattr(counting, "enumerate_zeros", never)
+    monkeypatch.setattr(counting, "_zero_set_class", never)
     with pytest.raises(MalformedInput, match="length d = 5"):
-        enumerate_vmh(QuadForm.dot_form(f5, 5, radius=1), [[1, 2, 3]])
+        vmh_count_report(QuadForm.dot_form(f5, 5, radius=1), [[1, 2, 3]])
 
 
 def test_root_sum_matches_the_former_formulas(rng):
@@ -873,16 +881,44 @@ def test_quadratic_root_count_matches_point_by_point_reference(rng):
             assert quadratic_root_count(M).exact == sum(int(v) in squares for v in vals)
 
 
-def test_enumerate_vmh_matches_point_by_point_reference(rng):
+def test_vmh_count_report_matches_point_by_point_reference(monkeypatch, rng):
+    # the closed form, which enumerates nothing, against V(M) filtered by
+    # each shifted form, one point at a time; at d = 7 with two random
+    # shifts L_h has codimension 2
+    def never(*args, **kwargs):
+        raise AssertionError("vmh_count_report enumerated V(M)")
+
+    monkeypatch.setattr(counting, "enumerate_zeros", never)
     cases = ((5, 5, [(1, 2, 0, 0, 4)]), (7, 5, [(0, 3, 1, 1, 0)]), (7, 4, []), (11, 3, []))
+    cases += tuple((p, 7, "random") for p in (5, 7))
     for p, d, shifts in cases:
         field = PrimeField(p)
         M = random_form(field, d, rng, min_rank=d)
+        if shifts == "random":
+            while True:
+                shifts = [[rng.randrange(p) for _ in range(d)] for _ in range(2)]
+                if mat_rank(FpMatrix(field, shifts)) == 2:
+                    break
         want = reference_zeros(M)
         for h in shifts:
             want = want[M.shifted(list(h)).eval_array(want) == 0]
-        got = enumerate_vmh(M, shifts)
-        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert vmh_count_report(M, shifts).exact == len(want)
+
+
+def test_counts_answer_past_the_enumeration_budget():
+    # closed forms take no budget: on the sphere of F_13^8 (13^8 = 815,730,721
+    # points against the default budget of 10^8) the zero count and the
+    # count on V(M) n V(M(. + e_1)) = V(M) n {2 n_1 + 1 = 0} answer, against
+    # Lidl-Niederreiter: sum_i n_i^2 = 1 in 8 variables, and
+    # sum_{i >= 2} n_i^2 = 1 - 1/4 in 7 once n_1 = -1/2
+    field = PrimeField(13)
+    M = QuadForm.dot_form(field, 8, radius=1)
+    assert zero_count_check(M).exact == lidl_niederreiter_count(13, [1] * 8, 1, 8)
+    rep = vmh_count_report(M, [[1, 0, 0, 0, 0, 0, 0, 0]])
+    assert rep.exact == lidl_niederreiter_count(13, [1] * 7, 3 * field.inv(4), 7) == 4829006
+    # |Box_2| of the sphere in 15 variables at p = 5 (5^15 points)
+    rep = gowers_count_report(QuadForm.dot_form(PrimeField(5), 15, 1), 2)
+    assert rep.exact == 45477063499392127990722656250
 
 
 def test_gowers_blocks_corner_masks_match_shifted_forms(f5, rng):

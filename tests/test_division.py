@@ -207,6 +207,19 @@ def test_antiderivative_constant_gap(f7):
         antiderivative(Q, M)
 
 
+def test_antiderivative_certificate_first(monkeypatch):
+    # Q = M W is its own proof of the hypothesis, so V(M) is not enumerated:
+    # the cone of F_13^6 has 13^5 points and is never scanned
+    def never(*args, **kwargs):
+        raise AssertionError("antiderivative enumerated V(M) for a multiple of M")
+
+    monkeypatch.setattr(counting, "enumerate_zeros", never)
+    monkeypatch.setattr(division, "enumerate_zeros", never)
+    M = QuadForm.dot_form(PrimeField(13), 6)
+    W = FpMultiPoly(13, 6, {(1, 0, 0, 0, 0, 0): 1, (0, 2, 0, 0, 0, 0): 3})
+    assert antiderivative(M.as_poly() * W, M) == W
+
+
 def test_reduce_mod_form(f5, rng):
     M = QuadForm.dot_form(f5, 5, radius=1)
     for _ in range(20):
@@ -449,9 +462,12 @@ def test_gowers_equation_budget_honesty(f5, rng):
 
 
 def test_gowers_equation_refuses_box_s_before_any_scan(monkeypatch, f5):
-    # a Box_2 that does not fit is refused by the count first, with the
-    # walk's message, and the cube equation is never evaluated: a scan
-    # would evaluate it on every block until the budget ran out
+    # the factorization comes first and is a proof on its own, so it takes
+    # no budget and Box_2 is not scanned; a pair that does not factor needs
+    # the scan, and a Box_2 that does not fit is refused by the walk's
+    # count first, with its message, and the cube equation is never
+    # evaluated: a scan would evaluate it on every block until the budget
+    # ran out
     M = QuadForm.dot_form(f5, 5, radius=1)
     mp = M.as_poly()
     P = mp * FpMultiPoly.constant(5, 5, 2)
@@ -461,35 +477,55 @@ def test_gowers_equation_refuses_box_s_before_any_scan(monkeypatch, f5):
         raise AssertionError("the cube equation scanned Box_s before its fit check")
 
     monkeypatch.setattr(division, "_first_cube", never)
+    monkeypatch.setattr(FpMultiPoly, "eval_many", never)
+    for budget in (1, 10**5, 10**8):
+        res = gowers_equation_solve(P, Q, M, 2, budget=budget)
+        assert res == (
+            "factorization",
+            FpMultiPoly.constant(5, 5, 2),
+            FpMultiPoly.zero(5, 5),
+            FpMultiPoly(5, 5, {(1, 0, 0, 0, 0): 1}),
+            FpMultiPoly(5, 5, {(0, 1, 0, 0, 0): 3}),
+        )
+    # Q2 = 3 n_2 + n_1 n_2 has degree 2 > s - 1: no factorization
+    Q = Q + FpMultiPoly(5, 5, {(1, 1, 0, 0, 0): 1})
+    with pytest.raises(BudgetExceeded, match=r"^enumeration of size 3125 exceeds budget 1$"):
+        gowers_equation_solve(P, Q, M, 2, budget=1)
     with pytest.raises(BudgetExceeded, match=r"^Box_2 walk exceeds budget 100000$"):
         gowers_equation_solve(P, Q, M, 2, budget=10**5)
-    # once Box_2 fits, the factorization is the answer and proves it, so the
-    # 57,768,750 tuples are not scanned
-    res = gowers_equation_solve(P, Q, M, 2, budget=10**8)
-    assert res == (
-        "factorization",
-        FpMultiPoly.constant(5, 5, 2),
-        FpMultiPoly.zero(5, 5),
-        FpMultiPoly(5, 5, {(1, 0, 0, 0, 0): 1}),
-        FpMultiPoly(5, 5, {(0, 1, 0, 0, 0): 3}),
-    )
+
+
+def test_gowers_equation_factorization_past_the_budget():
+    # the sphere of F_5^6 has |Box_2| = 5,922,937,500 tuples, past the default
+    # budget, and the factorization answers without any of them
+    f5 = PrimeField(5)
+    M = QuadForm.dot_form(f5, 6, radius=1)
+    n1 = FpMultiPoly(5, 6, {(1, 0, 0, 0, 0, 0): 1})
+    Q2 = FpMultiPoly(5, 6, {(0, 1, 0, 0, 0, 0): 3})
+    res = gowers_equation_solve(M.as_poly() * FpMultiPoly.constant(5, 6, 2), M.as_poly() * n1 + Q2, M, 2)
+    assert res == ("factorization", FpMultiPoly.constant(5, 6, 2), FpMultiPoly.zero(5, 6), n1, Q2)
+    assert counting.gowers_set(M, 2) == 5922937500
 
 
 def test_gowers_equation_s1_budget_is_box_1s_rule(monkeypatch, f5, rng):
-    # the s = 1 cube equation is checked by gowers_set's rule for Box_1,
+    # a factoring pair is answered at any budget; the s = 1 scan of a pair
+    # that does not factor is checked by the walk's rule for Box_1,
     # N (N + 1) tuples, with its message, before any polynomial is evaluated
     M = QuadForm.dot_form(f5, 4, radius=1)
     N = len(enumerate_zeros(M))
     mp = M.as_poly()
     P = mp * random_fp_poly(5, 4, 0, rng)
     Q = mp * random_fp_poly(5, 4, 1, rng) + FpMultiPoly.constant(5, 4, 2)
-    assert gowers_equation_solve(P, Q, M, 1, budget=N * N + N)[0] == "factorization"
+    for budget in (1, N * N, N * N + N):
+        assert gowers_equation_solve(P, Q, M, 1, budget=budget)[0] == "factorization"
+    P = P + FpMultiPoly.constant(5, 4, 1)  # P2 = P(0) must be 0 at s = 1
+    assert gowers_equation_solve(P, Q, M, 1, budget=N * N + N)[0] == "witness"
     monkeypatch.setattr(FpMultiPoly, "eval_many", None)  # nothing is evaluated before the refusal
     for budget in (N * N + N - 1, N * N):
         with pytest.raises(BudgetExceeded, match=rf"^Box_1 walk exceeds budget {budget}$"):
             gowers_equation_solve(P, Q, M, 1, budget=budget)
         with pytest.raises(BudgetExceeded, match=rf"^Box_1 walk exceeds budget {budget}$"):
-            counting.gowers_set(M, 1, None, budget)
+            counting._metered_gowers_set(M, 1, None, budget)
 
 
 def test_gowers_scans_refuse_another_arity_before_any_enumeration(monkeypatch, f5):
@@ -919,8 +955,8 @@ def test_gowers_equation_s2_matches_per_tuple_check(monkeypatch, f5, rng):
             yield (np.array(n), np.array(h1)), H, budget
 
     monkeypatch.setattr(division, "gowers_blocks", blocks)
-    # the fit check after a witness counts the faked Box_2, not the real one
-    monkeypatch.setattr(division, "gowers_set", lambda M, s, S, budget: len(box))
+    # the fit check before the scan counts the faked Box_2, not the real one
+    monkeypatch.setattr(division, "_metered_gowers_set", lambda M, s, S, budget: len(box))
 
     def per_tuple(P, Q):
         for tup in box:

@@ -138,10 +138,11 @@ def test_v_p_base_points_come_from_one_enumerator():
 
 
 def test_box_s_candidates_come_from_the_zero_set_rows():
-    # the Box_s walk and enumerate_vmh read their shifted sets off the rows
-    # of V(M) (n V + c); a p^d value grid rolled or looked up beside them
-    # would be a second corner path, and the square-value count, the grid's
-    # last caller, sums closed-form zero counts, so no p^d grid is left
+    # the Box_s walk reads its shifted sets off the rows of V(M) (n V + c),
+    # and V(M) n V(M(. + h)) is a slice V(M) n L_h counted in closed form;
+    # a p^d value grid rolled or looked up beside them would be a second
+    # corner path, and the square-value count, the grid's last caller, sums
+    # closed-form zero counts, so no p^d grid is left
     calls, rolls, grid_zeros = 0, [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -236,7 +237,7 @@ def test_box_s_has_one_walk_one_scan_and_one_budget_rule():
     functions = dict(_functions(tree))
     assert sorted(name for name, fn in functions.items() if list(_calls(fn, "pop"))) == ["_walk"]
     assert sorted(name for name, fn in functions.items() if list(_calls(fn, "_walk"))) == [
-        "gowers_blocks", "gowers_set",
+        "_metered_gowers_set", "gowers_blocks",
     ]
     tree = ast.parse((SRC / "division.py").read_text())
     functions = dict(_functions(tree))
@@ -250,26 +251,54 @@ def test_box_s_has_one_walk_one_scan_and_one_budget_rule():
 def test_checks_run_once_before_the_work_they_guard():
     # the nice search solves its translation system once, before the block
     # orders are tried (an order only reorders its equations), and the cube
-    # equation checks that Box_s fits once, then tries the factorization,
-    # and scans Box_s only after both reductions, on one path at every s
+    # equation tries the factorization first, then checks once that Box_s
+    # fits, and scans Box_s only after both, on one path at every s
     loop_kinds = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     search = dict(_functions(ast.parse((SRC / "msets.py").read_text())))["_nice_search"]
     in_loops = {node for loop in ast.walk(search) if isinstance(loop, loop_kinds) for node in ast.walk(loop)}
     solves = list(_calls(search, "solve_linear"))
     assert len(solves) == 1 and solves[0] not in in_loops
     solve = dict(_functions(ast.parse((SRC / "division.py").read_text())))["gowers_equation_solve"]
-    assert len(list(_calls(solve, "gowers_set"))) == 1
-    # the count is a statement of the body itself, ahead of both reductions,
-    # and both come before the one scan; no table of V(M) values is built
+    assert list(_calls(solve, "gowers_set")) == []
+    # the fit check is a statement of the body itself, after both reductions
+    # and the factorization's return, before the one scan; no table of V(M)
+    # values is built
     body = [ast.unparse(node) for node in solve.body]
-    count = body.index("gowers_set(M, s, None, budget)")
+    fit = body.index("_metered_gowers_set(M, s, None, budget)")
     reductions = [i for i, line in enumerate(body) if "reduce_mod_form(" in line]
+    answers = [i for i, line in enumerate(body) if "return ('factorization'" in line]
     scans = [i for i, line in enumerate(body) if "_first_cube(" in line]
-    assert len(reductions) == 2 and len(scans) == 1
-    assert count < min(reductions) and max(reductions) < scans[0]
+    assert len(reductions) == 2 and len(answers) == 1 and len(scans) == 1
+    assert max(reductions) < answers[0] < fit < scans[0]
     assert len(list(_calls(solve, "reduce_mod_form"))) == 2
+    assert len(list(_calls(solve, "_metered_gowers_set"))) == 1
     for name in ("enumerate_zeros", "eval_many"):
         assert list(_calls(solve, name)) == []
+
+
+def test_a_budget_meters_only_enumeration_that_runs():
+    # closed forms and certificates take no budget: the three closed-form
+    # counts have no budget parameter and neither check one nor enumerate,
+    # gowers_set meters Box_s only past its closed-form return (s <= 2), and
+    # the antiderivative divides before it enumerates V(M) (the cube
+    # equation's order is pinned by the test above)
+    functions = dict(_functions(ast.parse((SRC / "counting.py").read_text())))
+    assert "_check_budget" not in functions  # p^d is checked by _check_slice alone
+    metering = ("_check_slice", "_box_meter", "_metered_gowers_set", "enumerate_zeros")
+    for name in ("zero_count_check", "quadratic_root_count", "vmh_count_report"):
+        fn = functions[name]
+        assert "budget" not in [a.arg for a in fn.args.args + fn.args.kwonlyargs], name
+        assert [callee for callee in metering if list(_calls(fn, callee))] == [], name
+        assert "BudgetExceeded" not in {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}, name
+    gowers = functions["gowers_set"]
+    closed = [node for node in gowers.body if isinstance(node, ast.If) and ast.unparse(node.test) == "s <= 2"]
+    assert len(closed) == 1 and isinstance(closed[0].body[-1], ast.Return)
+    calls = [call for callee in metering for call in _calls(gowers, callee)]
+    assert len(calls) == 1 and all(call.lineno > closed[0].end_lineno for call in calls)
+    anti = dict(_functions(ast.parse((SRC / "division.py").read_text())))["antiderivative"]
+    divisions = [call.lineno for call in _calls(anti, "bij_division")]
+    scans = [call.lineno for call in _calls(anti, "enumerate_zeros")]
+    assert len(scans) == 1 and min(divisions) < scans[0]
 
 
 def test_one_memo_of_sphere_systems():
