@@ -25,10 +25,13 @@ import numpy as np
 from ._zlinalg import _hermite_reduce, int_solve
 from .counting import (
     DEFAULT_BUDGET,
+    BudgetExceeded,
     RankHypothesisFailed,
+    _box_size,
     _check_count,
     _check_delta,
     _metered_gowers_set,
+    _zero_set_class,
     enumerate_zeros,
     gowers_blocks,
 )
@@ -235,10 +238,7 @@ def _nullstellensatz_core(P: FpMultiPoly, M: QuadForm, budget=DEFAULT_BUDGET):
         raise RankHypothesisFailed("nullstellensatz needs rank(M) >= 3")
     cert = bij_division(P, M)
     if cert.remainder_is_zero():
-        R = cert.divisor_multiple()
-        if M.as_poly() * R != P:
-            raise TheoremViolation("quotient re-multiplication failed")
-        return "certificate", R
+        return "certificate", _checked_quotient(cert, P, M)
     zeros = enumerate_zeros(M, None, budget)
     vals = P.eval_array(zeros)
     bad = np.flatnonzero(vals != 0)
@@ -248,6 +248,15 @@ def _nullstellensatz_core(P: FpMultiPoly, M: QuadForm, budget=DEFAULT_BUDGET):
         )
     witness = tuple(int(x) for x in zeros[bad[0]])
     return "witness", witness
+
+
+def _checked_quotient(cert, P, M):
+    """R with P = M R from a division with zero remainder, multiplied out
+    and compared."""
+    R = cert.divisor_multiple()
+    if M.as_poly() * R != P:
+        raise TheoremViolation("quotient re-multiplication failed")
+    return R
 
 
 class DichotomyVerdict:
@@ -268,11 +277,25 @@ class DichotomyVerdict:
 def dichotomy(P: FpMultiPoly, M: QuadForm, delta: float, budget=DEFAULT_BUDGET):
     """|V(P) n V(M)| <= delta |V(M)| with the exact count, or containment
     with a division certificate.  A middle-ground outcome contradicts the
-    theorem and raises."""
+    theorem and raises.
+
+    When V(M) does not fit the budget only the certificate can answer: a
+    zero remainder (P = M R, with p > 2 deg P as nullstellensatz asks)
+    gives count = total = |V(M)|, counted in closed form, and any other P
+    gets the enumeration's refusal.  Within the budget V(M) is enumerated
+    first, as the division would cost about as much as the whole verdict
+    on a small set."""
     _check_delta(delta)
     if qf_rank(M) < 3:
         raise RankHypothesisFailed("dichotomy needs rank(M) >= 3")
-    zeros = enumerate_zeros(M, None, budget)
+    try:
+        zeros = enumerate_zeros(M, None, budget)
+    except BudgetExceeded:
+        cert = bij_division(P, M) if 2 * P.degree() < M.p else None
+        if cert is None or not cert.remainder_is_zero():
+            raise
+        total = _box_size(M.field, 0, _zero_set_class(M))
+        return DichotomyVerdict("contained", total, total, certificate=_checked_quotient(cert, P, M))
     vals = P.eval_array(zeros)
     count = int((vals == 0).sum())
     total = len(zeros)

@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
 from operator import add
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,6 +41,12 @@ from .ffcore import HypothesisNotMet, MalformedInput, PrimeField, TheoremViolati
 # monomial-table cells (monomials x points) held at a time: 512 KB of int64,
 # small enough to stay in cache while every level of the table is filled
 EVAL_CHUNK_CELLS = 1 << 16
+# integers below this are exact in float64, and so is a sum of them whose
+# partial sums all stay below it: the one rule for exact float64 products
+FLOAT_EXACT = 2**53
+# eval_many table plans kept, one per (exponent set, nvars); the probe's
+# plan for dense cubics in 14 variables (680 rows) holds about 0.2 MB
+CLOSURE_CACHE_SIZE = 16
 
 
 class ArityMismatch(MalformedInput):
@@ -369,6 +376,14 @@ class FpMultiPoly(_PolyBase):
         return cls(p, nvars, {})
 
     @classmethod
+    def _canonical(cls, p, nvars, terms):
+        """Wrap a term map that already holds nonzero residues keyed by
+        nvars-tuples, without reducing or checking it again."""
+        f = cls.__new__(cls)
+        f.p, f.nvars, f.terms = p, nvars, terms
+        return f
+
+    @classmethod
     def constant(cls, p, nvars, c):
         return cls(p, nvars, {(0,) * nvars: c})
 
@@ -402,7 +417,8 @@ class FpMultiPoly(_PolyBase):
         Returns a (len(polys), N) int64 array of residues in {0..p-1}; row r
         holds polys[r].  All polynomials must share p and nvars.  Every
         monomial they use, and the parents that build it, is filled once
-        into a (monomials x points) table, one degree level at a time; one
+        into a (monomials x points) table, one degree level at a time, by a
+        plan cached per exponent set (_monomial_closure); one
         coefficient-matrix product then gives every row, and one reduction
         mod p each value.  A level is reduced mod p only where the bound
         on its entries would make that product inexact in float64.  Points
@@ -417,11 +433,11 @@ class FpMultiPoly(_PolyBase):
             raise ArityMismatch("mixed p or arity")
         if points.ndim != 2 or points.shape[1] != nvars:
             raise ArityMismatch("point arity mismatch")
-        pos, levels = _monomial_closure(set().union(*(f.terms for f in polys)), nvars)
+        pos, levels = _monomial_closure(frozenset().union(*(f.terms for f in polys)), nvars)
         nmon = len(pos)
         # past this bound even a table of residues makes the product inexact,
         # so each term is reduced before summing in int64
-        in_float = nmon * (p - 1) ** 2 < 2**53
+        in_float = nmon * (p - 1) ** 2 < FLOAT_EXACT
         reduced = _reduced_levels(p, nmon, len(levels))
         coeffs = np.zeros((len(polys), nmon), dtype=np.float64 if in_float else np.int64)
         for r, f in enumerate(polys):
@@ -786,7 +802,7 @@ def _reduced_levels(p, nmon, depth):
     limit is reduced, and its bound becomes p - 1.  Once
     nmon * (p - 1)^2 >= 2^53 that is every level.
     """
-    limit = 2**53 // (nmon * (p - 1))
+    limit = FLOAT_EXACT // (nmon * (p - 1))
     out = []
     bound = 1
     for _ in range(depth):
@@ -798,7 +814,15 @@ def _reduced_levels(p, nmon, depth):
 
 
 def _monomial_closure(exps, nvars):
-    """The table plan behind FpMultiPoly.eval_many.
+    """The table plan behind FpMultiPoly.eval_many for the exponents exps,
+    in any order: _closure_plan of their set."""
+    return _closure_plan(frozenset(exps), nvars)
+
+
+@lru_cache(maxsize=CLOSURE_CACHE_SIZE)
+def _closure_plan(exps, nvars):
+    """The plan of _monomial_closure, cached per (exponent set, nvars),
+    CLOSURE_CACHE_SIZE plans at most.
 
     Closes exps and the zero exponent under taking parents, where the
     parent of e != 0 is e with one unit of its last nonzero variable
@@ -806,7 +830,9 @@ def _monomial_closure(exps, nvars):
     (pos, levels): pos maps each exponent to its row, the zero exponent
     to row 0, and levels holds one (lo, hi, parents, variables) per total
     degree t >= 1, where rows lo..hi-1 are the exponents of degree t and
-    row lo + i is the row parents[i] times the variable variables[i].
+    row lo + i is the row parents[i] times the variable variables[i].  pos
+    is a read-only view, levels a tuple and its arrays read-only, so no
+    caller can write through a cached plan.
     """
     zero = (0,) * nvars
     parent = dict.fromkeys(exps)
@@ -828,8 +854,10 @@ def _monomial_closure(exps, nvars):
         lo, hi = bisect_left(degs, t), bisect_right(degs, t)
         par, var = zip(*(parent[e] for e in monos[lo:hi]))
         rows = np.array([pos[e] for e in par], dtype=np.intp)
-        levels.append((lo, hi, rows, np.array(var, dtype=np.intp)))
-    return pos, levels
+        var = np.array(var, dtype=np.intp)
+        rows.flags.writeable = var.flags.writeable = False
+        levels.append((lo, hi, rows, var))
+    return MappingProxyType(pos), tuple(levels)
 
 
 @lru_cache(maxsize=None)

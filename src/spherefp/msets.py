@@ -535,9 +535,30 @@ def _random_poly(p, nvars, degree, rng, nterms=None):
     if nterms is not None:
         terms = {_random_exponent(rng, nvars, degree): rng.randrange(p) for _ in range(nterms)}
         return FpMultiPoly(p, nvars, terms)
-    return FpMultiPoly(
-        p, nvars, {e: rng.randrange(p) for e in _monomials_up_to(nvars, degree)}
-    )
+    monos = _monomials_up_to(nvars, degree)
+    coeffs = _uniform_residues(p, len(monos), rng)
+    return FpMultiPoly._canonical(p, nvars, {e: c for e, c in zip(monos, coeffs) if c})
+
+
+def _uniform_residues(p, count, rng):
+    """[rng.randrange(p) for _ in range(count)], drawn in bulk: the same
+    values, and rng left in the same state.
+
+    For p below 2^32, randrange(p) keeps the top k = p.bit_length() bits of
+    one 32-bit word of the generator and draws again while the value is
+    >= p.  getrandbits(32 m) returns the next m words, the first in the low
+    bits, so each round draws as many words as values are still missing and
+    keeps the ones below p: it never takes a word that randrange would not
+    have taken."""
+    k = p.bit_length()
+    if k > 32:
+        return [rng.randrange(p) for _ in range(count)]
+    out = []
+    while len(out) < count:
+        m = count - len(out)
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4") >> (32 - k)
+        out += words[words < p].tolist()
+    return out
 
 
 def ideal_membership(P: FpMultiPoly, family, M: QuadForm, k: int):

@@ -21,7 +21,7 @@ from .ffcore import (  # TheoremViolation is re-exported from here
     nullspace,
     rank as mat_rank,
 )
-from .fpoly import FpMultiPoly, _quadratic_terms
+from .fpoly import FLOAT_EXACT, FpMultiPoly, _quadratic_terms
 
 
 class RankTooSmall(HypothesisNotMet):
@@ -101,12 +101,17 @@ def bilinear(x, a, y, p, lin=None, outer=False):
     x is (N, n), a is (n, m) and y is (N, m), or (N', m) with outer; a and
     lin (length m) hold residues, x and y any int64 entries.  Every value is
     below 2^62 in absolute value, so a caller adds a few residues and
-    reduces once.  As in fpoly._reduced_levels, a side is reduced mod p
-    only where a bound on its entries says the next sum of products could
-    reach that limit: x before the product with a, then x a, then y.  On
-    residues at p <= 13 and n, m <= 14 nothing is reduced.  Once all three
-    are reduced a sum may still reach the limit, about max(n, m) (p - 1)^2,
-    and such a p raises MalformedInput."""
+    reduces once.  One bound on the entries (the largest read as unsigned,
+    so at least 2^63 with a negative one) decides the arithmetic.  In the
+    row form, where it shows every partial sum of x a + lin and of its
+    product with y below FLOAT_EXACT (2^53), both products run in float64,
+    exact there, and the values are the exact sums; on residues that is
+    every p below 2^15 with n, m <= 14.  Otherwise they run in int64 and,
+    as in fpoly._reduced_levels, a side is reduced mod p only where the
+    bound says the next sum of products could reach 2^62: x before the
+    product with a, then x a, then y.  Once a side is reduced its sum may
+    still reach the limit, about n (p - 1)^2 for x a and m (p - 1)^2 for
+    the product with y, and such a p raises MalformedInput."""
     limit = 2**62
     n, m = a.shape
     same = y is x
@@ -114,19 +119,31 @@ def bilinear(x, a, y, p, lin=None, outer=False):
     y = x if same else np.asarray(y, dtype=np.int64)
     xb = _entry_bound(x)
     yb = xb if same else _entry_bound(y)
+    # the outer form stays in int64: its (N, N') result in float64 would
+    # need a second array that size, and filling it costs more than the
+    # faster product saves
+    in_float = not outer and m * (n * xb * (p - 1) + p - 1) * max(yb, 1) < FLOAT_EXACT
+    if in_float:
+        # every partial sum is an integer below FLOAT_EXACT, so exact, and
+        # no reduction below applies
+        x, a = x.astype(np.float64), a.astype(np.float64)
+        y = x if same else y.astype(np.float64)
     if n * xb * (p - 1) + p >= limit:
         x, xb = x % p, p - 1
+    xab = n * xb * (p - 1) + p - 1
+    if xab >= limit:
+        raise MalformedInput(f"p = {p} is too large for exact int64 evaluation")
     xa = x @ a
     if lin is not None:
         xa += lin
-    xab = n * xb * (p - 1) + p - 1
     if m * xab * yb >= limit:
         xa, xab = xa % p, p - 1
     if m * xab * yb >= limit:
         y, yb = y % p, p - 1
     if m * xab * yb >= limit:
         raise MalformedInput(f"p = {p} is too large for exact int64 evaluation")
-    return xa @ y.T if outer else np.einsum("ij,ij->i", xa, y)
+    out = xa @ y.T if outer else np.einsum("ij,ij->i", xa, y)
+    return out.astype(np.int64) if in_float else out
 
 
 class QuadForm:

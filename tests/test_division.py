@@ -59,6 +59,7 @@ from spherefp.fpoly import (
 from spherefp.quadform import QuadForm, TheoremViolation
 
 from conftest import box_rows, random_form, random_fp_poly, random_int_valued, random_rat_poly
+from test_counting import lidl_niederreiter_count
 from test_zlinalg import _int_solve_reference
 
 
@@ -173,6 +174,31 @@ def test_dichotomy(f7, rng):
     assert M.evaluate(list(v2.witness)) == 0
     v3 = dichotomy(FpMultiPoly.constant(7, 4, 3), M, 0.3)
     assert v3.kind == "small" and v3.count == 0
+
+
+def test_dichotomy_certificate_past_the_budget(monkeypatch):
+    # V(M) of the sphere of F_13^8 (13^8 candidates) does not fit the default
+    # budget, so P = M n_1 is divided instead: count = total = |V(M)|
+    M = QuadForm.dot_form(PrimeField(13), 8, radius=1)
+    mp = M.as_poly()
+    n1 = FpMultiPoly(13, 8, {(1,) + (0,) * 7: 1})
+    v = dichotomy(mp * n1, M, 0.3)
+    size = lidl_niederreiter_count(13, [1] * 8, 1, 8)
+    assert (v.kind, v.count, v.total, v.certificate, v.witness) == ("contained", size, size, n1, None)
+    # any other P gets the enumeration's refusal: a nonzero remainder, and
+    # a multiple of M of degree 7, which needs p > 2 deg P = 14
+    n1_5 = FpMultiPoly(13, 8, {(5,) + (0,) * 7: 1})
+    for P in (mp * n1 + n1, n1, FpMultiPoly.constant(13, 8, 1), mp * n1_5):
+        with pytest.raises(BudgetExceeded, match="^enumeration of size 815730721 exceeds budget 100000000$"):
+            dichotomy(P, M, 0.3)
+    # past a small budget the closed form gives the enumerated verdict
+    M = QuadForm.dot_form(PrimeField(7), 4, radius=2)
+    P = M.as_poly() * FpMultiPoly(7, 4, {(0, 1, 0, 0): 3, (0, 0, 0, 0): 1})
+    small, full = dichotomy(P, M, 0.3, budget=7**4 - 1), dichotomy(P, M, 0.3)
+    assert small.to_json() == full.to_json() and small.certificate == full.certificate
+    # within the budget V(M) is enumerated first: a small verdict divides nothing
+    monkeypatch.setattr(division, "bij_division", lambda *a: pytest.fail("divided within the budget"))
+    assert dichotomy(FpMultiPoly(7, 4, {(1, 0, 0, 0): 1}), M, 0.3).kind == "small"
 
 
 def test_antiderivative_multiple(f7, rng):

@@ -339,6 +339,37 @@ def test_eval_many_reduces_only_levels_past_the_float_bound(p, exps, reduced, rn
     _assert_batch_matches_reference(polys, points)
 
 
+def test_closure_plan_is_cached_bounded_and_read_only(rng):
+    exps = [tuple(rng.randrange(3) for _ in range(4)) for _ in range(30)]
+    fpoly._closure_plan.cache_clear()
+    plan = fpoly._monomial_closure(exps, 4)
+    # the order of the exponents does not change the plan: one build
+    for order in (exps[::-1], set(exps), frozenset(exps), exps + exps):
+        assert fpoly._monomial_closure(order, 4) is plan
+    assert fpoly._closure_plan.cache_info()[:2] == (4, 1)  # (hits, misses)
+    # the cached plan equals a fresh build
+    pos, levels = plan
+    fresh_pos, fresh_levels = fpoly._closure_plan.__wrapped__(frozenset(exps), 4)
+    assert dict(pos) == dict(fresh_pos) and len(levels) == len(fresh_levels)
+    for (lo, hi, rows, var), (flo, fhi, frows, fvar) in zip(levels, fresh_levels):
+        assert (lo, hi) == (flo, fhi)
+        assert np.array_equal(rows, frows) and np.array_equal(var, fvar)
+    # and no caller can write through it
+    with pytest.raises(TypeError):
+        pos[(5, 5, 5, 5)] = 0
+    with pytest.raises(TypeError):
+        levels[0] = levels[-1]
+    for _, _, rows, var in levels:
+        for arr in (rows, var):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    # at most CLOSURE_CACHE_SIZE plans are kept
+    assert fpoly._closure_plan.cache_info().maxsize == fpoly.CLOSURE_CACHE_SIZE
+    for t in range(fpoly.CLOSURE_CACHE_SIZE + 3):
+        fpoly._monomial_closure([(t, 1)], 2)
+    assert fpoly._closure_plan.cache_info().currsize == fpoly.CLOSURE_CACHE_SIZE
+
+
 def test_eval_many_reduces_coordinates_outside_0_to_p(rng):
     p, d = 7, 3
     polys = [random_fp_poly(p, d, 4, rng) for _ in range(6)]

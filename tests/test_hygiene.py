@@ -432,3 +432,38 @@ def test_one_quadratic_kernel():
         tree = ast.parse(path.read_text(), filename=str(path))
         callers += [f"{path.stem}.{name}" for name, fn in _functions(tree) if list(_calls(fn, "bilinear"))]
     assert sorted(callers) == ["msets.MQuadFn.eval_array", "msets.enumerate_mset", "quadform.QuadForm.eval_array"]
+
+
+def _float_arithmetic(fn):
+    """Whether fn builds float64 arrays: numpy's float64 (or double)
+    named, as a dtype string too, or the builtin float passed as a dtype."""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) and node.attr in ("float64", "double", "float_"):
+            return True
+        if isinstance(node, ast.Constant) and node.value in ("float64", "f8", "<f8", "double"):
+            return True
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "astype":
+            if any(isinstance(arg, ast.Name) and arg.id == "float" for arg in node.args):
+                return True
+        if isinstance(node, ast.keyword) and node.arg == "dtype":
+            if isinstance(node.value, ast.Name) and node.value.id == "float":
+                return True
+    return False
+
+
+def test_one_exactness_rule_for_float64():
+    # float64 where fpoly.FLOAT_EXACT bounds every partial sum, int64 with
+    # reductions otherwise: only the two kernels that check that bound
+    # compute in float64, and 2^53 is written once, as FLOAT_EXACT
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        users += [f"{path.stem}.{name}" for name, fn in _functions(tree) if _float_arithmetic(fn)]
+    assert sorted(users) == ["fpoly.FpMultiPoly.eval_many", "quadform.bilinear"]
+    powers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                if getattr(node.right, "value", None) == 53:
+                    powers.append(f"{path.name}:{node.lineno}")
+    assert len(powers) == 1 and "FLOAT_EXACT = 2**53" in (SRC / "fpoly.py").read_text()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from spherefp.counting import all_points, gowers_set
 from spherefp.ffcore import BudgetExceeded, FpMatrix, HypothesisNotMet, MalformedInput, PrimeField, rank
-from spherefp import msets
-from spherefp.fpoly import FpMultiPoly
+from spherefp import fpoly, msets, quadform
+from spherefp.fpoly import FpMultiPoly, _binom_basis_indices
 from spherefp.msets import (
     MQuadFn,
     NotConsistent,
@@ -785,6 +786,75 @@ def test_bilinear_kernel_matches_scalar_evaluate(p):
         assert (vals % p).tolist() == want
 
 
+def _bilinear_oracle(x, a, y, lin, outer):
+    """(x a + lin) . y in Python integers."""
+    a = a.tolist()
+    lin = [0] * len(a[0]) if lin is None else lin.tolist()
+    xa = [[sum(xi * row[j] for xi, row in zip(xr, a)) + lin[j] for j in range(len(lin))] for xr in x.tolist()]
+    if outer:
+        return [[sum(map(operator.mul, xr, yr)) for yr in y.tolist()] for xr in xa]
+    return [sum(map(operator.mul, xr, yr)) for xr, yr in zip(xa, y.tolist())]
+
+
+def _float_side(x, a, y, p):
+    """Whether bilinear's bound puts the row form on its float64 side."""
+    n, m = a.shape
+    xb, yb = (int(v.view(np.uint64).max()) for v in (x, y))
+    return m * (n * xb * (p - 1) + p - 1) * max(yb, 1) < 2**53
+
+
+@pytest.mark.parametrize("p", [2, 11, 65521, 2**31 - 1])
+def test_bilinear_float_branch_equals_int64_branch(p, monkeypatch):
+    # each draw runs once as bilinear chooses and once with the float bound
+    # at 0, which is the int64 branch; on the float side both give the exact
+    # sums, past it (and in the outer form) both are the int64 branch and
+    # stay congruent below 2^62, exact where the bound needs no reduction.
+    # Entries run from residues to >= p (small ones stay on the float side)
+    # to negatives and +-2^61, which only the int64 branch takes
+    r = random.Random(p)
+    sides = []
+    for t in range(24):
+        # past p ~ 2^31 the int64 branch refuses two reduced entries in a sum
+        n, m = (r.randint(1, 8), r.randint(1, 8)) if p < 2**30 else (1, 1)
+        a = np.array([[r.randrange(p) for _ in range(m)] for _ in range(n)], dtype=np.int64)
+        lin = np.array([r.randrange(p) for _ in range(m)], dtype=np.int64)
+        lo, hi = [(0, 2), (0, p), (p, 64 * p), (0, 2**20), (-(2**10), 2**10), (-(2**61), 2**61)][t % 6]
+        x = np.array([[r.randrange(lo, hi) for _ in range(n)] for _ in range(9)], dtype=np.int64)
+        for outer, rows in ((False, 9), (True, 5)):
+            y = np.array([[r.randrange(lo, hi) for _ in range(m)] for _ in range(rows)], dtype=np.int64)
+            for lin_ in (None, lin):
+                chosen = quadform.bilinear(x, a, y, p, lin_, outer)
+                with monkeypatch.context() as patch:
+                    patch.setattr(quadform, "FLOAT_EXACT", 0)
+                    int64 = quadform.bilinear(x, a, y, p, lin_, outer)
+                want = _bilinear_oracle(x, a, y, lin_, outer)
+                exact = _float_side(x, a, y, p)
+                sides.append(exact and not outer)
+                assert chosen.dtype == int64.dtype == np.int64
+                if exact:
+                    assert chosen.tolist() == int64.tolist() == want
+                else:
+                    assert np.array_equal(chosen, int64)
+                    assert np.abs(chosen).max() < 2**62
+                    assert (chosen % p).tolist() == (np.array(want, dtype=object) % p).tolist()
+                if lo < 0 or hi > 2**40:
+                    assert not exact
+    assert True in sides and False in sides
+    if p == 2**31 - 1:
+        # x a sums two products near 2^62, which int64 cannot hold
+        x = np.full((1, 2), p - 1, dtype=np.int64)
+        with pytest.raises(MalformedInput, match="too large"):
+            quadform.bilinear(x, x.T.copy(), np.ones((1, 1), dtype=np.int64), p)
+    # the row form x = X, a = lin = 1, y = 1 at p = 2 reads X + 1: one side
+    # of 2^53 is exact in float64, the other only in int64
+    if p == 2:
+        one = np.ones((1, 1), dtype=np.int64)
+        for value in (2**53 - 1, 2**53 + 1):
+            x = np.array([[value - 1]], dtype=np.int64)
+            assert _float_side(x, one, one, 2) == (value < 2**53)
+            assert quadform.bilinear(x, one, one, 2, one[0]).tolist() == [value]
+
+
 def _enumerate_mset_reference(family, M, k):
     """The block product filter enumerate_mset replaced: every candidate row
     (prefix, y) is materialised with repeat/tile and kept when each standard
@@ -1023,6 +1093,43 @@ def test_sampled_probe_bytes_are_pinned():
             verdicts.append(irreducibility_probe(fam, M, 2, 3, 0.3, 10, random.Random(seed), samples=1500))
     assert samples.hexdigest() == PROBE_SAMPLES_SHA256
     assert hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest() == PROBE_VERDICTS_SHA256
+
+
+def _random_poly_reference(p, nvars, degree, rng):
+    """The dense draw _random_poly replaced: one randrange per monomial."""
+    return FpMultiPoly(p, nvars, {e: rng.randrange(p) for e in _binom_basis_indices(nvars, degree)})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 2**31 - 1, 2**61 - 1])
+def test_random_poly_draws_the_randrange_stream(p):
+    # the same terms in the same order, as Python ints, and the generator
+    # left where the per-monomial randrange calls leave it; at p = 17 the
+    # 5-bit values reject 15 of 32 words, and 2^61 - 1 takes two words a draw
+    for nvars, degree in ((1, 0), (3, 2), (14, 3)):
+        count = len(_binom_basis_indices(nvars, degree))
+        for seed in range(3):
+            got, want = random.Random(seed), random.Random(seed)
+            f = msets._random_poly(p, nvars, degree, got)
+            g = _random_poly_reference(p, nvars, degree, want)
+            assert list(f.terms.items()) == list(g.terms.items())
+            assert all(type(c) is int and 0 < c < p for c in f.terms.values())
+            assert got.getstate() == want.getstate()
+            if p == 17 and count > 10:
+                plain = random.Random(seed)
+                plain.getrandbits(32 * count)  # one word per monomial, none rejected
+                assert plain.getstate() != got.getstate()
+
+
+def test_probe_builds_its_closure_plan_once():
+    # the bench's Box_1 probe at p = 11, d = 7: the ten polynomials of every
+    # call close to the same 680 monomials, so a second call builds nothing
+    M = QuadForm.dot_form(PrimeField(11), 7, radius=1)
+    fam = gowers_family(M, 1)
+    fpoly._closure_plan.cache_clear()
+    for seed in (0, 1):
+        irreducibility_probe(fam, M, 2, 3, 0.3, 10, random.Random(seed), samples=1500)
+    info = fpoly._closure_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 # -- one echelon per family, one beta per function ------------------------------------
