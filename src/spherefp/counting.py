@@ -23,7 +23,7 @@ import numpy as np
 from .ffcore import (
     BudgetExceeded, FpMatrix, HypothesisNotMet, MalformedInput, TheoremViolation, rank as mat_rank, solve_linear,
 )
-from .quadform import AffineSubspace, QuadForm, _congruence_diagonalize, qf_rank
+from .quadform import AffineSubspace, QuadForm, RankHypothesisFailed, _congruence_diagonalize, qf_rank
 # after quadform, which loads fpoly: loading fpoly here first changes the
 # modules' load order, and that order alone moved the lifts and cli
 # benchmark times by about 10% on a 2-vCPU VM
@@ -31,10 +31,6 @@ from .fpoly import EVAL_CHUNK_CELLS
 
 DEFAULT_BUDGET = 10**8
 O_CONSTANT = 4  # explicit stand-in for every O(.) constant at desk scale
-
-
-class RankHypothesisFailed(HypothesisNotMet):
-    pass
 
 
 class DependentShifts(HypothesisNotMet):

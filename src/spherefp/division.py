@@ -197,16 +197,6 @@ def _euclidean_divide(P: FpMultiPoly, Mpoly: FpMultiPoly, field: PrimeField):
     return quotient, r1, r0
 
 
-def standard_division(P: FpMultiPoly, M: QuadForm) -> DivisionCert:
-    """The standard long division P = M Q + n_1 R_1(n') + R_0(n');
-    requires the upper-left entry of A to be nonzero and deg(P) < p."""
-    if P.degree() >= M.p:
-        raise ValueRangeError("standard division requires deg(P) < p")
-    if M.A.rows[0][0] == 0:
-        raise PivotZero("upper-left entry of A is zero")
-    return bij_division(P, M)  # with A[0][0] != 0, pivot_change picks (1, 1) and the identity
-
-
 def bij_division(P: FpMultiPoly, M: QuadForm) -> DivisionCert:
     """B_{i,j}-standard long division: pivot first, then divide."""
     if P.degree() >= M.p:
@@ -227,10 +217,13 @@ def bij_division(P: FpMultiPoly, M: QuadForm) -> DivisionCert:
 def nullstellensatz(P: FpMultiPoly, M: QuadForm, budget=DEFAULT_BUDGET):
     """Either ('certificate', R) with P = M R and deg R <= deg P - 2, or
     ('witness', n) with n in V(M), P(n) != 0.  Total by the dichotomy."""
-    s = P.degree()
-    if not (M.p >= 5 and M.p > 2 * s):
-        raise ValueRangeError("needs p >= 5 and p > 2 deg(P)")
+    _check_nullstellensatz_range(P, M)
     return _nullstellensatz_core(P, M, budget)
+
+
+def _check_nullstellensatz_range(P: FpMultiPoly, M: QuadForm):
+    if not (M.p >= 5 and M.p > 2 * P.degree()):
+        raise ValueRangeError("needs p >= 5 and p > 2 deg(P)")
 
 
 def _nullstellensatz_core(P: FpMultiPoly, M: QuadForm, budget=DEFAULT_BUDGET):
@@ -279,38 +272,44 @@ def dichotomy(P: FpMultiPoly, M: QuadForm, delta: float, budget=DEFAULT_BUDGET):
     with a division certificate.  A middle-ground outcome contradicts the
     theorem and raises.
 
-    When V(M) does not fit the budget only the certificate can answer: a
-    zero remainder (P = M R, with p > 2 deg P as nullstellensatz asks)
-    gives count = total = |V(M)|, counted in closed form, and any other P
-    gets the enumeration's refusal.  Within the budget V(M) is enumerated
-    first, as the division would cost about as much as the whole verdict
-    on a small set."""
+    Within the budget V(M) is enumerated first, as the division would cost
+    about as much as the whole verdict on a small set: only count = total
+    divides (with p >= 5 and p > 2 deg P, as nullstellensatz asks), and a
+    nonzero remainder then contradicts the theorem.  When V(M) does not fit
+    the budget only the certificate can answer: a zero remainder (with
+    p > 2 deg P) gives count = total = |V(M)|, counted in closed form, and
+    any other P gets the enumeration's refusal."""
     _check_delta(delta)
     if qf_rank(M) < 3:
         raise RankHypothesisFailed("dichotomy needs rank(M) >= 3")
+    refusal = None
     try:
         zeros = enumerate_zeros(M, None, budget)
-    except BudgetExceeded:
-        cert = bij_division(P, M) if 2 * P.degree() < M.p else None
-        if cert is None or not cert.remainder_is_zero():
+    except BudgetExceeded as exc:
+        if 2 * P.degree() >= M.p:
             raise
-        total = _box_size(M.field, 0, _zero_set_class(M))
-        return DichotomyVerdict("contained", total, total, certificate=_checked_quotient(cert, P, M))
-    vals = P.eval_array(zeros)
-    count = int((vals == 0).sum())
-    total = len(zeros)
-    if count == total:
-        kind, cert = nullstellensatz(P, M, budget)
-        if kind != "certificate":
-            raise TheoremViolation("containment without certificate")
-        return DichotomyVerdict("contained", count, total, certificate=cert)
-    if count <= delta * total:
-        bad = np.flatnonzero(vals != 0)
-        witness = tuple(int(x) for x in zeros[bad[0]])
-        return DichotomyVerdict("small", count, total, witness=witness)
-    raise TheoremViolation(
-        f"middle ground: {count} of {total} zeros at delta={delta}"
-    )
+        refusal = exc
+    if refusal is None:
+        vals = P.eval_array(zeros)
+        count = int((vals == 0).sum())
+        total = len(zeros)
+        if count < total:
+            if count <= delta * total:
+                bad = np.flatnonzero(vals != 0)
+                witness = tuple(int(x) for x in zeros[bad[0]])
+                return DichotomyVerdict("small", count, total, witness=witness)
+            raise TheoremViolation(
+                f"middle ground: {count} of {total} zeros at delta={delta}"
+            )
+        _check_nullstellensatz_range(P, M)
+    cert = bij_division(P, M)
+    if not cert.remainder_is_zero():
+        if refusal is not None:
+            raise refusal
+        raise TheoremViolation("V(M) contained in V(P) but the division has a remainder")
+    if refusal is not None:
+        count = total = _box_size(M.field, 0, _zero_set_class(M))
+    return DichotomyVerdict("contained", count, total, certificate=_checked_quotient(cert, P, M))
 
 
 # -- anti-derivative -------------------------------------------------------------

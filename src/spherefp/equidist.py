@@ -239,16 +239,6 @@ def constancy_check(k, g: TorusPolySeq, omega):
     return bool((r == r[0]).all()), Fraction(int(r[0]), Q)
 
 
-def character_search(g: TorusPolySeq, omega, K):
-    """First character (graded lex, complexity <= K) constant on omega."""
-    Q, residues = _phase_residues(g, omega)
-    for k in frequencies(g.m, K):
-        r = residues(k)
-        if (r == r[0]).all():
-            return HorizontalCharacter(k), Fraction(int(r[0]), Q)
-    return None, None
-
-
 def equidist_test(g: TorusPolySeq, omega, delta, K):
     """The torus dichotomy: either every nontrivial character average with
     |k|_1 <= K is at most delta (delta-equidistributed at budget K), or an

@@ -36,7 +36,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .ffcore import HypothesisNotMet, MalformedInput, PrimeField, TheoremViolation
+from .ffcore import HypothesisNotMet, MalformedInput, TheoremViolation
 
 # monomial-table cells (monomials x points) held at a time: 512 KB of int64,
 # small enough to stay in cache while every level of the table is filled
@@ -643,30 +643,6 @@ class RatMultiPoly(_PolyBase):
         return json.dumps(self.to_json())
 
 
-class TauIota:
-    """Convention pair: tau embeds F_p in {0..p-1}, iota reduces mod p.
-
-    iota extends to rationals x/y with p not dividing y.
-    """
-
-    def __init__(self, p: int):
-        self.field = PrimeField(p)
-        self.p = p
-
-    def tau(self, a):
-        if isinstance(a, (tuple, list)):
-            return tuple(x % self.p for x in a)
-        return a % self.p
-
-    def iota(self, x):
-        if isinstance(x, (tuple, list)):
-            return tuple(self.iota(v) for v in x)
-        frac = Fraction(x)
-        if frac.denominator % self.p == 0:
-            raise ValueRangeError("denominator divisible by p under iota")
-        return frac.numerator * self.field.inv(frac.denominator % self.p) % self.p
-
-
 # -- the tau/iota correspondence on polynomials --------------------------------
 
 
@@ -747,18 +723,6 @@ def is_p_periodic(f: RatMultiPoly, p: int) -> bool:
         raise ValueRangeError("is_p_periodic requires deg(f) < p")
     g = f.two_variable_period_poly(p)
     return g.is_integer_valued()
-
-
-def is_partially_p_periodic_on(f: RatMultiPoly, omega, p: int) -> bool:
-    """Partial p-periodicity on omega, a set of base points in [p]^d.
-
-    For every n0 in omega, the fiber polynomial m -> f(n0 + p m) must have
-    all nonconstant binomial coefficients in Z; equivalently
-    f(n + p m) - f(n) is an integer on the coset n0 + p Z^d.
-    """
-    if f.degree() >= p:
-        raise ValueRangeError("requires deg(f) < p")
-    return partial_periodicity_witness(f, omega, p) is None
 
 
 def partial_periodicity_witness(f: RatMultiPoly, omega, p: int):

@@ -335,10 +335,6 @@ def standard_rep(family, M: QuadForm, k: int) -> MRepresentation:
     return MRepresentation(M, k, functions, dim_vector, classify(functions, M, k))
 
 
-def total_codim(family, M: QuadForm, k: int) -> int:
-    return len(_reduced_rows(family, M, k))
-
-
 def gowers_family(M: QuadForm, s: int):
     """The (M, s+1)-family cutting out Box_s(V(M)):
     {M(n), M(n+h_i) - M(n), (h_i A).h_j (i < j)}."""

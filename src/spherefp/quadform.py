@@ -11,7 +11,6 @@ from functools import cached_property
 import numpy as np
 
 from .ffcore import (  # TheoremViolation is re-exported from here
-    BudgetExceeded,
     FpMatrix,
     HypothesisFailed,
     HypothesisNotMet,
@@ -24,7 +23,7 @@ from .ffcore import (  # TheoremViolation is re-exported from here
 from .fpoly import FLOAT_EXACT, FpMultiPoly, _quadratic_terms
 
 
-class RankTooSmall(HypothesisNotMet):
+class RankHypothesisFailed(HypothesisNotMet):  # re-exported by counting
     pass
 
 
@@ -482,7 +481,7 @@ def find_nonisotropic(M: QuadForm, k: int):
     """A k-dimensional M-non-isotropic subspace, as a list of basis vectors."""
     r = qf_rank(M)
     if k < 0 or k > r:
-        raise RankTooSmall(f"need 0 <= k <= rank(M) = {r}")
+        raise RankHypothesisFailed(f"need 0 <= k <= rank(M) = {r}")
     if k == 0:
         return []
     cert = normalize(M)
@@ -502,11 +501,9 @@ def parallel_certificate(A: FpMatrix, B: FpMatrix, v, W, field: PrimeField):
     linear solve, so no sampling is involved.
     """
     if mat_rank(A) < 3:
-        raise RankTooSmall("parallel_certificate needs rank(A) >= 3")
+        raise RankHypothesisFailed("parallel_certificate needs rank(A) >= 3")
     p = field.p
     d = A.nrows
-    if p**d > 10**7:
-        raise BudgetExceeded("parallel_certificate certifies only up to p^d = 1e7")
     c_value = None
     for w in W:
         aw = A.matvec(w)
@@ -525,7 +522,7 @@ def parallel_certificate(A: FpMatrix, B: FpMatrix, v, W, field: PrimeField):
             j = next(i for i in range(d) if aw[i] != 0)
             c_value = bw[j] * field.inv(aw[j]) % p
     if c_value is None:
-        raise RankTooSmall("W never meets the support of A")
+        raise RankHypothesisFailed("W never meets the support of A")
     scaled = FpMatrix(field, [[c_value * x % p for x in row] for row in A.rows])
     if scaled.rows != B.rows or any(x != 0 for x in v):
         raise TheoremViolation("hypothesis verified but B != cA or v != 0")

@@ -418,8 +418,7 @@ EXIT_CODES = {
     "ffcore.BudgetExceeded": (3, "budget exceeded"),
     "ffcore.HypothesisNotMet": (5, "hypothesis not met"),
     "ffcore.HypothesisFailed": (5, "hypothesis not met"),
-    "quadform.RankTooSmall": (5, "hypothesis not met"),
-    "counting.RankHypothesisFailed": (5, "hypothesis not met"),
+    "quadform.RankHypothesisFailed": (5, "hypothesis not met"),
     "counting.DependentShifts": (5, "hypothesis not met"),
     "fpoly.ValueRangeError": (5, "hypothesis not met"),
     "fpoly.NotIntegerValued": (5, "hypothesis not met"),

@@ -22,7 +22,6 @@ from spherefp.division import (
     HypothesisFailed,
     NotPartiallyPeriodic,
     NotSphereIntegral,
-    PivotZero,
     WitnessFound,
     ZeroMatrix,
     ZpQuadForm,
@@ -38,7 +37,6 @@ from spherefp.division import (
     reduce_mod_form,
     sphere_periodic_decompose,
     sphere_vanishing_decompose,
-    standard_division,
     _cube_difference,
     _cube_differences,
 )
@@ -100,25 +98,22 @@ def test_pivot_change_randomized(rng):
 
 
 def test_standard_division_examples(f5):
+    # with A[0][0] != 0 the pivot change is the identity, so bij_division is
+    # the standard long division by M in n_1
     M = QuadForm.dot_form(f5, 2)
     factor = FpMultiPoly(5, 2, {(1, 0): 1, (0, 0): 1})
-    cert = standard_division(M.as_poly() * factor, M)
+    cert = bij_division(M.as_poly() * factor, M)
+    assert cert.pivot == (1, 1) and cert.B.rows == [[1, 0], [0, 1]]
     assert cert.remainder_is_zero() and cert.quotient == factor
 
-    cert2 = standard_division(FpMultiPoly(5, 2, {(1, 0): 1}), M)
+    cert2 = bij_division(FpMultiPoly(5, 2, {(1, 0): 1}), M)
     assert cert2.quotient.is_zero()
     assert cert2.r1 == FpMultiPoly.constant(5, 2, 1) and cert2.r0.is_zero()
     with pytest.raises(HypothesisNotMet, match="nonzero remainder"):
         cert2.divisor_multiple()  # n_1 is no multiple of M
 
-    cert3 = standard_division(FpMultiPoly(5, 2, {(3, 0): 1}), M)
+    cert3 = bij_division(FpMultiPoly(5, 2, {(3, 0): 1}), M)
     assert cert3.verify()
-
-
-def test_standard_division_pivot_gate(f5):
-    M = QuadForm(f5, [[0, 1], [1, 0]])
-    with pytest.raises(PivotZero):
-        standard_division(FpMultiPoly(5, 2, {(1, 0): 1}), M)
 
 
 def test_division_roundtrip_randomized(rng):
@@ -199,6 +194,25 @@ def test_dichotomy_certificate_past_the_budget(monkeypatch):
     # within the budget V(M) is enumerated first: a small verdict divides nothing
     monkeypatch.setattr(division, "bij_division", lambda *a: pytest.fail("divided within the budget"))
     assert dichotomy(FpMultiPoly(7, 4, {(1, 0, 0, 0): 1}), M, 0.3).kind == "small"
+
+
+def test_dichotomy_containment_with_a_remainder_is_a_violation(monkeypatch):
+    # count = total divides once: a nonzero remainder then contradicts the
+    # theorem, with V(M) enumerated once, for the count, and not again for a
+    # witness; and below p > 2 deg P the containment is out of range
+    M = QuadForm.dot_form(PrimeField(7), 4, radius=1)
+    mp = M.as_poly()
+    with pytest.raises(ValueRangeError, match=r"^needs p >= 5 and p > 2 deg\(P\)$"):
+        dichotomy(mp * mp, M, 0.3)
+    runs = []
+    enumerate_once = division.enumerate_zeros
+    monkeypatch.setattr(division, "enumerate_zeros", lambda *a: runs.append(a) or enumerate_once(*a))
+    divide = division.bij_division
+    one = FpMultiPoly.constant(7, 4, 1)
+    monkeypatch.setattr(division, "bij_division", lambda P, M: divide(P + one, M))
+    with pytest.raises(TheoremViolation, match=r"^V\(M\) contained in V\(P\) but the division has a remainder$"):
+        dichotomy(mp * FpMultiPoly(7, 4, {(1, 0, 0, 0): 1}), M, 0.3)
+    assert len(runs) == 1
 
 
 def test_antiderivative_multiple(f7, rng):

@@ -16,7 +16,6 @@ from spherefp.equidist import (
     DichotomyViolation,
     HorizontalCharacter,
     TorusPolySeq,
-    character_search,
     constancy_check,
     equidist_test,
     frequencies,
@@ -26,7 +25,7 @@ from spherefp.equidist import (
     sphere_points,
     weyl_dichotomy,
 )
-from spherefp.fpoly import RatMultiPoly, ValueRangeError, binom_int, is_partially_p_periodic_on
+from spherefp.fpoly import RatMultiPoly, ValueRangeError, binom_int, partial_periodicity_witness
 from spherefp.quadform import TheoremViolation
 
 from conftest import random_int_valued
@@ -212,10 +211,10 @@ def test_character_search_constructed(rng):
     for idx, c in comp1.binomial_coeffs().items():
         coeffs.setdefault(idx, [Fraction(0), Fraction(0)])[1] = c
     g = TorusPolySeq(d, 2, 2, {k: tuple(v) for k, v in coeffs.items()})
-    eta, value = character_search(g, omega, 2)
-    assert eta is not None and eta.k == (1, 0)
-    ok, val = constancy_check(eta.k, g, omega)
-    assert ok and val == value
+    rep = equidist_test(g, omega, 0.2, 2)
+    assert rep.verdict == "obstructed" and rep.witness_k == (1, 0)
+    ok, val = constancy_check(rep.witness_k, g, omega)
+    assert ok and val == rep.constant
 
 
 def test_constancy_examples():
@@ -350,7 +349,7 @@ def test_generator_produces_partially_periodic(rng):
     omega = sphere_points(p, d, 1)
     for _ in range(10):
         f = random_partially_periodic(p, d, 4, rng, omega)
-        assert is_partially_p_periodic_on(f, omega, p)
+        assert partial_periodicity_witness(f, omega, p) is None
 
 
 def test_sequence_json_roundtrip():

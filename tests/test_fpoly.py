@@ -15,12 +15,11 @@ from spherefp.fpoly import (
     FpMultiPoly,
     NotIntegerValued,
     RatMultiPoly,
-    TauIota,
     ValueRangeError,
     induce,
     is_p_periodic,
-    is_partially_p_periodic_on,
     p_expand,
+    partial_periodicity_witness,
     regular_lift,
 )
 
@@ -164,22 +163,11 @@ def test_partial_periodicity_examples():
         for z in range(p)
         if (x * x + y * y + z * z) % p == r
     ]
-    assert is_partially_p_periodic_on(g, sphere, p)
+    assert partial_periodicity_witness(g, sphere, p) is None
     assert not is_p_periodic(g, p)
 
-    assert is_partially_p_periodic_on(RatMultiPoly(1, {(1,): Fraction(1, 5)}), [(0,)], 5)
-    assert not is_partially_p_periodic_on(RatMultiPoly(1, {(1,): Fraction(1, 25)}), [(0,)], 5)
-
-
-def test_tau_iota_roundtrip():
-    ti = TauIota(7)
-    for a in range(7):
-        assert ti.iota(ti.tau(a)) == a
-    for n in range(-10, 30):
-        assert (ti.tau(ti.iota(n)) - n) % 7 == 0
-    assert ti.iota(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
-    with pytest.raises(ValueRangeError):
-        ti.iota(Fraction(1, 7))
+    assert partial_periodicity_witness(RatMultiPoly(1, {(1,): Fraction(1, 5)}), [(0,)], 5) is None
+    assert partial_periodicity_witness(RatMultiPoly(1, {(1,): Fraction(1, 25)}), [(0,)], 5) is not None
 
 
 def test_json_roundtrip(rng):

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "spherefp"
 
@@ -467,3 +468,61 @@ def test_one_exactness_rule_for_float64():
                 if getattr(node.right, "value", None) == 53:
                     powers.append(f"{path.name}:{node.lineno}")
     assert len(powers) == 1 and "FLOAT_EXACT = 2**53" in (SRC / "fpoly.py").read_text()
+
+
+# public names that nothing in src/ or bench/ calls, kept on purpose: a
+# statement of the paper (tests check it against the theorem) or an oracle
+# that tests check a library path against
+UNCALLED_PUBLIC_NAMES = {
+    "antiderivative": "statement",
+    "compose_liftings": "statement",
+    "find_nonisotropic": "statement",
+    "HorizontalCharacter": "statement",
+    "is_p_periodic": "statement",
+    "mset_cardinality_check": "statement",
+    "parallel_certificate": "statement",
+    "perp": "statement",
+    "quadratic_root_count": "statement",
+    "vmh_count_report": "statement",
+    "constancy_check": "oracle",
+    "family_to_json": "oracle",
+    "gauss_sum": "oracle",
+    "restricted_rank": "oracle",
+}
+
+
+def _mentions(stmt):
+    """Identifiers a top-level statement uses: names, attributes and the
+    words of string constants (bench/tracing.py names layers by string),
+    docstrings left out."""
+    docs = {id(node.value) for node in ast.walk(stmt) if isinstance(node, ast.Expr)}
+    found = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+            found.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return found
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    # a public function or class that no other statement of src/ or bench/
+    # uses is either a paper statement or a test oracle, listed above; any
+    # other is a second path to an answer that some caller already gets
+    bench = SRC.parent.parent / "bench"
+    where, defined = {}, []
+    for path in sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py")):
+        for i, stmt in enumerate(ast.parse(path.read_text(), filename=str(path)).body):
+            for name in _mentions(stmt):
+                where.setdefault(name, set()).add((path, i))
+            if path.parent == SRC and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if not stmt.name.startswith("_"):
+                    defined.append((path, i, stmt.name))
+    assert defined
+    uncalled = {name for path, i, name in defined if not where.get(name, set()) - {(path, i)}}
+    assert uncalled == set(UNCALLED_PUBLIC_NAMES), (
+        f"uncalled and unlisted: {sorted(uncalled - set(UNCALLED_PUBLIC_NAMES))}; "
+        f"listed but called or gone: {sorted(set(UNCALLED_PUBLIC_NAMES) - uncalled)}"
+    )

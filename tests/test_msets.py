@@ -30,7 +30,6 @@ from spherefp.msets import (
     restrict_blocks,
     sample_mset,
     standard_rep,
-    total_codim,
 )
 from spherefp.quadform import QuadForm
 
@@ -216,9 +215,9 @@ def test_dimension_vectors_of_gowers_families(f5):
 
 def test_total_codim_examples(f5):
     M = QuadForm.dot_form(f5, 3, radius=1)
-    assert total_codim([], M, 1) == 0
-    assert total_codim(sphere_family(M), M, 1) == 1
-    assert total_codim(gowers_family(M, 2), M, 3) == 4
+    assert standard_rep([], M, 1).total_codim == 0
+    assert standard_rep(sphere_family(M), M, 1).total_codim == 1
+    assert standard_rep(gowers_family(M, 2), M, 3).total_codim == 4
 
 
 def test_gowers_family_cuts_box(f5):
@@ -1246,8 +1245,8 @@ def test_a_function_of_another_k_is_refused(f5):
     for call in (
         lambda: standard_rep(fam, M, 2),
         lambda: enumerate_mset(fam, M, 2),
-        lambda: total_codim(fam, M, 3),
+        lambda: standard_rep(fam, M, 3),
     ):
         with pytest.raises(MalformedInput, match="must have k = "):
             call()
-    assert total_codim(fam, M, 1) == 1
+    assert standard_rep(fam, M, 1).total_codim == 1

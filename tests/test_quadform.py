@@ -3,13 +3,14 @@ import random
 
 import pytest
 
+from spherefp import counting
 from spherefp.counting import all_points
 from spherefp.ffcore import FpMatrix, PrimeField, rank as mat_rank
 from spherefp.quadform import (
     AffineSubspace,
     HypothesisFailed,
     QuadForm,
-    RankTooSmall,
+    RankHypothesisFailed,
     find_nonisotropic,
     gram_matrix,
     isotropic_test,
@@ -226,7 +227,7 @@ def test_find_nonisotropic(rng):
         assert len(basis) == k
         assert not isotropic_test(M, basis)
         assert mat_rank(gram_matrix(M, basis)) == k
-    with pytest.raises(RankTooSmall):
+    with pytest.raises(RankHypothesisFailed):
         find_nonisotropic(M, 6)
 
 
@@ -259,8 +260,10 @@ def test_parallel_certificate(f5):
 
 def test_parallel_certificate_rank_gate(f5):
     A = FpMatrix(f5, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-    with pytest.raises(RankTooSmall):
+    with pytest.raises(RankHypothesisFailed):
         parallel_certificate(A, A, [0, 0, 0], [[1, 1, 1]], f5)
+    # one rank exception, still importable from counting
+    assert counting.RankHypothesisFailed is RankHypothesisFailed
 
 
 def test_quadform_json_roundtrip(f5, rng):
@@ -269,13 +272,23 @@ def test_quadform_json_roundtrip(f5, rng):
     assert M2.A == M.A and M2.u == M.u and M2.v == M.v
 
 
-def test_parallel_certificate_budget_gate():
-    from spherefp.ffcore import BudgetExceeded
-
+def test_parallel_certificate_meters_nothing():
+    # the caller passes W and a witness comes from a null space, so nothing
+    # is enumerated and no budget applies, at p^d = 13^8 > 1e7 too
     f13 = PrimeField(13)
-    big = FpMatrix.identity(f13, 8)  # 13^8 > 1e7
-    with pytest.raises(BudgetExceeded):
-        parallel_certificate(big, big, [0] * 8, [[1] * 8], f13)
+    d = 8
+    A = FpMatrix.identity(f13, d)
+    W = [[1] * d]
+    assert parallel_certificate(A, A, [0] * d, W, f13) == 1
+    Bbad = FpMatrix(f13, [[2 if i == j == 0 else int(i == j) for j in range(d)] for i in range(d)])
+    with pytest.raises(HypothesisFailed) as info:
+        parallel_certificate(A, Bbad, [0] * d, W, f13)
+    n, w = info.value.witness
+    assert tuple(w) == (1,) * d
+    naw = A.matvec(list(w))
+    assert sum(n[i] * naw[i] for i in range(d)) % 13 == 0
+    nb = Bbad.vecmat(list(n))
+    assert sum(nb[i] * w[i] for i in range(d)) % 13 != 0
 
 
 def test_normalize_degenerate_linear_tail(f5):
