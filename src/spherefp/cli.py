@@ -5,8 +5,10 @@ Any other code is the exit_code of the ffcore.SpherefpError raised: 2 input
 error, 3 budget exceeded, 4 theorem violation, 5 hypothesis not met.  Any
 error raised while reading the input is an input error; after parsing
 nothing is converted, and an exception from outside the library is a crash,
-printed with its traceback, exit 4.  Reports are canonical JSON (sorted
-keys, fixed separators) so identical seeds give byte-identical output.
+printed with its traceback, exit 4.  Each cmd_* returns (report, exit
+code) and writes nothing; main writes the report once, through _emit.
+Reports are canonical JSON (sorted keys, fixed separators) so identical
+seeds give byte-identical output.
 """
 
 from __future__ import annotations
@@ -102,10 +104,7 @@ def cmd_normalize(args):
     with _reading_input():
         M = QuadForm.from_json(_load_json(args.json))
     cert = normalize(M)
-    report = cert.to_json()
-    report["verified"] = cert.verify()
-    _emit(report, args.out)
-    return EXIT_FIRST
+    return {**cert.to_json(), "verified": cert.verify()}, EXIT_FIRST
 
 
 def cmd_count(args):
@@ -115,9 +114,7 @@ def cmd_count(args):
         S = None
         if isinstance(data, dict) and data.get("subspace"):
             S = AffineSubspace.from_json(M.field, data["subspace"])
-    rep = counting.zero_count_check(M, S)
-    _emit(rep.to_json(), args.out)
-    return EXIT_FIRST
+    return counting.zero_count_check(M, S).to_json(), EXIT_FIRST
 
 
 def cmd_expsum(args):
@@ -126,52 +123,37 @@ def cmd_expsum(args):
         M = QuadForm.from_json(data["form"])
         xi = [index(x) for x in data["xi"]]
     value = counting.exp_sum(M, xi, args.budget)
-    report = {
-        "re": value.real,
-        "im": value.imag,
-        "abs": abs(value),
-        "bound": counting.exp_sum_bound(M) if any(x % M.p for x in xi) else 1.0,
-    }
-    report["pass"] = report["abs"] <= report["bound"] + 1e-9
-    _emit(report, args.out)
-    return EXIT_FIRST
+    bound = counting.exp_sum_bound(M) if any(x % M.p for x in xi) else 1.0
+    report = {"re": value.real, "im": value.imag, "abs": abs(value), "bound": bound}
+    report["pass"] = report["abs"] <= bound + 1e-9
+    return report, EXIT_FIRST
 
 
 def cmd_gowers(args):
     with _reading_input():
         data = _load_json(args.json)
         M = QuadForm.from_json(data["form"] if "form" in data else data)
-    rep = counting.gowers_count_report(M, args.s, None, args.budget)
-    _emit(rep.to_json(), args.out)
-    return EXIT_FIRST
+    return counting.gowers_count_report(M, args.s, None, args.budget).to_json(), EXIT_FIRST
 
 
 def cmd_divide(args):
     M, P = _form_and_polys(args, "poly")
     cert = division.bij_division(P, M)
-    report = cert.to_json()
-    report["verified"] = cert.verify()
-    _emit(report, args.out)
-    return EXIT_FIRST
+    return {**cert.to_json(), "verified": cert.verify()}, EXIT_FIRST
 
 
 def cmd_nullstellensatz(args):
     M, P = _form_and_polys(args, "poly")
     kind, payload = division.nullstellensatz(P, M, args.budget)
     if kind == "certificate":
-        _emit({"kind": "certificate", "quotient": payload.to_json()}, args.out)
-        return EXIT_FIRST
-    _emit({"kind": "witness", "point": list(payload)}, args.out)
-    return EXIT_SECOND
+        return {"kind": "certificate", "quotient": payload.to_json()}, EXIT_FIRST
+    return {"kind": "witness", "point": list(payload)}, EXIT_SECOND
 
 
 def cmd_dichotomy(args):
     M, P = _form_and_polys(args, "poly")
     verdict = division.dichotomy(P, M, args.delta, args.budget)
-    report = verdict.to_json()
-    report["delta"] = args.delta
-    _emit(report, args.out)
-    return EXIT_FIRST if verdict.kind == "small" else EXIT_SECOND
+    return {**verdict.to_json(), "delta": args.delta}, EXIT_FIRST if verdict.kind == "small" else EXIT_SECOND
 
 
 def cmd_decompose(args):
@@ -180,30 +162,15 @@ def cmd_decompose(args):
         M, g = _form_and_polys(args, "poly")
         res = division.intrinsic_decompose(g, M, args.s, args.budget)
         if res[0] == "decomposition":
-            _emit(
-                {"kind": "decomposition", "g1": res[1].to_json(), "g2": res[2].to_json()},
-                args.out,
-            )
-            return EXIT_FIRST
-        _emit({"kind": "witness", "cube": [list(x) for x in res[1]]}, args.out)
-        return EXIT_SECOND
+            return {"kind": "decomposition", "g1": res[1].to_json(), "g2": res[2].to_json()}, EXIT_FIRST
+        return {"kind": "witness", "cube": [list(x) for x in res[1]]}, EXIT_SECOND
     if kind == "gowers-equation":
         M, P, Q = _form_and_polys(args, "P", "Q")
         res = division.gowers_equation_solve(P, Q, M, args.s, args.budget)
         if res[0] == "factorization":
-            _emit(
-                {
-                    "kind": "factorization",
-                    "P1": res[1].to_json(),
-                    "P2": res[2].to_json(),
-                    "Q1": res[3].to_json(),
-                    "Q2": res[4].to_json(),
-                },
-                args.out,
-            )
-            return EXIT_FIRST
-        _emit({"kind": "witness", "cube": [list(x) for x in res[1]]}, args.out)
-        return EXIT_SECOND
+            P1, P2, Q1, Q2 = (r.to_json() for r in res[1:])
+            return {"kind": "factorization", "P1": P1, "P2": P2, "Q1": Q1, "Q2": Q2}, EXIT_FIRST
+        return {"kind": "witness", "cube": [list(x) for x in res[1]]}, EXIT_SECOND
     with _reading_input():
         data = _load_json(args.json)
         Mz = division.ZpQuadForm.from_json(data["form"])
@@ -213,38 +180,27 @@ def cmd_decompose(args):
         try:
             p1, p0 = division.lift_nullstellensatz(f, Mz, args.budget)
         except division.WitnessFound as exc:
-            _emit({"kind": "witness", "point": list(exc.witness)}, args.out)
-            return EXIT_SECOND
-        _emit({"kind": "certificate", "P1": p1.to_json(), "P0": p0.to_json()}, args.out)
-        return EXIT_FIRST
+            return {"kind": "witness", "point": list(exc.witness)}, EXIT_SECOND
+        return {"kind": "certificate", "P1": p1.to_json(), "P0": p0.to_json()}, EXIT_FIRST
     if kind == "sphere-vanishing":
         try:
             q0, rs = division.sphere_vanishing_decompose(f, Mz, args.budget)
         except division.NotSphereIntegral as exc:
-            _emit({"kind": "witness", "witness": str(exc.witness)}, args.out)
-            return EXIT_SECOND
-        _emit(
-            {"kind": "decomposition", "Q0": q0, "R": [r.to_json() for r in rs]},
-            args.out,
-        )
-        return EXIT_FIRST
+            return {"kind": "witness", "witness": str(exc.witness)}, EXIT_SECOND
+        return {"kind": "decomposition", "Q0": q0, "R": [r.to_json() for r in rs]}, EXIT_FIRST
     if kind == "sphere-periodic":
         try:
             q0, c, r0, rs = division.sphere_periodic_decompose(f, Mz, args.budget)
         except division.NotPartiallyPeriodic as exc:
-            _emit({"kind": "witness", "witness": str(exc.witness)}, args.out)
-            return EXIT_SECOND
-        _emit(
-            {
-                "kind": "decomposition",
-                "Q0": q0,
-                "C": f"{c.numerator}/{c.denominator}",
-                "R0": r0.to_json(),
-                "R": {str(i): r.to_json() for i, r in rs.items()},
-            },
-            args.out,
-        )
-        return EXIT_FIRST
+            return {"kind": "witness", "witness": str(exc.witness)}, EXIT_SECOND
+        report = {
+            "kind": "decomposition",
+            "Q0": q0,
+            "C": f"{c.numerator}/{c.denominator}",
+            "R0": r0.to_json(),
+            "R": {str(i): r.to_json() for i, r in rs.items()},
+        }
+        return report, EXIT_FIRST
     raise MalformedInput(f"unknown decomposition kind {kind!r}")
 
 
@@ -263,10 +219,8 @@ def cmd_mset_repr(args):
     try:
         rep = msets.standard_rep(family, M, k)
     except NotConsistent as exc:
-        _emit({"error": "not consistent", "detail": str(exc)}, args.out)
-        return EXIT_SECOND
-    _emit(rep.to_json(), args.out)
-    return EXIT_FIRST
+        return {"error": "not consistent", "detail": str(exc)}, EXIT_SECOND
+    return rep.to_json(), EXIT_FIRST
 
 
 def cmd_fubini_check(args):
@@ -287,17 +241,9 @@ def cmd_fubini_check(args):
 
     lhs, rhs, diff = msets.fubini_check(family, M, k, kprime, func, args.budget)
     bound = 4 * M.p**-0.5
-    _emit(
-        {
-            "lhs": float(lhs),
-            "rhs": float(rhs),
-            "diff": float(diff),
-            "bound": bound,
-            "pass": float(diff) <= bound,
-        },
-        args.out,
-    )
-    return EXIT_FIRST
+    report = {"lhs": float(lhs), "rhs": float(rhs), "diff": float(diff), "bound": bound}
+    report["pass"] = report["diff"] <= bound
+    return report, EXIT_FIRST
 
 
 def cmd_irreducibility_probe(args):
@@ -310,11 +256,8 @@ def cmd_irreducibility_probe(args):
     counts = {}
     for v in verdicts:
         counts[v["verdict"]] = counts.get(v["verdict"], 0) + 1
-    _emit(
-        {"counts": counts, "middle_ground": middle, "trials": args.trials, "delta": args.delta},
-        args.out,
-    )
-    return EXIT_FIRST if not middle else EXIT_SECOND
+    report = {"counts": counts, "middle_ground": middle, "trials": args.trials, "delta": args.delta}
+    return report, EXIT_FIRST if not middle else EXIT_SECOND
 
 
 def cmd_equidist(args):
@@ -325,10 +268,7 @@ def cmd_equidist(args):
     omega = equidist.sphere_points(args.prime, g.d, radius, args.budget)
     K = args.freq_budget or max(1, min(1000, int(args.delta**-2) + 1))
     rep = equidist.equidist_test(g, omega, args.delta, K)
-    report = rep.to_json()
-    report["K"] = K
-    _emit(report, args.out)
-    return EXIT_FIRST if rep.verdict == "equidistributed" else EXIT_SECOND
+    return {**rep.to_json(), "K": K}, EXIT_FIRST if rep.verdict == "equidistributed" else EXIT_SECOND
 
 
 def cmd_weyl(args):
@@ -337,10 +277,7 @@ def cmd_weyl(args):
         g = RatMultiPoly.from_json(data["poly"])
         radius = index(data.get("radius", 0))
     out = equidist.weyl_dichotomy(g, args.prime, radius, args.delta, args.budget)
-    report = out.to_json()
-    report["delta"] = args.delta
-    _emit(report, args.out)
-    return EXIT_FIRST if out.branch == "sum_small" else EXIT_SECOND
+    return {**out.to_json(), "delta": args.delta}, EXIT_FIRST if out.branch == "sum_small" else EXIT_SECOND
 
 
 def cmd_leibman_probe(args):
@@ -352,8 +289,7 @@ def cmd_leibman_probe(args):
     rng = random.Random(args.seed)
     K = args.freq_budget or 20
     res = equidist.leibman_probe(args.prime, d, radius, s, args.delta, args.trials, K, rng, args.budget)
-    _emit(res, args.out)
-    return EXIT_FIRST if not res["violations"] else EXIT_SECOND
+    return res, EXIT_FIRST if not res["violations"] else EXIT_SECOND
 
 
 COMMANDS = {
@@ -414,7 +350,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _validate(args)
-        return COMMANDS[args.command](args)
+        report, code = COMMANDS[args.command](args)
+        _emit(report, args.out)
+        return code
     except SpherefpError as exc:
         sys.stderr.write(f"{exc.label}: {exc}\n")
         return exc.exit_code

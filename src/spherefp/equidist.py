@@ -45,12 +45,9 @@ class TorusPolySeq:
     """Degree-<= s polynomial map Z^d -> R^m/Z^m in the binomial basis.
 
     coeffs: map from index tuples i (|i| <= s) to rational vectors in Q^m.
-    When block_dims = (m_0 >= m_1 >= ... >= m_s) is given, the degree-|i|
-    coefficient must lie in the last m_{|i|} coordinates, mirroring an
-    N-filtration on the torus; by default every block is full.
     """
 
-    def __init__(self, d, m, s, coeffs, block_dims=None):
+    def __init__(self, d, m, s, coeffs):
         if d < 1 or m < 1 or s < 0:
             raise MalformedInput(f"need d, m >= 1 and s >= 0, got d = {d}, m = {m}, s = {s}")
         self.d = d
@@ -68,16 +65,6 @@ class TorusPolySeq:
                 raise MalformedInput("coefficient dimension mismatch")
             if any(vec):
                 self.coeffs[idx] = vec
-        if block_dims is not None:
-            if len(block_dims) != s + 1:
-                raise MalformedInput("need s + 1 filtration block dimensions")
-            for idx, vec in self.coeffs.items():
-                mj = block_dims[sum(idx)]
-                if any(vec[: m - mj]):
-                    raise MalformedInput(
-                        f"degree-{sum(idx)} coefficient leaves filtration block"
-                    )
-        self.block_dims = block_dims
 
     @classmethod
     def from_rat_poly(cls, f: RatMultiPoly, s=None):
@@ -111,20 +98,6 @@ class TorusPolySeq:
                 raise MalformedInput("cannot infer arity of an empty sequence")
             d = len(next(iter(coeffs)))
         return cls(d, obj["m"], obj["s"], coeffs)
-
-
-class HorizontalCharacter:
-    """An integer frequency vector k; eta(x) = k.x maps Z^m into Z."""
-
-    def __init__(self, k):
-        self.k = tuple(int(x) for x in k)
-        self.complexity = sum(abs(x) for x in self.k)
-
-    def is_trivial(self):
-        return self.complexity == 0
-
-    def to_json(self):
-        return {"k": list(self.k), "complexity": self.complexity}
 
 
 def frequencies(m, K):

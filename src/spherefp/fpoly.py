@@ -976,9 +976,7 @@ def _fiber_coefficient_table(f: RatMultiPoly, base_points, p):
     deg = max(f.degree(), 0)
     grid = _binom_basis_indices(d, deg)
     den = f.denominator_lcm()
-    base = np.asarray(base_points, dtype=np.int64).reshape(-1, d)
-    if base.size and (base.min() < 0 or base.max() >= p):
-        raise ValueRangeError("fiber base points must lie in [0, p)^nvars")
+    base = _base_rows(base_points, d, p)
     table, table64, top = _fiber_axis_table(p, deg)
     pos, epos, gpos, cols = _fiber_pair_plan(d, deg)
     cleared = [c.numerator * (den // c.denominator) for c in f.terms.values()]
@@ -1000,20 +998,37 @@ def _fiber_coefficient_table(f: RatMultiPoly, base_points, p):
     return grid, out, den
 
 
+def _base_rows(base_points, nvars, p):
+    """Base points as an (N, nvars) int64 array; each must lie in [0, p)^nvars."""
+    base = np.asarray(base_points, dtype=np.int64).reshape(-1, nvars)
+    if base.size and (base.min() < 0 or base.max() >= p):
+        raise ValueRangeError("fiber base points must lie in [0, p)^nvars")
+    return base
+
+
 def _first_noninteger_fiber(f, base_points, p, skip_constant=False):
     """(n0, index) of a non-integral fiber binomial coefficient: n0 the
     lexicographically least base point with one (the first row of an
     enumerator's output), index the first in grid order.  Base points are
-    int rows or tuples, in any order; n0 is a tuple of Python ints."""
+    int rows or tuples, in any order; n0 is a tuple of Python ints.
+
+    The rows are sorted once and their fiber tables built in chunks of at
+    most EVAL_CHUNK_CELLS cells, in order, so the scan stops at the first
+    chunk that holds a non-integral fiber.  When a binomial denominator of f
+    has a prime l != p, every fiber fails, so only the first chunk is built
+    (the argument is in division._solve_certificate_first)."""
     if f.is_zero() or len(base_points) == 0:
         return None
-    base = np.asarray(base_points, dtype=np.int64).reshape(-1, f.nvars)
-    grid, numerators, den = _fiber_coefficient_table(f, base, p)
-    bad = numerators % den != 0
-    if skip_constant:
-        bad[:, 0] = False  # grid[0] is the zero index
-    rows = np.flatnonzero(bad.any(axis=1))
-    if len(rows) == 0:
-        return None
-    b = rows[np.lexsort(base[rows].T[::-1])[0]]
-    return tuple(map(int, base[b])), grid[int(np.argmax(bad[b]))]
+    base = _base_rows(base_points, f.nvars, p)
+    base = base[np.lexsort(base.T[::-1])]
+    step = max(1, EVAL_CHUNK_CELLS // len(_binom_basis_indices(f.nvars, max(f.degree(), 0))))
+    for start in range(0, len(base), step):
+        chunk = base[start : start + step]
+        grid, numerators, den = _fiber_coefficient_table(f, chunk, p)
+        bad = numerators % den != 0
+        if skip_constant:
+            bad[:, 0] = False  # grid[0] is the zero index
+        rows = np.flatnonzero(bad.any(axis=1))
+        if len(rows):
+            return tuple(map(int, chunk[rows[0]])), grid[int(np.argmax(bad[rows[0]]))]
+    return None

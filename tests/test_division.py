@@ -16,7 +16,7 @@ from spherefp.counting import (
     all_points,
     enumerate_zeros,
 )
-from spherefp import _zlinalg, counting, division
+from spherefp import _zlinalg, counting, division, fpoly
 from spherefp.division import (
     DivisionCert,
     HypothesisFailed,
@@ -725,6 +725,57 @@ def test_partial_periodicity_witness_matches_fiber_scan(rng):
         witnesses += expected is not None
         assert partial_periodicity_witness(f, shuffled, p) == expected
     assert witnesses
+
+
+def _full_table_scan(f, base_points, p, skip_constant=False):
+    """The fiber witness read off one table of every base point: the least
+    failing row in lex order, its first failing index in grid order."""
+    if f.is_zero() or len(base_points) == 0:
+        return None
+    base = np.asarray(base_points, dtype=np.int64).reshape(-1, f.nvars)
+    grid, numerators, den = _fiber_coefficient_table(f, base, p)
+    bad = numerators % den != 0
+    if skip_constant:
+        bad[:, 0] = False
+    rows = np.flatnonzero(bad.any(axis=1))
+    if len(rows) == 0:
+        return None
+    b = rows[np.lexsort(base[rows].T[::-1])[0]]
+    return tuple(map(int, base[b])), grid[int(np.argmax(bad[b]))]
+
+
+def test_chunked_fiber_scan_matches_the_full_table(monkeypatch, rng):
+    # the scan sorts the rows once and stops at the first chunk with a
+    # witness: any chunk size, any row order, gives the full table's witness
+    p = 5
+    witnesses = 0
+    for _ in range(150):
+        d = rng.choice((2, 3, 4))
+        pts = ZpQuadForm.sphere(p, d, rng.randrange(p)).sphere_points()
+        f = random_rat_poly(d, rng.randrange(4), rng, denominators=(1, 1, 3, p, p * p))
+        shuffled = pts[rng.sample(range(len(pts)), len(pts))]
+        skip = rng.random() < 0.5
+        want = _full_table_scan(f, pts, p, skip)
+        witnesses += want is not None
+        monkeypatch.setattr(fpoly, "EVAL_CHUNK_CELLS", rng.randint(1, 1000))
+        assert _first_noninteger_fiber(f, shuffled, p, skip) == want
+    assert 10 < witnesses < 140
+
+
+def test_l_part_scan_builds_the_first_chunk_alone(monkeypatch):
+    # with a prime l != p in a binomial denominator every fiber fails, so of
+    # the 78,000 points of the sphere of F_5^8 only the first chunk of rows
+    # gets a fiber table
+    p, d = 5, 8
+    pts = ZpQuadForm.sphere(p, d, 1).sphere_points()
+    x = [RatMultiPoly.variable(d, j) for j in range(d)]
+    f = (x[0] * x[1]).scale(Fraction(1, 3)) + x[2].scale(Fraction(2, 5))
+    want = _full_table_scan(f, pts[:1], p)
+    built = []
+    table = fpoly._fiber_coefficient_table
+    monkeypatch.setattr(fpoly, "_fiber_coefficient_table", lambda *a: built.append(len(a[1])) or table(*a))
+    assert _first_noninteger_fiber(f, pts, p) == want and want[0] == tuple(map(int, pts[0]))
+    assert len(pts) == 78000 and built == [fpoly.EVAL_CHUNK_CELLS // len(_binom_basis_indices(d, 2))]
 
 
 def _reference_columns(M, df, slots):

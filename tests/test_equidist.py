@@ -14,7 +14,6 @@ from spherefp.counting import root_sum
 from spherefp.division import ZpQuadForm
 from spherefp.equidist import (
     DichotomyViolation,
-    HorizontalCharacter,
     TorusPolySeq,
     constancy_check,
     equidist_test,
@@ -150,9 +149,6 @@ def test_binomial_residue_table_entries(Q, dtype):
 
 
 def test_filtration_blocks():
-    TorusPolySeq(1, 2, 1, {(1,): (0, Fraction(1, 2))}, block_dims=(2, 1))
-    with pytest.raises(ValueError):
-        TorusPolySeq(1, 2, 1, {(1,): (Fraction(1, 2), 0)}, block_dims=(2, 1))
     with pytest.raises(ValueError):
         TorusPolySeq(1, 1, 1, {(2,): (Fraction(1, 2),)})
 
@@ -163,11 +159,6 @@ def test_frequencies_graded_order():
     f2 = frequencies(2, 1)
     assert set(f2) == {(0, 1), (0, -1), (1, 0), (-1, 0)}
     assert all(sum(abs(x) for x in k) <= 2 for k in frequencies(2, 2))
-
-
-def test_character_complexity():
-    assert HorizontalCharacter((1, -2)).complexity == 3
-    assert HorizontalCharacter((0,)).is_trivial()
 
 
 def test_sphere_obstruction():
