@@ -8,7 +8,9 @@ nothing is converted, and an exception from outside the library is a crash,
 printed with its traceback, exit 4.  Each cmd_* returns (report, exit
 code) and writes nothing; main writes the report once, through _emit.
 Reports are canonical JSON (sorted keys, fixed separators) so identical
-seeds give byte-identical output.
+seeds give byte-identical output.  Only the parsing layers and counting
+(the budget default and the delta rule) load with this module; each cmd_*
+imports the layer it runs, as a cold process compiles every module it loads.
 """
 
 from __future__ import annotations
@@ -17,14 +19,12 @@ import argparse
 import json
 import random
 import sys
-import traceback
 from contextlib import contextmanager
 from operator import index
 
-from . import counting, division, equidist, msets
+from . import counting
 from .ffcore import MalformedInput, SpherefpError
 from .fpoly import FpMultiPoly, RatMultiPoly
-from .msets import NotConsistent
 from .quadform import AffineSubspace, QuadForm, normalize
 
 SCHEMA = "sphere-hofa/1"
@@ -137,12 +137,16 @@ def cmd_gowers(args):
 
 
 def cmd_divide(args):
+    from . import division
+
     M, P = _form_and_polys(args, "poly")
     cert = division.bij_division(P, M)
     return {**cert.to_json(), "verified": cert.verify()}, EXIT_FIRST
 
 
 def cmd_nullstellensatz(args):
+    from . import division
+
     M, P = _form_and_polys(args, "poly")
     kind, payload = division.nullstellensatz(P, M, args.budget)
     if kind == "certificate":
@@ -151,12 +155,16 @@ def cmd_nullstellensatz(args):
 
 
 def cmd_dichotomy(args):
+    from . import division
+
     M, P = _form_and_polys(args, "poly")
     verdict = division.dichotomy(P, M, args.delta, args.budget)
     return {**verdict.to_json(), "delta": args.delta}, EXIT_FIRST if verdict.kind == "small" else EXIT_SECOND
 
 
 def cmd_decompose(args):
+    from . import division
+
     kind = args.kind
     if kind == "intrinsic":
         M, g = _form_and_polys(args, "poly")
@@ -207,6 +215,8 @@ def cmd_decompose(args):
 def _form_and_family(args):
     """The F_p form under "form", the M-set family under "family" with its
     k, and the whole input for further fields."""
+    from . import msets
+
     with _reading_input():
         data = _load_json(args.json)
         M = QuadForm.from_json(data["form"])
@@ -215,15 +225,19 @@ def _form_and_family(args):
 
 
 def cmd_mset_repr(args):
+    from . import msets
+
     M, family, k, _ = _form_and_family(args)
     try:
         rep = msets.standard_rep(family, M, k)
-    except NotConsistent as exc:
+    except msets.NotConsistent as exc:
         return {"error": "not consistent", "detail": str(exc)}, EXIT_SECOND
     return rep.to_json(), EXIT_FIRST
 
 
 def cmd_fubini_check(args):
+    from . import msets
+
     M, family, k, data = _form_and_family(args)
     with _reading_input():
         all_ones = data.get("f") == "one"
@@ -247,6 +261,8 @@ def cmd_fubini_check(args):
 
 
 def cmd_irreducibility_probe(args):
+    from . import msets
+
     M, family, k, _ = _form_and_family(args)
     rng = random.Random(args.seed)
     verdicts = msets.irreducibility_probe(
@@ -261,6 +277,8 @@ def cmd_irreducibility_probe(args):
 
 
 def cmd_equidist(args):
+    from . import equidist
+
     with _reading_input():
         data = _load_json(args.json)
         g = equidist.TorusPolySeq.from_json(data["sequence"])
@@ -272,6 +290,8 @@ def cmd_equidist(args):
 
 
 def cmd_weyl(args):
+    from . import equidist
+
     with _reading_input():
         data = _load_json(args.json)
         g = RatMultiPoly.from_json(data["poly"])
@@ -281,6 +301,8 @@ def cmd_weyl(args):
 
 
 def cmd_leibman_probe(args):
+    from . import equidist
+
     with _reading_input():
         data = _load_json(args.json) if args.json else {}
         d = index(data.get("dim", args.dim))
@@ -357,6 +379,8 @@ def main(argv=None):
         sys.stderr.write(f"{exc.label}: {exc}\n")
         return exc.exit_code
     except Exception:  # a bug: never a branch code
+        import traceback
+
         sys.stderr.write(f"internal error:\n{traceback.format_exc()}")
         return EXIT_INTERNAL
 

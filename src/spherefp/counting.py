@@ -124,19 +124,13 @@ def _inverses(p):
     return out
 
 
-def _solve_zeros(M: QuadForm):
-    """V(M) as int64 rows in lexicographic order, one line at a time.
-
-    On the line through the prefix x' along the last axis M is
-    a t^2 + b(x') t + c(x') (QuadForm.line_coefficients).  With a != 0 the
-    roots are (-b +- r) / 2a where r^2 = b^2 - 4ac, read from a table of
-    square roots built from r = 0..(p-1)/2; with a = 0 the root of
-    b t + c = 0 is -c / b, and a line with b = c = 0 lies in V(M).  Each
-    prefix then holds count roots first, first + step, ..., emitted in
-    prefix order with the roots ascending."""
-    p, d = M.p, M.d
-    a, b, c = M.line_coefficients()
-    b, c = b.reshape(-1), c.reshape(-1)
+def _line_roots(p, a, b, c):
+    """The roots of a t^2 + b t + c = 0 over F_p on each line, b and c flat
+    int64 arrays: (first, step, count) with the roots first, first + step,
+    .., ascending.  With a != 0 the roots are (-b +- r) / 2a where
+    r^2 = b^2 - 4ac, read from a table of square roots built from
+    r = 0..(p-1)/2; with a = 0 the root of b t + c = 0 is -c / b, and a line
+    with b = c = 0 holds all p points."""
     if a:
         inv = pow(2 * a, -1, p)
         # over the discriminant D: how many r have r^2 = D, and r / 2a for
@@ -149,11 +143,20 @@ def _solve_zeros(M: QuadForm):
         disc = (b * b - 4 * a % p * c) % p
         mid, half = (p - b) * inv % p, root[disc]  # -b / 2a and r / 2a
         t1, t2 = (mid + half) % p, (mid - half) % p
-        first, step, count = np.minimum(t1, t2), np.abs(t1 - t2), nroots[disc]
-    else:
-        first = (-c % p) * _inverses(p)[b] % p
-        step = np.ones_like(c)
-        count = np.where(b != 0, 1, np.where(c == 0, p, 0))
+        return np.minimum(t1, t2), np.abs(t1 - t2), nroots[disc]
+    first = (-c % p) * _inverses(p)[b] % p
+    return first, np.ones_like(c), np.where(b != 0, 1, np.where(c == 0, p, 0))
+
+
+def _solve_zeros(M: QuadForm):
+    """V(M) as int64 rows in lexicographic order, one line at a time.
+
+    On the line through the prefix x' along the last axis M is
+    a t^2 + b(x') t + c(x') (QuadForm.line_coefficients), solved by
+    _line_roots; each prefix's roots are emitted in prefix order, ascending."""
+    p, d = M.p, M.d
+    a, b, c = M.line_coefficients()
+    first, step, count = _line_roots(p, a, b.reshape(-1), c.reshape(-1))
     line = np.repeat(np.arange(len(count)), count)
     # the index of each row among the roots of its line
     j = np.arange(len(line)) - (np.cumsum(count) - count)[line]
@@ -162,6 +165,35 @@ def _solve_zeros(M: QuadForm):
     for axis in range(d - 2, -1, -1):
         line, pts[:, axis] = np.divmod(line, p)
     return pts
+
+
+def first_zero(M: QuadForm, budget=DEFAULT_BUDGET):
+    """The first row of _solve_zeros(M), or None when V(M) is empty,
+    solving only the blocks of lines up to the one that holds it.
+
+    The prefixes are taken in lexicographic order in blocks that fix a
+    leading part: (0, .., 0), then for j = 0, 1, .. the prefixes
+    (0, .., 0, q, *) with q = 1..p-1 and j free axes.  Each block is the
+    form pulled back to its free axes (QuadForm.composed), whose lines
+    _line_roots solves; the search stops at the first block with a root.
+    The budget meters the p points of every line solved, checked before
+    each block."""
+    p, d = M.p, M.d
+    leads = [(0,) * (d - 1)] + [(0,) * (d - 2 - j) + (q,) for j in range(d - 1) for q in range(1, p)]
+    points = 0  # on the lines solved so far
+    for lead in leads:
+        k = len(lead)
+        points += p ** (d - k)
+        if points > budget:
+            raise BudgetExceeded(f"enumeration of size {points} exceeds budget {budget}")
+        free = [[int(i == j) for j in range(d)] for i in range(k, d)]
+        a, b, c = M.composed(free, lead + (0,) * (d - k)).line_coefficients()
+        first, _, count = _line_roots(p, a, b.reshape(-1), c.reshape(-1))
+        hit = np.flatnonzero(count)
+        if len(hit):
+            tail = np.unravel_index(hit[0], (p,) * (d - 1 - k)) + (first[hit[0]],)
+            return lead + tuple(map(int, tail))
+    return None
 
 
 def enumerate_zeros(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):

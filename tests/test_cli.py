@@ -547,3 +547,44 @@ def test_numeric_flags_validated_before_work(monkeypatch, sphere_json, capsys, f
     monkeypatch.setattr(counting, "zero_count_check", never)
     assert main(["count", "--json", sphere_json] + flags) == 2
     assert flags[0] in capsys.readouterr().err
+
+
+# what `import spherefp.cli` and one subcommand per layer leave in
+# sys.modules: a cold process compiles every spherefp module it loads, so a
+# subcommand loads the parsing layers, counting and the layer it runs alone
+_LOADED = (
+    "import json, sys\n"
+    "from spherefp import cli\n"
+    "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "names = sorted(m for m in sys.modules if m.startswith('spherefp') or m == 'traceback')\n"
+    "print(json.dumps([code, names]))\n"
+)
+_PARSING = ["spherefp", "spherefp.cli", "spherefp.counting", "spherefp.ffcore", "spherefp.fpoly", "spherefp.quadform"]
+
+
+def _loaded(args):
+    proc = subprocess.run([sys.executable, "-c", _LOADED] + args, capture_output=True, text=True, timeout=60)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_each_subcommand_loads_only_the_layer_it_runs(tmp_path, sphere_json):
+    form = json.loads(open(sphere_json).read())
+    cube = {"nvars": 3, "terms": [{"exp": [3, 0, 0], "coeff": 2}]}
+    family = {"k": 1, "functions": [{"b": {"1,1": 1}, "v": [[0] * 3], "u": 0}]}
+    sphere = [{"exp": [2 * (i == j) for j in range(3)], "coeff": "1"} for i in range(3)]
+    sphere = {"nvars": 3, "terms": sphere + [{"exp": [0, 0, 0], "coeff": "-1"}]}  # constant on the sphere
+    out = str(tmp_path / "report.json")
+    cases = [
+        ([], [], 0),
+        (["count", "--json", sphere_json], [], 0),
+        (["divide", "--json", write(tmp_path, "div.json", {"form": form, "poly": cube})],
+         ["spherefp._zlinalg", "spherefp.division"], 0),
+        (["mset-repr", "--json", write(tmp_path, "mset.json", {"form": form, "family": family})],
+         ["spherefp.msets"], 0),
+        (["weyl", "--prime", "5", "--delta", "0.4", "--json", write(tmp_path, "weyl.json", {"poly": sphere, "radius": 1})],
+         ["spherefp._zlinalg", "spherefp.division", "spherefp.equidist"], 1),
+    ]
+    for args, extra, want_code in cases:
+        code, names = _loaded(args + ["--out", out] if args else args)
+        assert names == sorted(_PARSING + extra), args
+        assert code == want_code, args

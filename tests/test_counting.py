@@ -800,6 +800,27 @@ def test_enumerate_zeros_solver_matches_reference(M):
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(line_forms())
+def test_first_zero_solves_the_lines_up_to_the_first_root(M):
+    # the first row of the line solver, or None on an empty V(M), with the
+    # budget charged p points a line for the blocks of prefixes solved: the
+    # block ends fall at prefix 1 and at (q + 1) p^j, q = 1..p-1
+    p, d = M.p, M.d
+    want = reference_zeros(M)
+    if len(want):
+        first = tuple(map(int, want[0]))
+        prefix = sum(x * p ** (d - 2 - k) for k, x in enumerate(first[:-1]))
+        ends = {1} | {(q + 1) * p**j for j in range(d - 1) for q in range(1, p)}
+        charge = p * min(e for e in ends if e > prefix)
+    else:
+        first, charge = None, p**d
+    assert counting.first_zero(M) == first
+    assert counting.first_zero(M, charge) == first
+    with pytest.raises(BudgetExceeded, match=rf"^enumeration of size {charge} exceeds budget {charge - 1}$"):
+        counting.first_zero(M, charge - 1)
+
+
 def line_root_counts(M):
     """The number of roots on each line, in prefix order."""
     p, d = M.p, M.d

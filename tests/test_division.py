@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import operator
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherefp.counting import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     RankHypothesisFailed,
     all_points,
@@ -776,6 +778,51 @@ def test_l_part_scan_builds_the_first_chunk_alone(monkeypatch):
     monkeypatch.setattr(fpoly, "_fiber_coefficient_table", lambda *a: built.append(len(a[1])) or table(*a))
     assert _first_noninteger_fiber(f, pts, p) == want and want[0] == tuple(map(int, pts[0]))
     assert len(pts) == 78000 and built == [fpoly.EVAL_CHUNK_CELLS // len(_binom_basis_indices(d, 2))]
+
+
+def test_l_part_witness_solves_only_the_first_line(monkeypatch):
+    # with an l-part the witness is at the first point of V_p(M): on the
+    # sphere of F_5^10 (1,952,500 points) only the line through the zero
+    # prefix is solved, t^2 = 1, and nothing enumerates V_p(M)
+    def never(*args, **kwargs):
+        raise AssertionError("V_p(M) was enumerated")
+
+    monkeypatch.setattr(counting, "_solve_zeros", never)
+    monkeypatch.setattr(ZpQuadForm, "sphere_points", never)
+    p, d = 5, 10
+    M = ZpQuadForm.sphere(p, d, 1)
+    x = [RatMultiPoly.variable(d, j) for j in range(d)]
+    f = (x[0] * x[1]).scale(Fraction(1, 3)) + x[2].scale(Fraction(2, 5))
+    want = ((0,) * (d - 1) + (1,), (1, 1) + (0,) * (d - 2))
+    for solver, error in (
+        (sphere_vanishing_decompose, NotSphereIntegral),
+        (sphere_periodic_decompose, NotPartiallyPeriodic),
+    ):
+        with pytest.raises(error) as err:
+            solver(f, M, p)  # the one line's p points
+        assert err.value.witness == want
+        with pytest.raises(BudgetExceeded, match=rf"^enumeration of size {p} exceeds budget {p - 1}$"):
+            solver(f, M, p - 1)
+
+
+def test_l_part_scan_matches_the_full_scan(rng):
+    # where the fibers are scanned, the witness equals the full table's over
+    # all of V_p(M), whether or not f has an l-part
+    kinds = {True: 0, False: 0}
+    while sum(kinds.values()) < 120:
+        p = rng.choice((5, 7))
+        M = _random_zp_form_at(p, rng.randint(3, 5 if p == 5 else 4), rng)
+        if M.p_rank() < 3:
+            continue
+        f = random_rat_poly(M.d, rng.randrange(p), rng, denominators=(1, 2, 3, 7, p, 3 * p, p * p))
+        skip = rng.random() < 0.5
+        error = NotPartiallyPeriodic if skip else NotSphereIntegral
+        want = _full_table_scan(f, M.sphere_points(), p, skip)
+        with pytest.raises(error) if want else contextlib.nullcontext() as err:
+            division._scan_fibers(f, M, DEFAULT_BUDGET, error, skip)
+        assert (err.value.witness if want else None) == want
+        kinds[division._has_l_part(f, p, skip)] += 1
+    assert min(kinds.values()) > 20
 
 
 def _reference_columns(M, df, slots):

@@ -522,12 +522,13 @@ def _spherefp_modules(tree):
     return found
 
 
-def _mentions(stmt, modules):
+def _mentions(stmt, modules, strings=False):
     """Identifiers a top-level statement uses: names, from-imports, the
-    attributes of a name in modules (a spherefp module binding, dotted) and
-    the words of string constants (bench/tracing.py names layers by
-    string), docstrings left out.  An attribute of anything else, such as
-    rep.total_codim, is not a use of a top-level name."""
+    attributes of a name in modules (a spherefp module binding, dotted) and,
+    with strings (bench/tracing.py, the one file that names layers by
+    string), the words of string constants, docstrings left out.  An
+    attribute of anything else, such as rep.total_codim, is not a use of a
+    top-level name, nor is a report key such as "total_codim"."""
     docs = {id(node.value) for node in ast.walk(stmt) if isinstance(node, ast.Expr)}
     found = set()
     for node in ast.walk(stmt):
@@ -538,34 +539,38 @@ def _mentions(stmt, modules):
         elif isinstance(node, ast.Attribute):
             if ast.unparse(node.value) in modules:
                 found.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
             found.update(re.findall(r"[A-Za-z_]\w*", node.value))
     return found
 
 
 def test_mentions_resolve_module_attributes_only():
     # msets.total_codim names the module's function; rep.total_codim is an
-    # attribute of a report, which a name match alone would count
+    # attribute of a report, which a name match alone would count, and the
+    # report key "total_codim" names it only where strings are read
     tree = ast.parse("from . import msets\nfrom .counting import gauss_sum as gs\nimport spherefp.cli\n"
-                     "a = rep.total_codim\nb = msets.total_codim\nc = spherefp.cli.main")
+                     "a = rep.total_codim\nb = msets.total_codim\nc = spherefp.cli.main\n"
+                     "d = {'total_codim': 1}")
     modules = _spherefp_modules(tree)
     assert modules == {"msets", "spherefp", "spherefp.cli"}
-    imports, rep, mod, cli = (_mentions(tree.body[i], modules) for i in (1, 3, 4, 5))
+    imports, rep, mod, cli, key = (_mentions(tree.body[i], modules) for i in (1, 3, 4, 5, 6))
     assert "gauss_sum" in imports and "gs" not in imports
     assert "total_codim" not in rep and "total_codim" in mod and "main" in cli
+    assert "total_codim" not in key and "total_codim" in _mentions(tree.body[6], modules, strings=True)
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
     # a public function or class that no other statement of src/ or bench/
-    # uses is either a paper statement or a test oracle, listed above; any
-    # other is a second path to an answer that some caller already gets
+    # uses (by name, or by string in bench/tracing.py's layer table) is
+    # either a paper statement or a test oracle, listed above; any other is
+    # a second path to an answer that some caller already gets
     bench = SRC.parent.parent / "bench"
     where, defined = {}, []
     for path in sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         modules = _spherefp_modules(tree)
         for i, stmt in enumerate(tree.body):
-            for name in _mentions(stmt, modules):
+            for name in _mentions(stmt, modules, path.name == "tracing.py"):
                 where.setdefault(name, set()).add((path, i))
             if path.parent == SRC and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 if not stmt.name.startswith("_"):
