@@ -122,7 +122,7 @@ def cmd_expsum(args):
         data = _load_json(args.json)
         M = QuadForm.from_json(data["form"])
         xi = [index(x) for x in data["xi"]]
-    value = counting.exp_sum(M, xi, args.budget)
+    value = counting.exp_sum(M, xi)
     bound = counting.exp_sum_bound(M) if any(x % M.p for x in xi) else 1.0
     report = {"re": value.real, "im": value.imag, "abs": abs(value), "bound": bound}
     report["pass"] = report["abs"] <= bound + 1e-9

@@ -4,12 +4,12 @@ estimates turned into checkable bounds.
 Main terms carry their proven exponents; the implicit constants
 are tested at an explicit 4.  Enumeration is lexicographic over canonical
 representatives so point lists are reproducible byte for byte.  Complex
-sums are assembled from a residue histogram (np.bincount) and a length-p
-table of roots of unity, summed with math.fsum, so the only float error is
-the final compensated accumulation.  Counts that need no point list,
-|V(M) n (V+c)|, |V(M)^{h_1..h_r}| and |Box_s| for s <= 2, are closed forms
-from one congruence diagonalization and the Gauss-sum zero counts of
-quadrics, and take no budget: a budget meters only an enumeration that runs.
+sums are assembled from exact residue counts and a length-p table of roots
+of unity, summed with math.fsum, so the only float error is the final
+compensated accumulation.  Counts that need no point list, |V(M) n (V+c)|,
+|V(M)^{h_1..h_r}|, |Box_s| for s <= 2 and exp_sum's phase counts, are
+closed forms from one congruence diagonalization and Gauss-sum zero
+counts, and take no budget: a budget meters only an enumeration that runs.
 """
 
 from __future__ import annotations
@@ -215,29 +215,29 @@ def enumerate_zeros(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT
     return pts[np.lexsort(pts.T[::-1])]
 
 
+def _completed_square(field, diag, u, v):
+    """(r, eta, kappa) of sum_i diag_i y_i^2 + u.y + v, diag nonzero first:
+    the rank, the Legendre symbol of diag_1..diag_r, and the constant left
+    once the squares are completed, v - sum_i u_i^2 / 4 diag_i or None."""
+    r = sum(1 for x in diag if x)
+    kappa = None if any(u[r:]) else (v - sum(u[i] * u[i] * field.inv(4 * diag[i]) for i in range(r))) % field.p
+    return r, field.legendre(math.prod(diag[:r])), kappa
+
+
 def _zero_set_class(M: QuadForm, S: AffineSubspace | None = None):
     """(k, r, eta, kappa): what the closed-form counts read of M on V + c.
 
     M is pulled back to the k parameters of V + c (all of F_p^d when S is
-    None) and diagonalized by congruence, x = yT with T A T^T = diag(D),
-    so that M = sum_i D_i y_i^2 + u'.y + v with u' = T u.  r is the rank,
-    eta the Legendre symbol of D_1..D_r, and kappa = v - sum_i u'_i^2 / 4D_i,
-    the constant left once the squares are completed; kappa is None when
-    u' has a coordinate past r, that is when u is not in Im A.  A point
-    subspace is the form in 0 variables with kappa = M(c)."""
+    None) and diagonalized by congruence, x = yT with T A T^T = diag(D), so
+    M = sum_i D_i y_i^2 + u'.y + v, u' = T u (_completed_square; kappa is
+    None when u is not in Im A).  A point subspace is the form in 0
+    variables with kappa = M(c)."""
     if S is not None:
         if S.dim() == 0:
             return 0, 0, 1, M.evaluate(S.offset)
         M = M.composed(S.basis, S.offset)
-    field, p = M.field, M.p
     T, diag = _congruence_diagonalize(M)
-    r = sum(1 for x in diag if x)
-    u = T.matvec(M.u)
-    if any(u[r:]):
-        kappa = None
-    else:
-        kappa = (M.v - sum(u[i] * u[i] * field.inv(4 * diag[i]) for i in range(r))) % p
-    return M.d, r, field.legendre(math.prod(diag[:r])), kappa
+    return (M.d, *_completed_square(M.field, diag, T.matvec(M.u), M.v))
 
 
 def _pencil_classes(p, s):
@@ -362,22 +362,37 @@ def root_sum(counts, p):
     return complex(re, im)
 
 
-def exp_sum(M: QuadForm, xi, budget=DEFAULT_BUDGET):
-    """E_{n in V(M)} e(xi . tau(n) / p), exact summands, |error| < 1e-10."""
+def exp_sum(M: QuadForm, xi):
+    """E_{n in V(M)} e(xi . tau(n) / p), exact summands, |error| < 1e-10.
+
+    J[t] = |V(M) n {xi . n = t}| is a closed form and takes no budget: with
+    xi . c = 1 and B a basis of xi^perp, M(t c + y B) is diagonalized in y
+    once, and each t completes its own squares for _box_size.  At
+    xi = 0 mod p, J = [|V(M)|, 0, ..]."""
     if len(xi) != M.d:
         raise MalformedInput(f"xi has length {len(xi)}, the form has d = {M.d}")
-    pts = enumerate_zeros(M, None, budget)
-    if len(pts) == 0:
+    field, p = M.field, M.p
+    xi = [x % p for x in xi]
+    if any(xi):
+        c, basis = solve_linear(FpMatrix(field, [xi]), [1])
+        N = M.composed([c] + basis)  # N(t, y) = M(t c + y B)
+        a, u = N.A.rows, N.u
+        T, diag = _congruence_diagonalize(QuadForm(field, [row[1:] for row in a[1:]]))
+        lin, slope = T.matvec(u[1:]), T.matvec([2 * x for x in a[0][1:]])
+        counts = []
+        for t in range(p):
+            y_lin = [(x + t * y) % p for x, y in zip(lin, slope)]
+            form = _completed_square(field, diag, y_lin, (a[0][0] * t * t + u[0] * t + N.v) % p)
+            counts.append(_box_size(field, 0, (M.d - 1, *form)))
+    else:
+        counts = [_box_size(field, 0, _zero_set_class(M))] + [0] * (p - 1)
+    if not (total := sum(counts)):
         raise RankHypothesisFailed("V(M) is empty")
-    p = M.p
-    xi_arr = np.array([x % p for x in xi], dtype=np.int64)
-    phases = (pts @ xi_arr) % p
-    counts = np.bincount(phases, minlength=p)
-    if np.count_nonzero(counts) == 1:
-        t = int(np.flatnonzero(counts)[0])
-        return _roots_of_unity(p)[t]
+    phases = [t for t, count in enumerate(counts) if count]
+    if len(phases) == 1:
+        return _roots_of_unity(p)[phases[0]]
     z = root_sum(counts, p)
-    return complex(z.real / len(pts), z.imag / len(pts))
+    return complex(z.real / total, z.imag / total)
 
 
 def exp_sum_bound(M: QuadForm) -> float:

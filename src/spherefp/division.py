@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import gcd
 
 import numpy as np
 
@@ -701,32 +700,18 @@ def _scaled_rhs(nums, den, indices, p, depth):
     return [c // den for c in scaled]
 
 
-def _has_l_part(f, p, skip_constant):
-    """Whether a binomial coordinate of f (the constant one passed over when
-    skip_constant) has a prime other than p in its denominator."""
-    nums, den = f._binomial_numerators()
-    zero = (0,) * f.nvars
-    rest = den // gcd(den, *(n for idx, n in nums.items() if not (skip_constant and idx == zero)))
-    while rest % p == 0:
-        rest //= p
-    return rest > 1
-
-
 def _scan_fibers(f, M, budget, error, skip_constant=False):
     """Raise error(witness) at the first fiber of f over V_p(M) with a
     non-integral binomial coordinate (the constant one passed over when
-    skip_constant), if there is one.  When such a coordinate of f has a
-    prime l != p in its denominator every fiber fails (the argument is in
-    _solve_certificate_first), so only the first point of V_p(M) is found,
-    by counting.first_zero under budget; otherwise V_p(M) is enumerated
-    under budget and its fibers scanned."""
-    if _has_l_part(f, M.p, skip_constant):
-        first = first_zero(M.induced(), budget)
-        base = [] if first is None else [first]
-    else:
-        base = M.sphere_points(budget)
-    witness = _first_noninteger_fiber(f, base, M.p, skip_constant)
-    if witness is not None:
+    skip_constant), if there is one: the fiber at the first point of V_p(M)
+    (counting.first_zero) first, then all of V_p(M) only if that one passes,
+    each under budget.  With an l-part (_solve_certificate_first) none passes."""
+    first = first_zero(M.induced(), budget)
+    witness = first and (
+        _first_noninteger_fiber(f, [first], M.p, skip_constant)
+        or _first_noninteger_fiber(f, M.sphere_points(budget), M.p, skip_constant)
+    )
+    if witness:
         raise error(witness)
 
 

@@ -139,16 +139,20 @@ def test_negative_exponents_in_rational_input_exit_2(tmp_path, args, blob):
 
 
 def test_budget_exit_3(tmp_path, sphere_json):
-    # an enumeration past its budget exits 3: expsum enumerates V(M), 125
-    # candidates against 10.  The count is a closed form and takes no
-    # budget, so count --budget 1 reports what the default budget does
+    # an enumeration past its budget exits 3: M does not divide P = 1, so the
+    # Nullstellensatz looks for a witness in V(M), 125 candidates against 10.
+    # The zero count and the exponential sum are closed forms and take no
+    # budget, so count and expsum at --budget 1 report what the default does
     form = json.loads(open(sphere_json).read())
-    path = write(tmp_path, "expsum.json", {"form": form, "xi": [1, 0, 0]})
-    code, out, err = run_cli(["expsum", "--json", path, "--budget", "10"])
+    one = {"nvars": 3, "terms": [{"exp": [0, 0, 0], "coeff": 1}]}
+    path = write(tmp_path, "ns.json", {"form": form, "poly": one})
+    code, out, err = run_cli(["nullstellensatz", "--json", path, "--budget", "10"])
     assert code == 3 and out == ""
     assert err == "budget exceeded: enumeration of size 125 exceeds budget 10\n"
-    want = run_cli(["count", "--json", sphere_json])
-    assert want[0] == 0 and run_cli(["count", "--json", sphere_json, "--budget", "1"]) == want
+    expsum = write(tmp_path, "expsum.json", {"form": form, "xi": [1, 0, 0]})
+    for args in (["count", "--json", sphere_json], ["expsum", "--json", expsum]):
+        want = run_cli(args)
+        assert want[0] == 0 and run_cli(args + ["--budget", "1"]) == want
 
 
 def test_gowers_walk_deeper_than_the_recursion_limit_exits_3(sphere_json, capsys):

@@ -105,6 +105,99 @@ def test_exp_sum_bound_exhaustive_p5_d3(f5, rng):
         assert abs(exp_sum(M, tuple(int(x) for x in xi))) <= bound
 
 
+def mean_of_phases(counts, total, p):
+    """exp_sum's float path from the histogram of xi . n over V(M): e(t/p)
+    when one phase t holds every point, else root_sum over the total."""
+    if np.count_nonzero(counts) == 1:
+        return counting._roots_of_unity(p)[int(np.flatnonzero(counts)[0])]
+    z = counting.root_sum(counts, p)
+    return complex(z.real / total, z.imag / total)
+
+
+def reference_exp_sum(M, xi):
+    """exp_sum by enumeration: np.bincount of xi . n over the rows of V(M)."""
+    if len(xi) != M.d:
+        raise MalformedInput(f"xi has length {len(xi)}, the form has d = {M.d}")
+    pts = enumerate_zeros(M)
+    if len(pts) == 0:
+        raise RankHypothesisFailed("V(M) is empty")
+    p = M.p
+    phases = (pts @ np.array([x % p for x in xi], dtype=np.int64)) % p
+    return mean_of_phases(np.bincount(phases, minlength=p), len(pts), p)
+
+
+def diagonal_phase_counts(p, coeffs, xi, v):
+    """|{n : sum_i coeffs_i n_i^2 + v = 0, xi . n = t}| for t in F_p, from the
+    joint histogram of (coeffs_i n_i^2, xi_i n_i) convolved over the axes."""
+    joint = np.zeros((p, p), dtype=np.int64)
+    joint[0, 0] = 1
+    for a, x in zip(coeffs, xi):
+        joint = sum(np.roll(joint, (a * n * n % p, x * n % p), axis=(0, 1)) for n in range(p))
+    return joint[-v % p]
+
+
+def _outcome_repr(call):
+    try:
+        return repr(call())
+    except (MalformedInput, RankHypothesisFailed) as exc:
+        return repr(exc)
+
+
+def test_exp_sum_matches_the_enumerating_reference(rng):
+    # the phase counts are closed forms, and on a seeded battery the mean
+    # matches the enumerating reference repr for repr, with u off Im A,
+    # xi = 0 mod p, rank < d, an empty V(M) and a wrong length all among
+    # the cases
+    kinds = dict.fromkeys(("u off Im A", "xi = 0", "rank < d", "empty", "xi wrong length"), 0)
+    cases = 0
+    while cases < 360:
+        p = rng.choice((5, 7, 11, 13))
+        d = rng.randint(1, 5 if p <= 7 else 4)
+        field = PrimeField(p)
+        forms = closed_form_cases(field, d, rng) + [QuadForm(field, [[0] * d for _ in range(d)], None, rng.randrange(1, p))]
+        for M in forms:
+            draw = rng.random()
+            if draw < 0.1:
+                xi = [0] * d
+            elif draw < 0.2:
+                xi = [p * rng.randrange(-2, 3) for _ in range(d)]
+            else:
+                xi = [rng.randrange(-p, 2 * p) for _ in range(d)]
+            if rng.random() < 0.02:
+                xi = xi + [1]
+            want = _outcome_repr(lambda: reference_exp_sum(M, xi))
+            assert _outcome_repr(lambda: exp_sum(M, xi)) == want, (M, xi)
+            rank = mat_rank(M.A)
+            kinds["u off Im A"] += mat_rank(FpMatrix(field, M.A.rows + [M.u])) > rank
+            kinds["xi = 0"] += len(xi) == d and not any(x % p for x in xi)
+            kinds["rank < d"] += rank < d
+            kinds["empty"] += want == repr(RankHypothesisFailed("V(M) is empty"))
+            kinds["xi wrong length"] += len(xi) != d
+            cases += 1
+    assert min(kinds.values()) >= 3, kinds
+
+
+def test_exp_sum_diagonalizes_once_and_answers_past_the_enumeration_budget(monkeypatch):
+    # the sphere of F_13^8 has 13^8 = 815,730,721 points, past the default
+    # budget, which the enumerating exp_sum refused; the closed form
+    # diagonalizes once per xi, enumerates nothing, and matches the
+    # convolution count of the diagonal form
+    def never(*args, **kwargs):
+        raise AssertionError("V(M) was enumerated")
+
+    monkeypatch.setattr(counting, "_solve_zeros", never)
+    diagonalized = []
+    diagonalize = counting._congruence_diagonalize
+    monkeypatch.setattr(counting, "_congruence_diagonalize", lambda M: diagonalized.append(M.d) or diagonalize(M))
+    p, d = 13, 8
+    M = QuadForm.dot_form(PrimeField(p), d, 1)
+    for xi in ([1] + [0] * 7, [1, 2, 3, 4, 5, 6, 7, 8], [0] * 8, [13, 0, 0, 0, 0, 0, 0, -26]):
+        counts = diagonal_phase_counts(p, [1] * d, xi, -1)
+        diagonalized.clear()
+        assert repr(exp_sum(M, xi)) == repr(mean_of_phases(counts, int(counts.sum()), p))
+        assert diagonalized == [d - 1] if any(x % p for x in xi) else diagonalized == [d]
+
+
 def test_gauss_sum_modulus_and_legendre_relation():
     for p in (5, 7, 11, 13):
         field = PrimeField(p)

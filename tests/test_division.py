@@ -805,9 +805,21 @@ def test_l_part_witness_solves_only_the_first_line(monkeypatch):
             solver(f, M, p - 1)
 
 
+def has_l_part(f, p, skip_constant):
+    """Whether a binomial coordinate of f (the constant one passed over when
+    skip_constant) has a prime other than p in its denominator."""
+    nums, den = f._binomial_numerators()
+    zero = (0,) * f.nvars
+    rest = den // gcd(den, *(n for idx, n in nums.items() if not (skip_constant and idx == zero)))
+    while rest % p == 0:
+        rest //= p
+    return rest > 1
+
+
 def test_l_part_scan_matches_the_full_scan(rng):
-    # where the fibers are scanned, the witness equals the full table's over
-    # all of V_p(M), whether or not f has an l-part
+    # the scan tries the fiber at the first point of V_p(M) before it
+    # enumerates: the witness equals the full table's over all of V_p(M),
+    # whether or not f has an l-part, and with an l-part it is that first point
     kinds = {True: 0, False: 0}
     while sum(kinds.values()) < 120:
         p = rng.choice((5, 7))
@@ -817,11 +829,15 @@ def test_l_part_scan_matches_the_full_scan(rng):
         f = random_rat_poly(M.d, rng.randrange(p), rng, denominators=(1, 2, 3, 7, p, 3 * p, p * p))
         skip = rng.random() < 0.5
         error = NotPartiallyPeriodic if skip else NotSphereIntegral
-        want = _full_table_scan(f, M.sphere_points(), p, skip)
+        pts = M.sphere_points()
+        want = _full_table_scan(f, pts, p, skip)
         with pytest.raises(error) if want else contextlib.nullcontext() as err:
             division._scan_fibers(f, M, DEFAULT_BUDGET, error, skip)
         assert (err.value.witness if want else None) == want
-        kinds[division._has_l_part(f, p, skip)] += 1
+        l_part = has_l_part(f, p, skip)
+        if l_part:
+            assert want[0] == tuple(map(int, pts[0]))
+        kinds[l_part] += 1
     assert min(kinds.values()) > 20
 
 
@@ -1513,8 +1529,11 @@ def test_l_part_witness_is_the_first_base_point(seed):
 
 def test_certificates_above_the_enumeration_budget(rng):
     # at p = 5, d = 15 the sphere has 5^15 > DEFAULT_BUDGET base candidates:
-    # a forward f is certified without enumerating, an adversarial one still
-    # needs the witness scan and so still exceeds the budget
+    # a forward f is certified without enumerating.  An adversarial one
+    # needs the witness scan, which tries the fiber at the first point of
+    # V_p(M), (0, .., 0, 1), before it enumerates: x0/25 fails there (the
+    # fiber's m_0 / 5), so its witness answers, while x0/5 leaves that fiber
+    # integral and still exceeds the budget
     Mz = ZpQuadForm.sphere(5, 15, 1)
     mz = Mz.as_ratpoly()
     x0, x1 = RatMultiPoly.variable(15, 0), RatMultiPoly.variable(15, 1)
@@ -1523,7 +1542,8 @@ def test_certificates_above_the_enumeration_budget(rng):
     assert q0 == 1 and len(rs) == 2
     q0, c_value, r0, rs = sphere_periodic_decompose(f + RatMultiPoly.constant(15, Fraction(1, 3)), Mz)
     assert q0 == 1 and c_value == Fraction(1, 3)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=rf"^enumeration of size {5**15} exceeds budget {DEFAULT_BUDGET}$"):
         sphere_vanishing_decompose(f + x0.scale(Fraction(1, 5)), Mz)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(NotPartiallyPeriodic) as err:
         sphere_periodic_decompose(f + x0.scale(Fraction(1, 25)), Mz)
+    assert err.value.witness == ((0,) * 14 + (1,), (1,) + (0,) * 14)

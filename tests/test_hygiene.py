@@ -278,15 +278,15 @@ def test_checks_run_once_before_the_work_they_guard():
 
 
 def test_a_budget_meters_only_enumeration_that_runs():
-    # closed forms and certificates take no budget: the three closed-form
-    # counts have no budget parameter and neither check one nor enumerate,
-    # gowers_set meters Box_s only past its closed-form return (s <= 2), and
-    # the antiderivative divides before it enumerates V(M) (the cube
-    # equation's order is pinned by the test above)
+    # closed forms and certificates take no budget: the four closed-form
+    # counts, exp_sum among them, have no budget parameter and neither
+    # check one nor enumerate, gowers_set meters Box_s only past its
+    # closed-form return (s <= 2), and the antiderivative divides before it
+    # enumerates V(M) (the cube equation's order is pinned by the test above)
     functions = dict(_functions(ast.parse((SRC / "counting.py").read_text())))
     assert "_check_budget" not in functions  # p^d is checked by _check_slice alone
     metering = ("_check_slice", "_box_meter", "_metered_gowers_set", "enumerate_zeros")
-    for name in ("zero_count_check", "quadratic_root_count", "vmh_count_report"):
+    for name in ("zero_count_check", "quadratic_root_count", "vmh_count_report", "exp_sum"):
         fn = functions[name]
         assert "budget" not in [a.arg for a in fn.args.args + fn.args.kwonlyargs], name
         assert [callee for callee in metering if list(_calls(fn, callee))] == [], name
@@ -300,6 +300,17 @@ def test_a_budget_meters_only_enumeration_that_runs():
     divisions = [call.lineno for call in _calls(anti, "bij_division")]
     scans = [call.lineno for call in _calls(anti, "enumerate_zeros")]
     assert len(scans) == 1 and min(divisions) < scans[0]
+
+
+def test_the_fiber_scan_keeps_one_path():
+    # the sphere solvers' scan tries the fiber at the first point of V_p(M)
+    # before it enumerates V_p(M), whatever f is: no l-part branch
+    functions = dict(_functions(ast.parse((SRC / "division.py").read_text())))
+    assert "_has_l_part" not in functions
+    scan = functions["_scan_fibers"]
+    first = [call.lineno for call in _calls(scan, "first_zero")]
+    full = [call.lineno for call in _calls(scan, "sphere_points")]
+    assert len(first) == len(full) == 1 and first[0] < full[0]
 
 
 def test_one_memo_of_sphere_systems():
