@@ -3,7 +3,9 @@ estimates turned into checkable bounds.
 
 Main terms carry their proven exponents; the implicit constants
 are tested at an explicit 4.  Enumeration is lexicographic over canonical
-representatives so point lists are reproducible byte for byte.  Complex
+representatives so point lists are reproducible byte for byte, and a zero
+set is also streamed in chunks of bounded size (zero_chunks), so a scan
+holds one chunk at a time.  Complex
 sums are assembled from exact residue counts and a length-p table of roots
 of unity, summed with math.fsum, so the only float error is the final
 compensated accumulation.  Counts that need no point list, |V(M) n (V+c)|,
@@ -21,9 +23,12 @@ from fractions import Fraction
 import numpy as np
 
 from .ffcore import (
-    BudgetExceeded, FpMatrix, HypothesisNotMet, MalformedInput, TheoremViolation, rank as mat_rank, solve_linear,
+    BudgetExceeded, FpMatrix, HypothesisNotMet, MalformedInput, TheoremViolation, rank as mat_rank, rref,
+    solve_linear,
 )
-from .quadform import AffineSubspace, QuadForm, RankHypothesisFailed, _congruence_diagonalize, qf_rank
+from .quadform import (
+    AffineSubspace, QuadForm, RankHypothesisFailed, _congruence_diagonalize, qf_rank,
+)
 # after quadform, which loads fpoly: loading fpoly here first changes the
 # modules' load order, and that order alone moved the lifts and cli
 # benchmark times by about 10% on a 2-vCPU VM
@@ -74,11 +79,7 @@ def all_points(p: int, k: int) -> np.ndarray:
     """All of [p]^k as a (p^k, k) array in lexicographic row order."""
     if k == 0:
         return np.zeros((1, 0), dtype=np.int64)
-    idx = np.arange(p**k, dtype=np.int64)
-    cols = []
-    for j in range(k):
-        cols.append((idx // p ** (k - 1 - j)) % p)
-    return np.stack(cols, axis=1)
+    return np.indices((p,) * k, dtype=np.int64).reshape(k, -1).T.copy()
 
 
 def _check_count(name, value, least):
@@ -148,23 +149,101 @@ def _line_roots(p, a, b, c):
     return first, np.ones_like(c), np.where(b != 0, 1, np.where(c == 0, p, 0))
 
 
-def _solve_zeros(M: QuadForm):
-    """V(M) as int64 rows in lexicographic order, one line at a time.
-
-    On the line through the prefix x' along the last axis M is
-    a t^2 + b(x') t + c(x') (QuadForm.line_coefficients), solved by
-    _line_roots; each prefix's roots are emitted in prefix order, ascending."""
-    p, d = M.p, M.d
-    a, b, c = M.line_coefficients()
-    first, step, count = _line_roots(p, a, b.reshape(-1), c.reshape(-1))
+def _line_rows(first, step, count, d):
+    """(line, pts): for _line_roots' (first, step, count) over a block of
+    lines, an (N, d) int64 array whose last column holds every root, line
+    by line, ascending, and the index of each row's line in the block."""
     line = np.repeat(np.arange(len(count)), count)
     # the index of each row among the roots of its line
     j = np.arange(len(line)) - (np.cumsum(count) - count)[line]
     pts = np.empty((len(line), d), dtype=np.int64)
     pts[:, d - 1] = first[line] + step[line] * j
-    for axis in range(d - 2, -1, -1):
+    return line, pts
+
+
+def _solve_zeros(M: QuadForm):
+    """V(M) as int64 rows in lexicographic order, one line at a time.
+
+    On the line through the prefix x' along the last axis M is
+    a t^2 + b(x') t + c(x') (QuadForm.line_coefficients), solved by
+    _line_roots; each prefix's roots are emitted in prefix order, ascending.
+    The form in 0 variables is the constant v: its one point () is a zero
+    when v = 0."""
+    p, d = M.p, M.d
+    if d == 0:
+        return np.zeros((int(M.v == 0), 0), dtype=np.int64)
+    a, b, c = M.line_coefficients()
+    line, pts = _line_rows(*_line_roots(p, a, b.reshape(-1), c.reshape(-1)), d)
+    return _fill_prefixes(pts, line, p)
+
+
+def _fill_prefixes(pts, line, p):
+    """pts with its first d - 1 columns set to the prefix whose index in
+    lexicographic order over F_p^(d-1) is line, row by row."""
+    for axis in range(pts.shape[1] - 2, -1, -1):
         line, pts[:, axis] = np.divmod(line, p)
     return pts
+
+
+def _lead_blocks(M: QuadForm, t):
+    """V(M) as int64 rows in lexicographic order, in blocks of whole leads.
+
+    Each prefix x' is split into a lead L (its first k = d - 1 - t axes)
+    and a tail T (the other t).  On the line through x',
+        c(x') = c_L(L) + c_T(T) + L . (2 A_{lead,tail} T),
+        b(x') = b_L(L) + b_T(T),
+    with c_T the tail's own form plus v and c_L the lead's own form.  Over
+    the p^t tails, c_T, b_T and the cross vectors 2 A_{lead,tail} T are
+    tables, from one product of the tail rows, and c_L and b_L likewise
+    over the p^k leads, built once; a block of leads then costs a few array
+    operations before _line_roots solves its lines.  The first block is one
+    lead, so a scan that stops in it solves p^t lines; each next block
+    doubles, up to EVAL_CHUNK_CELLS lines.  Leads come in lexicographic
+    order and so do the tails of each, so the rows do."""
+    p, d = M.p, M.d
+    k = d - 1 - t
+    A, u = M.a64, np.array(M.u, dtype=np.int64)
+    lead, tail, last = slice(0, k), slice(k, d - 1), slice(d - 1, d)
+
+    def tables(pts, axes, other):
+        # (x A_axes,axes + u) . x and x (2 A_axes,other) mod p per row x,
+        # every entry below 2 p^2 per axis before its reduction
+        xa = pts @ np.hstack([A[axes, axes], 2 * A[axes, other]]) % p
+        own = np.einsum("ij,ij->i", xa[:, : pts.shape[1]] + u[axes], pts) % p
+        return own, xa[:, pts.shape[1] :]
+
+    tails, leads = all_points(p, t), all_points(p, k)
+    c_tail, tail_rest = tables(tails, tail, np.r_[lead, last])
+    c_tail, cross, b_tail = (c_tail + M.v) % p, tail_rest[:, :k].T, (tail_rest[:, k] + M.u[d - 1]) % p
+    c_lead, b_lead = tables(leads, lead, last)
+    c_lead = c_lead.reshape(-1, 1)
+    most = max(1, EVAL_CHUNK_CELLS // len(tails))
+    start, n = 0, 1
+    while start < len(leads):
+        block = slice(start, start + n)
+        c = (c_tail + leads[block] @ cross + c_lead[block]) % p
+        b = (b_tail + b_lead[block]) % p
+        line, pts = _line_rows(*_line_roots(p, M.A.rows[d - 1][d - 1], b.reshape(-1), c.reshape(-1)), d)
+        yield _fill_prefixes(pts, line + start * len(tails), p)
+        start, n = start + n, min(2 * n, most)
+
+
+def _zero_blocks(M: QuadForm, width):
+    """V(M) as int64 rows in lexicographic order, in nonempty chunks of at
+    most EVAL_CHUNK_CELLS cells of rows width wide.
+
+    The tail is the most axes t < d whose p^t lines, one row each, fill
+    no more than a chunk.  When all p^(d-1) lines fit, _solve_zeros solves
+    them at once, here; otherwise _lead_blocks solves them in blocks of
+    leads as the chunks are asked for.  A block with more rows than a chunk
+    holds is cut, so every chunk fits."""
+    p, d = M.p, M.d
+    most = max(1, EVAL_CHUNK_CELLS // max(width, 1))
+    t = d - 1
+    while t > 0 and p**t * width > EVAL_CHUNK_CELLS:
+        t -= 1
+    blocks = [_solve_zeros(M)] if t == d - 1 else _lead_blocks(M, t)
+    return (pts[start : start + most] for pts in blocks for start in range(0, len(pts), most))
 
 
 def first_zero(M: QuadForm, budget=DEFAULT_BUDGET):
@@ -196,23 +275,49 @@ def first_zero(M: QuadForm, budget=DEFAULT_BUDGET):
     return None
 
 
-def enumerate_zeros(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
-    """V(M), or V(M) n (V + c), as int64 rows in lexicographic order.
-
-    On V + c with basis B (k rows) M is pulled back to the parameters,
-    t |-> M(t B + c) (QuadForm.composed), that form in k variables is solved
-    by _solve_zeros like V(M) itself, and each row t is mapped to
-    (t B + c) mod p and the rows sorted.  A point subspace (k = 0) is its
-    offset when M vanishes there.  The subspace is checked against M, and
-    p^d (p^k on V + c) against the budget, before any work (_check_slice)."""
+def zero_chunks(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
+    """V(M), or V(M) n (V + c), as int64 rows in lexicographic order, in
+    nonempty chunks of at most EVAL_CHUNK_CELLS cells (_zero_blocks), so a
+    scan holds one chunk at a time and one that stops early solves only
+    the lines up to its chunk.  The subspace is checked against M, and p^d
+    (p^k on V + c) against the budget, when zero_chunks is called, before
+    the first chunk is asked for (_check_slice)."""
     _check_slice(M, S, budget)
+    return _on_slice(M, S, lambda N: _zero_blocks(N, M.d))
+
+
+def enumerate_zeros(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
+    """zero_chunks' rows as one int64 array, with the same checks before
+    any work.  A caller that holds the whole set gains nothing from the
+    blocks, so all the lines are solved at once (_solve_zeros), which at
+    F_11^5 and F_13^5 costs less than joining the chunks."""
+    _check_slice(M, S, budget)
+    (pts,) = _on_slice(M, S, lambda N: [_solve_zeros(N)])
+    return pts
+
+
+def _on_slice(M: QuadForm, S: AffineSubspace | None, solve):
+    """solve(M)'s blocks of rows, or on V + c those of the form pulled back
+    to its parameters, mapped back to F_p^d.
+
+    The basis of V is put in reduced echelon form B (k rows, pivot columns
+    j_i) and the offset c reduced to 0 on the pivots; M is pulled back,
+    t |-> M(t B + c) (QuadForm.composed), that form in k variables is
+    solved like V(M) itself, and each row t is mapped to (t B + c) mod p.
+    Coordinate j_i of t B + c is t_i, and every coordinate before it
+    depends on t_0..t_(i-1) alone, so the rows stay in lexicographic order
+    and nothing is sorted.  A point subspace is the form in 0 variables,
+    M(c)."""
     if S is None:
-        return _solve_zeros(M)
-    if S.dim() == 0:
-        return np.array([S.offset] if M.evaluate(S.offset) == 0 else [], dtype=np.int64).reshape(-1, M.d)
-    t = _solve_zeros(M.composed(S.basis, S.offset))
-    pts = (t @ np.array(S.basis, dtype=np.int64) + np.array(S.offset, dtype=np.int64)) % M.p
-    return pts[np.lexsort(pts.T[::-1])]
+        return solve(M)
+    p = M.p
+    basis, _, pivots = rref(FpMatrix(S.field, S.basis))
+    offset = list(S.offset)
+    for row, j in zip(basis.rows, pivots):
+        offset = [(x - offset[j] * y) % p for x, y in zip(offset, row)]
+    B = np.array(basis.rows, dtype=np.int64).reshape(-1, M.d)
+    c = np.array(offset, dtype=np.int64)
+    return ((t @ B + c) % p for t in solve(M.composed(basis.rows, offset)))
 
 
 def _completed_square(field, diag, u, v):
@@ -231,10 +336,8 @@ def _zero_set_class(M: QuadForm, S: AffineSubspace | None = None):
     None) and diagonalized by congruence, x = yT with T A T^T = diag(D), so
     M = sum_i D_i y_i^2 + u'.y + v, u' = T u (_completed_square; kappa is
     None when u is not in Im A).  A point subspace is the form in 0
-    variables with kappa = M(c)."""
+    variables, with kappa = M(c)."""
     if S is not None:
-        if S.dim() == 0:
-            return 0, 0, 1, M.evaluate(S.offset)
         M = M.composed(S.basis, S.offset)
     T, diag = _congruence_diagonalize(M)
     return (M.d, *_completed_square(M.field, diag, T.matvec(M.u), M.v))

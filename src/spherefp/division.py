@@ -35,6 +35,7 @@ from .counting import (
     enumerate_zeros,
     first_zero,
     gowers_blocks,
+    zero_chunks,
 )
 from .ffcore import FpMatrix, HypothesisFailed, HypothesisNotMet, MalformedInput, PrimeField
 from .ffcore import TheoremViolation, matrix_inverse
@@ -233,15 +234,12 @@ def _nullstellensatz_core(P: FpMultiPoly, M: QuadForm, budget=DEFAULT_BUDGET):
     cert = bij_division(P, M)
     if cert.remainder_is_zero():
         return "certificate", _checked_quotient(cert, P, M)
-    zeros = enumerate_zeros(M, None, budget)
-    vals = P.eval_array(zeros)
-    bad = np.flatnonzero(vals != 0)
-    if len(bad) == 0:
-        raise TheoremViolation(
-            "V(M) contained in V(P) but the division has a remainder"
-        )
-    witness = tuple(int(x) for x in zeros[bad[0]])
-    return "witness", witness
+    # V(M) chunk by chunk: the scan stops at the first chunk with a witness
+    for zeros in zero_chunks(M, None, budget):
+        bad = np.flatnonzero(P.eval_array(zeros))
+        if len(bad):
+            return "witness", tuple(int(x) for x in zeros[bad[0]])
+    raise TheoremViolation("V(M) contained in V(P) but the division has a remainder")
 
 
 def _checked_quotient(cert, P, M):
@@ -562,9 +560,14 @@ class ZpQuadForm:
 
     def sphere_points(self, budget=DEFAULT_BUDGET):
         """tau(V(M-bar)): the base integer points of V_p(M) inside [p]^d, as
-        enumerate_zeros' (N, d) int64 rows in lex order.  The one source of
-        V_p(M) base points."""
+        enumerate_zeros' (N, d) int64 rows in lex order.  With sphere_chunks,
+        the one source of V_p(M) base points."""
         return enumerate_zeros(self.induced(), None, budget)
+
+    def sphere_chunks(self, budget=DEFAULT_BUDGET):
+        """The rows of sphere_points in zero_chunks' chunks, for a scan
+        that holds one chunk at a time; the budget is checked at the call."""
+        return zero_chunks(self.induced(), None, budget)
 
     def to_json(self):
         return {"p": self.p, "A": self.A, "u": self.u, "v": self.v}
@@ -704,13 +707,16 @@ def _scan_fibers(f, M, budget, error, skip_constant=False):
     """Raise error(witness) at the first fiber of f over V_p(M) with a
     non-integral binomial coordinate (the constant one passed over when
     skip_constant), if there is one: the fiber at the first point of V_p(M)
-    (counting.first_zero) first, then all of V_p(M) only if that one passes,
-    each under budget.  With an l-part (_solve_certificate_first) none passes."""
+    (counting.first_zero) first, then V_p(M) chunk by chunk only if that one
+    passes, each under budget, stopping at the first chunk with a witness.
+    The chunks come in lexicographic order, so that witness is the one a
+    scan of all of V_p(M) finds.  With an l-part (_solve_certificate_first)
+    no fiber passes."""
     first = first_zero(M.induced(), budget)
-    witness = first and (
-        _first_noninteger_fiber(f, [first], M.p, skip_constant)
-        or _first_noninteger_fiber(f, M.sphere_points(budget), M.p, skip_constant)
-    )
+    witness = first and _first_noninteger_fiber(f, [first], M.p, skip_constant)
+    if first and not witness:
+        scans = (_first_noninteger_fiber(f, chunk, M.p, skip_constant) for chunk in M.sphere_chunks(budget))
+        witness = next(filter(None, scans), None)
     if witness:
         raise error(witness)
 

@@ -280,23 +280,31 @@ def weyl_dichotomy(g: RatMultiPoly, p: int, radius: int, delta: float, budget=DE
     the lifted Nullstellensatz and verified exactly on the simplex grid.
 
     omega may carry the sphere's points, as sphere_points returns them, to
-    avoid re-enumeration across many calls."""
+    avoid re-enumeration across many calls; without it the sphere is read
+    chunk by chunk (ZpQuadForm.sphere_chunks) and only the p residue counts
+    are kept, so no more than one chunk is held.  The counts are integers,
+    so the value does not depend on the chunking."""
     _check_delta(delta)
     nums, den = g._binomial_numerators()
     if any(n % den for n in nums.values()):
         raise NotIntegerValued("weyl_dichotomy requires an integer valued polynomial")
     d = g.nvars
-    if omega is None:
-        omega = sphere_points(p, d, radius, budget)
-    if len(omega) == 0:
-        raise RankHypothesisFailed("empty sphere (rank hypothesis fails)")
-    if den % p == 0:
+    chunks = [omega] if omega is not None else ZpQuadForm.sphere(p, d, radius).sphere_chunks(budget)
+    if den % p == 0 and any(len(chunk) for chunk in chunks):  # a nonempty sphere
         raise ValueRangeError("denominator divisible by p")
     # g(n) = sum_i (nums[i] / den) C(n, i) with integer binomial coordinates
-    table = _binomial_residue_table(omega, list(nums), d, p)
-    r = table @ np.array([n // den % p for n in nums.values()], dtype=table.dtype) % p
-    if (r == r[0]).all():
-        a = int(r[0])
+    coords = [n // den % p for n in nums.values()]
+    counts = np.zeros(p, dtype=np.int64)
+    for chunk in chunks:
+        if len(chunk):
+            table = _binomial_residue_table(chunk, list(nums), d, p)
+            r = table @ np.array(coords, dtype=table.dtype) % p
+            counts += np.bincount(r.astype(np.int64), minlength=p)
+    if not counts.any():
+        raise RankHypothesisFailed("empty sphere (rank hypothesis fails)")
+    phases = np.flatnonzero(counts)
+    if len(phases) == 1:
+        a = int(phases[0])
         Mz = ZpQuadForm.sphere(p, d, radius)
         shifted = (g - RatMultiPoly.constant(d, a)).scale(Fraction(1, p))
         g1, g2 = lift_nullstellensatz(shifted, Mz)
@@ -304,8 +312,7 @@ def weyl_dichotomy(g: RatMultiPoly, p: int, radius: int, delta: float, budget=DE
         if (vals != 0).any():
             raise TheoremViolation("Weyl certificate failed to re-verify")
         return WeylOutcome("constant", 1.0, Fraction(a, p), g1, g2)
-    counts = np.bincount(r.astype(np.int64), minlength=p).tolist()
-    value = abs(root_sum(counts, p)) / len(omega)
+    value = abs(root_sum(counts.tolist(), p)) / int(counts.sum())
     if value <= delta:
         return WeylOutcome("sum_small", value)
     raise DichotomyViolation(

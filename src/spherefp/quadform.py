@@ -218,11 +218,14 @@ class QuadForm:
         return QuadForm(field, self.A, u2, v2)
 
     def composed(self, B_rows, shift=None):
-        """The quadratic form n |-> M(n B + shift)."""
+        """The quadratic form n |-> M(n B + shift); with no rows in B, the
+        form in 0 variables whose constant is M(shift)."""
         field = self.field
         p = self.p
         B = B_rows if isinstance(B_rows, FpMatrix) else FpMatrix(field, B_rows)
         base = self if shift is None else self.shifted(shift)
+        if not B.nrows:
+            return QuadForm(field, [], [], base.v)
         A2 = B.matmul(base.A).matmul(B.transpose())
         u2 = [sum(base.u[k] * B.rows[i][k] for k in range(self.d)) % p for i in range(B.nrows)]
         return QuadForm(field, A2, u2, base.v)

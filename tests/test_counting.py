@@ -29,7 +29,7 @@ from spherefp import counting
 from spherefp.division import ZpQuadForm, first_gowers_witness, gowers_equation_solve
 from spherefp.equidist import sphere_points
 from spherefp.ffcore import FpMatrix, MalformedInput, PrimeField, TheoremViolation, nullspace, rank as mat_rank
-from spherefp.fpoly import FpMultiPoly
+from spherefp.fpoly import EVAL_CHUNK_CELLS, FpMultiPoly
 from spherefp.msets import enumerate_mset, gowers_family
 from spherefp.quadform import AffineSubspace, QuadForm, perp
 
@@ -185,7 +185,7 @@ def test_exp_sum_diagonalizes_once_and_answers_past_the_enumeration_budget(monke
     def never(*args, **kwargs):
         raise AssertionError("V(M) was enumerated")
 
-    monkeypatch.setattr(counting, "_solve_zeros", never)
+    monkeypatch.setattr(counting, "_line_roots", never)
     diagonalized = []
     diagonalize = counting._congruence_diagonalize
     monkeypatch.setattr(counting, "_congruence_diagonalize", lambda M: diagonalized.append(M.d) or diagonalize(M))
@@ -715,7 +715,7 @@ def test_box_s_entry_points_refuse_an_s_that_is_not_a_count(monkeypatch):
     def never(*args):
         raise AssertionError("enumerated before s was checked")
 
-    monkeypatch.setattr(counting, "_solve_zeros", never)
+    monkeypatch.setattr(counting, "_line_roots", never)
     M = QuadForm.dot_form(F5, 5, 1)
     g = FpMultiPoly(5, 5, {(1, 0, 0, 0, 0): 1})
     calls = (
@@ -914,6 +914,83 @@ def test_first_zero_solves_the_lines_up_to_the_first_root(M):
         counting.first_zero(M, charge - 1)
 
 
+def slice_reference(M, S):
+    """V(M) n (V + c) point by point: every t B + c through eval_array,
+    the rows sorted."""
+    p, d = M.p, M.d
+    B = np.array(S.basis, dtype=np.int64).reshape(-1, d)
+    pts = (all_points(p, S.dim()) @ B + np.array(S.offset, dtype=np.int64)) % p
+    pts = pts[M.eval_array(pts) == 0]
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+@st.composite
+def line_forms_and_slices(draw):
+    """A line_forms() form with no subspace, or with V + c of any dimension
+    0..d: a random independent basis and offset, a point when k = 0."""
+    M = draw(line_forms())
+    p, d = M.p, M.d
+    k = draw(st.one_of(st.none(), st.integers(0, d)))
+    if k is None:
+        return M, None
+    elem = st.integers(0, p - 1)
+    basis = []
+    while len(basis) < k:
+        row = [draw(elem) for _ in range(d)]
+        if mat_rank(FpMatrix(M.field, basis + [row])) > len(basis):
+            basis.append(row)
+    return M, AffineSubspace(M.field, basis, [draw(elem) for _ in range(d)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(line_forms_and_slices())
+def test_zero_chunks_join_to_the_point_by_point_reference(case):
+    # the stream joined is the whole set, in dtype, shape and row order, on
+    # a = 0 lines, lines with all p roots, empty sets and point subspaces;
+    # every chunk is nonempty and holds at most EVAL_CHUNK_CELLS cells
+    M, S = case
+    want = reference_zeros(M) if S is None else slice_reference(M, S)
+    chunks = list(counting.zero_chunks(M, S))
+    assert all(0 < chunk.size <= EVAL_CHUNK_CELLS and chunk.dtype == np.int64 for chunk in chunks)
+    got = np.concatenate(chunks) if chunks else np.empty((0, M.d), dtype=np.int64)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    joined = enumerate_zeros(M, S)
+    assert joined.dtype == np.int64 and joined.shape == want.shape and np.array_equal(joined, want)
+
+
+def test_zero_chunks_stream_past_a_chunk_and_refuse_before_solving(monkeypatch, rng):
+    # past a chunk the rows come a block of leads at a time and are cut to
+    # chunks; a budget below p^d (p^k on V + c) is refused when zero_chunks
+    # is called, before any line is solved or the first chunk asked for
+    lines = []
+    roots = counting._line_roots
+    monkeypatch.setattr(counting, "_line_roots", lambda p, a, b, c: lines.append(len(c)) or roots(p, a, b, c))
+    for p, d in ((13, 5), (7, 6), (5, 7)):
+        M = random_form(PrimeField(p), d, rng, min_rank=3)
+        S = AffineSubspace(M.field, np.eye(d, dtype=int)[1:].tolist(), [1] + [0] * (d - 1))
+        for sub, size in ((None, p**d), (S, p ** (d - 1))):
+            lines.clear()
+            with pytest.raises(BudgetExceeded, match=f"^enumeration of size {size} exceeds budget {size - 1}$"):
+                counting.zero_chunks(M, sub, size - 1)
+            assert lines == []
+        chunks = list(counting.zero_chunks(M))
+        assert len(chunks) > 1 and sum(lines) == p ** (d - 1)
+        assert all(0 < chunk.size <= EVAL_CHUNK_CELLS for chunk in chunks)
+        assert np.array_equal(np.concatenate(chunks), reference_zeros(M))
+
+
+def test_a_point_subspace_is_its_offset_when_m_vanishes_there(rng):
+    # V + c with no basis is the form in 0 variables, M(c): the stream
+    # yields the row c when M(c) = 0 and nothing otherwise
+    for p in (5, 7, 13):
+        M = random_form(PrimeField(p), 4, rng)
+        for c in itertools.islice(itertools.product(range(p), repeat=4), 0, p**4, 7):
+            S = AffineSubspace(M.field, [], list(c))
+            got = [chunk.tolist() for chunk in counting.zero_chunks(M, S)]
+            assert got == ([[list(c)]] if M.evaluate(list(c)) == 0 else [])
+            assert enumerate_zeros(M, S).shape == ((1, 4) if M.evaluate(list(c)) == 0 else (0, 4))
+
+
 def line_root_counts(M):
     """The number of roots on each line, in prefix order."""
     p, d = M.p, M.d
@@ -1084,7 +1161,7 @@ def test_a_subspace_of_another_ambient_dimension_is_refused_before_any_work(monk
     def never(*args, **kwargs):
         raise AssertionError("work started on a mismatched subspace")
 
-    monkeypatch.setattr(counting, "_solve_zeros", never)
+    monkeypatch.setattr(counting, "_line_roots", never)
     for call in (
         lambda: enumerate_zeros(SPHERE3, wide),
         lambda: gowers_set(SPHERE3, 1, wide),
@@ -1102,7 +1179,7 @@ def test_a_subspace_over_another_prime_is_refused_before_any_work(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("work started on a subspace over another prime")
 
-    monkeypatch.setattr(counting, "_solve_zeros", never)
+    monkeypatch.setattr(counting, "_line_roots", never)
     for call in (
         lambda: enumerate_zeros(QuadForm.dot_form(F5, 3, 1), other),
         lambda: gowers_set(QuadForm.dot_form(F5, 3, 1), 1, other),
@@ -1132,6 +1209,7 @@ def test_one_delta_rule_at_every_entry_point(monkeypatch, rng, delta):
     monkeypatch.setattr(msets, "_reduced_rows", never)
     monkeypatch.setattr(equidist, "frequency_count", never)
     monkeypatch.setattr(equidist, "sphere_points", never)
+    monkeypatch.setattr(equidist.ZpQuadForm, "sphere_chunks", never)
     calls = [
         lambda: division.dichotomy(FpMultiPoly.variable(5, 3, 0), M, delta),
         lambda: msets.irreducibility_probe(family, M, 1, 2, delta, 3, rng),

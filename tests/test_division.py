@@ -155,6 +155,37 @@ def test_nullstellensatz_totality(f7, rng):
     assert kind == "witness"
 
 
+def test_nullstellensatz_draws_only_the_chunks_up_to_its_witness(monkeypatch, rng):
+    # the witness is the first row of V(M) where P does not vanish, as the
+    # materialized scan found it, and the stream is read no further than
+    # the chunk that holds it; past a chunk (F_13^5, F_11^5) that is one
+    # block of 13^3 or 11^3 lines when the witness lies in the first lead
+    drawn = []
+    stream = counting.zero_chunks
+
+    def spy(*args):
+        for chunk in stream(*args):
+            drawn.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(division, "zero_chunks", spy)
+    stopped_early = 0
+    for p, d in ((13, 5), (11, 5), (7, 4)):
+        for _ in range(4):
+            M = random_form(PrimeField(p), d, rng, min_rank=3)
+            P = random_fp_poly(p, d, min(3, (p - 1) // 2), rng, nterms=3)
+            zeros = enumerate_zeros(M)
+            bad = np.flatnonzero(P.eval_array(zeros))
+            if P.is_zero() or not len(bad) or bij_division(P, M).remainder_is_zero():
+                continue
+            sizes = np.cumsum([len(chunk) for chunk in stream(M)])
+            drawn.clear()
+            assert nullstellensatz(P, M) == ("witness", tuple(map(int, zeros[bad[0]])))
+            assert len(drawn) == int(np.searchsorted(sizes, bad[0], side="right")) + 1
+            stopped_early += len(drawn) < len(sizes)
+    assert stopped_early >= 4
+
+
 def test_nullstellensatz_precondition(f5):
     M = QuadForm.dot_form(f5, 4, radius=1)
     with pytest.raises(ValueError):
@@ -206,9 +237,12 @@ def test_dichotomy_containment_with_a_remainder_is_a_violation(monkeypatch):
     mp = M.as_poly()
     with pytest.raises(ValueRangeError, match=r"^needs p >= 5 and p > 2 deg\(P\)$"):
         dichotomy(mp * mp, M, 0.3)
+    # an enumeration is a call of division's enumerate_zeros (whole) or
+    # zero_chunks (streamed); either counts
     runs = []
-    enumerate_once = division.enumerate_zeros
-    monkeypatch.setattr(division, "enumerate_zeros", lambda *a: runs.append(a) or enumerate_once(*a))
+    for name in ("enumerate_zeros", "zero_chunks"):
+        run = getattr(division, name)
+        monkeypatch.setattr(division, name, lambda *a, run=run: runs.append(a) or run(*a))
     divide = division.bij_division
     one = FpMultiPoly.constant(7, 4, 1)
     monkeypatch.setattr(division, "bij_division", lambda P, M: divide(P + one, M))
@@ -255,8 +289,9 @@ def test_antiderivative_certificate_first(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("antiderivative enumerated V(M) for a multiple of M")
 
-    monkeypatch.setattr(counting, "enumerate_zeros", never)
-    monkeypatch.setattr(division, "enumerate_zeros", never)
+    for module in (counting, division):
+        monkeypatch.setattr(module, "enumerate_zeros", never)
+        monkeypatch.setattr(module, "zero_chunks", never)
     M = QuadForm.dot_form(PrimeField(13), 6)
     W = FpMultiPoly(13, 6, {(1, 0, 0, 0, 0, 0): 1, (0, 2, 0, 0, 0, 0): 3})
     assert antiderivative(M.as_poly() * W, M) == W
@@ -580,7 +615,7 @@ def test_gowers_scans_refuse_another_arity_before_any_enumeration(monkeypatch, f
     def never(*args, **kwargs):
         raise AssertionError("enumerated before the arity check")
 
-    monkeypatch.setattr(counting, "_solve_zeros", never)
+    monkeypatch.setattr(counting, "_line_roots", never)
     monkeypatch.setattr(counting, "_zero_set_class", never)
     M = QuadForm.dot_form(f5, 6, radius=1)  # rank 6: the cube equation's s + 3 for s <= 3
     short = FpMultiPoly(5, 4, {(1, 0, 0, 0): 1})
@@ -783,12 +818,17 @@ def test_l_part_scan_builds_the_first_chunk_alone(monkeypatch):
 def test_l_part_witness_solves_only_the_first_line(monkeypatch):
     # with an l-part the witness is at the first point of V_p(M): on the
     # sphere of F_5^10 (1,952,500 points) only the line through the zero
-    # prefix is solved, t^2 = 1, and nothing enumerates V_p(M)
+    # prefix is solved, t^2 = 1, and nothing enumerates or streams V_p(M)
     def never(*args, **kwargs):
         raise AssertionError("V_p(M) was enumerated")
 
-    monkeypatch.setattr(counting, "_solve_zeros", never)
+    for name in ("_solve_zeros", "zero_chunks", "enumerate_zeros"):
+        monkeypatch.setattr(counting, name, never)
     monkeypatch.setattr(ZpQuadForm, "sphere_points", never)
+    monkeypatch.setattr(ZpQuadForm, "sphere_chunks", never)
+    lines = []
+    roots = counting._line_roots
+    monkeypatch.setattr(counting, "_line_roots", lambda p, a, b, c: lines.append(len(c)) or roots(p, a, b, c))
     p, d = 5, 10
     M = ZpQuadForm.sphere(p, d, 1)
     x = [RatMultiPoly.variable(d, j) for j in range(d)]
@@ -798,11 +838,14 @@ def test_l_part_witness_solves_only_the_first_line(monkeypatch):
         (sphere_vanishing_decompose, NotSphereIntegral),
         (sphere_periodic_decompose, NotPartiallyPeriodic),
     ):
+        lines.clear()
         with pytest.raises(error) as err:
             solver(f, M, p)  # the one line's p points
-        assert err.value.witness == want
+        assert err.value.witness == want and lines == [1]
+        lines.clear()
         with pytest.raises(BudgetExceeded, match=rf"^enumeration of size {p} exceeds budget {p - 1}$"):
             solver(f, M, p - 1)
+        assert lines == []
 
 
 def has_l_part(f, p, skip_constant):
@@ -1478,6 +1521,8 @@ def test_forward_certificates_enumerate_nothing(monkeypatch, rng):
     Mz = ZpQuadForm.sphere(5, 4, 1)
     monkeypatch.setattr(division, "_first_noninteger_fiber", never)
     monkeypatch.setattr(division, "enumerate_zeros", never)
+    monkeypatch.setattr(division, "zero_chunks", never)
+    monkeypatch.setattr(ZpQuadForm, "sphere_chunks", never)
     for _ in range(10):
         f = _forward(Mz, rng)
         q0, rs = sphere_vanishing_decompose(f, Mz)

@@ -390,6 +390,7 @@ def test_entry_points_refuse_a_vacuous_K_and_a_delta_outside_0_1(monkeypatch, rn
     f = RatMultiPoly(3, {(1, 0, 0): Fraction(1)})
     monkeypatch.setattr(equidist, "frequency_count", never)
     monkeypatch.setattr(equidist, "sphere_points", never)
+    monkeypatch.setattr(equidist.ZpQuadForm, "sphere_chunks", never)
     for K in (0, -1, True, 2.0, "2"):
         with pytest.raises(MalformedInput, match=f"K must be an integer >= 1, got {K!r}"):
             equidist_test(g, omega, 0.3, K)
@@ -410,3 +411,39 @@ def test_entry_points_refuse_a_vacuous_K_and_a_delta_outside_0_1(monkeypatch, rn
 @pytest.mark.parametrize("m, K", [(1, 5), (2, 5), (3, 5), (2, 50), (3, 20)])
 def test_frequency_count_closed_form(m, K):
     assert frequency_count(m, K) == len(frequencies(m, K))
+
+
+@pytest.mark.parametrize("p, d", [(5, 4), (5, 7), (7, 4), (7, 6), (11, 5), (13, 3), (13, 5)])
+def test_streamed_weyl_matches_the_materialized_sphere(monkeypatch, p, d):
+    # with omega=None the sphere is read chunk by chunk and only p residue
+    # counts are kept: the same repr(value), branch and certificate as with
+    # the materialized sphere, no residue table wider than a chunk, and
+    # V_p(M) never materialized; (5, 7), (7, 6), (11, 5) and (13, 5) span
+    # several chunks
+    from spherefp import counting
+    from spherefp.fpoly import EVAL_CHUNK_CELLS
+
+    r = random.Random(p * 100 + d)
+    Mz = ZpQuadForm.sphere(p, d, 1)
+    omega = sphere_points(p, d, 1)
+    draws = [random_int_valued(d, r.randint(1, 3), r) for _ in range(3)]
+    if d <= 4:  # the constant branch lifts a Nullstellensatz certificate
+        g1, g2 = random_int_valued(d, 1, r), random_int_valued(d, 1, r)
+        draws.append(Mz.integer_poly() * g1 + g2.scale(p) + RatMultiPoly.constant(d, r.randrange(p)))
+    want = [weyl_dichotomy(g, p, 1, 1.0, omega=omega) for g in draws]
+
+    def never(*args, **kwargs):
+        raise AssertionError("the sphere was materialized")
+
+    widths = []
+    table = equidist._binomial_residue_table
+    monkeypatch.setattr(equidist, "_binomial_residue_table", lambda pts, *a: widths.append(pts.size) or table(pts, *a))
+    monkeypatch.setattr(equidist, "sphere_points", never)
+    monkeypatch.setattr(ZpQuadForm, "sphere_points", never)
+    monkeypatch.setattr(counting, "enumerate_zeros", never)
+    for g, old in zip(draws, want):
+        new = weyl_dichotomy(g, p, 1, 1.0)
+        assert (new.branch, repr(new.value), new.constant) == (old.branch, repr(old.value), old.constant)
+        assert (new.g1, new.g2) == (old.g1, old.g2)
+    assert max(widths) <= EVAL_CHUNK_CELLS
+    assert (len(widths) > len(draws)) == (len(omega) * d > EVAL_CHUNK_CELLS)

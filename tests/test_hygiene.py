@@ -123,16 +123,17 @@ def _calls(node, name):
 
 def test_v_p_base_points_come_from_one_enumerator():
     # V_p(M) base points are ZpQuadForm.sphere_points' int64 rows in lex
-    # order: a second enumeration of M.induced() or a re-sort of omega
-    # would bring back a second point-set format beside it
+    # order, or the same rows in zero_chunks' chunks (sphere_chunks): a
+    # second enumeration of M.induced() or a re-sort of omega would bring
+    # back a second point-set format beside it
     where = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for name, fn in _functions(tree):
-            for call in _calls(fn, "enumerate_zeros"):
+            for call in [*_calls(fn, "enumerate_zeros"), *_calls(fn, "zero_chunks")]:
                 if [c for arg in call.args for c in _calls(arg, "induced")]:
                     where.add(f"{path.name}:{name}")
-    assert where == {"division.py:ZpQuadForm.sphere_points"}
+    assert where == {"division.py:ZpQuadForm.sphere_points", "division.py:ZpQuadForm.sphere_chunks"}
     tree = ast.parse((SRC / "fpoly.py").read_text())
     witness = [fn for name, fn in _functions(tree) if name == "partial_periodicity_witness"]
     assert len(witness) == 1 and list(_calls(witness[0], "sorted")) == []
@@ -157,10 +158,11 @@ def test_box_s_candidates_come_from_the_zero_set_rows():
 
 def test_zero_sets_come_from_the_line_solver_alone(monkeypatch):
     # V(M) and V(M) n (V + c) are both solved line by line by
-    # counting._solve_zeros, the slice on the form pulled back to the
-    # parameters of V + c: no point list of V + c filtered by eval_array
-    # beside it, and one Box_s row builder (enumerate_mset), so gowers_set
-    # only counts
+    # counting._line_roots, the slice on the form pulled back to the
+    # parameters of V + c, whether all lines at once (_solve_zeros) or a
+    # block of leads at a time (_lead_blocks): no point list of V + c
+    # filtered by eval_array beside it, and one Box_s row builder
+    # (enumerate_mset), so gowers_set only counts
     from spherefp import counting
     from spherefp.ffcore import PrimeField
     from spherefp.quadform import AffineSubspace, QuadForm
@@ -168,16 +170,27 @@ def test_zero_sets_come_from_the_line_solver_alone(monkeypatch):
     text = "".join(path.read_text() for path in sorted(SRC.glob("*.py")))
     assert "subspace_points" not in text and "count_only" not in text
     tree = ast.parse((SRC / "counting.py").read_text())
-    enum = [fn for name, fn in _functions(tree) if name == "enumerate_zeros"]
-    assert len(enum) == 1 and list(_calls(enum[0], "eval_array")) == []
-    solved = []
-    solve = counting._solve_zeros
-    monkeypatch.setattr(counting, "_solve_zeros", lambda M: solved.append(M.d) or solve(M))
+    for name in ("enumerate_zeros", "zero_chunks", "_zero_blocks", "_solve_zeros", "_lead_blocks"):
+        fns = [fn for fname, fn in _functions(tree) if fname == name]
+        assert len(fns) == 1 and list(_calls(fns[0], "eval_array")) == [], name
+    lines = []
+    roots = counting._line_roots
+    monkeypatch.setattr(counting, "_line_roots", lambda p, a, b, c: lines.append(len(c)) or roots(p, a, b, c))
     field = PrimeField(5)
     M = QuadForm.dot_form(field, 3, 1)
     counting.enumerate_zeros(M)
     counting.enumerate_zeros(M, AffineSubspace(field, [[1, 0, 0], [0, 1, 1]], [0, 1, 0]))
-    assert solved == [3, 2]
+    assert lines == [25, 5]
+    # past a chunk the stream solves the p^4 lines of F_13^5 a block of leads
+    # at a time, 1, 2, 4 and 6 leads of 13^3 lines, each line once; the
+    # whole set is solved in one block
+    big = QuadForm.dot_form(PrimeField(13), 5, 1)
+    lines.clear()
+    list(counting.zero_chunks(big))
+    assert lines == [13**3 * n for n in (1, 2, 4, 6)]
+    lines.clear()
+    counting.enumerate_zeros(big)
+    assert lines == [13**4]
 
 
 def test_gowers_set_counts_without_the_walk_or_the_row_builder(monkeypatch):
@@ -222,7 +235,7 @@ def test_counts_to_box_2_enumerate_nothing(monkeypatch):
         AffineSubspace(field, [], [1, 0, 0, 0]),
     ]
     want = [box_count(M, s, S) for s in range(3) for S in subspaces]
-    for name in ("_solve_zeros", "_walk", "_pair_zeros", "gowers_blocks"):
+    for name in ("_line_roots", "_walk", "_pair_zeros", "gowers_blocks"):
         monkeypatch.setattr(counting, name, never)
     assert [counting.gowers_set(M, s, S) for s in range(3) for S in subspaces] == want
     assert counting.zero_count_check(M, subspaces[1]).exact == want[1]
@@ -285,7 +298,7 @@ def test_a_budget_meters_only_enumeration_that_runs():
     # enumerates V(M) (the cube equation's order is pinned by the test above)
     functions = dict(_functions(ast.parse((SRC / "counting.py").read_text())))
     assert "_check_budget" not in functions  # p^d is checked by _check_slice alone
-    metering = ("_check_slice", "_box_meter", "_metered_gowers_set", "enumerate_zeros")
+    metering = ("_check_slice", "_box_meter", "_metered_gowers_set", "enumerate_zeros", "zero_chunks")
     for name in ("zero_count_check", "quadratic_root_count", "vmh_count_report", "exp_sum"):
         fn = functions[name]
         assert "budget" not in [a.arg for a in fn.args.args + fn.args.kwonlyargs], name
@@ -304,13 +317,16 @@ def test_a_budget_meters_only_enumeration_that_runs():
 
 def test_the_fiber_scan_keeps_one_path():
     # the sphere solvers' scan tries the fiber at the first point of V_p(M)
-    # before it enumerates V_p(M), whatever f is: no l-part branch
+    # before it streams V_p(M), whatever f is: no l-part branch, and no
+    # materialized V_p(M) beside the stream
     functions = dict(_functions(ast.parse((SRC / "division.py").read_text())))
     assert "_has_l_part" not in functions
     scan = functions["_scan_fibers"]
     first = [call.lineno for call in _calls(scan, "first_zero")]
-    full = [call.lineno for call in _calls(scan, "sphere_points")]
+    full = [call.lineno for call in _calls(scan, "sphere_chunks")]
     assert len(first) == len(full) == 1 and first[0] < full[0]
+    for name in ("sphere_points", "enumerate_zeros", "zero_chunks"):
+        assert list(_calls(scan, name)) == [], name
 
 
 def test_one_memo_of_sphere_systems():

@@ -302,3 +302,16 @@ def test_normalize_degenerate_linear_tail(f5):
     M2 = QuadForm(f5, [[0, 0], [0, 0]], [1, 2], 0)
     cert2 = normalize(M2)
     assert cert2.dprime == 0 and cert2.cprime == 1 and cert2.verify()
+
+
+def test_composed_on_a_point_is_the_constant_form(rng):
+    # an empty basis pulls M back to the form in 0 variables, whose constant
+    # is M at the offset; it used to raise a dimension mismatch
+    for p in (5, 7, 13):
+        field = PrimeField(p)
+        for d in (1, 3, 5):
+            M = random_form(field, d, rng)
+            c = [rng.randrange(p) for _ in range(d)]
+            N = M.composed([], c)
+            assert (N.d, N.u, N.v) == (0, [], M.evaluate(c))
+            assert N.A.rows == [] and M.composed([]).v == M.v
