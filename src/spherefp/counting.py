@@ -3,9 +3,9 @@ estimates turned into checkable bounds.
 
 Main terms carry their proven exponents; the implicit constants
 are tested at an explicit 4.  Enumeration is lexicographic over canonical
-representatives so point lists are reproducible byte for byte, and a zero
-set is also streamed in chunks of bounded size (zero_chunks), so a scan
-holds one chunk at a time.  Complex
+representatives so point lists are reproducible byte for byte, and V(M)
+is also streamed in chunks of bounded size (zero_chunks), so a scan holds
+one chunk at a time.  Complex
 sums are assembled from exact residue counts and a length-p table of roots
 of unity, summed with math.fsum, so the only float error is the final
 compensated accumulation.  Counts that need no point list, |V(M) n (V+c)|,
@@ -27,7 +27,7 @@ from .ffcore import (
     solve_linear,
 )
 from .quadform import (
-    AffineSubspace, QuadForm, RankHypothesisFailed, _congruence_diagonalize, qf_rank,
+    AffineSubspace, QuadForm, RankHypothesisFailed, _broadcast_values, _congruence_diagonalize, qf_rank,
 )
 # after quadform, which loads fpoly: loading fpoly here first changes the
 # modules' load order, and that order alone moved the lifts and cli
@@ -189,58 +189,50 @@ def _lead_blocks(M: QuadForm, t):
     """V(M) as int64 rows in lexicographic order, in blocks of whole leads.
 
     Each prefix x' is split into a lead L (its first k = d - 1 - t axes)
-    and a tail T (the other t).  On the line through x',
-        c(x') = c_L(L) + c_T(T) + L . (2 A_{lead,tail} T),
-        b(x') = b_L(L) + b_T(T),
-    with c_T the tail's own form plus v and c_L the lead's own form.  Over
-    the p^t tails, c_T, b_T and the cross vectors 2 A_{lead,tail} T are
-    tables, from one product of the tail rows, and c_L and b_L likewise
-    over the p^k leads, built once; a block of leads then costs a few array
-    operations before _line_roots solves its lines.  The first block is one
-    lead, so a scan that stops in it solves p^t lines; each next block
-    doubles, up to EVAL_CHUNK_CELLS lines.  Leads come in lexicographic
-    order and so do the tails of each, so the rows do."""
+    and a tail T (the other t).  At L = 0 the lines are those of M pulled
+    back to the tail and last axes (QuadForm.composed), whose b and c over
+    the p^t tails QuadForm.line_coefficients gives; a lead L adds
+    2 L A_{lead,last} to b and M_L(L) + (2 L A_{lead,tail}) . T to c, M_L
+    the form on the lead axes without v (_broadcast_values).  A block of
+    leads then costs a few array operations before _line_roots solves its
+    lines.  The first block is one lead, so a scan that stops in it solves
+    p^t lines; each next block doubles, up to EVAL_CHUNK_CELLS / d lines,
+    whose rows fill about one chunk (two at most where a != 0, p where
+    every line lies in V(M)).  Leads come in lexicographic order and
+    so do the tails of each, so the rows do."""
     p, d = M.p, M.d
     k = d - 1 - t
-    A, u = M.a64, np.array(M.u, dtype=np.int64)
-    lead, tail, last = slice(0, k), slice(k, d - 1), slice(d - 1, d)
-
-    def tables(pts, axes, other):
-        # (x A_axes,axes + u) . x and x (2 A_axes,other) mod p per row x,
-        # every entry below 2 p^2 per axis before its reduction
-        xa = pts @ np.hstack([A[axes, axes], 2 * A[axes, other]]) % p
-        own = np.einsum("ij,ij->i", xa[:, : pts.shape[1]] + u[axes], pts) % p
-        return own, xa[:, pts.shape[1] :]
-
-    tails, leads = all_points(p, t), all_points(p, k)
-    c_tail, tail_rest = tables(tails, tail, np.r_[lead, last])
-    c_tail, cross, b_tail = (c_tail + M.v) % p, tail_rest[:, :k].T, (tail_rest[:, k] + M.u[d - 1]) % p
-    c_lead, b_lead = tables(leads, lead, last)
-    c_lead = c_lead.reshape(-1, 1)
-    most = max(1, EVAL_CHUNK_CELLS // len(tails))
+    free = [[int(i == j) for j in range(d)] for i in range(k, d)]
+    a, b_tail, c_tail = M.composed(free).line_coefficients()
+    b_tail, c_tail = b_tail.reshape(-1), c_tail.reshape(-1)
+    leads, tails = all_points(p, k), all_points(p, t)
+    # per lead: 2 L A_{lead,tail}, then 2 L A_{lead,last}
+    shift = leads @ (2 * M.a64[:k, k:]) % p
+    c_lead = _broadcast_values(p, M.A.rows, M.u, 0, k).reshape(-1, 1)
+    most = max(1, EVAL_CHUNK_CELLS // (len(tails) * d))
     start, n = 0, 1
     while start < len(leads):
         block = slice(start, start + n)
-        c = (c_tail + leads[block] @ cross + c_lead[block]) % p
-        b = (b_tail + b_lead[block]) % p
-        line, pts = _line_rows(*_line_roots(p, M.A.rows[d - 1][d - 1], b.reshape(-1), c.reshape(-1)), d)
+        c = (shift[block, :t] @ tails.T + c_lead[block] + c_tail) % p
+        b = (shift[block, t:] + b_tail) % p
+        line, pts = _line_rows(*_line_roots(p, a, b.reshape(-1), c.reshape(-1)), d)
         yield _fill_prefixes(pts, line + start * len(tails), p)
         start, n = start + n, min(2 * n, most)
 
 
-def _zero_blocks(M: QuadForm, width):
+def _zero_blocks(M: QuadForm):
     """V(M) as int64 rows in lexicographic order, in nonempty chunks of at
-    most EVAL_CHUNK_CELLS cells of rows width wide.
+    most EVAL_CHUNK_CELLS cells.
 
-    The tail is the most axes t < d whose p^t lines, one row each, fill
-    no more than a chunk.  When all p^(d-1) lines fit, _solve_zeros solves
-    them at once, here; otherwise _lead_blocks solves them in blocks of
-    leads as the chunks are asked for.  A block with more rows than a chunk
-    holds is cut, so every chunk fits."""
+    The tail is the most axes t < d whose p^t lines, one row of d cells
+    each, fill no more than a chunk.  When all p^(d-1) lines fit,
+    _solve_zeros solves them at once, here; otherwise _lead_blocks solves
+    them in blocks of leads as the chunks are asked for.  A block with more
+    rows than a chunk holds is cut, so every chunk fits."""
     p, d = M.p, M.d
-    most = max(1, EVAL_CHUNK_CELLS // max(width, 1))
+    most = max(1, EVAL_CHUNK_CELLS // max(d, 1))
     t = d - 1
-    while t > 0 and p**t * width > EVAL_CHUNK_CELLS:
+    while t > 0 and p**t * d > EVAL_CHUNK_CELLS:
         t -= 1
     blocks = [_solve_zeros(M)] if t == d - 1 else _lead_blocks(M, t)
     return (pts[start : start + most] for pts in blocks for start in range(0, len(pts), most))
@@ -275,49 +267,41 @@ def first_zero(M: QuadForm, budget=DEFAULT_BUDGET):
     return None
 
 
-def zero_chunks(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
-    """V(M), or V(M) n (V + c), as int64 rows in lexicographic order, in
-    nonempty chunks of at most EVAL_CHUNK_CELLS cells (_zero_blocks), so a
-    scan holds one chunk at a time and one that stops early solves only
-    the lines up to its chunk.  The subspace is checked against M, and p^d
-    (p^k on V + c) against the budget, when zero_chunks is called, before
-    the first chunk is asked for (_check_slice)."""
-    _check_slice(M, S, budget)
-    return _on_slice(M, S, lambda N: _zero_blocks(N, M.d))
+def zero_chunks(M: QuadForm, budget=DEFAULT_BUDGET):
+    """V(M) as int64 rows in lexicographic order, in nonempty chunks of at
+    most EVAL_CHUNK_CELLS cells (_zero_blocks), so a scan holds one chunk
+    at a time and one that stops early solves only the lines up to its
+    chunk.  p^d is checked against the budget when zero_chunks is called,
+    before the first chunk is asked for (_check_slice)."""
+    _check_slice(M, None, budget)
+    return _zero_blocks(M)
 
 
 def enumerate_zeros(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
-    """zero_chunks' rows as one int64 array, with the same checks before
-    any work.  A caller that holds the whole set gains nothing from the
-    blocks, so all the lines are solved at once (_solve_zeros), which at
-    F_11^5 and F_13^5 costs less than joining the chunks."""
+    """V(M), or V(M) n (V + c), as one int64 array of rows in
+    lexicographic order, after the subspace and budget checks
+    (_check_slice): zero_chunks' rows, all the lines solved at once
+    (_solve_zeros), since joining the chunks costs a caller that holds the
+    whole set more than one block does.
+
+    On V + c the basis of V is put in reduced echelon form B (k rows,
+    pivot columns j_i) and the offset c reduced to 0 on the pivots; M is
+    pulled back, t |-> M(t B + c) (QuadForm.composed), that form in k
+    variables is solved like V(M) itself, and each row t is mapped to
+    (t B + c) mod p.  Coordinate j_i of t B + c is t_i, and every
+    coordinate before it depends on t_0..t_(i-1) alone, so the rows stay in
+    lexicographic order and nothing is sorted.  A point subspace is the
+    form in 0 variables, M(c)."""
     _check_slice(M, S, budget)
-    (pts,) = _on_slice(M, S, lambda N: [_solve_zeros(N)])
-    return pts
-
-
-def _on_slice(M: QuadForm, S: AffineSubspace | None, solve):
-    """solve(M)'s blocks of rows, or on V + c those of the form pulled back
-    to its parameters, mapped back to F_p^d.
-
-    The basis of V is put in reduced echelon form B (k rows, pivot columns
-    j_i) and the offset c reduced to 0 on the pivots; M is pulled back,
-    t |-> M(t B + c) (QuadForm.composed), that form in k variables is
-    solved like V(M) itself, and each row t is mapped to (t B + c) mod p.
-    Coordinate j_i of t B + c is t_i, and every coordinate before it
-    depends on t_0..t_(i-1) alone, so the rows stay in lexicographic order
-    and nothing is sorted.  A point subspace is the form in 0 variables,
-    M(c)."""
     if S is None:
-        return solve(M)
+        return _solve_zeros(M)
     p = M.p
     basis, _, pivots = rref(FpMatrix(S.field, S.basis))
     offset = list(S.offset)
     for row, j in zip(basis.rows, pivots):
         offset = [(x - offset[j] * y) % p for x, y in zip(offset, row)]
     B = np.array(basis.rows, dtype=np.int64).reshape(-1, M.d)
-    c = np.array(offset, dtype=np.int64)
-    return ((t @ B + c) % p for t in solve(M.composed(basis.rows, offset)))
+    return (_solve_zeros(M.composed(basis.rows, offset)) @ B + np.array(offset, dtype=np.int64)) % p
 
 
 def _completed_square(field, diag, u, v):

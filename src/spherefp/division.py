@@ -235,7 +235,7 @@ def _nullstellensatz_core(P: FpMultiPoly, M: QuadForm, budget=DEFAULT_BUDGET):
     if cert.remainder_is_zero():
         return "certificate", _checked_quotient(cert, P, M)
     # V(M) chunk by chunk: the scan stops at the first chunk with a witness
-    for zeros in zero_chunks(M, None, budget):
+    for zeros in zero_chunks(M, budget):
         bad = np.flatnonzero(P.eval_array(zeros))
         if len(bad):
             return "witness", tuple(int(x) for x in zeros[bad[0]])
@@ -567,7 +567,7 @@ class ZpQuadForm:
     def sphere_chunks(self, budget=DEFAULT_BUDGET):
         """The rows of sphere_points in zero_chunks' chunks, for a scan
         that holds one chunk at a time; the budget is checked at the call."""
-        return zero_chunks(self.induced(), None, budget)
+        return zero_chunks(self.induced(), budget)
 
     def to_json(self):
         return {"p": self.p, "A": self.A, "u": self.u, "v": self.v}

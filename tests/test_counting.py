@@ -946,32 +946,37 @@ def line_forms_and_slices(draw):
 @given(line_forms_and_slices())
 def test_zero_chunks_join_to_the_point_by_point_reference(case):
     # the stream joined is the whole set, in dtype, shape and row order, on
-    # a = 0 lines, lines with all p roots, empty sets and point subspaces;
+    # a = 0 lines, lines with all p roots and empty sets, and so is
+    # enumerate_zeros on V(M) and on V + c of every dimension, points too;
     # every chunk is nonempty and holds at most EVAL_CHUNK_CELLS cells
     M, S = case
-    want = reference_zeros(M) if S is None else slice_reference(M, S)
-    chunks = list(counting.zero_chunks(M, S))
+    want = reference_zeros(M)
+    chunks = list(counting.zero_chunks(M))
     assert all(0 < chunk.size <= EVAL_CHUNK_CELLS and chunk.dtype == np.int64 for chunk in chunks)
     got = np.concatenate(chunks) if chunks else np.empty((0, M.d), dtype=np.int64)
     assert got.shape == want.shape and np.array_equal(got, want)
+    if S is not None:
+        want = slice_reference(M, S)
     joined = enumerate_zeros(M, S)
     assert joined.dtype == np.int64 and joined.shape == want.shape and np.array_equal(joined, want)
 
 
 def test_zero_chunks_stream_past_a_chunk_and_refuse_before_solving(monkeypatch, rng):
     # past a chunk the rows come a block of leads at a time and are cut to
-    # chunks; a budget below p^d (p^k on V + c) is refused when zero_chunks
-    # is called, before any line is solved or the first chunk asked for
+    # chunks; a budget below p^d is refused when zero_chunks is called, and
+    # one below p^k on V + c when enumerate_zeros is, before any line is
+    # solved or the first chunk asked for
     lines = []
     roots = counting._line_roots
     monkeypatch.setattr(counting, "_line_roots", lambda p, a, b, c: lines.append(len(c)) or roots(p, a, b, c))
     for p, d in ((13, 5), (7, 6), (5, 7)):
         M = random_form(PrimeField(p), d, rng, min_rank=3)
         S = AffineSubspace(M.field, np.eye(d, dtype=int)[1:].tolist(), [1] + [0] * (d - 1))
-        for sub, size in ((None, p**d), (S, p ** (d - 1))):
+        scans = ((lambda b: counting.zero_chunks(M, b), p**d), (lambda b: enumerate_zeros(M, S, b), p ** (d - 1)))
+        for scan, size in scans:
             lines.clear()
             with pytest.raises(BudgetExceeded, match=f"^enumeration of size {size} exceeds budget {size - 1}$"):
-                counting.zero_chunks(M, sub, size - 1)
+                scan(size - 1)
             assert lines == []
         chunks = list(counting.zero_chunks(M))
         assert len(chunks) > 1 and sum(lines) == p ** (d - 1)
@@ -979,16 +984,28 @@ def test_zero_chunks_stream_past_a_chunk_and_refuse_before_solving(monkeypatch, 
         assert np.array_equal(np.concatenate(chunks), reference_zeros(M))
 
 
+def test_lead_blocks_solve_a_0_lines(rng):
+    # the lead blocks against the point-by-point reference where the form
+    # has a = 0 on every line, with b = 0 too (a line holds all p roots or
+    # none) or b a unit
+    for p, d in ((13, 5), (7, 6), (5, 7)):
+        M = random_form(PrimeField(p), d, rng)
+        rows = [row[:-1] + [0] for row in M.A.rows[:-1]] + [[0] * d]
+        for last in (0, 1):
+            flat = QuadForm(M.field, rows, M.u[:-1] + [last], M.v)
+            chunks = list(counting.zero_chunks(flat))
+            assert len(chunks) > 1 and all(0 < chunk.size <= EVAL_CHUNK_CELLS for chunk in chunks)
+            assert np.array_equal(np.concatenate(chunks), reference_zeros(flat))
+
+
 def test_a_point_subspace_is_its_offset_when_m_vanishes_there(rng):
-    # V + c with no basis is the form in 0 variables, M(c): the stream
-    # yields the row c when M(c) = 0 and nothing otherwise
+    # V + c with no basis is the form in 0 variables, M(c): its one row is
+    # c when M(c) = 0, and there is none otherwise
     for p in (5, 7, 13):
         M = random_form(PrimeField(p), 4, rng)
         for c in itertools.islice(itertools.product(range(p), repeat=4), 0, p**4, 7):
-            S = AffineSubspace(M.field, [], list(c))
-            got = [chunk.tolist() for chunk in counting.zero_chunks(M, S)]
-            assert got == ([[list(c)]] if M.evaluate(list(c)) == 0 else [])
-            assert enumerate_zeros(M, S).shape == ((1, 4) if M.evaluate(list(c)) == 0 else (0, 4))
+            got = enumerate_zeros(M, AffineSubspace(M.field, [], list(c)))
+            assert got.dtype == np.int64 and got.tolist() == ([list(c)] if M.evaluate(list(c)) == 0 else [])
 
 
 def line_root_counts(M):

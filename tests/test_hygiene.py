@@ -182,12 +182,14 @@ def test_zero_sets_come_from_the_line_solver_alone(monkeypatch):
     counting.enumerate_zeros(M, AffineSubspace(field, [[1, 0, 0], [0, 1, 1]], [0, 1, 0]))
     assert lines == [25, 5]
     # past a chunk the stream solves the p^4 lines of F_13^5 a block of leads
-    # at a time, 1, 2, 4 and 6 leads of 13^3 lines, each line once; the
-    # whole set is solved in one block
+    # at a time, 1, 2, 4, 5 and 1 leads of 13^3 lines, each line once: a
+    # block holds at most EVAL_CHUNK_CELLS / 5 lines; the whole set is
+    # solved in one block
     big = QuadForm.dot_form(PrimeField(13), 5, 1)
     lines.clear()
     list(counting.zero_chunks(big))
-    assert lines == [13**3 * n for n in (1, 2, 4, 6)]
+    assert lines == [13**3 * n for n in (1, 2, 4, 5, 1)]
+    assert max(lines) * 5 <= counting.EVAL_CHUNK_CELLS
     lines.clear()
     counting.enumerate_zeros(big)
     assert lines == [13**4]
