@@ -3,15 +3,18 @@ estimates turned into checkable bounds.
 
 Main terms carry their proven exponents; the implicit constants
 are tested at an explicit 4.  Enumeration is lexicographic over canonical
-representatives so point lists are reproducible byte for byte, and V(M)
-is also streamed in chunks of bounded size (zero_chunks), so a scan holds
-one chunk at a time.  Complex
-sums are assembled from exact residue counts and a length-p table of roots
-of unity, summed with math.fsum, so the only float error is the final
-compensated accumulation.  Counts that need no point list, |V(M) n (V+c)|,
-|V(M)^{h_1..h_r}|, |Box_s| for s <= 2 and exp_sum's phase counts, are
-closed forms from one congruence diagonalization and Gauss-sum zero
-counts, and take no budget: a budget meters only an enumeration that runs.
+representatives so point lists are reproducible byte for byte.  Every row
+of V(M) comes from one line solver (_line_solver) over a range of the
+lines along the last axis: the whole set is one range (enumerate_zeros),
+the stream ranges of whole leads in chunks of bounded size (zero_chunks),
+so a scan holds one chunk at a time, and the first point its own short
+ranges (first_zero).  Complex sums are assembled from exact residue
+counts and a length-p table of roots of unity, summed with math.fsum, so
+the only float error is the final compensated accumulation.  Counts that
+need no point list, |V(M) n (V+c)|, |V(M)^{h_1..h_r}|, |Box_s| for s <= 2
+and exp_sum's phase counts, are closed forms from one congruence
+diagonalization and Gauss-sum zero counts, and take no budget: a budget
+meters only an enumeration that runs.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .ffcore import (
     solve_linear,
 )
 from .quadform import (
-    AffineSubspace, QuadForm, RankHypothesisFailed, _broadcast_values, _congruence_diagonalize, qf_rank,
+    AffineSubspace, QuadForm, RankHypothesisFailed, _congruence_diagonalize, bilinear, qf_rank,
 )
 # after quadform, which loads fpoly: loading fpoly here first changes the
 # modules' load order, and that order alone moved the lifts and cli
@@ -149,121 +152,112 @@ def _line_roots(p, a, b, c):
     return first, np.ones_like(c), np.where(b != 0, 1, np.where(c == 0, p, 0))
 
 
-def _line_rows(first, step, count, d):
-    """(line, pts): for _line_roots' (first, step, count) over a block of
-    lines, an (N, d) int64 array whose last column holds every root, line
-    by line, ascending, and the index of each row's line in the block."""
-    line = np.repeat(np.arange(len(count)), count)
-    # the index of each row among the roots of its line
-    j = np.arange(len(line)) - (np.cumsum(count) - count)[line]
-    pts = np.empty((len(line), d), dtype=np.int64)
-    pts[:, d - 1] = first[line] + step[line] * j
-    return line, pts
+def _fill_digits(out, index, p):
+    """out, an (N, k) int64 array, with row i set to the base-p digits of
+    index[i], most significant first: the point of [p]^k at that index in
+    lexicographic order.  Floor division by the scalar p, with the digit
+    as the remainder left, takes about half the time of np.divmod."""
+    for axis in range(out.shape[1] - 1, -1, -1):
+        rest = index // p
+        out[:, axis] = index - rest * p
+        index = rest
+    return out
 
 
-def _solve_zeros(M: QuadForm):
-    """V(M) as int64 rows in lexicographic order, one line at a time.
+def _line_solver(M: QuadForm, t):
+    """rows(lo, hi): the rows of V(M) on the lines lo..hi-1, int64, in
+    lexicographic order.
 
-    On the line through the prefix x' along the last axis M is
-    a t^2 + b(x') t + c(x') (QuadForm.line_coefficients), solved by
-    _line_roots; each prefix's roots are emitted in prefix order, ascending.
-    The form in 0 variables is the constant v: its one point () is a zero
-    when v = 0."""
+    Line i runs along the last axis through the prefix x' in F_p^(d-1) of
+    index i in lexicographic order; on it M is a t^2 + b(x') t + c(x'),
+    solved by _line_roots, roots ascending.  A prefix is a lead L, its
+    first k = d - 1 - t axes, and a tail T, the other t, so a lead holds
+    p^t consecutive lines.  b and c over the tails are
+    QuadForm.line_coefficients of M on the tail and last axes, computed
+    once; a lead L adds 2 L A_{lead,last} to b and
+    M_L(L) + (2 L A_{lead,tail}) . T to c, M_L the form on the lead axes
+    without v, from the digits of the leads the range meets alone, so
+    nothing is built over all p^k leads; a range inside the first lead
+    reads b and c off the tails' tables.  The form in 0 variables is the
+    constant v: its one point () is a zero when v = 0."""
     p, d = M.p, M.d
     if d == 0:
-        return np.zeros((int(M.v == 0), 0), dtype=np.int64)
-    a, b, c = M.line_coefficients()
-    line, pts = _line_rows(*_line_roots(p, a, b.reshape(-1), c.reshape(-1)), d)
-    return _fill_prefixes(pts, line, p)
-
-
-def _fill_prefixes(pts, line, p):
-    """pts with its first d - 1 columns set to the prefix whose index in
-    lexicographic order over F_p^(d-1) is line, row by row."""
-    for axis in range(pts.shape[1] - 2, -1, -1):
-        line, pts[:, axis] = np.divmod(line, p)
-    return pts
-
-
-def _lead_blocks(M: QuadForm, t):
-    """V(M) as int64 rows in lexicographic order, in blocks of whole leads.
-
-    Each prefix x' is split into a lead L (its first k = d - 1 - t axes)
-    and a tail T (the other t).  At L = 0 the lines are those of M pulled
-    back to the tail and last axes (QuadForm.composed), whose b and c over
-    the p^t tails QuadForm.line_coefficients gives; a lead L adds
-    2 L A_{lead,last} to b and M_L(L) + (2 L A_{lead,tail}) . T to c, M_L
-    the form on the lead axes without v (_broadcast_values).  A block of
-    leads then costs a few array operations before _line_roots solves its
-    lines.  The first block is one lead, so a scan that stops in it solves
-    p^t lines; each next block doubles, up to EVAL_CHUNK_CELLS / d lines,
-    whose rows fill about one chunk (two at most where a != 0, p where
-    every line lies in V(M)).  Leads come in lexicographic order and
-    so do the tails of each, so the rows do."""
-    p, d = M.p, M.d
+        return lambda lo, hi: np.zeros((int(M.v == 0), 0), dtype=np.int64)
     k = d - 1 - t
-    free = [[int(i == j) for j in range(d)] for i in range(k, d)]
-    a, b_tail, c_tail = M.composed(free).line_coefficients()
+    tail = QuadForm(M.field, [row[k:] for row in M.A.rows[k:]], M.u[k:], M.v) if k else M
+    a, b_tail, c_tail = tail.line_coefficients()
     b_tail, c_tail = b_tail.reshape(-1), c_tail.reshape(-1)
-    leads, tails = all_points(p, k), all_points(p, t)
-    # per lead: 2 L A_{lead,tail}, then 2 L A_{lead,last}
-    shift = leads @ (2 * M.a64[:k, k:]) % p
-    c_lead = _broadcast_values(p, M.A.rows, M.u, 0, k).reshape(-1, 1)
-    most = max(1, EVAL_CHUNK_CELLS // (len(tails) * d))
-    start, n = 0, 1
-    while start < len(leads):
-        block = slice(start, start + n)
-        c = (shift[block, :t] @ tails.T + c_lead[block] + c_tail) % p
-        b = (shift[block, t:] + b_tail) % p
-        line, pts = _line_rows(*_line_roots(p, a, b.reshape(-1), c.reshape(-1)), d)
-        yield _fill_prefixes(pts, line + start * len(tails), p)
-        start, n = start + n, min(2 * n, most)
+    size = p**t  # the lines of one lead
+
+    def rows(lo, hi):
+        if hi <= size:  # inside the first lead, whose part is 0
+            b, c = b_tail[lo:hi], c_tail[lo:hi]
+        else:
+            start, stop = lo // size, -(-hi // size)  # the leads the range meets
+            L = _fill_digits(np.empty((stop - start, k), dtype=np.int64), np.arange(start, stop), p)
+            shift = L @ (2 * M.a64[:k, k:] % p) % p  # 2 L A_{lead,tail}, then 2 L A_{lead,last}
+            c_lead = bilinear(L, M.a64[:k, :k], L, p, np.array(M.u[:k], dtype=np.int64)) % p  # M_L(L)
+            cut = slice(lo - start * size, hi - start * size)
+            b = ((shift[:, t:] + b_tail) % p).reshape(-1)[cut]
+            c = ((shift[:, :t] @ all_points(p, t).T + c_lead[:, None] + c_tail) % p).reshape(-1)[cut]
+        first, step, count = _line_roots(p, a, b, c)
+        line = np.repeat(np.arange(len(count)), count)
+        # the index of each row among the roots of its line
+        j = np.arange(len(line)) - (np.cumsum(count) - count)[line]
+        pts = np.empty((len(line), d), dtype=np.int64)
+        pts[:, d - 1] = first[line] + step[line] * j
+        _fill_digits(pts[:, : d - 1], line + lo, p)
+        return pts
+
+    return rows
 
 
 def _zero_blocks(M: QuadForm):
     """V(M) as int64 rows in lexicographic order, in nonempty chunks of at
-    most EVAL_CHUNK_CELLS cells.
+    most EVAL_CHUNK_CELLS cells, each range of lines solved when its first
+    chunk is asked for.
 
     The tail is the most axes t < d whose p^t lines, one row of d cells
-    each, fill no more than a chunk.  When all p^(d-1) lines fit,
-    _solve_zeros solves them at once, here; otherwise _lead_blocks solves
-    them in blocks of leads as the chunks are asked for.  A block with more
-    rows than a chunk holds is cut, so every chunk fits."""
+    each, fill at most half a chunk.  The ranges are whole leads
+    (_line_solver): one lead first, so a scan that stops there solves p^t
+    lines, then each range doubles up to EVAL_CHUNK_CELLS / d lines, so it
+    holds at least half that many.  A range's rows fill about one chunk (at
+    most two where a != 0, p where every line lies in V(M)); a range with
+    more rows than a chunk holds is cut, so no chunk is larger."""
     p, d = M.p, M.d
     most = max(1, EVAL_CHUNK_CELLS // max(d, 1))
-    t = d - 1
-    while t > 0 and p**t * d > EVAL_CHUNK_CELLS:
+    t = max(d - 1, 0)
+    while t > 0 and 2 * p**t * d > EVAL_CHUNK_CELLS:
         t -= 1
-    blocks = [_solve_zeros(M)] if t == d - 1 else _lead_blocks(M, t)
-    return (pts[start : start + most] for pts in blocks for start in range(0, len(pts), most))
+    rows, size, lines = _line_solver(M, t), p**t, p ** max(d - 1, 0)
+    lo, n = 0, size
+    while lo < lines:
+        pts = rows(lo, min(lo + n, lines))
+        yield from (pts[start : start + most] for start in range(0, len(pts), most))
+        lo, n = lo + n, min(2 * n, max(size, most // size * size))
 
 
 def first_zero(M: QuadForm, budget=DEFAULT_BUDGET):
-    """The first row of _solve_zeros(M), or None when V(M) is empty,
-    solving only the blocks of lines up to the one that holds it.
-
-    The prefixes are taken in lexicographic order in blocks that fix a
-    leading part: (0, .., 0), then for j = 0, 1, .. the prefixes
-    (0, .., 0, q, *) with q = 1..p-1 and j free axes.  Each block is the
-    form pulled back to its free axes (QuadForm.composed), whose lines
-    _line_roots solves; the search stops at the first block with a root.
-    The budget meters the p points of every line solved, checked before
-    each block."""
+    """The first row of V(M) as a tuple of Python ints, or None when V(M)
+    is empty, solving only the ranges of lines up to the one that holds it:
+    the line [0, 1), then for j = 0, 1, .. and q = 1..p-1 the lines
+    [q p^j, (q + 1) p^j) of the prefixes (0, .., 0, q, *), at most
+    EVAL_CHUNK_CELLS / d lines at a time.  The solver has no tail, so the
+    first line costs one form in one variable.  The budget meters the p
+    points of every line solved, checked before each range; the form in 0
+    variables has one point."""
     p, d = M.p, M.d
-    leads = [(0,) * (d - 1)] + [(0,) * (d - 2 - j) + (q,) for j in range(d - 1) for q in range(1, p)]
-    points = 0  # on the lines solved so far
-    for lead in leads:
-        k = len(lead)
-        points += p ** (d - k)
+    rows, most = _line_solver(M, 0), max(1, EVAL_CHUNK_CELLS // max(d, 1))
+    lo = 0
+    for hi in [1] + [(q + 1) * p**j for j in range(d - 1) for q in range(1, p)]:
+        points = hi * p if d else 1  # on the lines solved so far
         if points > budget:
             raise BudgetExceeded(f"enumeration of size {points} exceeds budget {budget}")
-        free = [[int(i == j) for j in range(d)] for i in range(k, d)]
-        a, b, c = M.composed(free, lead + (0,) * (d - k)).line_coefficients()
-        first, _, count = _line_roots(p, a, b.reshape(-1), c.reshape(-1))
-        hit = np.flatnonzero(count)
-        if len(hit):
-            tail = np.unravel_index(hit[0], (p,) * (d - 1 - k)) + (first[hit[0]],)
-            return lead + tuple(map(int, tail))
+        for start in range(lo, hi, most):
+            pts = rows(start, min(start + most, hi))
+            if len(pts):
+                return tuple(pts[0].tolist())
+        lo = hi
     return None
 
 
@@ -280,9 +274,9 @@ def zero_chunks(M: QuadForm, budget=DEFAULT_BUDGET):
 def enumerate_zeros(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT_BUDGET):
     """V(M), or V(M) n (V + c), as one int64 array of rows in
     lexicographic order, after the subspace and budget checks
-    (_check_slice): zero_chunks' rows, all the lines solved at once
-    (_solve_zeros), since joining the chunks costs a caller that holds the
-    whole set more than one block does.
+    (_check_slice): zero_chunks' rows, all p^(d-1) lines solved as one
+    range with no lead split (_line_solver), since joining the chunks
+    costs a caller that holds the whole set more than one range does.
 
     On V + c the basis of V is put in reduced echelon form B (k rows,
     pivot columns j_i) and the offset c reduced to 0 on the pivots; M is
@@ -293,15 +287,17 @@ def enumerate_zeros(M: QuadForm, S: AffineSubspace | None = None, budget=DEFAULT
     lexicographic order and nothing is sorted.  A point subspace is the
     form in 0 variables, M(c)."""
     _check_slice(M, S, budget)
+    p, N = M.p, M
+    if S is not None:
+        basis, _, pivots = rref(FpMatrix(S.field, S.basis))
+        offset = list(S.offset)
+        for row, j in zip(basis.rows, pivots):
+            offset = [(x - offset[j] * y) % p for x, y in zip(offset, row)]
+        N = M.composed(basis.rows, offset)
+    pts = _line_solver(N, N.d - 1)(0, p ** max(N.d - 1, 0))
     if S is None:
-        return _solve_zeros(M)
-    p = M.p
-    basis, _, pivots = rref(FpMatrix(S.field, S.basis))
-    offset = list(S.offset)
-    for row, j in zip(basis.rows, pivots):
-        offset = [(x - offset[j] * y) % p for x, y in zip(offset, row)]
-    B = np.array(basis.rows, dtype=np.int64).reshape(-1, M.d)
-    return (_solve_zeros(M.composed(basis.rows, offset)) @ B + np.array(offset, dtype=np.int64)) % p
+        return pts
+    return (pts @ np.array(basis.rows, dtype=np.int64).reshape(-1, M.d) + np.array(offset, dtype=np.int64)) % p
 
 
 def _completed_square(field, diag, u, v):

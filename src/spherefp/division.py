@@ -48,7 +48,7 @@ from .fpoly import (
     _fiber_coefficient_table,  # re-exported: bench/tracing.py wraps it by this name
     _first_noninteger_fiber,
     _quadratic_terms,
-    _simplex_grid_sum,
+    _verify_grid_identity,
     induce,
     p_expand,
     regular_lift,
@@ -607,9 +607,7 @@ def lift_nullstellensatz(P: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUDGET):
     P0 = M.integer_poly() * f1 + i0
     if not (P1.is_integer_coefficient() and P0.is_integer_valued()):
         raise TheoremViolation("lifted certificate has the wrong value classes")
-    vals, _ = _simplex_grid_sum(P.nvars, [(1, [m_rat, P1]), (1, [P0]), (-1, [P])])
-    if (vals != 0).any():
-        raise TheoremViolation("lifted certificate failed to re-verify")
+    _verify_grid_identity(P.nvars, [(1, [m_rat, P1]), (1, [P0]), (-1, [P])], "lifted certificate")
     return P1, P0
 
 
@@ -790,11 +788,8 @@ def sphere_vanishing_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BU
 
     def certify(z):
         rs = list(_block_polys(f.nvars, blocks, z).values())  # blocks i = 0..t
-        vals, _ = _simplex_grid_sum(
-            f.nvars, [(1, [f])] + [(-1, [m_rat] * i + [r]) for i, r in enumerate(rs)]
-        )
-        if (vals != 0).any():
-            raise TheoremViolation("sphere-vanishing decomposition failed to re-verify")
+        summands = [(1, [f])] + [(-1, [m_rat] * i + [r]) for i, r in enumerate(rs)]
+        _verify_grid_identity(f.nvars, summands, "sphere-vanishing decomposition")
         return 1, rs
 
     solve = partial(_solve_system, M, df, blocks, 0, rhs)
@@ -840,12 +835,8 @@ def sphere_periodic_decompose(f: RatMultiPoly, M: ZpQuadForm, budget=DEFAULT_BUD
         r0 = rs.pop(0)
         # f - R_0/p - sum M^i R_i must be the constant C: equal to its
         # value at the origin everywhere on the grid
-        vals, vals_den = _simplex_grid_sum(
-            nvars, [(1, [f]), (Fraction(-1, p), [r0])] + [(-1, [m_rat] * i + [r]) for i, r in rs.items()]
-        )
-        if (vals != vals[0]).any():
-            raise TheoremViolation("periodic decomposition failed to re-verify")
-        c_value = Fraction(int(vals[0]), vals_den)
+        summands = [(1, [f]), (Fraction(-1, p), [r0])] + [(-1, [m_rat] * i + [r]) for i, r in rs.items()]
+        c_value = _verify_grid_identity(nvars, summands, "periodic decomposition", constant=True)
         # normalize: integer-over-p and integer parts of the constant belong
         # to the R_0 / p slot, so e.g. f = g/p comes back as (C, R_0) = (0, g)
         den = c_value.denominator

@@ -27,7 +27,7 @@ from .counting import DEFAULT_BUDGET, RankHypothesisFailed, _check_count, _check
 from .division import ZpQuadForm, lift_nullstellensatz
 from .ffcore import BudgetExceeded, HypothesisNotMet, MalformedInput, TheoremViolation
 from .fpoly import ArityMismatch, NotIntegerValued, RatMultiPoly, ValueRangeError
-from .fpoly import _random_exponent, _simplex_grid_sum, binom_int, partial_periodicity_witness
+from .fpoly import _random_exponent, _verify_grid_identity, binom_int, partial_periodicity_witness
 
 FREQ_BUDGET = 200000  # frequency vectors one equidist_test may scan
 
@@ -308,9 +308,7 @@ def weyl_dichotomy(g: RatMultiPoly, p: int, radius: int, delta: float, budget=DE
         Mz = ZpQuadForm.sphere(p, d, radius)
         shifted = (g - RatMultiPoly.constant(d, a)).scale(Fraction(1, p))
         g1, g2 = lift_nullstellensatz(shifted, Mz)
-        vals, _ = _simplex_grid_sum(d, [(1, [Mz.integer_poly(), g1]), (p, [g2]), (a, []), (-1, [g])])
-        if (vals != 0).any():
-            raise TheoremViolation("Weyl certificate failed to re-verify")
+        _verify_grid_identity(d, [(1, [Mz.integer_poly(), g1]), (p, [g2]), (a, []), (-1, [g])], "Weyl certificate")
         return WeylOutcome("constant", 1.0, Fraction(a, p), g1, g2)
     value = abs(root_sum(counts.tolist(), p)) / int(counts.sum())
     if value <= delta:

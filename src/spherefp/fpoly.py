@@ -905,6 +905,17 @@ def _simplex_grid_sum(nvars, summands):
     return total, den
 
 
+def _verify_grid_identity(nvars, summands, what, constant=False):
+    """Re-verify a certificate's identity sum_s c_s prod(factors_s) = 0, or
+    = a constant with constant, on the simplex grid (_simplex_grid_sum):
+    raises TheoremViolation("<what> failed to re-verify") when it does not
+    hold, and returns the constant, a Fraction (0 for an identity = 0)."""
+    vals, den = _simplex_grid_sum(nvars, summands)
+    if (vals != (vals[0] if constant else 0)).any():
+        raise TheoremViolation(f"{what} failed to re-verify")
+    return Fraction(int(vals[0]), den)
+
+
 @lru_cache(maxsize=None)
 def _fiber_axis_table(p, deg):
     """The fiber of one monomial axis, for every residue: K[n0, k, i] =

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spherefp.counting import (
@@ -897,8 +897,8 @@ def test_enumerate_zeros_solver_matches_reference(M):
 @given(line_forms())
 def test_first_zero_solves_the_lines_up_to_the_first_root(M):
     # the first row of the line solver, or None on an empty V(M), with the
-    # budget charged p points a line for the blocks of prefixes solved: the
-    # block ends fall at prefix 1 and at (q + 1) p^j, q = 1..p-1
+    # budget charged p points a line for the ranges of prefixes solved: the
+    # range ends fall at prefix 1 and at (q + 1) p^j, q = 1..p-1
     p, d = M.p, M.d
     want = reference_zeros(M)
     if len(want):
@@ -912,6 +912,34 @@ def test_first_zero_solves_the_lines_up_to_the_first_root(M):
     assert counting.first_zero(M, charge) == first
     with pytest.raises(BudgetExceeded, match=rf"^enumeration of size {charge} exceeds budget {charge - 1}$"):
         counting.first_zero(M, charge - 1)
+
+
+@st.composite
+def line_forms_and_ranges(draw):
+    """A line_forms() form, a tail of t in 0..d-1 axes (leads of p^t lines)
+    and a range of lines 0 <= lo < hi <= p^(d-1)."""
+    M = draw(line_forms())
+    lines = M.p ** (M.d - 1)
+    lo = draw(st.integers(0, lines - 1))
+    return M, draw(st.integers(0, M.d - 1)), lo, draw(st.integers(lo + 1, lines))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(line_forms_and_ranges())
+@example((QuadForm.dot_form(PrimeField(11), 5, 2), 3, 2 * 11**3 + 17, 5 * 11**3 + 100))
+@example((QuadForm(PrimeField(13), np.eye(5, dtype=int).tolist(), [1, 2, 3, 4, 5], 6), 3, 40, 3 * 13**3 + 1))
+def test_line_solver_rows_are_the_reference_rows_on_any_range(case):
+    # the rows on lines lo..hi-1 are the reference rows whose prefix index
+    # lies in [lo, hi), in dtype, shape and order, with any tail: ranges in
+    # the first lead, across whole leads, and cut inside a lead at either
+    # end, also at F_11^5 and F_13^5, where the stream splits leads off
+    M, t, lo, hi = case
+    p, d = M.p, M.d
+    want = reference_zeros(M)
+    prefix = want[:, :-1] @ p ** np.arange(d - 2, -1, -1)
+    want = want[(lo <= prefix) & (prefix < hi)]
+    got = counting._line_solver(M, t)(lo, hi)
+    assert got.dtype == np.int64 and got.shape == want.shape and np.array_equal(got, want)
 
 
 def slice_reference(M, S):
@@ -962,8 +990,8 @@ def test_zero_chunks_join_to_the_point_by_point_reference(case):
 
 
 def test_zero_chunks_stream_past_a_chunk_and_refuse_before_solving(monkeypatch, rng):
-    # past a chunk the rows come a block of leads at a time and are cut to
-    # chunks; a budget below p^d is refused when zero_chunks is called, and
+    # past a chunk the rows come a range of whole leads at a time and are
+    # cut to chunks; a budget below p^d is refused when zero_chunks is called, and
     # one below p^k on V + c when enumerate_zeros is, before any line is
     # solved or the first chunk asked for
     lines = []
@@ -985,9 +1013,9 @@ def test_zero_chunks_stream_past_a_chunk_and_refuse_before_solving(monkeypatch, 
 
 
 def test_lead_blocks_solve_a_0_lines(rng):
-    # the lead blocks against the point-by-point reference where the form
-    # has a = 0 on every line, with b = 0 too (a line holds all p roots or
-    # none) or b a unit
+    # the stream's ranges of whole leads against the point-by-point
+    # reference where the form has a = 0 on every line, with b = 0 too (a
+    # line holds all p roots or none) or b a unit
     for p, d in ((13, 5), (7, 6), (5, 7)):
         M = random_form(PrimeField(p), d, rng)
         rows = [row[:-1] + [0] for row in M.A.rows[:-1]] + [[0] * d]
@@ -1006,6 +1034,16 @@ def test_a_point_subspace_is_its_offset_when_m_vanishes_there(rng):
         for c in itertools.islice(itertools.product(range(p), repeat=4), 0, p**4, 7):
             got = enumerate_zeros(M, AffineSubspace(M.field, [], list(c)))
             assert got.dtype == np.int64 and got.tolist() == ([list(c)] if M.evaluate(list(c)) == 0 else [])
+    # the form in 0 variables itself: its one point () is a zero when v = 0,
+    # for the whole set, the stream and the first point alike, and the first
+    # point's budget meters that one point
+    for v in (0, 1):
+        M = QuadForm(PrimeField(5), [], [], v)
+        assert enumerate_zeros(M).shape == (1 - v, 0)
+        assert [chunk.shape for chunk in counting.zero_chunks(M)] == [(1, 0)] * (1 - v)
+        assert counting.first_zero(M) == counting.first_zero(M, 1) == (() if v == 0 else None)
+        with pytest.raises(BudgetExceeded, match="^enumeration of size 1 exceeds budget 0$"):
+            counting.first_zero(M, 0)
 
 
 def line_root_counts(M):

@@ -822,7 +822,7 @@ def test_l_part_witness_solves_only_the_first_line(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("V_p(M) was enumerated")
 
-    for name in ("_solve_zeros", "zero_chunks", "enumerate_zeros"):
+    for name in ("_zero_blocks", "zero_chunks", "enumerate_zeros"):
         monkeypatch.setattr(counting, name, never)
     monkeypatch.setattr(ZpQuadForm, "sphere_points", never)
     monkeypatch.setattr(ZpQuadForm, "sphere_chunks", never)
@@ -1375,7 +1375,7 @@ def _scan_first_vanishing(f, M, budget=counting.DEFAULT_BUDGET):
     z = _reference_solve(M, df, blocks, 0, rhs, "sphere-vanishing decomposition")
     rs = list(division._block_polys(f.nvars, blocks, z).values())
     m_rat = M.as_ratpoly()
-    vals, _ = division._simplex_grid_sum(
+    vals, _ = fpoly._simplex_grid_sum(
         f.nvars, [(q0, [f])] + [(-1, [m_rat] * i + [r]) for i, r in enumerate(rs)]
     )
     if (vals != 0).any():
@@ -1410,7 +1410,7 @@ def _scan_first_periodic(f, M, budget=counting.DEFAULT_BUDGET):
     rs = division._block_polys(nvars, blocks, z)
     r0 = rs.pop(0)
     m_rat = M.as_ratpoly()
-    vals, vals_den = division._simplex_grid_sum(
+    vals, vals_den = fpoly._simplex_grid_sum(
         nvars, [(q0, [f]), (Fraction(-1, p), [r0])] + [(-1, [m_rat] * i + [r]) for i, r in rs.items()]
     )
     if (vals != vals[0]).any():

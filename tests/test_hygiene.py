@@ -71,14 +71,22 @@ def test_one_f_p_eliminator_in_ffcore():
 
 def test_one_grid_identity_checker_in_fpoly():
     # certificates are re-verified by one exact evaluation on the simplex
-    # grid; a second copy (or a return to Fraction products) could drift
+    # grid; a second copy (or a return to Fraction products) could drift,
+    # and every solver re-verifies through the one checker, which alone
+    # reads the grid sum and raises its "failed to re-verify"
+    names = {"_simplex_grid_sum", "_grid_powers", "_verify_grid_identity"}
     where = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name in {"_simplex_grid_sum", "_grid_powers"}:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
                 where.setdefault(node.name, []).append(path.name)
-    assert where == {"_simplex_grid_sum": ["fpoly.py"], "_grid_powers": ["fpoly.py"]}
+    assert where == {name: ["fpoly.py"] for name in names}
+    assert _callers("_simplex_grid_sum") == ["fpoly._verify_grid_identity"]
+    assert _callers("_verify_grid_identity") == [
+        "division.lift_nullstellensatz", "division.sphere_periodic_decompose.certify",
+        "division.sphere_vanishing_decompose.certify", "equidist.weyl_dichotomy",
+    ]
 
 
 def test_one_binomial_residue_table_in_equidist():
@@ -121,6 +129,24 @@ def _calls(node, name):
                 yield call
 
 
+def _callers(name):
+    """module.function of every function of src/ that calls name in its own
+    body, a call inside a nested function counting for that one, sorted."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualname, fn in _functions(tree):
+            body, own = list(ast.iter_child_nodes(fn)), False
+            while body and not own:
+                node = body.pop()
+                if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                    own = isinstance(node, ast.Call) and next(_calls(node, name), None) is node
+                    body += ast.iter_child_nodes(node)
+            if own:
+                found.append(f"{path.stem}.{qualname}")
+    return sorted(found)
+
+
 def test_v_p_base_points_come_from_one_enumerator():
     # V_p(M) base points are ZpQuadForm.sphere_points' int64 rows in lex
     # order, or the same rows in zero_chunks' chunks (sphere_chunks): a
@@ -158,19 +184,22 @@ def test_box_s_candidates_come_from_the_zero_set_rows():
 
 def test_zero_sets_come_from_the_line_solver_alone(monkeypatch):
     # V(M) and V(M) n (V + c) are both solved line by line by
-    # counting._line_roots, the slice on the form pulled back to the
-    # parameters of V + c, whether all lines at once (_solve_zeros) or a
-    # block of leads at a time (_lead_blocks): no point list of V + c
-    # filtered by eval_array beside it, and one Box_s row builder
-    # (enumerate_mset), so gowers_set only counts
+    # counting._line_roots, called from one function alone: the rows of
+    # counting._line_solver over a range of lines, which the whole set (one
+    # range of all lines), the stream (ranges of whole leads) and the first
+    # point (its own ranges) all read, the slice on the form pulled back to
+    # the parameters of V + c; no point list of V + c filtered by eval_array
+    # beside it, and one Box_s row builder (enumerate_mset), so gowers_set
+    # only counts
     from spherefp import counting
     from spherefp.ffcore import PrimeField
     from spherefp.quadform import AffineSubspace, QuadForm
 
     text = "".join(path.read_text() for path in sorted(SRC.glob("*.py")))
     assert "subspace_points" not in text and "count_only" not in text
+    assert _callers("_line_roots") == ["counting._line_solver.rows"]
     tree = ast.parse((SRC / "counting.py").read_text())
-    for name in ("enumerate_zeros", "zero_chunks", "_zero_blocks", "_solve_zeros", "_lead_blocks"):
+    for name in ("enumerate_zeros", "zero_chunks", "_zero_blocks", "first_zero", "_line_solver"):
         fns = [fn for fname, fn in _functions(tree) if fname == name]
         assert len(fns) == 1 and list(_calls(fns[0], "eval_array")) == [], name
     lines = []
@@ -181,15 +210,21 @@ def test_zero_sets_come_from_the_line_solver_alone(monkeypatch):
     counting.enumerate_zeros(M)
     counting.enumerate_zeros(M, AffineSubspace(field, [[1, 0, 0], [0, 1, 1]], [0, 1, 0]))
     assert lines == [25, 5]
-    # past a chunk the stream solves the p^4 lines of F_13^5 a block of leads
-    # at a time, 1, 2, 4, 5 and 1 leads of 13^3 lines, each line once: a
-    # block holds at most EVAL_CHUNK_CELLS / 5 lines; the whole set is
-    # solved in one block
+    # past a chunk the stream solves the p^4 lines of F_13^5 a range of whole
+    # leads at a time, 1, 2, 4, 5 and 1 leads of 13^3 lines, each line once:
+    # a range holds at most EVAL_CHUNK_CELLS / 5 lines; the whole set is
+    # solved as one range
     big = QuadForm.dot_form(PrimeField(13), 5, 1)
     lines.clear()
     list(counting.zero_chunks(big))
     assert lines == [13**3 * n for n in (1, 2, 4, 5, 1)]
     assert max(lines) * 5 <= counting.EVAL_CHUNK_CELLS
+    # a lead's lines fill at most half a chunk, so a range past the first
+    # few holds at least half of EVAL_CHUNK_CELLS / d lines: the 23^3 lines
+    # of F_23^4 would fill 48,668 of 65,536 cells, so a lead holds 23^2
+    lines.clear()
+    list(counting.zero_chunks(QuadForm.dot_form(PrimeField(23), 4, 1)))
+    assert lines == [23**2 * n for n in (1, 2, 4, 8, 8)]
     lines.clear()
     counting.enumerate_zeros(big)
     assert lines == [13**4]
@@ -473,11 +508,10 @@ def test_one_quadratic_kernel():
         if "@ a) % p" in line
     ]
     assert found == [], f"per-product reductions in src/spherefp: {found}"
-    callers = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        callers += [f"{path.stem}.{name}" for name, fn in _functions(tree) if list(_calls(fn, "bilinear"))]
-    assert sorted(callers) == ["msets.MQuadFn.eval_array", "msets.enumerate_mset", "quadform.QuadForm.eval_array"]
+    assert _callers("bilinear") == [
+        "counting._line_solver.rows", "msets.MQuadFn.eval_array", "msets.enumerate_mset",
+        "quadform.QuadForm.eval_array",
+    ]
 
 
 def _float_arithmetic(fn):
