@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,8 +116,10 @@ def _check_slice(M: QuadForm, S: AffineSubspace | None, budget):
         raise BudgetExceeded(f"enumeration of size {size} exceeds budget {budget}")
 
 
+@lru_cache(maxsize=16)
 def _inverses(p):
-    """x^(p-2) mod p for x in 0..p-1: the inverse of every unit, and 0 at 0."""
+    """x^(p-2) mod p for x in 0..p-1: the inverse of every unit, and 0 at 0,
+    read-only.  Cached per p."""
     x = np.arange(p, dtype=np.int64)
     out = np.ones(p, dtype=np.int64)
     e = p - 2
@@ -125,27 +128,35 @@ def _inverses(p):
             out = out * x % p
         x = x * x % p
         e >>= 1
+    out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=16)
+def _square_roots(p):
+    """(nroots, root) over the residues D mod p: how many r have r^2 = D,
+    and one of them, filled from r = 0..(p-1)/2, read-only.  Cached per p."""
+    r = np.arange((p + 1) // 2, dtype=np.int64)
+    sq = r * r % p
+    nroots, root = np.zeros(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
+    nroots[sq], root[sq] = 2, r
+    nroots[0] = 1
+    nroots.flags.writeable = root.flags.writeable = False
+    return nroots, root
 
 
 def _line_roots(p, a, b, c):
     """The roots of a t^2 + b t + c = 0 over F_p on each line, b and c flat
     int64 arrays: (first, step, count) with the roots first, first + step,
     .., ascending.  With a != 0 the roots are (-b +- r) / 2a where
-    r^2 = b^2 - 4ac, read from a table of square roots built from
-    r = 0..(p-1)/2; with a = 0 the root of b t + c = 0 is -c / b, and a line
-    with b = c = 0 holds all p points."""
+    r^2 = b^2 - 4ac, r read from the table of square roots (_square_roots);
+    with a = 0 the root of b t + c = 0 is -c / b, and a line with
+    b = c = 0 holds all p points."""
     if a:
         inv = pow(2 * a, -1, p)
-        # over the discriminant D: how many r have r^2 = D, and r / 2a for
-        # one of them, filled from r = 0..(p-1)/2
-        r = np.arange((p + 1) // 2, dtype=np.int64)
-        sq = r * r % p
-        nroots, root = np.zeros(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
-        nroots[sq], root[sq] = 2, r * inv % p
-        nroots[0] = 1
+        nroots, root = _square_roots(p)
         disc = (b * b - 4 * a % p * c) % p
-        mid, half = (p - b) * inv % p, root[disc]  # -b / 2a and r / 2a
+        mid, half = (p - b) * inv % p, root[disc] * inv % p  # -b / 2a and r / 2a
         t1, t2 = (mid + half) % p, (mid - half) % p
         return np.minimum(t1, t2), np.abs(t1 - t2), nroots[disc]
     first = (-c % p) * _inverses(p)[b] % p
@@ -239,13 +250,17 @@ def _zero_blocks(M: QuadForm):
 
 def first_zero(M: QuadForm, budget=DEFAULT_BUDGET):
     """The first row of V(M) as a tuple of Python ints, or None when V(M)
-    is empty, solving only the ranges of lines up to the one that holds it:
-    the line [0, 1), then for j = 0, 1, .. and q = 1..p-1 the lines
-    [q p^j, (q + 1) p^j) of the prefixes (0, .., 0, q, *), at most
-    EVAL_CHUNK_CELLS / d lines at a time.  The solver has no tail, so the
-    first line costs one form in one variable.  The budget meters the p
-    points of every line solved, checked before each range; the form in 0
-    variables has one point."""
+    is empty, solving only the lines up to the one that holds it: the
+    line [0, 1), then for j = 0, 1, .. and q = 1..p-1 the block of lines
+    [q p^j, (q + 1) p^j) of the prefixes (0, .., 0, q, *), each block's
+    first line alone and then the rest of it at most EVAL_CHUNK_CELLS / d
+    lines at a time, so a root on a block's first line costs that line
+    alone.  Line 0 is solved with no tail, one form in one variable; past
+    it the solver has a tail of two axes, so the lines up to p^2 read their
+    coefficients from its tables and a range past them computes the lead
+    part once per p^2 lines.  The budget meters the p points of every line
+    solved, checked before each block; the form in 0 variables has one
+    point."""
     p, d = M.p, M.d
     rows, most = _line_solver(M, 0), max(1, EVAL_CHUNK_CELLS // max(d, 1))
     lo = 0
@@ -253,11 +268,15 @@ def first_zero(M: QuadForm, budget=DEFAULT_BUDGET):
         points = hi * p if d else 1  # on the lines solved so far
         if points > budget:
             raise BudgetExceeded(f"enumeration of size {points} exceeds budget {budget}")
-        for start in range(lo, hi, most):
-            pts = rows(start, min(start + most, hi))
+        if lo == 1:
+            rows = _line_solver(M, min(2, d - 1))
+        n = 1
+        while lo < hi:
+            stop = min(lo + n, hi)
+            pts = rows(lo, stop)
             if len(pts):
                 return tuple(pts[0].tolist())
-        lo = hi
+            lo, n = stop, most
     return None
 
 

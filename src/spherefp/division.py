@@ -436,8 +436,19 @@ def _first_cube(M: QuadForm, s: int, budget, values):
     values(n, [h_1..h_s]) is nonzero mod p; None if the walk completes
     without one.  values takes a block at once, its h_s a stack of rows cut
     where the budget ends, so the budget (gowers_blocks' rule) pays for the
-    tuples up to and including the witness."""
+    tuples up to and including the witness.
+
+    A block whose prefix shifts h_1..h_{s-1} include the zero vector is
+    skipped unevaluated, and the walk resumes past it, so it is still paid
+    for.  This is exact when values(n, hs) vanishes whenever some h_t with
+    t < s is 0, as both scans' values do: the difference operators commute
+    and Delta_0 f = f - f = 0, and the cube equation's P-block takes
+    exactly h_1..h_{s-1}.  The candidates at n are sorted, so the first
+    child of every node is h = 0: at s = 2 the first block at n holds all
+    |V(M)| candidates and yields nothing."""
     for prefix, H, room in gowers_blocks(M, s, None, budget):
+        if not all(h.any() for h in prefix[1:]):
+            continue
         pts = [*prefix, H[:room]]
         hit = np.flatnonzero(values(pts[0], pts[1:]) % M.p)
         if len(hit):

@@ -914,6 +914,27 @@ def test_first_zero_solves_the_lines_up_to_the_first_root(M):
         counting.first_zero(M, charge - 1)
 
 
+def test_first_zero_solves_a_blocks_first_line_alone(monkeypatch):
+    # M = x_0 + 1: each line with x_0 < p - 1 is empty and each with
+    # x_0 = p - 1 holds all p points, so the first point (p - 1, 0, .., 0)
+    # opens the last block of lines [(p - 1) p^(d-2), p^(d-1)); every line
+    # before it is solved once, and that block's first line alone, not a
+    # range of EVAL_CHUNK_CELLS / d lines of p rows each
+    lines = []
+    roots = counting._line_roots
+    monkeypatch.setattr(counting, "_line_roots", lambda p, a, b, c: lines.append(len(c)) or roots(p, a, b, c))
+    for p, d in ((5, 8), (13, 5)):
+        M = QuadForm(PrimeField(p), [[0] * d for _ in range(d)], [1] + [0] * (d - 1), 1)
+        lines.clear()
+        assert counting.first_zero(M) == (p - 1,) + (0,) * (d - 1)
+        assert lines[-1] == 1 and sum(lines) == (p - 1) * p ** (d - 2) + 1
+        assert max(lines) <= EVAL_CHUNK_CELLS // d
+        # the sphere's first point lies on line 0, solved alone
+        lines.clear()
+        assert counting.first_zero(QuadForm.dot_form(PrimeField(p), d, radius=1)) == (0,) * (d - 1) + (1,)
+        assert lines == [1]
+
+
 @st.composite
 def line_forms_and_ranges(draw):
     """A line_forms() form, a tail of t in 0..d-1 axes (leads of p^t lines)

@@ -1241,6 +1241,148 @@ def test_gowers_equation_s1_witness_builds_no_pair_table(rng):
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+# -- the witness scans skip the blocks whose prefix holds a zero shift ----------
+
+
+def _spy_scan(monkeypatch):
+    """Record every block the witness scans walk and every block they
+    evaluate: walked gets, per block of gowers_blocks, whether a prefix
+    shift h_1..h_{s-1} is the zero vector; evaluated gets the prefix shifts
+    of each block handed to the values callback of _first_cube."""
+    walked, evaluated = [], []
+    real_blocks, real_scan = division.gowers_blocks, division._first_cube
+
+    def blocks(*args):
+        for prefix, H, room in real_blocks(*args):
+            walked.append(not all(h.any() for h in prefix[1:]))
+            yield prefix, H, room
+
+    def first_cube(M, s, budget, values):
+        def spy(n, hs):
+            evaluated.append([np.array(h) for h in hs[:-1]])
+            return values(n, hs)
+
+        return real_scan(M, s, budget, spy)
+
+    monkeypatch.setattr(division, "gowers_blocks", blocks)
+    monkeypatch.setattr(division, "_first_cube", first_cube)
+    return walked, evaluated
+
+
+def _degree_s_poly(p, d, s, rng):
+    """A random polynomial of degree exactly s, so that most scans end in a witness."""
+    top = [0] * d
+    for _ in range(s):
+        top[rng.randrange(d)] += 1
+    return random_fp_poly(p, d, s, rng) + FpMultiPoly(p, d, {tuple(top): rng.randrange(1, p)})
+
+
+def test_witness_scans_evaluate_no_block_with_a_zero_shift(monkeypatch, rng):
+    # Delta_0 f = 0 and the difference operators commute, so a block whose
+    # prefix holds h_t = 0 (t < s) has value 0 on every row in both scans
+    # (the cube equation's P-block takes exactly h_1..h_{s-1}): each such
+    # block is walked and paid for, never evaluated, and the first block at
+    # every n is one, its h_1 = 0 first among the sorted candidates
+    f5 = PrimeField(5)
+    # Box_3 of the sphere of F_5^6 is past any desk budget, so the cube
+    # equation's fit check is lifted there; its scan stops at the witness
+    monkeypatch.setattr(division, "_metered_gowers_set", lambda M, s, S, budget: 0)
+    walked, evaluated = _spy_scan(monkeypatch)
+    for s in (2, 3):
+        M4, M = QuadForm.dot_form(f5, 4, radius=1), QuadForm.dot_form(f5, s + 3, radius=1)
+        scans = [
+            lambda: ("witness", first_gowers_witness(_degree_s_poly(5, 4, s, rng), M4, s)),
+            lambda: gowers_equation_solve(
+                _degree_s_poly(5, s + 3, s, rng), _degree_s_poly(5, s + 3, s + 1, rng), M, s
+            ),
+        ]
+        for scan in scans:
+            walked.clear()
+            evaluated.clear()
+            res = scan()
+            assert res[0] == "witness" and res[1] is not None
+            assert walked[0]
+            assert evaluated and all(h.any() for hs in evaluated for h in hs)
+            assert len(evaluated) == walked.count(False)  # every other block up to the witness
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_witness_budget_ending_in_a_skipped_block_raises_like_the_scalar_scan(monkeypatch, s):
+    # the zero-prefix blocks at the first point n_0 (h_1 = 0 and, at s = 3,
+    # everything under it) cost 2 + N units at s = 2 and 2 + N + Z at s = 3,
+    # N = |V(M)| and Z the pairs of candidates with (h A) . h' = 0; a budget
+    # that ends inside them raises with the walk's message, as the scalar
+    # scan does, before anything is evaluated, and past them the witness and
+    # its exact budget are the scalar scan's
+    monkeypatch.setattr(counting, "enumerate_zeros", lambda M, S, budget: enumerate_zeros(M, S, 5**4))
+    rng = random.Random(f"skipped-budget/{s}")
+    M = QuadForm.dot_form(PrimeField(5), 4, radius=1)
+    base = enumerate_zeros(M)
+    cand = (base - base[0]) % 5
+    A = np.array(M.A.rows, dtype=np.int64)
+    skipped = 2 + len(base)
+    if s == 3:
+        skipped += int(np.count_nonzero(cand @ A @ cand.T % 5 == 0))
+    while True:
+        g = _degree_s_poly(5, 4, s, rng)
+        want, used = _witness_scan_reference(g, M, s, 10000)
+        if want is not None:
+            break
+    assert used > skipped
+    walked, evaluated = _spy_scan(monkeypatch)
+    for budget in (2, skipped // 2, skipped - 1, skipped):
+        with pytest.raises(BudgetExceeded, match=rf"^Box_{s} walk exceeds budget {budget}$"):
+            first_gowers_witness(g, M, s, budget)
+        with pytest.raises(BudgetExceeded):
+            _witness_scan_reference(g, M, s, budget)
+    assert evaluated == [] and any(walked)
+    assert first_gowers_witness(g, M, s, used) == want
+    with pytest.raises(BudgetExceeded, match=rf"^Box_{s} walk exceeds budget {used - 1}$"):
+        first_gowers_witness(g, M, s, used - 1)
+
+
+@pytest.mark.parametrize("p, d, s", list(itertools.product((5, 7), (4, 5), (1, 2, 3))))
+def test_witness_scans_match_the_scalar_references(monkeypatch, p, d, s):
+    # both scans against the per-cube scalar references on seeded draws:
+    # first_gowers_witness against the recursive scan, with its exact
+    # budget (a scan the reference cannot finish within cap raises on both
+    # sides), and the cube equation, where rank(M) >= s + 3 admits it,
+    # against the first failing pair of Box_1 and the first failing tuple
+    # of a lexicographic prefix of Box_2
+    monkeypatch.setattr(counting, "enumerate_zeros", lambda M, S, budget: enumerate_zeros(M, S, p**d))
+    rng = random.Random(f"witness-scans/{p}/{d}/{s}")
+    field = PrimeField(p)
+    cap = 10000
+    for trial in range(3):
+        if trial % 2:
+            M = random_form(field, d, rng, min_rank=d)
+        else:
+            M = QuadForm.dot_form(field, d, radius=rng.randrange(1, p))
+        g = _degree_s_poly(p, d, s, rng)
+        try:
+            want, used = _witness_scan_reference(g, M, s, cap)
+        except BudgetExceeded:
+            with pytest.raises(BudgetExceeded):
+                first_gowers_witness(g, M, s, cap)
+        else:
+            assert first_gowers_witness(g, M, s, used) == want
+            with pytest.raises(BudgetExceeded):
+                first_gowers_witness(g, M, s, used - 1)
+        if s > 2 or d < s + 3:
+            continue  # the cube equation needs rank(M) >= s + 3
+        P, Q = _degree_s_poly(p, d, s, rng), _degree_s_poly(p, d, s + 1, rng)
+        res = gowers_equation_solve(P, Q, M, s, budget=10**12)
+        if s == 1:
+            assert res == ("witness", _box1_first(P, Q, M))
+            continue
+        box = _box2_prefix(M, 2 * len(enumerate_zeros(M)))
+        first = next(
+            (tup for tup in box if (_cube_difference(P, tup[0], tup[1:2]) + _cube_difference(Q, tup[0], list(tup[1:]))) % p),
+            None,
+        )
+        assert res[0] == "witness" and (res[1] == first if first else res[1] not in box)
+
+
 # -- the re-verify steps reject a corrupted certificate ---------------------------
 
 
